@@ -79,15 +79,15 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
             writer.writerows(rows)
 
 
-def _coerce_ids(values: Sequence[str] | None, default, coerce):
+def _coerce_ids(values: Sequence[str] | None, default, kind):
     if not values:
         return list(default)
-    return [coerce(v) for v in values]
+    return [ineq.coerce_id(kind, v) for v in values]
 
 
 def _cmd_verify_discrete(args, argv) -> int:
     started = time.monotonic()
-    ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.coerce_id)
+    ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
     for iid in ids:
         if iid not in ineq.DISCRETE_EVAL_IDS:
             raise ConfigError(f"{iid.value} is not a tree inequality")
@@ -109,12 +109,10 @@ def _cmd_verify_discrete(args, argv) -> int:
 
 def _cmd_verify_continuous(args, argv) -> int:
     started = time.monotonic()
-    ids = _coerce_ids(args.ineq, wiener_mc.ContinuousId,
-                      wiener_mc.coerce_continuous_id)
+    ids = _coerce_ids(args.ineq, wiener_mc.ContinuousId, wiener_mc.ContinuousId)
     spec = formats.parse_integrand(_load_json(args.integrand))
     t = spec.horizon if args.t is None else args.t
-    reports = [wiener_mc.eval_continuous(spec, t, args.p, cid, args.paths, args.seed)
-               for cid in ids]
+    reports = wiener_mc.eval_continuous(spec, t, args.p, ids, args.paths, args.seed)
     for r in reports:
         print(_report_line(r))
     if args.out:
@@ -152,7 +150,7 @@ def _cmd_sharpness(args, argv) -> int:
 
 def _cmd_random_trees(args, argv) -> int:
     started = time.monotonic()
-    ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.coerce_id)
+    ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
     for iid in ids:
         if iid not in ineq.DISCRETE_EVAL_IDS:
             raise ConfigError(f"{iid.value} is not a tree inequality")

@@ -7,6 +7,7 @@ ProbTree.validate; only structural problems raise here.
 """
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .errors import ConfigError
@@ -39,6 +40,8 @@ def _get(obj: dict, key: str, where: str) -> Any:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 

@@ -85,13 +85,14 @@ def exact_report(ineq_id: str, p: float, n_or_t: float, lhs: float, rhs: float,
         verdict="satisfied" if satisfied else "violation", notes=notes)
 
 
-def coerce_id(value) -> InequalityId:
-    if isinstance(value, InequalityId):
+def coerce_id(kind: type[enum.Enum], value) -> enum.Enum:
+    """Member of the id enum `kind` (InequalityId or ContinuousId) named by value."""
+    if isinstance(value, kind):
         return value
     try:
-        return InequalityId(str(value))
+        return kind(str(value))
     except ValueError:
-        known = ", ".join(i.value for i in InequalityId)
+        known = ", ".join(i.value for i in kind)
         raise DomainError(f"unknown inequality id {value!r}; known: {known}") from None
 
 
@@ -106,7 +107,7 @@ def eval_discrete(tree: ProbTree, n: int, p, ineq_id) -> InequalityReport:
     DOOB:       ||sup ||M||||_p      <= p/(p-1) * ||M_n||_p        (unsquared)
     """
     p = as_exponent(p)
-    iid = coerce_id(ineq_id)
+    iid = coerce_id(InequalityId, ineq_id)
     if iid is InequalityId.RIO_STEP:
         raise DomainError("RIO-STEP compares a distribution pair; use eval_rio_step")
     if iid is InequalityId.D_BURK_1:
@@ -319,7 +320,7 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     from the single seed.
     """
     p_values = [as_exponent(p) for p in p_values]
-    ids = [coerce_id(i) for i in ids]
+    ids = [coerce_id(InequalityId, i) for i in ids]
     for t in range(int(count)):
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_SWEEP_STREAM, t))
         rng = np.random.Generator(np.random.Philox(ss))

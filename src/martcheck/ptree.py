@@ -76,8 +76,9 @@ class Violation:
     """One failed invariant, located by the child-index path from the root.
 
     kind is one of "structure" (non-uniform depth, wrong increment
-    dimension), "probability" (branch probabilities outside ]0,1] or not
-    summing to one) and "martingale" (nonzero conditional increment mean).
+    dimension, non-finite increment), "probability" (branch probabilities
+    outside ]0,1] or not summing to one) and "martingale" (nonzero
+    conditional increment mean).
     residual quantifies the failure.
     """
 
@@ -188,7 +189,14 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
             # cannot form the conditional mean with ragged rows
             stack.extend((br.node, path + (i,)) for i, br in enumerate(node.children))
             continue
-        if np.any(probs <= 0.0) or np.any(probs > 1.0):
+        incr = np.array([br.incr for br in node.children], dtype=float)
+        finite = np.isfinite(incr)
+        if not finite.all():
+            bad_value = np.flatnonzero(~finite.all(axis=1)).tolist()
+            out.append(Violation(
+                "structure", path, float(len(bad_value)),
+                f"non-finite increment on children {bad_value} at {path}"))
+        if not (probs.min() > 0.0 and probs.max() <= 1.0):   # NaN fails too
             worst = float(np.max(np.maximum(probs - 1.0, -probs)))
             out.append(Violation(
                 "probability", path, worst,
@@ -198,7 +206,6 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
             out.append(Violation(
                 "probability", path, psum,
                 f"branch probabilities sum to 1{psum:+.3g} at {path}"))
-        incr = np.array([br.incr for br in node.children], dtype=float)
         resid = float(np.linalg.norm(probs @ incr))
         if resid > PROB_TOL:
             out.append(Violation(
@@ -335,8 +342,8 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     """Draw a martingale-valid random tree.
 
     Branching factors come from `branching`, branch probabilities are
-    normalized positive draws, and raw uniform [-1,1]^dim increments are
-    recentred by their conditional mean at each node so the martingale
+    normalized positive draws, and each raw uniform [-1,1]^dim increment is
+    recentred by the conditional mean at its node so the martingale
     property holds to roundoff. `seed` may be an int or a SeedSequence.
     """
     depth = int(depth)

@@ -196,7 +196,7 @@ class SearchConfig:
             raise ConfigError("budget must be >= 1")
         object.__setattr__(self, "budget", int(self.budget))
         object.__setattr__(self, "seed", int(self.seed))
-        target = ineq.coerce_id(self.target)
+        target = ineq.coerce_id(ineq.InequalityId, self.target)
         object.__setattr__(self, "target", target.value)
         if self.family.tag == "RANDOM-TREE":
             if target not in ineq.DISCRETE_EVAL_IDS:

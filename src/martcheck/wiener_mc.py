@@ -10,7 +10,8 @@ Reproducibility: paths are partitioned into fixed 1024-path blocks; block b
 of a run with seed s draws from Philox keyed by
 SeedSequence(entropy=s, spawn_key=(10, b)). The block decomposition and all
 reduction orders are algorithm constants, so results do not depend on how
-work would be scheduled across workers.
+work would be scheduled across workers. One simulation serves every
+inequality id of a run.
 """
 from __future__ import annotations
 
@@ -21,15 +22,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError
-from .ineq import InequalityReport, _ratio
+from .ineq import InequalityReport, _ratio, coerce_id
 from .ptree import as_exponent
 
 BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
-RETAIN_LIMIT = 1 << 22      # keep raw increments only up to this many cells
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
 CELL_CAP_ENV = "MARTCHECK_MC_CELL_CAP"
 Z95 = 1.96                  # fixed 95% half-width multiplier
@@ -47,14 +46,7 @@ class ContinuousId(enum.Enum):
     ZAKAI_MAX = "ZAKAI-MAX"
 
 
-def coerce_continuous_id(value) -> ContinuousId:
-    if isinstance(value, ContinuousId):
-        return value
-    try:
-        return ContinuousId(str(value))
-    except ValueError:
-        known = ", ".join(i.value for i in ContinuousId)
-        raise DomainError(f"unknown inequality id {value!r}; known: {known}") from None
+_ZAKAI_IDS = (ContinuousId.ZAKAI_MAIN, ContinuousId.ZAKAI_MAX)
 
 
 @dataclass(frozen=True)
@@ -161,24 +153,23 @@ class McEstimate:
 class WienerBatch:
     """Simulated paths reduced to the per-path statistics the bounds need.
 
+    stop: grid index of the evaluation time t.
     x_stop: X at the stop grid index, one row per path.
     sup_norm: max of ||X|| over grid points 0..stop per path.
-    riemann: left-endpoint sum of sum_j ||f^j||^2 over [0, t_stop] per path.
-    incr_mean: empirical per-component mean of all Wiener increments.
-    increments: raw (paths, steps, m) increments, kept only when
-        paths * steps * m <= 2**22, else None.
+    riemann: left-endpoint sum of g = sum_j ||f^j||^2 over [0, t_stop] per path.
+    zakai_rows: (groups, stop) sums of g(t_i)^{p/2} over the paths of each
+        batch-means group (see _group_bounds), for the exponent p given to
+        simulate; None when simulate got no p.
     """
 
     spec: IntegrandSpec
     seed: int
     paths: int
     stop: int
-    times: np.ndarray
     x_stop: np.ndarray
     sup_norm: np.ndarray
     riemann: np.ndarray
-    incr_mean: np.ndarray
-    increments: np.ndarray | None
+    zakai_rows: np.ndarray | None = None
 
 
 def cell_cap() -> int:
@@ -247,42 +238,22 @@ def _const_rows(spec: IntegrandSpec) -> tuple[np.ndarray, np.ndarray]:
     return rows, (rows ** 2).sum(axis=2).sum(axis=0)
 
 
-def _g_end(spec: IntegrandSpec, w_end: np.ndarray) -> np.ndarray:
-    """sum_j ||f^j||^2 at the right endpoint, extending the last step's rule."""
-    bsz = w_end.shape[0]
-    total = np.zeros(bsz)
-    for j in range(1, spec.wiener_dim + 1):
-        rule = spec.rule_at(j, spec.steps - 1)
-        if rule is None:
-            continue
-        c_sq = float(sum(v * v for v in rule.c))
-        if rule.kind == "const":
-            total += c_sq
-        elif rule.kind == "lin":
-            total += c_sq * w_end[:, rule.k - 1] ** 2
-        else:
-            total += c_sq * np.sign(w_end[:, rule.k - 1]) ** 2
-    return total
-
-
-def _group_bounds(paths: int, groups: int) -> list[tuple[int, int]]:
+def _group_bounds(paths: int) -> list[tuple[int, int]]:
+    """Path ranges of the min(CI_GROUPS, paths) batch-means groups."""
+    groups = min(CI_GROUPS, paths)
     return [(-(-g * paths // groups), -(-(g + 1) * paths // groups))
             for g in range(groups)]
 
 
-@dataclass
-class _Scan:
-    x_stop: np.ndarray
-    sup_norm: np.ndarray
-    riemann: np.ndarray
-    incr_mean: np.ndarray
-    increments: np.ndarray | None
-    zakai_rows: np.ndarray | None   # (groups, stop+1) sums of g^{p/2} per group
-    group_sizes: np.ndarray | None
+def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
+             p=None) -> WienerBatch:
+    """Simulate the batch once and reduce it to per-path statistics.
 
-
-def _scan(spec: IntegrandSpec, paths: int, seed: int, stop: int,
-          moment_power: float | None = None) -> _Scan:
+    Statistics are taken at/up to time t (default: the horizon), which must
+    lie on the grid. Given the exponent p, the batch also carries the ZAKAI
+    rows for that p. Deterministic for fixed (spec, paths, seed, t, p).
+    """
+    stop = spec.steps if t is None else grid_index(spec, t)
     _check_run(spec, paths, seed)
     paths, seed = int(paths), int(seed)
     S, m, d = spec.steps, spec.wiener_dim, spec.dim
@@ -293,18 +264,17 @@ def _scan(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     x_stop = np.empty((paths, d))
     sup_norm = np.empty(paths)
     riemann = np.empty(paths)
-    incr_total = np.zeros(m)
-    retain = paths * S * m <= RETAIN_LIMIT
-    increments = np.empty((paths, S, m)) if retain else None
 
     const_rows = const_g = None
     if not needs_w:
         const_rows, const_g = _const_rows(spec)
 
-    groups = min(CI_GROUPS, paths) if moment_power is not None else None
-    bounds = _group_bounds(paths, groups) if groups else None
-    zrows = np.zeros((groups, stop + 1)) if groups else None
-    half_power = (moment_power / 2.0) if moment_power is not None else None
+    bounds = zrows = None
+    if p is not None:
+        half_power = as_exponent(p) / 2.0
+        bounds = _group_bounds(paths)
+        groups = len(bounds)
+        zrows = np.zeros((groups, stop))
 
     for b, lo in enumerate(range(0, paths, BLOCK_PATHS)):
         hi = min(lo + BLOCK_PATHS, paths)
@@ -313,9 +283,6 @@ def _scan(spec: IntegrandSpec, paths: int, seed: int, stop: int,
             np.random.SeedSequence(entropy=seed, spawn_key=(_WIENER_STREAM, b))))
         dw = gen.standard_normal((bsz, S, m))
         dw *= sqrt_dt
-        if retain:
-            increments[lo:hi] = dw
-        incr_total += dw.sum(axis=(0, 1))
 
         if needs_w:
             wn = np.zeros((bsz, S + 1, m))
@@ -347,14 +314,8 @@ def _scan(spec: IntegrandSpec, paths: int, seed: int, stop: int,
             riemann[lo:hi] = const_g[:stop].sum() * dt
 
         if zrows is not None and needs_w:
-            if stop < S:
-                cols = g_mat[:, :stop + 1]
-            else:
-                cols = np.concatenate([g_mat, _g_end(spec, wn[:, S])[:, None]], axis=1)
-            y = _pow(cols, half_power)
-            g0 = lo * groups // paths
-            g1 = (hi - 1) * groups // paths
-            for g in range(g0, g1 + 1):
+            y = _pow(g_mat[:, :stop], half_power)
+            for g in range(lo * groups // paths, (hi - 1) * groups // paths + 1):
                 gl = max(lo, bounds[g][0])
                 gh = min(hi, bounds[g][1])
                 if gl < gh:
@@ -362,35 +323,12 @@ def _scan(spec: IntegrandSpec, paths: int, seed: int, stop: int,
 
     if zrows is not None and not needs_w:
         # deterministic integrand: every path contributes the same row
-        row = np.empty(stop + 1)
-        if stop < S:
-            row[:] = const_g[:stop + 1]
-        else:
-            row[:S] = const_g
-            row[S] = const_g[S - 1]
-        y_row = _pow(row, half_power)
         sizes = np.array([gh - gl for gl, gh in bounds], dtype=float)
-        zrows[:] = sizes[:, None] * y_row[None, :]
+        zrows[:] = sizes[:, None] * _pow(const_g[:stop], half_power)[None, :]
 
-    sizes = np.array([gh - gl for gl, gh in bounds], dtype=float) if groups else None
-    return _Scan(x_stop=x_stop, sup_norm=sup_norm, riemann=riemann,
-                 incr_mean=incr_total / (paths * S), increments=increments,
-                 zakai_rows=zrows, group_sizes=sizes)
-
-
-def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None) -> WienerBatch:
-    """Simulate the batch and reduce it to per-path statistics.
-
-    Statistics are taken at/up to time t (default: the horizon), which must
-    lie on the grid. Deterministic for fixed (spec, paths, seed, t).
-    """
-    stop = spec.steps if t is None else grid_index(spec, t)
-    scan = _scan(spec, paths, seed, stop)
-    times = spec.dt * np.arange(spec.steps + 1)
-    return WienerBatch(
-        spec=spec, seed=int(seed), paths=int(paths), stop=stop, times=times,
-        x_stop=scan.x_stop, sup_norm=scan.sup_norm, riemann=scan.riemann,
-        incr_mean=scan.incr_mean, increments=scan.increments)
+    return WienerBatch(spec=spec, seed=seed, paths=paths, stop=stop,
+                       x_stop=x_stop, sup_norm=sup_norm, riemann=riemann,
+                       zakai_rows=zrows)
 
 
 def _mc_power(y: np.ndarray, expo: float) -> tuple[float, float]:
@@ -428,57 +366,28 @@ def estimate_lp(batch: WienerBatch, statistic: str, p) -> McEstimate:
                       samples=batch.paths)
 
 
-def _trapezoid(h: np.ndarray, dt: float) -> float:
-    if len(h) < 2:
-        return 0.0
-    return float(dt * (0.5 * h[0] + h[1:-1].sum() + 0.5 * h[-1]))
+def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
+    """Left sum dt * sum_{i<stop} ||g(t_i)||_{p/2} with a batch-means SE.
 
-
-def _zakai_integral(scan: _Scan, p: float, dt: float) -> tuple[float, float]:
-    """Trapezoid of the per-time L^{p/2} norms, with a batch-means SE."""
-    zrows, sizes = scan.zakai_rows, scan.group_sizes
-    total = zrows.sum(axis=0)
-    paths = sizes.sum()
-    point = _trapezoid(_pow(total / paths, 2.0 / p), dt)
-    if len(sizes) < 2:
-        return point, 0.0
-    per_group = np.array([
-        _trapezoid(_pow(zrows[g] / sizes[g], 2.0 / p), dt)
-        for g in range(len(sizes))])
+    The simulated integrand is constant on each step, so the left sum is the
+    exact time integral for the simulated process."""
+    zrows, dt = batch.zakai_rows, batch.spec.dt
+    sizes = np.array([hi - lo for lo, hi in _group_bounds(batch.paths)], dtype=float)
+    point = dt * float(_pow(zrows.sum(axis=0) / batch.paths, 2.0 / p).sum())
+    per_group = dt * _pow(zrows / sizes[:, None], 2.0 / p).sum(axis=1)
     se = float(per_group.std(ddof=1)) / math.sqrt(len(sizes))
     return point, se
 
 
-def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_id,
-                    paths: int, seed: int) -> InequalityReport:
-    """Monte Carlo comparison of one continuous inequality at time t.
-
-    C-BURK-1:   ||X_t||_p^2       <= (p-1)^2  * || int sum_j ||f^j||^2 du ||_{p/2}
-    C-BURK-2:   ||sup ||X||||_p^2 <= p^2      * (same right side)
-    ZAKAI-MAIN: ||X_t||_p^2       <= (p-1)    * int_0^t || sum_j ||f^j_u||^2 ||_{p/2} du
-    ZAKAI-MAX:  ||sup ||X||||_p^2 <= p^2/(p-1) * (same integral)
-
-    Both sides are estimated from one common batch of paths. The verdict is
-    three-valued: satisfied when the lhs upper 95% bound is below the rhs
-    lower bound, violation-candidate when the lhs lower bound exceeds the
-    rhs upper bound, inconclusive otherwise. The supremum is taken over
-    grid points only, which biases the maximal statistics downward; reports
-    carry a note saying so.
-    """
-    p = as_exponent(p)
-    cid = coerce_continuous_id(ineq_id)
-    stop = grid_index(spec, t)
-    zakai = cid in (ContinuousId.ZAKAI_MAIN, ContinuousId.ZAKAI_MAX)
-    scan = _scan(spec, paths, seed, stop, moment_power=p if zakai else None)
-
+def _report(batch: WienerBatch, t: float, p: float, cid: ContinuousId) -> InequalityReport:
     notes = ""
     if cid in (ContinuousId.C_BURK_1, ContinuousId.ZAKAI_MAIN):
-        if spec.dim == 1:
-            stat = np.abs(scan.x_stop[:, 0])
+        if batch.spec.dim == 1:
+            stat = np.abs(batch.x_stop[:, 0])
         else:
-            stat = np.linalg.norm(scan.x_stop, axis=1)
+            stat = np.linalg.norm(batch.x_stop, axis=1)
     else:
-        stat = scan.sup_norm
+        stat = batch.sup_norm
         notes = "supremum over grid points only (downward-biased left side)"
     lhs, lhs_se = _mc_power(_pow(stat, p), 2.0 / p)
 
@@ -491,10 +400,10 @@ def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_id,
     else:
         constant = p * p / (p - 1.0)
 
-    if zakai:
-        base, base_se = _zakai_integral(scan, p, spec.dt)
+    if cid in _ZAKAI_IDS:
+        base, base_se = _zakai_integral(batch, p)
     else:
-        base, base_se = _mc_power(_pow(scan.riemann, p / 2.0), 2.0 / p)
+        base, base_se = _mc_power(_pow(batch.riemann, p / 2.0), 2.0 / p)
     rhs = constant * base
     rhs_se = constant * base_se
 
@@ -509,15 +418,46 @@ def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_id,
     return InequalityReport(
         id=cid.value, p=p, n_or_t=float(t), lhs=lhs, rhs=rhs, constant=constant,
         ratio=_ratio(lhs, rhs), satisfied=verdict == "satisfied", verdict=verdict,
-        ci_lhs=lhs_hw, ci_rhs=rhs_hw, seed=int(seed), notes=notes)
+        ci_lhs=lhs_hw, ci_rhs=rhs_hw, seed=batch.seed, notes=notes)
+
+
+def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_ids: Sequence,
+                    paths: int, seed: int) -> list[InequalityReport]:
+    """Monte Carlo comparison of continuous inequalities at time t.
+
+    C-BURK-1:   ||X_t||_p^2       <= (p-1)^2  * || int sum_j ||f^j||^2 du ||_{p/2}
+    C-BURK-2:   ||sup ||X||||_p^2 <= p^2      * (same right side)
+    ZAKAI-MAIN: ||X_t||_p^2       <= (p-1)    * int_0^t || sum_j ||f^j_u||^2 ||_{p/2} du
+    ZAKAI-MAX:  ||sup ||X||||_p^2 <= p^2/(p-1) * (same integral)
+
+    One simulation of (spec, paths, seed) serves every id in ineq_ids, and
+    one report per id comes back in the order given. The ZAKAI time
+    integral is the left sum over the grid steps before t, which is exact
+    for the piecewise-constant simulated integrand. The verdict is
+    three-valued: satisfied when the lhs upper 95% bound is below the rhs
+    lower bound, violation-candidate when the lhs lower bound exceeds the
+    rhs upper bound, inconclusive otherwise. The supremum is taken over
+    grid points only, which biases the maximal statistics downward; reports
+    carry a note saying so.
+    """
+    p = as_exponent(p)
+    if isinstance(ineq_ids, (str, ContinuousId)):
+        raise DomainError("ineq_ids must be a sequence of inequality ids")
+    cids = [coerce_id(ContinuousId, i) for i in ineq_ids]
+    zakai_p = p if any(c in _ZAKAI_IDS for c in cids) else None
+    batch = simulate(spec, paths, seed, t, zakai_p)
+    return [_report(batch, t, p, cid) for cid in cids]
 
 
 def gaussian_abs_moment(p) -> float:
-    """E|Z|^p for standard Gaussian Z, by adaptive quadrature to 1e-10."""
+    """E|Z|^p = 2^{p/2} Gamma((p+1)/2) / sqrt(pi) for standard Gaussian Z.
+
+    Evaluated in log space, so only a result beyond the float range fails."""
     p = float(p)
     if not (math.isfinite(p) and p >= 0.0):
         raise DomainError(f"need p >= 0, got {p!r}")
-    value, _ = integrate.quad(
-        lambda z: z ** p * math.exp(-0.5 * z * z), 0.0, np.inf,
-        epsabs=1e-12, epsrel=1e-12, limit=200)
-    return 2.0 * value / math.sqrt(2.0 * math.pi)
+    log_value = 0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
+    try:
+        return math.exp(log_value) / math.sqrt(math.pi)
+    except OverflowError:
+        raise DomainError(f"E|Z|^p overflows a float at p={p!r}") from None

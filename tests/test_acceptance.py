@@ -101,7 +101,7 @@ def test_criterion_5_unit_integrand_fourth_moment(unit_spec):
     the Gaussian fourth-moment value sqrt(3) to 1% and the right side is
     exactly 3; under 60 s."""
     t0 = time.monotonic()
-    r = eval_continuous(unit_spec, 1.0, 4.0, "ZAKAI-MAIN", 10 ** 6, SWEEP_SEED)
+    r, = eval_continuous(unit_spec, 1.0, 4.0, ["ZAKAI-MAIN"], 10 ** 6, SWEEP_SEED)
     elapsed = time.monotonic() - t0
     rel = abs(r.lhs - math.sqrt(3.0)) / math.sqrt(3.0)
     ok = rel <= 0.01 and r.rhs == 3.0 and r.satisfied and elapsed < 60.0
@@ -112,7 +112,7 @@ def test_criterion_5_unit_integrand_fourth_moment(unit_spec):
 def test_criterion_6_isometry_control(unit_spec):
     """Same setup at p=2 is an equality: the estimate's 95% interval must
     cover 1.0 and the ratio must stay at least 0.98."""
-    r = eval_continuous(unit_spec, 1.0, 2.0, "ZAKAI-MAIN", 10 ** 6, SWEEP_SEED)
+    r, = eval_continuous(unit_spec, 1.0, 2.0, ["ZAKAI-MAIN"], 10 ** 6, SWEEP_SEED)
     covered = abs(r.lhs - 1.0) <= r.ci_lhs + r.ci_rhs
     ok = covered and r.ratio >= 0.98 and r.rhs == 1.0
     _report(6, f"lhs={r.lhs:.5f}+-{r.ci_lhs:.4f}, ratio={r.ratio:.5f}", ok)

@@ -45,6 +45,19 @@ class TestVerifyDiscrete:
         assert code == 1
         assert "error:" in err
 
+    def test_non_finite_number_exits_1(self, tmp_path, capsys):
+        # NaN comparisons are false, so a NaN probability would slip past
+        # validation and turn into a NaN report with a "violation" verdict
+        doc = {"m0": [0.0], "tree": {"children": [
+            {"prob": float("nan"), "incr": [1.0], "node": {}},
+            {"prob": 0.5, "incr": [-1.0], "node": {}}]}}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-discrete",
+                             "--tree", str(path), "--p", "2")
+        assert code == 1
+        assert "must be finite" in err and not out
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "verify-discrete",
                            "--tree", "/nonexistent.json", "--p", "2")
@@ -108,6 +121,21 @@ class TestVerifyContinuous:
         assert "inconclusive" in out
         code2, _, _ = run(capsys, *(argv + ["--allow-inconclusive"]))
         assert code2 == 0
+
+    def test_default_ids_share_one_simulation(self, zoo, capsys, monkeypatch):
+        from martcheck import wiener_mc
+        calls = []
+        real = wiener_mc.simulate
+        monkeypatch.setattr(wiener_mc, "simulate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, out, _ = run(capsys, "verify-continuous",
+                           "--integrand", str(zoo / "spec_mixed2d.json"),
+                           "--p", "4", "--paths", "2000", "--seed", "3",
+                           "--allow-inconclusive")
+        assert code == 0
+        assert len(calls) == 1
+        ids = [line.split()[0] for line in out.splitlines() if line]
+        assert ids == ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"]
 
     def test_out_csv_has_seed_column(self, zoo, tmp_path, capsys):
         base = str(tmp_path / "mc")

@@ -69,6 +69,11 @@ class TestTreeFormat:
         {"m0": [0.0], "tree": {"children": [{"prob": 1.0, "node": {}}]}},
         {"m0": [0.0], "tree": {"children": [
             {"prob": "half", "incr": [0.0], "node": {}}]}},
+        {"m0": [0.0], "tree": {"children": [                # NaN passes range checks
+            {"prob": float("nan"), "incr": [0.0], "node": {}}]}},
+        {"m0": [0.0], "tree": {"children": [
+            {"prob": 1.0, "incr": [float("inf")], "node": {}}]}},
+        {"m0": [-float("inf")], "tree": {}},
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ConfigError):

@@ -122,6 +122,18 @@ class TestValidation:
             Branch(0.5, (1.0,), LEAF), Branch(0.5, (-1.0, 0.0), LEAF))))
         assert any(x.kind == "structure" for x in t.validate().violations)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values(self, bad):
+        t = ProbTree((0.0,), TreeNode((
+            Branch(bad, (1.0,), LEAF), Branch(0.5, (-1.0,), LEAF))))
+        assert any(x.kind == "probability" for x in t.validate().violations)
+        t = ProbTree((0.0,), TreeNode((
+            Branch(0.5, (bad,), LEAF), Branch(0.5, (-1.0,), LEAF))))
+        assert any(x.kind == "structure" and "non-finite" in x.message
+                   for x in t.validate().violations)
+        with pytest.raises(TreeStructureError):
+            t.require_valid()
+
     def test_empty_m0(self):
         with pytest.raises(TreeStructureError):
             ProbTree((), LEAF)

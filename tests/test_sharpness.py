@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import martcheck.sharpness as sh
 from martcheck import ConfigError, DomainError, FamilySpec, SearchConfig
+from martcheck.cli import main as cli_main
 
 # 50-digit decimal enumeration oracles for rio_gain(1, b, 4)
 GAIN_ORACLES = {
@@ -215,12 +216,17 @@ class TestSearch:
             again = sh.family_ratio(cfg.family, res.best_params, cfg.target)
             assert again == pytest.approx(res.best_ratio, abs=1e-12)
 
-    def test_soundness_flag_positive_control(self):
-        """Force `exceeded` by shrinking the claimed bound: a family at p=4
-        searched against the p=3 result object would flag; emulate by
-        checking the flag logic on a handmade result."""
+    def test_soundness_flag_positive_control(self, zoo, monkeypatch, capsys):
+        """A family whose ratio sits just above the proven constant p-1 must
+        raise the flag, and the CLI must report it with exit code 1."""
+        monkeypatch.setattr(sh, "family_ratio",
+                            lambda family, params, target="RIO-STEP":
+                            family.p - 1.0 + 1e-6)
         res = sh.search(_grid_config(100))
-        assert res.best_ratio <= res.bound + sh.SOUND_TOL
+        assert res.exceeded and res.best_ratio == res.bound + 1e-6
+        assert cli_main(["sharpness", "--config",
+                         str(zoo / "search_rio_grid.json")]) == 1
+        assert "soundness bound exceeded" in capsys.readouterr().err
 
 
 def test_nelder_mead_minimizes_quadratic():
