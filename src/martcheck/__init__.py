@@ -24,7 +24,6 @@ from .errors import (
 )
 from .ptree import (
     Branch,
-    Exponent,
     LevelProcess,
     ProbTree,
     TreeNode,
@@ -33,6 +32,7 @@ from .ptree import (
     increment_lp_sum,
     lp_norm,
     martingale_level,
+    moments,
     quadratic_sum_norm,
     random_tree,
     sup_lp_norm,
@@ -50,6 +50,7 @@ from .ineq import (
     compare_constants,
     eval_discrete,
     eval_rio_step,
+    eval_tree,
     sweep_random_trees,
     taylor_pointwise,
 )
@@ -93,14 +94,14 @@ __all__ = [
     "MartcheckError", "DomainError", "TreeStructureError", "InvalidTreeError",
     "LevelRangeError", "PreconditionError", "QuadratureError",
     "ResourceLimitError", "ConfigError",
-    "Exponent", "Branch", "TreeNode", "ProbTree", "Violation",
-    "ValidationResult", "LevelProcess",
+    "Branch", "TreeNode", "ProbTree", "Violation",
+    "ValidationResult", "LevelProcess", "moments",
     "validate", "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
     "increment_lp_sum", "martingale_level", "random_tree", "symmetric_walk",
     "InequalityId", "DISCRETE_EVAL_IDS", "InequalityReport", "TaylorBound",
-    "ConstantComparison", "eval_discrete", "eval_rio_step", "exact_report",
-    "taylor_pointwise", "adaptive_panel_quadrature", "compare_constants",
-    "sweep_random_trees",
+    "ConstantComparison", "eval_discrete", "eval_tree", "eval_rio_step",
+    "exact_report", "taylor_pointwise", "adaptive_panel_quadrature",
+    "compare_constants", "sweep_random_trees",
     "FamilySpec", "SearchConfig", "SearchResult", "rio_gain",
     "asym_two_point_gain", "asymptotic_gain_probe", "family_ratio", "search",
     "ContinuousId", "IntegrandSpec", "Rule", "RuleEntry", "WienerBatch",

@@ -48,6 +48,8 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path} is nested too deeply to parse") from None
 
 
 def _report_line(r: ineq.InequalityReport) -> str:
@@ -80,22 +82,22 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
 
 
 def _coerce_ids(values: Sequence[str] | None, default, kind):
+    """The ids named by values (all of default if none); each must be in default."""
     if not values:
         return list(default)
-    return [ineq.coerce_id(kind, v) for v in values]
+    ids = [ineq.coerce_id(kind, v) for v in values]
+    for iid in ids:
+        if iid not in default:
+            raise ConfigError(f"{iid.value} is not a tree inequality")
+    return ids
 
 
 def _cmd_verify_discrete(args, argv) -> int:
     started = time.monotonic()
     ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
-    for iid in ids:
-        if iid not in ineq.DISCRETE_EVAL_IDS:
-            raise ConfigError(f"{iid.value} is not a tree inequality")
     tree = formats.parse_tree(_load_json(args.tree))
-    tree.require_valid()
     levels = range(tree.depth + 1) if args.n is None else [args.n]
-    reports = [ineq.eval_discrete(tree, n, p, iid)
-               for n in levels for p in args.p for iid in ids]
+    reports = list(ineq.eval_tree(tree, levels, args.p, ids))
     for r in reports:
         print(_report_line(r))
     if args.out:
@@ -151,9 +153,6 @@ def _cmd_sharpness(args, argv) -> int:
 def _cmd_random_trees(args, argv) -> int:
     started = time.monotonic()
     ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
-    for iid in ids:
-        if iid not in ineq.DISCRETE_EVAL_IDS:
-            raise ConfigError(f"{iid.value} is not a tree inequality")
     reports = list(ineq.sweep_random_trees(
         args.count, args.max_depth, args.max_dim, args.seed, args.p, ids))
     bad = [r for r in reports if not r.satisfied]

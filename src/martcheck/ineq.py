@@ -7,7 +7,7 @@ are the squared L^p norms, except DOOB which is stated unsquared.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -106,35 +106,46 @@ def eval_discrete(tree: ProbTree, n: int, p, ineq_id) -> InequalityReport:
     RIO-CHAIN:  ||M_n||_p^2          <= ||M_0||^2 + (p-1) * sum_{k>=1} ||d_k||_p^2
     DOOB:       ||sup ||M||||_p      <= p/(p-1) * ||M_n||_p        (unsquared)
     """
-    p = as_exponent(p)
-    iid = coerce_id(InequalityId, ineq_id)
-    if iid is InequalityId.RIO_STEP:
+    report, = eval_tree(tree, [n], [p], [ineq_id])
+    return report
+
+
+def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
+              ids: Iterable) -> Iterator[InequalityReport]:
+    """Yield eval_discrete's report for every (n, p, id), in that nesting
+    order, reading all of them from one ptree.moments table per exponent."""
+    ids = [coerce_id(InequalityId, i) for i in ids]
+    if InequalityId.RIO_STEP in ids:
         raise DomainError("RIO-STEP compares a distribution pair; use eval_rio_step")
+    tables = [ptree.moments(tree, p) for p in p_values]
+    for n in levels:
+        for table in tables:
+            for iid in ids:
+                yield _tree_report(table, n, iid)
+
+
+def _tree_report(table: ptree.Moments, n: int, iid: InequalityId) -> InequalityReport:
+    p = table.p
+    lp, sup, quad, incr = table.norms(n)
     if iid is InequalityId.D_BURK_1:
-        lhs = ptree.lp_norm(tree, n, p) ** 2
         constant = (p - 1.0) ** 2
-        rhs = constant * ptree.quadratic_sum_norm(tree, n, p)
+        lhs, rhs = lp ** 2, constant * quad
     elif iid is InequalityId.D_BURK_2:
-        lhs = ptree.sup_lp_norm(tree, n, p) ** 2
         constant = p * p
-        rhs = constant * ptree.quadratic_sum_norm(tree, n, p)
+        lhs, rhs = sup ** 2, constant * quad
     elif iid is InequalityId.PROP1_MAIN:
-        lhs = ptree.lp_norm(tree, n, p) ** 2
         constant = p - 1.0
-        rhs = constant * ptree.increment_lp_sum(tree, n, p)
+        lhs, rhs = lp ** 2, constant * incr
     elif iid is InequalityId.PROP1_MAX:
-        lhs = ptree.sup_lp_norm(tree, n, p) ** 2
         constant = p * p / (p - 1.0)
-        rhs = constant * ptree.increment_lp_sum(tree, n, p)
+        lhs, rhs = sup ** 2, constant * incr
     elif iid is InequalityId.RIO_CHAIN:
-        lhs = ptree.lp_norm(tree, n, p) ** 2
         constant = p - 1.0
-        start_sq = ptree.increment_lp_sum(tree, 0, p)
-        rhs = start_sq + constant * (ptree.increment_lp_sum(tree, n, p) - start_sq)
+        start_sq = table.norms(0)[3]
+        lhs, rhs = lp ** 2, start_sq + constant * (incr - start_sq)
     else:  # DOOB
-        lhs = ptree.sup_lp_norm(tree, n, p)
         constant = p / (p - 1.0)
-        rhs = constant * ptree.lp_norm(tree, n, p)
+        lhs, rhs = sup, constant * lp
     return exact_report(iid.value, p, float(n), lhs, rhs, constant)
 
 
@@ -327,13 +338,6 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
         depth = int(rng.integers(1, int(max_depth) + 1))
         dim = int(rng.integers(1, int(max_dim) + 1))
         tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
-        for n in range(tree.depth + 1):
-            for p in p_values:
-                for iid in ids:
-                    report = eval_discrete(tree, n, p, iid)
-                    yield InequalityReport(
-                        id=report.id, p=report.p, n_or_t=report.n_or_t,
-                        lhs=report.lhs, rhs=report.rhs, constant=report.constant,
-                        ratio=report.ratio, satisfied=report.satisfied,
-                        verdict=report.verdict, seed=int(seed),
-                        notes=f"tree={t} depth={depth} dim={dim}")
+        for report in eval_tree(tree, range(tree.depth + 1), p_values, ids):
+            yield replace(report, seed=int(seed),
+                          notes=f"tree={t} depth={depth} dim={dim}")

@@ -33,24 +33,11 @@ MAX_PATHS = 10**7     # hard bound on exact enumeration width
 _TREE_STREAM = 11     # spawn-key domain tag for random tree generation
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Moment exponent. Only p >= 2 is admitted anywhere in this package."""
-
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        if not np.isfinite(p) or p < 2.0:
-            raise DomainError(f"exponent must satisfy 2 <= p < inf, got {self.p!r}")
-        object.__setattr__(self, "p", p)
-
-
 def as_exponent(p) -> float:
-    """Coerce a float or Exponent to a validated float exponent."""
-    if isinstance(p, Exponent):
-        return p.p
-    return Exponent(float(p)).p
+    """p as a float moment exponent; only 2 <= p < inf is admitted anywhere."""
+    if not 2.0 <= float(p) < np.inf:   # NaN fails too
+        raise DomainError(f"exponent must satisfy 2 <= p < inf, got {p!r}")
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -198,6 +185,7 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
                 f"non-finite increment on children {bad_value} at {path}"))
         if not (probs.min() > 0.0 and probs.max() <= 1.0):   # NaN fails too
             worst = float(np.max(np.maximum(probs - 1.0, -probs)))
+            worst = float("inf") if np.isnan(worst) else worst
             out.append(Violation(
                 "probability", path, worst,
                 f"branch probability outside ]0,1] at {path}"))
@@ -216,24 +204,24 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
     return ValidationResult(ok=not out, violations=tuple(out))
 
 
+@dataclass(frozen=True)
 class _LevelCalc:
-    """Per-level scalar summaries, one entry per node, depth-first order.
+    """Per-level node summaries, one entry per node, depth-first order.
 
     probs[k]     node probability
+    values[k]    M_k at the node, one row per node
     m_norm[k]    ||M_k|| at the node
     sup_norm[k]  max_{v <= k} ||M_v|| along the node's history
     quad[k]      sum_{v <= k} ||d_v||^2 along the node's history
     d_norm[k]    ||d_k|| of the edge entering the node (||M_0|| at the root)
     """
 
-    __slots__ = ("probs", "m_norm", "sup_norm", "quad", "d_norm")
-
-    def __init__(self, probs, m_norm, sup_norm, quad, d_norm):
-        self.probs = probs
-        self.m_norm = m_norm
-        self.sup_norm = sup_norm
-        self.quad = quad
-        self.d_norm = d_norm
+    probs: list
+    values: list
+    m_norm: list
+    sup_norm: list
+    quad: list
+    d_norm: list
 
 
 def _level_edges(nodes: list[TreeNode]):
@@ -253,7 +241,7 @@ def _level_edges(nodes: list[TreeNode]):
 
 
 def _build_calc(tree: ProbTree) -> _LevelCalc:
-    values = np.array([tree.m0], dtype=float)
+    values = [np.array([tree.m0], dtype=float)]
     root_norm = np.array([np.linalg.norm(tree.m0)])
     probs = [np.ones(1)]
     m_norm = [root_norm]
@@ -266,23 +254,56 @@ def _build_calc(tree: ProbTree) -> _LevelCalc:
         if len(nodes) > MAX_PATHS:
             raise ResourceLimitError(
                 f"tree level exceeds the {MAX_PATHS} path enumeration cap")
-        values = values[pidx] + bincr
-        nn = np.linalg.norm(values, axis=1)
+        values.append(values[-1][pidx] + bincr)
+        nn = np.linalg.norm(values[-1], axis=1)
         dn = np.linalg.norm(bincr, axis=1)
         probs.append(probs[-1][pidx] * bprob)
         m_norm.append(nn)
         sup_norm.append(np.maximum(sup_norm[-1][pidx], nn))
         quad.append(quad[-1][pidx] + dn**2)
         d_norm.append(dn)
-    return _LevelCalc(probs, m_norm, sup_norm, quad, d_norm)
+    return _LevelCalc(probs, values, m_norm, sup_norm, quad, d_norm)
 
 
-def _level(tree: ProbTree, n: int) -> tuple[_LevelCalc, int]:
-    calc = tree.calculus()
+def _check_level(n, depth: int) -> int:
     n = int(n)
-    if n < 0 or n > tree.depth:
-        raise LevelRangeError(f"level n={n} outside 0..{tree.depth}")
-    return calc, n
+    if n < 0 or n > depth:
+        raise LevelRangeError(f"level n={n} outside 0..{depth}")
+    return n
+
+
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """One tree's exact moments at exponent p, entry k for level k:
+    m[k] = E ||M_k||^p, sup[k] = E (max_{v <= k} ||M_v||)^p,
+    quad[k] = E (sum_{v <= k} ||d_v||^2)^{p/2} and
+    incr[k] = sum_{v <= k} ||d_v||_{L^p}^2, the level-0 term being ||M_0||^2."""
+
+    p: float
+    m: np.ndarray
+    sup: np.ndarray
+    quad: np.ndarray
+    incr: np.ndarray
+
+    def norms(self, n) -> tuple[float, float, float, float]:
+        """(||M_n||_p, ||max_{v <= n} ||M_v|| ||_p, ||sum_{k <= n} ||d_k||^2||_{p/2},
+        incr[n]) at a checked level n, each root taken on its scalar level sum."""
+        n = _check_level(n, len(self.m) - 1)
+        return (float(self.m[n] ** (1.0 / self.p)), float(self.sup[n] ** (1.0 / self.p)),
+                float(self.quad[n] ** (2.0 / self.p)), float(self.incr[n]))
+
+
+def moments(tree: ProbTree, p) -> Moments:
+    """Reduce a valid tree's level walk to its Moments table at exponent p."""
+    p = as_exponent(p)
+    calc = tree.calculus()
+
+    def level_sums(norms, e):
+        return np.array([np.sum(w * r ** e) for w, r in zip(calc.probs, norms)])
+
+    d_sq = [s ** (2.0 / p) for s in level_sums(calc.d_norm, p)]
+    return Moments(p, level_sums(calc.m_norm, p), level_sums(calc.sup_norm, p),
+                   level_sums(calc.quad, p / 2.0), np.cumsum(d_sq))   # left to right
 
 
 def validate(tree: ProbTree) -> ValidationResult:
@@ -291,51 +312,31 @@ def validate(tree: ProbTree) -> ValidationResult:
 
 
 def lp_norm(tree: ProbTree, n: int, p) -> float:
-    """||M_n||_{L^p} = (sum over level-n nodes of prob * ||M_n||^p)^{1/p}."""
-    p = as_exponent(p)
-    calc, n = _level(tree, n)
-    return float(np.sum(calc.probs[n] * calc.m_norm[n] ** p) ** (1.0 / p))
+    """||M_n||_{L^p}, read from moments(tree, p)."""
+    return moments(tree, p).norms(n)[0]
 
 
 def sup_lp_norm(tree: ProbTree, n: int, p) -> float:
-    """|| max_{v <= n} ||M_v|| ||_{L^p}, the running maximum's L^p norm."""
-    p = as_exponent(p)
-    calc, n = _level(tree, n)
-    return float(np.sum(calc.probs[n] * calc.sup_norm[n] ** p) ** (1.0 / p))
+    """|| max_{v <= n} ||M_v|| ||_{L^p}, read from moments(tree, p)."""
+    return moments(tree, p).norms(n)[1]
 
 
 def quadratic_sum_norm(tree: ProbTree, n: int, p) -> float:
-    """|| sum_{k<=n} ||d_k||^2 ||_{L^{p/2}} of the pathwise quadratic sum."""
-    p = as_exponent(p)
-    calc, n = _level(tree, n)
-    h = p / 2.0
-    return float(np.sum(calc.probs[n] * calc.quad[n] ** h) ** (1.0 / h))
+    """|| sum_{k<=n} ||d_k||^2 ||_{L^{p/2}}, read from moments(tree, p)."""
+    return moments(tree, p).norms(n)[2]
 
 
 def increment_lp_sum(tree: ProbTree, n: int, p) -> float:
-    """sum_{k<=n} ||d_k||_{L^p}^2, with the level-0 term equal to ||M_0||^2."""
-    p = as_exponent(p)
-    calc, n = _level(tree, n)
-    total = 0.0
-    for k in range(n + 1):
-        total += float(np.sum(calc.probs[k] * calc.d_norm[k] ** p) ** (2.0 / p))
-    return total
+    """sum_{k<=n} ||d_k||_{L^p}^2 (level-0 term ||M_0||^2), read from moments(tree, p)."""
+    return moments(tree, p).norms(n)[3]
 
 
 def martingale_level(tree: ProbTree, n: int) -> LevelProcess:
-    """Values of M_n on level n as a LevelProcess (depth-first node order)."""
-    tree.require_valid()
-    n = int(n)
-    if n < 0 or n > tree.depth:
-        raise LevelRangeError(f"level n={n} outside 0..{tree.depth}")
-    values = np.array([tree.m0], dtype=float)
-    probs = np.ones(1)
-    nodes = [tree.root]
-    for _ in range(n):
-        pidx, bprob, bincr, nodes = _level_edges(nodes)
-        values = values[pidx] + bincr
-        probs = probs[pidx] * bprob
-    return LevelProcess(level=n, probs=probs, values=values)
+    """M_n on level n as a LevelProcess (depth-first node order), copied from
+    the tree's level walk, so it raises ResourceLimitError past MAX_PATHS."""
+    calc = tree.calculus()
+    n = _check_level(n, tree.depth)
+    return LevelProcess(n, calc.probs[n].copy(), calc.values[n].copy())
 
 
 def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -> ProbTree:

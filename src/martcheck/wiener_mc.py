@@ -123,12 +123,6 @@ class IntegrandSpec:
     def segments(self, j: int) -> list[RuleEntry]:
         return sorted((e for e in self.entries if e.j == j), key=lambda e: e.start)
 
-    def rule_at(self, j: int, step: int) -> Rule | None:
-        for e in self.segments(j):
-            if e.start <= step < e.stop:
-                return e.rule
-        return None
-
 
 def constant_integrand(value, dim: int = 1, wiener_dim: int = 1,
                        horizon: float = 1.0, steps: int = 1024) -> IntegrandSpec:

@@ -58,6 +58,17 @@ class TestVerifyDiscrete:
         assert code == 1
         assert "must be finite" in err and not out
 
+    def test_deeply_nested_exits_1(self, tmp_path, capsys):
+        # a probability-1 chain nested past the JSON decoder's recursion
+        # limit; written as a string because json.dump recurses too
+        chain = '{"children": [{"prob": 1.0, "incr": [0.0], "node": ' * 1000
+        path = tmp_path / "deep.json"
+        path.write_text('{"m0": [0.0], "tree": ' + chain + "{}" + "}]}" * 1000 + "}")
+        code, out, err = run(capsys, "verify-discrete",
+                             "--tree", str(path), "--p", "2")
+        assert code == 1
+        assert "nested too deeply" in err and not out
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "verify-discrete",
                            "--tree", "/nonexistent.json", "--p", "2")

@@ -1,10 +1,13 @@
 """Discrete inequality evaluators, the one-step bound and the Taylor bound."""
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import martcheck.formats as formats
 import martcheck.ineq as ineq
 import martcheck.ptree as ptree
 from martcheck import (
@@ -275,10 +278,19 @@ class TestSweep:
             3, 3, 2, seed=9, p_values=(2.5,))]
         assert a == b
 
-    def test_report_count(self):
+    def test_report_count(self, monkeypatch):
+        tables = []
+
+        def spy(tree, p):
+            tables.append(p)
+            return moments(tree, p)
+
+        moments = ptree.moments
+        monkeypatch.setattr(ptree, "moments", spy)
         ids = (ineq.InequalityId.PROP1_MAIN, ineq.InequalityId.DOOB)
         reports = list(ineq.sweep_random_trees(
             4, 2, 2, seed=1, p_values=(2, 3, 4), ids=ids))
+        assert tables == [2.0, 3.0, 4.0] * 4   # one moment table per tree and p
         per_tree = {}
         for r in reports:
             tree = r.notes.split()[0]
@@ -287,3 +299,13 @@ class TestSweep:
         assert len(per_tree) == 4
         assert len(reports) == sum((d + 1) * 6 for d in per_tree.values())
         assert all(r.satisfied for r in reports)
+
+    def test_frozen_digest(self):
+        """Every bit of a 2,400-report sweep is pinned, so a change in any
+        level sum's order or in where a root is taken shows here."""
+        reports = list(ineq.sweep_random_trees(
+            20, 5, 3, 2026, (2.0, 2.5, 3.0, 4.0, 8.0)))
+        assert len(reports) == 2400
+        rows = json.dumps([formats.report_row(r) for r in reports], sort_keys=True)
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "07e30570b5d7ca99b419ad31ff9395a135f09973f9fcbae44e73922d180635a6")

@@ -9,7 +9,6 @@ import martcheck.ptree as ptree
 from martcheck import (
     Branch,
     DomainError,
-    Exponent,
     InvalidTreeError,
     LevelRangeError,
     ProbTree,
@@ -36,7 +35,6 @@ def trees(draw_depth=(1, 3), draw_dim=(1, 3)):
 class TestExponent:
     def test_accepts_two_and_up(self):
         assert ptree.as_exponent(2) == 2.0
-        assert ptree.as_exponent(Exponent(3.5)) == 3.5
 
     @pytest.mark.parametrize("bad", [1.99, 0, -3, float("inf"), float("nan")])
     def test_rejects(self, bad):
@@ -127,6 +125,7 @@ class TestValidation:
         t = ProbTree((0.0,), TreeNode((
             Branch(bad, (1.0,), LEAF), Branch(0.5, (-1.0,), LEAF))))
         assert any(x.kind == "probability" for x in t.validate().violations)
+        assert not any(math.isnan(x.residual) for x in t.validate().violations)
         t = ProbTree((0.0,), TreeNode((
             Branch(0.5, (bad,), LEAF), Branch(0.5, (-1.0,), LEAF))))
         assert any(x.kind == "structure" and "non-finite" in x.message
@@ -156,6 +155,8 @@ class TestLevels:
         for bad in (-1, 2, 7):
             with pytest.raises(LevelRangeError):
                 ptree.lp_norm(t, bad, 2)
+            with pytest.raises(LevelRangeError):
+                ptree.martingale_level(t, bad)
 
     def test_martingale_level_mean(self):
         t = ptree.random_tree(3, 2, seed=17)
@@ -175,6 +176,8 @@ class TestLevels:
         t = ptree.symmetric_walk(2)
         with pytest.raises(ResourceLimitError):
             ptree.lp_norm(t, 2, 2)
+        with pytest.raises(ResourceLimitError):
+            ptree.martingale_level(t, 0)
 
 
 @given(trees())

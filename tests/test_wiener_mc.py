@@ -46,7 +46,7 @@ class TestIntegrandSpec:
         spec = constant_integrand(1.0, steps=16)
         assert spec.dt == pytest.approx(1.0 / 16)
         assert not spec.needs_wiener
-        assert spec.rule_at(1, 0).kind == "const"
+        assert spec.segments(1)[0].rule.kind == "const"
 
     def test_overlap_rejected(self):
         with pytest.raises(DomainError, match="overlap"):
@@ -58,8 +58,9 @@ class TestIntegrandSpec:
         spec = IntegrandSpec(1, 1, 1.0, 16, (
             RuleEntry(0, 8, 1, Rule("const", (1.0,))),
             RuleEntry(8, 16, 1, Rule("const", (2.0,)))))
-        assert spec.rule_at(1, 7).c == (1.0,)
-        assert spec.rule_at(1, 8).c == (2.0,)
+        first, second = spec.segments(1)
+        assert (first.stop, first.rule.c) == (8, (1.0,))
+        assert (second.start, second.rule.c) == (8, (2.0,))
 
     def test_component_out_of_range(self):
         with pytest.raises(DomainError):
