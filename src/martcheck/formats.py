@@ -25,6 +25,26 @@ CSV_FIELDS = ("inequality", "p", "n_or_t", "lhs", "rhs", "constant", "ratio",
               "satisfied", "ci_lhs", "ci_rhs", "seed")
 
 
+class _Where:
+    """A location in a document, rendered only when an error message needs
+    it, so a deep tree costs no quadratic string building."""
+
+    __slots__ = ("parent", "suffix")
+
+    def __init__(self, parent: "_Where | str", suffix: str):
+        self.parent = parent
+        self.suffix = suffix
+
+    def __str__(self) -> str:
+        parts = []
+        where = self
+        while isinstance(where, _Where):
+            parts.append(where.suffix)
+            where = where.parent
+        parts.append(where)
+        return "".join(reversed(parts))
+
+
 def _dict(obj: Any, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
@@ -56,7 +76,7 @@ def _vector(value: Any, where: str) -> tuple[float, ...]:
         return (float(value),)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a number or a nonempty list of numbers")
-    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return tuple(_number(v, _Where(where, f"[{i}]")) for i, v in enumerate(value))
 
 
 def _pair(value: Any, where: str) -> tuple[float, float]:
@@ -67,38 +87,63 @@ def _pair(value: Any, where: str) -> tuple[float, float]:
 
 # -- trees -------------------------------------------------------------
 
-def _parse_node(obj: Any, where: str) -> TreeNode:
+def _open_node(obj: Any, where) -> tuple:
     obj = _dict(obj, where)
     children = obj.get("children", [])
     if not isinstance(children, list):
         raise ConfigError(f"{where}.children must be a list")
-    branches = []
-    for i, br in enumerate(children):
-        br = _dict(br, f"{where}.children[{i}]")
-        branches.append(Branch(
-            prob=_number(_get(br, "prob", f"{where}.children[{i}]"),
-                         f"{where}.children[{i}].prob"),
-            incr=_vector(_get(br, "incr", f"{where}.children[{i}]"),
-                         f"{where}.children[{i}].incr"),
-            node=_parse_node(_get(br, "node", f"{where}.children[{i}]"),
-                             f"{where}.children[{i}].node")))
-    return TreeNode(tuple(branches))
+    return where, children, []
 
 
-def _pad_to(node: TreeNode, depth: int, dim: int) -> TreeNode:
+def _parse_node(obj: Any, where: str) -> TreeNode:
+    """Parse a node and its subtree without recursion, so depth is bounded
+    by memory alone. Problems are reported in depth-first order, each
+    branch's prob and incr before its node."""
+    stack = [_open_node(obj, where)]   # (where, children, parsed branches)
+    fields = []                        # (prob, incr) of each open node's branch
+    while True:
+        where, children, branches = stack[-1]
+        i = len(branches)
+        if i < len(children):
+            bw = _Where(where, f".children[{i}]")
+            br = _dict(children[i], bw)
+            fields.append((_number(_get(br, "prob", bw), _Where(bw, ".prob")),
+                           _vector(_get(br, "incr", bw), _Where(bw, ".incr"))))
+            stack.append(_open_node(_get(br, "node", bw), _Where(bw, ".node")))
+            continue
+        node = TreeNode(tuple(branches))
+        stack.pop()
+        if not stack:
+            return node
+        prob, incr = fields.pop()
+        stack[-1][2].append(Branch(prob, incr, node))
+
+
+def _pad_to(root: TreeNode, depth: int, dim: int) -> TreeNode:
     """Extend shallow leaves with probability-1 zero-increment chains so all
     leaves reach the given depth; a constant extension keeps the martingale."""
-    if depth == 0:
-        return node
     zero = (0.0,) * dim
-    if node.is_leaf:
-        tail = TreeNode()
-        for _ in range(depth):
-            tail = TreeNode((Branch(1.0, zero, tail),))
-        return tail
-    return TreeNode(tuple(
-        Branch(br.prob, br.incr, _pad_to(br.node, depth - 1, dim))
-        for br in node.children))
+    done: list[TreeNode] = []        # finished subtrees, in depth-first order
+    stack = [(root, depth, False)]
+    while stack:
+        node, left, expanded = stack.pop()
+        if left == 0:
+            done.append(node)
+        elif node.is_leaf:
+            tail = TreeNode()
+            for _ in range(left):
+                tail = TreeNode((Branch(1.0, zero, tail),))
+            done.append(tail)
+        elif expanded:
+            k = len(node.children)
+            kids = done[-k:]
+            del done[-k:]
+            done.append(TreeNode(tuple(
+                Branch(br.prob, br.incr, kid) for br, kid in zip(node.children, kids))))
+        else:
+            stack.append((node, left, True))
+            stack.extend((br.node, left - 1, False) for br in reversed(node.children))
+    return done[0]
 
 
 def parse_tree(obj: Any) -> ProbTree:
@@ -115,10 +160,16 @@ def parse_tree(obj: Any) -> ProbTree:
     return ProbTree(m0, _pad_to(root, tree.depth, tree.dim))
 
 
-def _node_to_obj(node: TreeNode) -> dict:
-    return {"children": [
-        {"prob": br.prob, "incr": list(br.incr), "node": _node_to_obj(br.node)}
-        for br in node.children]}
+def _node_to_obj(root: TreeNode) -> dict:
+    out = {"children": []}
+    stack = [(root, out)]
+    while stack:
+        node, obj = stack.pop()
+        for br in node.children:
+            child = {"children": []}
+            obj["children"].append({"prob": br.prob, "incr": list(br.incr), "node": child})
+            stack.append((br.node, child))
+    return out
 
 
 def tree_to_obj(tree: ProbTree) -> dict:

@@ -8,14 +8,17 @@ and the continuous inequalities apply to it without discretization error.
 
 Reproducibility: paths are partitioned into fixed 1024-path blocks; block b
 of a run with seed s draws from Philox keyed by
-SeedSequence(entropy=s, spawn_key=(10, b)). The block decomposition and all
-reduction orders are algorithm constants, so results do not depend on how
-work would be scheduled across workers. One simulation serves every
-inequality id of a run.
+SeedSequence(entropy=s, spawn_key=(10, b)). The blocks run on a thread pool
+with one worker per CPU the process may use (its CPU affinity), and the
+calling thread merges each block's rows in block order. The block
+decomposition and all reduction orders are algorithm constants, so the
+bits do not depend on the worker count or on the order in which blocks
+finish. One simulation serves every inequality id of a run.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
 CELL_CAP_ENV = "MARTCHECK_MC_CELL_CAP"
+BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
 _WIENER_STREAM = 10
@@ -184,7 +188,8 @@ def _pow(arr: np.ndarray, e: float) -> np.ndarray:
     return arr ** int(e) if e == int(e) else arr ** e
 
 
-def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> None:
+def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> int:
+    """Reject a run before it allocates; return one block's working-set bytes."""
     if int(paths) < 2:
         raise DomainError("paths must be >= 2")
     if int(seed) < 0:
@@ -195,6 +200,28 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> None:
         raise ResourceLimitError(
             f"paths*steps*m = {cells} exceeds the memory cap {cap} "
             f"(override with {CELL_CAP_ENV})")
+    # peak arrays of one block: a constant d=m=1 integrand works in its
+    # increment array alone; others also hold W, the increments of X, g,
+    # one component of f and a temporary of each
+    m, d = spec.wiener_dim, spec.dim
+    arrays = 1 if not spec.needs_wiener and d == m == 1 else 2 * m + 3 * d + 2
+    bsz = min(int(paths), BLOCK_PATHS)
+    block_bytes = 8 * bsz * (spec.steps + 1) * arrays
+    if block_bytes > BLOCK_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"one {bsz}-path block of {spec.steps} steps needs {block_bytes} "
+            f"bytes, over the {BLOCK_MEMORY_BUDGET}-byte block memory budget")
+    return block_bytes
+
+
+def _workers(blocks: int, block_bytes: int) -> int:
+    """Threads for a run: one per CPU this process may use, at most one per
+    block, and no more blocks in flight than BLOCK_MEMORY_BUDGET holds."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(blocks, cpus, BLOCK_MEMORY_BUDGET // block_bytes))
 
 
 def grid_index(spec: IntegrandSpec, t: float) -> int:
@@ -239,86 +266,125 @@ def _group_bounds(paths: int) -> list[tuple[int, int]]:
             for g in range(groups)]
 
 
+def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
+           half_power: float | None, b: int):
+    """Simulate path block b and reduce it to its rows of the batch.
+
+    Returns (lo, hi, x_stop rows, sup_norm rows, riemann rows, zakai), where
+    zakai lists the (group, partial row) sums of g^{p/2} over the block's
+    paths in each batch-means group it overlaps; it is empty for constant
+    integrands, whose ZAKAI rows simulate fills in closed form. The block
+    allocates only its own arrays and writes no shared state.
+    """
+    lo = b * BLOCK_PATHS
+    hi = min(lo + BLOCK_PATHS, paths)
+    bsz = hi - lo
+    S, m, d = spec.steps, spec.wiener_dim, spec.dim
+    gen = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_WIENER_STREAM, b))))
+    dw = gen.standard_normal((bsz, S, m))
+    dw *= math.sqrt(spec.dt)
+    zakai = []
+
+    if not spec.needs_wiener:
+        rows, g_row = _const_rows(spec)
+        riemann = g_row[:stop].sum() * spec.dt
+        if d == m == 1:
+            dx = dw
+            dx *= rows[0]
+        else:
+            dx = np.zeros((bsz, S, d))
+            for j in range(m):
+                dx += rows[j][None, :, :] * dw[:, :, j, None]
+    else:
+        wn = np.zeros((bsz, S + 1, m))
+        np.cumsum(dw, axis=1, out=wn[:, 1:])
+        dx = np.zeros((bsz, S, d))
+        g_mat = np.zeros((bsz, S))
+        fj = np.empty((bsz, S, d))
+        for j in range(1, m + 1):
+            fj.fill(0.0)
+            _fill_f(fj, wn, spec, j)
+            g_mat += (fj ** 2).sum(axis=2)
+            fj *= dw[:, :, j - 1, None]
+            dx += fj
+        del wn, fj
+        riemann = g_mat[:, :stop].sum(axis=1) * spec.dt
+        if half_power is not None:
+            y = _pow(g_mat[:, :stop], half_power)
+            bounds = _group_bounds(paths)
+            groups = len(bounds)
+            for g in range(lo * groups // paths, (hi - 1) * groups // paths + 1):
+                gl = max(lo, bounds[g][0])
+                gh = min(hi, bounds[g][1])
+                if gl < gh:
+                    zakai.append((g, y[gl - lo:gh - lo].sum(axis=0)))
+    del dw
+
+    xx = np.cumsum(dx, axis=1, out=dx)    # X at grid indices 1..S
+    # + 0.0 maps -0.0 to +0.0: c = 0 steps scaled in place hold -0.0 where dw < 0
+    x_stop = xx[:, stop - 1] + 0.0 if stop else np.zeros((bsz, d))
+    head = xx[:, :stop]
+    if d == 1:
+        norms = np.abs(head[:, :, 0], out=head[:, :, 0])
+    else:
+        norms = np.linalg.norm(head, axis=2)
+    return lo, hi, x_stop, norms.max(axis=1, initial=0.0), riemann, zakai
+
+
 def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
              p=None) -> WienerBatch:
     """Simulate the batch once and reduce it to per-path statistics.
 
     Statistics are taken at/up to time t (default: the horizon), which must
     lie on the grid. Given the exponent p, the batch also carries the ZAKAI
-    rows for that p. Deterministic for fixed (spec, paths, seed, t, p).
+    rows for that p. Deterministic for fixed (spec, paths, seed, t, p),
+    whatever the number of worker threads.
     """
     stop = spec.steps if t is None else grid_index(spec, t)
-    _check_run(spec, paths, seed)
+    block_bytes = _check_run(spec, paths, seed)
     paths, seed = int(paths), int(seed)
-    S, m, d = spec.steps, spec.wiener_dim, spec.dim
-    dt = spec.dt
-    sqrt_dt = math.sqrt(dt)
-    needs_w = spec.needs_wiener
+    half_power = None if p is None else as_exponent(p) / 2.0
 
-    x_stop = np.empty((paths, d))
+    x_stop = np.empty((paths, spec.dim))
     sup_norm = np.empty(paths)
     riemann = np.empty(paths)
+    zrows = None if p is None else np.zeros((len(_group_bounds(paths)), stop))
 
-    const_rows = const_g = None
-    if not needs_w:
-        const_rows, const_g = _const_rows(spec)
+    def merge(results) -> None:
+        # block order fixes the addition order of the ZAKAI partial rows
+        for lo, hi, xs, sup, rie, zakai in results:
+            x_stop[lo:hi] = xs
+            sup_norm[lo:hi] = sup
+            riemann[lo:hi] = rie
+            for g, row in zakai:
+                zrows[g] += row
 
-    bounds = zrows = None
-    if p is not None:
-        half_power = as_exponent(p) / 2.0
-        bounds = _group_bounds(paths)
-        groups = len(bounds)
-        zrows = np.zeros((groups, stop))
+    blocks = -(-paths // BLOCK_PATHS)
+    run = functools.partial(_block, spec, paths, seed, stop, half_power)
+    workers = _workers(blocks, block_bytes)
+    if workers <= 1:
+        merge(map(run, range(blocks)))
+    else:
+        # imported on first use: a process that never runs a multi-block
+        # batch does not pay the module's resident memory
+        from concurrent.futures import ThreadPoolExecutor
 
-    for b, lo in enumerate(range(0, paths, BLOCK_PATHS)):
-        hi = min(lo + BLOCK_PATHS, paths)
-        bsz = hi - lo
-        gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_WIENER_STREAM, b))))
-        dw = gen.standard_normal((bsz, S, m))
-        dw *= sqrt_dt
+        with ThreadPoolExecutor(max_workers=workers,
+                                thread_name_prefix="martcheck-mc") as pool:
+            futures = [pool.submit(run, b) for b in range(blocks)]
+            try:
+                merge(f.result() for f in futures)
+            except BaseException:
+                for f in futures:
+                    f.cancel()
+                raise
 
-        if needs_w:
-            wn = np.zeros((bsz, S + 1, m))
-            wn[:, 1:] = np.cumsum(dw, axis=1)
-            dx = np.zeros((bsz, S, d))
-            g_mat = np.zeros((bsz, S))
-            fj = np.empty((bsz, S, d))
-            for j in range(1, m + 1):
-                fj.fill(0.0)
-                _fill_f(fj, wn, spec, j)
-                dx += fj * dw[:, :, j - 1, None]
-                g_mat += (fj ** 2).sum(axis=2)
-        else:
-            dx = np.zeros((bsz, S, d))
-            for j in range(1, m + 1):
-                dx += const_rows[j - 1][None, :, :] * dw[:, :, j - 1, None]
-
-        xx = np.zeros((bsz, S + 1, d))
-        xx[:, 1:] = np.cumsum(dx, axis=1)
-        if d == 1:
-            norms = np.abs(xx[:, :, 0])
-        else:
-            norms = np.linalg.norm(xx, axis=2)
-        x_stop[lo:hi] = xx[:, stop]
-        sup_norm[lo:hi] = norms[:, :stop + 1].max(axis=1)
-        if needs_w:
-            riemann[lo:hi] = g_mat[:, :stop].sum(axis=1) * dt
-        else:
-            riemann[lo:hi] = const_g[:stop].sum() * dt
-
-        if zrows is not None and needs_w:
-            y = _pow(g_mat[:, :stop], half_power)
-            for g in range(lo * groups // paths, (hi - 1) * groups // paths + 1):
-                gl = max(lo, bounds[g][0])
-                gh = min(hi, bounds[g][1])
-                if gl < gh:
-                    zrows[g] += y[gl - lo:gh - lo].sum(axis=0)
-
-    if zrows is not None and not needs_w:
+    if zrows is not None and not spec.needs_wiener:
         # deterministic integrand: every path contributes the same row
-        sizes = np.array([gh - gl for gl, gh in bounds], dtype=float)
-        zrows[:] = sizes[:, None] * _pow(const_g[:stop], half_power)[None, :]
+        _, g_row = _const_rows(spec)
+        sizes = np.array([gh - gl for gl, gh in _group_bounds(paths)], dtype=float)
+        zrows[:] = sizes[:, None] * _pow(g_row[:stop], half_power)[None, :]
 
     return WienerBatch(spec=spec, seed=seed, paths=paths, stop=stop,
                        x_stop=x_stop, sup_norm=sup_norm, riemann=riemann,

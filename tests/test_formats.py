@@ -59,6 +59,46 @@ class TestTreeFormat:
         assert tree.dim == 1
         assert tree.validate().ok
 
+    def test_deep_chain_round_trip(self):
+        """A chain far deeper than the interpreter's recursion limit parses,
+        validates and writes back out."""
+        depth = 5000
+        node = {}
+        for _ in range(depth):
+            node = {"children": [{"prob": 1.0, "incr": [0.0], "node": node}]}
+        doc = {"m0": [0.5], "tree": node}
+        tree = parse_tree(doc)
+        assert tree.depth == depth
+        assert tree.validate().ok
+        obj = tree_to_obj(tree)
+        assert obj["m0"] == [0.5]
+        out, given = obj["tree"], doc["tree"]
+        for _ in range(depth):
+            (a,), (b,) = out["children"], given["children"]
+            assert (a["prob"], a["incr"]) == (b["prob"], b["incr"])
+            out, given = a["node"], b["node"]
+        assert out == {"children": []}
+
+    @pytest.mark.parametrize("children,message", [
+        ([{"prob": 0.5, "incr": [0.0], "node": {}},
+          {"prob": 0.5, "incr": [0.0, "a"], "node": {}}],
+         "tree.children[1].incr[1] must be a number, got 'a'"),
+        ([{"prob": 1.0, "incr": [0.0], "node": {"children": 3}}],
+         "tree.children[0].node.children must be a list"),
+        ([{"prob": 1.0, "incr": [0.0]}],
+         "tree.children[0] is missing required key 'node'"),
+        ([{"prob": 0.5, "incr": [0.0], "node": {"children": [
+            {"prob": 1.0, "incr": [0.0], "node": 7}]}},
+          {"prob": "x", "incr": [0.0], "node": {}}],
+         "tree.children[0].node.children[0].node must be an object, got int"),
+    ])
+    def test_error_locations(self, children, message):
+        """The first problem in depth-first order is reported, located by
+        its path from the root."""
+        with pytest.raises(ConfigError) as info:
+            parse_tree({"m0": [0.0], "tree": {"children": children}})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("doc", [
         "not a dict",
         {"tree": {}},                                   # m0 missing

@@ -1,6 +1,9 @@
 """Monte Carlo engine: determinism, Gaussian oracles, CI verdicts."""
+import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -154,6 +157,43 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(spec, 10, seed=0)
 
+    def test_block_memory_preflight(self, monkeypatch):
+        """Runs whose single block would exceed the budget are refused before
+        any block is simulated, though they pass the cell cap."""
+        def no_block(*args):
+            raise AssertionError("a block was simulated")
+
+        monkeypatch.setattr(wmc, "_block", no_block)
+        lin = IntegrandSpec(2, 2, 1.0, 2 ** 15, (
+            RuleEntry(0, 2 ** 15, 1, Rule("lin", (1.0, 0.0), k=2)),))
+        for spec in (constant_integrand(1.0, steps=2 ** 21), lin):
+            assert 1024 * spec.steps * spec.wiener_dim <= wmc.DEFAULT_CELL_CAP
+            with pytest.raises(ResourceLimitError, match="block memory budget"):
+                simulate(spec, 1024, seed=0)
+
+    def test_workers_capped_by_budget_and_blocks(self):
+        assert wmc._workers(64, wmc.BLOCK_MEMORY_BUDGET // 2 + 1) == 1
+        assert wmc._workers(1, 8) == 1
+        assert 1 <= wmc._workers(64, 8) <= 64
+
+    def test_block_error_reaches_caller(self, monkeypatch):
+        class BlockFailure(RuntimeError):
+            pass
+
+        real = wmc._block
+
+        def failing(*args):
+            if args[-1] == 3:
+                raise BlockFailure("block 3")
+            return real(*args)
+
+        monkeypatch.setattr(wmc, "_block", failing)
+        monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes: 3)
+        with pytest.raises(BlockFailure):
+            simulate(constant_integrand(1.0, steps=8), 6 * 1024, seed=1)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("martcheck-mc") and t.is_alive()]
+
     def test_sign_at_zero_start(self):
         # W(t_0) = 0 and sign(0) = 0, so a single-step SIGN integral is 0
         spec = IntegrandSpec(1, 1, 1.0, 1, (
@@ -166,6 +206,54 @@ class TestSimulate:
             RuleEntry(0, 8, 1, Rule("const", (1.0,))),))
         batch = simulate(spec, 64, seed=8)
         assert np.all(batch.riemann == 0.5)   # 8 of 16 steps, dt = 1/16
+
+
+def frozen_cases(zoo):
+    """(spec, paths, t, p) runs whose simulate arrays are pinned by digest:
+    ragged last blocks, t at the horizon, mid-horizon and 0, batch-means
+    groups spanning three blocks, steps before t that no rule covers, and
+    a d=2, m=3 constant integrand."""
+    cases = []
+    for name in ("spec_const1", "spec_lin", "spec_sign", "spec_mixed2d"):
+        spec = load_spec(zoo, name)
+        for t in (spec.horizon, spec.horizon / 2, 0.0):
+            cases.append((spec, 3000, t, 3))
+    cases.append((constant_integrand(1.0, steps=4), 40000, None, 3))
+    cases.append((IntegrandSpec(1, 1, 1.0, 4, (
+        RuleEntry(0, 4, 1, Rule("lin", (1.0,), k=1)),)), 40000, None, 3))
+    cases.append((IntegrandSpec(1, 1, 1.0, 16, (
+        RuleEntry(8, 16, 1, Rule("const", (1.0,))),)), 2000, 0.25, 4))
+    cases.append((constant_integrand(-0.5, dim=2, wiener_dim=3, steps=16),
+                  3000, None, 4))
+    return cases
+
+
+def simulate_digest(cases):
+    h = hashlib.sha256()
+    for seed, (spec, paths, t, p) in enumerate(cases):
+        batch = simulate(spec, paths, seed=seed, t=t, p=p)
+        for arr in (batch.x_stop, batch.sup_norm, batch.riemann, batch.zakai_rows):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+FROZEN_SIMULATE_DIGEST = "4cc2c73b59e59cc93b58f672ea3e0357e060a544284ecdeffb7dbfd2c19bb5df"
+
+
+class TestFrozenBits:
+    def test_default_workers(self, zoo):
+        assert simulate_digest(frozen_cases(zoo)) == FROZEN_SIMULATE_DIGEST
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_worker_count_does_not_change_bits(self, zoo, monkeypatch, workers):
+        monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            digest = simulate_digest(frozen_cases(zoo))
+        finally:
+            sys.setswitchinterval(interval)
+        assert digest == FROZEN_SIMULATE_DIGEST
 
 
 class TestEstimateLp:
