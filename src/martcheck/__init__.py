@@ -37,12 +37,12 @@ from .ptree import (
     random_tree,
     sup_lp_norm,
     symmetric_walk,
-    validate,
 )
 from .ineq import (
     exact_report,
     DISCRETE_EVAL_IDS,
     ConstantComparison,
+    ContinuousId,
     InequalityId,
     InequalityReport,
     TaylorBound,
@@ -65,14 +65,11 @@ from .sharpness import (
     search,
 )
 from .wiener_mc import (
-    ContinuousId,
     IntegrandSpec,
-    McEstimate,
     Rule,
     RuleEntry,
     WienerBatch,
     constant_integrand,
-    estimate_lp,
     eval_continuous,
     gaussian_abs_moment,
     simulate,
@@ -96,7 +93,7 @@ __all__ = [
     "ResourceLimitError", "ConfigError",
     "Branch", "TreeNode", "ProbTree", "Violation",
     "ValidationResult", "LevelProcess", "moments",
-    "validate", "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
+    "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
     "increment_lp_sum", "martingale_level", "random_tree", "symmetric_walk",
     "InequalityId", "DISCRETE_EVAL_IDS", "InequalityReport", "TaylorBound",
     "ConstantComparison", "eval_discrete", "eval_tree", "eval_rio_step",
@@ -105,8 +102,7 @@ __all__ = [
     "FamilySpec", "SearchConfig", "SearchResult", "rio_gain",
     "asym_two_point_gain", "asymptotic_gain_probe", "family_ratio", "search",
     "ContinuousId", "IntegrandSpec", "Rule", "RuleEntry", "WienerBatch",
-    "McEstimate", "constant_integrand", "simulate", "estimate_lp",
-    "eval_continuous", "gaussian_abs_moment",
+    "constant_integrand", "simulate", "eval_continuous", "gaussian_abs_moment",
     "parse_tree", "tree_to_obj", "parse_integrand", "integrand_to_obj",
     "parse_search", "search_to_obj", "search_result_to_obj",
     "report_row", "csv_row",

@@ -111,7 +111,7 @@ def _cmd_verify_discrete(args, argv) -> int:
 
 def _cmd_verify_continuous(args, argv) -> int:
     started = time.monotonic()
-    ids = _coerce_ids(args.ineq, wiener_mc.ContinuousId, wiener_mc.ContinuousId)
+    ids = _coerce_ids(args.ineq, ineq.ContinuousId, ineq.ContinuousId)
     spec = formats.parse_integrand(_load_json(args.integrand))
     t = spec.horizon if args.t is None else args.t
     reports = wiener_mc.eval_continuous(spec, t, args.p, ids, args.paths, args.seed)

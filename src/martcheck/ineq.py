@@ -2,13 +2,14 @@
 
 Every evaluator returns an InequalityReport whose sides are exact (no
 sampling). The squared-display convention is used throughout: lhs and rhs
-are the squared L^p norms, except DOOB which is stated unsquared.
+are the squared L^p norms, except DOOB which is stated unsquared. BOUNDS,
+the table of the paper's four paired bounds, also serves wiener_mc.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .ptree import ProbTree, as_exponent
 
 ABS_TOL = 1e-9        # lhs <= rhs + ABS_TOL defines "satisfied" for exact sides
 COND_MEAN_TOL = 1e-12
+QUAD_TOL = 1e-10      # relative convergence tolerance of adaptive_panel_quadrature
+_GRADING = 0.25       # geometric ratio of the graded panels toward each anchor
 
 _SWEEP_STREAM = 12    # spawn-key domain tag for the random-tree sweep
 
@@ -33,6 +36,45 @@ class InequalityId(enum.Enum):
     RIO_CHAIN = "RIO-CHAIN"
     DOOB = "DOOB"
 
+
+class ContinuousId(enum.Enum):
+    """Closed set of continuous-time (Ito integral) inequality identifiers."""
+
+    C_BURK_1 = "C-BURK-1"
+    C_BURK_2 = "C-BURK-2"
+    ZAKAI_MAIN = "ZAKAI-MAIN"
+    ZAKAI_MAX = "ZAKAI-MAX"
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One paired bound side^2 <= constant(p) * base, for a tree martingale
+    (tree_id) and an Ito integral (ito_id). side is "terminal" or "sup" (the
+    running maximum of the norm); base is "square" (the square function's
+    L^{p/2} norm) or "increments" (the increments' squared L^p norms, summed
+    over levels or integrated over time)."""
+
+    tree_id: InequalityId
+    ito_id: ContinuousId
+    side: str
+    base: str
+    constant: Callable[[float], float]
+
+
+#: the classic constants (square-function base) and the improved ones
+#: (increment base) of the paper; each row is keyed by both of its ids.
+#: PROP1-MAIN's p-1 is also the RIO-CHAIN and RIO-STEP constant.
+BOUNDS: dict[enum.Enum, Bound] = {
+    i: b for b in (
+        Bound(InequalityId.D_BURK_1, ContinuousId.C_BURK_1, "terminal", "square",
+              lambda p: (p - 1.0) ** 2),
+        Bound(InequalityId.D_BURK_2, ContinuousId.C_BURK_2, "sup", "square",
+              lambda p: p * p),
+        Bound(InequalityId.PROP1_MAIN, ContinuousId.ZAKAI_MAIN, "terminal", "increments",
+              lambda p: p - 1.0),
+        Bound(InequalityId.PROP1_MAX, ContinuousId.ZAKAI_MAX, "sup", "increments",
+              lambda p: p * p / (p - 1.0)),
+    ) for i in (b.tree_id, b.ito_id)}
 
 #: ids accepted by eval_discrete (RIO-STEP acts on a distribution pair instead)
 DISCRETE_EVAL_IDS = (
@@ -77,12 +119,12 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def exact_report(ineq_id: str, p: float, n_or_t: float, lhs: float, rhs: float,
-                 constant: float, notes: str = "") -> InequalityReport:
+                 constant: float) -> InequalityReport:
     satisfied = lhs <= rhs + ABS_TOL
     return InequalityReport(
         id=ineq_id, p=p, n_or_t=n_or_t, lhs=lhs, rhs=rhs, constant=constant,
         ratio=_ratio(lhs, rhs), satisfied=satisfied,
-        verdict="satisfied" if satisfied else "violation", notes=notes)
+        verdict="satisfied" if satisfied else "violation")
 
 
 def coerce_id(kind: type[enum.Enum], value) -> enum.Enum:
@@ -127,20 +169,13 @@ def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
 def _tree_report(table: ptree.Moments, n: int, iid: InequalityId) -> InequalityReport:
     p = table.p
     lp, sup, quad, incr = table.norms(n)
-    if iid is InequalityId.D_BURK_1:
-        constant = (p - 1.0) ** 2
-        lhs, rhs = lp ** 2, constant * quad
-    elif iid is InequalityId.D_BURK_2:
-        constant = p * p
-        lhs, rhs = sup ** 2, constant * quad
-    elif iid is InequalityId.PROP1_MAIN:
-        constant = p - 1.0
-        lhs, rhs = lp ** 2, constant * incr
-    elif iid is InequalityId.PROP1_MAX:
-        constant = p * p / (p - 1.0)
-        lhs, rhs = sup ** 2, constant * incr
+    bound = BOUNDS.get(iid)
+    if bound is not None:
+        constant = bound.constant(p)
+        lhs = (lp if bound.side == "terminal" else sup) ** 2
+        rhs = constant * (quad if bound.base == "square" else incr)
     elif iid is InequalityId.RIO_CHAIN:
-        constant = p - 1.0
+        constant = BOUNDS[InequalityId.PROP1_MAIN].constant(p)
         start_sq = table.norms(0)[3]
         lhs, rhs = lp ** 2, start_sq + constant * (incr - start_sq)
     else:  # DOOB
@@ -187,7 +222,8 @@ def eval_rio_step(x_atoms: Sequence[Atom], y_given_x: Sequence[Sequence[Atom]],
     x_norm_sq = _norm_pow_moment(((q, x) for q, x in xs), p) ** (2.0 / p)
     y_norm_sq = _norm_pow_moment(((w, y) for w, _, y in joint), p) ** (2.0 / p)
     lhs = _norm_pow_moment(((w, x + y) for w, x, y in joint), p) ** (2.0 / p)
-    c = (p - 1.0) if constant is None else float(constant)
+    c = (BOUNDS[InequalityId.PROP1_MAIN].constant(p) if constant is None
+         else float(constant))
     rhs = x_norm_sq + c * y_norm_sq
     return exact_report(InequalityId.RIO_STEP.value, p, 1.0, lhs, rhs, c)
 
@@ -203,7 +239,7 @@ def _gauss_panels(f, edges: np.ndarray) -> float:
     return float(np.sum((vals @ _GL_WEIGHTS) * half))
 
 
-def _graded_edges(anchors: list[float], sigma: float = 0.25) -> np.ndarray:
+def _graded_edges(anchors: list[float]) -> np.ndarray:
     """Panel edges on [0,1] geometrically refined toward every anchor.
 
     Algebraic singularities t^a sit at the anchors (interval ends and
@@ -220,14 +256,14 @@ def _graded_edges(anchors: list[float], sigma: float = 0.25) -> np.ndarray:
             step = half
             while step > 1e-15:
                 edges.add(b + sign * step)
-                step *= sigma
+                step *= _GRADING
     return np.unique(np.fromiter(edges, dtype=float))
 
 
 def adaptive_panel_quadrature(f, breakpoints: Sequence[float] = (),
-                              tol: float = 1e-10, max_refine: int = 12) -> float:
+                              max_refine: int = 12) -> float:
     """Integrate f over [0,1] with 15-point Gauss panels, halving all panels
-    until the total changes by less than tol * max(1, |integral|).
+    until the total changes by less than QUAD_TOL * max(1, |integral|).
 
     Interior breakpoints (integrand kinks) become panel edges from the
     start, with geometrically graded panels toward them and toward 0 and 1.
@@ -241,11 +277,11 @@ def adaptive_panel_quadrature(f, breakpoints: Sequence[float] = (),
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
         cur = _gauss_panels(f, edges)
         achieved = abs(cur - prev)
-        if achieved <= tol * max(1.0, abs(cur)):
+        if achieved <= QUAD_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureError(
-        f"quadrature did not converge to {tol:g} (achieved {achieved:.3g})",
+        f"quadrature did not converge to {QUAD_TOL:g} (achieved {achieved:.3g})",
         achieved=achieved)
 
 
@@ -309,10 +345,10 @@ class ConstantComparison:
 
 def compare_constants(p) -> ConstantComparison:
     p = as_exponent(p)
-    classic_main = (p - 1.0) ** 2
-    new_main = p - 1.0
-    classic_max = p * p
-    new_max = p * p / (p - 1.0)
+    classic_main = BOUNDS[InequalityId.D_BURK_1].constant(p)
+    new_main = BOUNDS[InequalityId.PROP1_MAIN].constant(p)
+    classic_max = BOUNDS[InequalityId.D_BURK_2].constant(p)
+    new_max = BOUNDS[InequalityId.PROP1_MAX].constant(p)
     return ConstantComparison(
         p=p, classic_main=classic_main, new_main=new_main,
         classic_max=classic_max, new_max=new_max,
@@ -330,6 +366,9 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     a substream derived from (seed, t), so the whole sweep is reproducible
     from the single seed.
     """
+    if int(count) < 0 or int(max_depth) < 1 or int(max_dim) < 1:
+        raise DomainError("random-tree sweep needs count >= 0, max_depth >= 1 "
+                          "and max_dim >= 1")
     p_values = [as_exponent(p) for p in p_values]
     ids = [coerce_id(InequalityId, i) for i in ids]
     for t in range(int(count)):

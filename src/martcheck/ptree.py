@@ -306,11 +306,6 @@ def moments(tree: ProbTree, p) -> Moments:
                    level_sums(calc.quad, p / 2.0), np.cumsum(d_sq))   # left to right
 
 
-def validate(tree: ProbTree) -> ValidationResult:
-    """Check the three tree invariants; see ValidationResult."""
-    return tree.validate()
-
-
 def lp_norm(tree: ProbTree, n: int, p) -> float:
     """||M_n||_{L^p}, read from moments(tree, p)."""
     return moments(tree, p).norms(n)[0]
@@ -342,15 +337,23 @@ def martingale_level(tree: ProbTree, n: int) -> LevelProcess:
 def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -> ProbTree:
     """Draw a martingale-valid random tree.
 
-    Branching factors come from `branching`, branch probabilities are
-    normalized positive draws, and each raw uniform [-1,1]^dim increment is
-    recentred by the conditional mean at its node so the martingale
-    property holds to roundoff. `seed` may be an int or a SeedSequence.
+    Branching factors come from `branching` (each >= 2), branch
+    probabilities are normalized positive draws, and each raw uniform
+    [-1,1]^dim increment is recentred by the conditional mean at its node
+    so the martingale property holds to roundoff. `seed` may be an int or a
+    SeedSequence. A tree whose last level could exceed MAX_PATHS nodes
+    (max(branching) ** depth) raises ResourceLimitError before any draw.
     """
     depth = int(depth)
     dim = int(dim)
     if depth < 0 or dim < 1:
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
+    if len(branching) == 0 or min(branching) < 2:
+        raise DomainError(f"branching factors must be >= 2, got {tuple(branching)}")
+    if int(max(branching)) ** depth > MAX_PATHS:
+        raise ResourceLimitError(
+            f"depth-{depth} trees with branching up to {max(branching)} exceed "
+            f"the {MAX_PATHS} path enumeration cap")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:

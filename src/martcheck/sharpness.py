@@ -24,6 +24,7 @@ from .ptree import as_exponent
 
 SOUND_TOL = 1e-9
 COLLAPSE_DIAMETER = 1e-10
+NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5   # Nelder-Mead
 
 _SEARCH_STREAM = 13
 
@@ -159,6 +160,9 @@ class FamilySpec:
         if self.tag == "RANDOM-TREE":
             if self.depth is None or self.depth < 1 or self.dim is None or self.dim < 1:
                 raise ConfigError("RANDOM-TREE needs depth >= 1 and dim >= 1")
+            if not self.branching or min(self.branching) < 2:
+                raise ConfigError(
+                    f"RANDOM-TREE branching factors must be >= 2, got {self.branching}")
             if self.a_box or self.b_box or self.q_box:
                 raise ConfigError("RANDOM-TREE takes no parameter boxes")
             return
@@ -275,14 +279,10 @@ class _Recorder:
 
 
 def nelder_mead(fn: Callable[[np.ndarray], float], x0: Sequence[float],
-                step: Sequence[float], budget: int, *,
-                reflect: float = 1.0, expand: float = 2.0,
-                contract: float = 0.5, shrink: float = 0.5,
-                collapse: float = COLLAPSE_DIAMETER) -> tuple[np.ndarray, float, int]:
-    """Minimize fn with a plain Nelder-Mead simplex.
+                step: Sequence[float], budget: int) -> tuple[np.ndarray, float, int]:
+    """Minimize fn with a plain Nelder-Mead simplex (the NM_* coefficients).
 
-    Coefficients (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
-    When the simplex diameter drops below `collapse` the simplex is rebuilt
+    When the simplex diameter drops below COLLAPSE_DIAMETER it is rebuilt
     around the incumbent with the original steps. Stops after `budget`
     evaluations and returns (best point, best value, evaluations used).
     """
@@ -314,26 +314,26 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: Sequence[float],
             pts = [pts[i] for i in order]
             fv = [fv[i] for i in order]
             diameter = max(float(np.linalg.norm(q - pts[0])) for q in pts[1:])
-            if diameter < collapse:
+            if diameter < COLLAPSE_DIAMETER:
                 pts, fv = fresh(pts[0])
                 continue
             centroid = np.mean(pts[:-1], axis=0)
-            xr = centroid + reflect * (centroid - pts[-1])
+            xr = centroid + NM_REFLECT * (centroid - pts[-1])
             fr = call(xr)
             if fr < fv[0]:
-                xe = centroid + expand * (xr - centroid)
+                xe = centroid + NM_EXPAND * (xr - centroid)
                 fe = call(xe)
                 pts[-1], fv[-1] = (xe, fe) if fe < fr else (xr, fr)
             elif fr < fv[-2]:
                 pts[-1], fv[-1] = xr, fr
             else:
-                xc = centroid + contract * (pts[-1] - centroid)
+                xc = centroid + NM_CONTRACT * (pts[-1] - centroid)
                 fc = call(xc)
                 if fc < fv[-1]:
                     pts[-1], fv[-1] = xc, fc
                 else:
                     for i in range(1, dims + 1):
-                        pts[i] = pts[0] + shrink * (pts[i] - pts[0])
+                        pts[i] = pts[0] + NM_SHRINK * (pts[i] - pts[0])
                         fv[i] = call(pts[i])
     except _BudgetExhausted:
         pass
@@ -425,7 +425,7 @@ def search(config: SearchConfig) -> SearchResult:
                     nelder_mead(lambda z: -rec(to_params(z)), x0, step, config.budget)
         except _BudgetExhausted:
             pass
-        bound = family.p - 1.0
+        bound = ineq.BOUNDS[ineq.InequalityId.PROP1_MAIN].constant(family.p)
     return SearchResult(
         best_ratio=rec.best_ratio, best_params=rec.best_params,
         evaluations=rec.count, trace=tuple(rec.trace), bound=bound,

@@ -17,7 +17,6 @@ finish. One simulation serves every inequality id of a run.
 """
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import os
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError
-from .ineq import InequalityReport, _ratio, coerce_id
+from .ineq import BOUNDS, ContinuousId, InequalityReport, _ratio, coerce_id
 from .ptree import as_exponent
 
 BLOCK_PATHS = 1024          # fixed substream block size
@@ -40,17 +39,6 @@ Z95 = 1.96                  # fixed 95% half-width multiplier
 _WIENER_STREAM = 10
 
 RULE_KINDS = ("const", "lin", "sign")
-STATISTICS = ("x_t", "sup", "riemann")
-
-
-class ContinuousId(enum.Enum):
-    C_BURK_1 = "C-BURK-1"
-    C_BURK_2 = "C-BURK-2"
-    ZAKAI_MAIN = "ZAKAI-MAIN"
-    ZAKAI_MAX = "ZAKAI-MAX"
-
-
-_ZAKAI_IDS = (ContinuousId.ZAKAI_MAIN, ContinuousId.ZAKAI_MAX)
 
 
 @dataclass(frozen=True)
@@ -137,16 +125,6 @@ def constant_integrand(value, dim: int = 1, wiener_dim: int = 1,
     return IntegrandSpec(dim, wiener_dim, float(horizon), int(steps), entries)
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo point estimate with a delta-method standard error."""
-
-    value: float
-    std_error: float
-    half_width: float
-    samples: int
-
-
 @dataclass
 class WienerBatch:
     """Simulated paths reduced to the per-path statistics the bounds need.
@@ -188,8 +166,10 @@ def _pow(arr: np.ndarray, e: float) -> np.ndarray:
     return arr ** int(e) if e == int(e) else arr ** e
 
 
-def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> int:
-    """Reject a run before it allocates; return one block's working-set bytes."""
+def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> tuple[int, int]:
+    """Reject a run before it allocates. Return one block's working-set bytes
+    and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the per-path
+    output arrays (x_stop, sup_norm, riemann) that simulate keeps."""
     if int(paths) < 2:
         raise DomainError("paths must be >= 2")
     if int(seed) < 0:
@@ -204,14 +184,21 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> int:
     # increment array alone; others also hold W, the increments of X, g,
     # one component of f and a temporary of each
     m, d = spec.wiener_dim, spec.dim
+    out_bytes = 8 * int(paths) * (d + 2)
+    if out_bytes > BLOCK_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{int(paths)} paths need {out_bytes} bytes of per-path output, "
+            f"over the {BLOCK_MEMORY_BUDGET}-byte block memory budget")
+    room = BLOCK_MEMORY_BUDGET - out_bytes
     arrays = 1 if not spec.needs_wiener and d == m == 1 else 2 * m + 3 * d + 2
     bsz = min(int(paths), BLOCK_PATHS)
     block_bytes = 8 * bsz * (spec.steps + 1) * arrays
-    if block_bytes > BLOCK_MEMORY_BUDGET:
+    if block_bytes > room:
         raise ResourceLimitError(
             f"one {bsz}-path block of {spec.steps} steps needs {block_bytes} "
-            f"bytes, over the {BLOCK_MEMORY_BUDGET}-byte block memory budget")
-    return block_bytes
+            f"bytes, over the {BLOCK_MEMORY_BUDGET}-byte block memory budget "
+            f"less {out_bytes} bytes of per-path output")
+    return block_bytes, room
 
 
 def _workers(blocks: int, block_bytes: int) -> int:
@@ -342,7 +329,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     whatever the number of worker threads.
     """
     stop = spec.steps if t is None else grid_index(spec, t)
-    block_bytes = _check_run(spec, paths, seed)
+    block_bytes, room = _check_run(spec, paths, seed)
     paths, seed = int(paths), int(seed)
     half_power = None if p is None else as_exponent(p) / 2.0
 
@@ -362,7 +349,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
 
     blocks = -(-paths // BLOCK_PATHS)
     run = functools.partial(_block, spec, paths, seed, stop, half_power)
-    workers = _workers(blocks, block_bytes)
+    workers = min(_workers(blocks, block_bytes), room // block_bytes)
     if workers <= 1:
         merge(map(run, range(blocks)))
     else:
@@ -402,30 +389,6 @@ def _mc_power(y: np.ndarray, expo: float) -> tuple[float, float]:
     return value, abs(expo) * mean ** (expo - 1.0) * se_mean
 
 
-def estimate_lp(batch: WienerBatch, statistic: str, p) -> McEstimate:
-    """L^p norm estimate of a per-path statistic, (mean of stat^r)^(1/r).
-
-    statistic: "x_t" (||X_stop||, r = p), "sup" (running max, r = p) or
-    "riemann" (pathwise quadratic sum, r = p/2 so the estimate is the
-    L^{p/2} norm). half_width is 1.96 standard errors.
-    """
-    p = as_exponent(p)
-    if statistic == "x_t":
-        samples = np.linalg.norm(batch.x_stop, axis=1)
-        r = p
-    elif statistic == "sup":
-        samples = batch.sup_norm
-        r = p
-    elif statistic == "riemann":
-        samples = batch.riemann
-        r = p / 2.0
-    else:
-        raise DomainError(f"unknown statistic {statistic!r}; known: {STATISTICS}")
-    value, se = _mc_power(_pow(samples, r), 1.0 / r)
-    return McEstimate(value=value, std_error=se, half_width=Z95 * se,
-                      samples=batch.paths)
-
-
 def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
     """Left sum dt * sum_{i<stop} ||g(t_i)||_{p/2} with a batch-means SE.
 
@@ -440,8 +403,9 @@ def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
 
 
 def _report(batch: WienerBatch, t: float, p: float, cid: ContinuousId) -> InequalityReport:
+    bound = BOUNDS[cid]
     notes = ""
-    if cid in (ContinuousId.C_BURK_1, ContinuousId.ZAKAI_MAIN):
+    if bound.side == "terminal":
         if batch.spec.dim == 1:
             stat = np.abs(batch.x_stop[:, 0])
         else:
@@ -451,16 +415,8 @@ def _report(batch: WienerBatch, t: float, p: float, cid: ContinuousId) -> Inequa
         notes = "supremum over grid points only (downward-biased left side)"
     lhs, lhs_se = _mc_power(_pow(stat, p), 2.0 / p)
 
-    if cid is ContinuousId.C_BURK_1:
-        constant = (p - 1.0) ** 2
-    elif cid is ContinuousId.C_BURK_2:
-        constant = p * p
-    elif cid is ContinuousId.ZAKAI_MAIN:
-        constant = p - 1.0
-    else:
-        constant = p * p / (p - 1.0)
-
-    if cid in _ZAKAI_IDS:
+    constant = bound.constant(p)
+    if bound.base == "increments":
         base, base_se = _zakai_integral(batch, p)
     else:
         base, base_se = _mc_power(_pow(batch.riemann, p / 2.0), 2.0 / p)
@@ -504,7 +460,7 @@ def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_ids: Sequence,
     if isinstance(ineq_ids, (str, ContinuousId)):
         raise DomainError("ineq_ids must be a sequence of inequality ids")
     cids = [coerce_id(ContinuousId, i) for i in ineq_ids]
-    zakai_p = p if any(c in _ZAKAI_IDS for c in cids) else None
+    zakai_p = p if any(BOUNDS[c].base == "increments" for c in cids) else None
     batch = simulate(spec, paths, seed, t, zakai_p)
     return [_report(batch, t, p, cid) for cid in cids]
 

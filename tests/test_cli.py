@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import martcheck
+from martcheck import wiener_mc
 from martcheck.cli import main
 
 COIN = "tree_coin.json"
@@ -189,6 +191,24 @@ class TestSweepAndTables:
         assert code == 0
         assert "0 violations" in out
 
+    @pytest.mark.parametrize("flag,value", [("--count", "-1"), ("--max-depth", "0"),
+                                            ("--max-dim", "0")])
+    def test_random_trees_bad_sizes(self, capsys, flag, value):
+        argv = {"--count": "2", "--max-depth": "3", "--max-dim": "2", flag: value}
+        code, _, err = run(capsys, "random-trees", *(x for kv in argv.items() for x in kv))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [{"branching": [0]}, {"branching": [-1]},
+                                       {"depth": 26}, {"depth": 1100}])
+    def test_random_tree_search_limits(self, zoo, tmp_path, capsys, extra):
+        config = json.loads((zoo / "search_tree_random.json").read_text())
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(dict(config, target="DOOB", **extra)))
+        code, _, err = run(capsys, "sharpness", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_compare_constants(self, capsys):
         code, out, _ = run(capsys, "compare-constants", "--p", "2", "4")
         assert code == 0
@@ -228,6 +248,13 @@ class TestReproducibility:
             doc = json.loads((tmp_path / f"{tag}.json").read_text())
             docs.append(json.dumps(doc["results"], sort_keys=True))
         assert docs[0] == docs[1]
+
+
+def test_public_names_resolve_once():
+    assert len(martcheck.__all__) == len(set(martcheck.__all__))
+    for name in martcheck.__all__:
+        assert hasattr(martcheck, name), name
+    assert martcheck.ContinuousId is wiener_mc.ContinuousId
 
 
 def test_console_script_installed():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import martcheck.formats as formats
 import martcheck.ineq as ineq
 import martcheck.ptree as ptree
+import martcheck.sharpness as sh
 from martcheck import (
     Branch,
     DomainError,
@@ -17,6 +18,8 @@ from martcheck import (
     ProbTree,
     QuadratureError,
     TreeNode,
+    constant_integrand,
+    eval_continuous,
 )
 
 LEAF = TreeNode()
@@ -243,6 +246,33 @@ class TestQuadrature:
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
+class TestBounds:
+    PAIRS = (("D-BURK-1", "C-BURK-1", "classic_main"),
+             ("D-BURK-2", "C-BURK-2", "classic_max"),
+             ("PROP1-MAIN", "ZAKAI-MAIN", "new_main"),
+             ("PROP1-MAX", "ZAKAI-MAX", "new_max"))
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0])
+    def test_pairs_share_constants(self, p):
+        """Each tree bound and its Ito counterpart report the same constant,
+        the one compare_constants lists; p-1 also serves RIO-CHAIN, RIO-STEP
+        and the two-point search bound."""
+        walk = ptree.symmetric_walk(2)
+        comparison = ineq.compare_constants(p)
+        ito = eval_continuous(constant_integrand(1.0, steps=4), 1.0, p,
+                              [cid for _, cid, _ in self.PAIRS], 64, 0)
+        for (tid, cid, field), r in zip(self.PAIRS, ito):
+            assert r.id == cid
+            assert ineq.eval_discrete(walk, 2, p, tid).constant == r.constant
+            assert r.constant == getattr(comparison, field)
+        assert ineq.eval_discrete(walk, 2, p, "RIO-CHAIN").constant == comparison.new_main
+        step = ineq.eval_rio_step([(1.0, [1.0])], [[(0.5, [1.0]), (0.5, [-1.0])]], p)
+        assert step.constant == comparison.new_main
+        family = sh.FamilySpec(tag="RIO-TWO-POINT", p=p, a_box=(1, 1), b_box=(0.1, 0.1))
+        result = sh.search(sh.SearchConfig(family=family, method="grid", budget=1, seed=0))
+        assert result.bound == comparison.new_main
+
+
 class TestCompareConstants:
     def test_p4(self):
         c = ineq.compare_constants(4)
@@ -299,6 +329,11 @@ class TestSweep:
         assert len(per_tree) == 4
         assert len(reports) == sum((d + 1) * 6 for d in per_tree.values())
         assert all(r.satisfied for r in reports)
+
+    def test_bad_sizes_rejected(self):
+        for count, max_depth, max_dim in ((-1, 3, 2), (1, 0, 2), (1, 3, 0)):
+            with pytest.raises(DomainError):
+                list(ineq.sweep_random_trees(count, max_depth, max_dim, 0, (2.0,)))
 
     def test_frozen_digest(self):
         """Every bit of a 2,400-report sweep is pinned, so a change in any

@@ -180,6 +180,21 @@ class TestLevels:
             ptree.martingale_level(t, 0)
 
 
+    def test_random_tree_limits(self, monkeypatch):
+        """Bad branching factors and trees that could outgrow MAX_PATHS are
+        refused before the first draw, so none recurses or allocates."""
+        for bad in ((), (-1,), (0,), (1, 2)):
+            with pytest.raises(DomainError, match="branching"):
+                ptree.random_tree(2, 1, seed=0, branching=bad)
+        for depth in (26, 1100):
+            with pytest.raises(ResourceLimitError):
+                ptree.random_tree(depth, 1, seed=0)
+        monkeypatch.setattr(ptree, "MAX_PATHS", 8)
+        assert ptree.random_tree(3, 1, seed=0, branching=(2,)).depth == 3
+        with pytest.raises(ResourceLimitError):
+            ptree.random_tree(2, 1, seed=0, branching=(2, 3))
+
+
 @given(trees())
 def test_random_trees_validate(t):
     assert t.validate().ok

@@ -126,6 +126,11 @@ class TestFamilyConfig:
         with pytest.raises(ConfigError):
             FamilySpec(tag="RANDOM-TREE", p=4, depth=2, dim=1, a_box=(1, 2))
 
+    def test_random_tree_branching(self):
+        for bad in ((), (-1,), (0,), (1, 3)):
+            with pytest.raises(ConfigError, match="branching"):
+                FamilySpec(tag="RANDOM-TREE", p=4, depth=2, dim=1, branching=bad)
+
     def test_q_box_range(self):
         with pytest.raises(ConfigError):
             FamilySpec(tag="ASYM-TWO-POINT", p=4, a_box=(1, 1),

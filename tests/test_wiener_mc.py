@@ -17,7 +17,6 @@ from martcheck import (
     Rule,
     RuleEntry,
     constant_integrand,
-    estimate_lp,
     eval_continuous,
     gaussian_abs_moment,
     parse_integrand,
@@ -125,8 +124,8 @@ class TestSimulate:
         batch = simulate(spec, 100, seed=5)
         assert not batch.x_stop.any()
         assert not batch.sup_norm.any()
-        est = estimate_lp(batch, "x_t", 4)
-        assert est.value == 0.0 and est.half_width == 0.0
+        r, = eval_continuous(spec, 1.0, 4, ["C-BURK-1"], 100, 5)
+        assert r.lhs == 0.0 and r.ci_lhs == 0.0
 
     def test_sup_monotone_in_t(self):
         spec = constant_integrand(1.0, steps=32)
@@ -156,6 +155,17 @@ class TestSimulate:
         monkeypatch.setenv(wmc.CELL_CAP_ENV, "not-a-number")
         with pytest.raises(DomainError):
             simulate(spec, 10, seed=0)
+
+    def test_output_memory_preflight(self):
+        """The per-path output arrays count against the budget: 2^31 - 1 paths
+        of a one-step integrand pass the cell cap and fit one block, but their
+        x_stop, sup_norm and riemann rows would need about 48 GiB."""
+        spec = constant_integrand(1.0, steps=1)
+        with pytest.raises(ResourceLimitError, match="block memory budget"):
+            wmc._check_run(spec, 2 ** 31 - 1, 0)
+        block_bytes, room = wmc._check_run(spec, 10 ** 6, 0)
+        assert room == wmc.BLOCK_MEMORY_BUDGET - 8 * 10 ** 6 * 3
+        assert block_bytes <= room
 
     def test_block_memory_preflight(self, monkeypatch):
         """Runs whose single block would exceed the budget are refused before
@@ -256,39 +266,45 @@ class TestFrozenBits:
         assert digest == FROZEN_SIMULATE_DIGEST
 
 
+@pytest.fixture(scope="class")
+def unit_runs():
+    """f == 1 on 1024 steps, 10^5 paths, seed 7: the C-BURK-1 and C-BURK-2
+    reports at p = 2 and p = 4, keyed by p."""
+    spec = constant_integrand(1.0, steps=1024)
+    return {p: eval_continuous(spec, 1.0, p, ["C-BURK-1", "C-BURK-2"], 100000, 7)
+            for p in (2, 4)}
+
+
 class TestEstimateLp:
-    def setup_method(self):
-        self.spec = constant_integrand(1.0, steps=1024)
-        self.batch = simulate(self.spec, 100000, seed=7)
+    """The L^p estimates eval_continuous reports, checked where X_1 ~ N(0, 1)."""
 
-    def test_fourth_moment_oracle(self):
-        est = estimate_lp(self.batch, "x_t", 4)
-        # X_1 ~ N(0,1): true L^4 norm is 3^(1/4)
-        assert est.half_width > 0.0
-        assert abs(est.value - 3 ** 0.25) <= 2 * est.half_width
-        assert est.samples == 100000
+    def test_fourth_moment_oracle(self, unit_runs):
+        r = unit_runs[4][0]
+        # squared L^4 norm of N(0, 1): (E X^4)^(1/2) = sqrt(3)
+        assert r.ci_lhs > 0.0
+        assert abs(r.lhs - math.sqrt(3)) <= 2 * r.ci_lhs
 
-    def test_second_moment_oracle(self):
-        est = estimate_lp(self.batch, "x_t", 2)
-        assert abs(est.value - 1.0) <= 2 * est.half_width
+    def test_second_moment_oracle(self, unit_runs):
+        r = unit_runs[2][0]
+        assert abs(r.lhs - 1.0) <= 2 * r.ci_lhs
 
-    def test_riemann_deterministic(self):
-        est = estimate_lp(self.batch, "riemann", 4)
-        assert est.value == 1.0
-        assert est.half_width == 0.0
+    def test_riemann_deterministic(self, unit_runs):
+        for reports in unit_runs.values():
+            for r in reports:
+                assert r.rhs / r.constant == 1.0
+                assert r.ci_rhs == 0.0
 
-    def test_sup_exceeds_terminal(self):
-        sup = estimate_lp(self.batch, "sup", 2)
-        term = estimate_lp(self.batch, "x_t", 2)
-        assert sup.value > term.value
+    def test_sup_exceeds_terminal(self, unit_runs):
+        term, sup = unit_runs[2]
+        assert sup.lhs > term.lhs
 
-    def test_unknown_statistic(self):
-        with pytest.raises(DomainError):
-            estimate_lp(self.batch, "median", 2)
-
-    def test_half_width_is_z95(self):
-        est = estimate_lp(self.batch, "x_t", 4)
-        assert est.half_width == pytest.approx(1.96 * est.std_error)
+    def test_half_width_is_z95(self, unit_runs):
+        """ci_lhs is 1.96 delta-method standard errors of (mean |X_1|^4)^(1/2)."""
+        batch = simulate(constant_integrand(1.0, steps=1024), 100000, seed=7)
+        y = np.abs(batch.x_stop[:, 0]) ** 4
+        mean = y.mean()
+        se = 0.5 * mean ** -0.5 * y.std(ddof=1) / math.sqrt(len(y))
+        assert unit_runs[4][0].ci_lhs == pytest.approx(1.96 * se, rel=1e-12)
 
 
 class TestEvalContinuous:
@@ -431,8 +447,8 @@ class TestGaussianMoment:
 
 
 def test_discretization_consistency_lin_sign(zoo):
-    """Doubling the grid moves the lhs estimate by less than the combined
-    CI for the state-dependent integrands at a million paths."""
+    """Doubling the grid moves the C-BURK-1 lhs estimate by less than the
+    combined CI for the state-dependent integrands at a million paths."""
     for name, seed in (("spec_lin", 303), ("spec_sign", 404)):
         with open(zoo / f"{name}.json") as fh:
             base = json.load(fh)
@@ -441,7 +457,8 @@ def test_discretization_consistency_lin_sign(zoo):
             obj = dict(base)
             obj["steps"] = steps
             obj["rules"] = [dict(r, range=[0, steps]) for r in base["rules"]]
-            batch = simulate(parse_integrand(obj), 10 ** 6, seed)
-            ests.append(estimate_lp(batch, "x_t", 4))
-        diff = abs(ests[0].value - ests[1].value)
-        assert diff <= ests[0].half_width + ests[1].half_width, (name, ests)
+            spec = parse_integrand(obj)
+            r, = eval_continuous(spec, spec.horizon, 4, ["C-BURK-1"], 10 ** 6, seed)
+            ests.append(r)
+        diff = abs(ests[0].lhs - ests[1].lhs)
+        assert diff <= ests[0].ci_lhs + ests[1].ci_lhs, (name, ests)
