@@ -46,7 +46,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{path} is nested too deeply to parse") from None
@@ -71,8 +71,8 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
         "duration_s": time.monotonic() - started,
     }
     with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"manifest": manifest, "results": results},
-                  fh, indent=2, sort_keys=True)
+        # dumps without indent runs the C encoder; json.dump never does
+        fh.write(json.dumps({"manifest": manifest, "results": results}, sort_keys=True))
         fh.write("\n")
     if rows is not None:
         with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:

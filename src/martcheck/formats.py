@@ -60,9 +60,13 @@ def _get(obj: dict, key: str, where: str) -> Any:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value: Any, where: str) -> int:
@@ -73,7 +77,7 @@ def _integer(value: Any, where: str) -> int:
 
 def _vector(value: Any, where: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),)
+        return (_number(value, where),)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a number or a nonempty list of numbers")
     return tuple(_number(v, _Where(where, f"[{i}]")) for i, v in enumerate(value))
@@ -95,12 +99,13 @@ def _open_node(obj: Any, where) -> tuple:
     return where, children, []
 
 
-def _parse_node(obj: Any, where: str) -> TreeNode:
+def _parse_node(obj: Any, where: str) -> tuple[TreeNode, int]:
     """Parse a node and its subtree without recursion, so depth is bounded
-    by memory alone. Problems are reported in depth-first order, each
-    branch's prob and incr before its node."""
+    by memory alone; return it with its deepest leaf's depth. Problems are
+    reported in depth-first order, each branch's prob and incr before its node."""
     stack = [_open_node(obj, where)]   # (where, children, parsed branches)
     fields = []                        # (prob, incr) of each open node's branch
+    depth = 0
     while True:
         where, children, branches = stack[-1]
         i = len(branches)
@@ -110,11 +115,12 @@ def _parse_node(obj: Any, where: str) -> TreeNode:
             fields.append((_number(_get(br, "prob", bw), _Where(bw, ".prob")),
                            _vector(_get(br, "incr", bw), _Where(bw, ".incr"))))
             stack.append(_open_node(_get(br, "node", bw), _Where(bw, ".node")))
+            depth = max(depth, len(stack) - 1)
             continue
         node = TreeNode(tuple(branches))
         stack.pop()
         if not stack:
-            return node
+            return node, depth
         prob, incr = fields.pop()
         stack[-1][2].append(Branch(prob, incr, node))
 
@@ -155,9 +161,8 @@ def parse_tree(obj: Any) -> ProbTree:
     """
     obj = _dict(obj, "tree document")
     m0 = _vector(_get(obj, "m0", "tree document"), "m0")
-    root = _parse_node(_get(obj, "tree", "tree document"), "tree")
-    tree = ProbTree(m0, root)
-    return ProbTree(m0, _pad_to(root, tree.depth, tree.dim))
+    root, depth = _parse_node(_get(obj, "tree", "tree document"), "tree")
+    return ProbTree(m0, _pad_to(root, depth, len(m0)))
 
 
 def _node_to_obj(root: TreeNode) -> dict:

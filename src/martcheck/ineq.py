@@ -8,7 +8,7 @@ the table of the paper's four paired bounds, also serves wiener_mc.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -119,12 +119,13 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def exact_report(ineq_id: str, p: float, n_or_t: float, lhs: float, rhs: float,
-                 constant: float) -> InequalityReport:
+                 constant: float, seed: int | None = None,
+                 notes: str = "") -> InequalityReport:
     satisfied = lhs <= rhs + ABS_TOL
     return InequalityReport(
         id=ineq_id, p=p, n_or_t=n_or_t, lhs=lhs, rhs=rhs, constant=constant,
         ratio=_ratio(lhs, rhs), satisfied=satisfied,
-        verdict="satisfied" if satisfied else "violation")
+        verdict="satisfied" if satisfied else "violation", seed=seed, notes=notes)
 
 
 def coerce_id(kind: type[enum.Enum], value) -> enum.Enum:
@@ -153,9 +154,11 @@ def eval_discrete(tree: ProbTree, n: int, p, ineq_id) -> InequalityReport:
 
 
 def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
-              ids: Iterable) -> Iterator[InequalityReport]:
+              ids: Iterable, seed: int | None = None,
+              notes: str = "") -> Iterator[InequalityReport]:
     """Yield eval_discrete's report for every (n, p, id), in that nesting
-    order, reading all of them from one ptree.moments table per exponent."""
+    order, reading all of them from one ptree.moments table per exponent;
+    seed and notes go into every report."""
     ids = [coerce_id(InequalityId, i) for i in ids]
     if InequalityId.RIO_STEP in ids:
         raise DomainError("RIO-STEP compares a distribution pair; use eval_rio_step")
@@ -163,10 +166,11 @@ def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
     for n in levels:
         for table in tables:
             for iid in ids:
-                yield _tree_report(table, n, iid)
+                yield _tree_report(table, n, iid, seed, notes)
 
 
-def _tree_report(table: ptree.Moments, n: int, iid: InequalityId) -> InequalityReport:
+def _tree_report(table: ptree.Moments, n: int, iid: InequalityId,
+                 seed: int | None, notes: str) -> InequalityReport:
     p = table.p
     lp, sup, quad, incr = table.norms(n)
     bound = BOUNDS.get(iid)
@@ -181,7 +185,7 @@ def _tree_report(table: ptree.Moments, n: int, iid: InequalityId) -> InequalityR
     else:  # DOOB
         constant = p / (p - 1.0)
         lhs, rhs = sup, constant * lp
-    return exact_report(iid.value, p, float(n), lhs, rhs, constant)
+    return exact_report(iid.value, p, float(n), lhs, rhs, constant, seed, notes)
 
 
 Atom = tuple[float, Sequence[float]]
@@ -377,6 +381,5 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
         depth = int(rng.integers(1, int(max_depth) + 1))
         dim = int(rng.integers(1, int(max_dim) + 1))
         tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
-        for report in eval_tree(tree, range(tree.depth + 1), p_values, ids):
-            yield replace(report, seed=int(seed),
-                          notes=f"tree={t} depth={depth} dim={dim}")
+        yield from eval_tree(tree, range(tree.depth + 1), p_values, ids, seed=int(seed),
+                             notes=f"tree={t} depth={depth} dim={dim}")

@@ -9,8 +9,10 @@ floating-point roundoff.
 Conventions
 -----------
 * d_0 = M_0: the starting value counts as the increment at level 0.
-* buildup is level-wise; each level's node order is the depth-first order of
-  the tree, which fixes every summation order.
+* a tree is stored level by level (see Level); each level's node order is the
+  depth-first order of the tree, which fixes every summation order.
+* TreeNode/Branch graphs are the builder for hand-written trees; ProbTree
+  converts them to level arrays once.
 """
 from __future__ import annotations
 
@@ -56,6 +58,20 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """The n nodes of one level k >= 1, in depth-first order.
+
+    parent[i] indexes node i's parent on level k-1 (non-decreasing, so
+    siblings are contiguous), prob[i] is the probability of the branch into
+    node i and incr[i] its increment, a row of the (n, d) array.
+    """
+
+    parent: np.ndarray
+    prob: np.ndarray
+    incr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,20 +125,40 @@ class ProbTree:
     m0 : sequence of float
         Starting value M_0 in R^d; its length fixes the dimension d.
     root : TreeNode
-        Root of the branching structure. Every leaf must sit at the same
-        depth N for the tree to validate.
+        Root of the branching structure, converted once into `levels`
+        (level k at index k-1). Every leaf must sit at the same depth N for
+        the tree to validate.
     """
 
     def __init__(self, m0: Sequence[float], root: TreeNode):
         m0 = tuple(float(v) for v in m0)
         if len(m0) == 0:
             raise TreeStructureError("m0 must have dimension >= 1")
+        self._setup(m0, *_graph_levels(root, len(m0)))
+        self._root = root
+
+    @classmethod
+    def _from_levels(cls, m0: tuple[float, ...], levels: Sequence[Level]) -> "ProbTree":
+        tree = cls.__new__(cls)
+        tree._setup(m0, tuple(levels), {})
+        return tree
+
+    def _setup(self, m0, levels, ragged) -> None:
         self.m0 = m0
-        self.root = root
         self.dim = len(m0)
-        self.depth = _max_leaf_depth(root)
+        self.levels = levels
+        self.depth = len(levels)
+        self._ragged = ragged      # level k -> row mask of wrong-length increments
+        self._root: TreeNode | None = None
         self._verdict: ValidationResult | None = None
         self._calc: _LevelCalc | None = None
+
+    @property
+    def root(self) -> TreeNode:
+        """The tree as a TreeNode graph, rebuilt from the levels on first use."""
+        if self._root is None:
+            self._root = _graph(self.levels)
+        return self._root
 
     def validate(self) -> ValidationResult:
         if self._verdict is None:
@@ -144,62 +180,110 @@ class ProbTree:
         return self._calc
 
 
-def _max_leaf_depth(root: TreeNode) -> int:
-    depth = 0
-    stack = [(root, 0)]
-    while stack:
-        node, lvl = stack.pop()
-        if node.is_leaf:
-            depth = max(depth, lvl)
-        else:
-            stack.extend((br.node, lvl + 1) for br in node.children)
-    return depth
+def _graph_levels(root: TreeNode, dim: int) -> tuple[tuple[Level, ...], dict]:
+    """A TreeNode graph as Levels, plus a row mask for each level holding
+    increments whose length is not dim; those rows are stored as zeros."""
+    levels: list[Level] = []
+    ragged: dict[int, np.ndarray] = {}
+    nodes = [root]
+    while True:
+        branches = [(i, br) for i, node in enumerate(nodes) for br in node.children]
+        if not branches:
+            return tuple(levels), ragged
+        incr = [br.incr for _, br in branches]
+        bad = np.array([len(v) != dim for v in incr])
+        if bad.any():
+            ragged[len(levels) + 1] = bad
+            incr = [(0.0,) * dim if b else v for v, b in zip(incr, bad)]
+        levels.append(Level(np.array([i for i, _ in branches], dtype=np.intp),
+                            np.array([br.prob for _, br in branches], dtype=float),
+                            np.array(incr, dtype=float)))
+        nodes = [br.node for _, br in branches]
+
+
+def _graph(levels: Sequence[Level]) -> TreeNode:
+    """The TreeNode graph of a tree's levels, built bottom up."""
+    below = [TreeNode()] * (len(levels[-1].parent) if levels else 1)
+    for k in range(len(levels), 0, -1):
+        lvl = levels[k - 1]
+        n_above = len(levels[k - 2].parent) if k > 1 else 1
+        above: list[list[Branch]] = [[] for _ in range(n_above)]
+        for node, i, prob, incr in zip(below, lvl.parent.tolist(), lvl.prob.tolist(),
+                                       lvl.incr.tolist()):
+            above[i].append(Branch(prob, tuple(incr), node))
+        below = [TreeNode(tuple(branches)) for branches in above]
+    return below[0]
+
+
+def _path(levels: Sequence[Level], k: int, i: int) -> tuple[int, ...]:
+    """Child-index path from the root to node i on level k."""
+    path = []
+    for lvl in reversed(levels[:k]):
+        up = int(lvl.parent[i])
+        path.append(i - int(np.searchsorted(lvl.parent, up)))
+        i = up
+    return tuple(reversed(path))
 
 
 def _validate_tree(tree: ProbTree) -> ValidationResult:
+    """Check every level's sibling groups at once; violations, and the paths
+    that locate them, are built only for the groups that fail."""
     out: list[Violation] = []
-    stack = [(tree.root, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.is_leaf:
-            if len(path) != tree.depth:
+    levels = tree.levels
+    for k, lvl in enumerate(levels, start=1):
+        above = len(levels[k - 2].parent) if k > 1 else 1
+        for i in np.flatnonzero(np.bincount(lvl.parent, minlength=above) == 0).tolist():
+            path = _path(levels, k - 1, i)
+            out.append(Violation(
+                "structure", path, float(tree.depth - len(path)),
+                f"leaf at depth {len(path)} in a depth-{tree.depth} tree at {path}"))
+        prob = lvl.prob
+        starts = np.flatnonzero(np.diff(lvl.parent, prepend=-1))
+        ends = np.append(starts[1:], len(prob))
+        bad_dim = tree._ragged.get(k)
+        # ragged rows cannot form the conditional mean, so their groups skip the rest
+        skip = (np.zeros(len(starts), dtype=bool) if bad_dim is None
+                else np.logical_or.reduceat(bad_dim, starts))
+        non_finite = ~np.isfinite(lvl.incr).all(axis=1)
+        any_non_finite = np.logical_or.reduceat(non_finite, starts)
+        any_outside = np.logical_or.reduceat(~((prob > 0.0) & (prob <= 1.0)), starts)
+        # the level-wide sums round differently from a node's own, so they only
+        # preselect groups, at half the tolerance; a preselected group is then
+        # checked with its own sums, which also give the residuals reported
+        psum = np.abs(np.add.reduceat(prob, starts) - 1.0)
+        resid = np.linalg.norm(np.add.reduceat(prob[:, None] * lvl.incr, starts), axis=1)
+        suspect = (skip | any_non_finite | any_outside
+                   | (psum > PROB_TOL / 2) | (resid > PROB_TOL / 2))
+        for g in np.flatnonzero(suspect).tolist():
+            path = _path(levels, k - 1, int(lvl.parent[starts[g]]))
+            rows = slice(starts[g], ends[g])
+            if skip[g]:
+                bad = np.flatnonzero(bad_dim[rows]).tolist()
                 out.append(Violation(
-                    "structure", path, float(tree.depth - len(path)),
-                    f"leaf at depth {len(path)} in a depth-{tree.depth} tree at {path}"))
-            continue
-        probs = np.array([br.prob for br in node.children], dtype=float)
-        bad_dim = [i for i, br in enumerate(node.children) if len(br.incr) != tree.dim]
-        if bad_dim:
-            out.append(Violation(
-                "structure", path, float(len(bad_dim)),
-                f"increment dimension != {tree.dim} on children {bad_dim} at {path}"))
-            # cannot form the conditional mean with ragged rows
-            stack.extend((br.node, path + (i,)) for i, br in enumerate(node.children))
-            continue
-        incr = np.array([br.incr for br in node.children], dtype=float)
-        finite = np.isfinite(incr)
-        if not finite.all():
-            bad_value = np.flatnonzero(~finite.all(axis=1)).tolist()
-            out.append(Violation(
-                "structure", path, float(len(bad_value)),
-                f"non-finite increment on children {bad_value} at {path}"))
-        if not (probs.min() > 0.0 and probs.max() <= 1.0):   # NaN fails too
-            worst = float(np.max(np.maximum(probs - 1.0, -probs)))
-            worst = float("inf") if np.isnan(worst) else worst
-            out.append(Violation(
-                "probability", path, worst,
-                f"branch probability outside ]0,1] at {path}"))
-        psum = float(abs(probs.sum() - 1.0))
-        if psum > PROB_TOL:
-            out.append(Violation(
-                "probability", path, psum,
-                f"branch probabilities sum to 1{psum:+.3g} at {path}"))
-        resid = float(np.linalg.norm(probs @ incr))
-        if resid > PROB_TOL:
-            out.append(Violation(
-                "martingale", path, resid,
-                f"conditional increment mean has norm {resid:.3g} at {path}"))
-        stack.extend((br.node, path + (i,)) for i, br in enumerate(node.children))
+                    "structure", path, float(len(bad)),
+                    f"increment dimension != {tree.dim} on children {bad} at {path}"))
+                continue
+            if any_non_finite[g]:
+                bad = np.flatnonzero(non_finite[rows]).tolist()
+                out.append(Violation(
+                    "structure", path, float(len(bad)),
+                    f"non-finite increment on children {bad} at {path}"))
+            if any_outside[g]:   # NaN fails too
+                worst = float(np.max(np.maximum(prob[rows] - 1.0, -prob[rows])))
+                worst = float("inf") if np.isnan(worst) else worst
+                out.append(Violation(
+                    "probability", path, worst,
+                    f"branch probability outside ]0,1] at {path}"))
+            node_psum = float(abs(prob[rows].sum() - 1.0))
+            if node_psum > PROB_TOL:
+                out.append(Violation(
+                    "probability", path, node_psum,
+                    f"branch probabilities sum to 1{node_psum:+.3g} at {path}"))
+            node_resid = float(np.linalg.norm(prob[rows] @ lvl.incr[rows]))
+            if node_resid > PROB_TOL:
+                out.append(Violation(
+                    "martingale", path, node_resid,
+                    f"conditional increment mean has norm {node_resid:.3g} at {path}"))
     out.sort(key=lambda v: (len(v.path), v.path, v.kind))
     return ValidationResult(ok=not out, violations=tuple(out))
 
@@ -224,22 +308,6 @@ class _LevelCalc:
     d_norm: list
 
 
-def _level_edges(nodes: list[TreeNode]):
-    """Flatten one level's branches into parent indices and edge arrays."""
-    parent_idx: list[int] = []
-    probs: list[float] = []
-    incrs: list[tuple[float, ...]] = []
-    children: list[TreeNode] = []
-    for i, node in enumerate(nodes):
-        for br in node.children:
-            parent_idx.append(i)
-            probs.append(br.prob)
-            incrs.append(br.incr)
-            children.append(br.node)
-    return (np.array(parent_idx, dtype=np.intp), np.array(probs, dtype=float),
-            np.array(incrs, dtype=float), children)
-
-
 def _build_calc(tree: ProbTree) -> _LevelCalc:
     values = [np.array([tree.m0], dtype=float)]
     root_norm = np.array([np.linalg.norm(tree.m0)])
@@ -248,16 +316,15 @@ def _build_calc(tree: ProbTree) -> _LevelCalc:
     sup_norm = [root_norm.copy()]
     quad = [root_norm**2]
     d_norm = [root_norm.copy()]
-    nodes = [tree.root]
-    for _ in range(tree.depth):
-        pidx, bprob, bincr, nodes = _level_edges(nodes)
-        if len(nodes) > MAX_PATHS:
+    for lvl in tree.levels:
+        if len(lvl.parent) > MAX_PATHS:
             raise ResourceLimitError(
                 f"tree level exceeds the {MAX_PATHS} path enumeration cap")
-        values.append(values[-1][pidx] + bincr)
+        pidx = lvl.parent
+        values.append(values[-1][pidx] + lvl.incr)
         nn = np.linalg.norm(values[-1], axis=1)
-        dn = np.linalg.norm(bincr, axis=1)
-        probs.append(probs[-1][pidx] * bprob)
+        dn = np.linalg.norm(lvl.incr, axis=1)
+        probs.append(probs[-1][pidx] * lvl.prob)
         m_norm.append(nn)
         sup_norm.append(np.maximum(sup_norm[-1][pidx], nn))
         quad.append(quad[-1][pidx] + dn**2)
@@ -360,28 +427,41 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_TREE_STREAM,))
     rng = np.random.Generator(np.random.Philox(ss))
     m0 = tuple(float(v) for v in rng.uniform(-1.0, 1.0, dim))
-
-    def grow(level: int) -> TreeNode:
-        if level == depth:
-            return TreeNode()
-        width = int(rng.choice(np.asarray(branching)))
-        raw_p = rng.uniform(0.1, 1.0, width)
-        probs = raw_p / raw_p.sum()
-        incr = rng.uniform(-1.0, 1.0, (width, dim))
-        incr -= probs @ incr
-        return TreeNode(tuple(
-            Branch(float(probs[i]), tuple(float(v) for v in incr[i]), grow(level + 1))
-            for i in range(width)))
-
-    return ProbTree(m0, grow(0))
+    # entry k of each list serves level k+1: its parents' widths, then its
+    # branch probabilities and increments, appended in depth-first order
+    widths: list[list[int]] = [[] for _ in range(depth)]
+    probs: list[list[np.ndarray]] = [[] for _ in range(depth)]
+    incrs: list[list[np.ndarray]] = [[] for _ in range(depth)]
+    # one uniform draw per node holds its children's raw probabilities on
+    # [0.1, 1[ and raw increments on [-1, 1[, mapped as Generator.uniform does
+    lo = {int(w): np.repeat((0.1, -1.0), (w, w * dim)) for w in branching}
+    span = {int(w): np.repeat((1.0 - 0.1, 1.0 - -1.0), (w, w * dim)) for w in branching}
+    stack = [0] if depth else []   # levels of the internal nodes still to draw
+    while stack:                   # depth-first preorder fixes the draw order
+        k = stack.pop()
+        width = int(branching[rng.integers(0, len(branching))])
+        draw = rng.random(width * (1 + dim))
+        draw *= span[width]
+        draw += lo[width]
+        prob = draw[:width]
+        incr = draw[width:].reshape(width, dim)
+        prob /= np.add.reduce(prob)
+        incr -= prob @ incr
+        widths[k].append(width)
+        probs[k].append(prob)
+        incrs[k].append(incr)
+        if k + 1 < depth:
+            stack.extend([k + 1] * width)
+    return ProbTree._from_levels(m0, [
+        Level(np.repeat(np.arange(len(widths[k]), dtype=np.intp), widths[k]),
+              np.concatenate(probs[k]), np.concatenate(incrs[k]))
+        for k in range(depth)])
 
 
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:
     """Scalar +-step random walk of the given depth, started at m0."""
-    node = TreeNode()
-    for _ in range(int(depth)):
-        node = TreeNode((
-            Branch(0.5, (float(step),), node),
-            Branch(0.5, (float(-step),), node),
-        ))
-    return ProbTree((float(m0),), node)
+    rows = np.array([[float(step)], [float(-step)]])
+    return ProbTree._from_levels((float(m0),), [
+        Level(np.repeat(np.arange(2**k, dtype=np.intp), 2), np.full(2 ** (k + 1), 0.5),
+              np.tile(rows, (2**k, 1)))
+        for k in range(int(depth))])

@@ -71,6 +71,16 @@ class TestVerifyDiscrete:
         assert code == 1
         assert "nested too deeply" in err and not out
 
+    def test_huge_integer_exits_1(self, tmp_path, capsys):
+        # the decoder refuses integers of more than 4300 digits with a
+        # ValueError that is not a JSONDecodeError
+        path = tmp_path / "huge.json"
+        path.write_text('{"m0": [' + "1" * 5000 + '], "tree": {}}')
+        code, out, err = run(capsys, "verify-discrete",
+                             "--tree", str(path), "--p", "2")
+        assert code == 1
+        assert "not valid JSON" in err and not out
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "verify-discrete",
                            "--tree", "/nonexistent.json", "--p", "2")

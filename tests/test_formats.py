@@ -2,9 +2,11 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from martcheck import (
     ConfigError,
+    MartcheckError,
     csv_row,
     eval_discrete,
     exact_report,
@@ -98,6 +100,13 @@ class TestTreeFormat:
         with pytest.raises(ConfigError) as info:
             parse_tree({"m0": [0.0], "tree": {"children": children}})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("m0", [10**400, [10**400], float("nan"), -float("inf")])
+    def test_scalars_checked_like_lists(self, m0):
+        """An integer beyond float range and a non-finite scalar are refused
+        as config errors, whether given alone or in a list."""
+        with pytest.raises(ConfigError):
+            parse_tree({"m0": m0, "tree": {}})
 
     @pytest.mark.parametrize("doc", [
         "not a dict",
@@ -203,3 +212,74 @@ class TestReportRows:
         tree = parse_tree(load(zoo, "tree_coin"))
         report = eval_discrete(tree, 1, 2.0, "D-BURK-1")
         assert csv_row(report)["satisfied"] is True
+
+
+# -- fuzz: every document parses or raises a MartcheckError ------------
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                             max_size=3),
+    max_leaves=6)
+_NUMBERS = (st.floats() | st.integers() | st.sampled_from([0.5, 1.0, 0.25, -0.5])
+            | st.sampled_from([10**400, True]))
+_VECTORS = _NUMBERS | st.lists(_NUMBERS, max_size=3)
+_NODES = st.recursive(
+    st.fixed_dictionaries({}),
+    lambda nodes: st.fixed_dictionaries({}, optional={"children": st.lists(
+        st.fixed_dictionaries({"prob": _NUMBERS, "incr": _VECTORS, "node": nodes},
+                              optional={"extra": _JUNK}) | _JUNK,
+        max_size=3) | _JUNK}),
+    max_leaves=12)
+_TREE_DOCS = st.fixed_dictionaries(
+    {"m0": _VECTORS, "tree": _NODES | _JUNK}) | _JUNK
+_RULES = st.fixed_dictionaries(
+    {"range": st.lists(_NUMBERS | st.integers(0, 8), max_size=3) | _JUNK,
+     "j": st.integers(-1, 3) | _JUNK,
+     "kind": st.sampled_from(["const", "lin", "sign", "cubic"]) | _JUNK,
+     "c": _VECTORS | _JUNK},
+    optional={"k": st.integers(-1, 3) | _JUNK})
+_INTEGRAND_DOCS = st.fixed_dictionaries(
+    {"dim": st.integers(-1, 3) | _JUNK, "wiener_dim": st.integers(-1, 3) | _JUNK,
+     "horizon": _NUMBERS | _JUNK, "steps": st.integers(-1, 8) | _JUNK},
+    optional={"rules": st.lists(_RULES | _JUNK, max_size=3) | _JUNK}) | _JUNK
+_BOX = st.lists(_NUMBERS, max_size=3) | _JUNK
+_SEARCH_DOCS = st.fixed_dictionaries(
+    {"family": st.sampled_from(["RIO-TWO-POINT", "ASYM-TWO-POINT", "RANDOM-TREE",
+                                "NONE"]) | _JUNK,
+     "p": _NUMBERS | _JUNK,
+     "method": st.sampled_from(["grid", "random", "nelder-mead", "anneal"]) | _JUNK,
+     "budget": st.integers(-2, 10**30) | _JUNK, "seed": st.integers() | _JUNK},
+    optional={"target": st.sampled_from(["RIO-STEP", "PROP1-MAIN", "DOOB", "X"]) | _JUNK,
+              "a": _BOX, "b": _BOX, "q": _BOX,
+              "depth": st.integers(-1, 30) | _JUNK, "dim": st.integers(-1, 4) | _JUNK,
+              "branching": st.lists(st.integers(-1, 10**20), max_size=3) | _JUNK}) | _JUNK
+
+
+class TestParserFuzz:
+    """Any JSON-like document ends in a parsed object or a MartcheckError,
+    never in another exception."""
+
+    @given(_TREE_DOCS)
+    def test_parse_tree(self, doc):
+        try:
+            tree = parse_tree(doc)
+        except MartcheckError:
+            return
+        verdict = tree.validate()
+        if verdict.ok:
+            tree.calculus()
+
+    @given(_INTEGRAND_DOCS)
+    def test_parse_integrand(self, doc):
+        try:
+            parse_integrand(doc)
+        except MartcheckError:
+            pass
+
+    @given(_SEARCH_DOCS)
+    def test_parse_search(self, doc):
+        try:
+            parse_search(doc)
+        except MartcheckError:
+            pass

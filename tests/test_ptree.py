@@ -1,4 +1,5 @@
 """Exact tree calculus: frozen values, invariant checks, validation."""
+import hashlib
 import math
 
 import numpy as np
@@ -248,3 +249,19 @@ def test_symmetric_walk_widths():
     t = ptree.symmetric_walk(3)
     for n in range(4):
         assert len(ptree.martingale_level(t, n).probs) == 2 ** n
+
+
+def test_frozen_random_tree_bits():
+    """Every bit of random_tree's level arrays is pinned beyond the default
+    branching, for int and SeedSequence seeds, so a change in the draw order
+    or in the per-node arithmetic shows here."""
+    digest = hashlib.sha256()
+    for branching in ((2, 3), (3,), (2, 3, 4), (2, 5, 3, 7)):
+        for dim in (1, 2, 3):
+            for seed in (41, np.random.SeedSequence(2026, spawn_key=(3, dim))):
+                calc = ptree.random_tree(4, dim, seed, branching=branching).calculus()
+                for probs, values in zip(calc.probs, calc.values):
+                    digest.update(probs.tobytes())
+                    digest.update(values.tobytes())
+    assert digest.hexdigest() == (
+        "08e34052a671e04447b0a6432a41885dd227a2be38075436af91a3eebc822116")

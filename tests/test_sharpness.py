@@ -1,11 +1,12 @@
 """Gain evaluators and witness searches."""
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 import martcheck.sharpness as sh
-from martcheck import ConfigError, DomainError, FamilySpec, SearchConfig
+from martcheck import ConfigError, DomainError, FamilySpec, SearchConfig, parse_search
 from martcheck.cli import main as cli_main
 
 # 50-digit decimal enumeration oracles for rio_gain(1, b, 4)
@@ -205,6 +206,13 @@ class TestSearch:
         assert res.bound == 1.0
         assert res.evaluations == 25
         assert set(res.best_params) == {"tree_seed"}
+
+    def test_frozen_random_tree_search(self, zoo):
+        """The zoo RANDOM-TREE search finds the same witness to the last bit."""
+        with open(zoo / "search_tree_random.json") as fh:
+            res = sh.search(parse_search(json.load(fh)))
+        assert res.best_ratio == 0.4811292864525187
+        assert res.best_params == {"tree_seed": 2026057188218515861}
 
     def test_budget_respected(self):
         res = sh.search(_grid_config(budget=17))
