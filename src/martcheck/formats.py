@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigError
 from .ineq import InequalityReport
-from .ptree import Branch, ProbTree, TreeNode
+from .ptree import Level, ProbTree
 from .sharpness import FamilySpec, SearchConfig, SearchResult
 from .wiener_mc import IntegrandSpec, Rule, RuleEntry
 
@@ -96,60 +98,7 @@ def _open_node(obj: Any, where) -> tuple:
     children = obj.get("children", [])
     if not isinstance(children, list):
         raise ConfigError(f"{where}.children must be a list")
-    return where, children, []
-
-
-def _parse_node(obj: Any, where: str) -> tuple[TreeNode, int]:
-    """Parse a node and its subtree without recursion, so depth is bounded
-    by memory alone; return it with its deepest leaf's depth. Problems are
-    reported in depth-first order, each branch's prob and incr before its node."""
-    stack = [_open_node(obj, where)]   # (where, children, parsed branches)
-    fields = []                        # (prob, incr) of each open node's branch
-    depth = 0
-    while True:
-        where, children, branches = stack[-1]
-        i = len(branches)
-        if i < len(children):
-            bw = _Where(where, f".children[{i}]")
-            br = _dict(children[i], bw)
-            fields.append((_number(_get(br, "prob", bw), _Where(bw, ".prob")),
-                           _vector(_get(br, "incr", bw), _Where(bw, ".incr"))))
-            stack.append(_open_node(_get(br, "node", bw), _Where(bw, ".node")))
-            depth = max(depth, len(stack) - 1)
-            continue
-        node = TreeNode(tuple(branches))
-        stack.pop()
-        if not stack:
-            return node, depth
-        prob, incr = fields.pop()
-        stack[-1][2].append(Branch(prob, incr, node))
-
-
-def _pad_to(root: TreeNode, depth: int, dim: int) -> TreeNode:
-    """Extend shallow leaves with probability-1 zero-increment chains so all
-    leaves reach the given depth; a constant extension keeps the martingale."""
-    zero = (0.0,) * dim
-    done: list[TreeNode] = []        # finished subtrees, in depth-first order
-    stack = [(root, depth, False)]
-    while stack:
-        node, left, expanded = stack.pop()
-        if left == 0:
-            done.append(node)
-        elif node.is_leaf:
-            tail = TreeNode()
-            for _ in range(left):
-                tail = TreeNode((Branch(1.0, zero, tail),))
-            done.append(tail)
-        elif expanded:
-            k = len(node.children)
-            kids = done[-k:]
-            del done[-k:]
-            done.append(TreeNode(tuple(
-                Branch(br.prob, br.incr, kid) for br, kid in zip(node.children, kids))))
-        else:
-            stack.append((node, left, True))
-            stack.extend((br.node, left - 1, False) for br in reversed(node.children))
-    return done[0]
+    return where, children
 
 
 def parse_tree(obj: Any) -> ProbTree:
@@ -157,15 +106,53 @@ def parse_tree(obj: Any) -> ProbTree:
 
     {"m0": [..], "tree": {"children": [{"prob", "incr", "node"}, ..]}}.
     A node without "children" (or with an empty list) is a leaf. Leaves
-    shallower than the deepest leaf are padded with zero-increment chains.
+    shallower than the deepest leaf are padded with probability-1
+    zero-increment chains, which keep the martingale. Every increment must
+    have the dimension of m0.
+
+    One depth-first walk without recursion, so depth is bounded by memory
+    alone, appends each node to its level; problems are reported in that
+    order, each branch's prob and incr before its node.
     """
     obj = _dict(obj, "tree document")
     m0 = _vector(_get(obj, "m0", "tree document"), "m0")
-    root, depth = _parse_node(_get(obj, "tree", "tree document"), "tree")
-    return ProbTree(m0, _pad_to(root, depth, len(m0)))
+    zero = (0.0,) * len(m0)
+    rows: list[list[tuple]] = []   # level k's (parent, prob, incr) rows at k-1
+    # open nodes: [location, children, children parsed, index on the node's level]
+    stack = [[*_open_node(_get(obj, "tree", "tree document"), "tree"), 0, 0]]
+    while stack:
+        top = stack[-1]
+        where, children, i, node = top
+        k = len(stack)                 # the level of top's children
+        if i == len(children):
+            stack.pop()
+            if i == 0:   # a leaf: its zero chain reaches the deepest level so far
+                for level in rows[k - 1:]:
+                    level.append((node, 1.0, zero))
+                    node = len(level) - 1
+            continue
+        top[2] += 1
+        bw = _Where(where, f".children[{i}]")
+        br = _dict(children[i], bw)
+        prob = _number(_get(br, "prob", bw), _Where(bw, ".prob"))
+        incr = _vector(_get(br, "incr", bw), _Where(bw, ".incr"))
+        if len(incr) != len(m0):
+            raise ConfigError(f"{_Where(bw, '.incr')} has dimension {len(incr)}, "
+                              f"m0 has dimension {len(m0)}")
+        child = _open_node(_get(br, "node", bw), _Where(bw, ".node"))
+        if k > len(rows):
+            # the first node this deep: the nodes before top on its level are
+            # leaves or chain ends, and each gets its chain's next node here
+            rows.append([(j, 1.0, zero) for j in range(node)])
+        rows[k - 1].append((node, prob, incr))
+        stack.append([*child, 0, len(rows[k - 1]) - 1])
+    return ProbTree._from_levels(m0, [
+        Level(np.array(parent, dtype=np.intp), np.array(prob, dtype=float),
+              np.array(incr, dtype=float))
+        for parent, prob, incr in (zip(*level) for level in rows)])
 
 
-def _node_to_obj(root: TreeNode) -> dict:
+def _node_to_obj(root) -> dict:
     out = {"children": []}
     stack = [(root, out)]
     while stack:

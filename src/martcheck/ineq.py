@@ -8,6 +8,7 @@ the table of the paper's four paired bounds, also serves wiener_mc.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -121,6 +122,11 @@ def _ratio(lhs: float, rhs: float) -> float:
 def exact_report(ineq_id: str, p: float, n_or_t: float, lhs: float, rhs: float,
                  constant: float, seed: int | None = None,
                  notes: str = "") -> InequalityReport:
+    """The report of an exact comparison lhs <= rhs; sides that overflowed
+    a float (or are NaN) raise DomainError instead of reaching a verdict."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise DomainError(f"{ineq_id} at p={p:g}: the exact sides overflow a float "
+                          f"(lhs={lhs}, rhs={rhs})")
     satisfied = lhs <= rhs + ABS_TOL
     return InequalityReport(
         id=ineq_id, p=p, n_or_t=n_or_t, lhs=lhs, rhs=rhs, constant=constant,
@@ -192,7 +198,8 @@ Atom = tuple[float, Sequence[float]]
 
 
 def _norm_pow_moment(atoms: Iterable[tuple[float, np.ndarray]], p: float) -> float:
-    return float(sum(q * float(np.linalg.norm(v)) ** p for q, v in atoms))
+    # numpy powers overflow to inf, which exact_report refuses; float ** raises
+    return float(sum(q * np.linalg.norm(v) ** p for q, v in atoms))
 
 
 def eval_rio_step(x_atoms: Sequence[Atom], y_given_x: Sequence[Sequence[Atom]],

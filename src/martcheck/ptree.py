@@ -247,14 +247,11 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
         non_finite = ~np.isfinite(lvl.incr).all(axis=1)
         any_non_finite = np.logical_or.reduceat(non_finite, starts)
         any_outside = np.logical_or.reduceat(~((prob > 0.0) & (prob <= 1.0)), starts)
-        # the level-wide sums round differently from a node's own, so they only
-        # preselect groups, at half the tolerance; a preselected group is then
-        # checked with its own sums, which also give the residuals reported
-        psum = np.abs(np.add.reduceat(prob, starts) - 1.0)
+        excess = np.add.reduceat(prob, starts) - 1.0
         resid = np.linalg.norm(np.add.reduceat(prob[:, None] * lvl.incr, starts), axis=1)
-        suspect = (skip | any_non_finite | any_outside
-                   | (psum > PROB_TOL / 2) | (resid > PROB_TOL / 2))
-        for g in np.flatnonzero(suspect).tolist():
+        failed = (skip | any_non_finite | any_outside
+                  | (np.abs(excess) > PROB_TOL) | (resid > PROB_TOL))
+        for g in np.flatnonzero(failed).tolist():
             path = _path(levels, k - 1, int(lvl.parent[starts[g]]))
             rows = slice(starts[g], ends[g])
             if skip[g]:
@@ -274,16 +271,14 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
                 out.append(Violation(
                     "probability", path, worst,
                     f"branch probability outside ]0,1] at {path}"))
-            node_psum = float(abs(prob[rows].sum() - 1.0))
-            if node_psum > PROB_TOL:
+            if abs(excess[g]) > PROB_TOL:
                 out.append(Violation(
-                    "probability", path, node_psum,
-                    f"branch probabilities sum to 1{node_psum:+.3g} at {path}"))
-            node_resid = float(np.linalg.norm(prob[rows] @ lvl.incr[rows]))
-            if node_resid > PROB_TOL:
+                    "probability", path, float(abs(excess[g])),
+                    f"branch probabilities sum to 1{excess[g]:+.3g} at {path}"))
+            if resid[g] > PROB_TOL:
                 out.append(Violation(
-                    "martingale", path, node_resid,
-                    f"conditional increment mean has norm {node_resid:.3g} at {path}"))
+                    "martingale", path, float(resid[g]),
+                    f"conditional increment mean has norm {resid[g]:.3g} at {path}"))
     out.sort(key=lambda v: (len(v.path), v.path, v.kind))
     return ValidationResult(ok=not out, violations=tuple(out))
 
@@ -408,8 +403,9 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     probabilities are normalized positive draws, and each raw uniform
     [-1,1]^dim increment is recentred by the conditional mean at its node
     so the martingale property holds to roundoff. `seed` may be an int or a
-    SeedSequence. A tree whose last level could exceed MAX_PATHS nodes
-    (max(branching) ** depth) raises ResourceLimitError before any draw.
+    SeedSequence. A tree whose last level could hold more than MAX_PATHS
+    increment entries (max(branching) ** depth * dim) raises
+    ResourceLimitError before any draw.
     """
     depth = int(depth)
     dim = int(dim)
@@ -417,10 +413,12 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
     if len(branching) == 0 or min(branching) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(branching)}")
-    if int(max(branching)) ** depth > MAX_PATHS:
+    # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
+    # so the power never grows into a huge integer
+    if int(max(branching)) ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
         raise ResourceLimitError(
-            f"depth-{depth} trees with branching up to {max(branching)} exceed "
-            f"the {MAX_PATHS} path enumeration cap")
+            f"depth-{depth} trees of dimension {dim} with branching up to "
+            f"{max(branching)} exceed the {MAX_PATHS} path enumeration cap")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:

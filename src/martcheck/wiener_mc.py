@@ -181,8 +181,8 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> tuple[int, int]:
             f"paths*steps*m = {cells} exceeds the memory cap {cap} "
             f"(override with {CELL_CAP_ENV})")
     # peak arrays of one block: a constant d=m=1 integrand works in its
-    # increment array alone; others also hold W, the increments of X, g,
-    # one component of f and a temporary of each
+    # increment array alone; others also hold W (unless constant), the
+    # increments of X, g, one component of f and a temporary of each
     m, d = spec.wiener_dim, spec.dim
     out_bytes = 8 * int(paths) * (d + 2)
     if out_bytes > BLOCK_MEMORY_BUDGET:
@@ -236,14 +236,14 @@ def _fill_f(out: np.ndarray, w_nodes: np.ndarray | None, spec: IntegrandSpec, j:
             out[:, sl, :] = np.sign(w_nodes[:, sl, e.rule.k - 1, None]) * c
 
 
-def _const_rows(spec: IntegrandSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(m, S, d) integrand rows and the (S,) squared-norm row for constant
-    integrands, where neither depends on the path."""
-    rows = np.zeros((spec.wiener_dim, spec.steps, spec.dim))
+def _const_g_row(spec: IntegrandSpec) -> np.ndarray:
+    """The (S,) row of g = sum_j ||f^j||^2 of a constant integrand, which
+    does not depend on the path."""
+    g_row = np.zeros(spec.steps)
     for j in range(1, spec.wiener_dim + 1):
         for e in spec.segments(j):
-            rows[j - 1, e.start:e.stop, :] = np.asarray(e.rule.c)
-    return rows, (rows ** 2).sum(axis=2).sum(axis=0)
+            g_row[e.start:e.stop] += (np.asarray(e.rule.c) ** 2).sum()
+    return g_row
 
 
 def _group_bounds(paths: int) -> list[tuple[int, int]]:
@@ -273,19 +273,18 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     dw *= math.sqrt(spec.dt)
     zakai = []
 
-    if not spec.needs_wiener:
-        rows, g_row = _const_rows(spec)
-        riemann = g_row[:stop].sum() * spec.dt
-        if d == m == 1:
-            dx = dw
-            dx *= rows[0]
-        else:
-            dx = np.zeros((bsz, S, d))
-            for j in range(m):
-                dx += rows[j][None, :, :] * dw[:, :, j, None]
+    if not spec.needs_wiener and d == m == 1:
+        col = np.zeros((S, 1))
+        for e in spec.segments(1):
+            col[e.start:e.stop] = e.rule.c
+        riemann = _const_g_row(spec)[:stop].sum() * spec.dt
+        dx = dw
+        dx *= col
     else:
-        wn = np.zeros((bsz, S + 1, m))
-        np.cumsum(dw, axis=1, out=wn[:, 1:])
+        wn = None
+        if spec.needs_wiener:
+            wn = np.zeros((bsz, S + 1, m))
+            np.cumsum(dw, axis=1, out=wn[:, 1:])
         dx = np.zeros((bsz, S, d))
         g_mat = np.zeros((bsz, S))
         fj = np.empty((bsz, S, d))
@@ -297,7 +296,7 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
             dx += fj
         del wn, fj
         riemann = g_mat[:, :stop].sum(axis=1) * spec.dt
-        if half_power is not None:
+        if half_power is not None and spec.needs_wiener:
             y = _pow(g_mat[:, :stop], half_power)
             bounds = _group_bounds(paths)
             groups = len(bounds)
@@ -369,7 +368,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
 
     if zrows is not None and not spec.needs_wiener:
         # deterministic integrand: every path contributes the same row
-        _, g_row = _const_rows(spec)
+        g_row = _const_g_row(spec)
         sizes = np.array([gh - gl for gl, gh in _group_bounds(paths)], dtype=float)
         zrows[:] = sizes[:, None] * _pow(g_row[:stop], half_power)[None, :]
 

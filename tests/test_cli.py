@@ -81,6 +81,20 @@ class TestVerifyDiscrete:
         assert code == 1
         assert "not valid JSON" in err and not out
 
+    @pytest.mark.parametrize("ids", [(), ("--ineq", "D-BURK-1")])
+    def test_overflowed_sides_exit_1(self, tmp_path, capsys, ids):
+        # E M^4 of values near 1e100 overflows a float; inf <= inf must not
+        # read as satisfied
+        doc = {"m0": [1e100], "tree": {"children": [
+            {"prob": 0.5, "incr": [1e100], "node": {}},
+            {"prob": 0.5, "incr": [-1e100], "node": {}}]}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-discrete",
+                             "--tree", str(path), "--p", "4", *ids)
+        assert code == 1
+        assert "overflow a float" in err and not out
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "verify-discrete",
                            "--tree", "/nonexistent.json", "--p", "2")

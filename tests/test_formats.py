@@ -1,5 +1,8 @@
 """Serialization round trips and structural error paths."""
+import hashlib
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +25,81 @@ from martcheck import (
     tree_to_obj,
 )
 from martcheck.formats import CSV_FIELDS, REPORT_FIELDS
+
+
+# -- seeded tree documents: valid, padded, invalid and malformed --------
+
+def _bad_value(rng):
+    return rng.choice(["x", None, True, [0.5, "a"], {}, [], float("nan"), 10**400])
+
+
+def _random_node(rng, dim, depth, shape):
+    """A node of a random tree document. shape holds the deepest level,
+    the chance that a node above it is a leaf and the chance that a branch
+    is mutated; no mutation changes an increment's length."""
+    max_depth, p_leaf, p_mut = shape
+    if depth == max_depth or (depth and rng.random() < p_leaf):
+        return rng.choice([{}, {"children": []}])
+    width = rng.randrange(1, 4)
+    weights = [rng.uniform(0.1, 1.0) for _ in range(width)]
+    probs = [w / sum(weights) for w in weights]
+    raw = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(width)]
+    mean = [sum(p * r[i] for p, r in zip(probs, raw)) for i in range(dim)]
+    children = []
+    for prob, r in zip(probs, raw):
+        incr = [x - m for x, m in zip(r, mean)]
+        branch = {"prob": prob, "incr": incr[0] if dim == 1 and rng.random() < 0.3 else incr,
+                  "node": _random_node(rng, dim, depth + 1, shape)}
+        if rng.random() < p_mut:
+            key = rng.choice(["prob", "incr", "node"])
+            how = rng.randrange(6)
+            if how == 0:
+                del branch[key]
+            elif how == 1:
+                branch[key] = _bad_value(rng)
+            elif how == 2:
+                branch["prob"] = prob * rng.choice([0.8, 1.3, -1.0, 0.0, 7.0])
+            elif how == 3:
+                branch["incr"] = [x + rng.choice([0.5, -2.0]) for x in incr]
+            elif how == 4:
+                branch["node"] = rng.choice([{"children": 3}, {"children": [7]}, 7])
+            else:
+                branch = _bad_value(rng)
+        children.append(branch)
+    return {"children": children}
+
+
+def random_documents(seed, count):
+    """count seeded tree documents in dimensions 1-3 and depths 0-4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randrange(1, 4)
+        shape = (rng.randrange(0, 5), rng.choice([0.0, 0.3]), rng.choice([0.0, 0.03, 0.15]))
+        m0 = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+        yield {"m0": m0[0] if dim == 1 and rng.random() < 0.3 else m0,
+               "tree": _random_node(rng, dim, 0, shape)}
+
+
+def document_digest(docs) -> str:
+    """sha256 over each document's first parse error or, for a parsed tree,
+    its level arrays, violations and written-back form. Violation residuals
+    are left out, and so is the sign of a probability-sum message."""
+    h = hashlib.sha256()
+    for doc in docs:
+        try:
+            tree = parse_tree(doc)
+        except MartcheckError as exc:
+            h.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        h.update(repr((tree.m0, tree.depth)).encode())
+        for lvl in tree.levels:
+            for arr in (lvl.parent, lvl.prob, lvl.incr):
+                h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
+        for v in tree.validate().violations:
+            message = re.sub(r"sum to 1[+-]", "sum to 1\u00b1", v.message)
+            h.update(repr((v.kind, v.path, message)).encode())
+        h.update(json.dumps(tree_to_obj(tree), sort_keys=True).encode())
+    return h.hexdigest()
 
 
 def load(zoo, name):
@@ -100,6 +178,24 @@ class TestTreeFormat:
         with pytest.raises(ConfigError) as info:
             parse_tree({"m0": [0.0], "tree": {"children": children}})
         assert str(info.value) == message
+
+    def test_frozen_document_digest(self):
+        """Parse errors, level arrays, violations and write-back of 3,000
+        seeded documents, frozen."""
+        assert document_digest(random_documents(2026, 3000)) == (
+            "a3f19ad80610b0f2e29c652a296a9c9499cc4fef1a89696e04761665c719b10c")
+
+    @pytest.mark.parametrize("incr,given", [([1.0], 1), (1.0, 1), ([1.0, 0.0, 2.0], 3)])
+    def test_increment_dimension_located(self, incr, given):
+        """An increment whose length is not m0's is refused at parse, as a
+        list or as a scalar, located by its path."""
+        doc = {"m0": [0.0, 0.0], "tree": {"children": [
+            {"prob": 0.5, "incr": [1.0, 0.0], "node": {}},
+            {"prob": 0.5, "incr": incr, "node": {"children": "not reached"}}]}}
+        with pytest.raises(ConfigError) as info:
+            parse_tree(doc)
+        assert str(info.value) == (
+            f"tree.children[1].incr has dimension {given}, m0 has dimension 2")
 
     @pytest.mark.parametrize("m0", [10**400, [10**400], float("nan"), -float("inf")])
     def test_scalars_checked_like_lists(self, m0):

@@ -168,6 +168,14 @@ class TestRioStep:
         assert r.satisfied
         assert r.rhs == pytest.approx(1.0 + 2.0 * 0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e80, 1e200])
+    def test_overflowed_sides_refused(self, scale):
+        """Sides beyond the float range raise instead of reading inf <= inf
+        as satisfied, whether the power or the norm overflows."""
+        cond = [(0.5, [scale]), (0.5, [-scale])]
+        with pytest.raises(DomainError, match="overflow"):
+            ineq.eval_rio_step([(0.5, [scale]), (0.5, [-scale])], [cond, cond], 4)
+
     def test_conditional_mean_must_vanish(self):
         with pytest.raises(PreconditionError, match="conditional mean"):
             ineq.eval_rio_step([(1.0, [0.0])], [[(1.0, [0.5])]], 2)

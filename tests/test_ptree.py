@@ -94,6 +94,15 @@ class TestValidation:
             t.require_valid()
         assert exc.value.verdict is v
 
+    def test_probability_sum_sign(self):
+        """The message shows the signed sum less one; the residual is its size."""
+        for second, shown in ((0.4, "1-0.1"), (0.6, "1+0.1")):
+            t = ProbTree((0.0,), TreeNode((
+                Branch(0.5, (1.0,), LEAF), Branch(second, (-1.0,), LEAF))))
+            v, = [x for x in t.validate().violations if "sum to" in x.message]
+            assert f"sum to {shown} at ()" in v.message
+            assert v.residual == pytest.approx(0.1)
+
     def test_martingale_residual(self):
         t = ProbTree((0.0,), TreeNode((
             Branch(0.5, (1.0,), LEAF), Branch(0.5, (1.0,), LEAF))))
@@ -180,6 +189,20 @@ class TestLevels:
         with pytest.raises(ResourceLimitError):
             ptree.martingale_level(t, 0)
 
+
+    def test_random_tree_cap_before_draw(self, monkeypatch):
+        """The dimension counts toward the cap, and a huge dimension or depth
+        is refused at once, before anything is drawn."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "Generator", no_draw)
+        with pytest.raises(ResourceLimitError, match="dimension 100000000"):
+            ptree.random_tree(1, 10**8, seed=0)
+        with pytest.raises(ResourceLimitError):
+            ptree.random_tree(14, 3, seed=0)   # 3**14 paths pass alone
+        with pytest.raises(ResourceLimitError):
+            ptree.random_tree(10**9, 1, seed=0)
 
     def test_random_tree_limits(self, monkeypatch):
         """Bad branching factors and trees that could outgrow MAX_PATHS are

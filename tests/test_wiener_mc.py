@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,20 @@ class TestSimulate:
             assert 1024 * spec.steps * spec.wiener_dim <= wmc.DEFAULT_CELL_CAP
             with pytest.raises(ResourceLimitError, match="block memory budget"):
                 simulate(spec, 1024, seed=0)
+
+    def test_constant_integrand_peak_within_preflight(self):
+        """A constant integrand in many dimensions holds no (m, S, d) table:
+        the memory one block traces stays below _check_run's estimate."""
+        spec = constant_integrand(1.0, dim=192, wiener_dim=192, steps=192)
+        block_bytes, _ = wmc._check_run(spec, 2, 0)
+        simulate(spec, 2, seed=0, p=4)   # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            simulate(spec, 2, seed=0, p=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes
 
     def test_workers_capped_by_budget_and_blocks(self):
         assert wmc._workers(64, wmc.BLOCK_MEMORY_BUDGET // 2 + 1) == 1
