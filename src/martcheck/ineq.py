@@ -197,8 +197,10 @@ def _tree_report(table: ptree.Moments, n: int, iid: InequalityId,
 Atom = tuple[float, Sequence[float]]
 
 
+@np.errstate(over="ignore")
 def _norm_pow_moment(atoms: Iterable[tuple[float, np.ndarray]], p: float) -> float:
-    # numpy powers overflow to inf, which exact_report refuses; float ** raises
+    # numpy norms and powers overflow to inf, which exact_report refuses;
+    # float ** raises
     return float(sum(q * np.linalg.norm(v) ** p for q, v in atoms))
 
 

@@ -78,8 +78,8 @@ class Level:
 class Violation:
     """One failed invariant, located by the child-index path from the root.
 
-    kind is one of "structure" (non-uniform depth, wrong increment
-    dimension, non-finite increment), "probability" (branch probabilities
+    kind is one of "structure" (non-uniform depth, non-finite
+    increment), "probability" (branch probabilities
     outside ]0,1] or not summing to one) and "martingale" (nonzero
     conditional increment mean).
     residual quantifies the failure.
@@ -126,7 +126,8 @@ class ProbTree:
         Starting value M_0 in R^d; its length fixes the dimension d.
     root : TreeNode
         Root of the branching structure, converted once into `levels`
-        (level k at index k-1). Every leaf must sit at the same depth N for
+        (level k at index k-1); an increment whose length is not d raises
+        TreeStructureError. Every leaf must sit at the same depth N for
         the tree to validate.
     """
 
@@ -134,21 +135,20 @@ class ProbTree:
         m0 = tuple(float(v) for v in m0)
         if len(m0) == 0:
             raise TreeStructureError("m0 must have dimension >= 1")
-        self._setup(m0, *_graph_levels(root, len(m0)))
+        self._setup(m0, _graph_levels(root, len(m0)))
         self._root = root
 
     @classmethod
     def _from_levels(cls, m0: tuple[float, ...], levels: Sequence[Level]) -> "ProbTree":
         tree = cls.__new__(cls)
-        tree._setup(m0, tuple(levels), {})
+        tree._setup(m0, tuple(levels))
         return tree
 
-    def _setup(self, m0, levels, ragged) -> None:
+    def _setup(self, m0, levels) -> None:
         self.m0 = m0
         self.dim = len(m0)
         self.levels = levels
         self.depth = len(levels)
-        self._ragged = ragged      # level k -> row mask of wrong-length increments
         self._root: TreeNode | None = None
         self._verdict: ValidationResult | None = None
         self._calc: _LevelCalc | None = None
@@ -180,25 +180,25 @@ class ProbTree:
         return self._calc
 
 
-def _graph_levels(root: TreeNode, dim: int) -> tuple[tuple[Level, ...], dict]:
-    """A TreeNode graph as Levels, plus a row mask for each level holding
-    increments whose length is not dim; those rows are stored as zeros."""
+def _graph_levels(root: TreeNode, dim: int) -> tuple[Level, ...]:
+    """A TreeNode graph as Levels. An increment whose length is not dim
+    raises TreeStructureError naming its branch's child-index path."""
     levels: list[Level] = []
-    ragged: dict[int, np.ndarray] = {}
     nodes = [root]
     while True:
-        branches = [(i, br) for i, node in enumerate(nodes) for br in node.children]
+        branches = [(i, c, br) for i, node in enumerate(nodes)
+                    for c, br in enumerate(node.children)]
         if not branches:
-            return tuple(levels), ragged
-        incr = [br.incr for _, br in branches]
-        bad = np.array([len(v) != dim for v in incr])
-        if bad.any():
-            ragged[len(levels) + 1] = bad
-            incr = [(0.0,) * dim if b else v for v, b in zip(incr, bad)]
-        levels.append(Level(np.array([i for i, _ in branches], dtype=np.intp),
-                            np.array([br.prob for _, br in branches], dtype=float),
-                            np.array(incr, dtype=float)))
-        nodes = [br.node for _, br in branches]
+            return tuple(levels)
+        for i, c, br in branches:
+            if len(br.incr) != dim:
+                raise TreeStructureError(
+                    f"increment at {_path(levels, len(levels), i) + (c,)} has "
+                    f"dimension {len(br.incr)}, m0 has dimension {dim}")
+        levels.append(Level(np.array([i for i, _, _ in branches], dtype=np.intp),
+                            np.array([br.prob for _, _, br in branches], dtype=float),
+                            np.array([br.incr for _, _, br in branches], dtype=float)))
+        nodes = [br.node for _, _, br in branches]
 
 
 def _graph(levels: Sequence[Level]) -> TreeNode:
@@ -240,26 +240,16 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
         prob = lvl.prob
         starts = np.flatnonzero(np.diff(lvl.parent, prepend=-1))
         ends = np.append(starts[1:], len(prob))
-        bad_dim = tree._ragged.get(k)
-        # ragged rows cannot form the conditional mean, so their groups skip the rest
-        skip = (np.zeros(len(starts), dtype=bool) if bad_dim is None
-                else np.logical_or.reduceat(bad_dim, starts))
         non_finite = ~np.isfinite(lvl.incr).all(axis=1)
         any_non_finite = np.logical_or.reduceat(non_finite, starts)
         any_outside = np.logical_or.reduceat(~((prob > 0.0) & (prob <= 1.0)), starts)
         excess = np.add.reduceat(prob, starts) - 1.0
         resid = np.linalg.norm(np.add.reduceat(prob[:, None] * lvl.incr, starts), axis=1)
-        failed = (skip | any_non_finite | any_outside
+        failed = (any_non_finite | any_outside
                   | (np.abs(excess) > PROB_TOL) | (resid > PROB_TOL))
         for g in np.flatnonzero(failed).tolist():
             path = _path(levels, k - 1, int(lvl.parent[starts[g]]))
             rows = slice(starts[g], ends[g])
-            if skip[g]:
-                bad = np.flatnonzero(bad_dim[rows]).tolist()
-                out.append(Violation(
-                    "structure", path, float(len(bad)),
-                    f"increment dimension != {tree.dim} on children {bad} at {path}"))
-                continue
             if any_non_finite[g]:
                 bad = np.flatnonzero(non_finite[rows]).tolist()
                 out.append(Violation(
@@ -303,6 +293,7 @@ class _LevelCalc:
     d_norm: list
 
 
+@np.errstate(over="ignore")   # norms beyond the float range: exact_report refuses them
 def _build_calc(tree: ProbTree) -> _LevelCalc:
     values = [np.array([tree.m0], dtype=float)]
     root_norm = np.array([np.linalg.norm(tree.m0)])
@@ -355,6 +346,7 @@ class Moments:
                 float(self.quad[n] ** (2.0 / self.p)), float(self.incr[n]))
 
 
+@np.errstate(over="ignore")   # sums beyond the float range: exact_report refuses them
 def moments(tree: ProbTree, p) -> Moments:
     """Reduce a valid tree's level walk to its Moments table at exponent p."""
     p = as_exponent(p)

@@ -32,7 +32,6 @@ from .ptree import as_exponent
 BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
-CELL_CAP_ENV = "MARTCHECK_MC_CELL_CAP"
 BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
@@ -148,56 +147,46 @@ class WienerBatch:
     zakai_rows: np.ndarray | None = None
 
 
-def cell_cap() -> int:
-    raw = os.environ.get(CELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"{CELL_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise DomainError(f"{CELL_CAP_ENV} must be >= 1")
-    return cap
-
-
 def _pow(arr: np.ndarray, e: float) -> np.ndarray:
     e = float(e)
     return arr ** int(e) if e == int(e) else arr ** e
 
 
-def _check_run(spec: IntegrandSpec, paths: int, seed: int) -> tuple[int, int]:
+def _check_run(spec: IntegrandSpec, paths: int, seed: int,
+               zakai_steps: int = 0) -> tuple[int, int]:
     """Reject a run before it allocates. Return one block's working-set bytes
-    and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the per-path
-    output arrays (x_stop, sup_norm, riemann) that simulate keeps."""
+    and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the output
+    arrays that simulate keeps, the per-path rows (x_stop, sup_norm,
+    riemann) and, given zakai_steps (the stop index of a run given p), the
+    ZAKAI rows."""
     if int(paths) < 2:
         raise DomainError("paths must be >= 2")
     if int(seed) < 0:
         raise DomainError("seed must be a non-negative integer")
     cells = int(paths) * spec.steps * spec.wiener_dim
-    cap = cell_cap()
-    if cells > cap:
+    if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
-            f"paths*steps*m = {cells} exceeds the memory cap {cap} "
-            f"(override with {CELL_CAP_ENV})")
-    # peak arrays of one block: a constant d=m=1 integrand works in its
-    # increment array alone; others also hold W (unless constant), the
-    # increments of X, g, one component of f and a temporary of each
+            f"paths*steps*m = {cells} exceeds the cap {DEFAULT_CELL_CAP}")
     m, d = spec.wiener_dim, spec.dim
-    out_bytes = 8 * int(paths) * (d + 2)
+    out_bytes = 8 * (int(paths) * (d + 2) + min(CI_GROUPS, int(paths)) * zakai_steps)
     if out_bytes > BLOCK_MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"{int(paths)} paths need {out_bytes} bytes of per-path output, "
+            f"{int(paths)} paths need {out_bytes} bytes of per-run output, "
             f"over the {BLOCK_MEMORY_BUDGET}-byte block memory budget")
     room = BLOCK_MEMORY_BUDGET - out_bytes
+    # peak arrays of one block: a constant d=m=1 integrand works in its
+    # increment array alone; others also hold W (unless constant), the
+    # increments of X, g, and one rule's f^j and f^j dW^j. Three rows hold
+    # a constant integrand's g, its power for the ZAKAI rows, and the
+    # block's small objects (its output rows, the group bounds).
     arrays = 1 if not spec.needs_wiener and d == m == 1 else 2 * m + 3 * d + 2
     bsz = min(int(paths), BLOCK_PATHS)
-    block_bytes = 8 * bsz * (spec.steps + 1) * arrays
+    block_bytes = 8 * (spec.steps + 1) * (bsz * arrays + 3)
     if block_bytes > room:
         raise ResourceLimitError(
             f"one {bsz}-path block of {spec.steps} steps needs {block_bytes} "
             f"bytes, over the {BLOCK_MEMORY_BUDGET}-byte block memory budget "
-            f"less {out_bytes} bytes of per-path output")
+            f"less {out_bytes} bytes of per-run output")
     return block_bytes, room
 
 
@@ -223,27 +212,15 @@ def grid_index(spec: IntegrandSpec, t: float) -> int:
     return i
 
 
-def _fill_f(out: np.ndarray, w_nodes: np.ndarray | None, spec: IntegrandSpec, j: int) -> None:
-    """Write f^j(t_i) into out (bsz, S, d) from the left-endpoint W values."""
-    for e in spec.segments(j):
-        sl = slice(e.start, e.stop)
-        c = np.asarray(e.rule.c)
-        if e.rule.kind == "const":
-            out[:, sl, :] = c
-        elif e.rule.kind == "lin":
-            out[:, sl, :] = w_nodes[:, sl, e.rule.k - 1, None] * c
-        else:
-            out[:, sl, :] = np.sign(w_nodes[:, sl, e.rule.k - 1, None]) * c
-
-
-def _const_g_row(spec: IntegrandSpec) -> np.ndarray:
-    """The (S,) row of g = sum_j ||f^j||^2 of a constant integrand, which
-    does not depend on the path."""
-    g_row = np.zeros(spec.steps)
-    for j in range(1, spec.wiener_dim + 1):
-        for e in spec.segments(j):
-            g_row[e.start:e.stop] += (np.asarray(e.rule.c) ** 2).sum()
-    return g_row
+def _field(e: RuleEntry, wn: np.ndarray | None) -> np.ndarray:
+    """f^j on the steps of rule entry e: the rule's coefficient vector times
+    the scalar field 1, W^k or sign(W^k) at the left endpoints. A fresh (d,)
+    array for CONST, a fresh (bsz, steps, d) array otherwise."""
+    c = np.array(e.rule.c)
+    if e.rule.kind == "const":
+        return c
+    w = wn[:, e.start:e.stop, e.rule.k - 1, None]
+    return (w if e.rule.kind == "lin" else np.sign(w)) * c
 
 
 def _group_bounds(paths: int) -> list[tuple[int, int]]:
@@ -259,9 +236,11 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
 
     Returns (lo, hi, x_stop rows, sup_norm rows, riemann rows, zakai), where
     zakai lists the (group, partial row) sums of g^{p/2} over the block's
-    paths in each batch-means group it overlaps; it is empty for constant
-    integrands, whose ZAKAI rows simulate fills in closed form. The block
-    allocates only its own arrays and writes no shared state.
+    paths in each batch-means group it overlaps. For a constant integrand,
+    whose g is one row shared by every path, block 0 lists the row g^{p/2}
+    under the index of every group and the other blocks list nothing;
+    simulate scales it by the group sizes. The block allocates only its own
+    arrays and writes no shared state.
     """
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
@@ -271,44 +250,49 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
         np.random.SeedSequence(entropy=seed, spawn_key=(_WIENER_STREAM, b))))
     dw = gen.standard_normal((bsz, S, m))
     dw *= math.sqrt(spec.dt)
-    zakai = []
 
-    if not spec.needs_wiener and d == m == 1:
-        col = np.zeros((S, 1))
-        for e in spec.segments(1):
-            col[e.start:e.stop] = e.rule.c
-        riemann = _const_g_row(spec)[:stop].sum() * spec.dt
-        dx = dw
-        dx *= col
-    else:
-        wn = None
-        if spec.needs_wiener:
-            wn = np.zeros((bsz, S + 1, m))
-            np.cumsum(dw, axis=1, out=wn[:, 1:])
-        dx = np.zeros((bsz, S, d))
-        g_mat = np.zeros((bsz, S))
-        fj = np.empty((bsz, S, d))
-        for j in range(1, m + 1):
-            fj.fill(0.0)
-            _fill_f(fj, wn, spec, j)
-            g_mat += (fj ** 2).sum(axis=2)
-            fj *= dw[:, :, j - 1, None]
-            dx += fj
-        del wn, fj
-        riemann = g_mat[:, :stop].sum(axis=1) * spec.dt
-        if half_power is not None and spec.needs_wiener:
-            y = _pow(g_mat[:, :stop], half_power)
+    wn = None
+    if spec.needs_wiener:
+        wn = np.zeros((bsz, S + 1, m))
+        np.cumsum(dw, axis=1, out=wn[:, 1:])
+    # d = m = 1: the increments of X are those of W, scaled in place
+    dx = dw if d == m == 1 else np.zeros((bsz, S, d))
+    g = np.zeros(S if wn is None else (bsz, S))   # sum_j ||f^j||^2
+    for j in range(1, m + 1):
+        covered = 0
+        for e in spec.segments(j):
+            sl = slice(e.start, e.stop)
+            f = _field(e, wn)
+            if dx is dw:
+                dx[:, covered:e.start] = 0.0   # steps no rule covers
+                dx[:, sl] *= f
+                covered = e.stop
+            else:
+                dx[:, sl] += f * dw[:, sl, j - 1, None]
+            g[..., sl] += np.square(f, out=f).sum(axis=-1)
+            del f   # not alive while the next rule builds its field
+        if dx is dw:
+            dx[:, covered:] = 0.0
+    del dw, wn
+    riemann = g[..., :stop].sum(axis=-1) * spec.dt
+
+    zakai = []
+    if half_power is not None:
+        y = _pow(g[..., :stop], half_power)
+        if y.ndim == 2:
             bounds = _group_bounds(paths)
             groups = len(bounds)
-            for g in range(lo * groups // paths, (hi - 1) * groups // paths + 1):
-                gl = max(lo, bounds[g][0])
-                gh = min(hi, bounds[g][1])
+            for grp in range(lo * groups // paths, (hi - 1) * groups // paths + 1):
+                gl = max(lo, bounds[grp][0])
+                gh = min(hi, bounds[grp][1])
                 if gl < gh:
-                    zakai.append((g, y[gl - lo:gh - lo].sum(axis=0)))
-    del dw
+                    zakai.append((grp, y[gl - lo:gh - lo].sum(axis=0)))
+        elif b == 0:
+            zakai.append((slice(None), y))
+    del g
 
     xx = np.cumsum(dx, axis=1, out=dx)    # X at grid indices 1..S
-    # + 0.0 maps -0.0 to +0.0: c = 0 steps scaled in place hold -0.0 where dw < 0
+    # + 0.0 maps -0.0 to +0.0: steps scaled in place by f = 0 hold -0.0 where dW < 0
     x_stop = xx[:, stop - 1] + 0.0 if stop else np.zeros((bsz, d))
     head = xx[:, :stop]
     if d == 1:
@@ -328,7 +312,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     whatever the number of worker threads.
     """
     stop = spec.steps if t is None else grid_index(spec, t)
-    block_bytes, room = _check_run(spec, paths, seed)
+    block_bytes, room = _check_run(spec, paths, seed, 0 if p is None else stop)
     paths, seed = int(paths), int(seed)
     half_power = None if p is None else as_exponent(p) / 2.0
 
@@ -367,10 +351,10 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
                 raise
 
     if zrows is not None and not spec.needs_wiener:
-        # deterministic integrand: every path contributes the same row
-        g_row = _const_g_row(spec)
+        # deterministic integrand: each row holds block 0's row g^{p/2},
+        # which every path of the group contributes
         sizes = np.array([gh - gl for gl, gh in _group_bounds(paths)], dtype=float)
-        zrows[:] = sizes[:, None] * _pow(g_row[:stop], half_power)[None, :]
+        zrows *= sizes[:, None]
 
     return WienerBatch(spec=spec, seed=seed, paths=paths, stop=stop,
                        x_stop=x_stop, sup_norm=sup_norm, riemann=riemann,

@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -94,6 +95,27 @@ class TestVerifyDiscrete:
                              "--tree", str(path), "--p", "4", *ids)
         assert code == 1
         assert "overflow a float" in err and not out
+
+    def test_overflow_raises_no_warning(self, tmp_path, capsys):
+        """Sides beyond the float range end in the error alone: no numpy
+        overflow warning escapes, so none becomes an error either."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e100, 1e200):
+                doc = {"m0": [scale], "tree": {"children": [
+                    {"prob": 0.5, "incr": [scale], "node": {}},
+                    {"prob": 0.5, "incr": [-scale], "node": {}}]}}
+                path = tmp_path / "big.json"
+                path.write_text(json.dumps(doc))
+                code, out, err = run(capsys, "verify-discrete",
+                                     "--tree", str(path), "--p", "4")
+                assert code == 1
+                assert "overflow a float" in err and not out
+            for scale in (1e80, 1e200):
+                cond = [(0.5, [scale]), (0.5, [-scale])]
+                with pytest.raises(martcheck.DomainError, match="overflow"):
+                    martcheck.eval_rio_step([(0.5, [scale]), (0.5, [-scale])],
+                                            [cond, cond], 4)
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "verify-discrete",

@@ -126,9 +126,13 @@ class TestValidation:
             t.require_valid()
 
     def test_wrong_increment_dimension(self):
-        t = ProbTree((0.0, 0.0), TreeNode((
-            Branch(0.5, (1.0,), LEAF), Branch(0.5, (-1.0, 0.0), LEAF))))
-        assert any(x.kind == "structure" for x in t.validate().violations)
+        with pytest.raises(TreeStructureError, match=r"increment at \(0,\) has dimension 1"):
+            ProbTree((0.0, 0.0), TreeNode((
+                Branch(0.5, (1.0,), LEAF), Branch(0.5, (-1.0, 0.0), LEAF))))
+        inner = TreeNode((Branch(0.5, (1.0, 0.0), LEAF), Branch(0.5, (-1.0,), LEAF)))
+        with pytest.raises(TreeStructureError, match=r"increment at \(1, 1\)"):
+            ProbTree((0.0, 0.0), TreeNode((
+                Branch(0.5, (1.0, 0.0), LEAF), Branch(0.5, (-1.0, 0.0), inner))))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_values(self, bad):

@@ -148,14 +148,17 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(spec, 100, seed=-3)
 
-    def test_cell_cap_env(self, monkeypatch):
+    def test_cell_cap_before_any_block(self, monkeypatch):
+        """paths * steps * m above the fixed cap is refused before any block
+        is simulated."""
+        def no_block(*args):
+            raise AssertionError("a block was simulated")
+
+        monkeypatch.setattr(wmc, "_block", no_block)
         spec = constant_integrand(1.0, steps=1024)
-        monkeypatch.setenv(wmc.CELL_CAP_ENV, "1000000")
-        with pytest.raises(ResourceLimitError, match=wmc.CELL_CAP_ENV):
-            simulate(spec, 10000, seed=0)
-        monkeypatch.setenv(wmc.CELL_CAP_ENV, "not-a-number")
-        with pytest.raises(DomainError):
-            simulate(spec, 10, seed=0)
+        assert (2 ** 21 + 1) * spec.steps > wmc.DEFAULT_CELL_CAP
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            simulate(spec, 2 ** 21 + 1, 0)
 
     def test_output_memory_preflight(self):
         """The per-path output arrays count against the budget: 2^31 - 1 paths
@@ -195,6 +198,33 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < block_bytes
+
+    @pytest.mark.parametrize("name", ["spec_const1", "spec_lin", "spec_sign",
+                                      "spec_mixed2d"])
+    @pytest.mark.parametrize("paths, steps", [(1024, None), (32, 2 ** 18)])
+    def test_zakai_run_peak_within_preflight(self, zoo, monkeypatch, name, paths, steps):
+        """Given p, the memory one run traces stays below the block bytes
+        plus the per-run output bytes (ZAKAI rows included) that simulate's
+        preflight counted."""
+        spec = load_spec(zoo, name)
+        if steps is not None:
+            scale = steps // spec.steps
+            spec = IntegrandSpec(spec.dim, spec.wiener_dim, spec.horizon, steps, tuple(
+                RuleEntry(e.start * scale, e.stop * scale, e.j, e.rule)
+                for e in spec.entries))
+        real = wmc._check_run
+        seen = []
+        monkeypatch.setattr(wmc, "_check_run",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
+        simulate(spec, 2, seed=0, p=4)   # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            simulate(spec, paths, seed=0, p=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes, room = seen[-1]
+        assert peak < block_bytes + wmc.BLOCK_MEMORY_BUDGET - room
 
     def test_workers_capped_by_budget_and_blocks(self):
         assert wmc._workers(64, wmc.BLOCK_MEMORY_BUDGET // 2 + 1) == 1
