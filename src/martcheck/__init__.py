@@ -12,31 +12,13 @@ Three layers:
 __version__ = "0.1.0"
 
 from .errors import (
-    ConfigError,
-    DomainError,
-    InvalidTreeError,
-    LevelRangeError,
-    MartcheckError,
-    PreconditionError,
-    QuadratureError,
-    ResourceLimitError,
-    TreeStructureError,
+    ConfigError, DomainError, InvalidTreeError, LevelRangeError, MartcheckError,
+    PreconditionError, QuadratureError, ResourceLimitError, TreeStructureError,
 )
 from .ptree import (
-    Branch,
-    LevelProcess,
-    ProbTree,
-    TreeNode,
-    ValidationResult,
-    Violation,
-    increment_lp_sum,
-    lp_norm,
-    martingale_level,
-    moments,
-    quadratic_sum_norm,
-    random_tree,
-    sup_lp_norm,
-    symmetric_walk,
+    Level, LevelProcess, ProbTree, ValidationResult, Violation, increment_lp_sum,
+    lp_norm, martingale_level, moments, quadratic_sum_norm, random_tree,
+    sup_lp_norm, symmetric_walk,
 )
 from .ineq import (
     exact_report,
@@ -91,7 +73,7 @@ __all__ = [
     "MartcheckError", "DomainError", "TreeStructureError", "InvalidTreeError",
     "LevelRangeError", "PreconditionError", "QuadratureError",
     "ResourceLimitError", "ConfigError",
-    "Branch", "TreeNode", "ProbTree", "Violation",
+    "Level", "ProbTree", "Violation",
     "ValidationResult", "LevelProcess", "moments",
     "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
     "increment_lp_sum", "martingale_level", "random_tree", "symmetric_walk",

@@ -10,8 +10,8 @@ class DomainError(MartcheckError, ValueError):
 
 
 class TreeStructureError(MartcheckError, ValueError):
-    """A tree (object or file) is malformed: non-uniform depth, empty child
-    list on an internal node, wrong increment dimension, bad field types."""
+    """A tree is malformed: a level's arrays do not fit (dtype, shape,
+    parent order), a leaf above the last level, a non-finite increment."""
 
 
 class InvalidTreeError(MartcheckError, ValueError):

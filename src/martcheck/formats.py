@@ -146,26 +146,24 @@ def parse_tree(obj: Any) -> ProbTree:
             rows.append([(j, 1.0, zero) for j in range(node)])
         rows[k - 1].append((node, prob, incr))
         stack.append([*child, 0, len(rows[k - 1]) - 1])
-    return ProbTree._from_levels(m0, [
+    return ProbTree(m0, [
         Level(np.array(parent, dtype=np.intp), np.array(prob, dtype=float),
               np.array(incr, dtype=float))
         for parent, prob, incr in (zip(*level) for level in rows)])
 
 
-def _node_to_obj(root) -> dict:
-    out = {"children": []}
-    stack = [(root, out)]
-    while stack:
-        node, obj = stack.pop()
-        for br in node.children:
-            child = {"children": []}
-            obj["children"].append({"prob": br.prob, "incr": list(br.incr), "node": child})
-            stack.append((br.node, child))
-    return out
-
-
 def tree_to_obj(tree: ProbTree) -> dict:
-    return {"m0": list(tree.m0), "tree": _node_to_obj(tree.root)}
+    """The JSON object form of a tree, the inverse of parse_tree: written top
+    down, one level at a time; level order is each parent's child order."""
+    root = {"children": []}
+    nodes = [root]
+    for lvl in tree.levels:
+        below = [{"children": []} for _ in range(len(lvl.parent))]
+        for i, prob, incr, node in zip(lvl.parent.tolist(), lvl.prob.tolist(),
+                                       lvl.incr.tolist(), below):
+            nodes[i]["children"].append({"prob": prob, "incr": incr, "node": node})
+        nodes = below
+    return {"m0": list(tree.m0), "tree": root}
 
 
 # -- integrands --------------------------------------------------------

@@ -11,8 +11,9 @@ Conventions
 * d_0 = M_0: the starting value counts as the increment at level 0.
 * a tree is stored level by level (see Level); each level's node order is the
   depth-first order of the tree, which fixes every summation order.
-* TreeNode/Branch graphs are the builder for hand-written trees; ProbTree
-  converts them to level arrays once.
+* ProbTree(m0, levels) is the one constructor: random_tree, symmetric_walk
+  and formats.parse_tree all build the level arrays and hand them over, and
+  formats.tree_to_obj writes a document back from them.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .errors import (
 
 PROB_TOL = 1e-12      # tolerance for probability sums and conditional means
 MAX_PATHS = 10**7     # hard bound on exact enumeration width
+MAX_TREE_BYTES = 1 << 30   # hard bound on the memory random_tree may hold
 
 _TREE_STREAM = 11     # spawn-key domain tag for random tree generation
 
@@ -44,20 +46,17 @@ def as_exponent(p) -> float:
 
 @dataclass(frozen=True)
 class Branch:
-    """One edge: transition probability, increment vector, child node."""
+    """One edge of ProbTree.root's graph: transition probability, increment
+    vector, child node."""
 
     prob: float
     incr: tuple[float, ...]
     node: "TreeNode"
 
 
-@dataclass(frozen=True)
+@dataclass
 class TreeNode:
-    children: tuple[Branch, ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    children: list[Branch]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +77,10 @@ class Level:
 class Violation:
     """One failed invariant, located by the child-index path from the root.
 
-    kind is one of "structure" (non-uniform depth, non-finite
-    increment), "probability" (branch probabilities
-    outside ]0,1] or not summing to one) and "martingale" (nonzero
-    conditional increment mean).
-    residual quantifies the failure.
+    kind is one of "structure" (non-uniform depth, non-finite increment),
+    "probability" (branch probabilities outside ]0,1] or not summing to
+    one) and "martingale" (nonzero conditional increment mean). residual
+    quantifies the failure.
     """
 
     kind: str
@@ -124,41 +122,46 @@ class ProbTree:
     ----------
     m0 : sequence of float
         Starting value M_0 in R^d; its length fixes the dimension d.
-    root : TreeNode
-        Root of the branching structure, converted once into `levels`
-        (level k at index k-1); an increment whose length is not d raises
-        TreeStructureError. Every leaf must sit at the same depth N for
-        the tree to validate.
+    levels : sequence of Level
+        Level k at index k-1, kept without a copy. Its parent must be a
+        non-decreasing 1-D intp array into level k-1, prob of shape (n,) and
+        incr (n, d), or TreeStructureError is raised. The tree validates
+        only if every node above the last level has a child.
     """
 
-    def __init__(self, m0: Sequence[float], root: TreeNode):
+    def __init__(self, m0: Sequence[float], levels: Sequence[Level]):
         m0 = tuple(float(v) for v in m0)
         if len(m0) == 0:
             raise TreeStructureError("m0 must have dimension >= 1")
-        self._setup(m0, _graph_levels(root, len(m0)))
-        self._root = root
-
-    @classmethod
-    def _from_levels(cls, m0: tuple[float, ...], levels: Sequence[Level]) -> "ProbTree":
-        tree = cls.__new__(cls)
-        tree._setup(m0, tuple(levels))
-        return tree
-
-    def _setup(self, m0, levels) -> None:
+        levels = tuple(levels)
+        n = 1   # nodes on the level above
+        for k, lvl in enumerate(levels, start=1):
+            parent = lvl.parent
+            if not (isinstance(parent, np.ndarray) and parent.ndim == 1
+                    and parent.dtype == np.intp):
+                raise TreeStructureError(f"level {k}: parent must be a 1-D intp array")
+            if len(parent) and (parent[0] < 0 or parent[-1] >= n
+                                or (np.diff(parent) < 0).any()):
+                raise TreeStructureError(
+                    f"level {k}: parent must be non-decreasing in 0..{n - 1}")
+            n = len(parent)
+            shapes = (getattr(lvl.prob, "shape", None), getattr(lvl.incr, "shape", None))
+            if shapes != ((n,), (n, len(m0))):
+                raise TreeStructureError(f"level {k}: prob and incr must have shapes "
+                                         f"({n},) and ({n}, {len(m0)})")
         self.m0 = m0
         self.dim = len(m0)
         self.levels = levels
         self.depth = len(levels)
-        self._root: TreeNode | None = None
         self._verdict: ValidationResult | None = None
         self._calc: _LevelCalc | None = None
 
     @property
     def root(self) -> TreeNode:
-        """The tree as a TreeNode graph, rebuilt from the levels on first use."""
-        if self._root is None:
-            self._root = _graph(self.levels)
-        return self._root
+        """The tree as a TreeNode graph, built from the levels on each read.
+        Only the benchmark's node count (perfbench/tracing.py) reads it; it
+        goes, with _graph, Branch and TreeNode, once that count reads levels."""
+        return _graph(self.levels)
 
     def validate(self) -> ValidationResult:
         if self._verdict is None:
@@ -180,39 +183,17 @@ class ProbTree:
         return self._calc
 
 
-def _graph_levels(root: TreeNode, dim: int) -> tuple[Level, ...]:
-    """A TreeNode graph as Levels. An increment whose length is not dim
-    raises TreeStructureError naming its branch's child-index path."""
-    levels: list[Level] = []
-    nodes = [root]
-    while True:
-        branches = [(i, c, br) for i, node in enumerate(nodes)
-                    for c, br in enumerate(node.children)]
-        if not branches:
-            return tuple(levels)
-        for i, c, br in branches:
-            if len(br.incr) != dim:
-                raise TreeStructureError(
-                    f"increment at {_path(levels, len(levels), i) + (c,)} has "
-                    f"dimension {len(br.incr)}, m0 has dimension {dim}")
-        levels.append(Level(np.array([i for i, _, _ in branches], dtype=np.intp),
-                            np.array([br.prob for _, _, br in branches], dtype=float),
-                            np.array([br.incr for _, _, br in branches], dtype=float)))
-        nodes = [br.node for _, _, br in branches]
-
-
 def _graph(levels: Sequence[Level]) -> TreeNode:
-    """The TreeNode graph of a tree's levels, built bottom up."""
-    below = [TreeNode()] * (len(levels[-1].parent) if levels else 1)
-    for k in range(len(levels), 0, -1):
-        lvl = levels[k - 1]
-        n_above = len(levels[k - 2].parent) if k > 1 else 1
-        above: list[list[Branch]] = [[] for _ in range(n_above)]
-        for node, i, prob, incr in zip(below, lvl.parent.tolist(), lvl.prob.tolist(),
-                                       lvl.incr.tolist()):
-            above[i].append(Branch(prob, tuple(incr), node))
-        below = [TreeNode(tuple(branches)) for branches in above]
-    return below[0]
+    """The TreeNode graph of a tree's levels, built top down."""
+    nodes = [TreeNode([])]
+    root = nodes[0]
+    for lvl in levels:
+        below = [TreeNode([]) for _ in range(len(lvl.parent))]
+        for i, prob, incr, node in zip(lvl.parent.tolist(), lvl.prob.tolist(),
+                                       lvl.incr.tolist(), below):
+            nodes[i].children.append(Branch(prob, tuple(incr), node))
+        nodes = below
+    return root
 
 
 def _path(levels: Sequence[Level], k: int, i: int) -> tuple[int, ...]:
@@ -391,13 +372,14 @@ def martingale_level(tree: ProbTree, n: int) -> LevelProcess:
 def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -> ProbTree:
     """Draw a martingale-valid random tree.
 
-    Branching factors come from `branching` (each >= 2), branch
+    The branching factors come from `branching` (each >= 2), branch
     probabilities are normalized positive draws, and each raw uniform
     [-1,1]^dim increment is recentred by the conditional mean at its node
     so the martingale property holds to roundoff. `seed` may be an int or a
     SeedSequence. A tree whose last level could hold more than MAX_PATHS
-    increment entries (max(branching) ** depth * dim) raises
-    ResourceLimitError before any draw.
+    increment entries (max(branching) ** depth * dim), or whose nodes could
+    need more than MAX_TREE_BYTES while drawn, raises ResourceLimitError
+    before any draw.
     """
     depth = int(depth)
     dim = int(dim)
@@ -405,12 +387,20 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
     if len(branching) == 0 or min(branching) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(branching)}")
+    width = int(max(branching))
     # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
     # so the power never grows into a huge integer
-    if int(max(branching)) ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
+    if width ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
         raise ResourceLimitError(
             f"depth-{depth} trees of dimension {dim} with branching up to "
-            f"{max(branching)} exceed the {MAX_PATHS} path enumeration cap")
+            f"{width} exceed the {MAX_PATHS} path enumeration cap")
+    # every node counts at its peak while drawn, as measured: <= 264 B at d = 1
+    # (binary trees hold the most per node) and ~18 B more per dimension
+    need = (width ** (depth + 1) - 1) // (width - 1) * (256 + 24 * dim)
+    if need > MAX_TREE_BYTES:
+        raise ResourceLimitError(
+            f"depth-{depth} trees of dimension {dim} with branching up to {width} need "
+            f"about {need} bytes, over the {MAX_TREE_BYTES}-byte tree memory budget")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
@@ -442,7 +432,7 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         incrs[k].append(incr)
         if k + 1 < depth:
             stack.extend([k + 1] * width)
-    return ProbTree._from_levels(m0, [
+    return ProbTree(m0, [
         Level(np.repeat(np.arange(len(widths[k]), dtype=np.intp), widths[k]),
               np.concatenate(probs[k]), np.concatenate(incrs[k]))
         for k in range(depth)])
@@ -451,7 +441,7 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:
     """Scalar +-step random walk of the given depth, started at m0."""
     rows = np.array([[float(step)], [float(-step)]])
-    return ProbTree._from_levels((float(m0),), [
+    return ProbTree((float(m0),), [
         Level(np.repeat(np.arange(2**k, dtype=np.intp), 2), np.full(2 ** (k + 1), 0.5),
               np.tile(rows, (2**k, 1)))
         for k in range(int(depth))])

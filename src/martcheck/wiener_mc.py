@@ -33,6 +33,7 @@ BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
 BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
+_UFUNC_BUFFER_BYTES = 1 << 18  # numpy's buffers for a strided in-place update
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
 _WIENER_STREAM = 10
@@ -156,9 +157,8 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
                zakai_steps: int = 0) -> tuple[int, int]:
     """Reject a run before it allocates. Return one block's working-set bytes
     and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the output
-    arrays that simulate keeps, the per-path rows (x_stop, sup_norm,
-    riemann) and, given zakai_steps (the stop index of a run given p), the
-    ZAKAI rows."""
+    simulate keeps, its per-path rows and, given zakai_steps (the stop index
+    of a run given p), its ZAKAI rows."""
     if int(paths) < 2:
         raise DomainError("paths must be >= 2")
     if int(seed) < 0:
@@ -167,37 +167,40 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
             f"paths*steps*m = {cells} exceeds the cap {DEFAULT_CELL_CAP}")
-    m, d = spec.wiener_dim, spec.dim
+    m, d, nw = spec.wiener_dim, spec.dim, spec.needs_wiener
     out_bytes = 8 * (int(paths) * (d + 2) + min(CI_GROUPS, int(paths)) * zakai_steps)
-    if out_bytes > BLOCK_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"{int(paths)} paths need {out_bytes} bytes of per-run output, "
-            f"over the {BLOCK_MEMORY_BUDGET}-byte block memory budget")
-    room = BLOCK_MEMORY_BUDGET - out_bytes
-    # peak arrays of one block: a constant d=m=1 integrand works in its
-    # increment array alone; others also hold W (unless constant), the
-    # increments of X, g, and one rule's f^j and f^j dW^j. Three rows hold
-    # a constant integrand's g, its power for the ZAKAI rows, and the
-    # block's small objects (its output rows, the group bounds).
-    arrays = 1 if not spec.needs_wiener and d == m == 1 else 2 * m + 3 * d + 2
+    # (bsz, steps) arrays a block holds at its peak, as traced: dW (m); W (m)
+    # and g unless the integrand is constant; the increments of X (d) unless
+    # d = m = 1 scales dW in place; over its steps, the widest rule's f^j and
+    # f^j dW^j or |f^j|^2 (2d; CONST: d, or none in place). Then a norm over
+    # d > 1 components holds X, its square and two arrays of norms.
+    own = 0 if d == m == 1 else d
+    rule = max(((e.stop - e.start) * (2 * d if e.rule.kind != "const" else own)
+                for e in spec.entries), default=0) / spec.steps
+    arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
     bsz = min(int(paths), BLOCK_PATHS)
-    block_bytes = 8 * (spec.steps + 1) * (bsz * arrays + 3)
+    # per path: its output rows; rows of steps: a constant g and g^{p/2}, the
+    # block's small objects and, given p, its ZAKAI rows (one per group met)
+    rows = 3 + (min(CI_GROUPS, bsz) + 1 if zakai_steps and nw else 0)
+    block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2)
+                                 + (spec.steps + 1) * rows)) + _UFUNC_BUFFER_BYTES
+    room = BLOCK_MEMORY_BUDGET - out_bytes
     if block_bytes > room:
         raise ResourceLimitError(
-            f"one {bsz}-path block of {spec.steps} steps needs {block_bytes} "
-            f"bytes, over the {BLOCK_MEMORY_BUDGET}-byte block memory budget "
-            f"less {out_bytes} bytes of per-run output")
+            f"one {bsz}-path block of {spec.steps} steps needs {block_bytes} bytes "
+            f"and the run's output {out_bytes} bytes, over the "
+            f"{BLOCK_MEMORY_BUDGET}-byte block memory budget")
     return block_bytes, room
 
 
-def _workers(blocks: int, block_bytes: int) -> int:
+def _workers(blocks: int, block_bytes: int, room: int = BLOCK_MEMORY_BUDGET) -> int:
     """Threads for a run: one per CPU this process may use, at most one per
-    block, and no more blocks in flight than BLOCK_MEMORY_BUDGET holds."""
+    block, and no more blocks in flight than room bytes hold."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:   # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(blocks, cpus, BLOCK_MEMORY_BUDGET // block_bytes))
+    return max(1, min(blocks, cpus, room // block_bytes))
 
 
 def grid_index(spec: IntegrandSpec, t: float) -> int:
@@ -289,6 +292,7 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
                     zakai.append((grp, y[gl - lo:gh - lo].sum(axis=0)))
         elif b == 0:
             zakai.append((slice(None), y))
+        del y
     del g
 
     xx = np.cumsum(dx, axis=1, out=dx)    # X at grid indices 1..S
@@ -332,7 +336,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
 
     blocks = -(-paths // BLOCK_PATHS)
     run = functools.partial(_block, spec, paths, seed, stop, half_power)
-    workers = min(_workers(blocks, block_bytes), room // block_bytes)
+    workers = _workers(blocks, block_bytes, room)
     if workers <= 1:
         merge(map(run, range(blocks)))
     else:

@@ -4,6 +4,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from martcheck import (
     parse_integrand,
     parse_search,
     parse_tree,
+    random_tree,
     report_row,
     search,
     search_result_to_obj,
@@ -120,14 +122,11 @@ class TestTreeFormat:
     def test_shallow_leaf_padding(self, zoo):
         tree = parse_tree(load(zoo, "tree_pad"))
         assert tree.validate().ok
-
-        def depths(node, d=0):
-            if node.is_leaf:
-                yield d
-            for br in node.children:
-                yield from depths(br.node, d + 1)
-
-        assert set(depths(tree.root)) == {tree.depth}
+        # every leaf sits at the last level: each node above it has a child
+        above = 1
+        for lvl in tree.levels:
+            assert np.array_equal(np.unique(lvl.parent), np.arange(above))
+            above = len(lvl.parent)
         # the padded branch holds its value 0 at level 2 while the deep
         # branch splits 1+1 into {3, 1}: E X_2^2 = (9 + 1)/4 + 0 = 2.5
         assert lp_norm(tree, 2, 2) ** 2 == pytest.approx(2.5, abs=1e-12)
@@ -158,6 +157,18 @@ class TestTreeFormat:
             assert (a["prob"], a["incr"]) == (b["prob"], b["incr"])
             out, given = a["node"], b["node"]
         assert out == {"children": []}
+
+    @given(st.integers(0, 5), st.integers(1, 3), st.integers(0, 10**6),
+           st.sampled_from([(2, 3), (3,), (2, 5, 3)]))
+    def test_round_trip_random_trees(self, depth, dim, seed, branching):
+        """Writing a tree out as JSON text and parsing it back gives the
+        same m0 and level arrays, bit for bit."""
+        tree = random_tree(depth, dim, seed, branching=branching)
+        again = parse_tree(json.loads(json.dumps(tree_to_obj(tree))))
+        assert again.m0 == tree.m0 and again.depth == tree.depth
+        for a, b in zip(again.levels, tree.levels):
+            for x, y in ((a.parent, b.parent), (a.prob, b.prob), (a.incr, b.incr)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("children,message", [
         ([{"prob": 0.5, "incr": [0.0], "node": {}},

@@ -12,17 +12,16 @@ import martcheck.ineq as ineq
 import martcheck.ptree as ptree
 import martcheck.sharpness as sh
 from martcheck import (
-    Branch,
     DomainError,
+    Level,
     PreconditionError,
     ProbTree,
     QuadratureError,
-    TreeNode,
     constant_integrand,
     eval_continuous,
+    parse_tree,
 )
 
-LEAF = TreeNode()
 P_GRID = (2.0, 2.7, 4.0)
 
 
@@ -68,8 +67,9 @@ class TestEvalDiscrete:
 
     def test_chain_equality_two_point(self):
         # M_0 = 1, M_1 in {2, 0}: the chained bound is tight at p = 2
-        t = ProbTree((1.0,), TreeNode((
-            Branch(0.5, (1.0,), LEAF), Branch(0.5, (-1.0,), LEAF))))
+        t = parse_tree({"m0": [1.0], "tree": {"children": [
+            {"prob": 0.5, "incr": [1.0], "node": {}},
+            {"prob": 0.5, "incr": [-1.0], "node": {}}]}})
         r = ineq.eval_discrete(t, 1, 2, "RIO-CHAIN")
         assert r.lhs == pytest.approx(2.0)
         assert r.rhs == pytest.approx(2.0)
@@ -83,8 +83,9 @@ class TestEvalDiscrete:
             ineq.eval_discrete(self.walk, 1, 2, "NO-SUCH")
 
     def test_invalid_tree_refused(self):
-        t = ProbTree((0.0,), TreeNode((
-            Branch(0.9, (1.0,), LEAF), Branch(0.5, (-1.8,), LEAF))))
+        t = parse_tree({"m0": [0.0], "tree": {"children": [
+            {"prob": 0.9, "incr": [1.0], "node": {}},
+            {"prob": 0.5, "incr": [-1.8], "node": {}}]}})
         from martcheck import InvalidTreeError
         with pytest.raises(InvalidTreeError):
             ineq.eval_discrete(t, 1, 2, "D-BURK-1")
@@ -113,13 +114,8 @@ def test_chain_never_looser_than_main(t, p):
 def test_ratio_scale_invariant(t, lam, p):
     lvl = ptree.martingale_level(t, t.depth)
     assert lvl.level == t.depth
-
-    def scale(node):
-        return TreeNode(tuple(
-            Branch(br.prob, tuple(lam * v for v in br.incr), scale(br.node))
-            for br in node.children))
-
-    s = ProbTree(tuple(lam * v for v in t.m0), scale(t.root))
+    s = ProbTree(tuple(lam * v for v in t.m0),
+                 [Level(l.parent, l.prob, lam * l.incr) for l in t.levels])
     for iid in ("D-BURK-1", "PROP1-MAIN", "DOOB"):
         a = ineq.eval_discrete(t, t.depth, p, iid)
         b = ineq.eval_discrete(s, t.depth, p, iid)

@@ -8,22 +8,31 @@ from hypothesis import given, strategies as st
 
 import martcheck.ptree as ptree
 from martcheck import (
-    Branch,
     DomainError,
     InvalidTreeError,
+    Level,
     LevelRangeError,
     ProbTree,
     ResourceLimitError,
-    TreeNode,
     TreeStructureError,
+    parse_tree,
 )
 
-LEAF = TreeNode()
+
+def one_step(m0, *branches):
+    """A depth-1 tree document read by parse_tree, one (prob, incr) pair per
+    child of the root."""
+    return parse_tree({"m0": list(m0), "tree": {"children": [
+        {"prob": prob, "incr": list(incr), "node": {}} for prob, incr in branches]}})
+
+
+def level(parent, prob, incr):
+    return Level(np.array(parent, dtype=np.intp), np.array(prob, dtype=float),
+                 np.array(incr, dtype=float))
 
 
 def coin(m0=0.0, step=1.0):
-    return ProbTree((m0,), TreeNode((
-        Branch(0.5, (step,), LEAF), Branch(0.5, (-step,), LEAF))))
+    return one_step((m0,), (0.5, (step,)), (0.5, (-step,)))
 
 
 def trees(draw_depth=(1, 3), draw_dim=(1, 3)):
@@ -57,17 +66,14 @@ class TestFrozenValues:
         assert ptree.lp_norm(t, 2, 2) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_planar_two_scale(self):
-        t = ProbTree((0.0, 0.0), TreeNode((
-            Branch(0.25, (1.0, 0.0), LEAF),
-            Branch(0.25, (-1.0, 0.0), LEAF),
-            Branch(0.25, (0.0, 2.0), LEAF),
-            Branch(0.25, (0.0, -2.0), LEAF))))
+        t = one_step((0.0, 0.0), (0.25, (1.0, 0.0)), (0.25, (-1.0, 0.0)),
+                     (0.25, (0.0, 2.0)), (0.25, (0.0, -2.0)))
         # E||M_1||^4 = (1 + 1 + 16 + 16)/4 = 8.5
         assert ptree.lp_norm(t, 1, 4) ** 2 == pytest.approx(
             math.sqrt(8.5), abs=1e-12)
 
     def test_start_only(self):
-        t = ProbTree((3.0, 4.0), LEAF)
+        t = parse_tree({"m0": [3.0, 4.0], "tree": {}})
         assert t.depth == 0
         assert ptree.lp_norm(t, 0, 2) ** 2 == pytest.approx(25.0)
         assert ptree.increment_lp_sum(t, 0, 4) == pytest.approx(25.0)
@@ -83,8 +89,7 @@ class TestFrozenValues:
 
 class TestValidation:
     def test_probability_sum_residual(self):
-        t = ProbTree((0.0,), TreeNode((
-            Branch(0.5, (1.0,), LEAF), Branch(0.4, (-1.25,), LEAF))))
+        t = one_step((0.0,), (0.5, (1.0,)), (0.4, (-1.25,)))
         v = t.validate()
         assert not v.ok
         kinds = {x.kind for x in v.violations}
@@ -97,51 +102,44 @@ class TestValidation:
     def test_probability_sum_sign(self):
         """The message shows the signed sum less one; the residual is its size."""
         for second, shown in ((0.4, "1-0.1"), (0.6, "1+0.1")):
-            t = ProbTree((0.0,), TreeNode((
-                Branch(0.5, (1.0,), LEAF), Branch(second, (-1.0,), LEAF))))
+            t = one_step((0.0,), (0.5, (1.0,)), (second, (-1.0,)))
             v, = [x for x in t.validate().violations if "sum to" in x.message]
             assert f"sum to {shown} at ()" in v.message
             assert v.residual == pytest.approx(0.1)
 
     def test_martingale_residual(self):
-        t = ProbTree((0.0,), TreeNode((
-            Branch(0.5, (1.0,), LEAF), Branch(0.5, (1.0,), LEAF))))
+        t = one_step((0.0,), (0.5, (1.0,)), (0.5, (1.0,)))
         v = t.validate()
         assert [x.kind for x in v.violations] == ["martingale"]
         assert v.violations[0].residual == pytest.approx(1.0)
 
     def test_negative_probability(self):
-        t = ProbTree((0.0,), TreeNode((
-            Branch(1.5, (1.0,), LEAF), Branch(-0.5, (3.0,), LEAF))))
+        t = one_step((0.0,), (1.5, (1.0,)), (-0.5, (3.0,)))
         assert any(x.kind == "probability" and "]0,1]" in x.message
                    for x in t.validate().violations)
 
     def test_ragged_depth_is_structural(self):
-        deep = TreeNode((Branch(0.5, (1.0,), LEAF), Branch(0.5, (-1.0,), LEAF)))
-        t = ProbTree((0.0,), TreeNode((
-            Branch(0.5, (1.0,), deep), Branch(0.5, (-1.0,), LEAF))))
+        # node 1 of level 1 has no child: the parser would pad it
+        t = ProbTree((0.0,), [level([0, 0], [0.5, 0.5], [[1.0], [-1.0]]),
+                              level([0, 0], [0.5, 0.5], [[1.0], [-1.0]])])
         v = t.validate()
         assert any(x.kind == "structure" for x in v.violations)
         with pytest.raises(TreeStructureError):
             t.require_valid()
 
     def test_wrong_increment_dimension(self):
-        with pytest.raises(TreeStructureError, match=r"increment at \(0,\) has dimension 1"):
-            ProbTree((0.0, 0.0), TreeNode((
-                Branch(0.5, (1.0,), LEAF), Branch(0.5, (-1.0, 0.0), LEAF))))
-        inner = TreeNode((Branch(0.5, (1.0, 0.0), LEAF), Branch(0.5, (-1.0,), LEAF)))
-        with pytest.raises(TreeStructureError, match=r"increment at \(1, 1\)"):
-            ProbTree((0.0, 0.0), TreeNode((
-                Branch(0.5, (1.0, 0.0), LEAF), Branch(0.5, (-1.0, 0.0), inner))))
+        for incr in ([[1.0], [-1.0]], [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]):
+            with pytest.raises(TreeStructureError, match=r"level 1: prob and incr "
+                               r"must have shapes \(2,\) and \(2, 2\)"):
+                ProbTree((0.0, 0.0), [level([0, 0], [0.5, 0.5], incr)])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_values(self, bad):
-        t = ProbTree((0.0,), TreeNode((
-            Branch(bad, (1.0,), LEAF), Branch(0.5, (-1.0,), LEAF))))
+        # the parser refuses non-finite numbers, so these come as levels
+        t = ProbTree((0.0,), [level([0, 0], [bad, 0.5], [[1.0], [-1.0]])])
         assert any(x.kind == "probability" for x in t.validate().violations)
         assert not any(math.isnan(x.residual) for x in t.validate().violations)
-        t = ProbTree((0.0,), TreeNode((
-            Branch(0.5, (bad,), LEAF), Branch(0.5, (-1.0,), LEAF))))
+        t = ProbTree((0.0,), [level([0, 0], [0.5, 0.5], [[bad], [-1.0]])])
         assert any(x.kind == "structure" and "non-finite" in x.message
                    for x in t.validate().violations)
         with pytest.raises(TreeStructureError):
@@ -149,16 +147,45 @@ class TestValidation:
 
     def test_empty_m0(self):
         with pytest.raises(TreeStructureError):
-            ProbTree((), LEAF)
+            ProbTree((), [])
+
+    def test_start_only_from_no_levels(self):
+        t = ProbTree((3.0, 4.0), [])
+        assert t.depth == 0 and t.dim == 2
+        assert t.validate().ok
+
+    @pytest.mark.parametrize("levels,message", [
+        ([level([0, 1], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])],
+         r"level 1: parent must be non-decreasing in 0\.\.0"),
+        ([level([0, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]]),
+          level([1, 0], [1.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])],
+         r"level 2: parent must be non-decreasing"),
+        ([level([0, 0], [0.5, 0.5, 0.0], [[1.0, 0.0], [-1.0, 0.0]])],
+         r"level 1: prob and incr must have shapes \(2,\)"),
+        ([level([0, 0, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])],
+         r"level 1: prob and incr must have shapes \(3,\)"),
+        ([level([-1, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])],
+         r"level 1: parent must be non-decreasing in 0\.\.0"),
+        ([Level(np.zeros(2), np.array([0.5, 0.5]), np.zeros((2, 2)))],
+         r"level 1: parent must be a 1-D intp array"),
+    ])
+    def test_constructor_checks_levels(self, levels, message):
+        """A level whose arrays do not fit its place is refused when the
+        tree is built: a parent index out of range or decreasing, mismatched
+        lengths, a parent array that is not intp."""
+        with pytest.raises(TreeStructureError, match=message):
+            ProbTree((0.0, 0.0), levels)
 
     def test_valid_summary(self):
         assert coin().validate().summary() == "valid"
 
     def test_violation_paths_locate_nodes(self):
-        bad = TreeNode((Branch(0.7, (1.0,), LEAF), Branch(0.5, (-1.0,), LEAF)))
-        t = ProbTree((0.0,), TreeNode((
-            Branch(0.5, (1.0,), bad),
-            Branch(0.5, (-1.0,), TreeNode((Branch(1.0, (0.0,), LEAF),))))))
+        t = parse_tree({"m0": [0.0], "tree": {"children": [
+            {"prob": 0.5, "incr": [1.0], "node": {"children": [
+                {"prob": 0.7, "incr": [1.0], "node": {}},
+                {"prob": 0.5, "incr": [-1.0], "node": {}}]}},
+            {"prob": 0.5, "incr": [-1.0], "node": {"children": [
+                {"prob": 1.0, "incr": [0.0], "node": {}}]}}]}})
         probs = [x for x in t.validate().violations if x.kind == "probability"]
         assert any(x.path == (0,) for x in probs)
 
@@ -205,6 +232,8 @@ class TestLevels:
             ptree.random_tree(1, 10**8, seed=0)
         with pytest.raises(ResourceLimitError):
             ptree.random_tree(14, 3, seed=0)   # 3**14 paths pass alone
+        with pytest.raises(ResourceLimitError, match="tree memory budget"):
+            ptree.random_tree(14, 1, seed=0, branching=(3,))   # 7.2 M nodes
         with pytest.raises(ResourceLimitError):
             ptree.random_tree(10**9, 1, seed=0)
 
@@ -249,17 +278,11 @@ def test_sup_dominates_and_grows(t):
 def test_scale_equivariance(t, lam):
     """Scaling every value by lam scales the L^p norm by lam."""
     lvl = ptree.martingale_level(t, t.depth)
-    scaled = ProbTree(
-        tuple(lam * v for v in t.m0), _scale_node(t.root, lam))
+    scaled = ProbTree(tuple(lam * v for v in t.m0),
+                      [Level(l.parent, l.prob, lam * l.incr) for l in t.levels])
     assert ptree.lp_norm(scaled, t.depth, 3) == pytest.approx(
         lam * ptree.lp_norm(t, t.depth, 3), rel=1e-9)
     assert len(lvl.probs) > 0
-
-
-def _scale_node(node, lam):
-    return TreeNode(tuple(
-        Branch(br.prob, tuple(lam * v for v in br.incr), _scale_node(br.node, lam))
-        for br in node.children))
 
 
 def test_random_tree_deterministic():

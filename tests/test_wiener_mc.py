@@ -243,7 +243,7 @@ class TestSimulate:
             return real(*args)
 
         monkeypatch.setattr(wmc, "_block", failing)
-        monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes: 3)
+        monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes, room: 3)
         with pytest.raises(BlockFailure):
             simulate(constant_integrand(1.0, steps=8), 6 * 1024, seed=1)
         assert not [t for t in threading.enumerate()
@@ -301,7 +301,7 @@ class TestFrozenBits:
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_worker_count_does_not_change_bits(self, zoo, monkeypatch, workers):
-        monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes: workers)
+        monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes, room: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
