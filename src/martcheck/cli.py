@@ -70,15 +70,18 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
         "version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        # dumps without indent runs the C encoder; json.dump never does
-        fh.write(json.dumps({"manifest": manifest, "results": results}, sort_keys=True))
-        fh.write("\n")
-    if rows is not None:
-        with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=formats.CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
+    try:
+        with open(base + ".json", "w", encoding="utf-8") as fh:
+            # dumps without indent runs the C encoder; json.dump never does
+            fh.write(json.dumps({"manifest": manifest, "results": results}, sort_keys=True))
+            fh.write("\n")
+        if rows is not None:
+            with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=formats.CSV_FIELDS)
+                writer.writeheader()
+                writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {base}: {exc}") from None
 
 
 def _coerce_ids(values: Sequence[str] | None, default, kind):

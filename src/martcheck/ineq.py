@@ -19,7 +19,6 @@ from .errors import DomainError, PreconditionError, QuadratureError
 from .ptree import ProbTree, as_exponent
 
 ABS_TOL = 1e-9        # lhs <= rhs + ABS_TOL defines "satisfied" for exact sides
-COND_MEAN_TOL = 1e-12
 QUAD_TOL = 1e-10      # relative convergence tolerance of adaptive_panel_quadrature
 _GRADING = 0.25       # geometric ratio of the graded panels toward each anchor
 
@@ -218,17 +217,17 @@ def eval_rio_step(x_atoms: Sequence[Atom], y_given_x: Sequence[Sequence[Atom]],
         raise PreconditionError("need one conditional Y distribution per X atom")
     xs = [(float(q), np.asarray(v, dtype=float)) for q, v in x_atoms]
     qx = np.array([q for q, _ in xs])
-    if np.any(qx <= 0.0) or abs(qx.sum() - 1.0) > COND_MEAN_TOL:
+    if np.any(qx <= 0.0) or abs(qx.sum() - 1.0) > ptree.PROB_TOL:
         raise PreconditionError("X atom probabilities must be positive and sum to 1")
     joint: list[tuple[float, np.ndarray, np.ndarray]] = []
     for (q, x), cond in zip(xs, y_given_x):
         cond = [(float(c), np.asarray(y, dtype=float)) for c, y in cond]
         cp = np.array([c for c, _ in cond])
-        if len(cond) == 0 or np.any(cp <= 0.0) or abs(cp.sum() - 1.0) > COND_MEAN_TOL:
+        if len(cond) == 0 or np.any(cp <= 0.0) or abs(cp.sum() - 1.0) > ptree.PROB_TOL:
             raise PreconditionError("conditional probabilities must be positive and sum to 1")
         mean = sum(c * y for c, y in cond)
         resid = float(np.linalg.norm(mean))
-        if resid > COND_MEAN_TOL:
+        if resid > ptree.PROB_TOL:
             raise PreconditionError(
                 f"conditional mean of Y must vanish; got norm {resid:.3g}")
         joint.extend((q * c, x, y) for c, y in cond)

@@ -11,15 +11,14 @@ bound beyond 1e-9 as a violation finding.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import ineq, ptree
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ResourceLimitError
 from .ptree import as_exponent
 
 SOUND_TOL = 1e-9
@@ -28,7 +27,16 @@ NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5   # Nelder-Me
 
 _SEARCH_STREAM = 13
 
-FAMILY_TAGS = ("RIO-TWO-POINT", "ASYM-TWO-POINT", "RANDOM-TREE")
+# Each family's search axes (name, scale). A "log" axis is searched in log
+# space over its box, a "lin" axis linearly over its box, and a "seed" axis
+# over the tree seeds [0, 2**63); the boxes a family takes are its log and
+# lin axes.
+_AXES = {
+    "RIO-TWO-POINT": (("a", "log"), ("b", "log")),
+    "ASYM-TWO-POINT": (("a", "log"), ("b", "log"), ("q", "lin")),
+    "RANDOM-TREE": (("tree_seed", "seed"),),
+}
+FAMILY_TAGS = tuple(_AXES)
 METHODS = ("grid", "random", "nelder-mead")
 
 
@@ -163,26 +171,20 @@ class FamilySpec:
             if not self.branching or min(self.branching) < 2:
                 raise ConfigError(
                     f"RANDOM-TREE branching factors must be >= 2, got {self.branching}")
-            if self.a_box or self.b_box or self.q_box:
-                raise ConfigError("RANDOM-TREE takes no parameter boxes")
-            return
-        for name in ("a_box", "b_box"):
-            box = getattr(self, name)
+        scales = dict(_AXES[self.tag])
+        for name in ("a", "b", "q"):
+            box = getattr(self, f"{name}_box")
+            if name not in scales:
+                if box is not None:
+                    raise ConfigError(f"{self.tag} takes no {name}_box")
+                continue
             if box is None:
-                raise ConfigError(f"{self.tag} needs {name}")
+                raise ConfigError(f"{self.tag} needs {name}_box")
             lo, hi = (float(box[0]), float(box[1]))
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi")
-            object.__setattr__(self, name, (lo, hi))
-        if self.tag == "ASYM-TWO-POINT":
-            if self.q_box is None:
-                raise ConfigError("ASYM-TWO-POINT needs q_box")
-            lo, hi = (float(self.q_box[0]), float(self.q_box[1]))
-            if not (0.0 < lo <= hi < 1.0):
-                raise ConfigError("q_box must satisfy 0 < lo <= hi < 1")
-            object.__setattr__(self, "q_box", (lo, hi))
-        elif self.q_box is not None:
-            raise ConfigError("q_box only applies to ASYM-TWO-POINT")
+            top = 1.0 if scales[name] == "lin" else math.inf
+            if not 0.0 < lo <= hi < top:
+                raise ConfigError(f"{name}_box must satisfy 0 < lo <= hi < {top:g}")
+            object.__setattr__(self, f"{name}_box", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -340,92 +342,78 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: Sequence[float],
     return best_x, best_f, evals
 
 
-def _two_point_dims(family: FamilySpec) -> list[tuple[str, float, float, bool]]:
-    """(name, lo, hi, log_scale) for the family's continuous parameters."""
-    dims = [("a", *family.a_box, True), ("b", *family.b_box, True)]
-    if family.tag == "ASYM-TWO-POINT":
-        dims.append(("q", *family.q_box, False))
-    return dims
+def _product(pools: Sequence, head: tuple = ()) -> Iterator[tuple]:
+    """itertools.product(*pools), without first copying each pool to a tuple."""
+    if not pools:
+        yield head
+        return
+    for value in pools[0]:
+        yield from _product(pools[1:], head + (value,))
 
 
-def _grid_axes(dims, budget: int) -> list[np.ndarray]:
-    free = [d for d in dims if d[1] < d[2]]
-    res = max(2, int(len(free) and math.floor(budget ** (1.0 / len(free)))))
-    axes = []
-    for name, lo, hi, log_scale in dims:
-        if lo == hi:
-            axes.append(np.array([lo]))
-        elif log_scale:
-            axes.append(np.geomspace(lo, hi, res))
-        else:
-            axes.append(np.linspace(lo, hi, res))
-    return axes
+def _grid(axes, budget: int) -> Iterator[dict]:
+    """The grid points, last axis fastest. Each free log or lin axis takes
+    floor(budget**(1/free)) points (at least 2), capped at ptree.MAX_PATHS;
+    a seed axis counts 0, 1, ..., budget-1 lazily."""
+    free = sum(lo < hi for _, lo, hi, scale in axes if scale != "seed")
+    res = max(2, int(free and math.floor(budget ** (1.0 / free))))
+    if res > ptree.MAX_PATHS:
+        raise ResourceLimitError(
+            f"a grid of budget {budget} puts {res} points on an axis, above the "
+            f"{ptree.MAX_PATHS} cap")
+    pools = [range(budget) if scale == "seed"
+             else (lo,) if lo == hi
+             else (np.geomspace if scale == "log" else np.linspace)(lo, hi, res)
+             for _, lo, hi, scale in axes]
+    kinds = [int if scale == "seed" else float for *_, scale in axes]
+    for point in _product(pools):
+        yield {ax[0]: kind(v) for ax, kind, v in zip(axes, kinds, point)}
+
+
+def _draw(rng: np.random.Generator, lo, hi, scale: str):
+    """One random point of an axis: log-uniform, uniform or an integer seed."""
+    if scale == "seed":
+        return int(rng.integers(lo, hi))
+    if scale == "log":
+        return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+    return float(rng.uniform(lo, hi))
 
 
 def search(config: SearchConfig) -> SearchResult:
     """Run the configured maximization; deterministic for a fixed config."""
     family = config.family
-    if family.tag == "RANDOM-TREE":
-        rec = _Recorder(lambda prm: family_ratio(family, prm, config.target),
-                        ("tree_seed",), config.budget)
-        try:
-            if config.method == "random":
-                rng = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(entropy=config.seed, spawn_key=(_SEARCH_STREAM,))))
-                for _ in range(config.budget):
-                    rec({"tree_seed": int(rng.integers(0, 2**63))})
-            else:  # grid enumerates tree seeds 0..budget-1
-                for i in range(config.budget):
-                    rec({"tree_seed": i})
-        except _BudgetExhausted:
-            pass
-        bound = 1.0
-    else:
-        dims = _two_point_dims(family)
-        names = [d[0] for d in dims]
-        rec = _Recorder(lambda prm: family_ratio(family, prm, config.target),
-                        names, config.budget)
-        try:
-            if config.method == "grid":
-                for values in itertools.product(*_grid_axes(dims, config.budget)):
-                    rec(dict(zip(names, map(float, values))))
-            elif config.method == "random":
-                rng = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(entropy=config.seed, spawn_key=(_SEARCH_STREAM,))))
-                for _ in range(config.budget):
-                    prm = {}
-                    for name, lo, hi, log_scale in dims:
-                        if log_scale:
-                            prm[name] = float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-                        else:
-                            prm[name] = float(rng.uniform(lo, hi))
-                    rec(prm)
-            else:
-                free = [d for d in dims if d[1] < d[2]]
-                fixed = {d[0]: d[1] for d in dims if d[1] == d[2]}
+    axes = [(name, *((0, 2**63) if scale == "seed" else getattr(family, f"{name}_box")),
+             scale) for name, scale in _AXES[family.tag]]    # (name, lo, hi, scale)
+    rec = _Recorder(lambda prm: family_ratio(family, prm, config.target),
+                    [ax[0] for ax in axes], config.budget)
+    free = [ax for ax in axes if ax[1] < ax[2]]
+    try:
+        if config.method == "random":
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(_SEARCH_STREAM,))))
+            for _ in range(config.budget):
+                rec({name: _draw(rng, lo, hi, scale) for name, lo, hi, scale in axes})
+        elif config.method == "grid" or not free:   # no free box: the one grid point
+            for prm in _grid(axes, config.budget):
+                rec(prm)
+        else:   # Nelder-Mead over the free axes, log axes in log space
+            fixed = {name: lo for name, lo, hi, _ in axes if lo == hi}
+            warp = [math.log if scale == "log" else float for *_, scale in free]
 
-                def to_params(z: np.ndarray) -> dict:
-                    prm = dict(fixed)
-                    for (name, lo, hi, log_scale), zi in zip(free, z):
-                        v = math.exp(zi) if log_scale else zi
-                        prm[name] = float(min(max(v, lo), hi))
-                    return prm
+            def to_params(z: np.ndarray) -> dict:
+                prm = dict(fixed)
+                for (name, lo, hi, scale), zi in zip(free, z):
+                    v = math.exp(zi) if scale == "log" else zi
+                    prm[name] = float(min(max(v, lo), hi))
+                return prm
 
-                if not free:
-                    rec(dict(fixed))
-                else:
-                    x0, step = [], []
-                    for name, lo, hi, log_scale in free:
-                        if log_scale:
-                            x0.append(0.5 * (math.log(lo) + math.log(hi)))
-                            step.append(0.25 * (math.log(hi) - math.log(lo)))
-                        else:
-                            x0.append(0.5 * (lo + hi))
-                            step.append(0.25 * (hi - lo))
-                    nelder_mead(lambda z: -rec(to_params(z)), x0, step, config.budget)
-        except _BudgetExhausted:
-            pass
-        bound = ineq.BOUNDS[ineq.InequalityId.PROP1_MAIN].constant(family.p)
+            x0 = [0.5 * (w(lo) + w(hi)) for w, (_, lo, hi, _) in zip(warp, free)]
+            step = [0.25 * (w(hi) - w(lo)) for w, (_, lo, hi, _) in zip(warp, free)]
+            nelder_mead(lambda z: -rec(to_params(z)), x0, step, config.budget)
+    except _BudgetExhausted:
+        pass
+    bound = (1.0 if family.tag == "RANDOM-TREE"
+             else ineq.BOUNDS[ineq.InequalityId.PROP1_MAIN].constant(family.p))
     return SearchResult(
         best_ratio=rec.best_ratio, best_params=rec.best_params,
         evaluations=rec.count, trace=tuple(rec.trace), bound=bound,

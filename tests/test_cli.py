@@ -229,6 +229,14 @@ class TestSharpness:
         assert code == 0
         assert "best_params=" in out
 
+    def test_huge_grid_is_an_error(self, zoo, tmp_path, capsys):
+        config = json.loads((zoo / "search_rio_grid.json").read_text())
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(dict(config, budget=10**15)))
+        code, _, err = run(capsys, "sharpness", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "cap" in err and "Traceback" not in err
+
 
 class TestSweepAndTables:
     def test_random_trees(self, capsys):
@@ -266,6 +274,18 @@ class TestSweepAndTables:
         code, out, _ = run(capsys, "gaussian-moment", "--p", "4")
         assert code == 0
         assert out.strip().endswith("= 3")
+
+
+@pytest.mark.parametrize("argv", [("verify-discrete", "--tree", "ZOO/" + COIN, "--p", "2"),
+                                  ("compare-constants", "--p", "2")])
+def test_out_into_missing_directory_is_an_error(zoo, tmp_path, capsys, argv):
+    """Both the tabular (JSON + CSV) and the JSON-only writers report an
+    unwritable --out as an error line, not a traceback."""
+    argv = [a.replace("ZOO/", f"{zoo}/") for a in argv]
+    base = str(tmp_path / "missing" / "run")
+    code, _, err = run(capsys, *argv, "--out", base)
+    assert code == 1
+    assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 class TestReproducibility:

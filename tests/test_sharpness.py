@@ -1,4 +1,5 @@
 """Gain evaluators and witness searches."""
+import hashlib
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import martcheck.sharpness as sh
-from martcheck import ConfigError, DomainError, FamilySpec, SearchConfig, parse_search
+from martcheck import (ConfigError, DomainError, FamilySpec, ResourceLimitError,
+                       SearchConfig, parse_search)
 from martcheck.cli import main as cli_main
 
 # 50-digit decimal enumeration oracles for rio_gain(1, b, 4)
@@ -255,3 +257,78 @@ def test_nelder_mead_restart_after_collapse():
     f = lambda z: float(max(abs(z[0]) - 1.0, 0.0) ** 2)
     x, fx, evals = sh.nelder_mead(f, [3.0, 0.0], [0.5, 0.5], budget=500)
     assert fx == 0.0
+
+
+def _pin_configs():
+    """Every search path: grid, random and Nelder-Mead on both two-point
+    families with fixed and free boxes, plus RANDOM-TREE grid and random."""
+    fams = [
+        FamilySpec(tag="RIO-TWO-POINT", p=4.0, a_box=(1.0, 1.0), b_box=(1e-4, 1.0)),
+        FamilySpec(tag="RIO-TWO-POINT", p=3.0, a_box=(0.5, 2.0), b_box=(1e-3, 0.5)),
+        FamilySpec(tag="RIO-TWO-POINT", p=2.5, a_box=(1.5, 1.5), b_box=(0.2, 0.2)),
+        FamilySpec(tag="ASYM-TWO-POINT", p=4.0, a_box=(1.0, 1.0),
+                   b_box=(1e-3, 1.0), q_box=(0.1, 0.9)),
+        FamilySpec(tag="ASYM-TWO-POINT", p=3.5, a_box=(0.5, 2.0),
+                   b_box=(1e-3, 1.0), q_box=(0.3, 0.3)),
+        FamilySpec(tag="ASYM-TWO-POINT", p=5.0, a_box=(0.5, 2.0),
+                   b_box=(1e-2, 2.0), q_box=(0.05, 0.95)),
+    ]
+    for fam in fams:
+        for method in sh.METHODS:
+            for budget in (1, 17, 100):
+                yield SearchConfig(family=fam, method=method, budget=budget, seed=5)
+    tree = FamilySpec(tag="RANDOM-TREE", p=3.0, depth=2, dim=2)
+    for method in ("grid", "random"):
+        for budget in (1, 17, 100):
+            yield SearchConfig(family=tree, method=method, budget=budget, seed=5,
+                               target="PROP1-MAIN")
+
+
+def test_frozen_search_paths():
+    """Every search path returns the same result to the last bit, including
+    the order and Python type of each best_params value."""
+    parts = []
+    for cfg in _pin_configs():
+        res = sh.search(cfg)
+        types = tuple((k, type(v).__name__) for k, v in res.best_params.items())
+        parts.append(repr((res.best_ratio, res.best_params, types, res.evaluations,
+                           res.trace, res.bound, res.exceeded)))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert len(parts) == 60
+    assert digest == "f74df65b576aaf23497e4d3b4e373b493cf4fb56461798f17b786f47f74b01dd"
+
+
+class TestGridCap:
+    def test_huge_grid_refused_before_allocating(self):
+        """One free box at budget 10^15 would need a 10^15-point axis."""
+        with pytest.raises(ResourceLimitError, match="cap"):
+            sh.search(_grid_config(budget=10**15))
+
+    def test_cap_is_per_axis(self, monkeypatch):
+        monkeypatch.setattr(sh.ptree, "MAX_PATHS", 16)
+        assert sh.search(_grid_config(budget=16)).evaluations == 16
+        with pytest.raises(ResourceLimitError):
+            sh.search(_grid_config(budget=17))
+        # two free boxes: 17 points in the budget, 4 on each axis
+        fam = FamilySpec(tag="RIO-TWO-POINT", p=4.0, a_box=(0.5, 2.0), b_box=(1e-3, 1.0))
+        cfg = SearchConfig(family=fam, method="grid", budget=17, seed=0)
+        assert sh.search(cfg).evaluations == 16
+
+    def test_tree_seed_grid_is_lazy(self, monkeypatch):
+        """A RANDOM-TREE grid enumerates seeds without allocating them, so a
+        budget of 10^12 is not refused and starts evaluating at seed 0."""
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def first_only(family, params, target="RIO-STEP"):
+            seen.append(params)
+            raise Stop
+
+        monkeypatch.setattr(sh, "family_ratio", first_only)
+        fam = FamilySpec(tag="RANDOM-TREE", p=4.0, depth=2, dim=1)
+        with pytest.raises(Stop):
+            sh.search(SearchConfig(family=fam, method="grid", budget=10**12, seed=0,
+                                   target="PROP1-MAIN"))
+        assert seen == [{"tree_seed": 0}]
