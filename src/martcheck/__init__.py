@@ -27,6 +27,7 @@ from .ineq import (
     ContinuousId,
     InequalityId,
     InequalityReport,
+    ReportTable,
     TaylorBound,
     adaptive_panel_quadrature,
     compare_constants,
@@ -58,11 +59,13 @@ from .wiener_mc import (
 )
 from .formats import (
     csv_row,
+    csv_rows,
     integrand_to_obj,
     parse_integrand,
     parse_search,
     parse_tree,
     report_row,
+    report_rows,
     search_result_to_obj,
     search_to_obj,
     tree_to_obj,
@@ -77,7 +80,8 @@ __all__ = [
     "ValidationResult", "LevelProcess", "moments",
     "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
     "increment_lp_sum", "martingale_level", "random_tree", "symmetric_walk",
-    "InequalityId", "DISCRETE_EVAL_IDS", "InequalityReport", "TaylorBound",
+    "InequalityId", "DISCRETE_EVAL_IDS", "InequalityReport", "ReportTable",
+    "TaylorBound",
     "ConstantComparison", "eval_discrete", "eval_tree", "eval_rio_step",
     "exact_report", "taylor_pointwise", "adaptive_panel_quadrature",
     "compare_constants", "sweep_random_trees",
@@ -87,5 +91,5 @@ __all__ = [
     "constant_integrand", "simulate", "eval_continuous", "gaussian_abs_moment",
     "parse_tree", "tree_to_obj", "parse_integrand", "integrand_to_obj",
     "parse_search", "search_to_obj", "search_result_to_obj",
-    "report_row", "csv_row",
+    "report_row", "csv_row", "report_rows", "csv_rows",
 ]

@@ -22,7 +22,7 @@ import csv
 import json
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import __version__, formats, ineq, ptree, sharpness, wiener_mc
 from .errors import ConfigError, MartcheckError
@@ -62,7 +62,7 @@ def _report_line(r: ineq.InequalityReport) -> str:
 
 
 def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
-               results: Any, rows: list[dict] | None, started: float) -> None:
+               results: Any, rows: Iterable[tuple] | None, started: float) -> None:
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -77,8 +77,8 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
             fh.write("\n")
         if rows is not None:
             with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=formats.CSV_FIELDS)
-                writer.writeheader()
+                writer = csv.writer(fh)
+                writer.writerow(formats.CSV_FIELDS)
                 writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {base}: {exc}") from None
@@ -100,16 +100,15 @@ def _cmd_verify_discrete(args, argv) -> int:
     ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
     tree = formats.parse_tree(_load_json(args.tree))
     levels = range(tree.depth + 1) if args.n is None else [args.n]
-    reports = list(ineq.eval_tree(tree, levels, args.p, ids))
-    for r in reports:
+    table = ineq.eval_tree(tree, levels, args.p, ids)
+    for r in table:
         print(_report_line(r))
     if args.out:
         _write_out(args.out, "verify-discrete", argv,
                    {"tree": args.tree, "p": list(args.p), "n": args.n,
                     "ineq": [i.value for i in ids]},
-                   [formats.report_row(r) for r in reports],
-                   [formats.csv_row(r) for r in reports], started)
-    return EXIT_OK if all(r.satisfied for r in reports) else EXIT_FAIL
+                   formats.report_rows(table), formats.csv_rows(table), started)
+    return EXIT_OK if all(table.columns["satisfied"]) else EXIT_FAIL
 
 
 def _cmd_verify_continuous(args, argv) -> int:
@@ -121,12 +120,12 @@ def _cmd_verify_continuous(args, argv) -> int:
     for r in reports:
         print(_report_line(r))
     if args.out:
+        table = ineq.ReportTable.of(reports)
         _write_out(args.out, "verify-continuous", argv,
                    {"integrand": args.integrand, "t": t, "p": args.p,
                     "paths": args.paths, "seed": args.seed,
                     "ineq": [i.value for i in ids]},
-                   [formats.report_row(r) for r in reports],
-                   [formats.csv_row(r) for r in reports], started)
+                   formats.report_rows(table), formats.csv_rows(table), started)
     verdicts = {r.verdict for r in reports}
     if "violation-candidate" in verdicts:
         return EXIT_FAIL
@@ -156,20 +155,19 @@ def _cmd_sharpness(args, argv) -> int:
 def _cmd_random_trees(args, argv) -> int:
     started = time.monotonic()
     ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
-    reports = list(ineq.sweep_random_trees(
-        args.count, args.max_depth, args.max_dim, args.seed, args.p, ids))
-    bad = [r for r in reports if not r.satisfied]
+    table = ineq.sweep_random_trees(
+        args.count, args.max_depth, args.max_dim, args.seed, args.p, ids)
+    bad = [table[i] for i, ok in enumerate(table.columns["satisfied"]) if not ok]
     for r in bad:
         print(_report_line(r) + f"  [{r.notes}]")
-    print(f"{len(reports)} checks on {args.count} trees: "
-          f"{len(reports) - len(bad)} satisfied, {len(bad)} violations")
+    print(f"{len(table)} checks on {args.count} trees: "
+          f"{len(table) - len(bad)} satisfied, {len(bad)} violations")
     if args.out:
         _write_out(args.out, "random-trees", argv,
                    {"count": args.count, "max_depth": args.max_depth,
                     "max_dim": args.max_dim, "seed": args.seed,
                     "p": list(args.p), "ineq": [i.value for i in ids]},
-                   [formats.report_row(r) for r in reports],
-                   [formats.csv_row(r) for r in reports], started)
+                   formats.report_rows(table), formats.csv_rows(table), started)
     return EXIT_FAIL if bad else EXIT_OK
 
 

@@ -8,12 +8,12 @@ ProbTree.validate; only structural problems raise here.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from .errors import ConfigError
-from .ineq import InequalityReport
+from .ineq import InequalityReport, ReportTable
 from .ptree import Level, ProbTree
 from .sharpness import FamilySpec, SearchConfig, SearchResult
 from .wiener_mc import IntegrandSpec, Rule, RuleEntry
@@ -272,6 +272,17 @@ def csv_row(report: InequalityReport) -> dict:
     row = {name: getattr(report, name) for name in CSV_FIELDS[1:]}
     row["inequality"] = report.id
     return row
+
+
+def report_rows(table: ReportTable) -> list[dict]:
+    """report_row of every report in the table, built from its columns."""
+    return [dict(zip(REPORT_FIELDS, row))
+            for row in zip(*(table.columns[name] for name in REPORT_FIELDS))]
+
+
+def csv_rows(table: ReportTable) -> Iterator[tuple]:
+    """Every report's CSV row as a tuple in CSV_FIELDS order, from the columns."""
+    return zip(table.columns["id"], *(table.columns[name] for name in CSV_FIELDS[1:]))
 
 
 def search_result_to_obj(result: SearchResult) -> dict:

@@ -1,15 +1,15 @@
 """Moment inequality evaluators for discrete martingales on finite trees.
 
-Every evaluator returns an InequalityReport whose sides are exact (no
-sampling). The squared-display convention is used throughout: lhs and rhs
-are the squared L^p norms, except DOOB which is stated unsquared. BOUNDS,
-the table of the paper's four paired bounds, also serves wiener_mc.
+Every evaluator returns an InequalityReport, or a ReportTable of them,
+whose sides are exact (no sampling). The squared-display convention is used
+throughout: lhs and rhs are the squared L^p norms, except DOOB which is
+stated unsquared. BOUNDS, the table of the paper's four paired bounds, also
+serves wiener_mc.
 """
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,10 +91,11 @@ DISCRETE_EVAL_IDS = (
 class InequalityReport:
     """One verified comparison lhs <= constant * (rhs / constant).
 
-    For exact evaluators `satisfied` means lhs <= rhs + 1e-9 and `verdict`
-    is "satisfied" or "violation". Monte Carlo evaluators fill the ci_*
-    half-widths and may report the verdict "inconclusive" or
-    "violation-candidate" instead. `ratio` is lhs/rhs, with 0/0 mapped to 0.
+    Exact evaluators build their reports as ReportTable rows, where
+    `satisfied` means lhs <= rhs + ABS_TOL and `verdict` is "satisfied" or
+    "violation". Monte Carlo evaluators fill the ci_* half-widths and may
+    report the verdict "inconclusive" or "violation-candidate" instead.
+    `ratio` is lhs/rhs, with 0/0 mapped to 0.
     """
 
     id: str
@@ -112,25 +113,80 @@ class InequalityReport:
     notes: str = ""
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs == 0.0 else float("inf")
+_FIELDS = tuple(f.name for f in fields(InequalityReport))
+
+
+@dataclass(frozen=True, eq=False)
+class ReportTable:
+    """Reports held as columns: columns[name] lists every row's value of the
+    InequalityReport field `name`, in field order. Iterating (or indexing)
+    builds the InequalityReports one at a time."""
+
+    columns: dict[str, list]
+
+    def __len__(self) -> int:
+        return len(self.columns["id"])
+
+    def __iter__(self) -> Iterator[InequalityReport]:
+        return map(InequalityReport, *(self.columns[name] for name in _FIELDS))
+
+    def __getitem__(self, i: int) -> InequalityReport:
+        return InequalityReport(*(self.columns[name][i] for name in _FIELDS))
+
+    @classmethod
+    def of(cls, reports: Iterable[InequalityReport]) -> "ReportTable":
+        reports = list(reports)
+        return cls({name: [getattr(r, name) for r in reports] for name in _FIELDS})
+
+    @classmethod
+    def concat(cls, tables: Iterable["ReportTable"]) -> "ReportTable":
+        """The tables' rows in order; each table is read once, so a generator
+        of tables never holds more than one beside the result."""
+        columns = {name: [] for name in _FIELDS}
+        for table in tables:
+            for name, column in columns.items():
+                column.extend(table.columns[name])
+        return cls(columns)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # as Python floats: inf, NaN
+def _ratio(lhs, rhs):
+    """lhs/rhs, elementwise on arrays, with 0/0 mapped to 0 and x/0 to inf."""
+    positive = rhs > 0.0
+    return np.where(positive, lhs / np.where(positive, rhs, 1.0),
+                    np.where(lhs == 0.0, 0.0, np.inf))
+
+
+def _exact_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.ndarray,
+                 rhs: np.ndarray, constant: np.ndarray, seed: int | None = None,
+                 notes: str = "") -> ReportTable:
+    """The ReportTable of the exact comparisons lhs <= rhs, one row per entry
+    of the equal-length lists and float arrays. A side that overflowed a
+    float (or is NaN) raises DomainError, for the first such row, instead of
+    reaching a verdict."""
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"{ids[i]} at p={p[i]:g}: the exact sides overflow a "
+                          f"float (lhs={float(lhs[i])}, rhs={float(rhs[i])})")
+    satisfied = (lhs <= rhs + ABS_TOL).tolist()
+    ratio = _ratio(lhs, rhs)
+    rows = len(ids)
+    return ReportTable({
+        "id": ids, "p": p, "n_or_t": n_or_t, "lhs": lhs.tolist(),
+        "rhs": rhs.tolist(), "constant": constant.tolist(), "ratio": ratio.tolist(),
+        "satisfied": satisfied,
+        "verdict": ["satisfied" if s else "violation" for s in satisfied],
+        "ci_lhs": [None] * rows, "ci_rhs": [None] * rows, "seed": [seed] * rows,
+        "notes": [notes] * rows})
 
 
 def exact_report(ineq_id: str, p: float, n_or_t: float, lhs: float, rhs: float,
                  constant: float, seed: int | None = None,
                  notes: str = "") -> InequalityReport:
-    """The report of an exact comparison lhs <= rhs; sides that overflowed
-    a float (or are NaN) raise DomainError instead of reaching a verdict."""
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise DomainError(f"{ineq_id} at p={p:g}: the exact sides overflow a float "
-                          f"(lhs={lhs}, rhs={rhs})")
-    satisfied = lhs <= rhs + ABS_TOL
-    return InequalityReport(
-        id=ineq_id, p=p, n_or_t=n_or_t, lhs=lhs, rhs=rhs, constant=constant,
-        ratio=_ratio(lhs, rhs), satisfied=satisfied,
-        verdict="satisfied" if satisfied else "violation", seed=seed, notes=notes)
+    """The report of one exact comparison lhs <= rhs, _exact_table's one row."""
+    lhs, rhs, constant = np.array([[lhs], [rhs], [constant]], dtype=float)
+    return _exact_table([ineq_id], [p], [n_or_t], lhs, rhs, constant, seed, notes)[0]
 
 
 def coerce_id(kind: type[enum.Enum], value) -> enum.Enum:
@@ -154,43 +210,52 @@ def eval_discrete(tree: ProbTree, n: int, p, ineq_id) -> InequalityReport:
     RIO-CHAIN:  ||M_n||_p^2          <= ||M_0||^2 + (p-1) * sum_{k>=1} ||d_k||_p^2
     DOOB:       ||sup ||M||||_p      <= p/(p-1) * ||M_n||_p        (unsquared)
     """
-    report, = eval_tree(tree, [n], [p], [ineq_id])
-    return report
+    return eval_tree(tree, [n], [p], [ineq_id])[0]
 
 
 def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
-              ids: Iterable, seed: int | None = None,
-              notes: str = "") -> Iterator[InequalityReport]:
-    """Yield eval_discrete's report for every (n, p, id), in that nesting
-    order, reading all of them from one ptree.moments table per exponent;
-    seed and notes go into every report."""
+              ids: Iterable, seed: int | None = None, notes: str = "") -> ReportTable:
+    """eval_discrete's report for every (n, p, id), in that nesting order, as
+    one ReportTable read from a single ptree.moments table for all exponents;
+    seed and notes go into every row.
+
+    The roots and the squared norms are taken on scalars, one (n, p) at a
+    time; the constants and the right-hand sides are then whole columns."""
     ids = [coerce_id(InequalityId, i) for i in ids]
     if InequalityId.RIO_STEP in ids:
         raise DomainError("RIO-STEP compares a distribution pair; use eval_rio_step")
-    tables = [ptree.moments(tree, p) for p in p_values]
-    for n in levels:
-        for table in tables:
-            for iid in ids:
-                yield _tree_report(table, n, iid, seed, notes)
-
-
-def _tree_report(table: ptree.Moments, n: int, iid: InequalityId,
-                 seed: int | None, notes: str) -> InequalityReport:
-    p = table.p
-    lp, sup, quad, incr = table.norms(n)
-    bound = BOUNDS.get(iid)
-    if bound is not None:
-        constant = bound.constant(p)
-        lhs = (lp if bound.side == "terminal" else sup) ** 2
-        rhs = constant * (quad if bound.base == "square" else incr)
-    elif iid is InequalityId.RIO_CHAIN:
-        constant = BOUNDS[InequalityId.PROP1_MAIN].constant(p)
-        start_sq = table.norms(0)[3]
-        lhs, rhs = lp ** 2, start_sq + constant * (incr - start_sq)
-    else:  # DOOB
-        constant = p / (p - 1.0)
-        lhs, rhs = sup, constant * lp
-    return exact_report(iid.value, p, float(n), lhs, rhs, constant, seed, notes)
+    table = ptree.moments(tree, p_values)
+    levels = list(levels)
+    ps = table.p
+    # per level: ||M_n||_p, sup, quad, incr, ||M_n||_p^2 and sup^2 at each p
+    norms = [(lp, sup, quad, incr, [x ** 2 for x in lp], [x ** 2 for x in sup])
+             for lp, sup, quad, incr in map(table.norms, levels)]
+    lp, sup, quad, incr, lp_sq, sup_sq = np.array(
+        norms, dtype=float).reshape(len(levels), 6, len(ps)).transpose(1, 0, 2)
+    start_sq = table.incr[:, 0]   # ||M_0||^2
+    shape = (len(levels), len(ps), len(ids))
+    lhs, rhs, constant = np.empty(shape), np.empty(shape), np.empty(shape)
+    with np.errstate(over="ignore", invalid="ignore"):   # _exact_table refuses inf/NaN
+        for i, iid in enumerate(ids):
+            bound = BOUNDS.get(iid)
+            if bound is not None:
+                c = np.array([bound.constant(p) for p in ps])
+                lhs[..., i] = lp_sq if bound.side == "terminal" else sup_sq
+                rhs[..., i] = c * (quad if bound.base == "square" else incr)
+            elif iid is InequalityId.RIO_CHAIN:
+                c = np.array([BOUNDS[InequalityId.PROP1_MAIN].constant(p) for p in ps])
+                lhs[..., i] = lp_sq
+                rhs[..., i] = start_sq + c * (incr - start_sq)
+            else:  # DOOB
+                c = np.array([p / (p - 1.0) for p in ps])
+                lhs[..., i] = sup
+                rhs[..., i] = c * lp
+            constant[..., i] = c
+    return _exact_table(
+        [iid.value for iid in ids] * (len(levels) * len(ps)),
+        [p for p in ps for _ in ids] * len(levels),
+        [float(n) for n in levels for _ in range(len(ps) * len(ids))],
+        lhs.ravel(), rhs.ravel(), constant.ravel(), seed, notes)
 
 
 Atom = tuple[float, Sequence[float]]
@@ -371,8 +436,9 @@ def compare_constants(p) -> ConstantComparison:
 def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
                        p_values: Sequence[float],
                        ids: Sequence[InequalityId] = DISCRETE_EVAL_IDS,
-                       ) -> Iterator[InequalityReport]:
-    """Evaluate `ids` on `count` random trees, every level, every exponent.
+                       ) -> ReportTable:
+    """Evaluate `ids` on `count` random trees, every level, every exponent,
+    as the concatenation of one eval_tree table per tree.
 
     Tree t draws its depth in 1..max_depth and dimension in 1..max_dim from
     a substream derived from (seed, t), so the whole sweep is reproducible
@@ -383,11 +449,14 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
                           "and max_dim >= 1")
     p_values = [as_exponent(p) for p in p_values]
     ids = [coerce_id(InequalityId, i) for i in ids]
-    for t in range(int(count)):
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_SWEEP_STREAM, t))
-        rng = np.random.Generator(np.random.Philox(ss))
-        depth = int(rng.integers(1, int(max_depth) + 1))
-        dim = int(rng.integers(1, int(max_dim) + 1))
-        tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
-        yield from eval_tree(tree, range(tree.depth + 1), p_values, ids, seed=int(seed),
-                             notes=f"tree={t} depth={depth} dim={dim}")
+
+    def tables() -> Iterator[ReportTable]:
+        for t in range(int(count)):
+            ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_SWEEP_STREAM, t))
+            rng = np.random.Generator(np.random.Philox(ss))
+            depth = int(rng.integers(1, int(max_depth) + 1))
+            dim = int(rng.integers(1, int(max_dim) + 1))
+            tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
+            yield eval_tree(tree, range(tree.depth + 1), p_values, ids, seed=int(seed),
+                            notes=f"tree={t} depth={depth} dim={dim}")
+    return ReportTable.concat(tables())

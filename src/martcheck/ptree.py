@@ -274,7 +274,7 @@ class _LevelCalc:
     d_norm: list
 
 
-@np.errstate(over="ignore")   # norms beyond the float range: exact_report refuses them
+@np.errstate(over="ignore")   # norms beyond the float range: exact reports refuse them
 def _build_calc(tree: ProbTree) -> _LevelCalc:
     values = [np.array([tree.m0], dtype=float)]
     root_norm = np.array([np.linalg.norm(tree.m0)])
@@ -308,57 +308,67 @@ def _check_level(n, depth: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """One tree's exact moments at exponent p, entry k for level k:
-    m[k] = E ||M_k||^p, sup[k] = E (max_{v <= k} ||M_v||)^p,
-    quad[k] = E (sum_{v <= k} ||d_v||^2)^{p/2} and
-    incr[k] = sum_{v <= k} ||d_v||_{L^p}^2, the level-0 term being ||M_0||^2."""
+    """One tree's exact moments at the exponents p, row j for p[j] and column
+    k for level k: m[j, k] = E ||M_k||^p, sup[j, k] = E (max_{v <= k} ||M_v||)^p,
+    quad[j, k] = E (sum_{v <= k} ||d_v||^2)^{p/2} and
+    incr[j, k] = sum_{v <= k} ||d_v||_{L^p}^2, the level-0 term being ||M_0||^2."""
 
-    p: float
+    p: tuple[float, ...]
     m: np.ndarray
     sup: np.ndarray
     quad: np.ndarray
     incr: np.ndarray
 
-    def norms(self, n) -> tuple[float, float, float, float]:
+    def norms(self, n) -> tuple[list[float], list[float], list[float], list[float]]:
         """(||M_n||_p, ||max_{v <= n} ||M_v|| ||_p, ||sum_{k <= n} ||d_k||^2||_{p/2},
-        incr[n]) at a checked level n, each root taken on its scalar level sum."""
-        n = _check_level(n, len(self.m) - 1)
-        return (float(self.m[n] ** (1.0 / self.p)), float(self.sup[n] ** (1.0 / self.p)),
-                float(self.quad[n] ** (2.0 / self.p)), float(self.incr[n]))
+        incr[n]) at a checked level n, one entry per exponent, each root taken
+        on its scalar level sum."""
+        n = _check_level(n, self.m.shape[1] - 1)
+        return ([m ** (1.0 / p) for m, p in zip(self.m[:, n].tolist(), self.p)],
+                [s ** (1.0 / p) for s, p in zip(self.sup[:, n].tolist(), self.p)],
+                [q ** (2.0 / p) for q, p in zip(self.quad[:, n].tolist(), self.p)],
+                self.incr[:, n].tolist())
 
 
-@np.errstate(over="ignore")   # sums beyond the float range: exact_report refuses them
-def moments(tree: ProbTree, p) -> Moments:
-    """Reduce a valid tree's level walk to its Moments table at exponent p."""
-    p = as_exponent(p)
+@np.errstate(over="ignore")   # sums beyond the float range: exact reports refuse them
+def moments(tree: ProbTree, p_values: Sequence) -> Moments:
+    """Reduce a valid tree's level walk to its Moments table at every exponent.
+
+    Each level's w * r ** e rows (e a scalar exponent, so numpy keeps its
+    ** 2.0 square) are stacked and reduced along the level, which sums every
+    row pairwise exactly as a 1-D np.sum does; the roots of the increment
+    norms are taken on scalars."""
+    p = tuple(as_exponent(v) for v in p_values)
     calc = tree.calculus()
-
-    def level_sums(norms, e):
-        return np.array([np.sum(w * r ** e) for w, r in zip(calc.probs, norms)])
-
-    d_sq = [s ** (2.0 / p) for s in level_sums(calc.d_norm, p)]
-    return Moments(p, level_sums(calc.m_norm, p), level_sums(calc.sup_norm, p),
-                   level_sums(calc.quad, p / 2.0), np.cumsum(d_sq))   # left to right
+    exps = (p, p, tuple(v / 2.0 for v in p), p)
+    sums = np.empty((4, len(p), tree.depth + 1))   # m, sup, quad, d
+    for k, w in enumerate(calc.probs):
+        norms = (calc.m_norm[k], calc.sup_norm[k], calc.quad[k], calc.d_norm[k])
+        powers = np.array([r ** e for r, row in zip(norms, exps) for e in row])
+        sums[:, :, k] = (powers.reshape(4, len(p), len(w)) * w).sum(axis=2)
+    d_sq = [[s ** (2.0 / v) for s in row] for v, row in zip(p, sums[3].tolist())]
+    incr = np.cumsum(np.array(d_sq).reshape(len(p), tree.depth + 1), axis=1)   # left to right
+    return Moments(p, sums[0], sums[1], sums[2], incr)
 
 
 def lp_norm(tree: ProbTree, n: int, p) -> float:
-    """||M_n||_{L^p}, read from moments(tree, p)."""
-    return moments(tree, p).norms(n)[0]
+    """||M_n||_{L^p}, read from moments(tree, [p])."""
+    return moments(tree, [p]).norms(n)[0][0]
 
 
 def sup_lp_norm(tree: ProbTree, n: int, p) -> float:
-    """|| max_{v <= n} ||M_v|| ||_{L^p}, read from moments(tree, p)."""
-    return moments(tree, p).norms(n)[1]
+    """|| max_{v <= n} ||M_v|| ||_{L^p}, read from moments(tree, [p])."""
+    return moments(tree, [p]).norms(n)[1][0]
 
 
 def quadratic_sum_norm(tree: ProbTree, n: int, p) -> float:
-    """|| sum_{k<=n} ||d_k||^2 ||_{L^{p/2}}, read from moments(tree, p)."""
-    return moments(tree, p).norms(n)[2]
+    """|| sum_{k<=n} ||d_k||^2 ||_{L^{p/2}}, read from moments(tree, [p])."""
+    return moments(tree, [p]).norms(n)[2][0]
 
 
 def increment_lp_sum(tree: ProbTree, n: int, p) -> float:
-    """sum_{k<=n} ||d_k||_{L^p}^2 (level-0 term ||M_0||^2), read from moments(tree, p)."""
-    return moments(tree, p).norms(n)[3]
+    """sum_{k<=n} ||d_k||_{L^p}^2 (level-0 term ||M_0||^2), read from moments(tree, [p])."""
+    return moments(tree, [p]).norms(n)[3][0]
 
 
 def martingale_level(tree: ProbTree, n: int) -> LevelProcess:

@@ -180,7 +180,10 @@ class FamilySpec:
                 continue
             if box is None:
                 raise ConfigError(f"{self.tag} needs {name}_box")
-            lo, hi = (float(box[0]), float(box[1]))
+            try:
+                lo, hi = map(float, box)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name}_box must be a (lo, hi) pair, got {box!r}") from None
             top = 1.0 if scales[name] == "lin" else math.inf
             if not 0.0 < lo <= hi < top:
                 raise ConfigError(f"{name}_box must satisfy 0 < lo <= hi < {top:g}")

@@ -420,7 +420,7 @@ def _report(batch: WienerBatch, t: float, p: float, cid: ContinuousId) -> Inequa
         verdict = "inconclusive"
     return InequalityReport(
         id=cid.value, p=p, n_or_t=float(t), lhs=lhs, rhs=rhs, constant=constant,
-        ratio=_ratio(lhs, rhs), satisfied=verdict == "satisfied", verdict=verdict,
+        ratio=float(_ratio(lhs, rhs)), satisfied=verdict == "satisfied", verdict=verdict,
         ci_lhs=lhs_hw, ci_rhs=rhs_hw, seed=batch.seed, notes=notes)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, output files, reproducibility."""
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -303,6 +304,25 @@ class TestReproducibility:
             outputs.append((json.dumps(doc["results"], sort_keys=True),
                             (tmp_path / f"{tag}.csv").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("random-trees", "--count", "20", "--max-depth", "5", "--max-dim", "3",
+          "--p", "2", "2.5", "3", "4", "8", "--seed", "2026"),
+         "bab2d95d662aea1afffd0e34defa7a099a13112ea842120c76b14b827467edbc"),
+        (("verify-discrete", "--tree", COIN, "--p", "2", "3"),
+         "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
+    ])
+    def test_frozen_out_files(self, zoo, tmp_path, capsys, argv, digest):
+        """Every bit of the written rows is pinned: the canonical JSON results
+        and the CSV bytes, hashed together."""
+        argv = [str(zoo / a) if a == COIN else a for a in argv]
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "op"))
+        assert code == 0
+        results = json.loads((tmp_path / "op.json").read_text())["results"]
+        h = hashlib.sha256(json.dumps(results, sort_keys=True,
+                                      separators=(",", ":")).encode())
+        h.update((tmp_path / "op.csv").read_bytes())
+        assert h.hexdigest() == digest
 
     def test_search_rerun_identical(self, zoo, tmp_path, capsys):
         docs = []

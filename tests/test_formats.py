@@ -12,7 +12,9 @@ from martcheck import (
     ConfigError,
     MartcheckError,
     csv_row,
+    csv_rows,
     eval_discrete,
+    eval_tree,
     exact_report,
     integrand_to_obj,
     lp_norm,
@@ -21,6 +23,7 @@ from martcheck import (
     parse_tree,
     random_tree,
     report_row,
+    report_rows,
     search,
     search_result_to_obj,
     search_to_obj,
@@ -314,6 +317,14 @@ class TestReportRows:
         assert set(row) == set(CSV_FIELDS)
         assert row["inequality"] == "D-BURK-1"
         assert "notes" not in row and "verdict" not in row
+
+    def test_table_rows_are_report_rows(self):
+        tree = random_tree(2, 2, 4)
+        table = eval_tree(tree, range(3), (2.0, 3.5), ["DOOB", "D-BURK-1"], seed=3,
+                          notes="t")
+        assert report_rows(table) == [report_row(r) for r in table]
+        assert list(csv_rows(table)) == [tuple(csv_row(r)[name] for name in CSV_FIELDS)
+                                         for r in table]
 
     def test_rows_from_eval(self, zoo):
         tree = parse_tree(load(zoo, "tree_coin"))

@@ -315,16 +315,17 @@ class TestSweep:
     def test_report_count(self, monkeypatch):
         tables = []
 
-        def spy(tree, p):
-            tables.append(p)
-            return moments(tree, p)
+        def spy(tree, p_values):
+            tables.append(list(p_values))
+            return moments(tree, p_values)
 
         moments = ptree.moments
         monkeypatch.setattr(ptree, "moments", spy)
         ids = (ineq.InequalityId.PROP1_MAIN, ineq.InequalityId.DOOB)
         reports = list(ineq.sweep_random_trees(
             4, 2, 2, seed=1, p_values=(2, 3, 4), ids=ids))
-        assert tables == [2.0, 3.0, 4.0] * 4   # one moment table per tree and p
+        # one moment table per tree, carrying every exponent
+        assert tables == [[2.0, 3.0, 4.0]] * 4
         per_tree = {}
         for r in reports:
             tree = r.notes.split()[0]
@@ -333,6 +334,19 @@ class TestSweep:
         assert len(per_tree) == 4
         assert len(reports) == sum((d + 1) * 6 for d in per_tree.values())
         assert all(r.satisfied for r in reports)
+
+    def test_table_rows_are_single_evaluations(self):
+        """A table row is the report eval_discrete gives for its (n, p, id),
+        in (n, p, id) nesting order, however it is read."""
+        tree = ptree.random_tree(3, 2, 5)
+        table = ineq.eval_tree(tree, range(4), P_GRID, ineq.DISCRETE_EVAL_IDS)
+        expected = [ineq.eval_discrete(tree, n, p, i) for n in range(4)
+                    for p in P_GRID for i in ineq.DISCRETE_EVAL_IDS]
+        assert len(table) == len(expected) and list(table) == expected
+        assert table[7] == expected[7]
+        assert list(ineq.ReportTable.of(expected)) == expected
+        both = ineq.ReportTable.concat([table, ineq.ReportTable.of(expected[:2])])
+        assert list(both) == expected + expected[:2]
 
     def test_bad_sizes_rejected(self):
         for count, max_depth, max_dim in ((-1, 3, 2), (1, 0, 2), (1, 3, 0)):

@@ -285,6 +285,26 @@ def test_scale_equivariance(t, lam):
     assert len(lvl.probs) > 0
 
 
+@given(trees((0, 4), (1, 3)))
+def test_moments_rows_are_single_exponent_tables(t):
+    """Each row of the all-exponent table is, bit for bit, the single-exponent
+    table at its p and the 1-D level sums of w * r ** e; p=2 is where numpy
+    squares instead of calling pow."""
+    ps = (2.0, 2.5, 3.0, 4.0, 8.0)
+    table = ptree.moments(t, ps)
+    calc = t.calculus()
+    for j, p in enumerate(ps):
+        single = ptree.moments(t, (p,))
+        for name in ("m", "sup", "quad", "incr"):
+            assert (getattr(table, name)[j] == getattr(single, name)[0]).all()
+        for name, norms, e in (("m", calc.m_norm, p), ("sup", calc.sup_norm, p),
+                               ("quad", calc.quad, p / 2.0), ("incr", calc.d_norm, p)):
+            sums = [np.sum(w * r ** e) for w, r in zip(calc.probs, norms)]
+            if name == "incr":
+                sums = np.cumsum([s ** (2.0 / p) for s in sums])
+            assert (getattr(table, name)[j] == np.array(sums)).all()
+
+
 def test_random_tree_deterministic():
     a = ptree.random_tree(3, 2, seed=999)
     b = ptree.random_tree(3, 2, seed=999)

@@ -139,6 +139,11 @@ class TestFamilyConfig:
             FamilySpec(tag="ASYM-TWO-POINT", p=4, a_box=(1, 1),
                        b_box=(0.1, 1), q_box=(0.0, 0.5))
 
+    @pytest.mark.parametrize("box", [(1.0,), 5.0, (1.0, 2.0, 3.0)])
+    def test_box_must_be_a_pair(self, box):
+        with pytest.raises(ConfigError, match="a_box must be a"):
+            FamilySpec(tag="RIO-TWO-POINT", p=4, a_box=box, b_box=(0.1, 1))
+
     def test_target_constraints(self):
         fam = FamilySpec(tag="RIO-TWO-POINT", p=4, a_box=(1, 1), b_box=(0.1, 1))
         with pytest.raises(ConfigError):
