@@ -447,6 +447,8 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     if int(count) < 0 or int(max_depth) < 1 or int(max_dim) < 1:
         raise DomainError("random-tree sweep needs count >= 0, max_depth >= 1 "
                           "and max_dim >= 1")
+    if int(seed) < 0:
+        raise DomainError("seed must be a non-negative integer")
     p_values = [as_exponent(p) for p in p_values]
     ids = [coerce_id(InequalityId, i) for i in ids]
 

@@ -379,17 +379,75 @@ def martingale_level(tree: ProbTree, n: int) -> LevelProcess:
     return LevelProcess(n, calc.probs[n].copy(), calc.values[n].copy())
 
 
+class _PhiloxWords:
+    """The width-index draws of a Philox stream, replayed from its raw words.
+
+    read(n) returns the next n raw 64-bit words (bit_generator.random_raw),
+    read ahead in doubling chunks, one chunk held at a time. pos counts the
+    words consumed; the caller moves it past the words other draws take. A
+    32-bit draw takes the low half of a fresh word and keeps its high half
+    for the next 32-bit draw, as Philox's next_uint32 does; 64-bit draws
+    leave that half alone.
+    """
+
+    def __init__(self, read):
+        self._read = read
+        self._chunk = memoryview(np.empty(0, np.uint64))
+        self._base = 0    # stream position of the chunk's first word
+        self._half = -1   # high half kept by the last 32-bit draw, or -1
+        self.pos = 0
+
+    def index(self, nb: int) -> int:
+        """Generator.integers(0, nb) replayed by Lemire's multiply-and-reject:
+        (u * nb) >> 32 for the first 32-bit draw u with (u * nb) % 2**32 >=
+        (2**32 - nb) % nb; nb == 1 draws nothing."""
+        if nb == 1:
+            return 0
+        threshold = (2**32 - nb) % nb
+        while True:
+            if self._half >= 0:
+                u, self._half = self._half, -1
+            else:
+                while self.pos - self._base >= len(self._chunk):
+                    self._base += len(self._chunk)
+                    self._chunk = memoryview(self._read(max(self._base, 256)))
+                word = self._chunk[self.pos - self._base]
+                self.pos += 1
+                u, self._half = word & 0xFFFFFFFF, word >> 32
+            m = u * nb
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
 def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -> ProbTree:
     """Draw a martingale-valid random tree.
 
     The branching factors come from `branching` (each >= 2), branch
     probabilities are normalized positive draws, and each raw uniform
     [-1,1]^dim increment is recentred by the conditional mean at its node
-    so the martingale property holds to roundoff. `seed` may be an int or a
-    SeedSequence. A tree whose last level could hold more than MAX_PATHS
-    increment entries (max(branching) ** depth * dim), or whose nodes could
-    need more than MAX_TREE_BYTES while drawn, raises ResourceLimitError
-    before any draw.
+    so the martingale property holds to roundoff. `seed` may be a
+    non-negative int or a SeedSequence. A tree whose last level could hold
+    more than MAX_PATHS increment entries (max(branching) ** depth * dim),
+    or whose nodes could need more than MAX_TREE_BYTES while drawn, raises
+    ResourceLimitError before any draw.
+
+    Every bit is fixed by the words of one Philox stream, in the order
+    numpy's Generator draws them. M_0 takes the first dim words through
+    Generator.uniform(-1, 1). Then each internal node, in depth-first
+    preorder, takes
+      * its width index, as Generator.integers(0, nb) with nb =
+        len(branching) draws it: a 32-bit value, the low half of a fresh
+        word whose high half serves the next such draw, accepted by Lemire's
+        multiply-and-reject with threshold (2**32 - nb) % nb; no word when
+        nb == 1;
+      * then width * (1 + dim) words, each the double (w >> 11) * 2**-53 as
+        Generator.random gives it: its children's raw probabilities on
+        [0.1, 1[, then their raw increments on [-1, 1[, child by child.
+    A walk over the nodes in that order reads the words in chunks for the
+    width indices and records each node's width and first word. The stream
+    is then read again whole, and all nodes of one width are drawn at once
+    with the arithmetic of a node-by-node draw: scale and shift, divide the
+    probabilities by their np.add.reduce sum, subtract np.matmul(prob, incr).
     """
     depth = int(depth)
     dim = int(dim)
@@ -397,19 +455,21 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
     if len(branching) == 0 or min(branching) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(branching)}")
-    width = int(max(branching))
+    if not isinstance(seed, np.random.SeedSequence) and int(seed) < 0:
+        raise DomainError("seed must be a non-negative integer")
+    widest = int(max(branching))
     # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
     # so the power never grows into a huge integer
-    if width ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
+    if widest ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
         raise ResourceLimitError(
             f"depth-{depth} trees of dimension {dim} with branching up to "
-            f"{width} exceed the {MAX_PATHS} path enumeration cap")
-    # every node counts at its peak while drawn, as measured: <= 264 B at d = 1
-    # (binary trees hold the most per node) and ~18 B more per dimension
-    need = (width ** (depth + 1) - 1) // (width - 1) * (256 + 24 * dim)
+            f"{widest} exceed the {MAX_PATHS} path enumeration cap")
+    # every node counts at 256 + 24 * dim bytes, the peak a node-by-node draw
+    # held; tests/test_ptree.py checks the traced peak stays below it
+    need = (widest ** (depth + 1) - 1) // (widest - 1) * (256 + 24 * dim)
     if need > MAX_TREE_BYTES:
         raise ResourceLimitError(
-            f"depth-{depth} trees of dimension {dim} with branching up to {width} need "
+            f"depth-{depth} trees of dimension {dim} with branching up to {widest} need "
             f"about {need} bytes, over the {MAX_TREE_BYTES}-byte tree memory budget")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
@@ -417,35 +477,56 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_TREE_STREAM,))
     rng = np.random.Generator(np.random.Philox(ss))
     m0 = tuple(float(v) for v in rng.uniform(-1.0, 1.0, dim))
-    # entry k of each list serves level k+1: its parents' widths, then its
-    # branch probabilities and increments, appended in depth-first order
-    widths: list[list[int]] = [[] for _ in range(depth)]
-    probs: list[list[np.ndarray]] = [[] for _ in range(depth)]
-    incrs: list[list[np.ndarray]] = [[] for _ in range(depth)]
-    # one uniform draw per node holds its children's raw probabilities on
-    # [0.1, 1[ and raw increments on [-1, 1[, mapped as Generator.uniform does
-    lo = {int(w): np.repeat((0.1, -1.0), (w, w * dim)) for w in branching}
-    span = {int(w): np.repeat((1.0 - 0.1, 1.0 - -1.0), (w, w * dim)) for w in branching}
-    stack = [0] if depth else []   # levels of the internal nodes still to draw
-    while stack:                   # depth-first preorder fixes the draw order
+    if depth == 0:
+        return ProbTree(m0, [])
+    # the walk: each internal node's level, width and first word, in draw order
+    words = _PhiloxWords(rng.bit_generator.random_raw)
+    choices = [int(w) for w in branching]
+    levels: list[int] = []
+    widths: list[int] = []
+    firsts: list[int] = []
+    stack = [0]
+    while stack:
         k = stack.pop()
-        width = int(branching[rng.integers(0, len(branching))])
-        draw = rng.random(width * (1 + dim))
-        draw *= span[width]
-        draw += lo[width]
-        prob = draw[:width]
-        incr = draw[width:].reshape(width, dim)
-        prob /= np.add.reduce(prob)
-        incr -= prob @ incr
-        widths[k].append(width)
-        probs[k].append(prob)
-        incrs[k].append(incr)
+        w = choices[words.index(len(choices))]
+        levels.append(k)
+        widths.append(w)
+        firsts.append(words.pos)
+        words.pos += w * (1 + dim)
         if k + 1 < depth:
-            stack.extend([k + 1] * width)
-    return ProbTree(m0, [
-        Level(np.repeat(np.arange(len(widths[k]), dtype=np.intp), widths[k]),
-              np.concatenate(probs[k]), np.concatenate(incrs[k]))
-        for k in range(depth)])
+            stack.extend([k + 1] * w)
+    # nodes level by level, each level in draw order, so that node i's
+    # children are rows rows[i]..rows[i] + width[i] - 1 of the levels below
+    level = np.array(levels)
+    order = np.argsort(level, kind="stable")
+    per_level = np.bincount(level)
+    width = np.array(widths)[order]
+    first = np.array(firsts)[order]
+    ends = width.cumsum()
+    rows = ends - width
+    stream = np.random.Philox(ss).random_raw(dim + words.pos)[dim:]   # read again, whole
+    prob = np.empty(ends[-1])
+    incr = np.empty((ends[-1], dim))
+    for w in sorted(set(widths)):
+        nodes = np.flatnonzero(width == w)
+        draw = (stream[first[nodes, None] + np.arange(w * (1 + dim))] >> 11) * 2.0**-53
+        p = draw[:, :w]
+        x = draw[:, w:].reshape(len(nodes), w, dim)
+        p *= 1.0 - 0.1   # as Generator.uniform maps onto [0.1, 1[ and [-1, 1[
+        p += 0.1
+        x *= 1.0 - -1.0
+        x += -1.0
+        p /= np.add.reduce(p, axis=1)[:, None]
+        x -= np.matmul(p[:, None, :], x)
+        at = rows[nodes, None] + np.arange(w)
+        prob[at] = p
+        incr[at] = x
+    # each child's parent is its parent's index within the parent's level
+    bounds = np.concatenate(([0], per_level.cumsum()))
+    parent = np.repeat(np.arange(len(width)) - np.repeat(bounds[:-1], per_level), width)
+    cut = np.concatenate(([0], ends))[bounds].tolist()
+    return ProbTree(m0, [Level(parent[a:b], prob[a:b], incr[a:b])
+                         for a, b in zip(cut, cut[1:])])
 
 
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:

@@ -205,6 +205,8 @@ class SearchConfig:
             raise ConfigError("budget must be >= 1")
         object.__setattr__(self, "budget", int(self.budget))
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         target = ineq.coerce_id(ineq.InequalityId, self.target)
         object.__setattr__(self, "target", target.value)
         if self.family.tag == "RANDOM-TREE":

@@ -247,7 +247,7 @@ class TestSweepAndTables:
         assert "0 violations" in out
 
     @pytest.mark.parametrize("flag,value", [("--count", "-1"), ("--max-depth", "0"),
-                                            ("--max-dim", "0")])
+                                            ("--max-dim", "0"), ("--seed", "-1")])
     def test_random_trees_bad_sizes(self, capsys, flag, value):
         argv = {"--count": "2", "--max-depth": "3", "--max-dim": "2", flag: value}
         code, _, err = run(capsys, "random-trees", *(x for kv in argv.items() for x in kv))
@@ -255,7 +255,7 @@ class TestSweepAndTables:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [{"branching": [0]}, {"branching": [-1]},
-                                       {"depth": 26}, {"depth": 1100}])
+                                       {"depth": 26}, {"depth": 1100}, {"seed": -1}])
     def test_random_tree_search_limits(self, zoo, tmp_path, capsys, extra):
         config = json.loads((zoo / "search_tree_random.json").read_text())
         path = tmp_path / "search.json"

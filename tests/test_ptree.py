@@ -1,6 +1,7 @@
 """Exact tree calculus: frozen values, invariant checks, validation."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,8 @@ class TestLevels:
         for bad in ((), (-1,), (0,), (1, 2)):
             with pytest.raises(DomainError, match="branching"):
                 ptree.random_tree(2, 1, seed=0, branching=bad)
+        with pytest.raises(DomainError, match="non-negative"):
+            ptree.random_tree(2, 1, seed=-1)
         for depth in (26, 1100):
             with pytest.raises(ResourceLimitError):
                 ptree.random_tree(depth, 1, seed=0)
@@ -335,3 +338,126 @@ def test_frozen_random_tree_bits():
                     digest.update(values.tobytes())
     assert digest.hexdigest() == (
         "08e34052a671e04447b0a6432a41885dd227a2be38075436af91a3eebc822116")
+
+
+def node_by_node_tree(depth, dim, seed, branching):
+    """random_tree's draw as first written, one Generator call per width
+    index and one per node's uniforms in depth-first preorder: the
+    reference for the bits of the replayed draw. Returns m0 and one
+    (parent, prob, incr) triple per level."""
+    if isinstance(seed, np.random.SeedSequence):
+        ss = seed
+    else:
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(ptree._TREE_STREAM,))
+    rng = np.random.Generator(np.random.Philox(ss))
+    m0 = tuple(float(v) for v in rng.uniform(-1.0, 1.0, dim))
+    widths = [[] for _ in range(depth)]
+    probs = [[] for _ in range(depth)]
+    incrs = [[] for _ in range(depth)]
+    lo = {int(w): np.repeat((0.1, -1.0), (w, w * dim)) for w in branching}
+    span = {int(w): np.repeat((1.0 - 0.1, 1.0 - -1.0), (w, w * dim)) for w in branching}
+    stack = [0] if depth else []
+    while stack:
+        k = stack.pop()
+        width = int(branching[rng.integers(0, len(branching))])
+        draw = rng.random(width * (1 + dim))
+        draw *= span[width]
+        draw += lo[width]
+        prob = draw[:width]
+        incr = draw[width:].reshape(width, dim)
+        prob /= np.add.reduce(prob)
+        incr -= prob @ incr
+        widths[k].append(width)
+        probs[k].append(prob)
+        incrs[k].append(incr)
+        if k + 1 < depth:
+            stack.extend([k + 1] * width)
+    return m0, [(np.repeat(np.arange(len(widths[k]), dtype=np.intp), widths[k]),
+                 np.concatenate(probs[k]), np.concatenate(incrs[k]))
+                for k in range(depth)]
+
+
+seeds = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=(key,)),
+              st.integers(0, 2**64 - 1), st.integers(0, 2**16)))
+
+
+@given(st.integers(0, 5), st.integers(1, 3),
+       st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple), seeds)
+def test_random_tree_matches_node_by_node_draw(depth, dim, branching, seed):
+    """The level-at-a-time draw from replayed words equals the node-by-node
+    draw byte for byte, in every level array and in m0."""
+    tree = ptree.random_tree(depth, dim, seed, branching=branching)
+    m0, levels = node_by_node_tree(depth, dim, seed, branching)
+    assert np.array(tree.m0).tobytes() == np.array(m0).tobytes()
+    assert len(tree.levels) == len(levels)
+    for lvl, ref in zip(tree.levels, levels):
+        for got, want in zip((lvl.parent, lvl.prob, lvl.incr), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_width_index_replays_generator_integers():
+    """Width indices read from raw words equal Generator.integers(0, nb)
+    draws interleaved with Generator.random(k) on the same seed, nb == 1
+    reads no word, and the words skipped are those random(k) doubles."""
+    for seed in range(5):
+        gen = np.random.Generator(np.random.Philox(seed))
+        words = ptree._PhiloxWords(np.random.Philox(seed).random_raw)
+        skipped = []
+        for step, k in enumerate([0, 1, 3, 2, 5, 0, 0, 4, 300, 1] * 4):
+            nb = 1 + step % 9
+            pos, half = words.pos, words._half
+            assert words.index(nb) == gen.integers(0, nb)
+            if nb == 1:
+                assert (words.pos, words._half) == (pos, half)
+            skipped.append((words.pos, gen.random(k)))
+            words.pos += k
+        stream = np.random.Philox(seed).random_raw(words.pos)
+        for pos, doubles in skipped:
+            raw = stream[pos:pos + len(doubles)]
+            assert ((raw >> 11) * 2.0**-53).tobytes() == doubles.tobytes()
+
+
+def philox_on(words):
+    """A Philox bit generator whose next four raw words are `words`."""
+    bits = np.random.Philox(0)
+    state = bits.state
+    state["buffer"] = np.array(words, dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bits.state = state
+    return bits
+
+
+def test_width_index_rejection_branch():
+    """Lemire's rejection branch, which seeded streams essentially never
+    reach, replays as Generator.integers takes it, on crafted words."""
+    rejected = 0xFFFFFFFF << 32   # low half 0 is rejected for nb = 3 and 6
+    kept = 1431655766             # 6 * kept % 2**32 == 4, the nb = 6 threshold
+    crafted = [rejected, rejected, kept, (5 << 32) | 7]
+    draws = [3, 3, 6, 6, 2, 6, 3, 9, 1, 4]
+    gen = np.random.Generator(philox_on(crafted))
+    words = ptree._PhiloxWords(philox_on(crafted).random_raw)
+    got = [words.index(nb) for nb in draws]
+    assert got == [int(gen.integers(0, nb)) for nb in draws]
+    # u = 0 rejected twice, then the high halves 0xFFFFFFFF kept; u = kept on
+    # the threshold; the half 0 rejected and the next word's low half 7 kept
+    assert got[:4] == [2, 2, 2, 0]
+
+
+@pytest.mark.parametrize("depth,dim,branching", [(16, 1, (2,)), (11, 3, (3,))])
+def test_random_tree_peak_within_byte_charge(depth, dim, branching):
+    """The traced peak of a draw, at about the largest depth that draws in
+    under a second, stays within the 256 + 24 * dim bytes per node that
+    random_tree charges against MAX_TREE_BYTES."""
+    width = branching[0]
+    nodes = (width ** (depth + 1) - 1) // (width - 1)
+    tracemalloc.start()
+    try:
+        tree = ptree.random_tree(depth, dim, 3, branching=branching)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 + sum(len(lvl.parent) for lvl in tree.levels) == nodes
+    assert peak <= nodes * (256 + 24 * dim)
