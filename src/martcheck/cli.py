@@ -116,17 +116,16 @@ def _cmd_verify_continuous(args, argv) -> int:
     ids = _coerce_ids(args.ineq, ineq.ContinuousId, ineq.ContinuousId)
     spec = formats.parse_integrand(_load_json(args.integrand))
     t = spec.horizon if args.t is None else args.t
-    reports = wiener_mc.eval_continuous(spec, t, args.p, ids, args.paths, args.seed)
-    for r in reports:
+    table = wiener_mc.eval_continuous(spec, t, args.p, ids, args.paths, args.seed)
+    for r in table:
         print(_report_line(r))
     if args.out:
-        table = ineq.ReportTable.of(reports)
         _write_out(args.out, "verify-continuous", argv,
-                   {"integrand": args.integrand, "t": t, "p": args.p,
+                   {"integrand": args.integrand, "t": t, "p": list(args.p),
                     "paths": args.paths, "seed": args.seed,
                     "ineq": [i.value for i in ids]},
                    formats.report_rows(table), formats.csv_rows(table), started)
-    verdicts = {r.verdict for r in reports}
+    verdicts = set(table.columns["verdict"])
     if "violation-candidate" in verdicts:
         return EXIT_FAIL
     if "inconclusive" in verdicts and not args.allow_inconclusive:
@@ -217,7 +216,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-continuous", help="Monte Carlo integral checks")
     p.add_argument("--integrand", required=True, help="integrand JSON file")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=float, nargs="+", required=True)
     p.add_argument("--t", type=float, default=None,
                    help="evaluation time (default: the horizon)")
     p.add_argument("--paths", type=int, default=10000)

@@ -13,14 +13,10 @@ from typing import Any, Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .ineq import InequalityReport, ReportTable
+from .ineq import REPORT_FIELDS, InequalityReport, ReportTable
 from .ptree import Level, ProbTree
 from .sharpness import FamilySpec, SearchConfig, SearchResult
-from .wiener_mc import IntegrandSpec, Rule, RuleEntry
-
-#: full field order of the JSON report rows
-REPORT_FIELDS = ("id", "p", "n_or_t", "lhs", "rhs", "constant", "ratio",
-                 "satisfied", "verdict", "ci_lhs", "ci_rhs", "seed", "notes")
+from .wiener_mc import IntegrandSpec, Rule, RuleEntry, check_dim
 
 #: fixed CSV column set (stable across versions)
 CSV_FIELDS = ("inequality", "p", "n_or_t", "lhs", "rhs", "constant", "ratio",
@@ -177,6 +173,7 @@ def parse_integrand(obj: Any) -> IntegrandSpec:
     """
     obj = _dict(obj, "integrand document")
     dim = _integer(_get(obj, "dim", "integrand"), "dim")
+    check_dim(dim)
     rules = obj.get("rules", [])
     if not isinstance(rules, list):
         raise ConfigError("rules must be a list")

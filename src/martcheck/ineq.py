@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import ptree
-from .errors import DomainError, PreconditionError, QuadratureError
+from .errors import DomainError, PreconditionError, QuadratureError, ResourceLimitError
 from .ptree import ProbTree, as_exponent
 
 ABS_TOL = 1e-9        # lhs <= rhs + ABS_TOL defines "satisfied" for exact sides
@@ -23,6 +23,11 @@ QUAD_TOL = 1e-10      # relative convergence tolerance of adaptive_panel_quadrat
 _GRADING = 0.25       # geometric ratio of the graded panels toward each anchor
 
 _SWEEP_STREAM = 12    # spawn-key domain tag for the random-tree sweep
+SWEEP_MEMORY_BUDGET = 1 << 30   # bytes the report rows of one sweep may take
+# bytes charged per row a sweep may give, count * (max_depth + 1) * p * ids:
+# table entries, report_rows dicts and JSON text of random-trees --out trace
+# at 820-910 bytes per such row (1240-1380 per row written)
+_SWEEP_ROW_BYTES = 1300
 
 
 class InequalityId(enum.Enum):
@@ -113,7 +118,9 @@ class InequalityReport:
     notes: str = ""
 
 
-_FIELDS = tuple(f.name for f in fields(InequalityReport))
+#: InequalityReport's fields in order: the ReportTable columns and the keys
+#: of the JSON report rows
+REPORT_FIELDS = tuple(f.name for f in fields(InequalityReport))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,21 +135,21 @@ class ReportTable:
         return len(self.columns["id"])
 
     def __iter__(self) -> Iterator[InequalityReport]:
-        return map(InequalityReport, *(self.columns[name] for name in _FIELDS))
+        return map(InequalityReport, *(self.columns[name] for name in REPORT_FIELDS))
 
     def __getitem__(self, i: int) -> InequalityReport:
-        return InequalityReport(*(self.columns[name][i] for name in _FIELDS))
+        return InequalityReport(*(self.columns[name][i] for name in REPORT_FIELDS))
 
     @classmethod
     def of(cls, reports: Iterable[InequalityReport]) -> "ReportTable":
         reports = list(reports)
-        return cls({name: [getattr(r, name) for r in reports] for name in _FIELDS})
+        return cls({name: [getattr(r, name) for r in reports] for name in REPORT_FIELDS})
 
     @classmethod
     def concat(cls, tables: Iterable["ReportTable"]) -> "ReportTable":
         """The tables' rows in order; each table is read once, so a generator
         of tables never holds more than one beside the result."""
-        columns = {name: [] for name in _FIELDS}
+        columns = {name: [] for name in REPORT_FIELDS}
         for table in tables:
             for name, column in columns.items():
                 column.extend(table.columns[name])
@@ -442,7 +449,8 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
 
     Tree t draws its depth in 1..max_depth and dimension in 1..max_dim from
     a substream derived from (seed, t), so the whole sweep is reproducible
-    from the single seed.
+    from the single seed. Before the first tree, the rows the deepest trees
+    would give are charged against SWEEP_MEMORY_BUDGET.
     """
     if int(count) < 0 or int(max_depth) < 1 or int(max_dim) < 1:
         raise DomainError("random-tree sweep needs count >= 0, max_depth >= 1 "
@@ -451,6 +459,12 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
         raise DomainError("seed must be a non-negative integer")
     p_values = [as_exponent(p) for p in p_values]
     ids = [coerce_id(InequalityId, i) for i in ids]
+    rows = int(count) * (int(max_depth) + 1) * len(p_values) * len(ids)
+    if rows * _SWEEP_ROW_BYTES > SWEEP_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"a sweep of {count} trees up to depth {max_depth} may give {rows} report "
+            f"rows, {rows * _SWEEP_ROW_BYTES} bytes at {_SWEEP_ROW_BYTES} bytes a row, "
+            f"over the {SWEEP_MEMORY_BUDGET}-byte sweep memory budget")
 
     def tables() -> Iterator[ReportTable]:
         for t in range(int(count)):

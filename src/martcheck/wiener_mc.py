@@ -13,7 +13,7 @@ with one worker per CPU the process may use (its CPU affinity), and the
 calling thread merges each block's rows in block order. The block
 decomposition and all reduction orders are algorithm constants, so the
 bits do not depend on the worker count or on the order in which blocks
-finish. One simulation serves every inequality id of a run.
+finish. One simulation serves every inequality id and exponent of a run.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError
-from .ineq import BOUNDS, ContinuousId, InequalityReport, _ratio, coerce_id
+from .ineq import BOUNDS, ContinuousId, InequalityReport, ReportTable, _ratio, coerce_id
 from .ptree import as_exponent
 
 BLOCK_PATHS = 1024          # fixed substream block size
@@ -116,9 +116,20 @@ class IntegrandSpec:
         return sorted((e for e in self.entries if e.j == j), key=lambda e: e.start)
 
 
+def check_dim(dim: int) -> None:
+    """Refuse, before a scalar coefficient is broadcast to it, an integrand
+    dimension no run could hold: two paths' output rows alone, 16 (dim + 2)
+    bytes, would exceed BLOCK_MEMORY_BUDGET."""
+    if 16 * (dim + 2) > BLOCK_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"integrand dim={dim}: two paths' output rows need {16 * (dim + 2)} "
+            f"bytes, over the {BLOCK_MEMORY_BUDGET}-byte block memory budget")
+
+
 def constant_integrand(value, dim: int = 1, wiener_dim: int = 1,
                        horizon: float = 1.0, steps: int = 1024) -> IntegrandSpec:
     """f^j = value (a scalar broadcast to R^dim) for every j and every step."""
+    check_dim(dim)
     c = tuple(float(value) for _ in range(dim))
     entries = tuple(RuleEntry(0, steps, j, Rule("const", c))
                     for j in range(1, wiener_dim + 1))
@@ -133,9 +144,9 @@ class WienerBatch:
     x_stop: X at the stop grid index, one row per path.
     sup_norm: max of ||X|| over grid points 0..stop per path.
     riemann: left-endpoint sum of g = sum_j ||f^j||^2 over [0, t_stop] per path.
-    zakai_rows: (groups, stop) sums of g(t_i)^{p/2} over the paths of each
-        batch-means group (see _group_bounds), for the exponent p given to
-        simulate; None when simulate got no p.
+    p: the exponents given to simulate.
+    zakai_rows: (len(p), groups, stop) sums of g(t_i)^{p_k/2} over the paths
+        of each batch-means group (see _group_bounds); None when p is empty.
     """
 
     spec: IntegrandSpec
@@ -145,6 +156,7 @@ class WienerBatch:
     x_stop: np.ndarray
     sup_norm: np.ndarray
     riemann: np.ndarray
+    p: tuple[float, ...] = ()
     zakai_rows: np.ndarray | None = None
 
 
@@ -154,11 +166,11 @@ def _pow(arr: np.ndarray, e: float) -> np.ndarray:
 
 
 def _check_run(spec: IntegrandSpec, paths: int, seed: int,
-               zakai_steps: int = 0) -> tuple[int, int]:
+               stop: int = 0, exponents: int = 0) -> tuple[int, int]:
     """Reject a run before it allocates. Return one block's working-set bytes
     and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the output
-    simulate keeps, its per-path rows and, given zakai_steps (the stop index
-    of a run given p), its ZAKAI rows."""
+    simulate keeps, its per-path rows and the ZAKAI rows up to the stop index
+    for each of its exponents."""
     if int(paths) < 2:
         raise DomainError("paths must be >= 2")
     if int(seed) < 0:
@@ -168,7 +180,7 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
         raise ResourceLimitError(
             f"paths*steps*m = {cells} exceeds the cap {DEFAULT_CELL_CAP}")
     m, d, nw = spec.wiener_dim, spec.dim, spec.needs_wiener
-    out_bytes = 8 * (int(paths) * (d + 2) + min(CI_GROUPS, int(paths)) * zakai_steps)
+    out_bytes = 8 * (int(paths) * (d + 2) + exponents * min(CI_GROUPS, int(paths)) * stop)
     # (bsz, steps) arrays a block holds at its peak, as traced: dW (m); W (m)
     # and g unless the integrand is constant; the increments of X (d) unless
     # d = m = 1 scales dW in place; over its steps, the widest rule's f^j and
@@ -179,9 +191,9 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
                 for e in spec.entries), default=0) / spec.steps
     arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
     bsz = min(int(paths), BLOCK_PATHS)
-    # per path: its output rows; rows of steps: a constant g and g^{p/2}, the
-    # block's small objects and, given p, its ZAKAI rows (one per group met)
-    rows = 3 + (min(CI_GROUPS, bsz) + 1 if zakai_steps and nw else 0)
+    # per path: its output rows; rows of steps: a constant g, the block's small
+    # objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
+    rows = 3 + exponents * (min(CI_GROUPS, bsz) + 1 if nw else 1)
     block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2)
                                  + (spec.steps + 1) * rows)) + _UFUNC_BUFFER_BYTES
     room = BLOCK_MEMORY_BUDGET - out_bytes
@@ -234,16 +246,16 @@ def _group_bounds(paths: int) -> list[tuple[int, int]]:
 
 
 def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
-           half_power: float | None, b: int):
+           half_powers: tuple[float, ...], b: int):
     """Simulate path block b and reduce it to its rows of the batch.
 
     Returns (lo, hi, x_stop rows, sup_norm rows, riemann rows, zakai), where
-    zakai lists the (group, partial row) sums of g^{p/2} over the block's
-    paths in each batch-means group it overlaps. For a constant integrand,
-    whose g is one row shared by every path, block 0 lists the row g^{p/2}
-    under the index of every group and the other blocks list nothing;
-    simulate scales it by the group sizes. The block allocates only its own
-    arrays and writes no shared state.
+    zakai lists the ((k, group), partial row) sums of g^{p/2}, p/2 the k-th
+    half-power, over the block's paths in each batch-means group it overlaps.
+    For a constant integrand, whose g is one row shared by every path, block
+    0 lists the row g^{p/2} under k, for every group, and the other blocks
+    list nothing; simulate scales it by the group sizes. The block allocates
+    only its own arrays and writes no shared state.
     """
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
@@ -280,18 +292,18 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     riemann = g[..., :stop].sum(axis=-1) * spec.dt
 
     zakai = []
-    if half_power is not None:
+    bounds = _group_bounds(paths)
+    groups = len(bounds)
+    for k, half_power in enumerate(half_powers):
         y = _pow(g[..., :stop], half_power)
         if y.ndim == 2:
-            bounds = _group_bounds(paths)
-            groups = len(bounds)
             for grp in range(lo * groups // paths, (hi - 1) * groups // paths + 1):
                 gl = max(lo, bounds[grp][0])
                 gh = min(hi, bounds[grp][1])
                 if gl < gh:
-                    zakai.append((grp, y[gl - lo:gh - lo].sum(axis=0)))
+                    zakai.append(((k, grp), y[gl - lo:gh - lo].sum(axis=0)))
         elif b == 0:
-            zakai.append((slice(None), y))
+            zakai.append((k, y))
         del y
     del g
 
@@ -307,23 +319,23 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
 
 
 def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
-             p=None) -> WienerBatch:
+             p: Sequence = ()) -> WienerBatch:
     """Simulate the batch once and reduce it to per-path statistics.
 
     Statistics are taken at/up to time t (default: the horizon), which must
-    lie on the grid. Given the exponent p, the batch also carries the ZAKAI
-    rows for that p. Deterministic for fixed (spec, paths, seed, t, p),
-    whatever the number of worker threads.
+    lie on the grid. Given exponents p, the batch also carries the ZAKAI rows
+    of each, the bits a run given it alone computes. Deterministic for fixed
+    (spec, paths, seed, t, p), whatever the number of worker threads.
     """
+    p = tuple(as_exponent(v) for v in p)
     stop = spec.steps if t is None else grid_index(spec, t)
-    block_bytes, room = _check_run(spec, paths, seed, 0 if p is None else stop)
+    block_bytes, room = _check_run(spec, paths, seed, stop, len(p))
     paths, seed = int(paths), int(seed)
-    half_power = None if p is None else as_exponent(p) / 2.0
 
     x_stop = np.empty((paths, spec.dim))
     sup_norm = np.empty(paths)
     riemann = np.empty(paths)
-    zrows = None if p is None else np.zeros((len(_group_bounds(paths)), stop))
+    zrows = np.zeros((len(p), len(_group_bounds(paths)), stop)) if p else None
 
     def merge(results) -> None:
         # block order fixes the addition order of the ZAKAI partial rows
@@ -331,11 +343,11 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
             x_stop[lo:hi] = xs
             sup_norm[lo:hi] = sup
             riemann[lo:hi] = rie
-            for g, row in zakai:
-                zrows[g] += row
+            for key, row in zakai:
+                zrows[key] += row
 
     blocks = -(-paths // BLOCK_PATHS)
-    run = functools.partial(_block, spec, paths, seed, stop, half_power)
+    run = functools.partial(_block, spec, paths, seed, stop, tuple(v / 2.0 for v in p))
     workers = _workers(blocks, block_bytes, room)
     if workers <= 1:
         merge(map(run, range(blocks)))
@@ -362,7 +374,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
 
     return WienerBatch(spec=spec, seed=seed, paths=paths, stop=stop,
                        x_stop=x_stop, sup_norm=sup_norm, riemann=riemann,
-                       zakai_rows=zrows)
+                       p=p, zakai_rows=zrows)
 
 
 def _mc_power(y: np.ndarray, expo: float) -> tuple[float, float]:
@@ -381,7 +393,7 @@ def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
 
     The simulated integrand is constant on each step, so the left sum is the
     exact time integral for the simulated process."""
-    zrows, dt = batch.zakai_rows, batch.spec.dt
+    zrows, dt = batch.zakai_rows[batch.p.index(p)], batch.spec.dt
     sizes = np.array([hi - lo for lo, hi in _group_bounds(batch.paths)], dtype=float)
     point = dt * float(_pow(zrows.sum(axis=0) / batch.paths, 2.0 / p).sum())
     per_group = dt * _pow(zrows / sizes[:, None], 2.0 / p).sum(axis=1)
@@ -424,8 +436,8 @@ def _report(batch: WienerBatch, t: float, p: float, cid: ContinuousId) -> Inequa
         ci_lhs=lhs_hw, ci_rhs=rhs_hw, seed=batch.seed, notes=notes)
 
 
-def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_ids: Sequence,
-                    paths: int, seed: int) -> list[InequalityReport]:
+def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
+                    ineq_ids: Sequence, paths: int, seed: int) -> ReportTable:
     """Monte Carlo comparison of continuous inequalities at time t.
 
     C-BURK-1:   ||X_t||_p^2       <= (p-1)^2  * || int sum_j ||f^j||^2 du ||_{p/2}
@@ -433,8 +445,8 @@ def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_ids: Sequence,
     ZAKAI-MAIN: ||X_t||_p^2       <= (p-1)    * int_0^t || sum_j ||f^j_u||^2 ||_{p/2} du
     ZAKAI-MAX:  ||sup ||X||||_p^2 <= p^2/(p-1) * (same integral)
 
-    One simulation of (spec, paths, seed) serves every id in ineq_ids, and
-    one report per id comes back in the order given. The ZAKAI time
+    One simulation of (spec, paths, seed) serves every exponent and id; the
+    reports come back as one ReportTable in (p, id) order. The ZAKAI time
     integral is the left sum over the grid steps before t, which is exact
     for the piecewise-constant simulated integrand. The verdict is
     three-valued: satisfied when the lhs upper 95% bound is below the rhs
@@ -443,13 +455,13 @@ def eval_continuous(spec: IntegrandSpec, t: float, p, ineq_ids: Sequence,
     grid points only, which biases the maximal statistics downward; reports
     carry a note saying so.
     """
-    p = as_exponent(p)
+    p_values = [as_exponent(p) for p in p_values]
     if isinstance(ineq_ids, (str, ContinuousId)):
         raise DomainError("ineq_ids must be a sequence of inequality ids")
     cids = [coerce_id(ContinuousId, i) for i in ineq_ids]
-    zakai_p = p if any(BOUNDS[c].base == "increments" for c in cids) else None
-    batch = simulate(spec, paths, seed, t, zakai_p)
-    return [_report(batch, t, p, cid) for cid in cids]
+    zakai = any(BOUNDS[c].base == "increments" for c in cids)
+    batch = simulate(spec, paths, seed, t, p_values if zakai else ())
+    return ReportTable.of(_report(batch, t, p, cid) for p in p_values for cid in cids)
 
 
 def gaussian_abs_moment(p) -> float:

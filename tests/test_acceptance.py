@@ -45,6 +45,16 @@ def unit_spec(zoo):
         return parse_integrand(json.load(fh))
 
 
+@pytest.fixture(scope="module")
+def unit_batch(unit_spec):
+    """f == 1, one million paths, 1024 steps: the ZAKAI-MAIN reports at
+    p = 4 and p = 2 from one simulation, and the time that call took."""
+    t0 = time.monotonic()
+    reports = list(eval_continuous(unit_spec, 1.0, [4.0, 2.0], ["ZAKAI-MAIN"],
+                                   10 ** 6, SWEEP_SEED))
+    return reports, time.monotonic() - t0
+
+
 def test_criterion_1_universal_satisfaction(sweep):
     """500 random trees, depth <= 5, dim <= 3, five exponents, all levels,
     all six tree inequalities satisfied at tolerance 1e-9 in under 60 s."""
@@ -96,23 +106,21 @@ def test_criterion_4_constant_improvement():
     _report(4, "p in {2.5,3,4,8,16} strict, p=2 tied", all(checks))
 
 
-def test_criterion_5_unit_integrand_fourth_moment(unit_spec):
+def test_criterion_5_unit_integrand_fourth_moment(unit_batch):
     """f == 1, one million paths, 1024 steps, p=4: the left side matches
     the Gaussian fourth-moment value sqrt(3) to 1% and the right side is
-    exactly 3; under 60 s."""
-    t0 = time.monotonic()
-    r, = eval_continuous(unit_spec, 1.0, 4.0, ["ZAKAI-MAIN"], 10 ** 6, SWEEP_SEED)
-    elapsed = time.monotonic() - t0
+    exactly 3; under 60 s for the simulation p=4 shares with criterion 6."""
+    (r, _), elapsed = unit_batch
     rel = abs(r.lhs - math.sqrt(3.0)) / math.sqrt(3.0)
     ok = rel <= 0.01 and r.rhs == 3.0 and r.satisfied and elapsed < 60.0
     _report(5, f"lhs={r.lhs:.5f} (rel err {rel:.2%}), rhs={r.rhs}, "
                f"{elapsed:.1f}s", ok)
 
 
-def test_criterion_6_isometry_control(unit_spec):
+def test_criterion_6_isometry_control(unit_batch):
     """Same setup at p=2 is an equality: the estimate's 95% interval must
     cover 1.0 and the ratio must stay at least 0.98."""
-    r, = eval_continuous(unit_spec, 1.0, 2.0, ["ZAKAI-MAIN"], 10 ** 6, SWEEP_SEED)
+    (_, r), _ = unit_batch
     covered = abs(r.lhs - 1.0) <= r.ci_lhs + r.ci_rhs
     ok = covered and r.ratio >= 0.98 and r.rhs == 1.0
     _report(6, f"lhs={r.lhs:.5f}+-{r.ci_lhs:.4f}, ratio={r.ratio:.5f}", ok)

@@ -197,6 +197,43 @@ class TestVerifyContinuous:
         ids = [line.split()[0] for line in out.splitlines() if line]
         assert ids == ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"]
 
+    def test_several_exponents_share_one_simulation(self, zoo, tmp_path, capsys,
+                                                    monkeypatch):
+        """--p 2 4 writes its rows in (p, id) order from one simulation, each
+        row the one a run given that exponent alone writes, and its exit code
+        is taken over all rows: the p=2 identity is inconclusive, though the
+        last exponent's rows are all satisfied."""
+        calls = []
+        real = wiener_mc.simulate
+        monkeypatch.setattr(wiener_mc, "simulate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        argv = ["verify-continuous", "--integrand", str(zoo / "spec_const1.json"),
+                "--paths", "4096", "--seed", "1", "--ineq", "ZAKAI-MAIN", "C-BURK-1"]
+        code, _, _ = run(capsys, *argv, "--p", "2", "4", "--out", str(tmp_path / "both"))
+        assert code == 2
+        assert len(calls) == 1
+        doc = json.loads((tmp_path / "both.json").read_text())
+        assert doc["manifest"]["params"]["p"] == [2.0, 4.0]
+        assert [(r["p"], r["id"]) for r in doc["results"]] == [
+            (2.0, "ZAKAI-MAIN"), (2.0, "C-BURK-1"), (4.0, "ZAKAI-MAIN"), (4.0, "C-BURK-1")]
+        for p, rows, alone_code in (("2", doc["results"][:2], 2),
+                                    ("4", doc["results"][2:], 0)):
+            code, _, _ = run(capsys, *argv, "--p", p, "--out", str(tmp_path / p))
+            assert code == alone_code
+            assert json.loads((tmp_path / f"{p}.json").read_text())["results"] == rows
+
+    def test_huge_dim_is_an_error(self, tmp_path, capsys):
+        """A scalar coefficient is not broadcast to a dimension no run could
+        hold."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dim": 10 ** 12, "wiener_dim": 1, "horizon": 1.0,
+                                    "steps": 4, "rules": [{"range": [0, 4], "j": 1,
+                                                           "kind": "const", "c": 1.0}]}))
+        code, _, err = run(capsys, "verify-continuous", "--integrand", str(path),
+                           "--p", "4")
+        assert code == 1
+        assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+
     def test_out_csv_has_seed_column(self, zoo, tmp_path, capsys):
         base = str(tmp_path / "mc")
         code, _, _ = run(capsys, "verify-continuous",
@@ -263,6 +300,41 @@ class TestSweepAndTables:
         code, _, err = run(capsys, "sharpness", "--config", str(path))
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_sweep_rows_capped_before_any_tree(self, capsys, monkeypatch):
+        """A sweep whose report rows could outgrow the sweep memory budget is
+        an error before any tree is drawn; criterion 1's sweep (500 trees up
+        to depth 5, five exponents, six ids) charges under an eighth of it."""
+        from martcheck import ineq, ptree
+
+        def no_tree(*args):
+            raise AssertionError("a tree was drawn")
+
+        monkeypatch.setattr(ptree, "random_tree", no_tree)
+        code, _, err = run(capsys, "random-trees", "--count", "10000000",
+                           "--max-depth", "5", "--p", "2", "3", "4")
+        assert code == 1
+        assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+        assert 500 * 6 * 5 * 6 * ineq._SWEEP_ROW_BYTES < ineq.SWEEP_MEMORY_BUDGET / 8
+
+    def test_sweep_peak_within_row_charge(self, tmp_path, capsys):
+        """The memory random-trees --out traces stays below the rows it was
+        charged for."""
+        import tracemalloc
+
+        from martcheck import ineq
+
+        argv = ["random-trees", "--count", "100", "--max-depth", "5", "--seed", "1",
+                "--out", str(tmp_path / "sweep")]
+        run(capsys, *argv)   # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 100 * 6 * 3 * 6 * ineq._SWEEP_ROW_BYTES
 
     def test_compare_constants(self, capsys):
         code, out, _ = run(capsys, "compare-constants", "--p", "2", "4")

@@ -263,7 +263,7 @@ class TestBounds:
         and the two-point search bound."""
         walk = ptree.symmetric_walk(2)
         comparison = ineq.compare_constants(p)
-        ito = eval_continuous(constant_integrand(1.0, steps=4), 1.0, p,
+        ito = eval_continuous(constant_integrand(1.0, steps=4), 1.0, [p],
                               [cid for _, cid, _ in self.PAIRS], 64, 0)
         for (tid, cid, field), r in zip(self.PAIRS, ito):
             assert r.id == cid

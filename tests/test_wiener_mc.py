@@ -51,6 +51,16 @@ class TestIntegrandSpec:
         assert not spec.needs_wiener
         assert spec.segments(1)[0].rule.kind == "const"
 
+    def test_huge_dim_refused_before_broadcast(self):
+        """Two paths' output rows, 16 (dim + 2) bytes, must fit the block
+        memory budget; a dimension past that is refused before a scalar
+        coefficient is broadcast to it."""
+        wmc.check_dim(wmc.BLOCK_MEMORY_BUDGET // 16 - 2)
+        with pytest.raises(ResourceLimitError, match="block memory budget"):
+            wmc.check_dim(wmc.BLOCK_MEMORY_BUDGET // 16 - 1)
+        with pytest.raises(ResourceLimitError, match="block memory budget"):
+            constant_integrand(1.0, dim=10 ** 12)
+
     def test_overlap_rejected(self):
         with pytest.raises(DomainError, match="overlap"):
             IntegrandSpec(1, 1, 1.0, 16, (
@@ -125,7 +135,7 @@ class TestSimulate:
         batch = simulate(spec, 100, seed=5)
         assert not batch.x_stop.any()
         assert not batch.sup_norm.any()
-        r, = eval_continuous(spec, 1.0, 4, ["C-BURK-1"], 100, 5)
+        r, = eval_continuous(spec, 1.0, [4], ["C-BURK-1"], 100, 5)
         assert r.lhs == 0.0 and r.ci_lhs == 0.0
 
     def test_sup_monotone_in_t(self):
@@ -190,10 +200,10 @@ class TestSimulate:
         the memory one block traces stays below _check_run's estimate."""
         spec = constant_integrand(1.0, dim=192, wiener_dim=192, steps=192)
         block_bytes, _ = wmc._check_run(spec, 2, 0)
-        simulate(spec, 2, seed=0, p=4)   # warm-up: one-time allocations
+        simulate(spec, 2, seed=0, p=[4])   # warm-up: one-time allocations
         tracemalloc.start()
         try:
-            simulate(spec, 2, seed=0, p=4)
+            simulate(spec, 2, seed=0, p=[4])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -201,11 +211,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", ["spec_const1", "spec_lin", "spec_sign",
                                       "spec_mixed2d"])
-    @pytest.mark.parametrize("paths, steps", [(1024, None), (32, 2 ** 18)])
-    def test_zakai_run_peak_within_preflight(self, zoo, monkeypatch, name, paths, steps):
-        """Given p, the memory one run traces stays below the block bytes
-        plus the per-run output bytes (ZAKAI rows included) that simulate's
-        preflight counted."""
+    @pytest.mark.parametrize("paths, steps, p", [
+        pytest.param(1024, None, [4], id="1024-None"),
+        pytest.param(32, 2 ** 18, [4], id="32-262144"),
+        pytest.param(1024, None, [4, 2, 3], id="1024-None-p4,2,3"),
+        pytest.param(32, 2 ** 18, [4, 2, 3], id="32-262144-p4,2,3")])
+    def test_zakai_run_peak_within_preflight(self, zoo, monkeypatch, name, paths,
+                                             steps, p):
+        """Given exponents, the memory one run traces stays below the block
+        bytes plus the per-run output bytes (ZAKAI rows of every exponent
+        included) that simulate's preflight counted."""
         spec = load_spec(zoo, name)
         if steps is not None:
             scale = steps // spec.steps
@@ -216,10 +231,10 @@ class TestSimulate:
         seen = []
         monkeypatch.setattr(wmc, "_check_run",
                             lambda *args: seen.append(real(*args)) or seen[-1])
-        simulate(spec, 2, seed=0, p=4)   # warm-up: one-time allocations
+        simulate(spec, 2, seed=0, p=p)   # warm-up: one-time allocations
         tracemalloc.start()
         try:
-            simulate(spec, paths, seed=0, p=4)
+            simulate(spec, paths, seed=0, p=p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,7 +301,7 @@ def frozen_cases(zoo):
 def simulate_digest(cases):
     h = hashlib.sha256()
     for seed, (spec, paths, t, p) in enumerate(cases):
-        batch = simulate(spec, paths, seed=seed, t=t, p=p)
+        batch = simulate(spec, paths, seed=seed, t=t, p=[p])
         for arr in (batch.x_stop, batch.sup_norm, batch.riemann, batch.zakai_rows):
             h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
@@ -298,6 +313,22 @@ FROZEN_SIMULATE_DIGEST = "4cc2c73b59e59cc93b58f672ea3e0357e060a544284ecdeffb7dbf
 class TestFrozenBits:
     def test_default_workers(self, zoo):
         assert simulate_digest(frozen_cases(zoo)) == FROZEN_SIMULATE_DIGEST
+
+    @pytest.mark.parametrize("name", ["spec_const1", "spec_lin", "spec_sign",
+                                      "spec_mixed2d"])
+    def test_exponents_share_one_batch(self, zoo, name):
+        """Each exponent's ZAKAI rows of a several-exponent run are those of
+        a run given that exponent alone, bit for bit, and the per-path rows
+        do not depend on the exponents."""
+        spec = load_spec(zoo, name)
+        for t in (spec.horizon, spec.horizon / 2):
+            batch = simulate(spec, 3000, seed=4, t=t, p=(4, 2, 3))
+            assert batch.p == (4.0, 2.0, 3.0)
+            for k, p in enumerate(batch.p):
+                alone = simulate(spec, 3000, seed=4, t=t, p=(p,))
+                assert np.array_equal(batch.zakai_rows[k], alone.zakai_rows[0])
+                for field in ("x_stop", "sup_norm", "riemann"):
+                    assert np.array_equal(getattr(batch, field), getattr(alone, field))
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_worker_count_does_not_change_bits(self, zoo, monkeypatch, workers):
@@ -314,10 +345,11 @@ class TestFrozenBits:
 @pytest.fixture(scope="class")
 def unit_runs():
     """f == 1 on 1024 steps, 10^5 paths, seed 7: the C-BURK-1 and C-BURK-2
-    reports at p = 2 and p = 4, keyed by p."""
+    reports at p = 2 and p = 4 from one call, keyed by p."""
     spec = constant_integrand(1.0, steps=1024)
-    return {p: eval_continuous(spec, 1.0, p, ["C-BURK-1", "C-BURK-2"], 100000, 7)
-            for p in (2, 4)}
+    reports = list(eval_continuous(spec, 1.0, [2, 4], ["C-BURK-1", "C-BURK-2"],
+                                   100000, 7))
+    return {2: reports[:2], 4: reports[2:]}
 
 
 class TestEstimateLp:
@@ -355,7 +387,7 @@ class TestEstimateLp:
 class TestEvalContinuous:
     def test_unit_integrand_zakai_p4(self, zoo):
         spec = load_spec(zoo, "spec_const1")
-        r, = eval_continuous(spec, 1.0, 4, ["ZAKAI-MAIN"], 100000, 42)
+        r, = eval_continuous(spec, 1.0, [4], ["ZAKAI-MAIN"], 100000, 42)
         assert r.rhs == 3.0          # deterministic integrand: exact
         assert r.ci_rhs == 0.0
         assert abs(r.lhs - math.sqrt(3)) < 0.02
@@ -363,9 +395,9 @@ class TestEvalContinuous:
 
     def test_unit_integrand_burk_bases(self, zoo):
         spec = load_spec(zoo, "spec_const1")
-        r, = eval_continuous(spec, 1.0, 4, ["C-BURK-1"], 20000, 42)
+        r, = eval_continuous(spec, 1.0, [4], ["C-BURK-1"], 20000, 42)
         assert r.rhs == 9.0
-        r2, z2 = eval_continuous(spec, 1.0, 2, ["C-BURK-2", "ZAKAI-MAX"], 20000, 3)
+        r2, z2 = eval_continuous(spec, 1.0, [2], ["C-BURK-2", "ZAKAI-MAX"], 20000, 3)
         assert r2.rhs == 4.0 and z2.rhs == 4.0
         assert r2.verdict == "satisfied" and z2.verdict == "satisfied"
         assert "grid points" in r2.notes   # sup bias disclosure
@@ -375,7 +407,7 @@ class TestEvalContinuous:
         the improved constant makes the newer bound the smaller one."""
         spec = load_spec(zoo, "spec_const1")
         for p in (2.0, 3.0, 4.0):
-            z, b = eval_continuous(spec, 1.0, p, ["ZAKAI-MAIN", "C-BURK-1"], 2000, 1)
+            z, b = eval_continuous(spec, 1.0, [p], ["ZAKAI-MAIN", "C-BURK-1"], 2000, 1)
             assert z.rhs <= b.rhs + 1e-12
 
     def test_isometry_across_zoo(self, zoo):
@@ -384,14 +416,14 @@ class TestEvalContinuous:
         for name, seed in (("spec_const1", 11), ("spec_lin", 12),
                            ("spec_sign", 13), ("spec_mixed2d", 14)):
             spec = load_spec(zoo, name)
-            r, = eval_continuous(spec, spec.horizon, 2, ["ZAKAI-MAIN"],
+            r, = eval_continuous(spec, spec.horizon, [2], ["ZAKAI-MAIN"],
                                  100000, seed)
             assert abs(r.lhs - r.rhs) <= r.ci_lhs + r.ci_rhs, (name, r)
 
     def test_all_ids_on_mixed_spec(self, zoo):
         spec = load_spec(zoo, "spec_mixed2d")
         ids = ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"]
-        reports = eval_continuous(spec, 2.0, 4, ids, 20000, 5)
+        reports = eval_continuous(spec, 2.0, [4], ids, 20000, 5)
         assert [r.id for r in reports] == ids
         for r in reports:
             assert r.verdict == "satisfied", r
@@ -399,33 +431,33 @@ class TestEvalContinuous:
 
     def test_time_zero(self, zoo):
         spec = load_spec(zoo, "spec_const1")
-        r, = eval_continuous(spec, 0.0, 4, ["ZAKAI-MAIN"], 100, 1)
+        r, = eval_continuous(spec, 0.0, [4], ["ZAKAI-MAIN"], 100, 1)
         assert r.lhs == 0.0 and r.rhs == 0.0
         assert r.ratio == 0.0
         assert r.satisfied
 
     def test_partial_horizon(self, zoo):
         spec = load_spec(zoo, "spec_const1")
-        r, = eval_continuous(spec, 0.5, 4, ["ZAKAI-MAIN"], 20000, 1)
+        r, = eval_continuous(spec, 0.5, [4], ["ZAKAI-MAIN"], 20000, 1)
         assert r.rhs == pytest.approx(1.5)   # 3 * integral over [0, 0.5]
 
     def test_unknown_id(self):
         spec = constant_integrand(1.0, steps=4)
         with pytest.raises(DomainError, match="unknown inequality id"):
-            eval_continuous(spec, 1.0, 4, ["D-BURK-1"], 100, 0)
+            eval_continuous(spec, 1.0, [4], ["D-BURK-1"], 100, 0)
         with pytest.raises(DomainError, match="sequence"):
-            eval_continuous(spec, 1.0, 4, "ZAKAI-MAIN", 100, 0)
+            eval_continuous(spec, 1.0, [4], "ZAKAI-MAIN", 100, 0)
 
     def test_deterministic_reports(self, zoo):
         spec = load_spec(zoo, "spec_lin")
-        a = eval_continuous(spec, 1.0, 4, ["ZAKAI-MAIN"], 5000, 77)
-        b = eval_continuous(spec, 1.0, 4, ["ZAKAI-MAIN"], 5000, 77)
-        assert a == b
+        a = eval_continuous(spec, 1.0, [4], ["ZAKAI-MAIN"], 5000, 77)
+        b = eval_continuous(spec, 1.0, [4], ["ZAKAI-MAIN"], 5000, 77)
+        assert list(a) == list(b)
 
     def test_multi_component_exact_rhs(self):
         # two unit drivers: g = 2, so the p=4 ZAKAI base is exactly 2
         spec = constant_integrand(1.0, dim=1, wiener_dim=2, steps=64)
-        r, = eval_continuous(spec, 1.0, 4, ["ZAKAI-MAIN"], 20000, 9)
+        r, = eval_continuous(spec, 1.0, [4], ["ZAKAI-MAIN"], 20000, 9)
         assert r.rhs == 6.0
         assert r.verdict == "satisfied"
 
@@ -435,7 +467,7 @@ class TestEvalContinuous:
         sides are the left-sum values."""
         spec = load_spec(zoo, "spec_mixed2d")
         b1, b2, zm, zx = eval_continuous(
-            spec, 2.0, 4, ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"],
+            spec, 2.0, [4], ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"],
             20000, 99)
         assert (b1.lhs, b1.ci_lhs, b1.rhs, b1.ci_rhs) == (
             5.823298366812731, 0.21876313436995537,
@@ -456,7 +488,7 @@ class TestEvalContinuous:
             obj = json.load(fh)
         obj["steps"] = 8
         obj["rules"] = [dict(r, range=[0, 8]) for r in obj["rules"]]
-        r, = eval_continuous(parse_integrand(obj), 1.0, 2, ["ZAKAI-MAIN"], 200000, 0)
+        r, = eval_continuous(parse_integrand(obj), 1.0, [2], ["ZAKAI-MAIN"], 200000, 0)
         assert r.verdict != "satisfied"
         assert abs(r.rhs - 0.4375) <= r.ci_rhs
 
@@ -503,7 +535,7 @@ def test_discretization_consistency_lin_sign(zoo):
             obj["steps"] = steps
             obj["rules"] = [dict(r, range=[0, steps]) for r in base["rules"]]
             spec = parse_integrand(obj)
-            r, = eval_continuous(spec, spec.horizon, 4, ["C-BURK-1"], 10 ** 6, seed)
+            r, = eval_continuous(spec, spec.horizon, [4], ["C-BURK-1"], 10 ** 6, seed)
             ests.append(r)
         diff = abs(ests[0].lhs - ests[1].lhs)
         assert diff <= ests[0].ci_lhs + ests[1].ci_lhs, (name, ests)
