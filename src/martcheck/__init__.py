@@ -21,7 +21,6 @@ from .ptree import (
     sup_lp_norm, symmetric_walk,
 )
 from .ineq import (
-    exact_report,
     DISCRETE_EVAL_IDS,
     ConstantComparison,
     ContinuousId,
@@ -83,7 +82,7 @@ __all__ = [
     "InequalityId", "DISCRETE_EVAL_IDS", "InequalityReport", "ReportTable",
     "TaylorBound",
     "ConstantComparison", "eval_discrete", "eval_tree", "eval_rio_step",
-    "exact_report", "taylor_pointwise", "adaptive_panel_quadrature",
+    "taylor_pointwise", "adaptive_panel_quadrature",
     "compare_constants", "sweep_random_trees",
     "FamilySpec", "SearchConfig", "SearchResult", "rio_gain",
     "asym_two_point_gain", "asymptotic_gain_probe", "family_ratio", "search",

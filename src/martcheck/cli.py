@@ -9,8 +9,9 @@ Subcommands map one-to-one onto the library evaluators:
     compare-constants  classic vs improved constants at given exponents
     gaussian-moment    E|Z|^p reference value
 
-Exit codes: 0 all checks passed, 1 violation / invalid input / error,
-2 at least one inconclusive Monte Carlo verdict (without
+Exit codes (the report commands take theirs from _exit_code): 0 all checks
+passed, 1 violation / invalid input / error (a side that overflows a float
+included), 2 at least one inconclusive Monte Carlo verdict (without
 --allow-inconclusive). Every run with --out BASE writes BASE.json
 (a manifest plus results) and, for tabular commands, BASE.csv; reruns of
 the same command line are byte-identical apart from the duration field.
@@ -50,6 +51,16 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{path} is nested too deeply to parse") from None
+
+
+def _exit_code(table: ineq.ReportTable, allow_inconclusive: bool = False) -> int:
+    """The exit code of a report command, from its verdict column."""
+    verdicts = set(table.columns["verdict"])
+    if verdicts & {"violation", "violation-candidate"}:
+        return EXIT_FAIL
+    if "inconclusive" in verdicts and not allow_inconclusive:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def _report_line(r: ineq.InequalityReport) -> str:
@@ -108,7 +119,7 @@ def _cmd_verify_discrete(args, argv) -> int:
                    {"tree": args.tree, "p": list(args.p), "n": args.n,
                     "ineq": [i.value for i in ids]},
                    formats.report_rows(table), formats.csv_rows(table), started)
-    return EXIT_OK if all(table.columns["satisfied"]) else EXIT_FAIL
+    return _exit_code(table)
 
 
 def _cmd_verify_continuous(args, argv) -> int:
@@ -125,12 +136,7 @@ def _cmd_verify_continuous(args, argv) -> int:
                     "paths": args.paths, "seed": args.seed,
                     "ineq": [i.value for i in ids]},
                    formats.report_rows(table), formats.csv_rows(table), started)
-    verdicts = set(table.columns["verdict"])
-    if "violation-candidate" in verdicts:
-        return EXIT_FAIL
-    if "inconclusive" in verdicts and not args.allow_inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _exit_code(table, args.allow_inconclusive)
 
 
 def _cmd_sharpness(args, argv) -> int:
@@ -167,7 +173,7 @@ def _cmd_random_trees(args, argv) -> int:
                     "max_dim": args.max_dim, "seed": args.seed,
                     "p": list(args.p), "ineq": [i.value for i in ids]},
                    formats.report_rows(table), formats.csv_rows(table), started)
-    return EXIT_FAIL if bad else EXIT_OK
+    return _exit_code(table)
 
 
 def _cmd_compare_constants(args, argv) -> int:

@@ -96,11 +96,11 @@ DISCRETE_EVAL_IDS = (
 class InequalityReport:
     """One verified comparison lhs <= constant * (rhs / constant).
 
-    Exact evaluators build their reports as ReportTable rows, where
-    `satisfied` means lhs <= rhs + ABS_TOL and `verdict` is "satisfied" or
-    "violation". Monte Carlo evaluators fill the ci_* half-widths and may
-    report the verdict "inconclusive" or "violation-candidate" instead.
-    `ratio` is lhs/rhs, with 0/0 mapped to 0.
+    Every evaluator builds its reports as the rows of one report_table, where
+    `satisfied` means verdict == "satisfied". Exact verdicts are "satisfied"
+    or "violation"; Monte Carlo evaluators fill the ci_* half-widths and may
+    report "inconclusive" or "violation-candidate" instead. `ratio` is
+    lhs/rhs, with 0/0 mapped to 0.
     """
 
     id: str
@@ -141,11 +141,6 @@ class ReportTable:
         return InequalityReport(*(self.columns[name][i] for name in REPORT_FIELDS))
 
     @classmethod
-    def of(cls, reports: Iterable[InequalityReport]) -> "ReportTable":
-        reports = list(reports)
-        return cls({name: [getattr(r, name) for r in reports] for name in REPORT_FIELDS})
-
-    @classmethod
     def concat(cls, tables: Iterable["ReportTable"]) -> "ReportTable":
         """The tables' rows in order; each table is read once, so a generator
         of tables never holds more than one beside the result."""
@@ -156,44 +151,39 @@ class ReportTable:
         return cls(columns)
 
 
-@np.errstate(over="ignore", invalid="ignore")   # as Python floats: inf, NaN
-def _ratio(lhs, rhs):
-    """lhs/rhs, elementwise on arrays, with 0/0 mapped to 0 and x/0 to inf."""
-    positive = rhs > 0.0
-    return np.where(positive, lhs / np.where(positive, rhs, 1.0),
-                    np.where(lhs == 0.0, 0.0, np.inf))
-
-
-def _exact_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.ndarray,
-                 rhs: np.ndarray, constant: np.ndarray, seed: int | None = None,
-                 notes: str = "") -> ReportTable:
-    """The ReportTable of the exact comparisons lhs <= rhs, one row per entry
-    of the equal-length lists and float arrays. A side that overflowed a
-    float (or is NaN) raises DomainError, for the first such row, instead of
-    reaching a verdict."""
-    finite = np.isfinite(lhs) & np.isfinite(rhs)
+def report_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.ndarray,
+                 rhs: np.ndarray, constant: np.ndarray, verdict: list[str] | None = None,
+                 ci_lhs: np.ndarray | None = None, ci_rhs: np.ndarray | None = None,
+                 seed: int | None = None, notes: str | list[str] = "") -> ReportTable:
+    """The ReportTable of the comparisons lhs <= rhs, one row per entry of the
+    equal-length lists and float arrays; seed, and notes if a string, go into
+    every row. Without a verdict column the sides are exact and a row reads
+    "satisfied" when lhs <= rhs + ABS_TOL, else "violation"; `satisfied` is
+    verdict == "satisfied". A side or half-width that overflowed a float (or
+    is NaN) raises DomainError, for the first such row, instead of reaching a
+    verdict."""
+    sides = {"lhs": lhs, "rhs": rhs}
+    if ci_lhs is not None:
+        sides.update(ci_lhs=ci_lhs, ci_rhs=ci_rhs)
+    finite = np.logical_and.reduce([np.isfinite(a) for a in sides.values()])
     if not finite.all():
         i = int(np.argmin(finite))
-        raise DomainError(f"{ids[i]} at p={p[i]:g}: the exact sides overflow a "
-                          f"float (lhs={float(lhs[i])}, rhs={float(rhs[i])})")
-    satisfied = (lhs <= rhs + ABS_TOL).tolist()
-    ratio = _ratio(lhs, rhs)
+        values = ", ".join(f"{name}={float(a[i])}" for name, a in sides.items())
+        raise DomainError(f"{ids[i]} at p={p[i]:g}: the sides overflow a float ({values})")
+    if verdict is None:
+        verdict = ["satisfied" if ok else "violation"
+                   for ok in (lhs <= rhs + ABS_TOL).tolist()]
+    with np.errstate(all="ignore"):   # ratio: 0/0 -> 0, x/0 -> inf, overflow -> inf
+        ratio = np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, np.inf))
     rows = len(ids)
     return ReportTable({
         "id": ids, "p": p, "n_or_t": n_or_t, "lhs": lhs.tolist(),
         "rhs": rhs.tolist(), "constant": constant.tolist(), "ratio": ratio.tolist(),
-        "satisfied": satisfied,
-        "verdict": ["satisfied" if s else "violation" for s in satisfied],
-        "ci_lhs": [None] * rows, "ci_rhs": [None] * rows, "seed": [seed] * rows,
-        "notes": [notes] * rows})
-
-
-def exact_report(ineq_id: str, p: float, n_or_t: float, lhs: float, rhs: float,
-                 constant: float, seed: int | None = None,
-                 notes: str = "") -> InequalityReport:
-    """The report of one exact comparison lhs <= rhs, _exact_table's one row."""
-    lhs, rhs, constant = np.array([[lhs], [rhs], [constant]], dtype=float)
-    return _exact_table([ineq_id], [p], [n_or_t], lhs, rhs, constant, seed, notes)[0]
+        "satisfied": [v == "satisfied" for v in verdict], "verdict": verdict,
+        "ci_lhs": [None] * rows if ci_lhs is None else ci_lhs.tolist(),
+        "ci_rhs": [None] * rows if ci_rhs is None else ci_rhs.tolist(),
+        "seed": [seed] * rows,
+        "notes": [notes] * rows if isinstance(notes, str) else notes})
 
 
 def coerce_id(kind: type[enum.Enum], value) -> enum.Enum:
@@ -242,7 +232,7 @@ def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
     start_sq = table.incr[:, 0]   # ||M_0||^2
     shape = (len(levels), len(ps), len(ids))
     lhs, rhs, constant = np.empty(shape), np.empty(shape), np.empty(shape)
-    with np.errstate(over="ignore", invalid="ignore"):   # _exact_table refuses inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):   # report_table refuses inf/NaN
         for i, iid in enumerate(ids):
             bound = BOUNDS.get(iid)
             if bound is not None:
@@ -258,11 +248,11 @@ def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
                 lhs[..., i] = sup
                 rhs[..., i] = c * lp
             constant[..., i] = c
-    return _exact_table(
+    return report_table(
         [iid.value for iid in ids] * (len(levels) * len(ps)),
         [p for p in ps for _ in ids] * len(levels),
         [float(n) for n in levels for _ in range(len(ps) * len(ids))],
-        lhs.ravel(), rhs.ravel(), constant.ravel(), seed, notes)
+        lhs.ravel(), rhs.ravel(), constant.ravel(), seed=seed, notes=notes)
 
 
 Atom = tuple[float, Sequence[float]]
@@ -270,7 +260,7 @@ Atom = tuple[float, Sequence[float]]
 
 @np.errstate(over="ignore")
 def _norm_pow_moment(atoms: Iterable[tuple[float, np.ndarray]], p: float) -> float:
-    # numpy norms and powers overflow to inf, which exact_report refuses;
+    # numpy norms and powers overflow to inf, which report_table refuses;
     # float ** raises
     return float(sum(q * np.linalg.norm(v) ** p for q, v in atoms))
 
@@ -309,7 +299,8 @@ def eval_rio_step(x_atoms: Sequence[Atom], y_given_x: Sequence[Sequence[Atom]],
     c = (BOUNDS[InequalityId.PROP1_MAIN].constant(p) if constant is None
          else float(constant))
     rhs = x_norm_sq + c * y_norm_sq
-    return exact_report(InequalityId.RIO_STEP.value, p, 1.0, lhs, rhs, c)
+    lhs, rhs, c = np.array([[lhs], [rhs], [c]], dtype=float)
+    return report_table([InequalityId.RIO_STEP.value], [p], [1.0], lhs, rhs, c)[0]
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)

@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError
-from .ineq import BOUNDS, ContinuousId, InequalityReport, ReportTable, _ratio, coerce_id
+from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_id, report_table
 from .ptree import as_exponent
 
 BLOCK_PATHS = 1024          # fixed substream block size
@@ -34,6 +34,7 @@ CI_GROUPS = 32              # batch-means groups for the time-integral CI
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
 BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
 _UFUNC_BUFFER_BYTES = 1 << 18  # numpy's buffers for a strided in-place update
+_ENTRY_BYTES = 400          # bytes per component of constant_integrand (traced peak ~330)
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
 _WIENER_STREAM = 10
@@ -71,6 +72,8 @@ class IntegrandSpec:
     horizon: terminal time T > 0.
     steps: number S of grid steps; grid times are i * T / S.
     entries: rules; (step, j) cells not covered by any entry are zero.
+    Derived: per_j, the entries of each component that has any, by start
+    step, components in order; needs_wiener, whether any rule reads W.
     """
 
     dim: int
@@ -78,6 +81,8 @@ class IntegrandSpec:
     horizon: float
     steps: int
     entries: tuple[RuleEntry, ...]
+    per_j: tuple[tuple[RuleEntry, ...], ...] = field(init=False, repr=False, compare=False)
+    needs_wiener: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1 or self.wiener_dim < 1 or self.steps < 1:
@@ -103,17 +108,16 @@ class IntegrandSpec:
             for prev, nxt in zip(lst, lst[1:]):
                 if nxt.start < prev.stop:
                     raise DomainError(f"overlapping step ranges for component j={j}")
+        object.__setattr__(self, "per_j", tuple(tuple(per_j[j]) for j in sorted(per_j)))
+        object.__setattr__(self, "needs_wiener",
+                           any(e.rule.kind != "const" for e in self.entries))
 
     @property
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
-    def needs_wiener(self) -> bool:
-        return any(e.rule.kind != "const" for e in self.entries)
-
-    def segments(self, j: int) -> list[RuleEntry]:
-        return sorted((e for e in self.entries if e.j == j), key=lambda e: e.start)
+    def segments(self, j: int) -> tuple[RuleEntry, ...]:
+        return next((lst for lst in self.per_j if lst[0].j == j), ())
 
 
 def check_dim(dim: int) -> None:
@@ -128,11 +132,18 @@ def check_dim(dim: int) -> None:
 
 def constant_integrand(value, dim: int = 1, wiener_dim: int = 1,
                        horizon: float = 1.0, steps: int = 1024) -> IntegrandSpec:
-    """f^j = value (a scalar broadcast to R^dim) for every j and every step."""
+    """f^j = value (a scalar broadcast to R^dim) for every j and every step.
+
+    A wiener_dim no run could hold is refused before its entries are built:
+    two paths over the cell cap, or entries over BLOCK_MEMORY_BUDGET."""
     check_dim(dim)
-    c = tuple(float(value) for _ in range(dim))
-    entries = tuple(RuleEntry(0, steps, j, Rule("const", c))
-                    for j in range(1, wiener_dim + 1))
+    cells, entry_bytes = 2 * int(steps) * int(wiener_dim), int(wiener_dim) * _ENTRY_BYTES
+    if cells > DEFAULT_CELL_CAP or entry_bytes > BLOCK_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"wiener_dim={wiener_dim}: two paths are {cells} cells (cap {DEFAULT_CELL_CAP}), "
+            f"its entries ~{entry_bytes} bytes (budget {BLOCK_MEMORY_BUDGET})")
+    rule = Rule("const", tuple(float(value) for _ in range(dim)))
+    entries = tuple(RuleEntry(0, steps, j, rule) for j in range(1, wiener_dim + 1))
     return IntegrandSpec(dim, wiener_dim, float(horizon), int(steps), entries)
 
 
@@ -245,6 +256,7 @@ def _group_bounds(paths: int) -> list[tuple[int, int]]:
             for g in range(groups)]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
 def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
            half_powers: tuple[float, ...], b: int):
     """Simulate path block b and reduce it to its rows of the batch.
@@ -255,7 +267,8 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     For a constant integrand, whose g is one row shared by every path, block
     0 lists the row g^{p/2} under k, for every group, and the other blocks
     list nothing; simulate scales it by the group sizes. The block allocates
-    only its own arrays and writes no shared state.
+    only its own arrays and writes no shared state, and sets its own numpy
+    error state, which worker threads do not inherit.
     """
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
@@ -273,21 +286,20 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     # d = m = 1: the increments of X are those of W, scaled in place
     dx = dw if d == m == 1 else np.zeros((bsz, S, d))
     g = np.zeros(S if wn is None else (bsz, S))   # sum_j ||f^j||^2
-    for j in range(1, m + 1):
-        covered = 0
-        for e in spec.segments(j):
-            sl = slice(e.start, e.stop)
-            f = _field(e, wn)
-            if dx is dw:
-                dx[:, covered:e.start] = 0.0   # steps no rule covers
-                dx[:, sl] *= f
-                covered = e.stop
-            else:
-                dx[:, sl] += f * dw[:, sl, j - 1, None]
-            g[..., sl] += np.square(f, out=f).sum(axis=-1)
-            del f   # not alive while the next rule builds its field
+    covered = 0   # d = m = 1: steps before it are scaled or zeroed
+    for e in (e for segs in spec.per_j for e in segs):   # components without rules add 0
+        sl = slice(e.start, e.stop)
+        f = _field(e, wn)
         if dx is dw:
-            dx[:, covered:] = 0.0
+            dx[:, covered:e.start] = 0.0   # steps no rule covers
+            dx[:, sl] *= f
+            covered = e.stop
+        else:
+            dx[:, sl] += f * dw[:, sl, e.j - 1, None]
+        g[..., sl] += np.square(f, out=f).sum(axis=-1)
+        del f   # not alive while the next rule builds its field
+    if dx is dw:
+        dx[:, covered:] = 0.0
     del dw, wn
     riemann = g[..., :stop].sum(axis=-1) * spec.dt
 
@@ -401,41 +413,6 @@ def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
     return point, se
 
 
-def _report(batch: WienerBatch, t: float, p: float, cid: ContinuousId) -> InequalityReport:
-    bound = BOUNDS[cid]
-    notes = ""
-    if bound.side == "terminal":
-        if batch.spec.dim == 1:
-            stat = np.abs(batch.x_stop[:, 0])
-        else:
-            stat = np.linalg.norm(batch.x_stop, axis=1)
-    else:
-        stat = batch.sup_norm
-        notes = "supremum over grid points only (downward-biased left side)"
-    lhs, lhs_se = _mc_power(_pow(stat, p), 2.0 / p)
-
-    constant = bound.constant(p)
-    if bound.base == "increments":
-        base, base_se = _zakai_integral(batch, p)
-    else:
-        base, base_se = _mc_power(_pow(batch.riemann, p / 2.0), 2.0 / p)
-    rhs = constant * base
-    rhs_se = constant * base_se
-
-    lhs_hw = Z95 * lhs_se
-    rhs_hw = Z95 * rhs_se
-    if lhs + lhs_hw <= rhs - rhs_hw:
-        verdict = "satisfied"
-    elif lhs - lhs_hw > rhs + rhs_hw:
-        verdict = "violation-candidate"
-    else:
-        verdict = "inconclusive"
-    return InequalityReport(
-        id=cid.value, p=p, n_or_t=float(t), lhs=lhs, rhs=rhs, constant=constant,
-        ratio=float(_ratio(lhs, rhs)), satisfied=verdict == "satisfied", verdict=verdict,
-        ci_lhs=lhs_hw, ci_rhs=rhs_hw, seed=batch.seed, notes=notes)
-
-
 def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
                     ineq_ids: Sequence, paths: int, seed: int) -> ReportTable:
     """Monte Carlo comparison of continuous inequalities at time t.
@@ -453,15 +430,38 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     lower bound, violation-candidate when the lhs lower bound exceeds the
     rhs upper bound, inconclusive otherwise. The supremum is taken over
     grid points only, which biases the maximal statistics downward; reports
-    carry a note saying so.
+    carry a note saying so. A side or half-width that overflows a float
+    raises DomainError.
     """
     p_values = [as_exponent(p) for p in p_values]
     if isinstance(ineq_ids, (str, ContinuousId)):
         raise DomainError("ineq_ids must be a sequence of inequality ids")
-    cids = [coerce_id(ContinuousId, i) for i in ineq_ids]
-    zakai = any(BOUNDS[c].base == "increments" for c in cids)
+    bounds = [BOUNDS[coerce_id(ContinuousId, i)] for i in ineq_ids]
+    zakai = any(b.base == "increments" for b in bounds)
     batch = simulate(spec, paths, seed, t, p_values if zakai else ())
-    return ReportTable.of(_report(batch, t, p, cid) for p in p_values for cid in cids)
+    stats = {"terminal": np.abs(batch.x_stop[:, 0]) if spec.dim == 1
+             else np.linalg.norm(batch.x_stop, axis=1), "sup": batch.sup_norm}
+    rows = []   # per (p, id): lhs, its SE, constant, base, its SE
+    with np.errstate(over="ignore", invalid="ignore"):   # report_table refuses inf/NaN
+        for p in p_values:
+            sides = {side: _mc_power(_pow(stats[side], p), 2.0 / p)
+                     for side in {b.side for b in bounds}}
+            bases = {base: _zakai_integral(batch, p) if base == "increments"
+                     else _mc_power(_pow(batch.riemann, p / 2.0), 2.0 / p)
+                     for base in {b.base for b in bounds}}
+            rows += [(*sides[b.side], b.constant(p), *bases[b.base]) for b in bounds]
+        lhs, lhs_se, constant, base, base_se = np.array(rows, dtype=float).reshape(-1, 5).T
+        rhs = constant * base
+        lhs_hw, rhs_hw = Z95 * lhs_se, Z95 * (constant * base_se)
+        verdict = ["satisfied" if ok else "violation-candidate" if bad else "inconclusive"
+                   for ok, bad in zip((lhs + lhs_hw <= rhs - rhs_hw).tolist(),
+                                      (lhs - lhs_hw > rhs + rhs_hw).tolist())]
+    sup_note = "supremum over grid points only (downward-biased left side)"
+    return report_table(
+        [b.ito_id.value for b in bounds] * len(p_values),
+        [p for p in p_values for _ in bounds], [float(t)] * len(rows),
+        lhs, rhs, constant, verdict, lhs_hw, rhs_hw, batch.seed,
+        [sup_note if b.side == "sup" else "" for b in bounds] * len(p_values))
 
 
 def gaussian_abs_moment(p) -> float:

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import martcheck
-from martcheck import wiener_mc
+from martcheck import cli, wiener_mc
 from martcheck.cli import main
 
 COIN = "tree_coin.json"
@@ -234,6 +234,26 @@ class TestVerifyContinuous:
         assert code == 1
         assert err.startswith("error:") and "budget" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("paths", ["64", "4096"])
+    def test_overflow_raises_no_warning(self, tmp_path, capsys, paths):
+        """Sides beyond the float range end in the error alone, as for trees:
+        no inf/NaN report or output file, and no numpy overflow warning from
+        the estimators or from the blocks (4096 paths run on worker threads,
+        which do not inherit the caller's numpy error state)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule in ({"kind": "const", "c": 1e200}, {"kind": "lin", "k": 1, "c": 1e100}):
+                path = tmp_path / "big.json"
+                path.write_text(json.dumps({
+                    "dim": 1, "wiener_dim": 1, "horizon": 1.0, "steps": 16,
+                    "rules": [{"range": [0, 16], "j": 1, **rule}]}))
+                code, out, err = run(capsys, "verify-continuous", "--integrand", str(path),
+                                     "--p", "4", "--paths", paths,
+                                     "--out", str(tmp_path / "op"))
+                assert code == 1
+                assert err.startswith("error:") and "overflow a float" in err and not out
+                assert not list(tmp_path.glob("op.*"))
+
     def test_out_csv_has_seed_column(self, zoo, tmp_path, capsys):
         base = str(tmp_path / "mc")
         code, _, _ = run(capsys, "verify-continuous",
@@ -336,6 +356,16 @@ class TestSweepAndTables:
         assert code == 0
         assert peak < 100 * 6 * 3 * 6 * ineq._SWEEP_ROW_BYTES
 
+    @pytest.mark.parametrize("verdicts, allow, code", [
+        ([], False, 0),
+        (["satisfied"], False, 0),
+        (["satisfied", "violation"], False, 1),
+        (["inconclusive", "violation-candidate"], True, 1),
+        (["inconclusive", "satisfied"], False, 2),
+        (["inconclusive", "satisfied"], True, 0)])
+    def test_exit_code_from_verdicts(self, verdicts, allow, code):
+        assert cli._exit_code(martcheck.ReportTable({"verdict": verdicts}), allow) == code
+
     def test_compare_constants(self, capsys):
         code, out, _ = run(capsys, "compare-constants", "--p", "2", "4")
         assert code == 0
@@ -383,11 +413,20 @@ class TestReproducibility:
          "bab2d95d662aea1afffd0e34defa7a099a13112ea842120c76b14b827467edbc"),
         (("verify-discrete", "--tree", COIN, "--p", "2", "3"),
          "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
+        (("verify-continuous", "--integrand", "spec_mixed2d.json", "--p", "2", "4",
+          "--paths", "2048", "--seed", "5", "--allow-inconclusive"),
+         "5c010c2f13befab855e63a505b39003b3664f689331a5f322f304371764251c8"),
+        (("verify-continuous", "--integrand", "spec_lin.json", "--p", "3", "--t", "0.5",
+          "--paths", "2048", "--ineq", "ZAKAI-MAX", "C-BURK-1"),
+         "db078c3359726fab8557551e08d22e21f9e44c394728e4816f8c84d1029546c4"),
+        (("verify-continuous", "--integrand", "spec_const1.json", "--p", "4",
+          "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
+         "b8e93aaca819daf6a00919b7a9603c1bf25b29827ad410b209b04fe0097a098b"),
     ])
     def test_frozen_out_files(self, zoo, tmp_path, capsys, argv, digest):
         """Every bit of the written rows is pinned: the canonical JSON results
         and the CSV bytes, hashed together."""
-        argv = [str(zoo / a) if a == COIN else a for a in argv]
+        argv = [str(zoo / a) if a.endswith(".json") else a for a in argv]
         code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "op"))
         assert code == 0
         results = json.loads((tmp_path / "op.json").read_text())["results"]

@@ -11,11 +11,11 @@ from hypothesis import given, strategies as st
 from martcheck import (
     ConfigError,
     MartcheckError,
+    ReportTable,
     csv_row,
     csv_rows,
     eval_discrete,
     eval_tree,
-    exact_report,
     integrand_to_obj,
     lp_norm,
     parse_integrand,
@@ -305,7 +305,11 @@ class TestSearchFormat:
 
 class TestReportRows:
     def setup_method(self):
-        self.report = exact_report("D-BURK-1", 2.0, 1, 1.0, 2.0, 1.0)
+        # one exact report: the row of a table built from its columns
+        row = {"id": "D-BURK-1", "p": 2.0, "n_or_t": 1, "lhs": 1.0, "rhs": 2.0,
+               "constant": 1.0, "ratio": 0.5, "satisfied": True, "verdict": "satisfied",
+               "ci_lhs": None, "ci_rhs": None, "seed": None, "notes": ""}
+        self.report = ReportTable({name: [row[name]] for name in REPORT_FIELDS})[0]
 
     def test_report_row_fields(self):
         row = report_row(self.report)

@@ -344,9 +344,26 @@ class TestSweep:
                     for p in P_GRID for i in ineq.DISCRETE_EVAL_IDS]
         assert len(table) == len(expected) and list(table) == expected
         assert table[7] == expected[7]
-        assert list(ineq.ReportTable.of(expected)) == expected
-        both = ineq.ReportTable.concat([table, ineq.ReportTable.of(expected[:2])])
+        def table_of(reports):
+            return ineq.ReportTable({name: [getattr(r, name) for r in reports]
+                                     for name in ineq.REPORT_FIELDS})
+        assert list(table_of(expected)) == expected
+        both = ineq.ReportTable.concat([table, table_of(expected[:2])])
         assert list(both) == expected + expected[:2]
+
+    def test_report_table_verdicts_and_refusal(self):
+        """satisfied follows the verdict column; a non-finite half-width is
+        refused like a non-finite side."""
+        one = np.array([1.0])
+        r, = ineq.report_table(["C-BURK-1"], [4.0], [1.0], one, 2 * one, one,
+                               ["inconclusive"], 0.25 * one, 0.5 * one, seed=3)
+        assert (r.verdict, r.satisfied, r.ratio, r.ci_lhs, r.ci_rhs, r.seed) == (
+            "inconclusive", False, 0.5, 0.25, 0.5, 3)
+        r, = ineq.report_table(["DOOB"], [4.0], [1.0], 2 * one, one, one)
+        assert (r.verdict, r.satisfied, r.ci_lhs) == ("violation", False, None)
+        with pytest.raises(DomainError, match="overflow a float"):
+            ineq.report_table(["C-BURK-1"], [4.0], [1.0], one, one, one,
+                              ["satisfied"], np.array([np.nan]), one)
 
     def test_bad_sizes_rejected(self):
         for count, max_depth, max_dim in ((-1, 3, 2), (1, 0, 2), (1, 3, 0)):

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,28 @@ class TestIntegrandSpec:
             wmc.check_dim(wmc.BLOCK_MEMORY_BUDGET // 16 - 1)
         with pytest.raises(ResourceLimitError, match="block memory budget"):
             constant_integrand(1.0, dim=10 ** 12)
+
+    @pytest.mark.parametrize("wiener_dim, steps", [
+        (10 ** 8, 1),        # entries over the block memory budget
+        (10 ** 6, 2000)])    # two paths over the cell cap
+    def test_huge_wiener_dim_refused_before_entries(self, wiener_dim, steps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"wiener_dim={wiener_dim}"):
+                constant_integrand(1.0, wiener_dim=wiener_dim, steps=steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_many_components_simulate_in_seconds(self):
+        """Rules are grouped by component once, at construction, so 10^5
+        components of 4 steps simulate in about a second."""
+        spec = constant_integrand(1.0, wiener_dim=10 ** 5, steps=4)
+        start = time.perf_counter()
+        batch = simulate(spec, 2, 0)
+        assert time.perf_counter() - start < 10.0
+        assert (batch.riemann == 10.0 ** 5).all()   # g = m on every step
 
     def test_overlap_rejected(self):
         with pytest.raises(DomainError, match="overlap"):
@@ -419,6 +442,20 @@ class TestEvalContinuous:
             r, = eval_continuous(spec, spec.horizon, [2], ["ZAKAI-MAIN"],
                                  100000, seed)
             assert abs(r.lhs - r.rhs) <= r.ci_lhs + r.ci_rhs, (name, r)
+
+    def test_each_side_estimated_once_per_exponent(self, zoo, monkeypatch):
+        calls = []
+        for name in ("_mc_power", "_zakai_integral"):
+            real = getattr(wmc, name)
+            monkeypatch.setattr(wmc, name, lambda *a, _name=name, _real=real:
+                                calls.append(_name) or _real(*a))
+        ids = ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"]
+        table = eval_continuous(load_spec(zoo, "spec_mixed2d"), 2.0, [2, 4], ids, 256, 0)
+        assert [(r.p, r.id) for r in table] == [(p, i) for p in (2.0, 4.0) for i in ids]
+        # per exponent: the terminal and sup sides, the square-function base
+        # and the ZAKAI time integral
+        assert calls.count("_mc_power") == 2 * 3
+        assert calls.count("_zakai_integral") == 2
 
     def test_all_ids_on_mixed_spec(self, zoo):
         spec = load_spec(zoo, "spec_mixed2d")
