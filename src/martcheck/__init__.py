@@ -58,15 +58,14 @@ from .wiener_mc import (
 )
 from .formats import (
     csv_row,
-    csv_rows,
     integrand_to_obj,
     parse_integrand,
     parse_search,
     parse_tree,
     report_row,
-    report_rows,
     search_result_to_obj,
     search_to_obj,
+    table_text,
     tree_to_obj,
 )
 
@@ -90,5 +89,5 @@ __all__ = [
     "constant_integrand", "simulate", "eval_continuous", "gaussian_abs_moment",
     "parse_tree", "tree_to_obj", "parse_integrand", "integrand_to_obj",
     "parse_search", "search_to_obj", "search_result_to_obj",
-    "report_row", "csv_row", "report_rows", "csv_rows",
+    "report_row", "csv_row", "table_text",
 ]

@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from . import __version__, formats, ineq, ptree, sharpness, wiener_mc
 from .errors import ConfigError, MartcheckError
@@ -73,7 +73,8 @@ def _report_line(r: ineq.InequalityReport) -> str:
 
 
 def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
-               results: Any, rows: Iterable[tuple] | None, started: float) -> None:
+               results: Any, started: float) -> None:
+    """Write BASE.json, and BASE.csv too if results is a ReportTable."""
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -81,17 +82,21 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
         "version": __version__,
         "duration_s": time.monotonic() - started,
     }
+    if isinstance(results, ineq.ReportTable):
+        text, rows = formats.table_text(results)
+    else:   # dumps without indent runs the C encoder; json.dump never does
+        text, rows = [json.dumps(results, sort_keys=True)], None
     try:
         with open(base + ".json", "w", encoding="utf-8") as fh:
-            # dumps without indent runs the C encoder; json.dump never does
-            fh.write(json.dumps({"manifest": manifest, "results": results}, sort_keys=True))
-            fh.write("\n")
+            fh.write(f'{{"manifest": {json.dumps(manifest, sort_keys=True)}, "results": ')
+            fh.writelines(text)
+            fh.write("}\n")
         if rows is not None:
             with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(formats.CSV_FIELDS)
                 writer.writerows(rows)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:   # e.g. a lone surrogate in a text cell
         raise ConfigError(f"cannot write {base}: {exc}") from None
 
 
@@ -118,7 +123,7 @@ def _cmd_verify_discrete(args, argv) -> int:
         _write_out(args.out, "verify-discrete", argv,
                    {"tree": args.tree, "p": list(args.p), "n": args.n,
                     "ineq": [i.value for i in ids]},
-                   formats.report_rows(table), formats.csv_rows(table), started)
+                   table, started)
     return _exit_code(table)
 
 
@@ -135,7 +140,7 @@ def _cmd_verify_continuous(args, argv) -> int:
                    {"integrand": args.integrand, "t": t, "p": list(args.p),
                     "paths": args.paths, "seed": args.seed,
                     "ineq": [i.value for i in ids]},
-                   formats.report_rows(table), formats.csv_rows(table), started)
+                   table, started)
     return _exit_code(table, args.allow_inconclusive)
 
 
@@ -153,7 +158,7 @@ def _cmd_sharpness(args, argv) -> int:
     if args.out:
         _write_out(args.out, "sharpness", argv,
                    formats.search_to_obj(config),
-                   formats.search_result_to_obj(result), None, started)
+                   formats.search_result_to_obj(result), started)
     return EXIT_FAIL if result.exceeded else EXIT_OK
 
 
@@ -172,7 +177,7 @@ def _cmd_random_trees(args, argv) -> int:
                    {"count": args.count, "max_depth": args.max_depth,
                     "max_dim": args.max_dim, "seed": args.seed,
                     "p": list(args.p), "ineq": [i.value for i in ids]},
-                   formats.report_rows(table), formats.csv_rows(table), started)
+                   table, started)
     return _exit_code(table)
 
 
@@ -187,7 +192,7 @@ def _cmd_compare_constants(args, argv) -> int:
               f"{c.new_max:g} (improved={c.improved_max})")
     if args.out:
         _write_out(args.out, "compare-constants", argv,
-                   {"p": list(args.p)}, rows, None, started)
+                   {"p": list(args.p)}, rows, started)
     return EXIT_OK
 
 
@@ -197,7 +202,7 @@ def _cmd_gaussian_moment(args, argv) -> int:
     print(f"E|Z|^{args.p:g} = {value:.12g}")
     if args.out:
         _write_out(args.out, "gaussian-moment", argv,
-                   {"p": args.p}, {"value": value}, None, started)
+                   {"p": args.p}, {"value": value}, started)
     return EXIT_OK
 
 

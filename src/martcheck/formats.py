@@ -7,7 +7,9 @@ ProbTree.validate; only structural problems raise here.
 """
 from __future__ import annotations
 
+import json
 import math
+from itertools import chain, repeat
 from typing import Any, Iterator
 
 import numpy as np
@@ -271,15 +273,40 @@ def csv_row(report: InequalityReport) -> dict:
     return row
 
 
-def report_rows(table: ReportTable) -> list[dict]:
-    """report_row of every report in the table, built from its columns."""
-    return [dict(zip(REPORT_FIELDS, row))
-            for row in zip(*(table.columns[name] for name in REPORT_FIELDS))]
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOAT_CELLS = {text: cell for cell, text in _JSON_NON_FINITE.items()}
+#: a report row's JSON text, keys sorted as json.dumps(sort_keys=True) writes them
+_ROW_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in sorted(REPORT_FIELDS)) + "}"
 
 
-def csv_rows(table: ReportTable) -> Iterator[tuple]:
-    """Every report's CSV row as a tuple in CSV_FIELDS order, from the columns."""
-    return zip(table.columns["id"], *(table.columns[name] for name in CSV_FIELDS[1:]))
+def _column_text(column: list) -> tuple[list[str], list]:
+    """(JSON text, CSV cell) of every value, each formatted once as json.dumps
+    does. A float's cell is its float.__repr__, the JSON text but for NaN and
+    the infinities; other cells are the values, which csv.writer formats."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        cells = list(map(float.__repr__, column))
+        finite = math.isfinite(sum(column))   # else NaN or an infinity may be present
+        return cells if finite else [_JSON_NON_FINITE.get(c, c) for c in cells], cells
+    if kinds <= {str, type(None), bool} or kinds <= {str, type(None), int}:
+        # equal values have equal text here (True and 1, or -0.0 and 0.0, would not)
+        memo = {value: json.dumps(value) for value in set(column)}
+        return list(map(memo.__getitem__, column)), column
+    text = list(map(json.dumps, column))
+    return text, [_FLOAT_CELLS.get(t, t) if type(v) is float else v
+                  for v, t in zip(column, text)]
+
+
+def table_text(table: ReportTable) -> tuple[Iterator[str], Iterator[tuple]]:
+    """The table's JSON results list in pieces, which join to json.dumps([report_row(r)
+    for r in table], sort_keys=True), and its CSV rows in CSV_FIELDS order, for
+    csv.writer. Each value is formatted once, a column at a time."""
+    text, cells = {}, {}
+    for name in REPORT_FIELDS:
+        text[name], cells[name] = _column_text(table.columns[name])
+    rows = map(_ROW_TEMPLATE.__mod__, zip(*(text[name] for name in sorted(REPORT_FIELDS))))
+    results = chain("[", map(str.__add__, chain([""], repeat(", ")), rows), "]")
+    return results, zip(cells["id"], *(cells[name] for name in CSV_FIELDS[1:]))
 
 
 def search_result_to_obj(result: SearchResult) -> dict:

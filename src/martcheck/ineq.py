@@ -25,9 +25,9 @@ _GRADING = 0.25       # geometric ratio of the graded panels toward each anchor
 _SWEEP_STREAM = 12    # spawn-key domain tag for the random-tree sweep
 SWEEP_MEMORY_BUDGET = 1 << 30   # bytes the report rows of one sweep may take
 # bytes charged per row a sweep may give, count * (max_depth + 1) * p * ids:
-# table entries, report_rows dicts and JSON text of random-trees --out trace
-# at 820-910 bytes per such row (1240-1380 per row written)
-_SWEEP_ROW_BYTES = 1300
+# table entries and the column text formats.table_text writes them from trace
+# at 465-540 bytes per such row under random-trees --out (705-735 per row written)
+_SWEEP_ROW_BYTES = 800
 
 
 class InequalityId(enum.Enum):

@@ -431,7 +431,8 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     rhs upper bound, inconclusive otherwise. The supremum is taken over
     grid points only, which biases the maximal statistics downward; reports
     carry a note saying so. A side or half-width that overflows a float
-    raises DomainError.
+    raises DomainError, as does a side estimated as 0 from paths that are not
+    all 0, whose powers underflowed.
     """
     p_values = [as_exponent(p) for p in p_values]
     if isinstance(ineq_ids, (str, ContinuousId)):
@@ -441,6 +442,9 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     batch = simulate(spec, paths, seed, t, p_values if zakai else ())
     stats = {"terminal": np.abs(batch.x_stop[:, 0]) if spec.dim == 1
              else np.linalg.norm(batch.x_stop, axis=1), "sup": batch.sup_norm}
+    # paths not all 0 per side and base (sup >= |x_stop|; g^{p/2} may underflow)
+    moved = {"terminal": batch.x_stop.any(), "square": batch.riemann.any()}
+    moved.update(sup=moved["terminal"] or batch.sup_norm.any(), increments=moved["square"])
     rows = []   # per (p, id): lhs, its SE, constant, base, its SE
     with np.errstate(over="ignore", invalid="ignore"):   # report_table refuses inf/NaN
         for p in p_values:
@@ -449,6 +453,11 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
             bases = {base: _zakai_integral(batch, p) if base == "increments"
                      else _mc_power(_pow(batch.riemann, p / 2.0), 2.0 / p)
                      for base in {b.base for b in bounds}}
+            zero = sorted(name for name, (value, _) in {**sides, **bases}.items()
+                          if value == 0.0 and moved[name])
+            if zero:
+                raise DomainError(f"p={p:g}: the sides underflow a float (the "
+                                  f"{', '.join(zero)} estimates are 0 from nonzero paths)")
             rows += [(*sides[b.side], b.constant(p), *bases[b.base]) for b in bounds]
         lhs, lhs_se, constant, base, base_se = np.array(rows, dtype=float).reshape(-1, 5).T
         rhs = constant * base

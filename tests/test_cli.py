@@ -254,6 +254,23 @@ class TestVerifyContinuous:
                 assert err.startswith("error:") and "overflow a float" in err and not out
                 assert not list(tmp_path.glob("op.*"))
 
+    @pytest.mark.parametrize("c, p", [(1e-170, "2"), (1e-170, "4"), (1e-100, "4")])
+    def test_underflow_is_an_error(self, tmp_path, capsys, c, p):
+        """Sides whose powers fall below the float range end in an error, as
+        overflowed ones do, not in 0 <= 0 read as satisfied (at p = 2,
+        ZAKAI-MAIN is an identity); no numpy warning is raised."""
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"dim": 1, "wiener_dim": 1, "horizon": 1.0, "steps": 16,
+                                    "rules": [{"range": [0, 16], "j": 1, "kind": "lin",
+                                               "k": 1, "c": c}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify-continuous", "--integrand", str(path),
+                                 "--p", p, "--paths", "64", "--out", str(tmp_path / "op"))
+        assert code == 1
+        assert err.startswith("error:") and "underflow a float" in err and not out
+        assert not list(tmp_path.glob("op.*"))
+
     def test_out_csv_has_seed_column(self, zoo, tmp_path, capsys):
         base = str(tmp_path / "mc")
         code, _, _ = run(capsys, "verify-continuous",
@@ -391,6 +408,25 @@ def test_out_into_missing_directory_is_an_error(zoo, tmp_path, capsys, argv):
     assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
+#: report commands whose --out files are pinned, with the digest of their rows
+FROZEN_OUT_CASES = [
+    (("random-trees", "--count", "20", "--max-depth", "5", "--max-dim", "3",
+      "--p", "2", "2.5", "3", "4", "8", "--seed", "2026"),
+     "bab2d95d662aea1afffd0e34defa7a099a13112ea842120c76b14b827467edbc"),
+    (("verify-discrete", "--tree", COIN, "--p", "2", "3"),
+     "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
+    (("verify-continuous", "--integrand", "spec_mixed2d.json", "--p", "2", "4",
+      "--paths", "2048", "--seed", "5", "--allow-inconclusive"),
+     "5c010c2f13befab855e63a505b39003b3664f689331a5f322f304371764251c8"),
+    (("verify-continuous", "--integrand", "spec_lin.json", "--p", "3", "--t", "0.5",
+      "--paths", "2048", "--ineq", "ZAKAI-MAX", "C-BURK-1"),
+     "db078c3359726fab8557551e08d22e21f9e44c394728e4816f8c84d1029546c4"),
+    (("verify-continuous", "--integrand", "spec_const1.json", "--p", "4",
+      "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
+     "b8e93aaca819daf6a00919b7a9603c1bf25b29827ad410b209b04fe0097a098b"),
+]
+
+
 class TestReproducibility:
     def test_rerun_is_byte_identical_apart_from_duration(self, zoo, tmp_path,
                                                          capsys):
@@ -407,22 +443,7 @@ class TestReproducibility:
                             (tmp_path / f"{tag}.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("argv, digest", [
-        (("random-trees", "--count", "20", "--max-depth", "5", "--max-dim", "3",
-          "--p", "2", "2.5", "3", "4", "8", "--seed", "2026"),
-         "bab2d95d662aea1afffd0e34defa7a099a13112ea842120c76b14b827467edbc"),
-        (("verify-discrete", "--tree", COIN, "--p", "2", "3"),
-         "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
-        (("verify-continuous", "--integrand", "spec_mixed2d.json", "--p", "2", "4",
-          "--paths", "2048", "--seed", "5", "--allow-inconclusive"),
-         "5c010c2f13befab855e63a505b39003b3664f689331a5f322f304371764251c8"),
-        (("verify-continuous", "--integrand", "spec_lin.json", "--p", "3", "--t", "0.5",
-          "--paths", "2048", "--ineq", "ZAKAI-MAX", "C-BURK-1"),
-         "db078c3359726fab8557551e08d22e21f9e44c394728e4816f8c84d1029546c4"),
-        (("verify-continuous", "--integrand", "spec_const1.json", "--p", "4",
-          "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
-         "b8e93aaca819daf6a00919b7a9603c1bf25b29827ad410b209b04fe0097a098b"),
-    ])
+    @pytest.mark.parametrize("argv, digest", FROZEN_OUT_CASES)
     def test_frozen_out_files(self, zoo, tmp_path, capsys, argv, digest):
         """Every bit of the written rows is pinned: the canonical JSON results
         and the CSV bytes, hashed together."""
@@ -434,6 +455,17 @@ class TestReproducibility:
                                       separators=(",", ":")).encode())
         h.update((tmp_path / "op.csv").read_bytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in FROZEN_OUT_CASES])
+    def test_out_json_is_standard_encoding(self, zoo, tmp_path, capsys, argv):
+        """The written JSON is byte for byte what json.dumps(sort_keys=True)
+        writes for it: separators, key order and escaping included, which the
+        frozen digests, taken over re-encoded results, cannot see."""
+        argv = [str(zoo / a) if a.endswith(".json") else a for a in argv]
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "op"))
+        assert code == 0
+        text = (tmp_path / "op.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_search_rerun_identical(self, zoo, tmp_path, capsys):
         docs = []

@@ -1,6 +1,9 @@
 """Serialization round trips and structural error paths."""
+import csv
 import hashlib
+import io
 import json
+import math
 import random
 import re
 
@@ -13,7 +16,6 @@ from martcheck import (
     MartcheckError,
     ReportTable,
     csv_row,
-    csv_rows,
     eval_discrete,
     eval_tree,
     integrand_to_obj,
@@ -23,12 +25,13 @@ from martcheck import (
     parse_tree,
     random_tree,
     report_row,
-    report_rows,
     search,
     search_result_to_obj,
     search_to_obj,
+    table_text,
     tree_to_obj,
 )
+from martcheck import cli
 from martcheck.formats import CSV_FIELDS, REPORT_FIELDS
 
 
@@ -326,14 +329,77 @@ class TestReportRows:
         tree = random_tree(2, 2, 4)
         table = eval_tree(tree, range(3), (2.0, 3.5), ["DOOB", "D-BURK-1"], seed=3,
                           notes="t")
-        assert report_rows(table) == [report_row(r) for r in table]
-        assert list(csv_rows(table)) == [tuple(csv_row(r)[name] for name in CSV_FIELDS)
-                                         for r in table]
+        text, rows = table_text(table)
+        assert "".join(text) == json.dumps([report_row(r) for r in table], sort_keys=True)
+        # a float's cell is its repr, which csv.writer would have written
+        assert list(rows) == [tuple(repr(v) if type(v) is float else v
+                                    for v in map(csv_row(r).get, CSV_FIELDS))
+                              for r in table]
 
     def test_rows_from_eval(self, zoo):
         tree = parse_tree(load(zoo, "tree_coin"))
         report = eval_discrete(tree, 1, 2.0, "D-BURK-1")
         assert csv_row(report)["satisfied"] is True
+
+
+_FLOAT = st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                        math.inf, -math.inf, math.nan])
+_TEXT = st.text(st.sampled_from('a,"\\\n\r\t %\u00e9\u20ac\U0001f600') | st.characters(),
+                max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """A ReportTable whose float columns hold plain floats, or floats mixed
+    with np.float64 (and, for the half-widths, None)."""
+    rows = draw(st.integers(0, 5))
+
+    def column(*values):
+        return draw(st.lists(draw(st.sampled_from(values)), min_size=rows, max_size=rows))
+
+    floats = (_FLOAT, _FLOAT | _FLOAT.map(np.float64))
+    columns = {name: column(*floats) for name in ("p", "n_or_t", "lhs", "rhs",
+                                                 "constant", "ratio")}
+    columns.update(
+        {name: column(st.none(), *floats, st.none() | _FLOAT) for name in ("ci_lhs", "ci_rhs")},
+        id=column(_TEXT), verdict=column(_TEXT), notes=column(_TEXT),
+        satisfied=column(st.booleans()), seed=column(st.none(), st.integers(),
+                                                     st.none() | st.integers()))
+    return ReportTable(columns)
+
+
+class TestTableWriter:
+    """The --out writer of a report table writes what the standard encoder
+    and csv.writer write for its reports, byte for byte; text that UTF-8
+    cannot hold is a config error."""
+
+    @given(_tables())
+    def test_files_are_standard_encodings(self, tmp_path_factory, table):
+        base = str(tmp_path_factory.mktemp("out") / "op")
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(CSV_FIELDS)
+        writer.writerows([csv_row(r)[name] for name in CSV_FIELDS] for r in table)
+        try:
+            expected_csv = expected.getvalue().encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(ConfigError, match="cannot write"):
+                cli._write_out(base, "verify-discrete", ["x"], {"p": [2.0]}, table, 0.0)
+            return
+        cli._write_out(base, "verify-discrete", ["x"], {"p": [2.0]}, table, 0.0)
+        with open(base + ".json", encoding="utf-8") as fh:
+            text = fh.read()
+        manifest = json.loads(text)["manifest"]
+        assert text == json.dumps({"manifest": manifest,
+                                   "results": [report_row(r) for r in table]},
+                                  sort_keys=True) + "\n"
+        with open(base + ".csv", "rb") as fh:
+            assert fh.read() == expected_csv
+
+    def test_value_json_not_serializable(self):
+        table = ReportTable({name: [object()] for name in REPORT_FIELDS})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            table_text(table)
 
 
 # -- fuzz: every document parses or raises a MartcheckError ------------
