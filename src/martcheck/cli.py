@@ -9,12 +9,15 @@ Subcommands map one-to-one onto the library evaluators:
     compare-constants  classic vs improved constants at given exponents
     gaussian-moment    E|Z|^p reference value
 
+Each subcommand prints its lines and returns (exit code, results, params);
+main times it, writes --out from what it returns and returns its code.
 Exit codes (the report commands take theirs from _exit_code): 0 all checks
-passed, 1 violation / invalid input / error (a side that overflows a float
-included), 2 at least one inconclusive Monte Carlo verdict (without
---allow-inconclusive). Every run with --out BASE writes BASE.json
-(a manifest plus results) and, for tabular commands, BASE.csv; reruns of
-the same command line are byte-identical apart from the duration field.
+passed, 1 violation / invalid input / error (a side that overflows or
+underflows a float, or an exponent too large for one, included), 2 at least
+one inconclusive Monte Carlo verdict (without --allow-inconclusive). Every run
+with --out BASE writes BASE.json (a manifest plus results) and, for tabular
+commands, BASE.csv; reruns of the same command line are byte-identical apart
+from the duration field.
 """
 from __future__ import annotations
 
@@ -111,41 +114,30 @@ def _coerce_ids(values: Sequence[str] | None, default, kind):
     return ids
 
 
-def _cmd_verify_discrete(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_verify_discrete(args):
     ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
     tree = formats.parse_tree(_load_json(args.tree))
     levels = range(tree.depth + 1) if args.n is None else [args.n]
     table = ineq.eval_tree(tree, levels, args.p, ids)
     for r in table:
         print(_report_line(r))
-    if args.out:
-        _write_out(args.out, "verify-discrete", argv,
-                   {"tree": args.tree, "p": list(args.p), "n": args.n,
-                    "ineq": [i.value for i in ids]},
-                   table, started)
-    return _exit_code(table)
+    return _exit_code(table), table, {"tree": args.tree, "p": list(args.p), "n": args.n,
+                                      "ineq": [i.value for i in ids]}
 
 
-def _cmd_verify_continuous(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_verify_continuous(args):
     ids = _coerce_ids(args.ineq, ineq.ContinuousId, ineq.ContinuousId)
     spec = formats.parse_integrand(_load_json(args.integrand))
     t = spec.horizon if args.t is None else args.t
     table = wiener_mc.eval_continuous(spec, t, args.p, ids, args.paths, args.seed)
     for r in table:
         print(_report_line(r))
-    if args.out:
-        _write_out(args.out, "verify-continuous", argv,
-                   {"integrand": args.integrand, "t": t, "p": list(args.p),
-                    "paths": args.paths, "seed": args.seed,
-                    "ineq": [i.value for i in ids]},
-                   table, started)
-    return _exit_code(table, args.allow_inconclusive)
+    return _exit_code(table, args.allow_inconclusive), table, {
+        "integrand": args.integrand, "t": t, "p": list(args.p), "paths": args.paths,
+        "seed": args.seed, "ineq": [i.value for i in ids]}
 
 
-def _cmd_sharpness(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_sharpness(args):
     config = formats.parse_search(_load_json(args.config))
     result = sharpness.search(config)
     print(f"family={config.family.tag} method={config.method} "
@@ -155,15 +147,11 @@ def _cmd_sharpness(args, argv) -> int:
     print("best_params=" + json.dumps(result.best_params, sort_keys=True))
     if result.exceeded:
         print("soundness bound exceeded: violation finding", file=sys.stderr)
-    if args.out:
-        _write_out(args.out, "sharpness", argv,
-                   formats.search_to_obj(config),
-                   formats.search_result_to_obj(result), started)
-    return EXIT_FAIL if result.exceeded else EXIT_OK
+    return (EXIT_FAIL if result.exceeded else EXIT_OK,
+            formats.search_result_to_obj(result), formats.search_to_obj(config))
 
 
-def _cmd_random_trees(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_random_trees(args):
     ids = _coerce_ids(args.ineq, ineq.DISCRETE_EVAL_IDS, ineq.InequalityId)
     table = ineq.sweep_random_trees(
         args.count, args.max_depth, args.max_dim, args.seed, args.p, ids)
@@ -172,17 +160,12 @@ def _cmd_random_trees(args, argv) -> int:
         print(_report_line(r) + f"  [{r.notes}]")
     print(f"{len(table)} checks on {args.count} trees: "
           f"{len(table) - len(bad)} satisfied, {len(bad)} violations")
-    if args.out:
-        _write_out(args.out, "random-trees", argv,
-                   {"count": args.count, "max_depth": args.max_depth,
-                    "max_dim": args.max_dim, "seed": args.seed,
-                    "p": list(args.p), "ineq": [i.value for i in ids]},
-                   table, started)
-    return _exit_code(table)
+    return _exit_code(table), table, {
+        "count": args.count, "max_depth": args.max_depth, "max_dim": args.max_dim,
+        "seed": args.seed, "p": list(args.p), "ineq": [i.value for i in ids]}
 
 
-def _cmd_compare_constants(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_compare_constants(args):
     rows = []
     for p in args.p:
         c = ineq.compare_constants(p)
@@ -190,20 +173,13 @@ def _cmd_compare_constants(args, argv) -> int:
         print(f"p={c.p:g}  main: {c.classic_main:g} -> {c.new_main:g} "
               f"(improved={c.improved_main})  max: {c.classic_max:g} -> "
               f"{c.new_max:g} (improved={c.improved_max})")
-    if args.out:
-        _write_out(args.out, "compare-constants", argv,
-                   {"p": list(args.p)}, rows, started)
-    return EXIT_OK
+    return EXIT_OK, rows, {"p": list(args.p)}
 
 
-def _cmd_gaussian_moment(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_gaussian_moment(args):
     value = wiener_mc.gaussian_abs_moment(args.p)
     print(f"E|Z|^{args.p:g} = {value:.12g}")
-    if args.out:
-        _write_out(args.out, "gaussian-moment", argv,
-                   {"p": args.p}, {"value": value}, started)
-    return EXIT_OK
+    return EXIT_OK, {"value": value}, {"p": args.p}
 
 
 def build_parser() -> _Parser:
@@ -269,8 +245,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args, argv)
+        code, results, params = args.func(args)
+        if args.out:
+            _write_out(args.out, args.command, argv, params, results, started)
+        return code
     except MartcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

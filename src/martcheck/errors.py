@@ -1,4 +1,5 @@
 """Error types shared across the package."""
+import functools
 
 
 class MartcheckError(Exception):
@@ -44,3 +45,18 @@ class ResourceLimitError(MartcheckError, RuntimeError):
 
 class ConfigError(MartcheckError, ValueError):
     """A search or run configuration is inconsistent."""
+
+
+def refuse_overflow(what: str):
+    """Decorate a function so that an OverflowError from the float arithmetic
+    in it (float ** and the math functions raise where numpy gives inf) is
+    raised as DomainError saying that `what` overflows, not as a traceback."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except OverflowError:
+                raise DomainError(f"{what} overflows a float") from None
+        return checked
+    return decorate

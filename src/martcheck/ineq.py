@@ -9,13 +9,20 @@ serves wiener_mc.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import ptree
-from .errors import DomainError, PreconditionError, QuadratureError, ResourceLimitError
+from .errors import (
+    DomainError,
+    PreconditionError,
+    QuadratureError,
+    ResourceLimitError,
+    refuse_overflow,
+)
 from .ptree import ProbTree, as_exponent
 
 ABS_TOL = 1e-9        # lhs <= rhs + ABS_TOL defines "satisfied" for exact sides
@@ -68,11 +75,12 @@ class Bound:
 
 #: the classic constants (square-function base) and the improved ones
 #: (increment base) of the paper; each row is keyed by both of its ids.
-#: PROP1-MAIN's p-1 is also the RIO-CHAIN and RIO-STEP constant.
+#: PROP1-MAIN's p-1 is also the RIO-CHAIN and RIO-STEP constant. The other
+#: constants give inf where they overflow, which report_table refuses.
 BOUNDS: dict[enum.Enum, Bound] = {
     i: b for b in (
         Bound(InequalityId.D_BURK_1, ContinuousId.C_BURK_1, "terminal", "square",
-              lambda p: (p - 1.0) ** 2),
+              refuse_overflow("the constant (p-1)^2")(lambda p: (p - 1.0) ** 2)),
         Bound(InequalityId.D_BURK_2, ContinuousId.C_BURK_2, "sup", "square",
               lambda p: p * p),
         Bound(InequalityId.PROP1_MAIN, ContinuousId.ZAKAI_MAIN, "terminal", "increments",
@@ -261,8 +269,14 @@ Atom = tuple[float, Sequence[float]]
 @np.errstate(over="ignore")
 def _norm_pow_moment(atoms: Iterable[tuple[float, np.ndarray]], p: float) -> float:
     # numpy norms and powers overflow to inf, which report_table refuses;
-    # float ** raises
-    return float(sum(q * np.linalg.norm(v) ** p for q, v in atoms))
+    # float ** raises. A sum below the normal range from nonzero norms has
+    # lost its terms to underflow.
+    norms = [(q, np.linalg.norm(v)) for q, v in atoms]
+    total = float(sum(q * r ** p for q, r in norms))
+    if total < sys.float_info.min and any(r for _, r in norms):
+        raise DomainError(f"p={p:g}: the sides underflow a float (E||.||^p is "
+                          f"{total:.3g} from nonzero norms)")
+    return total
 
 
 def eval_rio_step(x_atoms: Sequence[Atom], y_given_x: Sequence[Sequence[Atom]],
@@ -367,6 +381,7 @@ class TaylorBound:
     satisfied: bool
 
 
+@refuse_overflow("a side of the Taylor bound")
 def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
     """Pointwise second-order bound for ||x+y||^p.
 

@@ -17,6 +17,7 @@ Conventions
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -337,15 +338,21 @@ def moments(tree: ProbTree, p_values: Sequence) -> Moments:
     Each level's w * r ** e rows (e a scalar exponent, so numpy keeps its
     ** 2.0 square) are stacked and reduced along the level, which sums every
     row pairwise exactly as a 1-D np.sum does; the roots of the increment
-    norms are taken on scalars."""
+    norms are taken on scalars. A sum below the normal float range from
+    norms that are not all 0 has lost its terms to underflow: DomainError."""
     p = tuple(as_exponent(v) for v in p_values)
     calc = tree.calculus()
     exps = (p, p, tuple(v / 2.0 for v in p), p)
     sums = np.empty((4, len(p), tree.depth + 1))   # m, sup, quad, d
+    norms = (calc.m_norm, calc.sup_norm, calc.quad, calc.d_norm)
     for k, w in enumerate(calc.probs):
-        norms = (calc.m_norm[k], calc.sup_norm[k], calc.quad[k], calc.d_norm[k])
-        powers = np.array([r ** e for r, row in zip(norms, exps) for e in row])
+        powers = np.array([r[k] ** e for r, row in zip(norms, exps) for e in row])
         sums[:, :, k] = (powers.reshape(4, len(p), len(w)) * w).sum(axis=2)
+    for side, j, k in np.argwhere(sums < sys.float_info.min).tolist():   # 0 or underflowed
+        if norms[side][k].any():
+            name = ("||M_n||^p", "(max ||M_v||)^p", "(sum ||d_v||^2)^(p/2)", "||d_n||^p")[side]
+            raise DomainError(f"p={p[j]:g}: the sides underflow a float (E {name} at level "
+                              f"{k} is {sums[side, j, k]:.3g} from nonzero norms)")
     d_sq = [[s ** (2.0 / v) for s in row] for v, row in zip(p, sums[3].tolist())]
     incr = np.cumsum(np.array(d_sq).reshape(len(p), tree.depth + 1), axis=1)   # left to right
     return Moments(p, sums[0], sums[1], sums[2], incr)

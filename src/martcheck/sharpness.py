@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import ineq, ptree
-from .errors import ConfigError, DomainError, ResourceLimitError
+from .errors import ConfigError, DomainError, ResourceLimitError, refuse_overflow
 from .ptree import as_exponent
 
 SOUND_TOL = 1e-9
@@ -84,6 +84,7 @@ def _asym_moment_series(p: float, r: float, q: float) -> float:
     return total
 
 
+@refuse_overflow("the RIO-STEP two-point gain")
 def rio_gain(a, b, p) -> float:
     """Exact two-point gain for X = a constant, Y = +-b with probability 1/2.
 
@@ -105,6 +106,7 @@ def rio_gain(a, b, p) -> float:
     return math.expm1((2.0 / p) * math.log1p(s)) / (r * r)
 
 
+@refuse_overflow("the RIO-STEP asymmetric two-point gain")
 def asym_two_point_gain(a, b, q, p) -> float:
     """Gain for the centered asymmetric family Y = b(1-q) w.p. q, -bq w.p. 1-q."""
     p = as_exponent(p)

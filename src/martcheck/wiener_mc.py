@@ -20,12 +20,13 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, LevelRangeError, ResourceLimitError
+from .errors import DomainError, LevelRangeError, ResourceLimitError, refuse_overflow
 from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_id, report_table
 from .ptree import as_exponent
 
@@ -115,9 +116,6 @@ class IntegrandSpec:
     @property
     def dt(self) -> float:
         return self.horizon / self.steps
-
-    def segments(self, j: int) -> tuple[RuleEntry, ...]:
-        return next((lst for lst in self.per_j if lst[0].j == j), ())
 
 
 def check_dim(dim: int) -> None:
@@ -389,13 +387,23 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
                        p=p, zakai_rows=zrows)
 
 
+def _scaled_std(y: np.ndarray, like: float) -> float:
+    """y.std(ddof=1), taken on y * 2^-e with 2^e the binary scale of `like`
+    and scaled back, so the squared deviations of tiny or huge rows neither
+    underflow nor overflow; a power-of-two scale moves no bit of a normal
+    float."""
+    e = math.frexp(like)[1]
+    return math.ldexp(float(np.std(np.ldexp(y, -e), ddof=1)), e)
+
+
 def _mc_power(y: np.ndarray, expo: float) -> tuple[float, float]:
-    """(mean y)^expo with its delta-method standard error."""
+    """(mean y)^expo with its delta-method standard error; (0, 0) when the
+    mean lies below the normal float range, where its powers underflowed."""
     n = len(y)
     mean = float(y.mean())
-    if mean <= 0.0:
+    if mean < sys.float_info.min:
         return 0.0, 0.0
-    se_mean = float(y.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    se_mean = _scaled_std(y, mean) / math.sqrt(n) if n > 1 else 0.0
     value = mean ** expo
     return value, abs(expo) * mean ** (expo - 1.0) * se_mean
 
@@ -404,12 +412,17 @@ def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
     """Left sum dt * sum_{i<stop} ||g(t_i)||_{p/2} with a batch-means SE.
 
     The simulated integrand is constant on each step, so the left sum is the
-    exact time integral for the simulated process."""
+    exact time integral for the simulated process. (0, 0) when a step's
+    mean g^{p/2} lies strictly between 0 and the normal float range, where
+    its powers underflowed."""
     zrows, dt = batch.zakai_rows[batch.p.index(p)], batch.spec.dt
     sizes = np.array([hi - lo for lo, hi in _group_bounds(batch.paths)], dtype=float)
-    point = dt * float(_pow(zrows.sum(axis=0) / batch.paths, 2.0 / p).sum())
+    means = zrows.sum(axis=0) / batch.paths
+    if ((means > 0.0) & (means < sys.float_info.min)).any():
+        return 0.0, 0.0
+    point = dt * float(_pow(means, 2.0 / p).sum())
     per_group = dt * _pow(zrows / sizes[:, None], 2.0 / p).sum(axis=1)
-    se = float(per_group.std(ddof=1)) / math.sqrt(len(sizes))
+    se = _scaled_std(per_group, point) / math.sqrt(len(sizes))
     return point, se
 
 
@@ -431,8 +444,8 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     rhs upper bound, inconclusive otherwise. The supremum is taken over
     grid points only, which biases the maximal statistics downward; reports
     carry a note saying so. A side or half-width that overflows a float
-    raises DomainError, as does a side estimated as 0 from paths that are not
-    all 0, whose powers underflowed.
+    raises DomainError, as does a side estimated from paths that are not all
+    0 whose mean power lies below the normal float range (it underflowed).
     """
     p_values = [as_exponent(p) for p in p_values]
     if isinstance(ineq_ids, (str, ContinuousId)):
@@ -456,8 +469,8 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
             zero = sorted(name for name, (value, _) in {**sides, **bases}.items()
                           if value == 0.0 and moved[name])
             if zero:
-                raise DomainError(f"p={p:g}: the sides underflow a float (the "
-                                  f"{', '.join(zero)} estimates are 0 from nonzero paths)")
+                raise DomainError(f"p={p:g}: the sides underflow a float (the {', '.join(zero)} "
+                                  f"mean powers fall below the normal range from nonzero paths)")
             rows += [(*sides[b.side], b.constant(p), *bases[b.base]) for b in bounds]
         lhs, lhs_se, constant, base, base_se = np.array(rows, dtype=float).reshape(-1, 5).T
         rhs = constant * base
@@ -473,6 +486,7 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
         [sup_note if b.side == "sup" else "" for b in bounds] * len(p_values))
 
 
+@refuse_overflow("E|Z|^p")
 def gaussian_abs_moment(p) -> float:
     """E|Z|^p = 2^{p/2} Gamma((p+1)/2) / sqrt(pi) for standard Gaussian Z.
 
@@ -481,7 +495,4 @@ def gaussian_abs_moment(p) -> float:
     if not (math.isfinite(p) and p >= 0.0):
         raise DomainError(f"need p >= 0, got {p!r}")
     log_value = 0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
-    try:
-        return math.exp(log_value) / math.sqrt(math.pi)
-    except OverflowError:
-        raise DomainError(f"E|Z|^p overflows a float at p={p!r}") from None
+    return math.exp(log_value) / math.sqrt(math.pi)

@@ -271,6 +271,34 @@ class TestVerifyContinuous:
         assert err.startswith("error:") and "underflow a float" in err and not out
         assert not list(tmp_path.glob("op.*"))
 
+    @staticmethod
+    def _lin_spec(tmp_path, c):
+        path = tmp_path / f"lin_{c}.json"
+        path.write_text(json.dumps({"dim": 1, "wiener_dim": 1, "horizon": 1.0, "steps": 16,
+                                    "rules": [{"range": [0, 16], "j": 1, "kind": "lin",
+                                               "k": 1, "c": c}]}))
+        return str(path)
+
+    def test_half_widths_are_scale_free(self, tmp_path, capsys):
+        """Every side is homogeneous of degree 2 in c, so scaling the integrand
+        moves no verdict: tiny sides keep their half-widths instead of reading
+        0 and "satisfied" (at c = 1, C-BURK-1 and ZAKAI-MAIN are inconclusive)."""
+        argv = ["verify-continuous", "--p", "2", "--paths", "64", "--seed", "0"]
+        outcomes = []
+        for c in (1.0, 1e-100, 1e-150):
+            code, out, _ = run(capsys, *argv, "--integrand", self._lin_spec(tmp_path, c))
+            outcomes.append((code, [line.split()[-1] for line in out.splitlines()]))
+        assert outcomes[0] == (2, ["inconclusive", "satisfied", "inconclusive", "satisfied"])
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    def test_subnormal_sides_are_an_error(self, tmp_path, capsys):
+        """At c = 1e-160 the p = 2 means fall below the normal float range
+        (lhs ~3e-321, not 3e-301 * 1e-20): refused, not read as satisfied."""
+        code, out, err = run(capsys, "verify-continuous", "--p", "2", "--paths", "64",
+                             "--integrand", self._lin_spec(tmp_path, 1e-160))
+        assert code == 1
+        assert err.startswith("error:") and "underflow a float" in err and not out
+
     def test_out_csv_has_seed_column(self, zoo, tmp_path, capsys):
         base = str(tmp_path / "mc")
         code, _, _ = run(capsys, "verify-continuous",
@@ -383,6 +411,15 @@ class TestSweepAndTables:
     def test_exit_code_from_verdicts(self, verdicts, allow, code):
         assert cli._exit_code(martcheck.ReportTable({"verdict": verdicts}), allow) == code
 
+    def test_underflowed_tree_sides_are_an_error(self, capsys):
+        """At p = 1000 every ||d_k||^p of levels 1-2 underflows, which read
+        two RIO-CHAIN "violation" rows (ratio 3.93; 0.008 on normalized
+        norms); the sweep now ends in an error instead."""
+        code, out, err = run(capsys, "random-trees", "--count", "1", "--max-depth", "3",
+                             "--p", "1000")
+        assert code == 1
+        assert err.startswith("error:") and "underflow a float" in err and not out
+
     def test_compare_constants(self, capsys):
         code, out, _ = run(capsys, "compare-constants", "--p", "2", "4")
         assert code == 0
@@ -408,6 +445,33 @@ def test_out_into_missing_directory_is_an_error(zoo, tmp_path, capsys, argv):
     assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-continuous", "--integrand", "ZOO/spec_const1.json", "--p", "1e308", "--paths", "4"),
+    ("verify-discrete", "--tree", "ZOO/" + COIN, "--p", "1e200"),
+    ("random-trees", "--count", "1", "--max-depth", "3", "--p", "1e308"),
+    ("compare-constants", "--p", "1e308"),
+    ("gaussian-moment", "--p", "1e308"),
+    ("sharpness", "--config", "RIO-TWO-POINT"),
+    ("sharpness", "--config", "ASYM-TWO-POINT")],
+    ids=["verify-continuous", "verify-discrete", "random-trees", "compare-constants",
+         "gaussian-moment", "sharpness-rio", "sharpness-asym"])
+def test_huge_exponent_is_an_error(zoo, tmp_path, capsys, argv):
+    """Exponents whose constants or powers exceed the float range end in an
+    error line and exit 1, not in an OverflowError traceback."""
+    family = argv[-1]
+    if family.endswith("TWO-POINT"):
+        config = {"family": family, "p": 100000, "method": "grid", "a": [1, 1],
+                  "b": [0.1, 1], "budget": 4, "seed": 1}
+        if family == "ASYM-TWO-POINT":
+            config["q"] = [0.3, 0.5]
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(config))
+        argv = argv[:-1] + (str(path),)
+    code, _, err = run(capsys, *(a.replace("ZOO/", f"{zoo}/") for a in argv))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 #: report commands whose --out files are pinned, with the digest of their rows
 FROZEN_OUT_CASES = [
     (("random-trees", "--count", "20", "--max-depth", "5", "--max-dim", "3",
@@ -425,6 +489,46 @@ FROZEN_OUT_CASES = [
       "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
      "b8e93aaca819daf6a00919b7a9603c1bf25b29827ad410b209b04fe0097a098b"),
 ]
+
+
+_DISCRETE_IDS = ["D-BURK-1", "D-BURK-2", "PROP1-MAIN", "PROP1-MAX", "RIO-CHAIN", "DOOB"]
+
+#: one run of every subcommand with its exit code and --out params
+MANIFEST_CASES = [
+    (("verify-discrete", "--tree", COIN, "--p", "2", "3", "--n", "1"), 0,
+     {"tree": COIN, "p": [2.0, 3.0], "n": 1, "ineq": _DISCRETE_IDS}),
+    (("verify-continuous", "--integrand", "spec_const1.json", "--p", "2", "--paths", "256",
+      "--seed", "1", "--ineq", "ZAKAI-MAIN"), 2,
+     {"integrand": "spec_const1.json", "t": 1.0, "p": [2.0], "paths": 256, "seed": 1,
+      "ineq": ["ZAKAI-MAIN"]}),
+    (("sharpness", "--config", "search_rio_grid.json"), 0,
+     {"family": "RIO-TWO-POINT", "p": 4.0, "method": "grid", "a": [1.0, 1.0],
+      "b": [0.0001, 1.0], "budget": 1000, "seed": 7, "target": "RIO-STEP"}),
+    (("random-trees", "--count", "3", "--max-depth", "3", "--seed", "4", "--p", "2", "4"), 0,
+     {"count": 3, "max_depth": 3, "max_dim": 3, "seed": 4, "p": [2.0, 4.0],
+      "ineq": _DISCRETE_IDS}),
+    (("compare-constants", "--p", "2", "4"), 0, {"p": [2.0, 4.0]}),
+    (("gaussian-moment", "--p", "4"), 0, {"p": 4.0}),
+]
+
+
+@pytest.mark.parametrize("argv, code, params", MANIFEST_CASES)
+def test_out_manifest(zoo, tmp_path, capsys, argv, code, params):
+    """Every subcommand writes the same manifest: its name, the argv it was
+    given, its params, the version and a duration; a non-zero exit code
+    (here the inconclusive p=2 identity) still writes its files."""
+    def in_zoo(a):
+        return str(zoo / a) if a.endswith(".json") else a
+
+    argv = [in_zoo(a) for a in argv] + ["--out", str(tmp_path / "op")]
+    params = {k: in_zoo(v) if isinstance(v, str) else v for k, v in params.items()}
+    got, _, _ = run(capsys, *argv)
+    assert got == code
+    manifest = json.loads((tmp_path / "op.json").read_text())["manifest"]
+    duration = manifest.pop("duration_s")
+    assert isinstance(duration, float) and duration >= 0
+    assert manifest == {"command": argv[0], "argv": argv, "params": params,
+                        "version": martcheck.__version__}
 
 
 class TestReproducibility:

@@ -14,6 +14,7 @@ import martcheck.sharpness as sh
 from martcheck import (
     DomainError,
     Level,
+    MartcheckError,
     PreconditionError,
     ProbTree,
     QuadratureError,
@@ -172,6 +173,14 @@ class TestRioStep:
         with pytest.raises(DomainError, match="overflow"):
             ineq.eval_rio_step([(0.5, [scale]), (0.5, [-scale])], [cond, cond], 4)
 
+    def test_underflowed_sides_refused(self):
+        """At p = 1000, 0.3^p underflows to 0, so ||Y||_p^2 would read 0 and
+        the rhs ||X||_p^2 alone: a "violation" (ratio 1.69) though the
+        two-point gain is 7.6 < 999. The side is refused instead."""
+        with pytest.raises(DomainError, match="underflow a float"):
+            ineq.eval_rio_step([(1.0, [1.0])], [[(0.5, [0.3]), (0.5, [-0.3])]], 1000)
+        assert sh.rio_gain(1.0, 0.3, 1000) < 999.0
+
     def test_conditional_mean_must_vanish(self):
         with pytest.raises(PreconditionError, match="conditional mean"):
             ineq.eval_rio_step([(1.0, [0.0])], [[(1.0, [0.5])]], 2)
@@ -227,6 +236,20 @@ class TestTaylorPointwise:
         x, y = xy
         b = ineq.taylor_pointwise(x, y, p)
         assert b.satisfied, (x, y, p, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ineq.taylor_pointwise([1.0, 0.5], [0.3, -0.2], 1e5),
+    lambda: ineq.compare_constants(1e308),
+    lambda: ineq.BOUNDS[ineq.InequalityId.D_BURK_1].constant(1e200),
+    lambda: sh.rio_gain(1.0, 0.1, 1e5),
+    lambda: sh.asym_two_point_gain(1.0, 0.1, 0.3, 1e5)],
+    ids=["taylor", "compare", "constant", "rio-gain", "asym-gain"])
+def test_huge_exponent_is_an_error(call):
+    """Float ** and the math functions raise OverflowError where numpy gives
+    inf; a result beyond the float range ends in the package's error."""
+    with pytest.raises(MartcheckError, match="overflows a float"):
+        call()
 
 
 class TestQuadrature:

@@ -461,3 +461,13 @@ def test_random_tree_peak_within_byte_charge(depth, dim, branching):
         tracemalloc.stop()
     assert 1 + sum(len(lvl.parent) for lvl in tree.levels) == nodes
     assert peak <= nodes * (256 + 24 * dim)
+
+
+def test_underflowed_moments_refused():
+    """At p = 1000 the increments' powers 0.3^p underflow to 0 while the
+    norms do not: the moment table refuses them rather than sum to 0. Norms
+    that are all 0 (M_0 = 0) and powers that stay normal are accepted."""
+    with pytest.raises(DomainError, match="underflow a float"):
+        ptree.moments(ptree.symmetric_walk(2, step=0.3), [1000])
+    table = ptree.moments(ptree.symmetric_walk(2, step=1.0), [1000])
+    assert table.m[0].tolist() == [0.0, 1.0, 2.0 ** 999]

@@ -50,7 +50,7 @@ class TestIntegrandSpec:
         spec = constant_integrand(1.0, steps=16)
         assert spec.dt == pytest.approx(1.0 / 16)
         assert not spec.needs_wiener
-        assert spec.segments(1)[0].rule.kind == "const"
+        assert spec.per_j[0][0].rule.kind == "const"
 
     def test_huge_dim_refused_before_broadcast(self):
         """Two paths' output rows, 16 (dim + 2) bytes, must fit the block
@@ -94,7 +94,7 @@ class TestIntegrandSpec:
         spec = IntegrandSpec(1, 1, 1.0, 16, (
             RuleEntry(0, 8, 1, Rule("const", (1.0,))),
             RuleEntry(8, 16, 1, Rule("const", (2.0,)))))
-        first, second = spec.segments(1)
+        first, second = spec.per_j[0]
         assert (first.stop, first.rule.c) == (8, (1.0,))
         assert (second.start, second.rule.c) == (8, (2.0,))
 
