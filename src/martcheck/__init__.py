@@ -16,9 +16,8 @@ from .errors import (
     PreconditionError, QuadratureError, ResourceLimitError, TreeStructureError,
 )
 from .ptree import (
-    Level, LevelProcess, ProbTree, ValidationResult, Violation, increment_lp_sum,
-    lp_norm, martingale_level, moments, quadratic_sum_norm, random_tree,
-    sup_lp_norm, symmetric_walk,
+    Level, ProbTree, ValidationResult, Violation, increment_lp_sum, lp_norm,
+    moments, quadratic_sum_norm, random_tree, sup_lp_norm, symmetric_walk,
 )
 from .ineq import (
     DISCRETE_EVAL_IDS,
@@ -75,9 +74,9 @@ __all__ = [
     "LevelRangeError", "PreconditionError", "QuadratureError",
     "ResourceLimitError", "ConfigError",
     "Level", "ProbTree", "Violation",
-    "ValidationResult", "LevelProcess", "moments",
+    "ValidationResult", "moments",
     "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
-    "increment_lp_sum", "martingale_level", "random_tree", "symmetric_walk",
+    "increment_lp_sum", "random_tree", "symmetric_walk",
     "InequalityId", "DISCRETE_EVAL_IDS", "InequalityReport", "ReportTable",
     "TaylorBound",
     "ConstantComparison", "eval_discrete", "eval_tree", "eval_rio_step",

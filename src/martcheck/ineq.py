@@ -9,6 +9,7 @@ serves wiener_mc.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
@@ -23,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     refuse_overflow,
 )
-from .ptree import ProbTree, as_exponent
+from .ptree import ProbTree, as_exponent, as_seed
 
 ABS_TOL = 1e-9        # lhs <= rhs + ABS_TOL defines "satisfied" for exact sides
 QUAD_TOL = 1e-10      # relative convergence tolerance of adaptive_panel_quadrature
@@ -224,19 +225,20 @@ def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
     one ReportTable read from a single ptree.moments table for all exponents;
     seed and notes go into every row.
 
-    The roots and the squared norms are taken on scalars, one (n, p) at a
-    time; the constants and the right-hand sides are then whole columns."""
+    The sides are the table's columns at the levels; ||M_n||_p^2 and the
+    squared sup are taken on scalars, the constants and the right-hand sides
+    on whole columns."""
     ids = [coerce_id(InequalityId, i) for i in ids]
     if InequalityId.RIO_STEP in ids:
         raise DomainError("RIO-STEP compares a distribution pair; use eval_rio_step")
     table = ptree.moments(tree, p_values)
-    levels = list(levels)
+    levels = [ptree.check_level(n, tree.depth) for n in levels]
     ps = table.p
-    # per level: ||M_n||_p, sup, quad, incr, ||M_n||_p^2 and sup^2 at each p
-    norms = [(lp, sup, quad, incr, [x ** 2 for x in lp], [x ** 2 for x in sup])
-             for lp, sup, quad, incr in map(table.norms, levels)]
-    lp, sup, quad, incr, lp_sq, sup_sq = np.array(
-        norms, dtype=float).reshape(len(levels), 6, len(ps)).transpose(1, 0, 2)
+    # each side as a (level, p) array
+    sides = np.array([table.lp, table.sup, table.quad, table.incr])[:, :, levels]
+    lp, sup, quad, incr = sides.transpose(0, 2, 1)
+    squares = [x ** 2 for x in np.array([lp, sup]).ravel().tolist()]
+    lp_sq, sup_sq = np.array(squares).reshape(2, *lp.shape)
     start_sq = table.incr[:, 0]   # ||M_0||^2
     shape = (len(levels), len(ps), len(ids))
     lhs, rhs, constant = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -391,7 +393,9 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
 
     The remainder integral is evaluated by adaptive panel quadrature with a
     panel edge at the norm minimizer t* = -<x,y>/||y||^2 when it lies in
-    ]0,1[ (for 2 < p < 3 the integrand kinks there).
+    ]0,1[ (for 2 < p < 3 the integrand kinks there); at y = 0 the remainder
+    term is exactly 0. A side or tolerance scale that is not finite (say an
+    overflowed p(p-1) times an underflowed integral) raises DomainError.
     """
     p = as_exponent(p)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -404,7 +408,7 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
     head = float(np.linalg.norm(x)) ** p
     grad = p * float(np.linalg.norm(x)) ** (p - 2.0) * inner if inner != 0.0 else 0.0
     if y_sq == 0.0:
-        remainder = 0.0
+        taylor = 0.0
     else:
         def integrand(t: np.ndarray) -> np.ndarray:
             pts = x[None, :] + t[:, None] * y[None, :]
@@ -412,11 +416,14 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
             return r ** (p - 2.0) * y_sq * (1.0 - t)
 
         t_star = -inner / y_sq
-        remainder = adaptive_panel_quadrature(integrand, breakpoints=(t_star,))
-    rhs = head + grad + p * (p - 1.0) * remainder
+        taylor = p * (p - 1.0) * adaptive_panel_quadrature(integrand, breakpoints=(t_star,))
+    rhs = head + grad + taylor
     # rhs is a cancelling sum; its roundoff scales with the summed terms,
     # so the comparison tolerance must too
-    scale = max(1.0, abs(lhs), head, abs(grad), p * (p - 1.0) * remainder)
+    scale = max(1.0, abs(lhs), head, abs(grad), taylor)
+    if not all(map(math.isfinite, (lhs, rhs, scale))):
+        raise DomainError(f"p={p:g}: a side of the Taylor bound is not finite "
+                          f"(lhs={lhs}, rhs={rhs}, scale={scale})")
     return TaylorBound(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + ABS_TOL * scale)
 
 
@@ -461,8 +468,7 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     if int(count) < 0 or int(max_depth) < 1 or int(max_dim) < 1:
         raise DomainError("random-tree sweep needs count >= 0, max_depth >= 1 "
                           "and max_dim >= 1")
-    if int(seed) < 0:
-        raise DomainError("seed must be a non-negative integer")
+    seed = as_seed(seed)
     p_values = [as_exponent(p) for p in p_values]
     ids = [coerce_id(InequalityId, i) for i in ids]
     rows = int(count) * (int(max_depth) + 1) * len(p_values) * len(ids)
@@ -474,11 +480,11 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
 
     def tables() -> Iterator[ReportTable]:
         for t in range(int(count)):
-            ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_SWEEP_STREAM, t))
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SWEEP_STREAM, t))
             rng = np.random.Generator(np.random.Philox(ss))
             depth = int(rng.integers(1, int(max_depth) + 1))
             dim = int(rng.integers(1, int(max_dim) + 1))
             tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
-            yield eval_tree(tree, range(tree.depth + 1), p_values, ids, seed=int(seed),
+            yield eval_tree(tree, range(tree.depth + 1), p_values, ids, seed=seed,
                             notes=f"tree={t} depth={depth} dim={dim}")
     return ReportTable.concat(tables())

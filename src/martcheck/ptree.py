@@ -45,6 +45,14 @@ def as_exponent(p) -> float:
     return float(p)
 
 
+def as_seed(seed) -> int:
+    """seed as an int seed; only non-negative integers are admitted anywhere."""
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError("seed must be a non-negative integer")
+    return seed
+
+
 @dataclass(frozen=True)
 class Branch:
     """One edge of ProbTree.root's graph: transition probability, increment
@@ -101,19 +109,6 @@ class ValidationResult:
         shown = "; ".join(v.message for v in self.violations[:limit])
         extra = len(self.violations) - limit
         return shown + (f"; and {extra} more" if extra > 0 else "")
-
-
-@dataclass(frozen=True)
-class LevelProcess:
-    """Adapted view of a process at one level: one value row per node.
-
-    Rows follow the level's depth-first node order, the same order used by
-    every enumeration in this module.
-    """
-
-    level: int
-    probs: np.ndarray   # (c,) node probabilities
-    values: np.ndarray  # (c, d) process values
 
 
 class ProbTree:
@@ -300,7 +295,8 @@ def _build_calc(tree: ProbTree) -> _LevelCalc:
     return _LevelCalc(probs, values, m_norm, sup_norm, quad, d_norm)
 
 
-def _check_level(n, depth: int) -> int:
+def check_level(n, depth: int) -> int:
+    """n as a level of a depth-`depth` tree; outside 0..depth: LevelRangeError."""
     n = int(n)
     if n < 0 or n > depth:
         raise LevelRangeError(f"level n={n} outside 0..{depth}")
@@ -309,26 +305,16 @@ def _check_level(n, depth: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """One tree's exact moments at the exponents p, row j for p[j] and column
-    k for level k: m[j, k] = E ||M_k||^p, sup[j, k] = E (max_{v <= k} ||M_v||)^p,
-    quad[j, k] = E (sum_{v <= k} ||d_v||^2)^{p/2} and
-    incr[j, k] = sum_{v <= k} ||d_v||_{L^p}^2, the level-0 term being ||M_0||^2."""
+    """One tree's exact sides at the exponents p, row j for p[j] and column k
+    for level k: lp[j, k] = ||M_k||_p, sup[j, k] = || max_{v <= k} ||M_v|| ||_p,
+    quad[j, k] = || sum_{v <= k} ||d_v||^2 ||_{p/2} and
+    incr[j, k] = sum_{v <= k} ||d_v||_p^2, the level-0 term being ||M_0||^2."""
 
     p: tuple[float, ...]
-    m: np.ndarray
+    lp: np.ndarray
     sup: np.ndarray
     quad: np.ndarray
     incr: np.ndarray
-
-    def norms(self, n) -> tuple[list[float], list[float], list[float], list[float]]:
-        """(||M_n||_p, ||max_{v <= n} ||M_v|| ||_p, ||sum_{k <= n} ||d_k||^2||_{p/2},
-        incr[n]) at a checked level n, one entry per exponent, each root taken
-        on its scalar level sum."""
-        n = _check_level(n, self.m.shape[1] - 1)
-        return ([m ** (1.0 / p) for m, p in zip(self.m[:, n].tolist(), self.p)],
-                [s ** (1.0 / p) for s, p in zip(self.sup[:, n].tolist(), self.p)],
-                [q ** (2.0 / p) for q, p in zip(self.quad[:, n].tolist(), self.p)],
-                self.incr[:, n].tolist())
 
 
 @np.errstate(over="ignore")   # sums beyond the float range: exact reports refuse them
@@ -337,9 +323,10 @@ def moments(tree: ProbTree, p_values: Sequence) -> Moments:
 
     Each level's w * r ** e rows (e a scalar exponent, so numpy keeps its
     ** 2.0 square) are stacked and reduced along the level, which sums every
-    row pairwise exactly as a 1-D np.sum does; the roots of the increment
-    norms are taken on scalars. A sum below the normal float range from
-    norms that are not all 0 has lost its terms to underflow: DomainError."""
+    row pairwise exactly as a 1-D np.sum does. Every root (1/p, 1/p, 2/p and
+    2/p) is then taken here, once, with float ** on its scalar level sum. A
+    sum below the normal float range from norms that are not all 0 has lost
+    its terms to underflow: DomainError."""
     p = tuple(as_exponent(v) for v in p_values)
     calc = tree.calculus()
     exps = (p, p, tuple(v / 2.0 for v in p), p)
@@ -353,37 +340,31 @@ def moments(tree: ProbTree, p_values: Sequence) -> Moments:
             name = ("||M_n||^p", "(max ||M_v||)^p", "(sum ||d_v||^2)^(p/2)", "||d_n||^p")[side]
             raise DomainError(f"p={p[j]:g}: the sides underflow a float (E {name} at level "
                               f"{k} is {sums[side, j, k]:.3g} from nonzero norms)")
-    d_sq = [[s ** (2.0 / v) for s in row] for v, row in zip(p, sums[3].tolist())]
-    incr = np.cumsum(np.array(d_sq).reshape(len(p), tree.depth + 1), axis=1)   # left to right
-    return Moments(p, sums[0], sums[1], sums[2], incr)
+    roots = [e / v for e in (1.0, 1.0, 2.0, 2.0) for v in p]   # one per row of sums
+    rows = sums.reshape(len(roots), tree.depth + 1).tolist()
+    lp, sup, quad, d_sq = np.array([s ** root for root, row in zip(roots, rows)
+                                    for s in row]).reshape(sums.shape)
+    return Moments(p, lp, sup, quad, np.cumsum(d_sq, axis=1))   # incr: left to right
 
 
 def lp_norm(tree: ProbTree, n: int, p) -> float:
     """||M_n||_{L^p}, read from moments(tree, [p])."""
-    return moments(tree, [p]).norms(n)[0][0]
+    return float(moments(tree, [p]).lp[0, check_level(n, tree.depth)])
 
 
 def sup_lp_norm(tree: ProbTree, n: int, p) -> float:
     """|| max_{v <= n} ||M_v|| ||_{L^p}, read from moments(tree, [p])."""
-    return moments(tree, [p]).norms(n)[1][0]
+    return float(moments(tree, [p]).sup[0, check_level(n, tree.depth)])
 
 
 def quadratic_sum_norm(tree: ProbTree, n: int, p) -> float:
     """|| sum_{k<=n} ||d_k||^2 ||_{L^{p/2}}, read from moments(tree, [p])."""
-    return moments(tree, [p]).norms(n)[2][0]
+    return float(moments(tree, [p]).quad[0, check_level(n, tree.depth)])
 
 
 def increment_lp_sum(tree: ProbTree, n: int, p) -> float:
     """sum_{k<=n} ||d_k||_{L^p}^2 (level-0 term ||M_0||^2), read from moments(tree, [p])."""
-    return moments(tree, [p]).norms(n)[3][0]
-
-
-def martingale_level(tree: ProbTree, n: int) -> LevelProcess:
-    """M_n on level n as a LevelProcess (depth-first node order), copied from
-    the tree's level walk, so it raises ResourceLimitError past MAX_PATHS."""
-    calc = tree.calculus()
-    n = _check_level(n, tree.depth)
-    return LevelProcess(n, calc.probs[n].copy(), calc.values[n].copy())
+    return float(moments(tree, [p]).incr[0, check_level(n, tree.depth)])
 
 
 class _PhiloxWords:
@@ -462,8 +443,8 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
     if len(branching) == 0 or min(branching) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(branching)}")
-    if not isinstance(seed, np.random.SeedSequence) and int(seed) < 0:
-        raise DomainError("seed must be a non-negative integer")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = as_seed(seed)
     widest = int(max(branching))
     # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
     # so the power never grows into a huge integer
@@ -481,7 +462,7 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_TREE_STREAM,))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(_TREE_STREAM,))
     rng = np.random.Generator(np.random.Philox(ss))
     m0 = tuple(float(v) for v in rng.uniform(-1.0, 1.0, dim))
     if depth == 0:

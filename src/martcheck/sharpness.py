@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ineq, ptree
 from .errors import ConfigError, DomainError, ResourceLimitError, refuse_overflow
-from .ptree import as_exponent
+from .ptree import as_exponent, as_seed
 
 SOUND_TOL = 1e-9
 COLLAPSE_DIAMETER = 1e-10
@@ -206,9 +206,7 @@ class SearchConfig:
         if int(self.budget) < 1:
             raise ConfigError("budget must be >= 1")
         object.__setattr__(self, "budget", int(self.budget))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", as_seed(self.seed))
         target = ineq.coerce_id(ineq.InequalityId, self.target)
         object.__setattr__(self, "target", target.value)
         if self.family.tag == "RANDOM-TREE":

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError, refuse_overflow
 from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_id, report_table
-from .ptree import as_exponent
+from .ptree import as_exponent, as_seed
 
 BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
@@ -156,6 +156,7 @@ class WienerBatch:
     p: the exponents given to simulate.
     zakai_rows: (len(p), groups, stop) sums of g(t_i)^{p_k/2} over the paths
         of each batch-means group (see _group_bounds); None when p is empty.
+    g_positive: (stop,) whether g(t_i) > 0 on some path; None when p is empty.
     """
 
     spec: IntegrandSpec
@@ -167,6 +168,7 @@ class WienerBatch:
     riemann: np.ndarray
     p: tuple[float, ...] = ()
     zakai_rows: np.ndarray | None = None
+    g_positive: np.ndarray | None = None
 
 
 def _pow(arr: np.ndarray, e: float) -> np.ndarray:
@@ -182,8 +184,7 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     for each of its exponents."""
     if int(paths) < 2:
         raise DomainError("paths must be >= 2")
-    if int(seed) < 0:
-        raise DomainError("seed must be a non-negative integer")
+    as_seed(seed)
     cells = int(paths) * spec.steps * spec.wiener_dim
     if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
@@ -259,9 +260,11 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
            half_powers: tuple[float, ...], b: int):
     """Simulate path block b and reduce it to its rows of the batch.
 
-    Returns (lo, hi, x_stop rows, sup_norm rows, riemann rows, zakai), where
-    zakai lists the ((k, group), partial row) sums of g^{p/2}, p/2 the k-th
-    half-power, over the block's paths in each batch-means group it overlaps.
+    Returns (lo, hi, x_stop rows, sup_norm rows, riemann rows, zakai,
+    positive), where zakai lists the ((k, group), partial row) sums of
+    g^{p/2}, p/2 the k-th half-power, over the block's paths in each
+    batch-means group it overlaps, and positive, given half-powers, marks the
+    steps before stop where g > 0 on some path of the block (else None).
     For a constant integrand, whose g is one row shared by every path, block
     0 lists the row g^{p/2} under k, for every group, and the other blocks
     list nothing; simulate scales it by the group sizes. The block allocates
@@ -302,6 +305,9 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     riemann = g[..., :stop].sum(axis=-1) * spec.dt
 
     zakai = []
+    positive = None
+    if half_powers:   # g >= 0, so a nonzero step is a positive one
+        positive = g[:, :stop].any(axis=0) if g.ndim == 2 else g[:stop] != 0.0
     bounds = _group_bounds(paths)
     groups = len(bounds)
     for k, half_power in enumerate(half_powers):
@@ -325,7 +331,7 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
         norms = np.abs(head[:, :, 0], out=head[:, :, 0])
     else:
         norms = np.linalg.norm(head, axis=2)
-    return lo, hi, x_stop, norms.max(axis=1, initial=0.0), riemann, zakai
+    return lo, hi, x_stop, norms.max(axis=1, initial=0.0), riemann, zakai, positive
 
 
 def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
@@ -346,15 +352,18 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     sup_norm = np.empty(paths)
     riemann = np.empty(paths)
     zrows = np.zeros((len(p), len(_group_bounds(paths)), stop)) if p else None
+    g_positive = np.zeros(stop, dtype=bool) if p else None
 
     def merge(results) -> None:
         # block order fixes the addition order of the ZAKAI partial rows
-        for lo, hi, xs, sup, rie, zakai in results:
+        for lo, hi, xs, sup, rie, zakai, positive in results:
             x_stop[lo:hi] = xs
             sup_norm[lo:hi] = sup
             riemann[lo:hi] = rie
             for key, row in zakai:
                 zrows[key] += row
+            if positive is not None:
+                np.logical_or(g_positive, positive, out=g_positive)
 
     blocks = -(-paths // BLOCK_PATHS)
     run = functools.partial(_block, spec, paths, seed, stop, tuple(v / 2.0 for v in p))
@@ -384,7 +393,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
 
     return WienerBatch(spec=spec, seed=seed, paths=paths, stop=stop,
                        x_stop=x_stop, sup_norm=sup_norm, riemann=riemann,
-                       p=p, zakai_rows=zrows)
+                       p=p, zakai_rows=zrows, g_positive=g_positive)
 
 
 def _scaled_std(y: np.ndarray, like: float) -> float:
@@ -412,14 +421,17 @@ def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
     """Left sum dt * sum_{i<stop} ||g(t_i)||_{p/2} with a batch-means SE.
 
     The simulated integrand is constant on each step, so the left sum is the
-    exact time integral for the simulated process. (0, 0) when a step's
-    mean g^{p/2} lies strictly between 0 and the normal float range, where
-    its powers underflowed."""
+    exact time integral for the simulated process. A step where g > 0 on
+    some path but the mean g^{p/2} lies below the normal float range has
+    lost its powers to underflow: DomainError."""
     zrows, dt = batch.zakai_rows[batch.p.index(p)], batch.spec.dt
     sizes = np.array([hi - lo for lo, hi in _group_bounds(batch.paths)], dtype=float)
     means = zrows.sum(axis=0) / batch.paths
-    if ((means > 0.0) & (means < sys.float_info.min)).any():
-        return 0.0, 0.0
+    lost = np.flatnonzero((means < sys.float_info.min) & batch.g_positive)
+    if len(lost):
+        i = int(lost[0])
+        raise DomainError(f"p={p:g}: the sides underflow a float (the ZAKAI mean g^(p/2) "
+                          f"at step {i} is {means[i]:.3g} where g > 0 on some path)")
     point = dt * float(_pow(means, 2.0 / p).sum())
     per_group = dt * _pow(zrows / sizes[:, None], 2.0 / p).sum(axis=1)
     se = _scaled_std(per_group, point) / math.sqrt(len(sizes))

@@ -38,6 +38,12 @@ class TestVerifyDiscrete:
         assert out.count("D-BURK-1") == 1
         assert "lhs=1 rhs=1 ratio=1" in out   # squared coin equality
 
+    def test_level_outside_tree_exits_1(self, zoo, capsys):
+        code, out, err = run(capsys, "verify-discrete", "--tree", str(zoo / COIN),
+                             "--p", "2", "--n", "-1")
+        assert code == 1
+        assert err == "error: level n=-1 outside 0..1\n" and not out
+
     def test_invalid_tree_exits_1(self, tmp_path, capsys):
         doc = {"m0": [0.0], "tree": {"children": [
             {"prob": 0.7, "incr": [1.0], "node": {}},
@@ -298,6 +304,16 @@ class TestVerifyContinuous:
                              "--integrand", self._lin_spec(tmp_path, 1e-160))
         assert code == 1
         assert err.startswith("error:") and "underflow a float" in err and not out
+
+    def test_underflowed_zakai_step_is_an_error(self, tmp_path, capsys):
+        """At p = 400, c = 0.126 and seed 0, g^{p/2} underflows to exactly 0
+        on every path at steps 1-4 though g > 0 there; the ZAKAI rhs would
+        drop those steps, so it is refused. Step 0 (W_0 = 0) is a true zero."""
+        code, out, err = run(capsys, "verify-continuous", "--p", "400", "--paths", "64",
+                             "--seed", "0", "--ineq", "ZAKAI-MAIN", "C-BURK-1",
+                             "--integrand", self._lin_spec(tmp_path, 0.126))
+        assert code == 1 and not out
+        assert err.startswith("error: p=400: the sides underflow a float") and "step 1 " in err
 
     def test_out_csv_has_seed_column(self, zoo, tmp_path, capsys):
         base = str(tmp_path / "mc")

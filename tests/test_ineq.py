@@ -14,6 +14,7 @@ import martcheck.sharpness as sh
 from martcheck import (
     DomainError,
     Level,
+    LevelRangeError,
     MartcheckError,
     PreconditionError,
     ProbTree,
@@ -83,6 +84,17 @@ class TestEvalDiscrete:
         with pytest.raises(DomainError, match="unknown inequality id"):
             ineq.eval_discrete(self.walk, 1, 2, "NO-SUCH")
 
+    def test_level_outside_tree_refused(self):
+        """A level outside 0..depth is refused through both evaluators, so
+        a negative n never reads the last level."""
+        coin = parse_tree({"m0": [0.0], "tree": {"children": [
+            {"prob": 0.5, "incr": [1.0], "node": {}},
+            {"prob": 0.5, "incr": [-1.0], "node": {}}]}})
+        with pytest.raises(LevelRangeError, match="n=-1 outside 0..1"):
+            ineq.eval_discrete(coin, -1, 2, "D-BURK-1")
+        with pytest.raises(LevelRangeError, match="n=2 outside 0..1"):
+            ineq.eval_tree(coin, [2], [2], list(ineq.DISCRETE_EVAL_IDS))
+
     def test_invalid_tree_refused(self):
         t = parse_tree({"m0": [0.0], "tree": {"children": [
             {"prob": 0.9, "incr": [1.0], "node": {}},
@@ -113,8 +125,7 @@ def test_chain_never_looser_than_main(t, p):
 
 @given(trees(), st.floats(0.25, 4.0), st.sampled_from(P_GRID))
 def test_ratio_scale_invariant(t, lam, p):
-    lvl = ptree.martingale_level(t, t.depth)
-    assert lvl.level == t.depth
+    assert len(t.calculus().values) == t.depth + 1
     s = ProbTree(tuple(lam * v for v in t.m0),
                  [Level(l.parent, l.prob, lam * l.incr) for l in t.levels])
     for iid in ("D-BURK-1", "PROP1-MAIN", "DOOB"):
@@ -236,6 +247,15 @@ class TestTaylorPointwise:
         x, y = xy
         b = ineq.taylor_pointwise(x, y, p)
         assert b.satisfied, (x, y, p, b)
+
+    def test_no_nan_verdict_at_huge_p(self):
+        """At p = 1e300, p(p-1) overflows. With y = 0 the remainder term is
+        exactly 0, so the bound is the equality 1 <= 1; elsewhere an
+        overflowed constant times an underflowed integral is refused, not
+        read as a NaN "violation"."""
+        assert ineq.taylor_pointwise([1.0], [0.0], 1e300) == ineq.TaylorBound(1.0, 1.0, True)
+        with pytest.raises(DomainError, match="not finite"):
+            ineq.taylor_pointwise([0.5], [0.1], 1e300)
 
 
 @pytest.mark.parametrize("call", [

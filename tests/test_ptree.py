@@ -195,23 +195,23 @@ class TestLevels:
     def test_level_range(self):
         t = coin()
         for bad in (-1, 2, 7):
-            with pytest.raises(LevelRangeError):
-                ptree.lp_norm(t, bad, 2)
-            with pytest.raises(LevelRangeError):
-                ptree.martingale_level(t, bad)
+            for accessor in (ptree.lp_norm, ptree.sup_lp_norm,
+                             ptree.quadratic_sum_norm, ptree.increment_lp_sum):
+                with pytest.raises(LevelRangeError):
+                    accessor(t, bad, 2)
 
     def test_martingale_level_mean(self):
         t = ptree.random_tree(3, 2, seed=17)
-        lvl = ptree.martingale_level(t, 3)
-        assert lvl.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        mean = lvl.probs @ lvl.values
+        calc = t.calculus()
+        assert calc.probs[3].sum() == pytest.approx(1.0, abs=1e-12)
+        mean = calc.probs[3] @ calc.values[3]
         assert np.allclose(mean, t.m0, atol=1e-9)
 
     def test_level_zero_is_start(self):
         t = ptree.random_tree(2, 3, seed=4)
-        lvl = ptree.martingale_level(t, 0)
-        assert lvl.values.shape == (1, 3)
-        assert tuple(lvl.values[0]) == t.m0
+        values = t.calculus().values[0]
+        assert values.shape == (1, 3)
+        assert tuple(values[0]) == t.m0
 
     def test_path_cap(self, monkeypatch):
         monkeypatch.setattr(ptree, "MAX_PATHS", 3)
@@ -219,7 +219,7 @@ class TestLevels:
         with pytest.raises(ResourceLimitError):
             ptree.lp_norm(t, 2, 2)
         with pytest.raises(ResourceLimitError):
-            ptree.martingale_level(t, 0)
+            t.calculus()
 
 
     def test_random_tree_cap_before_draw(self, monkeypatch):
@@ -280,48 +280,50 @@ def test_sup_dominates_and_grows(t):
 @given(trees(), st.floats(0.1, 5.0))
 def test_scale_equivariance(t, lam):
     """Scaling every value by lam scales the L^p norm by lam."""
-    lvl = ptree.martingale_level(t, t.depth)
+    probs = t.calculus().probs[t.depth]
     scaled = ProbTree(tuple(lam * v for v in t.m0),
                       [Level(l.parent, l.prob, lam * l.incr) for l in t.levels])
     assert ptree.lp_norm(scaled, t.depth, 3) == pytest.approx(
         lam * ptree.lp_norm(t, t.depth, 3), rel=1e-9)
-    assert len(lvl.probs) > 0
+    assert len(probs) > 0
 
 
 @given(trees((0, 4), (1, 3)))
 def test_moments_rows_are_single_exponent_tables(t):
     """Each row of the all-exponent table is, bit for bit, the single-exponent
-    table at its p and the 1-D level sums of w * r ** e; p=2 is where numpy
-    squares instead of calling pow."""
+    table at its p, and each side is the float ** root of the 1-D level sums
+    of w * r ** e; p=2 is where numpy squares instead of calling pow."""
     ps = (2.0, 2.5, 3.0, 4.0, 8.0)
     table = ptree.moments(t, ps)
     calc = t.calculus()
     for j, p in enumerate(ps):
         single = ptree.moments(t, (p,))
-        for name in ("m", "sup", "quad", "incr"):
+        for name in ("lp", "sup", "quad", "incr"):
             assert (getattr(table, name)[j] == getattr(single, name)[0]).all()
-        for name, norms, e in (("m", calc.m_norm, p), ("sup", calc.sup_norm, p),
+        for name, norms, e in (("lp", calc.m_norm, p), ("sup", calc.sup_norm, p),
                                ("quad", calc.quad, p / 2.0), ("incr", calc.d_norm, p)):
-            sums = [np.sum(w * r ** e) for w, r in zip(calc.probs, norms)]
+            sums = [float(np.sum(w * r ** e)) for w, r in zip(calc.probs, norms)]
+            root = 1.0 / p if name in ("lp", "sup") else 2.0 / p
+            sides = [s ** root for s in sums]
             if name == "incr":
-                sums = np.cumsum([s ** (2.0 / p) for s in sums])
-            assert (getattr(table, name)[j] == np.array(sums)).all()
+                sides = np.cumsum(sides)
+            assert (getattr(table, name)[j] == np.array(sides)).all()
 
 
 def test_random_tree_deterministic():
     a = ptree.random_tree(3, 2, seed=999)
     b = ptree.random_tree(3, 2, seed=999)
-    la, lb = ptree.martingale_level(a, 3), ptree.martingale_level(b, 3)
-    assert np.array_equal(la.values, lb.values)
-    assert np.array_equal(la.probs, lb.probs)
+    la, lb = a.calculus(), b.calculus()
+    assert np.array_equal(la.values[3], lb.values[3])
+    assert np.array_equal(la.probs[3], lb.probs[3])
     c = ptree.random_tree(3, 2, seed=1000)
-    assert not np.array_equal(la.values, ptree.martingale_level(c, 3).values)
+    assert not np.array_equal(la.values[3], c.calculus().values[3])
 
 
 def test_symmetric_walk_widths():
     t = ptree.symmetric_walk(3)
     for n in range(4):
-        assert len(ptree.martingale_level(t, n).probs) == 2 ** n
+        assert len(t.calculus().probs[n]) == 2 ** n
 
 
 def test_frozen_random_tree_bits():
@@ -470,4 +472,4 @@ def test_underflowed_moments_refused():
     with pytest.raises(DomainError, match="underflow a float"):
         ptree.moments(ptree.symmetric_walk(2, step=0.3), [1000])
     table = ptree.moments(ptree.symmetric_walk(2, step=1.0), [1000])
-    assert table.m[0].tolist() == [0.0, 1.0, 2.0 ** 999]
+    assert table.lp[0].tolist() == [s ** (1.0 / 1000) for s in (0.0, 1.0, 2.0 ** 999)]
