@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     refuse_overflow,
 )
-from .ptree import ProbTree, as_exponent, as_seed
+from .ptree import ProbTree, as_exponent, as_int, as_seed
 
 ABS_TOL = 1e-9        # lhs <= rhs + ABS_TOL defines "satisfied" for exact sides
 QUAD_TOL = 1e-10      # relative convergence tolerance of adaptive_panel_quadrature
@@ -465,13 +465,15 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     from the single seed. Before the first tree, the rows the deepest trees
     would give are charged against SWEEP_MEMORY_BUDGET.
     """
-    if int(count) < 0 or int(max_depth) < 1 or int(max_dim) < 1:
+    count, max_depth, max_dim = (as_int(count, "count"), as_int(max_depth, "max_depth"),
+                                 as_int(max_dim, "max_dim"))
+    if count < 0 or max_depth < 1 or max_dim < 1:
         raise DomainError("random-tree sweep needs count >= 0, max_depth >= 1 "
                           "and max_dim >= 1")
     seed = as_seed(seed)
     p_values = [as_exponent(p) for p in p_values]
     ids = [coerce_id(InequalityId, i) for i in ids]
-    rows = int(count) * (int(max_depth) + 1) * len(p_values) * len(ids)
+    rows = count * (max_depth + 1) * len(p_values) * len(ids)
     if rows * _SWEEP_ROW_BYTES > SWEEP_MEMORY_BUDGET:
         raise ResourceLimitError(
             f"a sweep of {count} trees up to depth {max_depth} may give {rows} report "
@@ -479,11 +481,11 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
             f"over the {SWEEP_MEMORY_BUDGET}-byte sweep memory budget")
 
     def tables() -> Iterator[ReportTable]:
-        for t in range(int(count)):
+        for t in range(count):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SWEEP_STREAM, t))
             rng = np.random.Generator(np.random.Philox(ss))
-            depth = int(rng.integers(1, int(max_depth) + 1))
-            dim = int(rng.integers(1, int(max_dim) + 1))
+            depth = int(rng.integers(1, max_depth + 1))
+            dim = int(rng.integers(1, max_dim + 1))
             tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
             yield eval_tree(tree, range(tree.depth + 1), p_values, ids, seed=seed,
                             notes=f"tree={t} depth={depth} dim={dim}")

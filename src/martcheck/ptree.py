@@ -45,9 +45,22 @@ def as_exponent(p) -> float:
     return float(p)
 
 
+def as_int(value, name: str, error: type[Exception] = DomainError) -> int:
+    """value as an int, for the counts, sizes, levels and seeds of the API.
+
+    Ints, numpy integers and floats of integral value are admitted; a bool,
+    a fraction, NaN, an infinity or anything else raises `error`, so no
+    argument is silently truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)   # NaN and the infinities are not integers
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def as_seed(seed) -> int:
     """seed as an int seed; only non-negative integers are admitted anywhere."""
-    seed = int(seed)
+    seed = as_int(seed, "seed")
     if seed < 0:
         raise DomainError("seed must be a non-negative integer")
     return seed
@@ -297,7 +310,7 @@ def _build_calc(tree: ProbTree) -> _LevelCalc:
 
 def check_level(n, depth: int) -> int:
     """n as a level of a depth-`depth` tree; outside 0..depth: LevelRangeError."""
-    n = int(n)
+    n = as_int(n, "level n", LevelRangeError)
     if n < 0 or n > depth:
         raise LevelRangeError(f"level n={n} outside 0..{depth}")
     return n
@@ -437,8 +450,8 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     with the arithmetic of a node-by-node draw: scale and shift, divide the
     probabilities by their np.add.reduce sum, subtract np.matmul(prob, incr).
     """
-    depth = int(depth)
-    dim = int(dim)
+    depth = as_int(depth, "depth")
+    dim = as_int(dim, "dim")
     if depth < 0 or dim < 1:
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
     if len(branching) == 0 or min(branching) < 2:

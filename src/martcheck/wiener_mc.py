@@ -8,11 +8,14 @@ and the continuous inequalities apply to it without discretization error.
 
 Reproducibility: paths are partitioned into fixed 1024-path blocks; block b
 of a run with seed s draws from Philox keyed by
-SeedSequence(entropy=s, spawn_key=(10, b)). The blocks run on a thread pool
-with one worker per CPU the process may use (its CPU affinity), and the
-calling thread merges each block's rows in block order. The block
-decomposition and all reduction orders are algorithm constants, so the
-bits do not depend on the worker count or on the order in which blocks
+SeedSequence(entropy=s, spawn_key=(10, b)). A block draws its paths in
+cache-sized row chunks, in order, from its generator, which gives exactly
+the normals of one draw of the whole block, and holds a chunk's W and
+increments of X component-major. The blocks run on a thread pool with one
+worker per CPU the process may use (its CPU affinity), and the calling
+thread merges each block's rows in block order. The block decomposition
+and all reduction orders are algorithm constants, so the bits do not
+depend on the chunk size, the worker count or the order in which blocks
 finish. One simulation serves every inequality id and exponent of a run.
 """
 from __future__ import annotations
@@ -28,13 +31,14 @@ import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError, refuse_overflow
 from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_id, report_table
-from .ptree import as_exponent, as_seed
+from .ptree import as_exponent, as_int, as_seed
 
 BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
 BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
 _UFUNC_BUFFER_BYTES = 1 << 18  # numpy's buffers for a strided in-place update
+_CHUNK_CELLS = 1 << 18     # cells of a row chunk's (paths, steps) arrays: 2 MiB, one L2 cache
 _ENTRY_BYTES = 400          # bytes per component of constant_integrand (traced peak ~330)
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
@@ -182,25 +186,28 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the output
     simulate keeps, its per-path rows and the ZAKAI rows up to the stop index
     for each of its exponents."""
-    if int(paths) < 2:
+    paths = as_int(paths, "paths")
+    if paths < 2:
         raise DomainError("paths must be >= 2")
     as_seed(seed)
-    cells = int(paths) * spec.steps * spec.wiener_dim
+    cells = paths * spec.steps * spec.wiener_dim
     if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
             f"paths*steps*m = {cells} exceeds the cap {DEFAULT_CELL_CAP}")
     m, d, nw = spec.wiener_dim, spec.dim, spec.needs_wiener
-    out_bytes = 8 * (int(paths) * (d + 2) + exponents * min(CI_GROUPS, int(paths)) * stop)
-    # (bsz, steps) arrays a block holds at its peak, as traced: dW (m); W (m)
-    # and g unless the integrand is constant; the increments of X (d) unless
-    # d = m = 1 scales dW in place; over its steps, the widest rule's f^j and
-    # f^j dW^j or |f^j|^2 (2d; CONST: d, or none in place). Then a norm over
-    # d > 1 components holds X, its square and two arrays of norms.
+    out_bytes = 8 * (paths * (d + 2) + exponents * min(CI_GROUPS, paths) * stop)
+    # an upper bound on the (bsz, steps) arrays a block holds: those a pass
+    # over the whole block would hold at its peak. dW (m); W (m) and g unless
+    # the integrand is constant; the increments of X (d) unless d = m = 1
+    # scales dW in place; over its steps, the widest rule's f^j and f^j dW^j
+    # or |f^j|^2 (2d; CONST: d, or none in place). Then a norm over d > 1
+    # components holds X, its square and two arrays of norms. The kernel
+    # holds all of these but g for one row chunk of paths at a time.
     own = 0 if d == m == 1 else d
     rule = max(((e.stop - e.start) * (2 * d if e.rule.kind != "const" else own)
                 for e in spec.entries), default=0) / spec.steps
     arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
-    bsz = min(int(paths), BLOCK_PATHS)
+    bsz = min(paths, BLOCK_PATHS)
     # per path: its output rows; rows of steps: a constant g, the block's small
     # objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
     rows = 3 + exponents * (min(CI_GROUPS, bsz) + 1 if nw else 1)
@@ -237,22 +244,99 @@ def grid_index(spec: IntegrandSpec, t: float) -> int:
     return i
 
 
-def _field(e: RuleEntry, wn: np.ndarray | None) -> np.ndarray:
-    """f^j on the steps of rule entry e: the rule's coefficient vector times
-    the scalar field 1, W^k or sign(W^k) at the left endpoints. A fresh (d,)
-    array for CONST, a fresh (bsz, steps, d) array otherwise."""
-    c = np.array(e.rule.c)
-    if e.rule.kind == "const":
-        return c
-    w = wn[:, e.start:e.stop, e.rule.k - 1, None]
-    return (w if e.rule.kind == "lin" else np.sign(w)) * c
-
-
 def _group_bounds(paths: int) -> list[tuple[int, int]]:
     """Path ranges of the min(CI_GROUPS, paths) batch-means groups."""
     groups = min(CI_GROUPS, paths)
     return [(-(-g * paths // groups), -(-(g + 1) * paths // groups))
             for g in range(groups)]
+
+
+def _chunk_rows(spec: IntegrandSpec) -> int:
+    """Paths per row chunk of a block, clamped to 1..BLOCK_PATHS: as many as
+    keep the (paths, steps) arrays a chunk holds within _CHUNK_CELLS cells,
+    so that they stay in a core's cache. They are dW (m); unless the
+    integrand is constant, W (m), a rule's f^j and f^j dW^j (2d) and the
+    chunk's rows of g (1); and the increments of X (d) unless d = m = 1
+    scales dW in place. At most 16 are counted: a chunk of more stays out of
+    cache at any useful size, and holds _CHUNK_CELLS / 16 cells per array
+    so that its Python work per rule is spread over enough cells."""
+    m, d = spec.wiener_dim, spec.dim
+    arrays = m + spec.needs_wiener * (m + 2 * d + 1) + (0 if d == m == 1 else d)
+    return max(1, min(BLOCK_PATHS, _CHUNK_CELLS // (min(arrays, 16) * (spec.steps + 1))))
+
+
+def _sum_squares(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_q parts[q]^2 into out, in numpy's order for a sum over a last axis
+    of len(parts) terms: left to right below 8 terms (squaring the parts in
+    place), pairwise from 8 on (there by reducing a C-contiguous (..., n)
+    array of the squares)."""
+    n = len(parts)
+    if n < 8:
+        np.square(parts[0], out=out)
+        for part in parts[1:]:
+            out += np.square(part, out=part)
+        return out
+    squares = np.empty(out.shape + (n,))
+    for q, part in enumerate(parts):
+        np.square(part, out=squares[..., q])
+    return np.add.reduce(squares, axis=-1, out=out)
+
+
+def _chunk(spec: IntegrandSpec, gen: np.random.Generator, rows: int, stop: int,
+           g: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the next `rows` paths of a block from its generator and reduce
+    them: add their sum_j ||f^j||^2 into g (their rows of the block's g; for
+    a constant integrand its one row, or None once it is filled) and return
+    their x_stop and sup_norm rows.
+
+    W and the increments of X are held component-major, (m or d, rows,
+    steps), so each rule adds f_q dW^j into contiguous slices and the sums
+    along the steps run on contiguous rows; dW keeps the layout it is drawn
+    in, (rows, steps, m), and is read in strides."""
+    S, m, d = spec.steps, spec.wiener_dim, spec.dim
+    dw = gen.standard_normal((rows, S, m))
+    dw *= math.sqrt(spec.dt)
+    wn = None
+    if spec.needs_wiener:
+        wn = np.empty((m, rows, S + 1))
+        wn[:, :, 0] = 0.0
+        np.cumsum(dw, axis=1, out=wn[:, :, 1:].transpose(1, 2, 0))
+    # d = m = 1: the increments of X are those of W, scaled in place
+    in_place = d == m == 1
+    dx = dw.reshape(1, rows, S) if in_place else np.zeros((d, rows, S))
+    covered = 0   # d = m = 1: steps before it are scaled or zeroed
+    for e in (e for segs in spec.per_j for e in segs):   # components without rules add 0
+        sl = slice(e.start, e.stop)
+        dwj = dw[:, sl, e.j - 1]
+        if in_place:
+            dx[0, :, covered:e.start] = 0.0   # steps no rule covers
+            covered = e.stop
+        # f^j: c times the scalar field 1, W^k or sign(W^k) at the left endpoints
+        f = np.array(e.rule.c)[:, None, None]
+        if e.rule.kind != "const":
+            w = wn[e.rule.k - 1, :, sl]
+            f = (w if e.rule.kind == "lin" else np.sign(w)) * f
+        if in_place:
+            dx[0, :, sl] *= f[0]
+        else:
+            dx[:, :, sl] += f * dwj
+        if g is not None:
+            g[..., sl] += (np.square(e.rule.c).sum() if e.rule.kind == "const"
+                           else _sum_squares(f, np.empty(f.shape[1:])))
+        del f   # not alive while the next rule builds its field
+    if in_place:
+        dx[0, :, covered:] = 0.0
+    del dw, wn
+
+    xx = np.cumsum(dx, axis=2, out=dx)    # X at grid indices 1..S
+    # + 0.0 maps -0.0 to +0.0: steps scaled in place by f = 0 hold -0.0 where dW < 0
+    x_stop = xx[:, :, stop - 1].T + 0.0 if stop else np.zeros((rows, d))
+    head = xx[:, :, :stop]
+    if d == 1:
+        norms = np.abs(head[0], out=head[0])
+    else:
+        norms = np.sqrt(_sum_squares(head, np.empty((rows, stop))))
+    return x_stop, norms.max(axis=1, initial=0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
@@ -267,41 +351,29 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     steps before stop where g > 0 on some path of the block (else None).
     For a constant integrand, whose g is one row shared by every path, block
     0 lists the row g^{p/2} under k, for every group, and the other blocks
-    list nothing; simulate scales it by the group sizes. The block allocates
-    only its own arrays and writes no shared state, and sets its own numpy
-    error state, which worker threads do not inherit.
+    list nothing; simulate scales it by the group sizes. The paths are drawn
+    and reduced in row chunks of _chunk_rows(spec), in order, from the
+    block's generator; consecutive draws give the normals of one draw of the
+    whole block, and every sum runs in the order a whole-block pass takes,
+    so the bits do not depend on the chunk size. The block allocates only
+    its own arrays and writes no shared state, and sets its own numpy error
+    state, which worker threads do not inherit.
     """
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
     bsz = hi - lo
-    S, m, d = spec.steps, spec.wiener_dim, spec.dim
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(_WIENER_STREAM, b))))
-    dw = gen.standard_normal((bsz, S, m))
-    dw *= math.sqrt(spec.dt)
-
-    wn = None
-    if spec.needs_wiener:
-        wn = np.zeros((bsz, S + 1, m))
-        np.cumsum(dw, axis=1, out=wn[:, 1:])
-    # d = m = 1: the increments of X are those of W, scaled in place
-    dx = dw if d == m == 1 else np.zeros((bsz, S, d))
-    g = np.zeros(S if wn is None else (bsz, S))   # sum_j ||f^j||^2
-    covered = 0   # d = m = 1: steps before it are scaled or zeroed
-    for e in (e for segs in spec.per_j for e in segs):   # components without rules add 0
-        sl = slice(e.start, e.stop)
-        f = _field(e, wn)
-        if dx is dw:
-            dx[:, covered:e.start] = 0.0   # steps no rule covers
-            dx[:, sl] *= f
-            covered = e.stop
-        else:
-            dx[:, sl] += f * dw[:, sl, e.j - 1, None]
-        g[..., sl] += np.square(f, out=f).sum(axis=-1)
-        del f   # not alive while the next rule builds its field
-    if dx is dw:
-        dx[:, covered:] = 0.0
-    del dw, wn
+    g = np.zeros((bsz, spec.steps) if spec.needs_wiener else spec.steps)   # sum_j ||f^j||^2
+    x_stop = np.empty((bsz, spec.dim))
+    sup_norm = np.empty(bsz)
+    chunks = -(-bsz // _chunk_rows(spec))
+    rows = -(-bsz // chunks)   # chunks of even sizes, no short last one
+    for r in range(0, bsz, rows):
+        n = min(rows, bsz - r)
+        # a constant integrand's one row of g is filled by the first chunk
+        x_stop[r:r + n], sup_norm[r:r + n] = _chunk(
+            spec, gen, n, stop, g[r:r + n] if spec.needs_wiener else g if r == 0 else None)
     riemann = g[..., :stop].sum(axis=-1) * spec.dt
 
     zakai = []
@@ -321,17 +393,7 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
         elif b == 0:
             zakai.append((k, y))
         del y
-    del g
-
-    xx = np.cumsum(dx, axis=1, out=dx)    # X at grid indices 1..S
-    # + 0.0 maps -0.0 to +0.0: steps scaled in place by f = 0 hold -0.0 where dW < 0
-    x_stop = xx[:, stop - 1] + 0.0 if stop else np.zeros((bsz, d))
-    head = xx[:, :stop]
-    if d == 1:
-        norms = np.abs(head[:, :, 0], out=head[:, :, 0])
-    else:
-        norms = np.linalg.norm(head, axis=2)
-    return lo, hi, x_stop, norms.max(axis=1, initial=0.0), riemann, zakai, positive
+    return lo, hi, x_stop, sup_norm, riemann, zakai, positive
 
 
 def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
@@ -345,8 +407,8 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     """
     p = tuple(as_exponent(v) for v in p)
     stop = spec.steps if t is None else grid_index(spec, t)
+    paths, seed = as_int(paths, "paths"), as_seed(seed)
     block_bytes, room = _check_run(spec, paths, seed, stop, len(p))
-    paths, seed = int(paths), int(seed)
 
     x_stop = np.empty((paths, spec.dim))
     sup_norm = np.empty(paths)

@@ -95,6 +95,16 @@ class TestEvalDiscrete:
         with pytest.raises(LevelRangeError, match="n=2 outside 0..1"):
             ineq.eval_tree(coin, [2], [2], list(ineq.DISCRETE_EVAL_IDS))
 
+    def test_level_is_an_integer(self):
+        """A fractional or non-finite level is refused, not truncated to a
+        level of the tree."""
+        walk = ptree.symmetric_walk(2)
+        r = ineq.eval_discrete(walk, 1.0, 2, "D-BURK-1")
+        assert r.n_or_t == 1.0
+        for bad in (1.9, float("inf"), float("nan")):
+            with pytest.raises(LevelRangeError, match="level n must be an integer"):
+                ineq.eval_discrete(walk, bad, 2, "D-BURK-1")
+
     def test_invalid_tree_refused(self):
         t = parse_tree({"m0": [0.0], "tree": {"children": [
             {"prob": 0.9, "incr": [1.0], "node": {}},
@@ -412,6 +422,17 @@ class TestSweep:
         for count, max_depth, max_dim in ((-1, 3, 2), (1, 0, 2), (1, 3, 0)):
             with pytest.raises(DomainError):
                 list(ineq.sweep_random_trees(count, max_depth, max_dim, 0, (2.0,)))
+
+    def test_counts_and_seed_are_integers(self):
+        """Integral floats and numpy integers run the sweep the ints run;
+        fractions and non-finite values are refused, not truncated."""
+        a = ineq.sweep_random_trees(2, 2, 2, 2, (2.0,))
+        b = ineq.sweep_random_trees(2.0, np.int64(2), 2.0, np.uint16(2), (2.0,))
+        assert a.columns == b.columns
+        for args, name in (((1, 2, 1, 2.7), "seed"), ((1.5, 2, 1, 2), "count"),
+                           ((1, 2.5, 1, 2), "max_depth"), ((1, 2, float("nan"), 2), "max_dim")):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                ineq.sweep_random_trees(*args, (2.0,))
 
     def test_frozen_digest(self):
         """Every bit of a 2,400-report sweep is pinned, so a change in any

@@ -191,6 +191,48 @@ class TestValidation:
         assert any(x.path == (0,) for x in probs)
 
 
+class TestIntegerArguments:
+    """Counts, sizes, levels and seeds are integers: ints, numpy integers and
+    floats of integral value pass, anything else is refused, and nothing is
+    truncated."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0)])
+    def test_integral_values_pass(self, value):
+        n = ptree.as_int(value, "n")
+        assert n == 3 and type(n) is int
+
+    @pytest.mark.parametrize("value", [1.9, -2.5, float("nan"), float("inf"), -float("inf"),
+                                       True, np.bool_(True), "3", None, 3 + 0j, [3]])
+    def test_other_values_refused(self, value):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            ptree.as_int(value, "n")
+        with pytest.raises(LevelRangeError, match="n must be an integer"):
+            ptree.as_int(value, "n", LevelRangeError)
+
+    def test_seed(self):
+        assert ptree.as_seed(np.int64(5)) == ptree.as_seed(5.0) == 5
+        for bad in (2.7, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                ptree.as_seed(bad)
+
+    def test_level(self):
+        walk = ptree.symmetric_walk(2)
+        assert ptree.lp_norm(walk, 1.0, 2) == ptree.lp_norm(walk, np.int64(1), 2)
+        for bad in (1.9, float("nan"), float("inf")):
+            with pytest.raises(LevelRangeError, match="level n must be an integer"):
+                ptree.lp_norm(walk, bad, 2)
+
+    def test_random_tree_depth_and_dim(self):
+        tree = ptree.random_tree(2.0, np.int64(3), seed=4.0)
+        same = ptree.random_tree(2, 3, seed=4)
+        assert tree.m0 == same.m0
+        assert all(np.array_equal(a.incr, b.incr) for a, b in zip(tree.levels, same.levels))
+        with pytest.raises(DomainError, match="depth must be an integer"):
+            ptree.random_tree(2.5, 1, seed=0)
+        with pytest.raises(DomainError, match="dim must be an integer"):
+            ptree.random_tree(2, float("inf"), seed=0)
+
+
 class TestLevels:
     def test_level_range(self):
         t = coin()

@@ -181,6 +181,20 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(spec, 100, seed=-3)
 
+    def test_paths_and_seed_are_integers(self):
+        """Integral floats and numpy integers run the paths and seed the ints
+        run; fractions and non-finite values are refused, not truncated."""
+        spec = constant_integrand(1.0, steps=8)
+        batch = simulate(spec, 8.0, np.int64(3))
+        assert (batch.paths, batch.seed) == (8, 3)
+        assert np.array_equal(batch.x_stop, simulate(spec, 8, 3).x_stop)
+        for paths, seed, name in ((8, 3.9, "seed"), (8.5, 3, "paths"),
+                                  (8, float("nan"), "seed"), (float("inf"), 3, "paths")):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                simulate(spec, paths, seed)
+        with pytest.raises(DomainError, match="paths must be an integer"):
+            eval_continuous(spec, 1.0, [4], ["C-BURK-1"], 64.5, 0)
+
     def test_cell_cap_before_any_block(self, monkeypatch):
         """paths * steps * m above the fixed cap is refused before any block
         is simulated."""
@@ -321,16 +335,42 @@ def frozen_cases(zoo):
     return cases
 
 
+def wide_cases():
+    """(spec, paths, t, p) runs on integrands wider than the zoo's, pinned by
+    digest: d = 3, 8 and 9 (numpy sums 8 or more components pairwise), m = 1
+    and 3, CONST, LIN and SIGN rules, zero coefficients, steps no rule
+    covers, t at mid-horizon, 1500 paths (a ragged second block) and three
+    exponents per run."""
+    cases = []
+    for d in (3, 8, 9):
+        def c(scale):
+            return tuple(0.0 if q == 1 else scale * (q + 1) / d * (-1) ** q
+                         for q in range(d))
+        for m in (1, 3):
+            if m == 1:
+                entries = (RuleEntry(1, 4, 1, Rule("const", c(0.5))),
+                           RuleEntry(4, 8, 1, Rule("lin", c(1.0), k=1)),
+                           RuleEntry(9, 20, 1, Rule("sign", c(-0.75), k=1)))
+            else:
+                entries = (RuleEntry(1, 6, 1, Rule("const", c(0.5))),
+                           RuleEntry(6, 11, 1, Rule("lin", c(1.5), k=2)),
+                           RuleEntry(0, 9, 2, Rule("lin", c(-1.0), k=3)),
+                           RuleEntry(3, 20, 3, Rule("sign", c(0.75), k=1)))
+            cases.append((IntegrandSpec(d, m, 1.5, 24, entries), 1500, 0.75, (4, 2, 3)))
+    return cases
+
+
 def simulate_digest(cases):
     h = hashlib.sha256()
     for seed, (spec, paths, t, p) in enumerate(cases):
-        batch = simulate(spec, paths, seed=seed, t=t, p=[p])
+        batch = simulate(spec, paths, seed=seed, t=t, p=p if isinstance(p, tuple) else [p])
         for arr in (batch.x_stop, batch.sup_norm, batch.riemann, batch.zakai_rows):
             h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
 FROZEN_SIMULATE_DIGEST = "4cc2c73b59e59cc93b58f672ea3e0357e060a544284ecdeffb7dbfd2c19bb5df"
+WIDE_SIMULATE_DIGEST = "9cb6c83db44f9c7399a5147e7f6636707a5daf5cffda503666b6facef0731104"
 
 
 class TestFrozenBits:
@@ -363,6 +403,35 @@ class TestFrozenBits:
         finally:
             sys.setswitchinterval(interval)
         assert digest == FROZEN_SIMULATE_DIGEST
+
+
+class TestChunkedKernel:
+    def test_wide_specs(self):
+        assert simulate_digest(wide_cases()) == WIDE_SIMULATE_DIGEST
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("rows", [1, 37, wmc.BLOCK_PATHS])
+    def test_chunk_rows_do_not_change_bits(self, zoo, monkeypatch, rows, workers):
+        """Blocks drawn and reduced in chunks of 1, 37 or 1024 rows give the
+        pinned bits, on one worker thread or eight."""
+        monkeypatch.setattr(wmc, "_chunk_rows", lambda spec: rows)
+        monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes, room: workers)
+        assert simulate_digest(frozen_cases(zoo)) == FROZEN_SIMULATE_DIGEST
+        assert simulate_digest(wide_cases()) == WIDE_SIMULATE_DIGEST
+
+    def test_chunk_rows_sized_and_clamped(self, zoo):
+        """A chunk's (paths, steps) arrays, at most 16 of them counted, hold at
+        most _CHUNK_CELLS cells, and its rows are clamped to 1..BLOCK_PATHS."""
+        mixed = load_spec(zoo, "spec_mixed2d")   # dW, W, f, f dW, g, X: 11 arrays
+        const = load_spec(zoo, "spec_const1")    # dW scaled in place: 1
+        wide = constant_integrand(1.0, dim=2, wiener_dim=1000, steps=16)   # 16 counted
+        for spec, arrays in ((mixed, 11), (const, 1), (wide, 16)):
+            rows = wmc._chunk_rows(spec)
+            assert 1 < rows < wmc.BLOCK_PATHS
+            assert rows * (spec.steps + 1) * arrays <= wmc._CHUNK_CELLS
+            assert (rows + 1) * (spec.steps + 1) * arrays > wmc._CHUNK_CELLS
+        assert wmc._chunk_rows(constant_integrand(1.0, steps=2 ** 18)) == 1
+        assert wmc._chunk_rows(constant_integrand(1.0, steps=1)) == wmc.BLOCK_PATHS
 
 
 @pytest.fixture(scope="class")
