@@ -22,10 +22,10 @@ from the duration field.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
+from itertools import islice
 from typing import Any, Sequence
 
 from . import __version__, formats, ineq, ptree, sharpness, wiener_mc
@@ -34,6 +34,7 @@ from .errors import ConfigError, MartcheckError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
+_CSV_BATCH = 256   # CSV lines joined into one write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,19 +87,18 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
         "duration_s": time.monotonic() - started,
     }
     if isinstance(results, ineq.ReportTable):
-        text, rows = formats.table_text(results)
+        text, lines = formats.table_text(results)
     else:   # dumps without indent runs the C encoder; json.dump never does
-        text, rows = [json.dumps(results, sort_keys=True)], None
+        text, lines = [json.dumps(results, sort_keys=True)], None
     try:
         with open(base + ".json", "w", encoding="utf-8") as fh:
             fh.write(f'{{"manifest": {json.dumps(manifest, sort_keys=True)}, "results": ')
             fh.writelines(text)
             fh.write("}\n")
-        if rows is not None:
+        if lines is not None:
             with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(formats.CSV_FIELDS)
-                writer.writerows(rows)
+                while batch := list(islice(lines, _CSV_BATCH)):   # bounded, few writes
+                    fh.write("".join(batch))
     except (OSError, UnicodeEncodeError) as exc:   # e.g. a lone surrogate in a text cell
         raise ConfigError(f"cannot write {base}: {exc}") from None
 

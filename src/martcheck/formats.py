@@ -7,10 +7,12 @@ ProbTree.validate; only structural problems raise here.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from itertools import chain, repeat
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -277,12 +279,23 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLOAT_CELLS = {text: cell for cell, text in _JSON_NON_FINITE.items()}
 #: a report row's JSON text, keys sorted as json.dumps(sort_keys=True) writes them
 _ROW_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in sorted(REPORT_FIELDS)) + "}"
+#: a CSV line of CSV_FIELDS cells, as csv.writer ends it
+_CSV_LINE = ",".join(["%s"] * len(CSV_FIELDS)) + "\r\n"
 
 
-def _column_text(column: list) -> tuple[list[str], list]:
-    """(JSON text, CSV cell) of every value, each formatted once as json.dumps
-    does. A float's cell is its float.__repr__, the JSON text but for NaN and
-    the infinities; other cells are the values, which csv.writer formats."""
+def _csv_text(value) -> str:
+    """csv.writer's text of one value, as a cell of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, None))   # a row of one empty cell would be quoted
+    return buf.getvalue()[:-3]   # less the second cell's "," and the "\r\n"
+
+
+def _column_text(column: list) -> tuple[list[str], Iterable[str]]:
+    """(JSON text, CSV text) of every value, each formatted once as json.dumps
+    and csv.writer do; the CSV text may come as an iterator, read once. A
+    float's CSV text is its float.__repr__, which never needs quoting and is
+    its JSON text but for NaN and the infinities; other values go through
+    csv.writer, once per distinct value where they can."""
     kinds = set(map(type, column))
     if kinds == {float}:
         cells = list(map(float.__repr__, column))
@@ -290,23 +303,27 @@ def _column_text(column: list) -> tuple[list[str], list]:
         return cells if finite else [_JSON_NON_FINITE.get(c, c) for c in cells], cells
     if kinds <= {str, type(None), bool} or kinds <= {str, type(None), int}:
         # equal values have equal text here (True and 1, or -0.0 and 0.0, would not)
-        memo = {value: json.dumps(value) for value in set(column)}
-        return list(map(memo.__getitem__, column)), column
+        distinct = set(column)
+        text = {value: json.dumps(value) for value in distinct}
+        cells = {value: _csv_text(value) for value in distinct}
+        return list(map(text.__getitem__, column)), map(cells.__getitem__, column)
     text = list(map(json.dumps, column))
-    return text, [_FLOAT_CELLS.get(t, t) if type(v) is float else v
-                  for v, t in zip(column, text)]
+    return text, (_FLOAT_CELLS.get(t, t) if type(v) is float else _csv_text(v)
+                  for v, t in zip(column, text))
 
 
-def table_text(table: ReportTable) -> tuple[Iterator[str], Iterator[tuple]]:
+def table_text(table: ReportTable) -> tuple[Iterator[str], Iterator[str]]:
     """The table's JSON results list in pieces, which join to json.dumps([report_row(r)
-    for r in table], sort_keys=True), and its CSV rows in CSV_FIELDS order, for
-    csv.writer. Each value is formatted once, a column at a time."""
+    for r in table], sort_keys=True), and its CSV file in lines, the CSV_FIELDS
+    header first, as csv.writer writes them for the csv_row of every report.
+    Each value is formatted once, a column at a time."""
     text, cells = {}, {}
     for name in REPORT_FIELDS:
         text[name], cells[name] = _column_text(table.columns[name])
     rows = map(_ROW_TEMPLATE.__mod__, zip(*(text[name] for name in sorted(REPORT_FIELDS))))
     results = chain("[", map(str.__add__, chain([""], repeat(", ")), rows), "]")
-    return results, zip(cells["id"], *(cells[name] for name in CSV_FIELDS[1:]))
+    lines = map(_CSV_LINE.__mod__, zip(cells["id"], *(cells[name] for name in CSV_FIELDS[1:])))
+    return results, chain([_CSV_LINE % CSV_FIELDS], lines)
 
 
 def search_result_to_obj(result: SearchResult) -> dict:

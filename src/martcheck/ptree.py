@@ -3,8 +3,8 @@
 A tree carries a discrete martingale: the root holds the starting value M_0,
 every edge carries a transition probability and an increment vector, and the
 level index plays the role of time. All moments are computed by exact
-enumeration (no sampling), level by level, so results are reproducible to
-floating-point roundoff.
+enumeration (no sampling), so results are reproducible to floating-point
+roundoff.
 
 Conventions
 -----------
@@ -14,6 +14,13 @@ Conventions
 * ProbTree(m0, levels) is the one constructor: random_tree, symmetric_walk
   and formats.parse_tree all build the level arrays and hand them over, and
   formats.tree_to_obj writes a document back from them.
+* the constructor also concatenates the levels into node arrays, the root
+  first. The level checks, validation, the level calculus and the moment
+  powers each take one pass over a whole tree's node arrays, so a deep tree
+  pays numpy's call overhead once, not once per level. Two steps stay per
+  level: the calculus's parent gather, as a level needs the level above
+  done, and each level's moment sum, whose pairwise summation order fixes
+  the bits.
 """
 from __future__ import annotations
 
@@ -124,6 +131,9 @@ class ValidationResult:
         return shown + (f"; and {extra} more" if extra > 0 else "")
 
 
+_ROOT_PARENT = np.array([-1], dtype=np.intp)   # the root's entry in a parent array
+
+
 class ProbTree:
     """A finite filtered probability space with an attached martingale.
 
@@ -136,6 +146,13 @@ class ProbTree:
         non-decreasing 1-D intp array into level k-1, prob of shape (n,) and
         incr (n, d), or TreeStructureError is raised. The tree validates
         only if every node above the last level has a child.
+
+    The level arrays are read once, here, into the tree's node arrays, which
+    validation and the level calculus then use: node 0 is the root, level k
+    holds nodes _bounds[k] to _bounds[k+1] - 1, and a node's entry in _parent
+    is its parent's node number (-1 for the root), in _prob its branch
+    probability (1 for the root) and in _incr its increment (M_0 for the
+    root). Later changes to the level arrays are not seen.
     """
 
     def __init__(self, m0: Sequence[float], levels: Sequence[Level]):
@@ -143,25 +160,49 @@ class ProbTree:
         if len(m0) == 0:
             raise TreeStructureError("m0 must have dimension >= 1")
         levels = tuple(levels)
-        n = 1   # nodes on the level above
+        fault = None   # the first type or shape fault, raised after the range check
+        parents = []
         for k, lvl in enumerate(levels, start=1):
             parent = lvl.parent
             if not (isinstance(parent, np.ndarray) and parent.ndim == 1
                     and parent.dtype == np.intp):
-                raise TreeStructureError(f"level {k}: parent must be a 1-D intp array")
-            if len(parent) and (parent[0] < 0 or parent[-1] >= n
-                                or (np.diff(parent) < 0).any()):
-                raise TreeStructureError(
-                    f"level {k}: parent must be non-decreasing in 0..{n - 1}")
+                fault = f"level {k}: parent must be a 1-D intp array"
+                break
+            parents.append(parent)
             n = len(parent)
             shapes = (getattr(lvl.prob, "shape", None), getattr(lvl.incr, "shape", None))
             if shapes != ((n,), (n, len(m0))):
-                raise TreeStructureError(f"level {k}: prob and incr must have shapes "
-                                         f"({n},) and ({n}, {len(m0)})")
+                fault = (f"level {k}: prob and incr must have shapes "
+                         f"({n},) and ({n}, {len(m0)})")
+                break
+        # every parent array read so far, as node numbers: its level's parent
+        # indices lie in range and never decrease exactly when the node
+        # numbers never decrease and the level's first and last parents lie
+        # on the level above. So one diff over the tree, and two scalars per
+        # level, find the first level that fails, with no per-node mask (see
+        # _validate_tree)
+        widths = np.array([1, *map(len, parents)])
+        bounds = np.concatenate(([0], widths.cumsum()))
+        parent = np.concatenate([_ROOT_PARENT, *parents])
+        parent[1:] += np.repeat(bounds[:-2], widths[1:])
+        steps = np.diff(parent)
+        down = len(parent) if steps.min(initial=0) >= 0 else int((steps < 0).argmax()) + 1
+        bounds = bounds.tolist()
+        for k in range(1, len(parents) + 1):
+            a, b = bounds[k], bounds[k + 1]   # level k: nodes a..b-1, parents bounds[k-1]..a-1
+            if down < b or (a < b and (parent[a] < bounds[k - 1] or parent[b - 1] >= a)):
+                raise TreeStructureError(f"level {k}: parent must be non-decreasing "
+                                         f"in 0..{a - bounds[k - 1] - 1}")
+        if fault is not None:
+            raise TreeStructureError(fault)
         self.m0 = m0
         self.dim = len(m0)
         self.levels = levels
         self.depth = len(levels)
+        self._bounds = tuple(bounds)
+        self._parent = parent
+        self._prob = np.concatenate([[1.0], *(lvl.prob for lvl in levels)])
+        self._incr = np.concatenate([[m0], *(lvl.incr for lvl in levels)])
         self._verdict: ValidationResult | None = None
         self._calc: _LevelCalc | None = None
 
@@ -205,107 +246,142 @@ def _graph(levels: Sequence[Level]) -> TreeNode:
     return root
 
 
-def _path(levels: Sequence[Level], k: int, i: int) -> tuple[int, ...]:
-    """Child-index path from the root to node i on level k."""
+def _path(parent: np.ndarray, node: int) -> tuple[int, ...]:
+    """Child-index path from the root to a node, given by its node number;
+    parent is the tree's non-decreasing parent array, so a node's first
+    sibling is the first entry that holds their parent."""
     path = []
-    for lvl in reversed(levels[:k]):
-        up = int(lvl.parent[i])
-        path.append(i - int(np.searchsorted(lvl.parent, up)))
-        i = up
+    while node:
+        up = int(parent[node])
+        path.append(node - int(np.searchsorted(parent, up)))
+        node = up
     return tuple(reversed(path))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _validate_tree(tree: ProbTree) -> ValidationResult:
-    """Check every level's sibling groups at once; violations, and the paths
-    that locate them, are built only for the groups that fail."""
+    """Check every sibling group of the tree at once, on its node arrays.
+
+    Childless nodes above the last level come from one bincount, and each
+    sibling group's probability sum, increment mean and non-finite flag from
+    one reduceat over all levels, its out-of-range flag from a minimum and a
+    maximum reduceat. A group's sums do not depend on the entries around
+    it, so they keep the bits a pass over its level alone gives. No boolean
+    mask per node is made: numpy keeps freed buffers under 1 KiB for reuse
+    by byte size, and masks sized by each tree's node count raised a
+    search's peak RSS. Only the violations, and the paths that locate them,
+    are built per failed group. The residual norm may overflow: it then
+    reads inf, which fails, with no numpy warning."""
     out: list[Violation] = []
-    levels = tree.levels
-    for k, lvl in enumerate(levels, start=1):
-        above = len(levels[k - 2].parent) if k > 1 else 1
-        for i in np.flatnonzero(np.bincount(lvl.parent, minlength=above) == 0).tolist():
-            path = _path(levels, k - 1, i)
+    parent = tree._parent
+    prob, incr = tree._prob[1:], tree._incr[1:]   # every node but the root
+    children = np.bincount(parent[1:], minlength=tree._bounds[-2])
+    for node in (children == 0).nonzero()[0].tolist() if children.min(initial=1) == 0 else ():
+        path = _path(parent, node)
+        out.append(Violation(
+            "structure", path, float(tree.depth - len(path)),
+            f"leaf at depth {len(path)} in a depth-{tree.depth} tree at {path}"))
+    # a group starts (in prob's rows) where a node's parent differs from the
+    # parent of the node before it; x * 0 is NaN exactly where x is not finite
+    starts = np.diff(parent).nonzero()[0]
+    any_non_finite = np.isnan(np.add.reduceat((incr * 0.0).ravel(), starts * tree.dim))
+    any_outside = ~((np.minimum.reduceat(prob, starts) > 0.0)   # NaN fails too
+                    & (np.maximum.reduceat(prob, starts) <= 1.0))
+    excess = np.add.reduceat(prob, starts) - 1.0
+    resid = np.linalg.norm(np.add.reduceat(prob[:, None] * incr, starts), axis=1)
+    failed = (any_non_finite | any_outside
+              | (np.abs(excess) > PROB_TOL) | (resid > PROB_TOL))
+    for g in failed.nonzero()[0].tolist():
+        path = _path(parent, int(parent[1 + starts[g]]))
+        rows = slice(starts[g], starts[g + 1] if g + 1 < len(starts) else len(prob))
+        if any_non_finite[g]:
+            bad = (~np.isfinite(incr[rows])).any(axis=1).nonzero()[0].tolist()
             out.append(Violation(
-                "structure", path, float(tree.depth - len(path)),
-                f"leaf at depth {len(path)} in a depth-{tree.depth} tree at {path}"))
-        prob = lvl.prob
-        starts = np.flatnonzero(np.diff(lvl.parent, prepend=-1))
-        ends = np.append(starts[1:], len(prob))
-        non_finite = ~np.isfinite(lvl.incr).all(axis=1)
-        any_non_finite = np.logical_or.reduceat(non_finite, starts)
-        any_outside = np.logical_or.reduceat(~((prob > 0.0) & (prob <= 1.0)), starts)
-        excess = np.add.reduceat(prob, starts) - 1.0
-        resid = np.linalg.norm(np.add.reduceat(prob[:, None] * lvl.incr, starts), axis=1)
-        failed = (any_non_finite | any_outside
-                  | (np.abs(excess) > PROB_TOL) | (resid > PROB_TOL))
-        for g in np.flatnonzero(failed).tolist():
-            path = _path(levels, k - 1, int(lvl.parent[starts[g]]))
-            rows = slice(starts[g], ends[g])
-            if any_non_finite[g]:
-                bad = np.flatnonzero(non_finite[rows]).tolist()
-                out.append(Violation(
-                    "structure", path, float(len(bad)),
-                    f"non-finite increment on children {bad} at {path}"))
-            if any_outside[g]:   # NaN fails too
-                worst = float(np.max(np.maximum(prob[rows] - 1.0, -prob[rows])))
-                worst = float("inf") if np.isnan(worst) else worst
-                out.append(Violation(
-                    "probability", path, worst,
-                    f"branch probability outside ]0,1] at {path}"))
-            if abs(excess[g]) > PROB_TOL:
-                out.append(Violation(
-                    "probability", path, float(abs(excess[g])),
-                    f"branch probabilities sum to 1{excess[g]:+.3g} at {path}"))
-            if resid[g] > PROB_TOL:
-                out.append(Violation(
-                    "martingale", path, float(resid[g]),
-                    f"conditional increment mean has norm {resid[g]:.3g} at {path}"))
+                "structure", path, float(len(bad)),
+                f"non-finite increment on children {bad} at {path}"))
+        if any_outside[g]:   # NaN fails too
+            worst = float(np.max(np.maximum(prob[rows] - 1.0, -prob[rows])))
+            worst = float("inf") if np.isnan(worst) else worst
+            out.append(Violation(
+                "probability", path, worst,
+                f"branch probability outside ]0,1] at {path}"))
+        if abs(excess[g]) > PROB_TOL:
+            out.append(Violation(
+                "probability", path, float(abs(excess[g])),
+                f"branch probabilities sum to 1{excess[g]:+.3g} at {path}"))
+        if resid[g] > PROB_TOL:
+            out.append(Violation(
+                "martingale", path, float(resid[g]),
+                f"conditional increment mean has norm {resid[g]:.3g} at {path}"))
     out.sort(key=lambda v: (len(v.path), v.path, v.kind))
     return ValidationResult(ok=not out, violations=tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LevelCalc:
-    """Per-level node summaries, one entry per node, depth-first order.
+    """Node summaries in the tree's node order (the root, then each level in
+    depth-first order); level k is entries bounds[k] to bounds[k+1] - 1.
 
-    probs[k]     node probability
-    values[k]    M_k at the node, one row per node
-    m_norm[k]    ||M_k|| at the node
-    sup_norm[k]  max_{v <= k} ||M_v|| along the node's history
-    quad[k]      sum_{v <= k} ||d_v||^2 along the node's history
-    d_norm[k]    ||d_k|| of the edge entering the node (||M_0|| at the root)
+    node_probs   node probability, shape (nodes,)
+    node_values  M_k at the node, shape (nodes, d)
+    node_norms   rows ||M_k|| at the node, max_{v <= k} ||M_v|| along its
+                 history, sum_{v <= k} ||d_v||^2 along it and ||d_k|| of the
+                 edge entering it (||M_0|| at the root), shape (4, nodes)
+
+    probs, values, m_norm, sup_norm, quad and d_norm list the same entries
+    per level, as views: probs[k] holds level k's node probabilities.
     """
 
-    probs: list
-    values: list
-    m_norm: list
-    sup_norm: list
-    quad: list
-    d_norm: list
+    bounds: tuple[int, ...]
+    node_probs: np.ndarray
+    node_values: np.ndarray
+    node_norms: np.ndarray
+
+    def _per_level(self, flat: np.ndarray) -> list:
+        return [flat[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
+
+    probs = property(lambda self: self._per_level(self.node_probs))
+    values = property(lambda self: self._per_level(self.node_values))
+    m_norm = property(lambda self: self._per_level(self.node_norms[0]))
+    sup_norm = property(lambda self: self._per_level(self.node_norms[1]))
+    quad = property(lambda self: self._per_level(self.node_norms[2]))
+    d_norm = property(lambda self: self._per_level(self.node_norms[3]))
 
 
 @np.errstate(over="ignore")   # norms beyond the float range: exact reports refuse them
 def _build_calc(tree: ProbTree) -> _LevelCalc:
-    values = [np.array([tree.m0], dtype=float)]
-    root_norm = np.array([np.linalg.norm(tree.m0)])
-    probs = [np.ones(1)]
-    m_norm = [root_norm]
-    sup_norm = [root_norm.copy()]
-    quad = [root_norm**2]
-    d_norm = [root_norm.copy()]
-    for lvl in tree.levels:
-        if len(lvl.parent) > MAX_PATHS:
-            raise ResourceLimitError(
-                f"tree level exceeds the {MAX_PATHS} path enumeration cap")
-        pidx = lvl.parent
-        values.append(values[-1][pidx] + lvl.incr)
-        nn = np.linalg.norm(values[-1], axis=1)
-        dn = np.linalg.norm(lvl.incr, axis=1)
-        probs.append(probs[-1][pidx] * lvl.prob)
-        m_norm.append(nn)
-        sup_norm.append(np.maximum(sup_norm[-1][pidx], nn))
-        quad.append(quad[-1][pidx] + dn**2)
-        d_norm.append(dn)
-    return _LevelCalc(probs, values, m_norm, sup_norm, quad, d_norm)
+    """The level calculus on the tree's node arrays.
+
+    M_k, the node probability, the running sup and the quadratic sum each
+    take their parent's entry, so only that gather, and the one operation
+    after it, runs level by level: a level needs the level above done. The
+    norms of M_k and of d_k are taken once each, row-wise over every node
+    but the root, whose norm is np.linalg.norm(m0) as always."""
+    bounds = tree._bounds
+    spans = list(zip(bounds[1:], bounds[2:]))   # the levels below the root
+    if any(b - a > MAX_PATHS for a, b in spans):
+        raise ResourceLimitError(f"tree level exceeds the {MAX_PATHS} path enumeration cap")
+    parent, prob, incr = tree._parent, tree._prob, tree._incr
+    values = np.empty(incr.shape)
+    values[0] = incr[0]
+    for a, b in spans:
+        np.add(values.take(parent[a:b], axis=0), incr[a:b], out=values[a:b])
+    norms = np.empty((4, bounds[-1]))
+    m_norm, sup_norm, quad, d_norm = norms
+    m_norm[0] = d_norm[0] = np.linalg.norm(tree.m0)
+    m_norm[1:] = np.linalg.norm(values[1:], axis=1)
+    d_norm[1:] = np.linalg.norm(incr[1:], axis=1)
+    d_sq = d_norm**2
+    probs = np.empty(bounds[-1])
+    probs[0] = 1.0
+    sup_norm[0] = m_norm[0]
+    quad[0] = d_sq[0]
+    for a, b in spans:
+        up = parent[a:b]
+        np.multiply(probs.take(up), prob[a:b], out=probs[a:b])
+        np.maximum(sup_norm.take(up), m_norm[a:b], out=sup_norm[a:b])
+        np.add(quad.take(up), d_sq[a:b], out=quad[a:b])
+    return _LevelCalc(bounds, probs, values, norms)
 
 
 def check_level(n, depth: int) -> int:
@@ -332,24 +408,30 @@ class Moments:
 
 @np.errstate(over="ignore")   # sums beyond the float range: exact reports refuse them
 def moments(tree: ProbTree, p_values: Sequence) -> Moments:
-    """Reduce a valid tree's level walk to its Moments table at every exponent.
+    """Reduce a valid tree's level calculus to its Moments table at every exponent.
 
-    Each level's w * r ** e rows (e a scalar exponent, so numpy keeps its
-    ** 2.0 square) are stacked and reduced along the level, which sums every
-    row pairwise exactly as a 1-D np.sum does. Every root (1/p, 1/p, 2/p and
-    2/p) is then taken here, once, with float ** on its scalar level sum. A
-    sum below the normal float range from norms that are not all 0 has lost
-    its terms to underflow: DomainError."""
+    Each w * r ** e is taken once per tree, over all nodes (e a scalar
+    exponent, so numpy keeps its ** 2.0 square). Each level's entries are
+    then summed with one .sum(axis=-1) over the level's slice, which sums
+    every row pairwise exactly as a 1-D np.sum does; np.add.reduceat adds in
+    another order and would change bits. Every root (1/p, 1/p, 2/p and 2/p) is
+    then taken here, once, with float ** on its scalar level sum. A sum
+    below the normal float range from norms that are not all 0 has lost its
+    terms to underflow: DomainError."""
     p = tuple(as_exponent(v) for v in p_values)
     calc = tree.calculus()
+    bounds = calc.bounds
     exps = (p, p, tuple(v / 2.0 for v in p), p)
-    sums = np.empty((4, len(p), tree.depth + 1))   # m, sup, quad, d
-    norms = (calc.m_norm, calc.sup_norm, calc.quad, calc.d_norm)
-    for k, w in enumerate(calc.probs):
-        powers = np.array([r[k] ** e for r, row in zip(norms, exps) for e in row])
-        sums[:, :, k] = (powers.reshape(4, len(p), len(w)) * w).sum(axis=2)
+    powers = np.empty((4, len(p), bounds[-1]))   # m, sup, quad, d
+    for side, row in enumerate(exps):
+        for j, e in enumerate(row):
+            powers[side, j] = calc.node_norms[side] ** e
+    powers *= calc.node_probs
+    sums = np.empty((4, len(p), tree.depth + 1))
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        sums[:, :, k] = powers[:, :, a:b].sum(axis=-1)
     for side, j, k in np.argwhere(sums < sys.float_info.min).tolist():   # 0 or underflowed
-        if norms[side][k].any():
+        if calc.node_norms[side, bounds[k]:bounds[k + 1]].any():
             name = ("||M_n||^p", "(max ||M_v||)^p", "(sum ||d_v||^2)^(p/2)", "||d_n||^p")[side]
             raise DomainError(f"p={p[j]:g}: the sides underflow a float (E {name} at level "
                               f"{k} is {sums[side, j, k]:.3g} from nonzero norms)")

@@ -329,12 +329,13 @@ class TestReportRows:
         tree = random_tree(2, 2, 4)
         table = eval_tree(tree, range(3), (2.0, 3.5), ["DOOB", "D-BURK-1"], seed=3,
                           notes="t")
-        text, rows = table_text(table)
+        text, lines = table_text(table)
         assert "".join(text) == json.dumps([report_row(r) for r in table], sort_keys=True)
-        # a float's cell is its repr, which csv.writer would have written
-        assert list(rows) == [tuple(repr(v) if type(v) is float else v
-                                    for v in map(csv_row(r).get, CSV_FIELDS))
-                              for r in table]
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(CSV_FIELDS)
+        writer.writerows([csv_row(r)[name] for name in CSV_FIELDS] for r in table)
+        assert "".join(lines) == expected.getvalue()
 
     def test_rows_from_eval(self, zoo):
         tree = parse_tree(load(zoo, "tree_coin"))

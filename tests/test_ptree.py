@@ -1,7 +1,10 @@
 """Exact tree calculus: frozen values, invariant checks, validation."""
 import hashlib
+import json
 import math
+import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +182,17 @@ class TestValidation:
 
     def test_valid_summary(self):
         assert coin().validate().summary() == "valid"
+
+    def test_overflowed_residual_warns_nothing(self):
+        """An increment mean whose norm overflows a float reads as an inf
+        residual, with no numpy warning on the way."""
+        t = one_step((0.0,), (0.5, (1e200,)), (0.5, (-1e199,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = t.validate()
+        assert [(x.kind, x.path, x.message) for x in v.violations] == [
+            ("martingale", (), "conditional increment mean has norm inf at ()")]
+        assert v.violations[0].residual == math.inf
 
     def test_violation_paths_locate_nodes(self):
         t = parse_tree({"m0": [0.0], "tree": {"children": [
@@ -515,3 +529,181 @@ def test_underflowed_moments_refused():
         ptree.moments(ptree.symmetric_walk(2, step=0.3), [1000])
     table = ptree.moments(ptree.symmetric_walk(2, step=1.0), [1000])
     assert table.lp[0].tolist() == [s ** (1.0 / 1000) for s in (0.0, 1.0, 2.0 ** 999)]
+
+
+def reference_path(levels, k, i):
+    """Child-index path from the root to node i on level k, read level by level."""
+    path = []
+    for lvl in reversed(levels[:k]):
+        up = int(lvl.parent[i])
+        path.append(i - int(np.searchsorted(lvl.parent, up)))
+        i = up
+    return tuple(reversed(path))
+
+
+def reference_violations(tree):
+    """The validator as first written, one pass per level: the reference for
+    the one-pass validator's violations, their order and residual bits."""
+    out = []
+    levels = tree.levels
+    for k, lvl in enumerate(levels, start=1):
+        above = len(levels[k - 2].parent) if k > 1 else 1
+        for i in np.flatnonzero(np.bincount(lvl.parent, minlength=above) == 0).tolist():
+            path = reference_path(levels, k - 1, i)
+            out.append(ptree.Violation(
+                "structure", path, float(tree.depth - len(path)),
+                f"leaf at depth {len(path)} in a depth-{tree.depth} tree at {path}"))
+        prob = lvl.prob
+        starts = np.flatnonzero(np.diff(lvl.parent, prepend=-1))
+        ends = np.append(starts[1:], len(prob))
+        non_finite = ~np.isfinite(lvl.incr).all(axis=1)
+        any_non_finite = np.logical_or.reduceat(non_finite, starts)
+        any_outside = np.logical_or.reduceat(~((prob > 0.0) & (prob <= 1.0)), starts)
+        excess = np.add.reduceat(prob, starts) - 1.0
+        resid = np.linalg.norm(np.add.reduceat(prob[:, None] * lvl.incr, starts), axis=1)
+        failed = (any_non_finite | any_outside
+                  | (np.abs(excess) > ptree.PROB_TOL) | (resid > ptree.PROB_TOL))
+        for g in np.flatnonzero(failed).tolist():
+            path = reference_path(levels, k - 1, int(lvl.parent[starts[g]]))
+            rows = slice(starts[g], ends[g])
+            if any_non_finite[g]:
+                bad = np.flatnonzero(non_finite[rows]).tolist()
+                out.append(ptree.Violation(
+                    "structure", path, float(len(bad)),
+                    f"non-finite increment on children {bad} at {path}"))
+            if any_outside[g]:
+                worst = float(np.max(np.maximum(prob[rows] - 1.0, -prob[rows])))
+                worst = float("inf") if np.isnan(worst) else worst
+                out.append(ptree.Violation(
+                    "probability", path, worst,
+                    f"branch probability outside ]0,1] at {path}"))
+            if abs(excess[g]) > ptree.PROB_TOL:
+                out.append(ptree.Violation(
+                    "probability", path, float(abs(excess[g])),
+                    f"branch probabilities sum to 1{excess[g]:+.3g} at {path}"))
+            if resid[g] > ptree.PROB_TOL:
+                out.append(ptree.Violation(
+                    "martingale", path, float(resid[g]),
+                    f"conditional increment mean has norm {resid[g]:.3g} at {path}"))
+    out.sort(key=lambda v: (len(v.path), v.path, v.kind))
+    return out
+
+
+def drop_children(levels, k, i):
+    """Remove the children of node i on level k, and their subtrees, from
+    mutable [parent, prob, incr] levels (levels[k] holds level k + 1)."""
+    kept_above = None
+    for m in range(k, len(levels)):
+        parent, prob, incr = levels[m]
+        if m == k:
+            keep = parent != i
+            moved = parent[keep]
+        else:
+            keep = kept_above[parent]
+            moved = (np.cumsum(kept_above) - 1)[parent[keep]]
+        levels[m] = [moved.astype(np.intp), prob[keep], incr[keep]]
+        kept_above = keep
+
+
+FAULTS = ("sum", "above_one", "nan", "uncentred", "childless", "zero", "nan_prob", "inf")
+
+
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 10**6),
+       st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 2**16),
+                          st.integers(0, 2**16)), max_size=5))
+def test_validation_matches_level_by_level_reference(depth, dim, seed, faults):
+    """Faults injected at random levels of a random tree (a probability sum
+    off by 1e-9, a probability above 1, a NaN increment, a group not
+    recentred, a childless node; also a zero or NaN probability and an
+    infinite increment) give the violations the level-by-level validator
+    gives: same kinds, paths, messages and order, and residuals equal bit
+    for bit."""
+    tree = ptree.random_tree(depth, dim, seed)
+    levels = [[lvl.parent.copy(), lvl.prob.copy(), lvl.incr.copy()] for lvl in tree.levels]
+    for fault, k, i in faults:
+        k %= depth
+        if fault == "childless":   # node i of level k, above the last level
+            width = len(levels[k - 1][0]) if k else 1
+            if width:
+                drop_children(levels, k, i % width)
+            continue
+        parent, prob, incr = levels[k]
+        if not len(parent):
+            continue
+        i %= len(parent)
+        if fault == "sum":
+            prob[i] += 1e-9
+        elif fault == "above_one":
+            prob[i] = 1.25
+        elif fault == "nan":
+            incr[i, i % dim] = math.nan
+        elif fault == "zero":
+            prob[i] = 0.0
+        elif fault == "nan_prob":
+            prob[i] = math.nan
+        elif fault == "inf":
+            incr[i, i % dim] = -math.inf
+        else:
+            incr[parent == parent[i]] += 0.25
+    faulty = ProbTree(tree.m0, [level(*lvl) for lvl in levels])
+    with np.errstate(all="ignore"):
+        want = reference_violations(faulty)
+    got = faulty.validate().violations
+    assert [(v.kind, v.path, v.message) for v in got] == [
+        (v.kind, v.path, v.message) for v in want]
+    assert [np.float64(v.residual).tobytes() for v in got] == [
+        np.float64(v.residual).tobytes() for v in want]
+    assert faulty.validate().ok == (not want)
+
+
+def reference_calc(tree):
+    """The level calculus as first written, one level at a time: the
+    reference for the bits of the calculus built on the node arrays."""
+    values = [np.array([tree.m0], dtype=float)]
+    root_norm = np.array([np.linalg.norm(tree.m0)])
+    probs = [np.ones(1)]
+    m_norm = [root_norm]
+    sup_norm = [root_norm.copy()]
+    quad = [root_norm**2]
+    d_norm = [root_norm.copy()]
+    for lvl in tree.levels:
+        pidx = lvl.parent
+        values.append(values[-1][pidx] + lvl.incr)
+        nn = np.linalg.norm(values[-1], axis=1)
+        dn = np.linalg.norm(lvl.incr, axis=1)
+        probs.append(probs[-1][pidx] * lvl.prob)
+        m_norm.append(nn)
+        sup_norm.append(np.maximum(sup_norm[-1][pidx], nn))
+        quad.append(quad[-1][pidx] + dn**2)
+        d_norm.append(dn)
+    return {"probs": probs, "values": values, "m_norm": m_norm,
+            "sup_norm": sup_norm, "quad": quad, "d_norm": d_norm}
+
+
+ZOO_TREES = sorted((pathlib.Path(__file__).resolve().parent.parent / "zoo").glob("tree_*.json"))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda dim=dim, seed=seed, branching=branching: ptree.random_tree(
+        4, dim, seed, branching=branching)
+      for dim in (1, 3, 8, 9) for seed in (0, 7) for branching in ((2, 3), (9,))),
+    lambda: ptree.symmetric_walk(6),
+    lambda: ptree.symmetric_walk(3, step=0.3, m0=2.5),
+    *(lambda path=path: parse_tree(json.loads(path.read_text())) for path in ZOO_TREES),
+], ids=[*(f"random-dim{dim}-seed{seed}-b{max(branching)}" for dim in (1, 3, 8, 9)
+          for seed in (0, 7) for branching in ((2, 3), (9,))),
+        "walk6", "walk3", *(path.stem for path in ZOO_TREES)])
+def test_calculus_matches_level_by_level_reference(make):
+    """Every per-level list of the calculus equals, bit for bit, the calculus
+    built one level at a time: dims from 8 on sum each row norm pairwise,
+    and levels of 8 or more nodes take the wide gathers."""
+    tree = make()
+    calc = tree.calculus()
+    want = reference_calc(tree)
+    assert any(len(level) >= 8 for level in want["probs"]) or tree.depth < 3
+    for name, levels in want.items():
+        got = getattr(calc, name)
+        assert len(got) == len(levels) == tree.depth + 1
+        for a, b in zip(got, levels):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
