@@ -536,11 +536,12 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     dim = as_int(dim, "dim")
     if depth < 0 or dim < 1:
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
-    if len(branching) == 0 or min(branching) < 2:
-        raise DomainError(f"branching factors must be >= 2, got {tuple(branching)}")
+    choices = [as_int(w, "branching factor") for w in branching]
+    if not choices or min(choices) < 2:
+        raise DomainError(f"branching factors must be >= 2, got {tuple(choices)}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = as_seed(seed)
-    widest = int(max(branching))
+    widest = max(choices)
     # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
     # so the power never grows into a huge integer
     if widest ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
@@ -564,7 +565,6 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         return ProbTree(m0, [])
     # the walk: each internal node's level, width and first word, in draw order
     words = _PhiloxWords(rng.bit_generator.random_raw)
-    choices = [int(w) for w in branching]
     levels: list[int] = []
     widths: list[int] = []
     firsts: list[int] = []

@@ -1,10 +1,9 @@
 """Numerical sharpness probes for the one-step and tree inequalities.
 
-The central quantity is the two-point gain
-
-    rio_gain(a, b, p) = (||a + Y||_{L^p}^2 - a^2) / ||Y||_{L^p}^2,  Y = +-b,
-
-which approaches the one-step constant p-1 as b -> 0. Searches maximize a
+The central quantity is the two-point gain (||a + Y||_{L^p}^2 - a^2) / ||Y||_{L^p}^2
+of the centered law Y = b(1-q) w.p. q, -bq w.p. 1-q (asym_two_point_gain). The
+symmetric law Y = +-b is its q = 1/2, width-2b case (rio_gain), whose gain
+approaches the one-step constant p-1 as b -> 0. Searches maximize a
 gain (two-point families, bound p-1) or a normalized lhs/rhs ratio
 (random-tree families, bound 1), and flag any run whose best exceeds the
 bound beyond 1e-9 as a violation finding.
@@ -12,14 +11,15 @@ bound beyond 1e-9 as a violation finding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import ineq, ptree
 from .errors import ConfigError, DomainError, ResourceLimitError, refuse_overflow
-from .ptree import as_exponent, as_seed
+from .ptree import as_exponent, as_int, as_seed
 
 SOUND_TOL = 1e-9
 COLLAPSE_DIAMETER = 1e-10
@@ -47,87 +47,58 @@ def _check_scale(name: str, v: float) -> float:
     return v
 
 
-def _sym_even_series(p: float, r: float) -> float:
-    """sum_{k>=1} C(p,2k) r^(2k) = (  (1+r)^p + (1-r)^p )/2 - 1.
-
-    Termwise evaluation; only used where p*r < 1 so terms decay from the
-    first one and no cancellation occurs. Exact cutoff for even integer p.
-    """
-    term = 0.5 * p * (p - 1.0) * r * r
-    total = term
-    for k in range(1, 40):
-        term *= (p - 2 * k) * (p - 2 * k - 1) * r * r / ((2 * k + 1) * (2 * k + 2))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return total
-
-
 def _asym_moment_series(p: float, r: float, q: float) -> float:
-    """sum_{k>=2} C(p,k) r^k E[Y0^k] for Y0 = 1-q w.p. q, -q w.p. 1-q.
-
-    Equals E[(1+rY0)^p] - 1 since the k=0,1 terms are 1 and 0 (mean zero).
-    """
-    coef = 0.5 * p * (p - 1.0)
+    """sum_{k>=2} C(p,k) r^k E[Y0^k] = E[(1+rY0)^p] - 1 (the k = 0, 1 terms are
+    1 and 0) for Y0 = 1-q w.p. q, -q w.p. 1-q."""
     up, dn = 1.0 - q, -q
-    rk, uk, dk = r * r, up * up, dn * dn
-    total = coef * rk * (q * uk + (1.0 - q) * dk)
+    term, uk, dk = 0.5 * p * r * ((p - 1.0) * r), up * up, dn * dn   # C(p,k) r^k, k = 2
+    total = term * (q * uk + (1.0 - q) * dk)
     for k in range(2, 60):
-        coef *= (p - k) / (k + 1.0)
-        rk *= r
-        uk *= up
-        dk *= dn
-        total += coef * rk * (q * uk + (1.0 - q) * dk)
+        term *= (p - k) * r / (k + 1.0)   # p*r < 1, so no term overflows
+        uk, dk = uk * up, dk * dn
+        total += term * (q * uk + (1.0 - q) * dk)
         # odd moments vanish at q = 1/2, so bound the tail by magnitudes
-        if abs(coef) * rk * (q * abs(uk) + (1.0 - q) * abs(dk)) <= 1e-18 * abs(total):
+        if abs(term) * (q * abs(uk) + (1.0 - q) * abs(dk)) <= 1e-18 * abs(total):
             break
     return total
+
+
+def rio_gain(a, b, p) -> float:
+    """Exact two-point gain for X = a constant, Y = +-b with probability 1/2:
+    asym_two_point_gain(a, 2b, 1/2, p), with b checked first."""
+    return asym_two_point_gain(a, 2.0 * _check_scale("b", b), 0.5, p)
 
 
 @refuse_overflow("the RIO-STEP two-point gain")
-def rio_gain(a, b, p) -> float:
-    """Exact two-point gain for X = a constant, Y = +-b with probability 1/2.
-
-    Evaluated as gain(1, b/a, p). The inner moment uses the even binomial
-    series when p*b/a is small (the expm1 pair would cancel to O(b^2) and
-    lose the signal) and expm1/log1p otherwise, so no b > 0 regime loses
-    accuracy to cancellation.
-    """
-    p = as_exponent(p)
-    a = _check_scale("a", a)
-    b = _check_scale("b", b)
-    r = b / a
-    if r < 0.1 and p * r < 1.0:
-        s = _sym_even_series(p, r)
-    elif r < 1.0:
-        s = 0.5 * (math.expm1(p * math.log1p(r)) + math.expm1(p * math.log1p(-r)))
-    else:
-        s = 0.5 * ((1.0 + r) ** p + (r - 1.0) ** p) - 1.0
-    return math.expm1((2.0 / p) * math.log1p(s)) / (r * r)
-
-
-@refuse_overflow("the RIO-STEP asymmetric two-point gain")
 def asym_two_point_gain(a, b, q, p) -> float:
-    """Gain for the centered asymmetric family Y = b(1-q) w.p. q, -bq w.p. 1-q."""
+    """Gain for the centered two-point family Y = b(1-q) w.p. q, -bq w.p. 1-q.
+
+    Evaluated as gain(1, b/a, p): the moment by its binomial series where
+    p*b/a is small (expm1 would cancel the O(b^2) signal), else by expm1/log1p.
+    ||Y/b||_p^2 = (q(1-q)^p + (1-q)q^p)^(2/p) is taken as hi^2 (lo + hi
+    (lo/hi)^p)^(2/p), lo <= hi being q and 1-q, which cannot underflow to 0."""
     p = as_exponent(p)
     a = _check_scale("a", a)
     b = _check_scale("b", b)
     q = float(q)
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in ]0,1[, got {q!r}")
+    if not sys.float_info.min <= q < 1.0:
+        raise DomainError(f"q must lie in ]0,1[ and not be subnormal, got {q!r}")
     r = b / a
+    lo, hi = sorted((q, 1.0 - q))
+    den = r * r * (hi * hi * (lo + hi * (lo / hi) ** p) ** (2.0 / p))
+    if not sys.float_info.min <= den < math.inf:
+        raise DomainError(f"the RIO-STEP two-point gain at b/a = {r!r}, q = {q!r}, "
+                          f"p = {p!r}: ||Y||_p^2 / a^2 = {den!r} is outside the float range")
     if r < 0.1 and p * r < 1.0:
         s = _asym_moment_series(p, r, q)
     else:
-        up = r * (1.0 - q)
         dn = r * q
-        s = q * math.expm1(p * math.log1p(up))
-        if dn < 1.0:
-            s += (1.0 - q) * math.expm1(p * math.log1p(-dn))
-        else:
-            s += (1.0 - q) * ((dn - 1.0) ** p - 1.0)
-    w = q * (1.0 - q) ** p + (1.0 - q) * q ** p
-    return math.expm1((2.0 / p) * math.log1p(s)) / (r * r * w ** (2.0 / p))
+        s = q * math.expm1(p * math.log1p(r * (1.0 - q))) + (1.0 - q) * (
+            math.expm1(p * math.log1p(-dn)) if dn < 1.0 else (dn - 1.0) ** p - 1.0)
+    gain = math.expm1((2.0 / p) * math.log1p(s)) / den
+    if gain == math.inf:   # p * log1p(.) overflowed to inf without raising
+        raise OverflowError
+    return gain
 
 
 def asymptotic_gain_probe(p, b_sequence: Sequence[float]) -> list[float]:
@@ -170,9 +141,12 @@ class FamilySpec:
         if self.tag == "RANDOM-TREE":
             if self.depth is None or self.depth < 1 or self.dim is None or self.dim < 1:
                 raise ConfigError("RANDOM-TREE needs depth >= 1 and dim >= 1")
-            if not self.branching or min(self.branching) < 2:
+            branching = tuple(as_int(w, "branching factor", ConfigError)
+                              for w in self.branching)
+            if not branching or min(branching) < 2:
                 raise ConfigError(
                     f"RANDOM-TREE branching factors must be >= 2, got {self.branching}")
+            object.__setattr__(self, "branching", branching)
         scales = dict(_AXES[self.tag])
         for name in ("a", "b", "q"):
             box = getattr(self, f"{name}_box")
@@ -203,9 +177,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; known: {METHODS}")
-        if int(self.budget) < 1:
+        object.__setattr__(self, "budget", as_int(self.budget, "budget", ConfigError))
+        if self.budget < 1:
             raise ConfigError("budget must be >= 1")
-        object.__setattr__(self, "budget", int(self.budget))
         object.__setattr__(self, "seed", as_seed(self.seed))
         target = ineq.coerce_id(ineq.InequalityId, self.target)
         object.__setattr__(self, "target", target.value)

@@ -348,6 +348,23 @@ class TestSharpness:
         assert code == 0
         assert "best_params=" in out
 
+    @pytest.mark.parametrize("family, extra", [
+        ("RIO-TWO-POINT", {"b": [5e-5, 5e-5]}),
+        ("ASYM-TWO-POINT", {"b": [1e-4, 1e-4], "q": [0.5, 0.5]})])
+    def test_two_point_past_the_norm_underflow(self, tmp_path, family, extra):
+        """At q = 1/2 and p = 1100, q(1-q)^p + (1-q)q^p = 2^-p is 0 as a float;
+        the console script still reports the finite gain, without a
+        traceback or a numpy warning."""
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps({"family": family, "p": 1100, "method": "grid",
+                                    "a": [1, 1], "budget": 4, "seed": 1, **extra}))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "martcheck.cli", "sharpness", "--config", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "best_ratio=1098.44737368 bound=1099" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_huge_grid_is_an_error(self, zoo, tmp_path, capsys):
         config = json.loads((zoo / "search_rio_grid.json").read_text())
         path = tmp_path / "search.json"

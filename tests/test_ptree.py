@@ -297,7 +297,8 @@ class TestLevels:
     def test_random_tree_limits(self, monkeypatch):
         """Bad branching factors and trees that could outgrow MAX_PATHS are
         refused before the first draw, so none recurses or allocates."""
-        for bad in ((), (-1,), (0,), (1, 2)):
+        # a fraction such as 2.5 is refused, not truncated to 2
+        for bad in ((), (-1,), (0,), (1, 2), (2.5, 3), (True, 3), (float("nan"),)):
             with pytest.raises(DomainError, match="branching"):
                 ptree.random_tree(2, 1, seed=0, branching=bad)
         with pytest.raises(DomainError, match="non-negative"):
@@ -309,6 +310,16 @@ class TestLevels:
         assert ptree.random_tree(3, 1, seed=0, branching=(2,)).depth == 3
         with pytest.raises(ResourceLimitError):
             ptree.random_tree(2, 1, seed=0, branching=(2, 3))
+
+    def test_integral_branching_factors_kept(self):
+        """Integral floats and numpy integers draw the (2, 3) tree bit for bit
+        (a fraction such as 2.5 is refused: test_random_tree_limits)."""
+        ref = ptree.random_tree(3, 1, 5, branching=(2, 3))
+        same = ptree.random_tree(3, 1, 5, branching=(2.0, np.int64(3)))
+        assert same.m0 == ref.m0 and len(same.levels) == len(ref.levels)
+        for a, b in zip(same.levels, ref.levels):
+            for name in ("parent", "prob", "incr"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 @given(trees())

@@ -1,14 +1,16 @@
 """Gain evaluators and witness searches."""
+import decimal
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import martcheck.sharpness as sh
-from martcheck import (ConfigError, DomainError, FamilySpec, ResourceLimitError,
-                       SearchConfig, parse_search)
+from martcheck import (ConfigError, DomainError, FamilySpec, MartcheckError,
+                       ResourceLimitError, SearchConfig, parse_search)
 from martcheck.cli import main as cli_main
 
 # 50-digit decimal enumeration oracles for rio_gain(1, b, 4)
@@ -19,6 +21,16 @@ GAIN_ORACLES = {
     1e-4: 2.99999996000000119999995600000180,
     1.0: 1.82842712474619009760337744841940,   # 2 sqrt(2) - 1
 }
+
+
+def decimal_rio_gain(b, p):
+    """rio_gain(1, b, p) to 50 digits, b and p read exactly from their floats:
+    ((((1 + b)^p + |1 - b|^p) / 2)^(2/p) - 1) / b^2. At p = 4 the moment is
+    1 + 6b^2 + b^4, so the gain is (sqrt(1 + 6b^2 + b^4) - 1) / b^2."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        b, p = decimal.Decimal(b), decimal.Decimal(p)
+        moment = ((1 + b) ** p + abs(1 - b) ** p) / 2
+        return float((moment ** (2 / p) - 1) / (b * b))
 
 
 class TestRioGain:
@@ -49,8 +61,26 @@ class TestRioGain:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             sh.rio_gain(bad, 0.1, 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^b must"):
             sh.rio_gain(1.0, bad, 4)
+
+    @pytest.mark.parametrize("b", [0.06, 0.09])
+    def test_series_handover_band(self, b):
+        """At p = 4 and b in [0.05, 0.1[, the width 2b is at or just past the
+        binomial series' cut-off 0.1, so these gains come from expm1/log1p
+        right where the series hands over."""
+        assert decimal_rio_gain(b, 4) == pytest.approx(
+            (math.sqrt(1 + 6 * b**2 + b**4) - 1) / b**2, rel=1e-14)
+        assert sh.rio_gain(1.0, b, 4) == pytest.approx(decimal_rio_gain(b, 4), abs=5e-12)
+
+    def test_p_past_the_underflow_of_the_norm(self):
+        """At q = 1/2, q(1-q)^p + (1-q)q^p = 2^-p is 0 as a float from p ~ 1075
+        on; the gain is still finite there, and below p - 1."""
+        expect = 1098.447373680909
+        assert decimal_rio_gain(5e-5, 1100) == pytest.approx(expect, rel=1e-12)
+        gain = sh.asym_two_point_gain(1, 1e-4, 0.5, 1100)
+        assert gain == pytest.approx(expect, rel=1e-12) and gain <= 1100 - 1
+        assert sh.rio_gain(1, 5e-5, 1100) == pytest.approx(expect, rel=1e-12)
 
     @given(st.floats(1e-6, 10.0), st.floats(2.0, 8.0))
     def test_never_exceeds_limit(self, b, p):
@@ -61,30 +91,50 @@ class TestRioGain:
 
 class TestAsymGain:
     def test_q_half_matches_symmetric(self):
-        # Y = +-b/2 with equal probability
-        assert sh.asym_two_point_gain(1, 1, 0.5, 4) == pytest.approx(
-            sh.rio_gain(1, 0.5, 4), rel=1e-12)
+        # width 2b at q = 1/2 is Y = +-b with equal probability
+        for b, expect in GAIN_ORACLES.items():
+            assert sh.asym_two_point_gain(1, 2 * b, 0.5, 4) == pytest.approx(expect, abs=5e-12)
 
     def test_q_half_matches_symmetric_small_b(self):
-        # same identity through the series branch; the odd moments vanish
+        # the same law through the series branch; the odd moments vanish
         # and must not truncate the series early
         assert sh.asym_two_point_gain(1, 0.002, 0.5, 4) == pytest.approx(
-            sh.rio_gain(1, 0.001, 4), rel=1e-14)
+            GAIN_ORACLES[0.001], rel=1e-14)
         assert sh.asym_two_point_gain(2, 0.02, 0.5, 3) == pytest.approx(
-            sh.rio_gain(2, 0.01, 3), rel=1e-13)
+            decimal_rio_gain(0.005, 3), rel=1e-13)
 
     def test_frozen_quarter(self):
         assert sh.asym_two_point_gain(1, 1, 0.25, 4) == pytest.approx(
             2.11887831444941392847707580335, abs=1e-12)
 
     def test_q_domain(self):
-        for q in (0.0, 1.0, -0.2, 1.5):
+        for q in (0.0, 1.0, -0.2, 1.5, 5e-324):   # and no subnormal q
             with pytest.raises(DomainError):
                 sh.asym_two_point_gain(1, 1, q, 4)
 
     @given(st.floats(1e-5, 2.0), st.floats(0.05, 0.95), st.floats(2.0, 6.0))
     def test_bounded_by_limit(self, b, q, p):
         assert sh.asym_two_point_gain(1.0, b, q, p) <= p - 1.0 + 1e-9
+
+    @pytest.mark.parametrize("a,b,q,p", [
+        (1, 1e-200, 0.3, 4),      # (b/a)^2 underflows to 0
+        (1, 1e-155, 0.5, 4),      # ... to a subnormal
+        (1e-300, 1e300, 0.3, 4),  # b/a overflows to inf
+        (1, 1e-10, 1e-300, 2),    # r^2 ||Y/b||_p^2 underflows
+    ])
+    def test_outside_the_float_range_refused(self, a, b, q, p):
+        with pytest.raises(DomainError, match="float range"):
+            sh.asym_two_point_gain(a, b, q, p)
+
+    @given(st.floats(5e-324, 1e308), st.floats(5e-324, 1e308),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(2.0, 1e6))
+    def test_finite_or_refused(self, a, b, q, p):
+        """Every finite input gives a gain in [0, p - 1] or a MartcheckError."""
+        try:
+            gain = sh.asym_two_point_gain(a, b, q, p)
+        except MartcheckError:
+            return
+        assert 0.0 <= gain <= (p - 1.0) * (1.0 + 1e-12)
 
 
 class TestProbe:
@@ -130,9 +180,27 @@ class TestFamilyConfig:
             FamilySpec(tag="RANDOM-TREE", p=4, depth=2, dim=1, a_box=(1, 2))
 
     def test_random_tree_branching(self):
-        for bad in ((), (-1,), (0,), (1, 3)):
+        # a fraction such as 2.5 is refused, not truncated to 2
+        for bad in ((), (-1,), (0,), (1, 3), (2.5,), (2, 3.5), (True, 3), (float("nan"),)):
             with pytest.raises(ConfigError, match="branching"):
                 FamilySpec(tag="RANDOM-TREE", p=4, depth=2, dim=1, branching=bad)
+
+    def test_random_tree_integral_branching_kept(self):
+        fam = FamilySpec(tag="RANDOM-TREE", p=4, depth=2, dim=1, branching=[2.0, np.int64(3)])
+        assert fam.branching == (2, 3) and all(type(w) is int for w in fam.branching)
+
+    @pytest.mark.parametrize("bad", [2.7, True, float("nan"), float("inf"), "3"])
+    def test_budget_not_truncated(self, bad):
+        """2.7 is not cut to 2, True is not 1, and NaN raises ConfigError, not
+        a bare ValueError."""
+        fam = FamilySpec(tag="RIO-TWO-POINT", p=4, a_box=(1, 1), b_box=(0.1, 1))
+        with pytest.raises(ConfigError, match="budget must be an integer"):
+            SearchConfig(family=fam, method="grid", budget=bad, seed=0)
+
+    def test_integral_budget_kept(self):
+        fam = FamilySpec(tag="RIO-TWO-POINT", p=4, a_box=(1, 1), b_box=(0.1, 1))
+        cfg = SearchConfig(family=fam, method="grid", budget=17.0, seed=0)
+        assert cfg.budget == 17 and type(cfg.budget) is int
 
     def test_q_box_range(self):
         with pytest.raises(ConfigError):
@@ -300,7 +368,7 @@ def test_frozen_search_paths():
                            res.trace, res.bound, res.exceeded)))
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert len(parts) == 60
-    assert digest == "f74df65b576aaf23497e4d3b4e373b493cf4fb56461798f17b786f47f74b01dd"
+    assert digest == "11fbb3756f3117e9a427f31d8f5a378173578ba405bc42e649d02798f7924511"
 
 
 class TestGridCap:
