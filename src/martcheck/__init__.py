@@ -16,8 +16,8 @@ from .errors import (
     PreconditionError, QuadratureError, ResourceLimitError, TreeStructureError,
 )
 from .ptree import (
-    Level, ProbTree, ValidationResult, Violation, increment_lp_sum, lp_norm,
-    moments, quadratic_sum_norm, random_tree, sup_lp_norm, symmetric_walk,
+    ProbTree, ValidationResult, Violation, increment_lp_sum, lp_norm, moments,
+    quadratic_sum_norm, random_tree, sup_lp_norm, symmetric_walk,
 )
 from .ineq import (
     DISCRETE_EVAL_IDS,
@@ -73,7 +73,7 @@ __all__ = [
     "MartcheckError", "DomainError", "TreeStructureError", "InvalidTreeError",
     "LevelRangeError", "PreconditionError", "QuadratureError",
     "ResourceLimitError", "ConfigError",
-    "Level", "ProbTree", "Violation",
+    "ProbTree", "Violation",
     "ValidationResult", "moments",
     "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
     "increment_lp_sum", "random_tree", "symmetric_walk",

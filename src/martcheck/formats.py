@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ineq import REPORT_FIELDS, InequalityReport, ReportTable
-from .ptree import Level, ProbTree
+from .ptree import ProbTree
 from .sharpness import FamilySpec, SearchConfig, SearchResult
 from .wiener_mc import IntegrandSpec, Rule, RuleEntry, check_dim
 
@@ -111,8 +111,10 @@ def parse_tree(obj: Any) -> ProbTree:
     have the dimension of m0.
 
     One depth-first walk without recursion, so depth is bounded by memory
-    alone, appends each node to its level; problems are reported in that
-    order, each branch's prob and incr before its node.
+    alone, appends each node to its level, its parent given by its index on
+    the level above; problems are reported in that order, each branch's prob
+    and incr before its node. Each level's first node number is then added
+    to its rows' parents, once, to give the constructor's node numbers.
     """
     obj = _dict(obj, "tree document")
     m0 = _vector(_get(obj, "m0", "tree document"), "m0")
@@ -146,24 +148,23 @@ def parse_tree(obj: Any) -> ProbTree:
             rows.append([(j, 1.0, zero) for j in range(node)])
         rows[k - 1].append((node, prob, incr))
         stack.append([*child, 0, len(rows[k - 1]) - 1])
-    return ProbTree(m0, [
-        Level(np.array(parent, dtype=np.intp), np.array(prob, dtype=float),
-              np.array(incr, dtype=float))
-        for parent, prob, incr in (zip(*level) for level in rows)])
+    sizes = [len(level) for level in rows]
+    parent, prob, incr = zip(*chain.from_iterable(rows)) if rows else ((), (), ())
+    parent = np.array(parent, dtype=np.intp)
+    parent += np.repeat(np.cumsum([0, 1, *sizes])[:len(sizes)], sizes)
+    return ProbTree(m0, parent, np.array(prob, dtype=float),
+                    np.array(incr, dtype=float).reshape(len(parent), len(m0)))
 
 
 def tree_to_obj(tree: ProbTree) -> dict:
-    """The JSON object form of a tree, the inverse of parse_tree: written top
-    down, one level at a time; level order is each parent's child order."""
-    root = {"children": []}
-    nodes = [root]
-    for lvl in tree.levels:
-        below = [{"children": []} for _ in range(len(lvl.parent))]
-        for i, prob, incr, node in zip(lvl.parent.tolist(), lvl.prob.tolist(),
-                                       lvl.incr.tolist(), below):
-            nodes[i]["children"].append({"prob": prob, "incr": incr, "node": node})
-        nodes = below
-    return {"m0": list(tree.m0), "tree": root}
+    """The JSON object form of a tree, the inverse of parse_tree: each node
+    joins its parent's children in node order, which is each parent's child
+    order."""
+    nodes = [{"children": []} for _ in range(tree.bounds[-1])]
+    for node, up, prob, incr in zip(nodes[1:], tree.parent[1:].tolist(),
+                                    tree.prob[1:].tolist(), tree.incr[1:].tolist()):
+        nodes[up]["children"].append({"prob": prob, "incr": incr, "node": node})
+    return {"m0": list(tree.m0), "tree": nodes[0]}
 
 
 # -- integrands --------------------------------------------------------

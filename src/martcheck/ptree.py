@@ -9,13 +9,13 @@ roundoff.
 Conventions
 -----------
 * d_0 = M_0: the starting value counts as the increment at level 0.
-* a tree is stored level by level (see Level); each level's node order is the
-  depth-first order of the tree, which fixes every summation order.
-* ProbTree(m0, levels) is the one constructor: random_tree, symmetric_walk
-  and formats.parse_tree all build the level arrays and hand them over, and
-  formats.tree_to_obj writes a document back from them.
-* the constructor also concatenates the levels into node arrays, the root
-  first. The level checks, validation, the level calculus and the moment
+* a tree is its node arrays, root first: node 0 is the root, then each
+  level's nodes in the depth-first order of the tree, which fixes every
+  summation order. ProbTree(m0, parent, prob, incr) is the one
+  constructor: random_tree, symmetric_walk and formats.parse_tree all build
+  the rows below the root and hand them over, and formats.tree_to_obj
+  writes a document back from them.
+* the constructor checks, validation, the level calculus and the moment
   powers each take one pass over a whole tree's node arrays, so a deep tree
   pays numpy's call overhead once, not once per level. Two steps stay per
   level: the calculus's parent gather, as a level needs the level above
@@ -88,20 +88,6 @@ class TreeNode:
     children: list[Branch]
 
 
-@dataclass(frozen=True, eq=False)
-class Level:
-    """The n nodes of one level k >= 1, in depth-first order.
-
-    parent[i] indexes node i's parent on level k-1 (non-decreasing, so
-    siblings are contiguous), prob[i] is the probability of the branch into
-    node i and incr[i] its increment, a row of the (n, d) array.
-    """
-
-    parent: np.ndarray
-    prob: np.ndarray
-    incr: np.ndarray
-
-
 @dataclass(frozen=True)
 class Violation:
     """One failed invariant, located by the child-index path from the root.
@@ -141,77 +127,63 @@ class ProbTree:
     ----------
     m0 : sequence of float
         Starting value M_0 in R^d; its length fixes the dimension d.
-    levels : sequence of Level
-        Level k at index k-1, kept without a copy. Its parent must be a
-        non-decreasing 1-D intp array into level k-1, prob of shape (n,) and
-        incr (n, d), or TreeStructureError is raised. The tree validates
-        only if every node above the last level has a child.
+    parent, prob, incr : arrays
+        The n nodes below the root, in level order, each level in
+        depth-first order. Node 0 is the root and row i is node i + 1:
+        parent[i] is the node number of its parent, prob[i] the probability
+        of the branch into it and incr[i] its increment. parent must be a
+        1-D intp array that starts at 0 and never decreases, each parent on
+        the level above its child; prob and incr are real arrays of shapes
+        (n,) and (n, d).
+        Anything else raises TreeStructureError. The tree validates only if
+        every node above the last level has a child.
 
-    The level arrays are read once, here, into the tree's node arrays, which
-    validation and the level calculus then use: node 0 is the root, level k
-    holds nodes _bounds[k] to _bounds[k+1] - 1, and a node's entry in _parent
-    is its parent's node number (-1 for the root), in _prob its branch
-    probability (1 for the root) and in _incr its increment (M_0 for the
-    root). Later changes to the level arrays are not seen.
+    The tree keeps the arrays root first, as copies: tree.parent (-1 at the
+    root), tree.prob (1 at the root) and tree.incr (M_0 at the root); level
+    k holds nodes tree.bounds[k] to tree.bounds[k+1] - 1.
     """
 
-    def __init__(self, m0: Sequence[float], levels: Sequence[Level]):
+    def __init__(self, m0: Sequence[float], parent: np.ndarray, prob: np.ndarray,
+                 incr: np.ndarray):
         m0 = tuple(float(v) for v in m0)
         if len(m0) == 0:
             raise TreeStructureError("m0 must have dimension >= 1")
-        levels = tuple(levels)
-        fault = None   # the first type or shape fault, raised after the range check
-        parents = []
-        for k, lvl in enumerate(levels, start=1):
-            parent = lvl.parent
-            if not (isinstance(parent, np.ndarray) and parent.ndim == 1
-                    and parent.dtype == np.intp):
-                fault = f"level {k}: parent must be a 1-D intp array"
-                break
-            parents.append(parent)
-            n = len(parent)
-            shapes = (getattr(lvl.prob, "shape", None), getattr(lvl.incr, "shape", None))
-            if shapes != ((n,), (n, len(m0))):
-                fault = (f"level {k}: prob and incr must have shapes "
-                         f"({n},) and ({n}, {len(m0)})")
-                break
-        # every parent array read so far, as node numbers: its level's parent
-        # indices lie in range and never decrease exactly when the node
-        # numbers never decrease and the level's first and last parents lie
-        # on the level above. So one diff over the tree, and two scalars per
-        # level, find the first level that fails, with no per-node mask (see
-        # _validate_tree)
-        widths = np.array([1, *map(len, parents)])
-        bounds = np.concatenate(([0], widths.cumsum()))
-        parent = np.concatenate([_ROOT_PARENT, *parents])
-        parent[1:] += np.repeat(bounds[:-2], widths[1:])
-        steps = np.diff(parent)
-        down = len(parent) if steps.min(initial=0) >= 0 else int((steps < 0).argmax()) + 1
-        bounds = bounds.tolist()
-        for k in range(1, len(parents) + 1):
-            a, b = bounds[k], bounds[k + 1]   # level k: nodes a..b-1, parents bounds[k-1]..a-1
-            if down < b or (a < b and (parent[a] < bounds[k - 1] or parent[b - 1] >= a)):
-                raise TreeStructureError(f"level {k}: parent must be non-decreasing "
-                                         f"in 0..{a - bounds[k - 1] - 1}")
-        if fault is not None:
-            raise TreeStructureError(fault)
+        if not (isinstance(parent, np.ndarray) and parent.ndim == 1
+                and parent.dtype == np.intp):
+            raise TreeStructureError("parent must be a 1-D intp array")
+        n = len(parent)
+        if ((getattr(prob, "shape", None), getattr(incr, "shape", None)) != ((n,), (n, len(m0)))
+                or not {prob.dtype.kind, incr.dtype.kind} <= set("buif")):
+            raise TreeStructureError(f"prob and incr must be real arrays of shapes ({n},) "
+                                     f"and ({n}, {len(m0)})")
+        if n and (parent[0] != 0 or np.diff(parent).min(initial=0) < 0):
+            raise TreeStructureError("parent must start at 0 and never decrease")
+        # the next level is every row whose parent lies on the last level
+        # found; a level that adds no row leaves a parent at or after its node
+        bounds = [0, 1]
+        while bounds[-1] <= n:
+            end = 1 + int(np.searchsorted(parent, bounds[-1]))
+            if end == bounds[-1]:
+                raise TreeStructureError(f"parent[{end - 1}] = {parent[end - 1]} is not "
+                                         f"above its node {end}")
+            bounds.append(end)
         self.m0 = m0
         self.dim = len(m0)
-        self.levels = levels
-        self.depth = len(levels)
-        self._bounds = tuple(bounds)
-        self._parent = parent
-        self._prob = np.concatenate([[1.0], *(lvl.prob for lvl in levels)])
-        self._incr = np.concatenate([[m0], *(lvl.incr for lvl in levels)])
+        self.depth = len(bounds) - 2
+        self.bounds = tuple(bounds)
+        self.parent = np.concatenate((_ROOT_PARENT, parent))
+        self.prob = np.concatenate(([1.0], prob))
+        self.incr = np.concatenate(([m0], incr))
         self._verdict: ValidationResult | None = None
         self._calc: _LevelCalc | None = None
 
     @property
     def root(self) -> TreeNode:
-        """The tree as a TreeNode graph, built from the levels on each read.
-        Only the benchmark's node count (perfbench/tracing.py) reads it; it
-        goes, with _graph, Branch and TreeNode, once that count reads levels."""
-        return _graph(self.levels)
+        """The tree as a TreeNode graph, built from the node arrays on each
+        read. Only the benchmark's node count (perfbench/tracing.py) reads it;
+        it goes, with _graph, Branch and TreeNode, once that count reads
+        len(tree.parent)."""
+        return _graph(self)
 
     def validate(self) -> ValidationResult:
         if self._verdict is None:
@@ -233,17 +205,13 @@ class ProbTree:
         return self._calc
 
 
-def _graph(levels: Sequence[Level]) -> TreeNode:
-    """The TreeNode graph of a tree's levels, built top down."""
-    nodes = [TreeNode([])]
-    root = nodes[0]
-    for lvl in levels:
-        below = [TreeNode([]) for _ in range(len(lvl.parent))]
-        for i, prob, incr, node in zip(lvl.parent.tolist(), lvl.prob.tolist(),
-                                       lvl.incr.tolist(), below):
-            nodes[i].children.append(Branch(prob, tuple(incr), node))
-        nodes = below
-    return root
+def _graph(tree: ProbTree) -> TreeNode:
+    """The TreeNode graph of a tree, one node at a time in node order."""
+    nodes = [TreeNode([]) for _ in range(tree.bounds[-1])]
+    for node, up, prob, incr in zip(nodes[1:], tree.parent[1:].tolist(),
+                                    tree.prob[1:].tolist(), tree.incr[1:].tolist()):
+        nodes[up].children.append(Branch(prob, tuple(incr), node))
+    return nodes[0]
 
 
 def _path(parent: np.ndarray, node: int) -> tuple[int, ...]:
@@ -273,9 +241,9 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
     are built per failed group. The residual norm may overflow: it then
     reads inf, which fails, with no numpy warning."""
     out: list[Violation] = []
-    parent = tree._parent
-    prob, incr = tree._prob[1:], tree._incr[1:]   # every node but the root
-    children = np.bincount(parent[1:], minlength=tree._bounds[-2])
+    parent = tree.parent
+    prob, incr = tree.prob[1:], tree.incr[1:]   # every node but the root
+    children = np.bincount(parent[1:], minlength=tree.bounds[-2])
     for node in (children == 0).nonzero()[0].tolist() if children.min(initial=1) == 0 else ():
         path = _path(parent, node)
         out.append(Violation(
@@ -319,33 +287,19 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
 
 @dataclass(frozen=True, eq=False)
 class _LevelCalc:
-    """Node summaries in the tree's node order (the root, then each level in
-    depth-first order); level k is entries bounds[k] to bounds[k+1] - 1.
+    """Node summaries in the tree's node order: the root, then each level in
+    depth-first order, level k at entries tree.bounds[k] to tree.bounds[k+1] - 1.
 
     node_probs   node probability, shape (nodes,)
     node_values  M_k at the node, shape (nodes, d)
     node_norms   rows ||M_k|| at the node, max_{v <= k} ||M_v|| along its
                  history, sum_{v <= k} ||d_v||^2 along it and ||d_k|| of the
                  edge entering it (||M_0|| at the root), shape (4, nodes)
-
-    probs, values, m_norm, sup_norm, quad and d_norm list the same entries
-    per level, as views: probs[k] holds level k's node probabilities.
     """
 
-    bounds: tuple[int, ...]
     node_probs: np.ndarray
     node_values: np.ndarray
     node_norms: np.ndarray
-
-    def _per_level(self, flat: np.ndarray) -> list:
-        return [flat[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
-
-    probs = property(lambda self: self._per_level(self.node_probs))
-    values = property(lambda self: self._per_level(self.node_values))
-    m_norm = property(lambda self: self._per_level(self.node_norms[0]))
-    sup_norm = property(lambda self: self._per_level(self.node_norms[1]))
-    quad = property(lambda self: self._per_level(self.node_norms[2]))
-    d_norm = property(lambda self: self._per_level(self.node_norms[3]))
 
 
 @np.errstate(over="ignore")   # norms beyond the float range: exact reports refuse them
@@ -357,11 +311,11 @@ def _build_calc(tree: ProbTree) -> _LevelCalc:
     after it, runs level by level: a level needs the level above done. The
     norms of M_k and of d_k are taken once each, row-wise over every node
     but the root, whose norm is np.linalg.norm(m0) as always."""
-    bounds = tree._bounds
+    bounds = tree.bounds
     spans = list(zip(bounds[1:], bounds[2:]))   # the levels below the root
     if any(b - a > MAX_PATHS for a, b in spans):
         raise ResourceLimitError(f"tree level exceeds the {MAX_PATHS} path enumeration cap")
-    parent, prob, incr = tree._parent, tree._prob, tree._incr
+    parent, prob, incr = tree.parent, tree.prob, tree.incr
     values = np.empty(incr.shape)
     values[0] = incr[0]
     for a, b in spans:
@@ -381,7 +335,7 @@ def _build_calc(tree: ProbTree) -> _LevelCalc:
         np.multiply(probs.take(up), prob[a:b], out=probs[a:b])
         np.maximum(sup_norm.take(up), m_norm[a:b], out=sup_norm[a:b])
         np.add(quad.take(up), d_sq[a:b], out=quad[a:b])
-    return _LevelCalc(bounds, probs, values, norms)
+    return _LevelCalc(probs, values, norms)
 
 
 def check_level(n, depth: int) -> int:
@@ -420,7 +374,7 @@ def moments(tree: ProbTree, p_values: Sequence) -> Moments:
     terms to underflow: DomainError."""
     p = tuple(as_exponent(v) for v in p_values)
     calc = tree.calculus()
-    bounds = calc.bounds
+    bounds = tree.bounds
     exps = (p, p, tuple(v / 2.0 for v in p), p)
     powers = np.empty((4, len(p), bounds[-1]))   # m, sup, quad, d
     for side, row in enumerate(exps):
@@ -562,7 +516,7 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     rng = np.random.Generator(np.random.Philox(ss))
     m0 = tuple(float(v) for v in rng.uniform(-1.0, 1.0, dim))
     if depth == 0:
-        return ProbTree(m0, [])
+        return ProbTree(m0, np.empty(0, np.intp), np.empty(0), np.empty((0, dim)))
     # the walk: each internal node's level, width and first word, in draw order
     words = _PhiloxWords(rng.bit_generator.random_raw)
     levels: list[int] = []
@@ -578,11 +532,10 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         words.pos += w * (1 + dim)
         if k + 1 < depth:
             stack.extend([k + 1] * w)
-    # nodes level by level, each level in draw order, so that node i's
-    # children are rows rows[i]..rows[i] + width[i] - 1 of the levels below
-    level = np.array(levels)
-    order = np.argsort(level, kind="stable")
-    per_level = np.bincount(level)
+    # internal nodes level by level, each level in draw order, so that the
+    # list index is the node number and node i's children are rows
+    # rows[i]..rows[i] + width[i] - 1
+    order = np.argsort(np.array(levels), kind="stable")
     width = np.array(widths)[order]
     first = np.array(firsts)[order]
     ends = width.cumsum()
@@ -604,18 +557,11 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         at = rows[nodes, None] + np.arange(w)
         prob[at] = p
         incr[at] = x
-    # each child's parent is its parent's index within the parent's level
-    bounds = np.concatenate(([0], per_level.cumsum()))
-    parent = np.repeat(np.arange(len(width)) - np.repeat(bounds[:-1], per_level), width)
-    cut = np.concatenate(([0], ends))[bounds].tolist()
-    return ProbTree(m0, [Level(parent[a:b], prob[a:b], incr[a:b])
-                         for a, b in zip(cut, cut[1:])])
+    return ProbTree(m0, np.repeat(np.arange(len(width)), width), prob, incr)
 
 
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:
     """Scalar +-step random walk of the given depth, started at m0."""
-    rows = np.array([[float(step)], [float(-step)]])
-    return ProbTree((float(m0),), [
-        Level(np.repeat(np.arange(2**k, dtype=np.intp), 2), np.full(2 ** (k + 1), 0.5),
-              np.tile(rows, (2**k, 1)))
-        for k in range(int(depth))])
+    rows = np.arange(max(2 ** (int(depth) + 1) - 2, 0))   # node i + 1's parent is i // 2
+    return ProbTree((float(m0),), rows // 2, np.full(len(rows), 0.5),
+                    np.tile([[float(step)], [float(-step)]], (len(rows) // 2, 1)))

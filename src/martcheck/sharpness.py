@@ -65,8 +65,11 @@ def _asym_moment_series(p: float, r: float, q: float) -> float:
 
 def rio_gain(a, b, p) -> float:
     """Exact two-point gain for X = a constant, Y = +-b with probability 1/2:
-    asym_two_point_gain(a, 2b, 1/2, p), with b checked first."""
-    return asym_two_point_gain(a, 2.0 * _check_scale("b", b), 0.5, p)
+    asym_two_point_gain(a, 2b, 1/2, p), with b and its width 2b checked first."""
+    b = _check_scale("b", b)
+    if 2.0 * b == math.inf:
+        raise DomainError(f"b = {b!r}: the width 2b overflows a float")
+    return asym_two_point_gain(a, 2.0 * b, 0.5, p)
 
 
 @refuse_overflow("the RIO-STEP two-point gain")
@@ -139,8 +142,13 @@ class FamilySpec:
             raise ConfigError(f"unknown family tag {self.tag!r}; known: {FAMILY_TAGS}")
         object.__setattr__(self, "p", as_exponent(self.p))
         if self.tag == "RANDOM-TREE":
-            if self.depth is None or self.depth < 1 or self.dim is None or self.dim < 1:
+            if self.depth is None or self.dim is None:
                 raise ConfigError("RANDOM-TREE needs depth >= 1 and dim >= 1")
+            for name in ("depth", "dim"):
+                value = as_int(getattr(self, name), name, ConfigError)
+                if value < 1:
+                    raise ConfigError("RANDOM-TREE needs depth >= 1 and dim >= 1")
+                object.__setattr__(self, name, value)
             branching = tuple(as_int(w, "branching factor", ConfigError)
                               for w in self.branching)
             if not branching or min(branching) < 2:

@@ -90,6 +90,8 @@ class IntegrandSpec:
     needs_wiener: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("dim", "wiener_dim", "steps"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.dim < 1 or self.wiener_dim < 1 or self.steps < 1:
             raise DomainError("need dim >= 1, wiener_dim >= 1, steps >= 1")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
@@ -138,15 +140,17 @@ def constant_integrand(value, dim: int = 1, wiener_dim: int = 1,
 
     A wiener_dim no run could hold is refused before its entries are built:
     two paths over the cell cap, or entries over BLOCK_MEMORY_BUDGET."""
+    dim, wiener_dim, steps = (as_int(v, name) for v, name in (
+        (dim, "dim"), (wiener_dim, "wiener_dim"), (steps, "steps")))
     check_dim(dim)
-    cells, entry_bytes = 2 * int(steps) * int(wiener_dim), int(wiener_dim) * _ENTRY_BYTES
+    cells, entry_bytes = 2 * steps * wiener_dim, wiener_dim * _ENTRY_BYTES
     if cells > DEFAULT_CELL_CAP or entry_bytes > BLOCK_MEMORY_BUDGET:
         raise ResourceLimitError(
             f"wiener_dim={wiener_dim}: two paths are {cells} cells (cap {DEFAULT_CELL_CAP}), "
             f"its entries ~{entry_bytes} bytes (budget {BLOCK_MEMORY_BUDGET})")
     rule = Rule("const", tuple(float(value) for _ in range(dim)))
     entries = tuple(RuleEntry(0, steps, j, rule) for j in range(1, wiener_dim + 1))
-    return IntegrandSpec(dim, wiener_dim, float(horizon), int(steps), entries)
+    return IntegrandSpec(dim, wiener_dim, float(horizon), steps, entries)
 
 
 @dataclass

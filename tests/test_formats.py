@@ -33,6 +33,7 @@ from martcheck import (
 )
 from martcheck import cli
 from martcheck.formats import CSV_FIELDS, REPORT_FIELDS
+from tree_levels import level_arrays
 
 
 # -- seeded tree documents: valid, padded, invalid and malformed --------
@@ -100,7 +101,7 @@ def document_digest(docs) -> str:
             h.update(f"{type(exc).__name__}: {exc}\n".encode())
             continue
         h.update(repr((tree.m0, tree.depth)).encode())
-        for lvl in tree.levels:
+        for lvl in level_arrays(tree):
             for arr in (lvl.parent, lvl.prob, lvl.incr):
                 h.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
         for v in tree.validate().violations:
@@ -129,10 +130,7 @@ class TestTreeFormat:
         tree = parse_tree(load(zoo, "tree_pad"))
         assert tree.validate().ok
         # every leaf sits at the last level: each node above it has a child
-        above = 1
-        for lvl in tree.levels:
-            assert np.array_equal(np.unique(lvl.parent), np.arange(above))
-            above = len(lvl.parent)
+        assert np.array_equal(np.unique(tree.parent[1:]), np.arange(tree.bounds[-2]))
         # the padded branch holds its value 0 at level 2 while the deep
         # branch splits 1+1 into {3, 1}: E X_2^2 = (9 + 1)/4 + 0 = 2.5
         assert lp_norm(tree, 2, 2) ** 2 == pytest.approx(2.5, abs=1e-12)
@@ -168,13 +166,13 @@ class TestTreeFormat:
            st.sampled_from([(2, 3), (3,), (2, 5, 3)]))
     def test_round_trip_random_trees(self, depth, dim, seed, branching):
         """Writing a tree out as JSON text and parsing it back gives the
-        same m0 and level arrays, bit for bit."""
+        same m0 and node arrays, bit for bit."""
         tree = random_tree(depth, dim, seed, branching=branching)
         again = parse_tree(json.loads(json.dumps(tree_to_obj(tree))))
-        assert again.m0 == tree.m0 and again.depth == tree.depth
-        for a, b in zip(again.levels, tree.levels):
-            for x, y in ((a.parent, b.parent), (a.prob, b.prob), (a.incr, b.incr)):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert again.m0 == tree.m0 and again.bounds == tree.bounds
+        for name in ("parent", "prob", "incr"):
+            x, y = getattr(again, name), getattr(tree, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("children,message", [
         ([{"prob": 0.5, "incr": [0.0], "node": {}},

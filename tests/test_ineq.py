@@ -13,7 +13,6 @@ import martcheck.ptree as ptree
 import martcheck.sharpness as sh
 from martcheck import (
     DomainError,
-    Level,
     LevelRangeError,
     MartcheckError,
     PreconditionError,
@@ -135,9 +134,8 @@ def test_chain_never_looser_than_main(t, p):
 
 @given(trees(), st.floats(0.25, 4.0), st.sampled_from(P_GRID))
 def test_ratio_scale_invariant(t, lam, p):
-    assert len(t.calculus().values) == t.depth + 1
-    s = ProbTree(tuple(lam * v for v in t.m0),
-                 [Level(l.parent, l.prob, lam * l.incr) for l in t.levels])
+    assert t.calculus().node_probs.shape == (t.bounds[-1],)
+    s = ProbTree(tuple(lam * v for v in t.m0), t.parent[1:], t.prob[1:], lam * t.incr[1:])
     for iid in ("D-BURK-1", "PROP1-MAIN", "DOOB"):
         a = ineq.eval_discrete(t, t.depth, p, iid)
         b = ineq.eval_discrete(s, t.depth, p, iid)

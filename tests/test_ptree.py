@@ -9,18 +9,19 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import martcheck.ptree as ptree
 from martcheck import (
     DomainError,
     InvalidTreeError,
-    Level,
     LevelRangeError,
     ProbTree,
     ResourceLimitError,
     TreeStructureError,
     parse_tree,
 )
+from tree_levels import level_arrays, node_arrays, per_level
 
 
 def one_step(m0, *branches):
@@ -30,9 +31,10 @@ def one_step(m0, *branches):
         {"prob": prob, "incr": list(incr), "node": {}} for prob, incr in branches]}})
 
 
-def level(parent, prob, incr):
-    return Level(np.array(parent, dtype=np.intp), np.array(prob, dtype=float),
-                 np.array(incr, dtype=float))
+def rows_tree(m0, parent, prob, incr):
+    """A ProbTree from its rows below the root, given as lists."""
+    return ProbTree(m0, np.array(parent, dtype=np.intp), np.array(prob, dtype=float),
+                    np.array(incr, dtype=float))
 
 
 def coin(m0=0.0, step=1.0):
@@ -123,9 +125,8 @@ class TestValidation:
                    for x in t.validate().violations)
 
     def test_ragged_depth_is_structural(self):
-        # node 1 of level 1 has no child: the parser would pad it
-        t = ProbTree((0.0,), [level([0, 0], [0.5, 0.5], [[1.0], [-1.0]]),
-                              level([0, 0], [0.5, 0.5], [[1.0], [-1.0]])])
+        # node 2, on level 1, has no child: the parser would pad it
+        t = rows_tree((0.0,), [0, 0, 1, 1], [0.5] * 4, [[1.0], [-1.0], [1.0], [-1.0]])
         v = t.validate()
         assert any(x.kind == "structure" for x in v.violations)
         with pytest.raises(TreeStructureError):
@@ -133,17 +134,17 @@ class TestValidation:
 
     def test_wrong_increment_dimension(self):
         for incr in ([[1.0], [-1.0]], [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]):
-            with pytest.raises(TreeStructureError, match=r"level 1: prob and incr "
-                               r"must have shapes \(2,\) and \(2, 2\)"):
-                ProbTree((0.0, 0.0), [level([0, 0], [0.5, 0.5], incr)])
+            with pytest.raises(TreeStructureError, match=r"prob and incr must be real "
+                               r"arrays of shapes \(2,\) and \(2, 2\)"):
+                rows_tree((0.0, 0.0), [0, 0], [0.5, 0.5], incr)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_values(self, bad):
-        # the parser refuses non-finite numbers, so these come as levels
-        t = ProbTree((0.0,), [level([0, 0], [bad, 0.5], [[1.0], [-1.0]])])
+        # the parser refuses non-finite numbers, so these come as node arrays
+        t = rows_tree((0.0,), [0, 0], [bad, 0.5], [[1.0], [-1.0]])
         assert any(x.kind == "probability" for x in t.validate().violations)
         assert not any(math.isnan(x.residual) for x in t.validate().violations)
-        t = ProbTree((0.0,), [level([0, 0], [0.5, 0.5], [[bad], [-1.0]])])
+        t = rows_tree((0.0,), [0, 0], [0.5, 0.5], [[bad], [-1.0]])
         assert any(x.kind == "structure" and "non-finite" in x.message
                    for x in t.validate().violations)
         with pytest.raises(TreeStructureError):
@@ -151,34 +152,38 @@ class TestValidation:
 
     def test_empty_m0(self):
         with pytest.raises(TreeStructureError):
-            ProbTree((), [])
+            rows_tree((), [], [], [])
 
     def test_start_only_from_no_levels(self):
-        t = ProbTree((3.0, 4.0), [])
+        t = ProbTree((3.0, 4.0), np.empty(0, np.intp), np.empty(0), np.empty((0, 2)))
         assert t.depth == 0 and t.dim == 2
         assert t.validate().ok
 
-    @pytest.mark.parametrize("levels,message", [
-        ([level([0, 1], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])],
-         r"level 1: parent must be non-decreasing in 0\.\.0"),
-        ([level([0, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]]),
-          level([1, 0], [1.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])],
-         r"level 2: parent must be non-decreasing"),
-        ([level([0, 0], [0.5, 0.5, 0.0], [[1.0, 0.0], [-1.0, 0.0]])],
-         r"level 1: prob and incr must have shapes \(2,\)"),
-        ([level([0, 0, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])],
-         r"level 1: prob and incr must have shapes \(3,\)"),
-        ([level([-1, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])],
-         r"level 1: parent must be non-decreasing in 0\.\.0"),
-        ([Level(np.zeros(2), np.array([0.5, 0.5]), np.zeros((2, 2)))],
-         r"level 1: parent must be a 1-D intp array"),
-    ])
-    def test_constructor_checks_levels(self, levels, message):
-        """A level whose arrays do not fit its place is refused when the
-        tree is built: a parent index out of range or decreasing, mismatched
-        lengths, a parent array that is not intp."""
+    @pytest.mark.parametrize("parent,prob,incr,message", [
+        ([0, 2], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], r"parent\[1\] = 2 is not above its node 2"),
+        ([0, 7], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], r"parent\[1\] = 7 is not above its node 2"),
+        ([0, 0, 2, 1], [0.5, 0.5, 1.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]] + [[0.0, 0.0]] * 2,
+         r"parent must start at 0 and never decrease"),
+        ([-1, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], r"parent must start at 0"),
+        ([0, 0], [0.5, 0.5, 0.0], [[1.0, 0.0], [-1.0, 0.0]],
+         r"prob and incr must be real arrays of shapes \(2,\) and \(2, 2\)"),
+        ([0, 0, 0], [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], r"of shapes \(3,\)"),
+        ([0, 0], [0.5 + 0j, 0.5], [[1.0, 0.0], [-1.0, 0.0]], r"prob and incr must be real"),
+        ([0, 0], [0.5, 0.5], [["1", "0"], ["-1", "0"]], r"prob and incr must be real"),
+        (np.zeros(2), [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], r"parent must be a 1-D intp array"),
+        (np.zeros((2, 1), np.intp), [0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]],
+         r"parent must be a 1-D intp array"),
+    ], ids=["self", "beyond", "decreasing", "negative", "prob-shape", "parent-length",
+            "complex", "text", "not-intp", "two-d"])
+    def test_constructor_checks_node_arrays(self, parent, prob, incr, message):
+        """Node arrays that do not form a tree are refused when the tree is
+        built: a parent at or after its own node, beyond the rows, decreasing
+        or negative; mismatched lengths or values that are not real; a parent
+        array that is not 1-D intp."""
+        if isinstance(parent, list):
+            parent = np.array(parent, dtype=np.intp)
         with pytest.raises(TreeStructureError, match=message):
-            ProbTree((0.0, 0.0), levels)
+            ProbTree((0.0, 0.0), parent, np.array(prob), np.array(incr))
 
     def test_valid_summary(self):
         assert coin().validate().summary() == "valid"
@@ -240,7 +245,7 @@ class TestIntegerArguments:
         tree = ptree.random_tree(2.0, np.int64(3), seed=4.0)
         same = ptree.random_tree(2, 3, seed=4)
         assert tree.m0 == same.m0
-        assert all(np.array_equal(a.incr, b.incr) for a, b in zip(tree.levels, same.levels))
+        assert np.array_equal(tree.incr, same.incr) and tree.bounds == same.bounds
         with pytest.raises(DomainError, match="depth must be an integer"):
             ptree.random_tree(2.5, 1, seed=0)
         with pytest.raises(DomainError, match="dim must be an integer"):
@@ -259,13 +264,14 @@ class TestLevels:
     def test_martingale_level_mean(self):
         t = ptree.random_tree(3, 2, seed=17)
         calc = t.calculus()
-        assert calc.probs[3].sum() == pytest.approx(1.0, abs=1e-12)
-        mean = calc.probs[3] @ calc.values[3]
+        last = slice(t.bounds[3], t.bounds[4])
+        assert calc.node_probs[last].sum() == pytest.approx(1.0, abs=1e-12)
+        mean = calc.node_probs[last] @ calc.node_values[last]
         assert np.allclose(mean, t.m0, atol=1e-9)
 
     def test_level_zero_is_start(self):
         t = ptree.random_tree(2, 3, seed=4)
-        values = t.calculus().values[0]
+        values = t.calculus().node_values[:1]
         assert values.shape == (1, 3)
         assert tuple(values[0]) == t.m0
 
@@ -316,10 +322,54 @@ class TestLevels:
         (a fraction such as 2.5 is refused: test_random_tree_limits)."""
         ref = ptree.random_tree(3, 1, 5, branching=(2, 3))
         same = ptree.random_tree(3, 1, 5, branching=(2.0, np.int64(3)))
-        assert same.m0 == ref.m0 and len(same.levels) == len(ref.levels)
-        for a, b in zip(same.levels, ref.levels):
-            for name in ("parent", "prob", "incr"):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert same.m0 == ref.m0 and same.bounds == ref.bounds
+        for name in ("parent", "prob", "incr"):
+            np.testing.assert_array_equal(getattr(same, name), getattr(ref, name))
+
+
+@st.composite
+def node_array_inputs(draw):
+    """Small constructor inputs, mostly malformed: parent of a wrong dtype or
+    shape, negative, decreasing, at or after its own node or beyond the rows;
+    prob and incr of mismatched shapes or of a dtype that is not real; NaN
+    and inf among the values."""
+    n = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 2))
+    parent = draw(st.lists(st.integers(-2, n + 2), min_size=n, max_size=n))
+    if draw(st.booleans()):   # in order and above each node, so most form a tree
+        parent = sorted(min(max(v, 0), i) for i, v in enumerate(parent))
+    parent = np.array(parent, dtype=draw(st.sampled_from([np.intp, np.int32, np.float64])))
+    parent = parent.reshape(draw(st.sampled_from([(n,), (n, 1), (1, n)])))
+    rows = draw(st.sampled_from([n, n, n + 1]))
+    dtypes = st.sampled_from([np.float64, np.float64, np.float32, np.int64, np.complex128, "U2"])
+    prob = draw(hnp.arrays(draw(dtypes), draw(st.sampled_from([(rows,), (rows, 1)]))))
+    incr = draw(hnp.arrays(draw(dtypes), draw(st.sampled_from([(rows, dim), (rows, dim + 1),
+                                                               (rows,)]))))
+    m0 = draw(st.lists(st.floats(), min_size=dim, max_size=dim))
+    return m0, parent, prob, incr
+
+
+@given(node_array_inputs())
+def test_constructor_refuses_or_validates(args):
+    """Any input either builds a tree whose validation returns a verdict or
+    raises TreeStructureError, never another exception."""
+    try:
+        tree = ProbTree(*args)
+    except TreeStructureError:
+        return
+    assert isinstance(tree.validate(), ptree.ValidationResult)
+
+
+@given(trees((0, 4), (1, 3)))
+def test_node_arrays_round_trip(t):
+    """A tree rebuilt from its own rows below the root has the same bounds
+    and, bit for bit, the same calculus."""
+    same = ProbTree(t.m0, t.parent[1:], t.prob[1:], t.incr[1:])
+    a, b = t.calculus(), same.calculus()
+    assert t.bounds == same.bounds
+    for x, y in ((a.node_probs, b.node_probs), (a.node_values, b.node_values),
+                 (a.node_norms, b.node_norms)):
+        assert x.tobytes() == y.tobytes()
 
 
 @given(trees())
@@ -347,9 +397,8 @@ def test_sup_dominates_and_grows(t):
 @given(trees(), st.floats(0.1, 5.0))
 def test_scale_equivariance(t, lam):
     """Scaling every value by lam scales the L^p norm by lam."""
-    probs = t.calculus().probs[t.depth]
-    scaled = ProbTree(tuple(lam * v for v in t.m0),
-                      [Level(l.parent, l.prob, lam * l.incr) for l in t.levels])
+    probs = t.calculus().node_probs[t.bounds[t.depth]:]
+    scaled = ProbTree(tuple(lam * v for v in t.m0), t.parent[1:], t.prob[1:], lam * t.incr[1:])
     assert ptree.lp_norm(scaled, t.depth, 3) == pytest.approx(
         lam * ptree.lp_norm(t, t.depth, 3), rel=1e-9)
     assert len(probs) > 0
@@ -367,9 +416,10 @@ def test_moments_rows_are_single_exponent_tables(t):
         single = ptree.moments(t, (p,))
         for name in ("lp", "sup", "quad", "incr"):
             assert (getattr(table, name)[j] == getattr(single, name)[0]).all()
-        for name, norms, e in (("lp", calc.m_norm, p), ("sup", calc.sup_norm, p),
-                               ("quad", calc.quad, p / 2.0), ("incr", calc.d_norm, p)):
-            sums = [float(np.sum(w * r ** e)) for w, r in zip(calc.probs, norms)]
+        for name, norms, e in zip(("lp", "sup", "quad", "incr"), calc.node_norms,
+                                  (p, p, p / 2.0, p)):
+            sums = [float(np.sum(w * r ** e)) for w, r in zip(
+                per_level(calc.node_probs, t.bounds), per_level(norms, t.bounds))]
             root = 1.0 / p if name in ("lp", "sup") else 2.0 / p
             sides = [s ** root for s in sums]
             if name == "incr":
@@ -381,16 +431,17 @@ def test_random_tree_deterministic():
     a = ptree.random_tree(3, 2, seed=999)
     b = ptree.random_tree(3, 2, seed=999)
     la, lb = a.calculus(), b.calculus()
-    assert np.array_equal(la.values[3], lb.values[3])
-    assert np.array_equal(la.probs[3], lb.probs[3])
+    assert np.array_equal(la.node_values, lb.node_values)
+    assert np.array_equal(la.node_probs, lb.node_probs)
     c = ptree.random_tree(3, 2, seed=1000)
-    assert not np.array_equal(la.values[3], c.calculus().values[3])
+    assert not np.array_equal(la.node_values[a.bounds[3]:],
+                              c.calculus().node_values[c.bounds[3]:])
 
 
 def test_symmetric_walk_widths():
     t = ptree.symmetric_walk(3)
-    for n in range(4):
-        assert len(t.calculus().probs[n]) == 2 ** n
+    assert np.diff(t.bounds).tolist() == [2 ** n for n in range(4)]
+    assert len(t.calculus().node_probs) == t.bounds[-1]
 
 
 def test_frozen_random_tree_bits():
@@ -401,8 +452,10 @@ def test_frozen_random_tree_bits():
     for branching in ((2, 3), (3,), (2, 3, 4), (2, 5, 3, 7)):
         for dim in (1, 2, 3):
             for seed in (41, np.random.SeedSequence(2026, spawn_key=(3, dim))):
-                calc = ptree.random_tree(4, dim, seed, branching=branching).calculus()
-                for probs, values in zip(calc.probs, calc.values):
+                tree = ptree.random_tree(4, dim, seed, branching=branching)
+                calc = tree.calculus()
+                for probs, values in zip(per_level(calc.node_probs, tree.bounds),
+                                         per_level(calc.node_values, tree.bounds)):
                     digest.update(probs.tobytes())
                     digest.update(values.tobytes())
     assert digest.hexdigest() == (
@@ -460,8 +513,8 @@ def test_random_tree_matches_node_by_node_draw(depth, dim, branching, seed):
     tree = ptree.random_tree(depth, dim, seed, branching=branching)
     m0, levels = node_by_node_tree(depth, dim, seed, branching)
     assert np.array(tree.m0).tobytes() == np.array(m0).tobytes()
-    assert len(tree.levels) == len(levels)
-    for lvl, ref in zip(tree.levels, levels):
+    assert tree.depth == len(levels)
+    for lvl, ref in zip(level_arrays(tree), levels):
         for got, want in zip((lvl.parent, lvl.prob, lvl.incr), ref):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -528,7 +581,7 @@ def test_random_tree_peak_within_byte_charge(depth, dim, branching):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 1 + sum(len(lvl.parent) for lvl in tree.levels) == nodes
+    assert len(tree.parent) == nodes
     assert peak <= nodes * (256 + 24 * dim)
 
 
@@ -556,7 +609,7 @@ def reference_violations(tree):
     """The validator as first written, one pass per level: the reference for
     the one-pass validator's violations, their order and residual bits."""
     out = []
-    levels = tree.levels
+    levels = level_arrays(tree)
     for k, lvl in enumerate(levels, start=1):
         above = len(levels[k - 2].parent) if k > 1 else 1
         for i in np.flatnonzero(np.bincount(lvl.parent, minlength=above) == 0).tolist():
@@ -630,7 +683,7 @@ def test_validation_matches_level_by_level_reference(depth, dim, seed, faults):
     gives: same kinds, paths, messages and order, and residuals equal bit
     for bit."""
     tree = ptree.random_tree(depth, dim, seed)
-    levels = [[lvl.parent.copy(), lvl.prob.copy(), lvl.incr.copy()] for lvl in tree.levels]
+    levels = [[lvl.parent, lvl.prob.copy(), lvl.incr.copy()] for lvl in level_arrays(tree)]
     for fault, k, i in faults:
         k %= depth
         if fault == "childless":   # node i of level k, above the last level
@@ -656,7 +709,7 @@ def test_validation_matches_level_by_level_reference(depth, dim, seed, faults):
             incr[i, i % dim] = -math.inf
         else:
             incr[parent == parent[i]] += 0.25
-    faulty = ProbTree(tree.m0, [level(*lvl) for lvl in levels])
+    faulty = ProbTree(tree.m0, *node_arrays(levels, dim))
     with np.errstate(all="ignore"):
         want = reference_violations(faulty)
     got = faulty.validate().violations
@@ -677,7 +730,7 @@ def reference_calc(tree):
     sup_norm = [root_norm.copy()]
     quad = [root_norm**2]
     d_norm = [root_norm.copy()]
-    for lvl in tree.levels:
+    for lvl in level_arrays(tree):
         pidx = lvl.parent
         values.append(values[-1][pidx] + lvl.incr)
         nn = np.linalg.norm(values[-1], axis=1)
@@ -712,8 +765,10 @@ def test_calculus_matches_level_by_level_reference(make):
     calc = tree.calculus()
     want = reference_calc(tree)
     assert any(len(level) >= 8 for level in want["probs"]) or tree.depth < 3
+    flat = dict(zip(("probs", "values", "m_norm", "sup_norm", "quad", "d_norm"),
+                    (calc.node_probs, calc.node_values, *calc.node_norms)))
     for name, levels in want.items():
-        got = getattr(calc, name)
+        got = per_level(flat[name], tree.bounds)
         assert len(got) == len(levels) == tree.depth + 1
         for a, b in zip(got, levels):
             assert a.dtype == b.dtype and a.shape == b.shape

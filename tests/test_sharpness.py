@@ -63,6 +63,9 @@ class TestRioGain:
             sh.rio_gain(bad, 0.1, 4)
         with pytest.raises(DomainError, match="^b must"):
             sh.rio_gain(1.0, bad, 4)
+        # b is finite but the width 2b is not
+        with pytest.raises(DomainError, match=r"^b = 1e\+308: the width 2b overflows"):
+            sh.rio_gain(1.0, 1e308, 4)
 
     @pytest.mark.parametrize("b", [0.06, 0.09])
     def test_series_handover_band(self, b):
@@ -188,6 +191,20 @@ class TestFamilyConfig:
     def test_random_tree_integral_branching_kept(self):
         fam = FamilySpec(tag="RANDOM-TREE", p=4, depth=2, dim=1, branching=[2.0, np.int64(3)])
         assert fam.branching == (2, 3) and all(type(w) is int for w in fam.branching)
+
+    @pytest.mark.parametrize("name", ["depth", "dim"])
+    @pytest.mark.parametrize("bad", [2.5, True, float("nan"), float("inf"), "3"])
+    def test_random_tree_depth_and_dim_not_truncated(self, name, bad):
+        """A RANDOM-TREE depth or dim that is not an integer is refused at
+        construction, not at the first tree."""
+        sizes = {"depth": 2, "dim": 1, name: bad}
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            FamilySpec(tag="RANDOM-TREE", p=4, **sizes)
+
+    def test_random_tree_integral_depth_and_dim_kept(self):
+        fam = FamilySpec(tag="RANDOM-TREE", p=4, depth=2.0, dim=np.int64(1))
+        assert (fam.depth, fam.dim) == (2, 1)
+        assert type(fam.depth) is int and type(fam.dim) is int
 
     @pytest.mark.parametrize("bad", [2.7, True, float("nan"), float("inf"), "3"])
     def test_budget_not_truncated(self, bad):

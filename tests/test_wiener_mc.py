@@ -62,6 +62,26 @@ class TestIntegrandSpec:
         with pytest.raises(ResourceLimitError, match="block memory budget"):
             constant_integrand(1.0, dim=10 ** 12)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: IntegrandSpec(2.5, 1, 1.0, 4, ()), "dim must be an integer, got 2.5"),
+        (lambda: IntegrandSpec(1, 1.5, 1.0, 4, ()), "wiener_dim must be an integer"),
+        (lambda: IntegrandSpec(1, 1, 1.0, float("nan"), ()), "steps must be an integer"),
+        (lambda: constant_integrand(1.0, dim=2.5), "dim must be an integer, got 2.5"),
+        (lambda: constant_integrand(1.0, wiener_dim=True), "wiener_dim must be an integer"),
+        (lambda: constant_integrand(1.0, steps=4.5), "steps must be an integer"),
+    ], ids=["spec-dim", "spec-wiener-dim", "spec-steps", "dim", "wiener-dim", "steps"])
+    def test_integers_not_truncated(self, make, message):
+        """dim, wiener_dim and steps that are not integers are refused with
+        DomainError when the spec is built, not by a TypeError in simulate."""
+        with pytest.raises(DomainError, match=message):
+            make()
+
+    def test_integral_sizes_kept(self):
+        spec = constant_integrand(1.0, dim=np.int64(2), wiener_dim=2.0, steps=np.int32(8))
+        assert (spec.dim, spec.wiener_dim, spec.steps) == (2, 2, 8)
+        assert all(type(v) is int for v in (spec.dim, spec.wiener_dim, spec.steps))
+        assert spec == constant_integrand(1.0, dim=2, wiener_dim=2, steps=8)
+
     @pytest.mark.parametrize("wiener_dim, steps", [
         (10 ** 8, 1),        # entries over the block memory budget
         (10 ** 6, 2000)])    # two paths over the cell cap
