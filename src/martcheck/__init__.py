@@ -16,8 +16,8 @@ from .errors import (
     PreconditionError, QuadratureError, ResourceLimitError, TreeStructureError,
 )
 from .ptree import (
-    ProbTree, ValidationResult, Violation, increment_lp_sum, lp_norm, moments,
-    quadratic_sum_norm, random_tree, sup_lp_norm, symmetric_walk,
+    Forest, ProbTree, ValidationResult, Violation, increment_lp_sum, lp_norm, moments,
+    quadratic_sum_norm, random_forest, random_tree, sup_lp_norm, symmetric_walk,
 )
 from .ineq import (
     DISCRETE_EVAL_IDS,
@@ -73,10 +73,10 @@ __all__ = [
     "MartcheckError", "DomainError", "TreeStructureError", "InvalidTreeError",
     "LevelRangeError", "PreconditionError", "QuadratureError",
     "ResourceLimitError", "ConfigError",
-    "ProbTree", "Violation",
+    "ProbTree", "Forest", "Violation",
     "ValidationResult", "moments",
     "lp_norm", "sup_lp_norm", "quadratic_sum_norm",
-    "increment_lp_sum", "random_tree", "symmetric_walk",
+    "increment_lp_sum", "random_tree", "random_forest", "symmetric_walk",
     "InequalityId", "DISCRETE_EVAL_IDS", "InequalityReport", "ReportTable",
     "TaylorBound",
     "ConstantComparison", "eval_discrete", "eval_tree", "eval_rio_step",

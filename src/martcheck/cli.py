@@ -22,6 +22,7 @@ from the duration field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -182,7 +183,9 @@ def _cmd_gaussian_moment(args):
     return EXIT_OK, {"value": value}, {"p": args.p}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process: parsing leaves it as it is."""
     parser = _Parser(prog="martcheck",
                      description="exact and Monte Carlo checks of martingale "
                                  "moment inequalities")
@@ -224,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-depth", type=int, default=4)
     p.add_argument("--max-dim", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, nargs="+", default=[2.0, 3.0, 4.0])
+    p.add_argument("--p", type=float, nargs="+", default=(2.0, 3.0, 4.0))
     p.add_argument("--ineq", nargs="+", help="inequality ids (default: all)")
     common(p)
     p.set_defaults(func=_cmd_random_trees)

@@ -296,10 +296,18 @@ def _column_text(column: list) -> tuple[list[str], Iterable[str]]:
     and csv.writer do; the CSV text may come as an iterator, read once. A
     float's CSV text is its float.__repr__, which never needs quoting and is
     its JSON text but for NaN and the infinities; other values go through
-    csv.writer, once per distinct value where they can."""
+    csv.writer, once per distinct value where they can. A float column with
+    at most half its cells distinct is formatted once per distinct value,
+    zeros cell by cell (0.0 and -0.0 are equal keys of different text); a
+    NaN is its own key, as dict lookups try identity first."""
     kinds = set(map(type, column))
     if kinds == {float}:
-        cells = list(map(float.__repr__, column))
+        distinct = set(column)
+        if 2 * len(distinct) <= len(column):
+            text = dict(zip(distinct, map(float.__repr__, distinct)))
+            cells = [text[v] if v else float.__repr__(v) for v in column]
+        else:
+            cells = list(map(float.__repr__, column))
         finite = math.isfinite(sum(column))   # else NaN or an infinity may be present
         return cells if finite else [_JSON_NON_FINITE.get(c, c) for c in cells], cells
     if kinds <= {str, type(None), bool} or kinds <= {str, type(None), int}:

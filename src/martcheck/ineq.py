@@ -219,11 +219,12 @@ def eval_discrete(tree: ProbTree, n: int, p, ineq_id) -> InequalityReport:
     return eval_tree(tree, [n], [p], [ineq_id])[0]
 
 
-def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
+def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
               ids: Iterable, seed: int | None = None, notes: str = "") -> ReportTable:
     """eval_discrete's report for every (n, p, id), in that nesting order, as
     one ReportTable read from a single ptree.moments table for all exponents;
-    seed and notes go into every row.
+    seed and notes go into every row. Given a Forest, the table holds each
+    tree's rows in turn, each tree's rows as it gives them alone.
 
     The sides are the table's columns at the levels; ||M_n||_p^2 and the
     squared sup are taken on scalars, the constants and the right-hand sides
@@ -234,13 +235,13 @@ def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
     table = ptree.moments(tree, p_values)
     levels = [ptree.check_level(n, tree.depth) for n in levels]
     ps = table.p
-    # each side as a (level, p) array
-    sides = np.array([table.lp, table.sup, table.quad, table.incr])[:, :, levels]
-    lp, sup, quad, incr = sides.transpose(0, 2, 1)
+    # each side as a ([tree,] level, p) array
+    sides = np.array([table.lp, table.sup, table.quad, table.incr])[..., levels]
+    lp, sup, quad, incr = sides.swapaxes(-1, -2)
     squares = [x ** 2 for x in np.array([lp, sup]).ravel().tolist()]
     lp_sq, sup_sq = np.array(squares).reshape(2, *lp.shape)
-    start_sq = table.incr[:, 0]   # ||M_0||^2
-    shape = (len(levels), len(ps), len(ids))
+    start_sq = table.incr[..., None, :, 0]   # ||M_0||^2
+    shape = (*lp.shape, len(ids))
     lhs, rhs, constant = np.empty(shape), np.empty(shape), np.empty(shape)
     with np.errstate(over="ignore", invalid="ignore"):   # report_table refuses inf/NaN
         for i, iid in enumerate(ids):
@@ -259,9 +260,9 @@ def eval_tree(tree: ProbTree, levels: Iterable[int], p_values: Iterable,
                 rhs[..., i] = c * lp
             constant[..., i] = c
     return report_table(
-        [iid.value for iid in ids] * (len(levels) * len(ps)),
-        [p for p in ps for _ in ids] * len(levels),
-        [float(n) for n in levels for _ in range(len(ps) * len(ids))],
+        [iid.value for iid in ids] * (tree.trees * len(levels) * len(ps)),
+        [p for p in ps for _ in ids] * (tree.trees * len(levels)),
+        [float(n) for n in levels for _ in range(len(ps) * len(ids))] * tree.trees,
         lhs.ravel(), rhs.ravel(), constant.ravel(), seed=seed, notes=notes)
 
 

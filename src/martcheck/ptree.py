@@ -9,18 +9,24 @@ roundoff.
 Conventions
 -----------
 * d_0 = M_0: the starting value counts as the increment at level 0.
-* a tree is its node arrays, root first: node 0 is the root, then each
-  level's nodes in the depth-first order of the tree, which fixes every
-  summation order. ProbTree(m0, parent, prob, incr) is the one
-  constructor: random_tree, symmetric_walk and formats.parse_tree all build
-  the rows below the root and hand them over, and formats.tree_to_obj
-  writes a document back from them.
+* a forest is several trees of one depth and dimension held as one set of
+  node arrays, level-major: the roots are nodes 0..T-1, then level k holds
+  every tree's level-k nodes, tree by tree, each tree's nodes in its
+  depth-first order, which fixes every summation order. forest.tree_bounds
+  locates each tree's share of each level. A ProbTree is the forest of one
+  tree; ProbTree(m0, parent, prob, incr) builds one from the rows below its
+  root, as random_tree, symmetric_walk and formats.parse_tree do, and
+  formats.tree_to_obj writes a document back from them.
 * the constructor checks, validation, the level calculus and the moment
-  powers each take one pass over a whole tree's node arrays, so a deep tree
-  pays numpy's call overhead once, not once per level. Two steps stay per
-  level: the calculus's parent gather, as a level needs the level above
-  done, and each level's moment sum, whose pairwise summation order fixes
-  the bits.
+  table each take one pass over a whole forest's node arrays, so numpy's
+  call overhead is paid once per forest, not once per tree or level, and
+  each tree keeps the bits it has alone. Two steps stay per level: the
+  calculus's parent gather, as a level needs the level above done; and
+  each tree's share of a level stays one moment sum, whose pairwise
+  summation order fixes the bits.
+* random_forest draws many seeds' trees at once: each tree walks its own
+  Philox stream, then the forest's nodes of one width are drawn together.
+  random_tree is its forest of one.
 """
 from __future__ import annotations
 
@@ -117,11 +123,96 @@ class ValidationResult:
         return shown + (f"; and {extra} more" if extra > 0 else "")
 
 
-_ROOT_PARENT = np.array([-1], dtype=np.intp)   # the root's entry in a parent array
+class Forest:
+    """Trees of one depth and dimension, held as one set of node arrays.
+
+    Parameters
+    ----------
+    roots : array-like of shape (trees, d)
+        M_0 of each tree; the row length fixes the dimension d.
+    parent, prob, incr : arrays
+        The n nodes below the roots, level-major: level k holds every tree's
+        level-k nodes, tree by tree, each tree's nodes in its depth-first
+        order. Nodes 0 to trees - 1 are the roots and row i is node
+        trees + i: parent[i] is the node number of its parent, prob[i] the
+        probability of the branch into it and incr[i] its increment. parent
+        must be a 1-D intp array that starts at 0 and never decreases, each
+        parent on the level above its child; prob and incr are real arrays
+        of shapes (n,) and (n, d).
+        Anything else raises TreeStructureError. A tree validates only if
+        every node above the last level has a child.
+
+    The forest keeps the arrays roots first, as copies: parent (-1 at each
+    root), prob (1 at each root) and incr (M_0 at each root). Level k holds
+    nodes bounds[k] to bounds[k+1] - 1, and tree t's share of it nodes
+    tree_bounds[k][t] to tree_bounds[k][t+1] - 1. Each tree's checks,
+    verdict, calculus and moments are those it has alone.
+    """
+
+    def __init__(self, roots, parent: np.ndarray, prob: np.ndarray, incr: np.ndarray):
+        roots = np.array(roots, dtype=float)
+        if roots.ndim != 2 or 0 in roots.shape:
+            raise TreeStructureError("roots must be a (trees, d) array with trees, d >= 1")
+        trees, dim = roots.shape
+        if not (isinstance(parent, np.ndarray) and parent.ndim == 1
+                and parent.dtype == np.intp):
+            raise TreeStructureError("parent must be a 1-D intp array")
+        n = len(parent)
+        if ((getattr(prob, "shape", None), getattr(incr, "shape", None)) != ((n,), (n, dim))
+                or not {prob.dtype.kind, incr.dtype.kind} <= set("buif")):
+            raise TreeStructureError(f"prob and incr must be real arrays of shapes ({n},) "
+                                     f"and ({n}, {dim})")
+        if n and (parent[0] != 0 or np.diff(parent).min(initial=0) < 0):
+            raise TreeStructureError("parent must start at 0 and never decrease")
+        self.parent = np.concatenate(([-1] * trees, parent))
+        # per level, where each tree's share starts, then the level's end: the
+        # next level is every node whose parent lies on the last level found,
+        # a tree's share the nodes whose parents lie in its share above; a
+        # level that adds no node leaves a parent at or after its node
+        cuts = [list(range(trees + 1))]
+        while cuts[-1][-1] < trees + n:
+            below = self.parent.searchsorted(cuts[-1]).tolist()
+            end = below[-1]
+            if end == cuts[-1][-1]:
+                raise TreeStructureError(f"parent[{end - trees}] = {parent[end - trees]} is "
+                                         f"not above its node {end}")
+            cuts.append(below)
+        self.trees = trees
+        self.dim = dim
+        self.depth = len(cuts) - 1
+        self.tree_bounds = tuple(map(tuple, cuts))
+        self.bounds = tuple(row[0] for row in cuts) + (trees + n,)
+        self.prob = np.concatenate(([1.0] * trees, prob))
+        self.incr = np.concatenate((roots, incr))
+        self._verdicts: tuple[ValidationResult, ...] | None = None
+        self._calc: _LevelCalc | None = None
+
+    def validate(self, tree: int = 0) -> ValidationResult:
+        """The verdict on tree `tree`, from one validation pass over the forest."""
+        if self._verdicts is None:
+            self._verdicts = _validate(self)
+        return self._verdicts[tree]
+
+    def require_valid(self) -> None:
+        """Raise what the first tree that fails validation raises alone."""
+        for tree in range(self.trees):
+            verdict = self.validate(tree)
+            if verdict.ok:
+                continue
+            if any(v.kind == "structure" for v in verdict.violations):
+                raise TreeStructureError(f"malformed tree: {verdict.summary()}")
+            raise InvalidTreeError(f"invalid tree: {verdict.summary()}", verdict)
+
+    def calculus(self) -> "_LevelCalc":
+        self.require_valid()
+        if self._calc is None:
+            self._calc = _build_calc(self)
+        return self._calc
 
 
-class ProbTree:
-    """A finite filtered probability space with an attached martingale.
+class ProbTree(Forest):
+    """A finite filtered probability space with an attached martingale: the
+    forest of one tree.
 
     Parameters
     ----------
@@ -129,17 +220,10 @@ class ProbTree:
         Starting value M_0 in R^d; its length fixes the dimension d.
     parent, prob, incr : arrays
         The n nodes below the root, in level order, each level in
-        depth-first order. Node 0 is the root and row i is node i + 1:
-        parent[i] is the node number of its parent, prob[i] the probability
-        of the branch into it and incr[i] its increment. parent must be a
-        1-D intp array that starts at 0 and never decreases, each parent on
-        the level above its child; prob and incr are real arrays of shapes
-        (n,) and (n, d).
-        Anything else raises TreeStructureError. The tree validates only if
-        every node above the last level has a child.
+        depth-first order, as for a Forest of the one root m0: node 0 is the
+        root and row i is node i + 1.
 
-    The tree keeps the arrays root first, as copies: tree.parent (-1 at the
-    root), tree.prob (1 at the root) and tree.incr (M_0 at the root); level
+    tree.parent[0] is -1, tree.prob[0] is 1, tree.incr[0] is M_0, and level
     k holds nodes tree.bounds[k] to tree.bounds[k+1] - 1.
     """
 
@@ -148,34 +232,8 @@ class ProbTree:
         m0 = tuple(float(v) for v in m0)
         if len(m0) == 0:
             raise TreeStructureError("m0 must have dimension >= 1")
-        if not (isinstance(parent, np.ndarray) and parent.ndim == 1
-                and parent.dtype == np.intp):
-            raise TreeStructureError("parent must be a 1-D intp array")
-        n = len(parent)
-        if ((getattr(prob, "shape", None), getattr(incr, "shape", None)) != ((n,), (n, len(m0)))
-                or not {prob.dtype.kind, incr.dtype.kind} <= set("buif")):
-            raise TreeStructureError(f"prob and incr must be real arrays of shapes ({n},) "
-                                     f"and ({n}, {len(m0)})")
-        if n and (parent[0] != 0 or np.diff(parent).min(initial=0) < 0):
-            raise TreeStructureError("parent must start at 0 and never decrease")
-        # the next level is every row whose parent lies on the last level
-        # found; a level that adds no row leaves a parent at or after its node
-        bounds = [0, 1]
-        while bounds[-1] <= n:
-            end = 1 + int(np.searchsorted(parent, bounds[-1]))
-            if end == bounds[-1]:
-                raise TreeStructureError(f"parent[{end - 1}] = {parent[end - 1]} is not "
-                                         f"above its node {end}")
-            bounds.append(end)
+        super().__init__([m0], parent, prob, incr)
         self.m0 = m0
-        self.dim = len(m0)
-        self.depth = len(bounds) - 2
-        self.bounds = tuple(bounds)
-        self.parent = np.concatenate((_ROOT_PARENT, parent))
-        self.prob = np.concatenate(([1.0], prob))
-        self.incr = np.concatenate(([m0], incr))
-        self._verdict: ValidationResult | None = None
-        self._calc: _LevelCalc | None = None
 
     @property
     def root(self) -> TreeNode:
@@ -184,25 +242,6 @@ class ProbTree:
         it goes, with _graph, Branch and TreeNode, once that count reads
         len(tree.parent)."""
         return _graph(self)
-
-    def validate(self) -> ValidationResult:
-        if self._verdict is None:
-            self._verdict = _validate_tree(self)
-        return self._verdict
-
-    def require_valid(self) -> None:
-        verdict = self.validate()
-        if verdict.ok:
-            return
-        if any(v.kind == "structure" for v in verdict.violations):
-            raise TreeStructureError(f"malformed tree: {verdict.summary()}")
-        raise InvalidTreeError(f"invalid tree: {verdict.summary()}", verdict)
-
-    def calculus(self) -> "_LevelCalc":
-        self.require_valid()
-        if self._calc is None:
-            self._calc = _build_calc(self)
-        return self._calc
 
 
 def _graph(tree: ProbTree) -> TreeNode:
@@ -214,45 +253,47 @@ def _graph(tree: ProbTree) -> TreeNode:
     return nodes[0]
 
 
-def _path(parent: np.ndarray, node: int) -> tuple[int, ...]:
-    """Child-index path from the root to a node, given by its node number;
-    parent is the tree's non-decreasing parent array, so a node's first
-    sibling is the first entry that holds their parent."""
+def _path(parent: np.ndarray, roots: int, node: int) -> tuple[int, tuple[int, ...]]:
+    """The tree a node is in and the child-index path from its root to the
+    node, given by its node number; parent is the forest's non-decreasing
+    parent array, so a node's first sibling is the first entry that holds
+    their parent."""
     path = []
-    while node:
+    while node >= roots:
         up = int(parent[node])
         path.append(node - int(np.searchsorted(parent, up)))
         node = up
-    return tuple(reversed(path))
+    return node, tuple(reversed(path))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _validate_tree(tree: ProbTree) -> ValidationResult:
-    """Check every sibling group of the tree at once, on its node arrays.
+def _validate(forest: Forest) -> tuple[ValidationResult, ...]:
+    """Check every sibling group of the forest at once, on its node arrays;
+    one verdict per tree.
 
     Childless nodes above the last level come from one bincount, and each
     sibling group's probability sum, increment mean and non-finite flag from
     one reduceat over all levels, its out-of-range flag from a minimum and a
     maximum reduceat. A group's sums do not depend on the entries around
-    it, so they keep the bits a pass over its level alone gives. No boolean
+    it, so they keep the bits a pass over its tree alone gives. No boolean
     mask per node is made: numpy keeps freed buffers under 1 KiB for reuse
     by byte size, and masks sized by each tree's node count raised a
     search's peak RSS. Only the violations, and the paths that locate them,
     are built per failed group. The residual norm may overflow: it then
     reads inf, which fails, with no numpy warning."""
-    out: list[Violation] = []
-    parent = tree.parent
-    prob, incr = tree.prob[1:], tree.incr[1:]   # every node but the root
-    children = np.bincount(parent[1:], minlength=tree.bounds[-2])
+    out: list[list[Violation]] = [[] for _ in range(forest.trees)]
+    parent, roots = forest.parent, forest.trees
+    prob, incr = forest.prob[roots:], forest.incr[roots:]   # every node but the roots
+    children = np.bincount(parent[roots:], minlength=forest.bounds[-2])
     for node in (children == 0).nonzero()[0].tolist() if children.min(initial=1) == 0 else ():
-        path = _path(parent, node)
-        out.append(Violation(
-            "structure", path, float(tree.depth - len(path)),
-            f"leaf at depth {len(path)} in a depth-{tree.depth} tree at {path}"))
+        tree, path = _path(parent, roots, node)
+        out[tree].append(Violation(
+            "structure", path, float(forest.depth - len(path)),
+            f"leaf at depth {len(path)} in a depth-{forest.depth} tree at {path}"))
     # a group starts (in prob's rows) where a node's parent differs from the
     # parent of the node before it; x * 0 is NaN exactly where x is not finite
-    starts = np.diff(parent).nonzero()[0]
-    any_non_finite = np.isnan(np.add.reduceat((incr * 0.0).ravel(), starts * tree.dim))
+    starts = np.diff(parent[roots - 1:]).nonzero()[0]
+    any_non_finite = np.isnan(np.add.reduceat((incr * 0.0).ravel(), starts * forest.dim))
     any_outside = ~((np.minimum.reduceat(prob, starts) > 0.0)   # NaN fails too
                     & (np.maximum.reduceat(prob, starts) <= 1.0))
     excess = np.add.reduceat(prob, starts) - 1.0
@@ -260,41 +301,43 @@ def _validate_tree(tree: ProbTree) -> ValidationResult:
     failed = (any_non_finite | any_outside
               | (np.abs(excess) > PROB_TOL) | (resid > PROB_TOL))
     for g in failed.nonzero()[0].tolist():
-        path = _path(parent, int(parent[1 + starts[g]]))
+        tree, path = _path(parent, roots, int(parent[roots + starts[g]]))
+        found = out[tree]
         rows = slice(starts[g], starts[g + 1] if g + 1 < len(starts) else len(prob))
         if any_non_finite[g]:
             bad = (~np.isfinite(incr[rows])).any(axis=1).nonzero()[0].tolist()
-            out.append(Violation(
+            found.append(Violation(
                 "structure", path, float(len(bad)),
                 f"non-finite increment on children {bad} at {path}"))
         if any_outside[g]:   # NaN fails too
             worst = float(np.max(np.maximum(prob[rows] - 1.0, -prob[rows])))
             worst = float("inf") if np.isnan(worst) else worst
-            out.append(Violation(
+            found.append(Violation(
                 "probability", path, worst,
                 f"branch probability outside ]0,1] at {path}"))
         if abs(excess[g]) > PROB_TOL:
-            out.append(Violation(
+            found.append(Violation(
                 "probability", path, float(abs(excess[g])),
                 f"branch probabilities sum to 1{excess[g]:+.3g} at {path}"))
         if resid[g] > PROB_TOL:
-            out.append(Violation(
+            found.append(Violation(
                 "martingale", path, float(resid[g]),
                 f"conditional increment mean has norm {resid[g]:.3g} at {path}"))
-    out.sort(key=lambda v: (len(v.path), v.path, v.kind))
-    return ValidationResult(ok=not out, violations=tuple(out))
+    for found in out:
+        found.sort(key=lambda v: (len(v.path), v.path, v.kind))
+    return tuple(ValidationResult(ok=not found, violations=tuple(found)) for found in out)
 
 
 @dataclass(frozen=True, eq=False)
 class _LevelCalc:
-    """Node summaries in the tree's node order: the root, then each level in
-    depth-first order, level k at entries tree.bounds[k] to tree.bounds[k+1] - 1.
+    """Node summaries in the forest's node order: the roots, then each level,
+    level k at entries forest.bounds[k] to forest.bounds[k+1] - 1.
 
     node_probs   node probability, shape (nodes,)
     node_values  M_k at the node, shape (nodes, d)
     node_norms   rows ||M_k|| at the node, max_{v <= k} ||M_v|| along its
                  history, sum_{v <= k} ||d_v||^2 along it and ||d_k|| of the
-                 edge entering it (||M_0|| at the root), shape (4, nodes)
+                 edge entering it (||M_0|| at a root), shape (4, nodes)
     """
 
     node_probs: np.ndarray
@@ -303,33 +346,34 @@ class _LevelCalc:
 
 
 @np.errstate(over="ignore")   # norms beyond the float range: exact reports refuse them
-def _build_calc(tree: ProbTree) -> _LevelCalc:
-    """The level calculus on the tree's node arrays.
+def _build_calc(forest: Forest) -> _LevelCalc:
+    """The level calculus on the forest's node arrays.
 
     M_k, the node probability, the running sup and the quadratic sum each
     take their parent's entry, so only that gather, and the one operation
-    after it, runs level by level: a level needs the level above done. The
-    norms of M_k and of d_k are taken once each, row-wise over every node
-    but the root, whose norm is np.linalg.norm(m0) as always."""
-    bounds = tree.bounds
-    spans = list(zip(bounds[1:], bounds[2:]))   # the levels below the root
-    if any(b - a > MAX_PATHS for a, b in spans):
+    after it, runs level by level, over every tree at once: a level needs
+    the level above done. The norms of M_k and of d_k are taken once each,
+    row-wise over every node but the roots; a root's norm is the 1-D
+    np.linalg.norm of its M_0, as a row-wise norm can differ in the last bit."""
+    if any(b - a > MAX_PATHS for row in forest.tree_bounds for a, b in zip(row, row[1:])):
         raise ResourceLimitError(f"tree level exceeds the {MAX_PATHS} path enumeration cap")
-    parent, prob, incr = tree.parent, tree.prob, tree.incr
+    bounds, roots = forest.bounds, forest.trees
+    spans = list(zip(bounds[1:], bounds[2:]))   # the levels below the roots
+    parent, prob, incr = forest.parent, forest.prob, forest.incr
     values = np.empty(incr.shape)
-    values[0] = incr[0]
+    values[:roots] = incr[:roots]
     for a, b in spans:
         np.add(values.take(parent[a:b], axis=0), incr[a:b], out=values[a:b])
     norms = np.empty((4, bounds[-1]))
     m_norm, sup_norm, quad, d_norm = norms
-    m_norm[0] = d_norm[0] = np.linalg.norm(tree.m0)
-    m_norm[1:] = np.linalg.norm(values[1:], axis=1)
-    d_norm[1:] = np.linalg.norm(incr[1:], axis=1)
+    m_norm[:roots] = d_norm[:roots] = [np.linalg.norm(m0) for m0 in incr[:roots].tolist()]
+    m_norm[roots:] = np.linalg.norm(values[roots:], axis=1)
+    d_norm[roots:] = np.linalg.norm(incr[roots:], axis=1)
     d_sq = d_norm**2
     probs = np.empty(bounds[-1])
-    probs[0] = 1.0
-    sup_norm[0] = m_norm[0]
-    quad[0] = d_sq[0]
+    probs[:roots] = 1.0
+    sup_norm[:roots] = m_norm[:roots]
+    quad[:roots] = d_sq[:roots]
     for a, b in spans:
         up = parent[a:b]
         np.multiply(probs.take(up), prob[a:b], out=probs[a:b])
@@ -348,10 +392,11 @@ def check_level(n, depth: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """One tree's exact sides at the exponents p, row j for p[j] and column k
+    """A tree's exact sides at the exponents p, row j for p[j] and column k
     for level k: lp[j, k] = ||M_k||_p, sup[j, k] = || max_{v <= k} ||M_v|| ||_p,
     quad[j, k] = || sum_{v <= k} ||d_v||^2 ||_{p/2} and
-    incr[j, k] = sum_{v <= k} ||d_v||_p^2, the level-0 term being ||M_0||^2."""
+    incr[j, k] = sum_{v <= k} ||d_v||_p^2, the level-0 term being ||M_0||^2.
+    A forest's table puts the tree first: lp[t, j, k] is tree t's lp[j, k]."""
 
     p: tuple[float, ...]
     lp: np.ndarray
@@ -361,39 +406,45 @@ class Moments:
 
 
 @np.errstate(over="ignore")   # sums beyond the float range: exact reports refuse them
-def moments(tree: ProbTree, p_values: Sequence) -> Moments:
-    """Reduce a valid tree's level calculus to its Moments table at every exponent.
+def moments(forest: Forest, p_values: Sequence) -> Moments:
+    """Reduce a valid forest's level calculus to its Moments table at every
+    exponent; a ProbTree's table has no tree axis.
 
-    Each w * r ** e is taken once per tree, over all nodes (e a scalar
-    exponent, so numpy keeps its ** 2.0 square). Each level's entries are
-    then summed with one .sum(axis=-1) over the level's slice, which sums
+    Each w * r ** e is taken once per forest, over all nodes (e a scalar
+    exponent, so numpy keeps its ** 2.0 square). Each tree's share of each
+    level is then summed with one .sum(axis=-1) over its slice, which sums
     every row pairwise exactly as a 1-D np.sum does; np.add.reduceat adds in
     another order and would change bits. Every root (1/p, 1/p, 2/p and 2/p) is
-    then taken here, once, with float ** on its scalar level sum. A sum
-    below the normal float range from norms that are not all 0 has lost its
-    terms to underflow: DomainError."""
+    then taken here, once, with float ** on its scalar sum. A sum below the
+    normal float range from norms that are not all 0 has lost its terms to
+    underflow: DomainError, for the first tree that has one."""
     p = tuple(as_exponent(v) for v in p_values)
-    calc = tree.calculus()
-    bounds = tree.bounds
+    calc = forest.calculus()
+    cuts = forest.tree_bounds
+    shape = (4, forest.trees, len(p), forest.depth + 1)   # side, tree, exponent, level
     exps = (p, p, tuple(v / 2.0 for v in p), p)
-    powers = np.empty((4, len(p), bounds[-1]))   # m, sup, quad, d
+    powers = np.empty((4, len(p), forest.bounds[-1]))   # m, sup, quad, d
     for side, row in enumerate(exps):
         for j, e in enumerate(row):
             powers[side, j] = calc.node_norms[side] ** e
     powers *= calc.node_probs
-    sums = np.empty((4, len(p), tree.depth + 1))
-    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        sums[:, :, k] = powers[:, :, a:b].sum(axis=-1)
-    for side, j, k in np.argwhere(sums < sys.float_info.min).tolist():   # 0 or underflowed
-        if calc.node_norms[side, bounds[k]:bounds[k + 1]].any():
+    sums = np.empty(shape)
+    for k, row in enumerate(cuts):
+        for t, (a, b) in enumerate(zip(row, row[1:])):
+            sums[:, t, :, k] = powers[:, :, a:b].sum(axis=-1)
+    # 0 or underflowed, tree by tree
+    for t, side, j, k in np.argwhere(sums.transpose(1, 0, 2, 3) < sys.float_info.min).tolist():
+        if calc.node_norms[side, cuts[k][t]:cuts[k][t + 1]].any():
             name = ("||M_n||^p", "(max ||M_v||)^p", "(sum ||d_v||^2)^(p/2)", "||d_n||^p")[side]
             raise DomainError(f"p={p[j]:g}: the sides underflow a float (E {name} at level "
-                              f"{k} is {sums[side, j, k]:.3g} from nonzero norms)")
-    roots = [e / v for e in (1.0, 1.0, 2.0, 2.0) for v in p]   # one per row of sums
-    rows = sums.reshape(len(roots), tree.depth + 1).tolist()
+                              f"{k} is {sums[side, t, j, k]:.3g} from nonzero norms)")
+    roots = [e / v for e in (1.0, 1.0, 2.0, 2.0) for _ in range(forest.trees) for v in p]
+    rows = sums.reshape(len(roots), forest.depth + 1).tolist()   # one per root
     lp, sup, quad, d_sq = np.array([s ** root for root, row in zip(roots, rows)
-                                    for s in row]).reshape(sums.shape)
-    return Moments(p, lp, sup, quad, np.cumsum(d_sq, axis=1))   # incr: left to right
+                                    for s in row]).reshape(shape)
+    if isinstance(forest, ProbTree):
+        lp, sup, quad, d_sq = lp[0], sup[0], quad[0], d_sq[0]
+    return Moments(p, lp, sup, quad, np.cumsum(d_sq, axis=-1))   # incr: left to right
 
 
 def lp_norm(tree: ProbTree, n: int, p) -> float:
@@ -456,17 +507,34 @@ class _PhiloxWords:
                 return m >> 32
 
 
+def tree_bytes(depth: int, dim: int, branching: Sequence[int]) -> int:
+    """The bytes random_tree charges one depth-`depth` tree of dimension
+    `dim` against MAX_TREE_BYTES: the node count of a tree that always takes
+    its widest branching factor, at 256 + 24 * dim bytes a node, the peak a
+    node-by-node draw held (tests/test_ptree.py checks the traced peak stays
+    below it). depth, dim and the factors are checked ints. A tree whose
+    last level could hold more than MAX_PATHS increment entries
+    (max(branching) ** depth * dim) raises ResourceLimitError."""
+    widest = max(branching)
+    # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
+    # so the power never grows into a huge integer
+    if widest ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
+        raise ResourceLimitError(
+            f"depth-{depth} trees of dimension {dim} with branching up to "
+            f"{widest} exceed the {MAX_PATHS} path enumeration cap")
+    return (widest ** (depth + 1) - 1) // (widest - 1) * (256 + 24 * dim)
+
+
 def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -> ProbTree:
-    """Draw a martingale-valid random tree.
+    """Draw a martingale-valid random tree: random_forest's forest of one.
 
     The branching factors come from `branching` (each >= 2), branch
     probabilities are normalized positive draws, and each raw uniform
     [-1,1]^dim increment is recentred by the conditional mean at its node
     so the martingale property holds to roundoff. `seed` may be a
-    non-negative int or a SeedSequence. A tree whose last level could hold
-    more than MAX_PATHS increment entries (max(branching) ** depth * dim),
-    or whose nodes could need more than MAX_TREE_BYTES while drawn, raises
-    ResourceLimitError before any draw.
+    non-negative int or a SeedSequence. A tree that tree_bytes refuses, or
+    charges more than MAX_TREE_BYTES, raises ResourceLimitError before any
+    draw.
 
     Every bit is fixed by the words of one Philox stream, in the order
     numpy's Generator draws them. M_0 takes the first dim words through
@@ -486,6 +554,25 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     with the arithmetic of a node-by-node draw: scale and shift, divide the
     probabilities by their np.add.reduce sum, subtract np.matmul(prob, incr).
     """
+    roots, parent, prob, incr = _draw(depth, dim, [seed], branching)
+    return ProbTree(roots[0], parent, prob, incr)
+
+
+def random_forest(depth: int, dim: int, seeds: Sequence, branching: Sequence[int] = (2, 3)
+                  ) -> Forest:
+    """The trees random_tree draws from each seed, as one forest: tree t is
+    random_tree(depth, dim, seeds[t], branching), node for node and bit for
+    bit. Each tree walks its own stream; the forest's nodes of one width are
+    then drawn at once. The whole forest is charged against MAX_TREE_BYTES."""
+    seeds = list(seeds)
+    if not seeds:
+        raise DomainError("random_forest needs at least one seed")
+    return Forest(*_draw(depth, dim, seeds, branching))
+
+
+def _draw(depth, dim, seeds: list, branching: Sequence[int]):
+    """random_forest's checks and draw: the (roots, parent, prob, incr) of
+    its Forest."""
     depth = as_int(depth, "depth")
     dim = as_int(dim, "dim")
     if depth < 0 or dim < 1:
@@ -493,54 +580,49 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     choices = [as_int(w, "branching factor") for w in branching]
     if not choices or min(choices) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(choices)}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = as_seed(seed)
-    widest = max(choices)
-    # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
-    # so the power never grows into a huge integer
-    if widest ** min(depth, MAX_PATHS.bit_length()) * dim > MAX_PATHS:
-        raise ResourceLimitError(
-            f"depth-{depth} trees of dimension {dim} with branching up to "
-            f"{widest} exceed the {MAX_PATHS} path enumeration cap")
-    # every node counts at 256 + 24 * dim bytes, the peak a node-by-node draw
-    # held; tests/test_ptree.py checks the traced peak stays below it
-    need = (widest ** (depth + 1) - 1) // (widest - 1) * (256 + 24 * dim)
+    streams = [seed if isinstance(seed, np.random.SeedSequence) else
+               np.random.SeedSequence(entropy=as_seed(seed), spawn_key=(_TREE_STREAM,))
+               for seed in seeds]
+    need = len(seeds) * tree_bytes(depth, dim, choices)
     if need > MAX_TREE_BYTES:
         raise ResourceLimitError(
-            f"depth-{depth} trees of dimension {dim} with branching up to {widest} need "
-            f"about {need} bytes, over the {MAX_TREE_BYTES}-byte tree memory budget")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(_TREE_STREAM,))
-    rng = np.random.Generator(np.random.Philox(ss))
-    m0 = tuple(float(v) for v in rng.uniform(-1.0, 1.0, dim))
-    if depth == 0:
-        return ProbTree(m0, np.empty(0, np.intp), np.empty(0), np.empty((0, dim)))
-    # the walk: each internal node's level, width and first word, in draw order
-    words = _PhiloxWords(rng.bit_generator.random_raw)
+            f"depth-{depth} trees of dimension {dim} with branching up to {max(choices)} "
+            f"need about {need} bytes, over the {MAX_TREE_BYTES}-byte tree memory budget")
+    # each tree's walk: its internal nodes' levels, widths and first words, in
+    # draw order, the words counted from the start of the forest's stream
+    roots = np.empty((len(streams), dim))
     levels: list[int] = []
     widths: list[int] = []
     firsts: list[int] = []
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        w = choices[words.index(len(choices))]
-        levels.append(k)
-        widths.append(w)
-        firsts.append(words.pos)
-        words.pos += w * (1 + dim)
-        if k + 1 < depth:
-            stack.extend([k + 1] * w)
-    # internal nodes level by level, each level in draw order, so that the
-    # list index is the node number and node i's children are rows
-    # rows[i]..rows[i] + width[i] - 1
+    offsets = [0]   # where each tree's words start in the forest's stream, then the end
+    for t, ss in enumerate(streams):
+        rng = np.random.Generator(np.random.Philox(ss))
+        roots[t] = rng.uniform(-1.0, 1.0, dim)
+        words = _PhiloxWords(rng.bit_generator.random_raw)
+        stack = [0] if depth else []
+        while stack:
+            k = stack.pop()
+            w = choices[words.index(len(choices))]
+            levels.append(k)
+            widths.append(w)
+            firsts.append(offsets[-1] + words.pos)
+            words.pos += w * (1 + dim)
+            if k + 1 < depth:
+                stack.extend([k + 1] * w)
+        offsets.append(offsets[-1] + words.pos)
+    if depth == 0:
+        return roots, np.empty(0, np.intp), np.empty(0), np.empty((0, dim))
+    # internal nodes level by level, each level tree by tree in draw order,
+    # so that the list index is the node number and node i's children are
+    # rows rows[i]..rows[i] + width[i] - 1
     order = np.argsort(np.array(levels), kind="stable")
     width = np.array(widths)[order]
     first = np.array(firsts)[order]
     ends = width.cumsum()
     rows = ends - width
-    stream = np.random.Philox(ss).random_raw(dim + words.pos)[dim:]   # read again, whole
+    stream = np.empty(offsets[-1], np.uint64)   # each tree's stream, read again whole
+    for ss, a, b in zip(streams, offsets, offsets[1:]):
+        stream[a:b] = np.random.Philox(ss).random_raw(dim + b - a)[dim:]
     prob = np.empty(ends[-1])
     incr = np.empty((ends[-1], dim))
     for w in sorted(set(widths)):
@@ -557,11 +639,14 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
         at = rows[nodes, None] + np.arange(w)
         prob[at] = p
         incr[at] = x
-    return ProbTree(m0, np.repeat(np.arange(len(width)), width), prob, incr)
+    return roots, np.repeat(np.arange(len(width)), width), prob, incr
 
 
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:
-    """Scalar +-step random walk of the given depth, started at m0."""
-    rows = np.arange(max(2 ** (int(depth) + 1) - 2, 0))   # node i + 1's parent is i // 2
+    """Scalar +-step random walk of the given depth (an integer >= 0), started at m0."""
+    depth = as_int(depth, "depth")
+    if depth < 0:
+        raise DomainError("symmetric_walk needs depth >= 0")
+    rows = np.arange(2 ** (depth + 1) - 2)   # node i + 1's parent is i // 2
     return ProbTree((float(m0),), rows // 2, np.full(len(rows), 0.5),
                     np.tile([[float(step)], [float(-step)]], (len(rows) // 2, 1)))

@@ -13,12 +13,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import ineq, ptree
-from .errors import ConfigError, DomainError, ResourceLimitError, refuse_overflow
+from .errors import (
+    ConfigError, DomainError, MartcheckError, ResourceLimitError, refuse_overflow,
+)
 from .ptree import as_exponent, as_int, as_seed
 
 SOUND_TOL = 1e-9
@@ -26,6 +29,7 @@ COLLAPSE_DIAMETER = 1e-10
 NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5   # Nelder-Mead
 
 _SEARCH_STREAM = 13
+_FOREST_BYTES = 1 << 22   # bytes tree_bytes may charge one forest of a RANDOM-TREE search
 
 # Each family's search axes (name, scale). A "log" axis is searched in log
 # space over its box, a "lin" axis linearly over its box, and a "seed" axis
@@ -232,6 +236,19 @@ def family_ratio(family: FamilySpec, params: dict, target: str = "RIO-STEP") -> 
     return report.ratio
 
 
+def _forest_ratios(family: FamilySpec, seeds: list[int], target: str) -> list[float]:
+    """family_ratio of each RANDOM-TREE seed, drawn and evaluated as one forest.
+    Where the forest fails, the trees are evaluated one by one, so the error
+    raised is the one the first failing tree raises alone."""
+    try:
+        forest = ptree.random_forest(family.depth, family.dim, seeds, family.branching)
+        return ineq.eval_tree(forest, [forest.depth], [family.p], [target]).columns["ratio"]
+    except MartcheckError:
+        for seed in seeds:
+            family_ratio(family, {"tree_seed": seed}, target)
+        raise
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -255,8 +272,11 @@ class _Recorder:
     def __call__(self, params: dict) -> float:
         if self.count >= self.budget:
             raise _BudgetExhausted
+        return self.record(params, self.evaluate(params))
+
+    def record(self, params: dict, ratio: float) -> float:
+        """Count one evaluated point and keep it if it improves."""
         self.count += 1
-        ratio = self.evaluate(params)
         key = tuple(params[name] for name in self.names)
         if ratio > self.best_ratio or (ratio == self.best_ratio and
                                        (self.best_key is None or key < self.best_key)):
@@ -367,21 +387,34 @@ def _draw(rng: np.random.Generator, lo, hi, scale: str):
 
 
 def search(config: SearchConfig) -> SearchResult:
-    """Run the configured maximization; deterministic for a fixed config."""
+    """Run the configured maximization; deterministic for a fixed config.
+
+    RANDOM-TREE points are drawn and evaluated in forests of as many trees
+    as _FOREST_BYTES holds (at least one), and recorded in order."""
     family = config.family
     axes = [(name, *((0, 2**63) if scale == "seed" else getattr(family, f"{name}_box")),
              scale) for name, scale in _AXES[family.tag]]    # (name, lo, hi, scale)
     rec = _Recorder(lambda prm: family_ratio(family, prm, config.target),
                     [ax[0] for ax in axes], config.budget)
     free = [ax for ax in axes if ax[1] < ax[2]]
+    points: Iterator[dict] | None = None
+    if config.method == "random":
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(_SEARCH_STREAM,))))
+        points = ({name: _draw(rng, lo, hi, scale) for name, lo, hi, scale in axes}
+                  for _ in range(config.budget))
+    elif config.method == "grid" or not free:   # no free box: the one grid point
+        points = _grid(axes, config.budget)
     try:
-        if config.method == "random":
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(_SEARCH_STREAM,))))
-            for _ in range(config.budget):
-                rec({name: _draw(rng, lo, hi, scale) for name, lo, hi, scale in axes})
-        elif config.method == "grid" or not free:   # no free box: the one grid point
-            for prm in _grid(axes, config.budget):
+        if points is not None and family.tag == "RANDOM-TREE":
+            size = max(1, _FOREST_BYTES // ptree.tree_bytes(family.depth, family.dim,
+                                                             family.branching))
+            while batch := list(islice(points, size)):
+                seeds = [prm["tree_seed"] for prm in batch]
+                for prm, ratio in zip(batch, _forest_ratios(family, seeds, config.target)):
+                    rec.record(prm, ratio)
+        elif points is not None:
+            for prm in points:
                 rec(prm)
         else:   # Nelder-Mead over the free axes, log axes in log space
             fixed = {name: lo for name, lo, hi, _ in axes if lo == hi}

@@ -395,6 +395,21 @@ class TestTableWriter:
         with open(base + ".csv", "rb") as fh:
             assert fh.read() == expected_csv
 
+    def test_repeated_floats_keep_their_text(self):
+        """A float column of few distinct values, formatted once per value,
+        keeps the text of 0.0 and -0.0, of NaNs that are distinct objects and
+        of the infinities."""
+        values = [0.0, -0.0, 2.5, math.nan, float("nan"), math.inf, -math.inf, 1e-320]
+        column = values * 5 + [0.0, -0.0]
+        table = ReportTable({name: column if name in ("p", "n_or_t", "lhs") else
+                             [None] * len(column) for name in REPORT_FIELDS})
+        results, lines = table_text(table)
+        assert "".join(results) == json.dumps([report_row(r) for r in table], sort_keys=True)
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [CSV_FIELDS] + [[csv_row(r)[name] for name in CSV_FIELDS] for r in table])
+        assert "".join(lines) == expected.getvalue()
+
     def test_value_json_not_serializable(self):
         table = ReportTable({name: [object()] for name in REPORT_FIELDS})
         with pytest.raises(TypeError, match="not JSON serializable"):

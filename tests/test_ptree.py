@@ -13,15 +13,19 @@ from hypothesis.extra import numpy as hnp
 
 import martcheck.ptree as ptree
 from martcheck import (
+    DISCRETE_EVAL_IDS,
     DomainError,
     InvalidTreeError,
     LevelRangeError,
+    MartcheckError,
     ProbTree,
     ResourceLimitError,
     TreeStructureError,
+    eval_discrete,
+    eval_tree,
     parse_tree,
 )
-from tree_levels import level_arrays, node_arrays, per_level
+from tree_levels import forest_of, forest_tree, level_arrays, node_arrays, per_level
 
 
 def one_step(m0, *branches):
@@ -250,6 +254,22 @@ class TestIntegerArguments:
             ptree.random_tree(2.5, 1, seed=0)
         with pytest.raises(DomainError, match="dim must be an integer"):
             ptree.random_tree(2, float("inf"), seed=0)
+
+
+    def test_symmetric_walk_depth(self):
+        """A fractional or bool depth is refused, as is a negative one;
+        integral depths build the walk they always built."""
+        for bad in (2.5, True):
+            with pytest.raises(DomainError, match="depth must be an integer"):
+                ptree.symmetric_walk(bad)
+        with pytest.raises(DomainError, match="depth >= 0"):
+            ptree.symmetric_walk(-1)
+        for depth in (0, 2.0, np.int64(3)):
+            walk = ptree.symmetric_walk(depth, step=0.5, m0=1.0)
+            assert walk.depth == depth and walk.m0 == (1.0,)
+            assert np.diff(walk.bounds).tolist() == [2 ** n for n in range(int(depth) + 1)]
+            assert walk.incr[1:, 0].tolist() == [0.5, -0.5] * (2 ** int(depth) - 1)
+            assert (walk.prob[1:] == 0.5).all() and walk.validate().ok
 
 
 class TestLevels:
@@ -518,6 +538,68 @@ def test_random_tree_matches_node_by_node_draw(depth, dim, branching, seed):
         for got, want in zip((lvl.parent, lvl.prob, lvl.incr), ref):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+FOREST_PS = (2.0, 3.0, 4.5)
+
+
+@given(st.integers(0, 5), st.integers(1, 3),
+       st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple),
+       st.lists(seeds, min_size=1, max_size=9))
+def test_forest_matches_each_tree_alone(depth, dim, branching, tree_seeds):
+    """Each tree of a random forest is, bit for bit, the tree random_tree
+    draws from its seed alone: its node arrays, its verdict, its Moments
+    table and its report rows for every id, level and exponent."""
+    forest = ptree.random_forest(depth, dim, tree_seeds, branching)
+    assert forest.trees == len(tree_seeds) and forest.depth == depth
+    table = ptree.moments(forest, FOREST_PS)
+    reports = eval_tree(forest, range(depth + 1), FOREST_PS, DISCRETE_EVAL_IDS)
+    rows = len(reports) // len(tree_seeds)
+    for t, seed in enumerate(tree_seeds):
+        alone = ptree.random_tree(depth, dim, seed, branching)
+        for got, want in zip(forest_tree(forest, t),
+                             (alone.incr[0], alone.parent[1:], alone.prob[1:], alone.incr[1:])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert forest.validate(t) == alone.validate()
+        single = ptree.moments(alone, FOREST_PS)
+        for name in ("lp", "sup", "quad", "incr"):
+            assert getattr(table, name)[t].tobytes() == getattr(single, name).tobytes()
+        own = eval_tree(alone, range(depth + 1), FOREST_PS, DISCRETE_EVAL_IDS)
+        for name, column in reports.columns.items():
+            assert repr(column[t * rows:(t + 1) * rows]) == repr(own.columns[name])
+
+
+def faulty_trees():
+    """Trees of depth 2 and dimension 2 that each raise alone at p = 4, by
+    validation, by an overflowed side or by an underflowed sum."""
+    base = ptree.random_tree(2, 2, 17)
+    rows = (base.parent[1:], base.prob[1:], base.incr[1:])
+    prob = base.prob[1:].copy()
+    prob[0] += 1e-3
+    keep = base.parent[1:] != 1   # node 1's children go, so it is a leaf
+    return [
+        pytest.param(ProbTree(base.m0, rows[0], prob, rows[2]), id="probability"),
+        pytest.param(ProbTree(base.m0, *(a[keep] for a in rows)), id="childless"),
+        pytest.param(ProbTree([1e100, 0.0], *rows), id="overflow"),
+        pytest.param(ProbTree([1e-100, 0.0], *rows), id="underflow"),
+    ]
+
+
+@pytest.mark.parametrize("bad", faulty_trees())
+def test_faulty_tree_mid_forest_raises_as_alone(bad):
+    """A tree that raises alone raises the same exception and message from the
+    middle of a forest of valid trees, whose own reports are untouched."""
+    p = 4.0
+    with pytest.raises(MartcheckError) as alone:
+        eval_tree(bad, [bad.depth], [p], ["PROP1-MAIN"])
+    good = [ptree.random_tree(2, 2, s) for s in (3, 4, 5, 6)]
+    forest = forest_of(good[:2] + [bad] + good[2:])
+    with pytest.raises(type(alone.value)) as mid:
+        eval_tree(forest, [forest.depth], [p], ["PROP1-MAIN"])
+    assert str(mid.value) == str(alone.value)
+    assert forest.validate(2) == bad.validate()
+    ratios = eval_tree(forest_of(good), [2], [p], ["PROP1-MAIN"]).columns["ratio"]
+    assert ratios == [eval_discrete(t, 2, p, "PROP1-MAIN").ratio for t in good]
 
 
 def test_width_index_replays_generator_integers():

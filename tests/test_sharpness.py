@@ -3,6 +3,7 @@ import decimal
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,41 @@ class TestSearch:
         assert "soundness bound exceeded" in capsys.readouterr().err
 
 
+def sequential_tree_search(cfg):
+    """A RANDOM-TREE search as one family_ratio call per point, in order: the
+    reference for the forests search draws and evaluates."""
+    rec = sh._Recorder(lambda prm: sh.family_ratio(cfg.family, prm, cfg.target),
+                       ["tree_seed"], cfg.budget)
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sh._SEARCH_STREAM,))))
+    for t in range(cfg.budget):
+        rec({"tree_seed": t if cfg.method == "grid" else sh._draw(rng, 0, 2**63, "seed")})
+    return sh.SearchResult(rec.best_ratio, rec.best_params, rec.count, tuple(rec.trace),
+                           1.0, rec.best_ratio > 1.0 + sh.SOUND_TOL)
+
+
+@pytest.mark.parametrize("method", ["grid", "random"])
+def test_forests_give_the_tree_by_tree_result(monkeypatch, method):
+    """A RANDOM-TREE search whose budget spans several forests returns the
+    SearchResult of evaluating one tree at a time, as does one forest."""
+    fam = FamilySpec(tag="RANDOM-TREE", p=3.0, depth=3, dim=2, branching=(2, 3, 4))
+    cfg = SearchConfig(family=fam, method=method, budget=23, seed=9, target="PROP1-MAX")
+    want = sequential_tree_search(cfg)
+    assert sh.search(cfg) == want   # one forest
+    monkeypatch.setattr(sh, "_FOREST_BYTES", 5 * sh.ptree.tree_bytes(3, 2, (2, 3, 4)))
+    assert sh.search(cfg) == want   # forests of 5, 5, 5, 5 and 3 trees
+
+
+def test_forest_error_is_the_first_trees():
+    """A search whose trees fail raises what its first tree raises alone."""
+    fam = FamilySpec(tag="RANDOM-TREE", p=2000.0, depth=2, dim=3)
+    cfg = SearchConfig(family=fam, method="grid", budget=8, seed=0, target="D-BURK-1")
+    with pytest.raises(MartcheckError) as alone:
+        sh.family_ratio(fam, {"tree_seed": 0}, "D-BURK-1")
+    with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+        sh.search(cfg)
+
+
 def test_nelder_mead_minimizes_quadratic():
     f = lambda z: float((z[0] - 1.5) ** 2 + (z[1] + 0.5) ** 2)
     x, fx, evals = sh.nelder_mead(f, [0.0, 0.0], [1.0, 1.0], budget=400)
@@ -406,19 +442,22 @@ class TestGridCap:
 
     def test_tree_seed_grid_is_lazy(self, monkeypatch):
         """A RANDOM-TREE grid enumerates seeds without allocating them, so a
-        budget of 10^12 is not refused and starts evaluating at seed 0."""
+        budget of 10^12 is not refused and starts evaluating at seed 0, with
+        the first forest's seeds only."""
         class Stop(Exception):
             pass
 
         seen = []
 
-        def first_only(family, params, target="RIO-STEP"):
-            seen.append(params)
+        def first_only(depth, dim, seeds, branching=(2, 3)):
+            seen.append(list(seeds))
             raise Stop
 
-        monkeypatch.setattr(sh, "family_ratio", first_only)
+        monkeypatch.setattr(sh.ptree, "random_forest", first_only)
         fam = FamilySpec(tag="RANDOM-TREE", p=4.0, depth=2, dim=1)
         with pytest.raises(Stop):
             sh.search(SearchConfig(family=fam, method="grid", budget=10**12, seed=0,
                                    target="PROP1-MAIN"))
-        assert seen == [{"tree_seed": 0}]
+        size = sh._FOREST_BYTES // sh.ptree.tree_bytes(2, 1, (2, 3))
+        assert 1 < size < 10**6
+        assert seen == [list(range(size))]
