@@ -12,6 +12,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from . import ptree
 from .errors import (
     DomainError,
+    MartcheckError,
     PreconditionError,
     QuadratureError,
     ResourceLimitError,
@@ -149,16 +151,6 @@ class ReportTable:
     def __getitem__(self, i: int) -> InequalityReport:
         return InequalityReport(*(self.columns[name][i] for name in REPORT_FIELDS))
 
-    @classmethod
-    def concat(cls, tables: Iterable["ReportTable"]) -> "ReportTable":
-        """The tables' rows in order; each table is read once, so a generator
-        of tables never holds more than one beside the result."""
-        columns = {name: [] for name in REPORT_FIELDS}
-        for table in tables:
-            for name, column in columns.items():
-                column.extend(table.columns[name])
-        return cls(columns)
-
 
 def report_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.ndarray,
                  rhs: np.ndarray, constant: np.ndarray, verdict: list[str] | None = None,
@@ -220,11 +212,13 @@ def eval_discrete(tree: ProbTree, n: int, p, ineq_id) -> InequalityReport:
 
 
 def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
-              ids: Iterable, seed: int | None = None, notes: str = "") -> ReportTable:
+              ids: Iterable, seed: int | None = None,
+              notes: str | Sequence[str] = "") -> ReportTable:
     """eval_discrete's report for every (n, p, id), in that nesting order, as
     one ReportTable read from a single ptree.moments table for all exponents;
-    seed and notes go into every row. Given a Forest, the table holds each
-    tree's rows in turn, each tree's rows as it gives them alone.
+    seed goes into every row, and notes too if a string, else notes[t] into
+    tree t's rows. Given a Forest, the table holds each tree's rows in turn,
+    each tree's rows as it gives them alone.
 
     The sides are the table's columns at the levels; ||M_n||_p^2 and the
     squared sup are taken on scalars, the constants and the right-hand sides
@@ -259,6 +253,12 @@ def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
                 lhs[..., i] = sup
                 rhs[..., i] = c * lp
             constant[..., i] = c
+    if not isinstance(notes, str):
+        notes = list(notes)
+        if len(notes) != tree.trees:
+            raise PreconditionError(f"need one note per tree, got {len(notes)} for "
+                                    f"{tree.trees} trees")
+        notes = [note for note in notes for _ in range(lhs.size // tree.trees)]
     return report_table(
         [iid.value for iid in ids] * (tree.trees * len(levels) * len(ps)),
         [p for p in ps for _ in ids] * (tree.trees * len(levels)),
@@ -458,13 +458,18 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
                        p_values: Sequence[float],
                        ids: Sequence[InequalityId] = DISCRETE_EVAL_IDS,
                        ) -> ReportTable:
-    """Evaluate `ids` on `count` random trees, every level, every exponent,
-    as the concatenation of one eval_tree table per tree.
+    """Evaluate `ids` on `count` random trees, every level, every exponent:
+    tree by tree, the rows eval_tree gives each tree alone, each noted
+    "tree=t depth=d dim=m".
 
     Tree t draws its depth in 1..max_depth and dimension in 1..max_dim from
     a substream derived from (seed, t), so the whole sweep is reproducible
     from the single seed. Before the first tree, the rows the deepest trees
-    would give are charged against SWEEP_MEMORY_BUDGET.
+    would give are charged against SWEEP_MEMORY_BUDGET. The trees of one
+    shape are then drawn and evaluated as forests of ptree.forest_size
+    trees, each row put in its tree's place. Where a forest fails, the trees
+    are evaluated one by one in order, so the sweep raises what its first
+    failing tree raises alone.
     """
     count, max_depth, max_dim = (as_int(count, "count"), as_int(max_depth, "max_depth"),
                                  as_int(max_dim, "max_dim"))
@@ -480,14 +485,33 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
             f"a sweep of {count} trees up to depth {max_depth} may give {rows} report "
             f"rows, {rows * _SWEEP_ROW_BYTES} bytes at {_SWEEP_ROW_BYTES} bytes a row, "
             f"over the {SWEEP_MEMORY_BUDGET}-byte sweep memory budget")
-
-    def tables() -> Iterator[ReportTable]:
-        for t in range(count):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SWEEP_STREAM, t))
-            rng = np.random.Generator(np.random.Philox(ss))
-            depth = int(rng.integers(1, max_depth + 1))
-            dim = int(rng.integers(1, max_dim + 1))
-            tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
-            yield eval_tree(tree, range(tree.depth + 1), p_values, ids, seed=seed,
-                            notes=f"tree={t} depth={depth} dim={dim}")
-    return ReportTable.concat(tables())
+    shapes, seeds = [], []   # each tree's (depth, dim) and tree seed
+    groups: dict[tuple[int, int], list[int]] = {}   # each shape's trees, in order
+    for t in range(count):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SWEEP_STREAM, t))
+        rng = np.random.Generator(np.random.Philox(ss))
+        shape = int(rng.integers(1, max_depth + 1)), int(rng.integers(1, max_dim + 1))
+        shapes.append(shape)
+        seeds.append(ss.spawn(1)[0])
+        groups.setdefault(shape, []).append(t)
+    level_rows = len(p_values) * len(ids)
+    starts = list(accumulate(((depth + 1) * level_rows for depth, _ in shapes), initial=0))
+    columns = {name: [None] * starts[-1] for name in REPORT_FIELDS}
+    try:
+        for (depth, dim), trees in groups.items():
+            size = ptree.forest_size(depth, dim)
+            n = (depth + 1) * level_rows   # rows per tree
+            for i in range(0, len(trees), size):
+                batch = trees[i:i + size]
+                forest = ptree.random_forest(depth, dim, [seeds[t] for t in batch])
+                table = eval_tree(forest, range(depth + 1), p_values, ids, seed=seed,
+                                  notes=[f"tree={t} depth={depth} dim={dim}" for t in batch])
+                for j, t in enumerate(batch):
+                    for name, column in columns.items():
+                        column[starts[t]:starts[t] + n] = table.columns[name][j * n:(j + 1) * n]
+    except MartcheckError:
+        for (depth, dim), tree_seed in zip(shapes, seeds):
+            eval_tree(ptree.random_tree(depth, dim, tree_seed), range(depth + 1),
+                      p_values, ids)
+        raise
+    return ReportTable(columns)

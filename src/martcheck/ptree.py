@@ -26,7 +26,9 @@ Conventions
   summation order fixes the bits.
 * random_forest draws many seeds' trees at once: each tree walks its own
   Philox stream, then the forest's nodes of one width are drawn together.
-  random_tree is its forest of one.
+  random_tree is its forest of one. The RANDOM-TREE search and the
+  random-tree sweep draw and evaluate their trees as forests of
+  forest_size trees, the sweep one shape (depth, dim) at a time.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ from .errors import (
 PROB_TOL = 1e-12      # tolerance for probability sums and conditional means
 MAX_PATHS = 10**7     # hard bound on exact enumeration width
 MAX_TREE_BYTES = 1 << 30   # hard bound on the memory random_tree may hold
+FOREST_BYTES = 1 << 22     # bytes tree_bytes may charge one forest a caller draws
 
 _TREE_STREAM = 11     # spawn-key domain tag for random tree generation
 
@@ -523,6 +526,13 @@ def tree_bytes(depth: int, dim: int, branching: Sequence[int]) -> int:
             f"depth-{depth} trees of dimension {dim} with branching up to "
             f"{widest} exceed the {MAX_PATHS} path enumeration cap")
     return (widest ** (depth + 1) - 1) // (widest - 1) * (256 + 24 * dim)
+
+
+def forest_size(depth: int, dim: int, branching: Sequence[int] = (2, 3)) -> int:
+    """How many depth-`depth` trees of dimension `dim` one forest takes: as
+    many as FOREST_BYTES holds at the bytes tree_bytes charges a tree, at
+    least one. A shape tree_bytes refuses raises ResourceLimitError."""
+    return max(1, FOREST_BYTES // tree_bytes(depth, dim, branching))
 
 
 def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -> ProbTree:

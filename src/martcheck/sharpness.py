@@ -29,7 +29,6 @@ COLLAPSE_DIAMETER = 1e-10
 NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5   # Nelder-Mead
 
 _SEARCH_STREAM = 13
-_FOREST_BYTES = 1 << 22   # bytes tree_bytes may charge one forest of a RANDOM-TREE search
 
 # Each family's search axes (name, scale). A "log" axis is searched in log
 # space over its box, a "lin" axis linearly over its box, and a "seed" axis
@@ -389,8 +388,8 @@ def _draw(rng: np.random.Generator, lo, hi, scale: str):
 def search(config: SearchConfig) -> SearchResult:
     """Run the configured maximization; deterministic for a fixed config.
 
-    RANDOM-TREE points are drawn and evaluated in forests of as many trees
-    as _FOREST_BYTES holds (at least one), and recorded in order."""
+    RANDOM-TREE points are drawn and evaluated in forests of
+    ptree.forest_size trees, and recorded in order."""
     family = config.family
     axes = [(name, *((0, 2**63) if scale == "seed" else getattr(family, f"{name}_box")),
              scale) for name, scale in _AXES[family.tag]]    # (name, lo, hi, scale)
@@ -407,8 +406,7 @@ def search(config: SearchConfig) -> SearchResult:
         points = _grid(axes, config.budget)
     try:
         if points is not None and family.tag == "RANDOM-TREE":
-            size = max(1, _FOREST_BYTES // ptree.tree_bytes(family.depth, family.dim,
-                                                             family.branching))
+            size = ptree.forest_size(family.depth, family.dim, family.branching)
             while batch := list(islice(points, size)):
                 seeds = [prm["tree_seed"] for prm in batch]
                 for prm, ratio in zip(batch, _forest_ratios(family, seeds, config.target)):

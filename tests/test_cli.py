@@ -409,6 +409,7 @@ class TestSweepAndTables:
             raise AssertionError("a tree was drawn")
 
         monkeypatch.setattr(ptree, "random_tree", no_tree)
+        monkeypatch.setattr(ptree, "random_forest", no_tree)
         code, _, err = run(capsys, "random-trees", "--count", "10000000",
                            "--max-depth", "5", "--p", "2", "3", "4")
         assert code == 1

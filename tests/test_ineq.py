@@ -32,6 +32,26 @@ def trees():
         st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6))
 
 
+SWEEP_PS = (2.0, 2.5, 3.0, 4.0, 8.0, 300.0)
+
+
+def sweep_tree_by_tree(count, max_depth, max_dim, seed, p_values, ids):
+    """Reference sweep: each tree drawn alone by random_tree from its
+    (seed, t) substream and evaluated alone, the tables' rows in tree order."""
+    columns = {name: [] for name in ineq.REPORT_FIELDS}
+    for t in range(count):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(ineq._SWEEP_STREAM, t))
+        rng = np.random.Generator(np.random.Philox(ss))
+        depth = int(rng.integers(1, max_depth + 1))
+        dim = int(rng.integers(1, max_dim + 1))
+        tree = ptree.random_tree(depth, dim, ss.spawn(1)[0])
+        table = ineq.eval_tree(tree, range(depth + 1), p_values, ids, seed=seed,
+                               notes=f"tree={t} depth={depth} dim={dim}")
+        for name, column in columns.items():
+            column.extend(table.columns[name])
+    return ineq.ReportTable(columns)
+
+
 class TestEvalDiscrete:
     def setup_method(self):
         self.walk = ptree.symmetric_walk(2)
@@ -367,24 +387,66 @@ class TestSweep:
         tables = []
 
         def spy(tree, p_values):
-            tables.append(list(p_values))
+            tables.append((tree.trees, list(p_values)))
             return moments(tree, p_values)
 
         moments = ptree.moments
         monkeypatch.setattr(ptree, "moments", spy)
         ids = (ineq.InequalityId.PROP1_MAIN, ineq.InequalityId.DOOB)
+        # eight trees of at most four shapes: some forest holds two trees
         reports = list(ineq.sweep_random_trees(
-            4, 2, 2, seed=1, p_values=(2, 3, 4), ids=ids))
-        # one moment table per tree, carrying every exponent
-        assert tables == [[2.0, 3.0, 4.0]] * 4
+            8, 2, 2, seed=1, p_values=(2, 3, 4), ids=ids))
         per_tree = {}
         for r in reports:
-            tree = r.notes.split()[0]
-            per_tree[tree] = int(r.notes.split("depth=")[1].split()[0])
-        # per tree: (depth+1) levels x 3 exponents x 2 ids
-        assert len(per_tree) == 4
-        assert len(reports) == sum((d + 1) * 6 for d in per_tree.values())
+            tree, depth, dim = (field.split("=")[1] for field in r.notes.split())
+            per_tree[int(tree)] = int(depth), int(dim)
+        # one moment table per forest, one forest per (depth, dim), each
+        # carrying every exponent
+        shapes = set(per_tree.values())
+        assert len(tables) == len(shapes)
+        assert sorted(trees for trees, _ in tables) == sorted(
+            list(per_tree.values()).count(shape) for shape in shapes)
+        assert all(ps == [2.0, 3.0, 4.0] for _, ps in tables)
+        # per tree: (depth+1) levels x 3 exponents x 2 ids, in tree order
+        assert list(per_tree) == list(range(8))
+        assert len(reports) == sum((d + 1) * 6 for d, _ in per_tree.values())
         assert all(r.satisfied for r in reports)
+
+    @given(st.integers(0, 30), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32),
+           st.lists(st.sampled_from(SWEEP_PS), min_size=1, max_size=3, unique=True),
+           st.lists(st.sampled_from(ineq.DISCRETE_EVAL_IDS), min_size=1, unique=True))
+    def test_sweep_matches_tree_by_tree(self, count, max_depth, max_dim, seed, ps, ids):
+        """The sweep's table is, bit for bit, the concatenation of one
+        eval_tree table per tree drawn alone by random_tree, and a failing
+        sweep raises what the first failing tree raises alone (at p = 300
+        some trees' sums underflow and others' do not)."""
+        args = (count, max_depth, max_dim, seed, ps, ids)
+        try:
+            want = sweep_tree_by_tree(*args)
+        except MartcheckError as e:
+            with pytest.raises(type(e)) as got:
+                ineq.sweep_random_trees(*args)
+            assert str(got.value) == str(e)
+        else:
+            got = ineq.sweep_random_trees(*args)
+            assert repr(got.columns) == repr(want.columns)
+
+    @pytest.mark.parametrize("trees", [1, 2])
+    def test_forests_split_by_byte_budget(self, monkeypatch, trees):
+        """With the forest byte budget cut to one or two of the largest trees,
+        the shapes' trees are split over several forests, rows unchanged."""
+        want = sweep_tree_by_tree(40, 5, 3, 7, P_GRID, ineq.DISCRETE_EVAL_IDS)
+        monkeypatch.setattr(ptree, "FOREST_BYTES", trees * ptree.tree_bytes(5, 3, (2, 3)))
+        got = ineq.sweep_random_trees(40, 5, 3, 7, P_GRID)
+        assert repr(got.columns) == repr(want.columns)
+
+    def test_first_failing_tree_raises(self):
+        """At p = 2000 tree 0 overflows a side; a later tree of another
+        shape underflows a sum, which a sweep by forests met first."""
+        with pytest.raises(DomainError) as err:
+            ineq.sweep_random_trees(40, 5, 3, 3, [2000.0])
+        assert str(err.value) == (
+            "D-BURK-1 at p=2000: the sides overflow a float (lhs=inf, rhs=inf)")
 
     def test_table_rows_are_single_evaluations(self):
         """A table row is the report eval_discrete gives for its (n, p, id),
@@ -399,8 +461,15 @@ class TestSweep:
             return ineq.ReportTable({name: [getattr(r, name) for r in reports]
                                      for name in ineq.REPORT_FIELDS})
         assert list(table_of(expected)) == expected
-        both = ineq.ReportTable.concat([table, table_of(expected[:2])])
-        assert list(both) == expected + expected[:2]
+
+    def test_one_note_per_tree(self):
+        """A forest's rows carry their tree's note; a note count that is not
+        the tree count is refused."""
+        forest = ptree.random_forest(2, 1, [4, 5, 6])
+        table = ineq.eval_tree(forest, range(3), P_GRID, ["DOOB"], notes=["a", "b", "c"])
+        assert table.columns["notes"] == [n for n in "abc" for _ in range(9)]
+        with pytest.raises(PreconditionError, match="one note per tree"):
+            ineq.eval_tree(forest, [0], P_GRID, ["DOOB"], notes=["a", "b"])
 
     def test_report_table_verdicts_and_refusal(self):
         """satisfied follows the verdict column; a non-finite half-width is

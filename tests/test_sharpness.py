@@ -356,7 +356,7 @@ def test_forests_give_the_tree_by_tree_result(monkeypatch, method):
     cfg = SearchConfig(family=fam, method=method, budget=23, seed=9, target="PROP1-MAX")
     want = sequential_tree_search(cfg)
     assert sh.search(cfg) == want   # one forest
-    monkeypatch.setattr(sh, "_FOREST_BYTES", 5 * sh.ptree.tree_bytes(3, 2, (2, 3, 4)))
+    monkeypatch.setattr(sh.ptree, "FOREST_BYTES", 5 * sh.ptree.tree_bytes(3, 2, (2, 3, 4)))
     assert sh.search(cfg) == want   # forests of 5, 5, 5, 5 and 3 trees
 
 
@@ -458,6 +458,6 @@ class TestGridCap:
         with pytest.raises(Stop):
             sh.search(SearchConfig(family=fam, method="grid", budget=10**12, seed=0,
                                    target="PROP1-MAIN"))
-        size = sh._FOREST_BYTES // sh.ptree.tree_bytes(2, 1, (2, 3))
+        size = sh.ptree.forest_size(2, 1)
         assert 1 < size < 10**6
         assert seen == [list(range(size))]
