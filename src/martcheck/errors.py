@@ -15,20 +15,20 @@ class TreeStructureError(MartcheckError, ValueError):
     parent order), a leaf above the last level, a non-finite increment."""
 
 
-class InvalidTreeError(MartcheckError, ValueError):
-    """A structurally sound tree violates a probabilistic invariant."""
-
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
-
-
 class LevelRangeError(MartcheckError, IndexError):
     """A level index n or a time t falls outside the available grid."""
 
 
 class PreconditionError(MartcheckError, ValueError):
     """A distributional precondition fails (e.g. nonzero conditional mean)."""
+
+
+class InvalidTreeError(PreconditionError):
+    """A sound tree fails a probabilistic invariant, a distributional precondition."""
+
+    def __init__(self, message, verdict=None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class QuadratureError(MartcheckError, ArithmeticError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -218,7 +217,8 @@ def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
     one ReportTable read from a single ptree.moments table for all exponents;
     seed goes into every row, and notes too if a string, else notes[t] into
     tree t's rows. Given a Forest, the table holds each tree's rows in turn,
-    each tree's rows as it gives them alone.
+    each tree's rows as it gives them alone; given one with root weights, the
+    rows of its one martingale.
 
     The sides are the table's columns at the levels; ||M_n||_p^2 and the
     squared sup are taken on scalars, the constants and the right-hand sides
@@ -229,6 +229,7 @@ def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
     table = ptree.moments(tree, p_values)
     levels = [ptree.check_level(n, tree.depth) for n in levels]
     ps = table.p
+    trees = len(table.lp) if table.lp.ndim == 3 else 1
     # each side as a ([tree,] level, p) array
     sides = np.array([table.lp, table.sup, table.quad, table.incr])[..., levels]
     lp, sup, quad, incr = sides.swapaxes(-1, -2)
@@ -255,68 +256,43 @@ def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
             constant[..., i] = c
     if not isinstance(notes, str):
         notes = list(notes)
-        if len(notes) != tree.trees:
+        if len(notes) != trees:
             raise PreconditionError(f"need one note per tree, got {len(notes)} for "
-                                    f"{tree.trees} trees")
-        notes = [note for note in notes for _ in range(lhs.size // tree.trees)]
+                                    f"{trees} trees")
+        notes = [note for note in notes for _ in range(lhs.size // trees)]
     return report_table(
-        [iid.value for iid in ids] * (tree.trees * len(levels) * len(ps)),
-        [p for p in ps for _ in ids] * (tree.trees * len(levels)),
-        [float(n) for n in levels for _ in range(len(ps) * len(ids))] * tree.trees,
+        [iid.value for iid in ids] * (trees * len(levels) * len(ps)),
+        [p for p in ps for _ in ids] * (trees * len(levels)),
+        [float(n) for n in levels for _ in range(len(ps) * len(ids))] * trees,
         lhs.ravel(), rhs.ravel(), constant.ravel(), seed=seed, notes=notes)
 
 
-Atom = tuple[float, Sequence[float]]
-
-
-@np.errstate(over="ignore")
-def _norm_pow_moment(atoms: Iterable[tuple[float, np.ndarray]], p: float) -> float:
-    # numpy norms and powers overflow to inf, which report_table refuses;
-    # float ** raises. A sum below the normal range from nonzero norms has
-    # lost its terms to underflow.
-    norms = [(q, np.linalg.norm(v)) for q, v in atoms]
-    total = float(sum(q * r ** p for q, r in norms))
-    if total < sys.float_info.min and any(r for _, r in norms):
-        raise DomainError(f"p={p:g}: the sides underflow a float (E||.||^p is "
-                          f"{total:.3g} from nonzero norms)")
-    return total
-
-
-def eval_rio_step(x_atoms: Sequence[Atom], y_given_x: Sequence[Sequence[Atom]],
+def eval_rio_step(x_atoms: Sequence[tuple[float, Sequence[float]]],
+                  y_given_x: Sequence[Sequence[tuple[float, Sequence[float]]]],
                   p, constant: float | None = None) -> InequalityReport:
-    """One-step bound ||X+Y||_p^2 <= ||X||_p^2 + (p-1) ||Y||_p^2.
+    """One-step bound ||X+Y||_p^2 <= ||X||_p^2 + (p-1) ||Y||_p^2: RIO-CHAIN at
+    level 1 on the Forest whose roots are the X atoms, weighted by their
+    probabilities, each with its Y|X atoms as children.
 
-    X is a finite distribution given as (prob, vector) atoms; y_given_x
-    holds, for each X atom, the conditional distribution of Y, which must
-    have zero mean (tolerance 1e-12). `constant` overrides p-1, which is
-    how negative controls with a deliberately too-small constant are run.
+    X is given as (prob, vector) atoms and y_given_x holds each X atom's
+    conditional Y distribution, which the forest checks as it checks a tree's
+    branches: a nonzero mean raises InvalidTreeError, a PreconditionError.
+    `constant`, a finite positive real, overrides p-1, as negative controls do.
     """
     p = as_exponent(p)
+    c = (BOUNDS[InequalityId.PROP1_MAIN].constant(p) if constant is None
+         else ptree.as_positive(constant, "constant"))
     if len(x_atoms) == 0 or len(x_atoms) != len(y_given_x):
         raise PreconditionError("need one conditional Y distribution per X atom")
-    xs = [(float(q), np.asarray(v, dtype=float)) for q, v in x_atoms]
-    qx = np.array([q for q, _ in xs])
-    if np.any(qx <= 0.0) or abs(qx.sum() - 1.0) > ptree.PROB_TOL:
-        raise PreconditionError("X atom probabilities must be positive and sum to 1")
-    joint: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for (q, x), cond in zip(xs, y_given_x):
-        cond = [(float(c), np.asarray(y, dtype=float)) for c, y in cond]
-        cp = np.array([c for c, _ in cond])
-        if len(cond) == 0 or np.any(cp <= 0.0) or abs(cp.sum() - 1.0) > ptree.PROB_TOL:
-            raise PreconditionError("conditional probabilities must be positive and sum to 1")
-        mean = sum(c * y for c, y in cond)
-        resid = float(np.linalg.norm(mean))
-        if resid > ptree.PROB_TOL:
-            raise PreconditionError(
-                f"conditional mean of Y must vanish; got norm {resid:.3g}")
-        joint.extend((q * c, x, y) for c, y in cond)
-    x_norm_sq = _norm_pow_moment(((q, x) for q, x in xs), p) ** (2.0 / p)
-    y_norm_sq = _norm_pow_moment(((w, y) for w, _, y in joint), p) ** (2.0 / p)
-    lhs = _norm_pow_moment(((w, x + y) for w, x, y in joint), p) ** (2.0 / p)
-    c = (BOUNDS[InequalityId.PROP1_MAIN].constant(p) if constant is None
-         else float(constant))
-    rhs = x_norm_sq + c * y_norm_sq
-    lhs, rhs, c = np.array([[lhs], [rhs], [c]], dtype=float)
+    ys = [atom for cond in y_given_x for atom in cond]
+    forest = ptree.Forest(
+        [x for _, x in x_atoms], np.repeat(np.arange(len(x_atoms)), list(map(len, y_given_x))),
+        ptree.as_float_array([q for q, _ in ys], "Y probabilities"),
+        ptree.as_float_array([y for _, y in ys], "Y atoms"), weights=[q for q, _ in x_atoms])
+    table = ptree.moments(forest, [p])
+    start_sq, incr_sq = table.incr[0, :2].tolist()   # ||X||_p^2, then plus ||Y||_p^2
+    lhs, rhs, c = np.array([[float(table.lp[0, 1]) ** 2],
+                            [start_sq + c * (incr_sq - start_sq)], [c]])
     return report_table([InequalityId.RIO_STEP.value], [p], [1.0], lhs, rhs, c)[0]
 
 

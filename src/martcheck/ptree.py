@@ -32,6 +32,7 @@ Conventions
 """
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -61,6 +62,13 @@ def as_exponent(p) -> float:
     return float(p)
 
 
+def as_positive(value, name: str) -> float:
+    """value as a float; only a finite positive real, not a bool, is admitted."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def as_int(value, name: str, error: type[Exception] = DomainError) -> int:
     """value as an int, for the counts, sizes, levels and seeds of the API.
 
@@ -80,6 +88,14 @@ def as_seed(seed) -> int:
     if seed < 0:
         raise DomainError("seed must be a non-negative integer")
     return seed
+
+
+def as_float_array(values, name: str) -> np.ndarray:
+    """values as a float array; ragged rows or non-numbers raise TreeStructureError."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise TreeStructureError(f"{name} must be numbers in rows of one length") from None
 
 
 @dataclass(frozen=True)
@@ -144,16 +160,19 @@ class Forest:
         of shapes (n,) and (n, d).
         Anything else raises TreeStructureError. A tree validates only if
         every node above the last level has a child.
+    weights : array-like of shape (trees,), optional
+        The law of M_0, positive and summing to 1 (else InvalidTreeError).
 
     The forest keeps the arrays roots first, as copies: parent (-1 at each
     root), prob (1 at each root) and incr (M_0 at each root). Level k holds
     nodes bounds[k] to bounds[k+1] - 1, and tree t's share of it nodes
     tree_bounds[k][t] to tree_bounds[k][t+1] - 1. Each tree's checks,
-    verdict, calculus and moments are those it has alone.
+    verdict, calculus and unweighted moments are those it has alone.
     """
 
-    def __init__(self, roots, parent: np.ndarray, prob: np.ndarray, incr: np.ndarray):
-        roots = np.array(roots, dtype=float)
+    def __init__(self, roots, parent: np.ndarray, prob: np.ndarray, incr: np.ndarray,
+                 weights=None):
+        roots = as_float_array(roots, "roots")
         if roots.ndim != 2 or 0 in roots.shape:
             raise TreeStructureError("roots must be a (trees, d) array with trees, d >= 1")
         trees, dim = roots.shape
@@ -167,6 +186,14 @@ class Forest:
                                      f"and ({n}, {dim})")
         if n and (parent[0] != 0 or np.diff(parent).min(initial=0) < 0):
             raise TreeStructureError("parent must start at 0 and never decrease")
+        if weights is not None:
+            weights = as_float_array(weights, "weights")
+            if weights.shape != (trees,):
+                raise TreeStructureError(f"weights must be one per tree, shape ({trees},)")
+            if not ((weights > 0.0).all() and abs(weights.sum() - 1.0) <= PROB_TOL):
+                raise InvalidTreeError("root weights must be positive and sum to 1, got "
+                                       f"{weights.tolist()}")
+        self.weights = weights
         self.parent = np.concatenate(([-1] * trees, parent))
         # per level, where each tree's share starts, then the level's end: the
         # next level is every node whose parent lies on the last level found,
@@ -233,8 +260,6 @@ class ProbTree(Forest):
     def __init__(self, m0: Sequence[float], parent: np.ndarray, prob: np.ndarray,
                  incr: np.ndarray):
         m0 = tuple(float(v) for v in m0)
-        if len(m0) == 0:
-            raise TreeStructureError("m0 must have dimension >= 1")
         super().__init__([m0], parent, prob, incr)
         self.m0 = m0
 
@@ -399,7 +424,8 @@ class Moments:
     for level k: lp[j, k] = ||M_k||_p, sup[j, k] = || max_{v <= k} ||M_v|| ||_p,
     quad[j, k] = || sum_{v <= k} ||d_v||^2 ||_{p/2} and
     incr[j, k] = sum_{v <= k} ||d_v||_p^2, the level-0 term being ||M_0||^2.
-    A forest's table puts the tree first: lp[t, j, k] is tree t's lp[j, k]."""
+    A forest's table puts the tree first, lp[t, j, k] being tree t's lp[j, k],
+    unless root weights pool its trees into one martingale's table."""
 
     p: tuple[float, ...]
     lp: np.ndarray
@@ -411,41 +437,45 @@ class Moments:
 @np.errstate(over="ignore")   # sums beyond the float range: exact reports refuse them
 def moments(forest: Forest, p_values: Sequence) -> Moments:
     """Reduce a valid forest's level calculus to its Moments table at every
-    exponent; a ProbTree's table has no tree axis.
+    exponent; a ProbTree's table, or a weighted forest's, has no tree axis.
 
     Each w * r ** e is taken once per forest, over all nodes (e a scalar
     exponent, so numpy keeps its ** 2.0 square). Each tree's share of each
     level is then summed with one .sum(axis=-1) over its slice, which sums
     every row pairwise exactly as a 1-D np.sum does; np.add.reduceat adds in
-    another order and would change bits. Every root (1/p, 1/p, 2/p and 2/p) is
-    then taken here, once, with float ** on its scalar sum. A sum below the
-    normal float range from norms that are not all 0 has lost its terms to
-    underflow: DomainError, for the first tree that has one."""
+    another order and would change bits. Root weights pool the trees' sums,
+    added in tree order by elementwise numpy, not BLAS, whose order varies by
+    build. Every root (1/p, 1/p, 2/p and 2/p) is then taken here, once, with
+    float ** on its scalar sum. A sum below the normal float range from norms
+    that are not all 0 has lost its terms to underflow: DomainError, for the
+    first tree (or pooled sum) that has one."""
     p = tuple(as_exponent(v) for v in p_values)
     calc = forest.calculus()
     cuts = forest.tree_bounds
-    shape = (4, forest.trees, len(p), forest.depth + 1)   # side, tree, exponent, level
     exps = (p, p, tuple(v / 2.0 for v in p), p)
     powers = np.empty((4, len(p), forest.bounds[-1]))   # m, sup, quad, d
     for side, row in enumerate(exps):
         for j, e in enumerate(row):
             powers[side, j] = calc.node_norms[side] ** e
     powers *= calc.node_probs
-    sums = np.empty(shape)
+    sums = np.empty((4, forest.trees, len(p), forest.depth + 1))   # side, tree, p, level
     for k, row in enumerate(cuts):
         for t, (a, b) in enumerate(zip(row, row[1:])):
             sums[:, t, :, k] = powers[:, :, a:b].sum(axis=-1)
+    if forest.weights is not None:   # one martingale, whose level spans every tree's share
+        sums = sum(s * w for s, w in zip(sums.swapaxes(0, 1), forest.weights))[:, None]
+        cuts = [(row[0], row[-1]) for row in cuts]
     # 0 or underflowed, tree by tree
     for t, side, j, k in np.argwhere(sums.transpose(1, 0, 2, 3) < sys.float_info.min).tolist():
         if calc.node_norms[side, cuts[k][t]:cuts[k][t + 1]].any():
             name = ("||M_n||^p", "(max ||M_v||)^p", "(sum ||d_v||^2)^(p/2)", "||d_n||^p")[side]
             raise DomainError(f"p={p[j]:g}: the sides underflow a float (E {name} at level "
                               f"{k} is {sums[side, t, j, k]:.3g} from nonzero norms)")
-    roots = [e / v for e in (1.0, 1.0, 2.0, 2.0) for _ in range(forest.trees) for v in p]
+    roots = [e / v for e in (1.0, 1.0, 2.0, 2.0) for _ in range(sums.shape[1]) for v in p]
     rows = sums.reshape(len(roots), forest.depth + 1).tolist()   # one per root
     lp, sup, quad, d_sq = np.array([s ** root for root, row in zip(roots, rows)
-                                    for s in row]).reshape(shape)
-    if isinstance(forest, ProbTree):
+                                    for s in row]).reshape(sums.shape)
+    if isinstance(forest, ProbTree) or forest.weights is not None:
         lp, sup, quad, d_sq = lp[0], sup[0], quad[0], d_sq[0]
     return Moments(p, lp, sup, quad, np.cumsum(d_sq, axis=-1))   # incr: left to right
 

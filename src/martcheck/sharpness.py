@@ -22,7 +22,7 @@ from . import ineq, ptree
 from .errors import (
     ConfigError, DomainError, MartcheckError, ResourceLimitError, refuse_overflow,
 )
-from .ptree import as_exponent, as_int, as_seed
+from .ptree import as_exponent, as_int, as_positive, as_seed
 
 SOUND_TOL = 1e-9
 COLLAPSE_DIAMETER = 1e-10
@@ -41,13 +41,6 @@ _AXES = {
 }
 FAMILY_TAGS = tuple(_AXES)
 METHODS = ("grid", "random", "nelder-mead")
-
-
-def _check_scale(name: str, v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {v!r}")
-    return v
 
 
 def _asym_moment_series(p: float, r: float, q: float) -> float:
@@ -69,7 +62,7 @@ def _asym_moment_series(p: float, r: float, q: float) -> float:
 def rio_gain(a, b, p) -> float:
     """Exact two-point gain for X = a constant, Y = +-b with probability 1/2:
     asym_two_point_gain(a, 2b, 1/2, p), with b and its width 2b checked first."""
-    b = _check_scale("b", b)
+    b = as_positive(b, "b")
     if 2.0 * b == math.inf:
         raise DomainError(f"b = {b!r}: the width 2b overflows a float")
     return asym_two_point_gain(a, 2.0 * b, 0.5, p)
@@ -84,8 +77,8 @@ def asym_two_point_gain(a, b, q, p) -> float:
     ||Y/b||_p^2 = (q(1-q)^p + (1-q)q^p)^(2/p) is taken as hi^2 (lo + hi
     (lo/hi)^p)^(2/p), lo <= hi being q and 1-q, which cannot underflow to 0."""
     p = as_exponent(p)
-    a = _check_scale("a", a)
-    b = _check_scale("b", b)
+    a = as_positive(a, "a")
+    b = as_positive(b, "b")
     q = float(q)
     if not sys.float_info.min <= q < 1.0:
         raise DomainError(f"q must lie in ]0,1[ and not be subnormal, got {q!r}")

@@ -1,5 +1,6 @@
 """Discrete inequality evaluators, the one-step bound and the Taylor bound."""
 import hashlib
+import itertools
 import json
 import math
 
@@ -13,15 +14,18 @@ import martcheck.ptree as ptree
 import martcheck.sharpness as sh
 from martcheck import (
     DomainError,
+    InvalidTreeError,
     LevelRangeError,
     MartcheckError,
     PreconditionError,
     ProbTree,
     QuadratureError,
+    TreeStructureError,
     constant_integrand,
     eval_continuous,
     parse_tree,
 )
+from rio_atoms import rio_step_atoms
 
 P_GRID = (2.0, 2.7, 4.0)
 
@@ -221,7 +225,7 @@ class TestRioStep:
         assert sh.rio_gain(1.0, 0.3, 1000) < 999.0
 
     def test_conditional_mean_must_vanish(self):
-        with pytest.raises(PreconditionError, match="conditional mean"):
+        with pytest.raises(PreconditionError, match="conditional increment mean"):
             ineq.eval_rio_step([(1.0, [0.0])], [[(1.0, [0.5])]], 2)
 
     def test_probabilities_checked(self):
@@ -234,6 +238,102 @@ class TestRioStep:
             ineq.eval_rio_step([], [], 2)
         with pytest.raises(PreconditionError):
             ineq.eval_rio_step([(1.0, [1.0])], [], 2)
+
+    def test_invalid_distribution_is_a_precondition(self):
+        """X probabilities are the forest's root weights, checked as it checks
+        them; an invalid tree is a failed distributional precondition."""
+        assert issubclass(InvalidTreeError, PreconditionError)
+        with pytest.raises(InvalidTreeError, match="root weights must be positive"):
+            ineq.eval_rio_step([(0.6, [1.0])], [[(0.5, [1]), (0.5, [-1])]], 2)
+
+    def test_empty_conditional_is_a_leaf(self):
+        """An X atom without Y atoms is a leaf above the last level."""
+        coin = [(0.5, [1.0]), (0.5, [-1.0])]
+        with pytest.raises(TreeStructureError, match="leaf at depth 0"):
+            ineq.eval_rio_step([(0.5, [1.0]), (0.5, [-1.0])], [coin, []], 2)
+        with pytest.raises(TreeStructureError):
+            ineq.eval_rio_step([(1.0, [1.0])], [[]], 2)
+
+    def test_ragged_atoms_refused(self):
+        """Atoms of mixed dimension raise TreeStructureError; they once
+        broadcast into a verdict ("violation", ratio 1.125)."""
+        coin = [(0.5, [1]), (0.5, [-1])]
+        for x_atoms, y_given_x in [
+                ([(0.5, [1.0]), (0.5, [1.0, 2.0])], [coin, coin]),
+                ([(1.0, [1.0])], [[(0.5, [1.0]), (0.5, [-1.0, 0.0])]]),
+                ([(1.0, [1.0])], [[(0.5, [1.0, 0.0]), (0.5, [-1.0, 0.0])]])]:
+            with pytest.raises(TreeStructureError):
+                ineq.eval_rio_step(x_atoms, y_given_x, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1, 0.0, "x", "3", True])
+    def test_constant_is_finite_positive(self, bad):
+        with pytest.raises(DomainError, match="constant must be positive and finite"):
+            ineq.eval_rio_step([(1.0, [1.0])], [[(0.5, [0.1]), (0.5, [-0.1])]], 4,
+                               constant=bad)
+
+    def test_one_atom_is_rio_chain(self):
+        """With one X atom the forest is the tree of X and its Y atoms, and
+        RIO-STEP reads RIO-CHAIN's level-1 sides bit for bit."""
+        step = ineq.eval_rio_step([(1.0, [1.0, 0.5])],
+                                  [[(0.25, [0.6, -0.3]), (0.75, [-0.2, 0.1])]], 3)
+        tree = ProbTree([1.0, 0.5], np.zeros(2, np.intp), np.array([0.25, 0.75]),
+                        np.array([[0.6, -0.3], [-0.2, 0.1]]))
+        chain = ineq.eval_discrete(tree, 1, 3, "RIO-CHAIN")
+        assert (step.lhs, step.rhs, step.constant) == (chain.lhs, chain.rhs, chain.constant)
+
+    def test_pooled_underflow_refused(self):
+        """Each tree's sums stay normal, but the X atom of weight 1e-300
+        pools ||X||^p to 0 from a nonzero norm: refused, not read as 0."""
+        with pytest.raises(DomainError, match="underflow a float"):
+            ineq.eval_rio_step([(1.0, [0.0]), (1e-300, [0.5])],
+                               [[(1.0, [0.0])], [(0.5, [0.1]), (0.5, [-0.1])]], 100)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0])
+    def test_two_point_gain_is_exact(self, p):
+        """X = a, Y = b(1-q) w.p. q, -bq w.p. 1-q: at the constant
+        asym_two_point_gain(a, b, q, p) both sides are equal."""
+        for a, r, q in itertools.product((0.5, 1.0, 3.0), (1e-2, 0.1, 1.0, 10.0),
+                                         (0.1, 0.3, 0.5, 0.9)):
+            b = a * r
+            gain = sh.asym_two_point_gain(a, b, q, p)
+            step = ineq.eval_rio_step([(1.0, [a])],
+                                      [[(q, [b * (1.0 - q)]), (1.0 - q, [-b * q])]],
+                                      p, constant=gain)
+            assert abs(step.ratio - 1.0) <= 1e-12
+
+    @given(st.data())
+    def test_matches_atom_reference(self, data):
+        """The forest form holds the atom-by-atom reference to 1e-15
+        relative, with its verdict."""
+        x_atoms, y_given_x, p = data.draw(rio_cases())
+        got = ineq.eval_rio_step(x_atoms, y_given_x, p)
+        want = rio_step_atoms(x_atoms, y_given_x, p)
+        assert got.lhs == pytest.approx(want.lhs, rel=1e-15, abs=0.0)
+        assert got.rhs == pytest.approx(want.rhs, rel=1e-15, abs=0.0)
+        assert (got.verdict, got.constant) == (want.verdict, want.constant)
+
+
+@st.composite
+def rio_cases(draw):
+    """(x_atoms, y_given_x, p): 1-4 X atoms of dimension 1-2, each with 1-4
+    Y|X atoms recentred to mean 0; probabilities from integer weights and
+    values on a quarter-unit grid, so no moment nears the float range's ends."""
+    dim = draw(st.integers(1, 2))
+
+    def atoms(n):
+        weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), float)
+        values = draw(st.lists(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim),
+                               min_size=n, max_size=n))
+        return weights / weights.sum(), np.array(values, float) / 4.0
+
+    qx, xs = atoms(draw(st.integers(1, 4)))
+    y_given_x = []
+    for _ in qx:
+        qy, ys = atoms(draw(st.integers(1, 4)))
+        ys -= (qy[:, None] * ys).sum(axis=0)
+        y_given_x.append(list(zip(qy.tolist(), ys.tolist())))
+    p = draw(st.sampled_from((2.0, 2.5, 3.0, 4.0, 8.0)))
+    return list(zip(qx.tolist(), xs.tolist())), y_given_x, p
 
 
 class TestTaylorPointwise:

@@ -602,6 +602,54 @@ def test_faulty_tree_mid_forest_raises_as_alone(bad):
     assert ratios == [eval_discrete(t, 2, p, "PROP1-MAIN").ratio for t in good]
 
 
+@given(trees(), st.lists(st.sampled_from(FOREST_PS), min_size=1, max_size=3))
+def test_weighted_forest_of_one_is_the_tree(tree, ps):
+    """A forest of one tree with root weight 1 gives the tree's Moments table
+    bit for bit, and eval_tree the tree's rows."""
+    forest = forest_of([tree], weights=[1.0])
+    table, alone = ptree.moments(forest, ps), ptree.moments(tree, ps)
+    for name in ("lp", "sup", "quad", "incr"):
+        assert getattr(table, name).tobytes() == getattr(alone, name).tobytes()
+    levels = range(tree.depth + 1)
+    rows = eval_tree(forest, levels, ps, DISCRETE_EVAL_IDS, notes=["one"])
+    assert rows.columns == eval_tree(tree, levels, ps, DISCRETE_EVAL_IDS, notes="one").columns
+
+
+def test_weights_pool_the_trees():
+    """Root weights make a forest one martingale with a random start: its
+    table has no tree axis and pools the trees' power sums. Two copies of a
+    tree at weight 1/2 are that tree; the walk started at +-1 is the walk
+    whose first step is +-1."""
+    tree = ptree.random_tree(3, 2, 5)
+    twice = ptree.moments(forest_of([tree, tree], weights=[0.5, 0.5]), FOREST_PS)
+    alone = ptree.moments(tree, FOREST_PS)
+    for name in ("lp", "sup", "quad", "incr"):
+        assert getattr(twice, name).tobytes() == getattr(alone, name).tobytes()
+    started = forest_of([ptree.symmetric_walk(2, m0=1.0), ptree.symmetric_walk(2, m0=-1.0)],
+                        weights=[0.5, 0.5])
+    table = ptree.moments(started, [2.0, 4.0])
+    walk = ptree.moments(ptree.symmetric_walk(3), [2.0, 4.0])
+    assert table.lp.shape == (2, 3)
+    np.testing.assert_allclose(table.lp, walk.lp[:, 1:], rtol=1e-15)
+
+
+@pytest.mark.parametrize("weights,error", [
+    ([1.0], TreeStructureError), ([[0.5, 0.5]], TreeStructureError),
+    (["a", "b"], TreeStructureError), ([0.5, 0.4], InvalidTreeError),
+    ([1.5, -0.5], InvalidTreeError), ([1.0, 0.0], InvalidTreeError),
+    ([float("nan"), 0.5], InvalidTreeError), ([float("inf"), 0.5], InvalidTreeError)])
+def test_weights_checked(weights, error):
+    """One root weight per tree, positive and summing to 1."""
+    with pytest.raises(error):
+        forest_of([coin(1.0), coin(-1.0)], weights=weights)
+
+
+def test_mixed_dimension_roots_refused():
+    with pytest.raises(TreeStructureError, match="roots must be numbers in rows of one length"):
+        ptree.Forest([[1.0], [1.0, 2.0]], np.array([0, 0, 1, 1]), np.full(4, 0.5),
+                     np.array([[1.0], [-1.0]] * 2))
+
+
 def test_width_index_replays_generator_integers():
     """Width indices read from raw words equal Generator.integers(0, nb)
     draws interleaved with Generator.random(k) on the same seed, nb == 1

@@ -53,9 +53,10 @@ def forest_tree(forest, t):
     return forest.incr[nodes[0]], own[forest.parent[rows]], forest.prob[rows], forest.incr[rows]
 
 
-def forest_of(trees):
-    """The Forest of ProbTrees of one depth and dimension: level by level,
-    each tree's level in turn, parents renumbered as forest node numbers."""
+def forest_of(trees, weights=None):
+    """The Forest of ProbTrees of one depth and dimension, with the root
+    weights given: level by level, each tree's level in turn, parents
+    renumbered as forest node numbers."""
     from martcheck.ptree import Forest
     blocks = [(k, i) for k in range(trees[0].depth + 1) for i in range(len(trees))]
     sizes = [trees[i].bounds[k + 1] - trees[i].bounds[k] for k, i in blocks]
@@ -72,4 +73,4 @@ def forest_of(trees):
                             + [renumber[i][trees[i].parent[s]] for i, s in rows])
     prob = np.concatenate([np.empty(0)] + [trees[i].prob[s] for i, s in rows])
     incr = np.concatenate([np.empty((0, trees[0].dim))] + [trees[i].incr[s] for i, s in rows])
-    return Forest([tree.m0 for tree in trees], parent, prob, incr)
+    return Forest([tree.m0 for tree in trees], parent, prob, incr, weights)
