@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
     QuadratureError,
     ResourceLimitError,
+    TreeStructureError,
     refuse_overflow,
 )
 from .ptree import ProbTree, as_exponent, as_int, as_seed
@@ -276,19 +277,26 @@ def eval_rio_step(x_atoms: Sequence[tuple[float, Sequence[float]]],
 
     X is given as (prob, vector) atoms and y_given_x holds each X atom's
     conditional Y distribution, which the forest checks as it checks a tree's
-    branches: a nonzero mean raises InvalidTreeError, a PreconditionError.
-    `constant`, a finite positive real, overrides p-1, as negative controls do.
+    branches: a nonzero mean raises InvalidTreeError, a PreconditionError,
+    naming the X atom by its index. An X atom with no Y atoms is a leaf above
+    the last level: TreeStructureError. `constant`, a finite positive real,
+    overrides p-1, as negative controls do.
     """
     p = as_exponent(p)
     c = (BOUNDS[InequalityId.PROP1_MAIN].constant(p) if constant is None
          else ptree.as_positive(constant, "constant"))
     if len(x_atoms) == 0 or len(x_atoms) != len(y_given_x):
         raise PreconditionError("need one conditional Y distribution per X atom")
+    sizes = list(map(len, y_given_x))
+    if 0 in sizes:
+        raise TreeStructureError(f"X atom {sizes.index(0)} has no Y atoms: a leaf at depth 0 "
+                                 "above the last level")
     ys = [atom for cond in y_given_x for atom in cond]
     forest = ptree.Forest(
-        [x for _, x in x_atoms], np.repeat(np.arange(len(x_atoms)), list(map(len, y_given_x))),
+        [x for _, x in x_atoms], np.repeat(np.arange(len(x_atoms)), sizes),
         ptree.as_float_array([q for q, _ in ys], "Y probabilities"),
         ptree.as_float_array([y for _, y in ys], "Y atoms"), weights=[q for q, _ in x_atoms])
+    forest.require_valid("X atom")
     table = ptree.moments(forest, [p])
     start_sq, incr_sq = table.incr[0, :2].tolist()   # ||X||_p^2, then plus ||Y||_p^2
     lhs, rhs, c = np.array([[float(table.lp[0, 1]) ** 2],

@@ -167,7 +167,8 @@ class Forest:
     root), prob (1 at each root) and incr (M_0 at each root). Level k holds
     nodes bounds[k] to bounds[k+1] - 1, and tree t's share of it nodes
     tree_bounds[k][t] to tree_bounds[k][t+1] - 1. Each tree's checks,
-    verdict, calculus and unweighted moments are those it has alone.
+    verdict, calculus and unweighted moments are those it has alone; the
+    error of a tree that fails its checks also names it by its index.
     """
 
     def __init__(self, roots, parent: np.ndarray, prob: np.ndarray, incr: np.ndarray,
@@ -223,15 +224,17 @@ class Forest:
             self._verdicts = _validate(self)
         return self._verdicts[tree]
 
-    def require_valid(self) -> None:
-        """Raise what the first tree that fails validation raises alone."""
+    def require_valid(self, name: str = "tree") -> None:
+        """Raise what the first tree that fails validation raises alone; in a
+        forest of more than one, the message names it: `name` and its index."""
         for tree in range(self.trees):
             verdict = self.validate(tree)
             if verdict.ok:
                 continue
+            which = f"{name} {tree}: " if self.trees > 1 else ""
             if any(v.kind == "structure" for v in verdict.violations):
-                raise TreeStructureError(f"malformed tree: {verdict.summary()}")
-            raise InvalidTreeError(f"invalid tree: {verdict.summary()}", verdict)
+                raise TreeStructureError(f"malformed tree: {which}{verdict.summary()}")
+            raise InvalidTreeError(f"invalid tree: {which}{verdict.summary()}", verdict)
 
     def calculus(self) -> "_LevelCalc":
         self.require_valid()

@@ -13,17 +13,21 @@ cache-sized row chunks, in order, from its generator, which gives exactly
 the normals of one draw of the whole block, and holds a chunk's W and
 increments of X component-major. The blocks run on a thread pool with one
 worker per CPU the process may use (its CPU affinity), and the calling
-thread merges each block's rows in block order. The block decomposition
-and all reduction orders are algorithm constants, so the bits do not
-depend on the chunk size, the worker count or the order in which blocks
-finish. One simulation serves every inequality id and exponent of a run.
+thread merges each block's rows in block order. A run of fewer blocks than
+CPUs draws each block's next chunk on a helper thread while the block
+reduces the current one. The block decomposition and all reduction orders
+are algorithm constants, so the bits do not depend on the chunk size, the
+worker count, the draw-ahead or the order in which blocks finish. One
+simulation serves every inequality id and exponent of a run.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
+import queue
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -206,7 +210,9 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     # scales dW in place; over its steps, the widest rule's f^j and f^j dW^j
     # or |f^j|^2 (2d; CONST: d, or none in place). Then a norm over d > 1
     # components holds X, its square and two arrays of norms. The kernel
-    # holds all of these but g for one row chunk of paths at a time.
+    # holds all of these but g for one row chunk of paths at a time, and a
+    # block that draws ahead one more chunk of dW, half its paths at most
+    # (rounded up).
     own = 0 if d == m == 1 else d
     rule = max(((e.stop - e.start) * (2 * d if e.rule.kind != "const" else own)
                 for e in spec.entries), default=0) / spec.steps
@@ -226,14 +232,18 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     return block_bytes, room
 
 
+def _cpus() -> int:
+    """CPUs this process may use: its CPU affinity, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _workers(blocks: int, block_bytes: int, room: int = BLOCK_MEMORY_BUDGET) -> int:
     """Threads for a run: one per CPU this process may use, at most one per
     block, and no more blocks in flight than room bytes hold."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(blocks, cpus, room // block_bytes))
+    return max(1, min(blocks, _cpus(), room // block_bytes))
 
 
 def grid_index(spec: IntegrandSpec, t: float) -> int:
@@ -286,20 +296,18 @@ def _sum_squares(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add.reduce(squares, axis=-1, out=out)
 
 
-def _chunk(spec: IntegrandSpec, gen: np.random.Generator, rows: int, stop: int,
+def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int,
            g: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the next `rows` paths of a block from its generator and reduce
-    them: add their sum_j ||f^j||^2 into g (their rows of the block's g; for
-    a constant integrand its one row, or None once it is filled) and return
-    their x_stop and sup_norm rows.
+    """Reduce the next paths of a block, given their Wiener increments dW
+    (rows, steps, m), which it may overwrite: add their sum_j ||f^j||^2 into
+    g (their rows of the block's g; for a constant integrand its one row, or
+    None once it is filled) and return their x_stop and sup_norm rows.
 
     W and the increments of X are held component-major, (m or d, rows,
     steps), so each rule adds f_q dW^j into contiguous slices and the sums
     along the steps run on contiguous rows; dW keeps the layout it is drawn
-    in, (rows, steps, m), and is read in strides."""
-    S, m, d = spec.steps, spec.wiener_dim, spec.dim
-    dw = gen.standard_normal((rows, S, m))
-    dw *= math.sqrt(spec.dt)
+    in and is read in strides."""
+    (rows, S, m), d = dw.shape, spec.dim
     wn = None
     if spec.needs_wiener:
         wn = np.empty((m, rows, S + 1))
@@ -343,9 +351,54 @@ def _chunk(spec: IntegrandSpec, gen: np.random.Generator, rows: int, stop: int,
     return x_stop, norms.max(axis=1, initial=0.0)
 
 
+def _draw_chunks(gen: np.random.Generator, shape: tuple[int, int, int], total: int,
+                 scale: float, reduce, ahead: bool) -> None:
+    """Draw rows 0..total of a block from gen in chunks of shape[0] rows, in
+    order, into a preallocated buffer, scale each in place and pass it to
+    reduce(first row, chunk), which may overwrite it. Given ahead, a helper
+    thread alone draws the next chunk, into a second buffer, while reduce
+    runs; it is joined before an error of either thread propagates. The
+    normals are those of one draw of the whole block either way."""
+    bufs = [np.empty(shape) for _ in range(1 + ahead)]
+    starts = range(0, total, shape[0])
+
+    def draw(i: int) -> np.ndarray:
+        dw = gen.standard_normal(out=bufs[i % len(bufs)][:total - starts[i]])
+        dw *= scale
+        return dw
+
+    if not ahead:
+        for i, r in enumerate(starts):
+            reduce(r, draw(i))
+        return
+    free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def fill() -> None:   # chunk i >= 2 once reduce is done with chunk i - 2
+        try:
+            for i in range(len(starts)):
+                if i >= 2 and not free.get():
+                    return
+                drawn.put(draw(i))
+        except BaseException as exc:
+            drawn.put(exc)
+
+    helper = threading.Thread(target=fill, name="martcheck-mc-draw")
+    helper.start()
+    try:
+        for r in starts:
+            dw = drawn.get()
+            if isinstance(dw, BaseException):
+                raise dw
+            reduce(r, dw)
+            free.put(True)
+    finally:
+        free.put(False)
+        helper.join()
+
+
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
 def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
-           half_powers: tuple[float, ...], b: int):
+           half_powers: tuple[float, ...], ahead: bool, b: int):
     """Simulate path block b and reduce it to its rows of the batch.
 
     Returns (lo, hi, x_stop rows, sup_norm rows, riemann rows, zakai,
@@ -359,9 +412,11 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     and reduced in row chunks of _chunk_rows(spec), in order, from the
     block's generator; consecutive draws give the normals of one draw of the
     whole block, and every sum runs in the order a whole-block pass takes,
-    so the bits do not depend on the chunk size. The block allocates only
-    its own arrays and writes no shared state, and sets its own numpy error
-    state, which worker threads do not inherit.
+    so the bits do not depend on the chunk size. Given ahead, a block of two
+    or more chunks draws them on a helper thread (see _draw_chunks), which
+    changes no bit either. The block allocates only its own arrays and
+    writes no shared state, and sets its own numpy error state, which worker
+    threads do not inherit.
     """
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
@@ -373,11 +428,15 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     sup_norm = np.empty(bsz)
     chunks = -(-bsz // _chunk_rows(spec))
     rows = -(-bsz // chunks)   # chunks of even sizes, no short last one
-    for r in range(0, bsz, rows):
-        n = min(rows, bsz - r)
+
+    def reduce(r: int, dw: np.ndarray) -> None:
+        rs = slice(r, r + len(dw))
         # a constant integrand's one row of g is filled by the first chunk
-        x_stop[r:r + n], sup_norm[r:r + n] = _chunk(
-            spec, gen, n, stop, g[r:r + n] if spec.needs_wiener else g if r == 0 else None)
+        x_stop[rs], sup_norm[rs] = _chunk(
+            spec, dw, stop, g[rs] if spec.needs_wiener else g if r == 0 else None)
+
+    _draw_chunks(gen, (rows, spec.steps, spec.wiener_dim), bsz, math.sqrt(spec.dt),
+                 reduce, ahead and chunks > 1)
     riemann = g[..., :stop].sum(axis=-1) * spec.dt
 
     zakai = []
@@ -407,7 +466,8 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     Statistics are taken at/up to time t (default: the horizon), which must
     lie on the grid. Given exponents p, the batch also carries the ZAKAI rows
     of each, the bits a run given it alone computes. Deterministic for fixed
-    (spec, paths, seed, t, p), whatever the number of worker threads.
+    (spec, paths, seed, t, p), whatever the number of worker threads and
+    whether blocks draw ahead.
     """
     p = tuple(as_exponent(v) for v in p)
     stop = spec.steps if t is None else grid_index(spec, t)
@@ -432,7 +492,9 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
                 np.logical_or(g_positive, positive, out=g_positive)
 
     blocks = -(-paths // BLOCK_PATHS)
-    run = functools.partial(_block, spec, paths, seed, stop, tuple(v / 2.0 for v in p))
+    # a block draws its next chunk on a helper thread while a CPU would idle
+    run = functools.partial(_block, spec, paths, seed, stop, tuple(v / 2.0 for v in p),
+                            blocks < _cpus())
     workers = _workers(blocks, block_bytes, room)
     if workers <= 1:
         merge(map(run, range(blocks)))

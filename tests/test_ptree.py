@@ -588,7 +588,8 @@ def faulty_trees():
 @pytest.mark.parametrize("bad", faulty_trees())
 def test_faulty_tree_mid_forest_raises_as_alone(bad):
     """A tree that raises alone raises the same exception and message from the
-    middle of a forest of valid trees, whose own reports are untouched."""
+    middle of a forest of valid trees, whose own reports are untouched; a
+    validation message also names the tree."""
     p = 4.0
     with pytest.raises(MartcheckError) as alone:
         eval_tree(bad, [bad.depth], [p], ["PROP1-MAIN"])
@@ -596,7 +597,7 @@ def test_faulty_tree_mid_forest_raises_as_alone(bad):
     forest = forest_of(good[:2] + [bad] + good[2:])
     with pytest.raises(type(alone.value)) as mid:
         eval_tree(forest, [forest.depth], [p], ["PROP1-MAIN"])
-    assert str(mid.value) == str(alone.value)
+    assert str(mid.value) == str(alone.value).replace("tree: ", "tree: tree 2: ", 1)
     assert forest.validate(2) == bad.validate()
     ratios = eval_tree(forest_of(good), [2], [p], ["PROP1-MAIN"]).columns["ratio"]
     assert ratios == [eval_discrete(t, 2, p, "PROP1-MAIN").ratio for t in good]
@@ -642,6 +643,23 @@ def test_weights_checked(weights, error):
     """One root weight per tree, positive and summing to 1."""
     with pytest.raises(error):
         forest_of([coin(1.0), coin(-1.0)], weights=weights)
+
+
+def test_validation_error_names_the_tree():
+    """A forest of several trees names the one that fails; a tree alone, or
+    a forest of one, keeps the message without a name."""
+    bad = one_step((0.0,), (0.5, (1.0,)), (0.5, (0.5,)))
+    message = "invalid tree: conditional increment mean has norm 0.75 at ()"
+    for forest in (bad, forest_of([bad])):
+        with pytest.raises(InvalidTreeError) as exc:
+            forest.require_valid()
+        assert str(exc.value) == message
+    with pytest.raises(InvalidTreeError) as exc:
+        forest_of([coin(), bad]).require_valid("X atom")
+    assert str(exc.value) == message.replace("tree: ", "tree: X atom 1: ")
+    childless = rows_tree((0.0,), [0, 0, 1, 1], [0.5] * 4, [[1.0], [-1.0], [1.0], [-1.0]])
+    with pytest.raises(TreeStructureError, match=r"^malformed tree: tree 1: leaf at depth 1 "):
+        forest_of([ptree.symmetric_walk(2), childless]).require_valid()
 
 
 def test_mixed_dimension_roots_refused():

@@ -277,7 +277,10 @@ class TestSimulate:
                                              steps, p):
         """Given exponents, the memory one run traces stays below the block
         bytes plus the per-run output bytes (ZAKAI rows of every exponent
-        included) that simulate's preflight counted."""
+        included) that simulate's preflight counted. The block draws ahead,
+        so its second dW buffer, allocated by the helper thread, is traced
+        too; without draw-ahead it holds one buffer less."""
+        monkeypatch.setattr(wmc, "_cpus", lambda: 1 << 10)
         spec = load_spec(zoo, name)
         if steps is not None:
             scale = steps // spec.steps
@@ -318,6 +321,26 @@ class TestSimulate:
         monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes, room: 3)
         with pytest.raises(BlockFailure):
             simulate(constant_integrand(1.0, steps=8), 6 * 1024, seed=1)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("martcheck-mc") and t.is_alive()]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_chunk_error_stops_draw_ahead(self, monkeypatch, error):
+        """An error in the third chunk of a one-block run that draws ahead
+        reaches the caller, and the helper thread is joined before it does."""
+        real, calls = wmc._chunk, []
+
+        def failing(*args):
+            calls.append([t.name for t in threading.enumerate()])
+            if len(calls) == 3:
+                raise error("chunk 3")
+            return real(*args)
+
+        monkeypatch.setattr(wmc, "_chunk", failing)
+        monkeypatch.setattr(wmc, "_cpus", lambda: 2)
+        with pytest.raises(error, match="chunk 3"):
+            simulate(constant_integrand(1.0, steps=1024), 1024, seed=1)
+        assert len(calls) == 3 and "martcheck-mc-draw" in calls[2]
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("martcheck-mc") and t.is_alive()]
 
@@ -433,11 +456,20 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("rows", [1, 37, wmc.BLOCK_PATHS])
     def test_chunk_rows_do_not_change_bits(self, zoo, monkeypatch, rows, workers):
         """Blocks drawn and reduced in chunks of 1, 37 or 1024 rows give the
-        pinned bits, on one worker thread or eight."""
+        pinned bits: on one worker thread with every block drawing ahead on
+        a helper thread (fewer blocks than CPUs), thread switches forced
+        often, and on eight worker threads drawing on their own."""
+        ahead = workers == 1
         monkeypatch.setattr(wmc, "_chunk_rows", lambda spec: rows)
         monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes, room: workers)
-        assert simulate_digest(frozen_cases(zoo)) == FROZEN_SIMULATE_DIGEST
-        assert simulate_digest(wide_cases()) == WIDE_SIMULATE_DIGEST
+        monkeypatch.setattr(wmc, "_cpus", lambda: 1 << 10 if ahead else 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if ahead else interval)
+        try:
+            digests = simulate_digest(frozen_cases(zoo)), simulate_digest(wide_cases())
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == (FROZEN_SIMULATE_DIGEST, WIDE_SIMULATE_DIGEST)
 
     def test_chunk_rows_sized_and_clamped(self, zoo):
         """A chunk's (paths, steps) arrays, at most 16 of them counted, hold at
