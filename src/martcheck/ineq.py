@@ -277,10 +277,9 @@ def eval_rio_step(x_atoms: Sequence[tuple[float, Sequence[float]]],
 
     X is given as (prob, vector) atoms and y_given_x holds each X atom's
     conditional Y distribution, which the forest checks as it checks a tree's
-    branches: a nonzero mean raises InvalidTreeError, a PreconditionError,
-    naming the X atom by its index. An X atom with no Y atoms is a leaf above
-    the last level: TreeStructureError. `constant`, a finite positive real,
-    overrides p-1, as negative controls do.
+    branches: a nonzero mean raises InvalidTreeError, a PreconditionError
+    naming the X atom; an X atom with no Y atoms raises TreeStructureError.
+    `constant`, a finite positive real, overrides p-1, as negative controls do.
     """
     p = as_exponent(p)
     c = (BOUNDS[InequalityId.PROP1_MAIN].constant(p) if constant is None

@@ -13,21 +13,19 @@ cache-sized row chunks, in order, from its generator, which gives exactly
 the normals of one draw of the whole block, and holds a chunk's W and
 increments of X component-major. The blocks run on a thread pool with one
 worker per CPU the process may use (its CPU affinity), and the calling
-thread merges each block's rows in block order. A run of fewer blocks than
-CPUs draws each block's next chunk on a helper thread while the block
-reduces the current one. The block decomposition and all reduction orders
-are algorithm constants, so the bits do not depend on the chunk size, the
-worker count, the draw-ahead or the order in which blocks finish. One
-simulation serves every inequality id and exponent of a run.
+thread merges each block's rows in block order; if a CPU is left free for
+each worker, a helper thread draws a block's next chunk as it reduces one.
+The block decomposition and all reduction orders are algorithm constants,
+so the bits do not depend on the chunk size, the worker count, the helper
+or the order in which blocks finish. One simulation serves every
+inequality id and exponent of a run.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
-import queue
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -210,9 +208,8 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     # scales dW in place; over its steps, the widest rule's f^j and f^j dW^j
     # or |f^j|^2 (2d; CONST: d, or none in place). Then a norm over d > 1
     # components holds X, its square and two arrays of norms. The kernel
-    # holds all of these but g for one row chunk of paths at a time, and a
-    # block that draws ahead one more chunk of dW, half its paths at most
-    # (rounded up).
+    # holds all of these but g for one row chunk of paths at a time; a block
+    # drawing ahead, one dW chunk more, of at most half its paths (rounded up).
     own = 0 if d == m == 1 else d
     rule = max(((e.stop - e.start) * (2 * d if e.rule.kind != "const" else own)
                 for e in spec.entries), default=0) / spec.steps
@@ -351,51 +348,6 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int,
     return x_stop, norms.max(axis=1, initial=0.0)
 
 
-def _draw_chunks(gen: np.random.Generator, shape: tuple[int, int, int], total: int,
-                 scale: float, reduce, ahead: bool) -> None:
-    """Draw rows 0..total of a block from gen in chunks of shape[0] rows, in
-    order, into a preallocated buffer, scale each in place and pass it to
-    reduce(first row, chunk), which may overwrite it. Given ahead, a helper
-    thread alone draws the next chunk, into a second buffer, while reduce
-    runs; it is joined before an error of either thread propagates. The
-    normals are those of one draw of the whole block either way."""
-    bufs = [np.empty(shape) for _ in range(1 + ahead)]
-    starts = range(0, total, shape[0])
-
-    def draw(i: int) -> np.ndarray:
-        dw = gen.standard_normal(out=bufs[i % len(bufs)][:total - starts[i]])
-        dw *= scale
-        return dw
-
-    if not ahead:
-        for i, r in enumerate(starts):
-            reduce(r, draw(i))
-        return
-    free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def fill() -> None:   # chunk i >= 2 once reduce is done with chunk i - 2
-        try:
-            for i in range(len(starts)):
-                if i >= 2 and not free.get():
-                    return
-                drawn.put(draw(i))
-        except BaseException as exc:
-            drawn.put(exc)
-
-    helper = threading.Thread(target=fill, name="martcheck-mc-draw")
-    helper.start()
-    try:
-        for r in starts:
-            dw = drawn.get()
-            if isinstance(dw, BaseException):
-                raise dw
-            reduce(r, dw)
-            free.put(True)
-    finally:
-        free.put(False)
-        helper.join()
-
-
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
 def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
            half_powers: tuple[float, ...], ahead: bool, b: int):
@@ -413,10 +365,10 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     block's generator; consecutive draws give the normals of one draw of the
     whole block, and every sum runs in the order a whole-block pass takes,
     so the bits do not depend on the chunk size. Given ahead, a block of two
-    or more chunks draws them on a helper thread (see _draw_chunks), which
-    changes no bit either. The block allocates only its own arrays and
-    writes no shared state, and sets its own numpy error state, which worker
-    threads do not inherit.
+    or more chunks has a helper thread alone draw each next chunk, into the
+    other of two buffers, while it reduces one; no bit changes either. The block
+    allocates only its own arrays and writes no shared state, and sets its
+    own numpy error state, which worker threads do not inherit.
     """
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
@@ -428,15 +380,30 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     sup_norm = np.empty(bsz)
     chunks = -(-bsz // _chunk_rows(spec))
     rows = -(-bsz // chunks)   # chunks of even sizes, no short last one
+    starts, ahead = range(0, bsz, rows), ahead and chunks > 1
+    bufs = [np.empty((rows, spec.steps, spec.wiener_dim)) for _ in range(1 + ahead)]
 
-    def reduce(r: int, dw: np.ndarray) -> None:
-        rs = slice(r, r + len(dw))
+    def draw(i: int) -> np.ndarray:
+        dw = gen.standard_normal(out=bufs[i % len(bufs)][:bsz - starts[i]])
+        return np.multiply(dw, math.sqrt(spec.dt), out=dw)
+
+    def reduce(i: int, dw: np.ndarray) -> None:
+        rs = slice(starts[i], starts[i] + len(dw))
         # a constant integrand's one row of g is filled by the first chunk
         x_stop[rs], sup_norm[rs] = _chunk(
-            spec, dw, stop, g[rs] if spec.needs_wiener else g if r == 0 else None)
+            spec, dw, stop, g[rs] if spec.needs_wiener else g if i == 0 else None)
 
-    _draw_chunks(gen, (rows, spec.steps, spec.wiener_dim), bsz, math.sqrt(spec.dt),
-                 reduce, ahead and chunks > 1)
+    if not ahead:
+        for i in range(len(starts)):
+            reduce(i, draw(i))
+    else:
+        from concurrent.futures import ThreadPoolExecutor   # as in simulate
+        with ThreadPoolExecutor(1, thread_name_prefix="martcheck-mc-draw") as helper:
+            drawn = helper.submit(draw, 0)
+            for i in range(len(starts)):   # chunk i + 1 goes where chunk i - 1 was
+                ready, drawn = drawn, helper.submit(draw, i + 1) if i + 1 < len(starts) else None
+                reduce(i, ready.result())
+    bufs = ready = drawn = None   # no dW is held past the chunks
     riemann = g[..., :stop].sum(axis=-1) * spec.dt
 
     zakai = []
@@ -466,8 +433,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     Statistics are taken at/up to time t (default: the horizon), which must
     lie on the grid. Given exponents p, the batch also carries the ZAKAI rows
     of each, the bits a run given it alone computes. Deterministic for fixed
-    (spec, paths, seed, t, p), whatever the number of worker threads and
-    whether blocks draw ahead.
+    (spec, paths, seed, t, p), whatever threads run it.
     """
     p = tuple(as_exponent(v) for v in p)
     stop = spec.steps if t is None else grid_index(spec, t)
@@ -492,15 +458,15 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
                 np.logical_or(g_positive, positive, out=g_positive)
 
     blocks = -(-paths // BLOCK_PATHS)
-    # a block draws its next chunk on a helper thread while a CPU would idle
-    run = functools.partial(_block, spec, paths, seed, stop, tuple(v / 2.0 for v in p),
-                            blocks < _cpus())
     workers = _workers(blocks, block_bytes, room)
+    # a block draws its next chunk on a helper thread if a CPU is left for it
+    run = functools.partial(_block, spec, paths, seed, stop, tuple(v / 2.0 for v in p),
+                            2 * workers <= _cpus())
     if workers <= 1:
         merge(map(run, range(blocks)))
     else:
-        # imported on first use: a process that never runs a multi-block
-        # batch does not pay the module's resident memory
+        # imported on first use: a process that never starts a thread does
+        # not pay the module's resident memory
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers,

@@ -247,24 +247,22 @@ class TestRioStep:
             ineq.eval_rio_step([(0.6, [1.0])], [[(0.5, [1]), (0.5, [-1])]], 2)
 
     def test_empty_conditional_is_a_leaf(self):
-        """An X atom without Y atoms is a leaf above the last level."""
+        """An X atom without Y atoms is a leaf above the last level, refused
+        by its index before any forest is built."""
         coin = [(0.5, [1.0]), (0.5, [-1.0])]
-        with pytest.raises(TreeStructureError, match="leaf at depth 0"):
+        with pytest.raises(TreeStructureError,
+                           match="^X atom 1 has no Y atoms: a leaf at depth 0"):
             ineq.eval_rio_step([(0.5, [1.0]), (0.5, [-1.0])], [coin, []], 2)
-        with pytest.raises(TreeStructureError):
+        with pytest.raises(TreeStructureError,
+                           match="^X atom 0 has no Y atoms: a leaf at depth 0"):
             ineq.eval_rio_step([(1.0, [1.0])], [[]], 2)
 
     def test_errors_name_the_x_atom(self):
-        """A failing X atom is named by its index: its Y|X law's error, and
-        an empty Y|X list, refused before any forest is built."""
+        """An X atom whose Y|X law fails its checks is named by its index."""
         coin = [(0.5, [1]), (0.5, [-1])]
         with pytest.raises(PreconditionError, match=r"^invalid tree: X atom 1: "
                            r"conditional increment mean has norm 0.3 at \(\)$"):
             ineq.eval_rio_step([(0.5, [1.0]), (0.5, [2.0])], [coin, [(1.0, [0.3])]], 2)
-        for y_given_x, atom in (([[]], 0), ([coin, [], []], 1)):
-            with pytest.raises(TreeStructureError, match=f"^X atom {atom} has no Y atoms"):
-                ineq.eval_rio_step([(1.0 / len(y_given_x), [0.0])] * len(y_given_x),
-                                   y_given_x, 2)
 
     def test_ragged_atoms_refused(self):
         """Atoms of mixed dimension raise TreeStructureError; they once

@@ -340,9 +340,26 @@ class TestSimulate:
         monkeypatch.setattr(wmc, "_cpus", lambda: 2)
         with pytest.raises(error, match="chunk 3"):
             simulate(constant_integrand(1.0, steps=1024), 1024, seed=1)
-        assert len(calls) == 3 and "martcheck-mc-draw" in calls[2]
+        assert len(calls) == 3 and any(n.startswith("martcheck-mc-draw") for n in calls[2])
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("martcheck-mc") and t.is_alive()]
+
+    @pytest.mark.parametrize("paths, cpus, helper", [
+        (1024, 1, False), (1024, 2, True), (2048, 2, False), (2048, 4, True),
+        (3072, 4, False)])
+    def test_draw_ahead_only_on_a_free_cpu(self, monkeypatch, paths, cpus, helper):
+        """Blocks draw ahead only if the CPUs leave one free for each worker:
+        one block on two CPUs does, two blocks on two or three on four do not."""
+        real, names = wmc._chunk, set()
+
+        def spy(*args):
+            names.update(t.name for t in threading.enumerate())
+            return real(*args)
+
+        monkeypatch.setattr(wmc, "_chunk", spy)
+        monkeypatch.setattr(wmc, "_cpus", lambda: cpus)
+        simulate(constant_integrand(1.0, steps=1024), paths, seed=1)
+        assert any(n.startswith("martcheck-mc-draw") for n in names) == helper
 
     def test_sign_at_zero_start(self):
         # W(t_0) = 0 and sign(0) = 0, so a single-step SIGN integral is 0
@@ -457,7 +474,7 @@ class TestChunkedKernel:
     def test_chunk_rows_do_not_change_bits(self, zoo, monkeypatch, rows, workers):
         """Blocks drawn and reduced in chunks of 1, 37 or 1024 rows give the
         pinned bits: on one worker thread with every block drawing ahead on
-        a helper thread (fewer blocks than CPUs), thread switches forced
+        a helper thread (a CPU left free for it), thread switches forced
         often, and on eight worker threads drawing on their own."""
         ahead = workers == 1
         monkeypatch.setattr(wmc, "_chunk_rows", lambda spec: rows)
