@@ -11,10 +11,12 @@ of a run with seed s draws from Philox keyed by
 SeedSequence(entropy=s, spawn_key=(10, b)). A block draws its paths in
 cache-sized row chunks, in order, from its generator, which gives exactly
 the normals of one draw of the whole block, and holds a chunk's W and
-increments of X component-major. The blocks run on a thread pool with one
-worker per CPU the process may use (its CPU affinity), and the calling
-thread merges each block's rows in block order; if a CPU is left free for
-each worker, a helper thread draws a block's next chunk as it reduces one.
+increments of X component-major. Each chunk reduces its own paths, its
+rows of g = sum_j ||f^j||^2 included, in arrays the block allocates once
+and reuses. The blocks run on a thread pool with one worker per CPU the
+process may use (its CPU affinity), and the calling thread merges each
+block's rows in block order; if a CPU is left free for each worker, a
+helper thread draws a block's next chunk as it reduces one.
 The block decomposition and all reduction orders are algorithm constants,
 so the bits do not depend on the chunk size, the worker count, the helper
 or the order in which blocks finish. One simulation serves every
@@ -80,7 +82,9 @@ class IntegrandSpec:
     steps: number S of grid steps; grid times are i * T / S.
     entries: rules; (step, j) cells not covered by any entry are zero.
     Derived: per_j, the entries of each component that has any, by start
-    step, components in order; needs_wiener, whether any rule reads W.
+    step, components in order; needs_wiener, whether any rule reads W;
+    widest, the most steps a CONST rule and a LIN or SIGN rule cover (0 if
+    there is none).
     """
 
     dim: int
@@ -90,6 +94,7 @@ class IntegrandSpec:
     entries: tuple[RuleEntry, ...]
     per_j: tuple[tuple[RuleEntry, ...], ...] = field(init=False, repr=False, compare=False)
     needs_wiener: bool = field(init=False, repr=False, compare=False)
+    widest: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dim", "wiener_dim", "steps"):
@@ -99,6 +104,7 @@ class IntegrandSpec:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise DomainError("horizon must be positive and finite")
         per_j: dict[int, list[RuleEntry]] = {}
+        widest = [0, 0]
         for e in self.entries:
             if e.rule.kind not in RULE_KINDS:
                 raise DomainError(f"unknown rule kind {e.rule.kind!r}")
@@ -112,14 +118,16 @@ class IntegrandSpec:
             if not 0 <= e.start < e.stop <= self.steps:
                 raise DomainError(f"step range [{e.start},{e.stop}) outside the grid")
             per_j.setdefault(e.j, []).append(e)
+            reads_w = e.rule.kind != "const"
+            widest[reads_w] = max(widest[reads_w], e.stop - e.start)
         for j, lst in per_j.items():
             lst.sort(key=lambda e: e.start)
             for prev, nxt in zip(lst, lst[1:]):
                 if nxt.start < prev.stop:
                     raise DomainError(f"overlapping step ranges for component j={j}")
         object.__setattr__(self, "per_j", tuple(tuple(per_j[j]) for j in sorted(per_j)))
-        object.__setattr__(self, "needs_wiener",
-                           any(e.rule.kind != "const" for e in self.entries))
+        object.__setattr__(self, "needs_wiener", widest[1] > 0)
+        object.__setattr__(self, "widest", tuple(widest))
 
     @property
     def dt(self) -> float:
@@ -167,6 +175,8 @@ class WienerBatch:
     zakai_rows: (len(p), groups, stop) sums of g(t_i)^{p_k/2} over the paths
         of each batch-means group (see _group_bounds); None when p is empty.
     g_positive: (stop,) whether g(t_i) > 0 on some path; None when p is empty.
+    g itself is not kept: each row chunk of a block reduces its own rows of
+    g to these statistics.
     """
 
     spec: IntegrandSpec
@@ -208,11 +218,14 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     # scales dW in place; over its steps, the widest rule's f^j and f^j dW^j
     # or |f^j|^2 (2d; CONST: d, or none in place). Then a norm over d > 1
     # components holds X, its square and two arrays of norms. The kernel
-    # holds all of these but g for one row chunk of paths at a time; a block
-    # drawing ahead, one dW chunk more, of at most half its paths (rounded up).
+    # holds all of these, g included, for one row chunk of paths at a time,
+    # so the charge is loose: a block drawing ahead holds one dW chunk more,
+    # of at most half its paths (rounded up), and the g rows of one
+    # batch-means group share that chunks cut, with one power of them; these
+    # come to the block's g and g^{p/2} only when a group holds more paths
+    # than a chunk (runs of 32 or more blocks, or short chunks).
     own = 0 if d == m == 1 else d
-    rule = max(((e.stop - e.start) * (2 * d if e.rule.kind != "const" else own)
-                for e in spec.entries), default=0) / spec.steps
+    rule = max(2 * d * spec.widest[1], own * spec.widest[0]) / spec.steps
     arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
     bsz = min(paths, BLOCK_PATHS)
     # per path: its output rows; rows of steps: a constant g, the block's small
@@ -276,76 +289,114 @@ def _chunk_rows(spec: IntegrandSpec) -> int:
     return max(1, min(BLOCK_PATHS, _CHUNK_CELLS // (min(arrays, 16) * (spec.steps + 1))))
 
 
-def _sum_squares(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sum_q parts[q]^2 into out, in numpy's order for a sum over a last axis
-    of len(parts) terms: left to right below 8 terms (squaring the parts in
-    place), pairwise from 8 on (there by reducing a C-contiguous (..., n)
-    array of the squares)."""
+def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous array of the given shape on the head of a flat array."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def _sum_squares(parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sum_q parts[q]^2 into out, which may be parts[0], in numpy's order for
+    a sum over a last axis of len(parts) terms: left to right below 8 terms
+    (squaring the parts in place), pairwise from 8 on (there by reducing a
+    C-contiguous (..., n) array of the squares, held on the flat scratch)."""
     n = len(parts)
     if n < 8:
         np.square(parts[0], out=out)
         for part in parts[1:]:
             out += np.square(part, out=part)
         return out
-    squares = np.empty(out.shape + (n,))
+    squares = _view(scratch, *out.shape, n)
     for q, part in enumerate(parts):
         np.square(part, out=squares[..., q])
     return np.add.reduce(squares, axis=-1, out=out)
 
 
-def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int,
-           g: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_arrays(spec: IntegrandSpec, rows: int, stop: int) -> dict[str, np.ndarray]:
+    """A block's flat arrays for the chunks it reduces, of at most rows paths
+    each, allocated once and reused by every chunk: W (m arrays of rows x
+    (steps + 1) cells) unless the integrand is constant, the increments of X
+    (d) unless d = m = 1 scales dW in place, and a rule's temporaries over
+    its steps: f^j and f^j dW^j for LIN and SIGN, or f^j dW^j for CONST
+    unless in place. From d = 8 on, the same memory holds the squares a
+    norm sums (d arrays of rows x stop cells)."""
+    (const, reads_w), m, d = spec.widest, spec.wiener_dim, spec.dim
+    in_place = d == m == 1
+    rule = max(2 * reads_w, 0 if in_place else const, stop if d >= 8 else 0)
+    return {"wn": np.empty(spec.needs_wiener * m * rows * (spec.steps + 1)),
+            "dx": np.empty(0 if in_place else d * rows * spec.steps),
+            "rule": np.empty(d * rows * rule)}
+
+
+def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
+           arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the next paths of a block, given their Wiener increments dW
-    (rows, steps, m), which it may overwrite: add their sum_j ||f^j||^2 into
-    g (their rows of the block's g; for a constant integrand its one row, or
-    None once it is filled) and return their x_stop and sup_norm rows.
+    (rows, steps, m), which it may overwrite, and the block's _chunk_arrays:
+    add their sum_j ||f^j||^2 into g (their rows, zeroed; for a constant
+    integrand its one row, or None once it is filled) and return their
+    x_stop and sup_norm rows.
 
     W and the increments of X are held component-major, (m or d, rows,
     steps), so each rule adds f_q dW^j into contiguous slices and the sums
     along the steps run on contiguous rows; dW keeps the layout it is drawn
-    in and is read in strides."""
+    in and is read in strides. A rule's temporaries are views of one flat
+    array, made once per chunk and rule width: f^j first, f^j dW^j after it."""
     (rows, S, m), d = dw.shape, spec.dim
     wn = None
     if spec.needs_wiener:
-        wn = np.empty((m, rows, S + 1))
+        wn = _view(arrays["wn"], m, rows, S + 1)
         wn[:, :, 0] = 0.0
         np.cumsum(dw, axis=1, out=wn[:, :, 1:].transpose(1, 2, 0))
     # d = m = 1: the increments of X are those of W, scaled in place
     in_place = d == m == 1
-    dx = dw.reshape(1, rows, S) if in_place else np.zeros((d, rows, S))
+    if in_place:
+        dx = dw.reshape(1, rows, S)
+    else:
+        dx = _view(arrays["dx"], d, rows, S)
+        dx.fill(0.0)
+    views = {}    # (CONST?, width): the rule's f^j (None for CONST) and f^j dW^j
+    coefs = {}    # per rule object: c as a (d, 1, 1) array, and ||c||^2
     covered = 0   # d = m = 1: steps before it are scaled or zeroed
     for e in (e for segs in spec.per_j for e in segs):   # components without rules add 0
-        sl = slice(e.start, e.stop)
-        dwj = dw[:, sl, e.j - 1]
+        sl, rule = slice(e.start, e.stop), e.rule
+        const = rule.kind == "const"
         if in_place:
             dx[0, :, covered:e.start] = 0.0   # steps no rule covers
             covered = e.stop
+        if id(rule) not in coefs:
+            coefs[id(rule)] = np.array(rule.c)[:, None, None], np.square(rule.c).sum()
         # f^j: c times the scalar field 1, W^k or sign(W^k) at the left endpoints
-        f = np.array(e.rule.c)[:, None, None]
-        if e.rule.kind != "const":
-            w = wn[e.rule.k - 1, :, sl]
-            f = (w if e.rule.kind == "lin" else np.sign(w)) * f
+        f, norm2 = coefs[id(rule)]
+        if not (in_place and const):
+            key = const, e.stop - e.start
+            if key not in views:
+                head = _view(arrays["rule"], d, rows, key[1])
+                views[key] = (None, head) if const else (
+                    head, _view(arrays["rule"][head.size:], d, rows, key[1]))
+            field, product = views[key]
+        if not const:
+            w = wn[rule.k - 1, :, sl]
+            if rule.kind == "sign":
+                w = np.sign(w, out=product[0])
+            f = np.multiply(w, f, out=field)
         if in_place:
             dx[0, :, sl] *= f[0]
         else:
-            dx[:, :, sl] += f * dwj
+            dx[:, :, sl] += np.multiply(f, dw[:, sl, e.j - 1], out=product)
         if g is not None:
-            g[..., sl] += (np.square(e.rule.c).sum() if e.rule.kind == "const"
-                           else _sum_squares(f, np.empty(f.shape[1:])))
-        del f   # not alive while the next rule builds its field
+            g[..., sl] += norm2 if const else _sum_squares(f, f[0], arrays["rule"][f.size:])
     if in_place:
         dx[0, :, covered:] = 0.0
-    del dw, wn
 
     xx = np.cumsum(dx, axis=2, out=dx)    # X at grid indices 1..S
     # + 0.0 maps -0.0 to +0.0: steps scaled in place by f = 0 hold -0.0 where dW < 0
     x_stop = xx[:, :, stop - 1].T + 0.0 if stop else np.zeros((rows, d))
     head = xx[:, :, :stop]
     if d == 1:
-        norms = np.abs(head[0], out=head[0])
-    else:
-        norms = np.sqrt(_sum_squares(head, np.empty((rows, stop))))
-    return x_stop, norms.max(axis=1, initial=0.0)
+        return x_stop, np.abs(head[0], out=head[0]).max(axis=1, initial=0.0)
+    # sqrt is correctly rounded and monotone: the root of the largest square
+    # is the largest norm
+    squares = _sum_squares(head, head[0], arrays["rule"])
+    return x_stop, np.sqrt(squares.max(axis=1, initial=0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
@@ -360,13 +411,22 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     steps before stop where g > 0 on some path of the block (else None).
     For a constant integrand, whose g is one row shared by every path, block
     0 lists the row g^{p/2} under k, for every group, and the other blocks
-    list nothing; simulate scales it by the group sizes. The paths are drawn
-    and reduced in row chunks of _chunk_rows(spec), in order, from the
-    block's generator; consecutive draws give the normals of one draw of the
-    whole block, and every sum runs in the order a whole-block pass takes,
-    so the bits do not depend on the chunk size. Given ahead, a block of two
-    or more chunks has a helper thread alone draw each next chunk, into the
-    other of two buffers, while it reduces one; no bit changes either. The block
+    list nothing; simulate scales it by the group sizes.
+
+    The paths are drawn and reduced in row chunks of _chunk_rows(spec), in
+    order, from the block's generator; consecutive draws give the normals of
+    one draw of the whole block. Each chunk reduces its own paths completely
+    while its rows of g are in cache: their Riemann sums, their positive
+    steps and the partial rows of each group share that ends in it. The rows
+    of a share that chunk boundaries cut wait in one buffer until the share
+    is complete, so g^{p/2} of a share is summed over its rows as one
+    contiguous array, as a pass over the whole block sums it; every sum runs
+    in that pass's order, so the bits do not depend on the chunk size. A
+    chunk's arrays, its rows of g included, are allocated once per block
+    and reused by every chunk; the last chunk's shares are summed once the
+    other arrays are gone. Given ahead, a block of two or more chunks has a
+    helper thread alone draw each next chunk, into the other of two
+    buffers, while it reduces one; no bit changes either. The block
     allocates only its own arrays and writes no shared state, and sets its
     own numpy error state, which worker threads do not inherit.
     """
@@ -375,23 +435,59 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     bsz = hi - lo
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(_WIENER_STREAM, b))))
-    g = np.zeros((bsz, spec.steps) if spec.needs_wiener else spec.steps)   # sum_j ||f^j||^2
     x_stop = np.empty((bsz, spec.dim))
     sup_norm = np.empty(bsz)
     chunks = -(-bsz // _chunk_rows(spec))
     rows = -(-bsz // chunks)   # chunks of even sizes, no short last one
     starts, ahead = range(0, bsz, rows), ahead and chunks > 1
     bufs = [np.empty((rows, spec.steps, spec.wiener_dim)) for _ in range(1 + ahead)]
+    arrays = _chunk_arrays(spec, rows, stop)
+    nw = spec.needs_wiener
+    # sum_j ||f^j||^2: a chunk's rows, or one row shared by every path
+    g = np.empty(rows * spec.steps) if nw else np.zeros(spec.steps)
+    riemann = np.empty(bsz)
+    positive = np.zeros(stop, dtype=bool) if half_powers else None
+    bounds = _group_bounds(paths)
+    groups = len(bounds)
+    zakai = []
+    pending = None   # the g rows of a group share that chunk boundaries cut
 
     def draw(i: int) -> np.ndarray:
         dw = gen.standard_normal(out=bufs[i % len(bufs)][:bsz - starts[i]])
         return np.multiply(dw, math.sqrt(spec.dt), out=dw)
 
+    def shares(i: int) -> None:
+        """Sum g^{p/2} over the rows of each group share that ends in chunk i."""
+        nonlocal pending
+        a, z = lo + starts[i], lo + min(starts[i] + rows, bsz)
+        head = _view(g, z - a, spec.steps)[:, :stop]
+        for grp in range(a * groups // paths, (z - 1) * groups // paths + 1):
+            first, last = max(lo, bounds[grp][0]), min(hi, bounds[grp][1])   # the block's share
+            part = head[max(a, first) - a:min(z, last) - a]
+            if first < a or last > z:   # the share spans chunks
+                if first >= a:
+                    pending = np.empty((last - first, stop))
+                pending[max(a, first) - first:min(z, last) - first] = part
+                if last > z:
+                    continue
+                part, pending = pending, None
+            zakai.extend(((k, grp), _pow(part, half_power).sum(axis=0))
+                         for k, half_power in enumerate(half_powers))
+
     def reduce(i: int, dw: np.ndarray) -> None:
         rs = slice(starts[i], starts[i] + len(dw))
-        # a constant integrand's one row of g is filled by the first chunk
-        x_stop[rs], sup_norm[rs] = _chunk(
-            spec, dw, stop, g[rs] if spec.needs_wiener else g if i == 0 else None)
+        if not nw:   # the one row of g is filled by the first chunk
+            x_stop[rs], sup_norm[rs] = _chunk(spec, dw, stop, g if i == 0 else None, arrays)
+            return
+        g_rows = _view(g, len(dw), spec.steps)
+        g_rows.fill(0.0)
+        x_stop[rs], sup_norm[rs] = _chunk(spec, dw, stop, g_rows, arrays)
+        head = g_rows[:, :stop]
+        riemann[rs] = head.sum(axis=-1) * spec.dt
+        if half_powers:
+            np.logical_or(positive, head.any(axis=0), out=positive)   # g >= 0
+            if i + 1 < len(starts):   # the last chunk's wait until its arrays are gone
+                shares(i)
 
     if not ahead:
         for i in range(len(starts)):
@@ -403,26 +499,17 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
             for i in range(len(starts)):   # chunk i + 1 goes where chunk i - 1 was
                 ready, drawn = drawn, helper.submit(draw, i + 1) if i + 1 < len(starts) else None
                 reduce(i, ready.result())
-    bufs = ready = drawn = None   # no dW is held past the chunks
-    riemann = g[..., :stop].sum(axis=-1) * spec.dt
-
-    zakai = []
-    positive = None
-    if half_powers:   # g >= 0, so a nonzero step is a positive one
-        positive = g[:, :stop].any(axis=0) if g.ndim == 2 else g[:stop] != 0.0
-    bounds = _group_bounds(paths)
-    groups = len(bounds)
-    for k, half_power in enumerate(half_powers):
-        y = _pow(g[..., :stop], half_power)
-        if y.ndim == 2:
-            for grp in range(lo * groups // paths, (hi - 1) * groups // paths + 1):
-                gl = max(lo, bounds[grp][0])
-                gh = min(hi, bounds[grp][1])
-                if gl < gh:
-                    zakai.append(((k, grp), y[gl - lo:gh - lo].sum(axis=0)))
-        elif b == 0:
-            zakai.append((k, y))
-        del y
+    bufs = ready = drawn = arrays = None   # no chunk array is held past the chunks
+    if nw:
+        if half_powers:
+            shares(len(starts) - 1)
+    else:
+        riemann = g[:stop].sum() * spec.dt
+        if half_powers:
+            positive = g[:stop] != 0.0
+            if b == 0:
+                zakai = [(k, _pow(g[:stop], half_power))
+                         for k, half_power in enumerate(half_powers)]
     return lo, hi, x_stop, sup_norm, riemann, zakai, positive
 
 

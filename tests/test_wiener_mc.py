@@ -6,9 +6,11 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import martcheck.wiener_mc as wmc
 from martcheck import (
@@ -24,6 +26,7 @@ from martcheck import (
     parse_integrand,
     simulate,
 )
+from mc_whole_block import reference_simulate
 
 
 def load_spec(zoo, name):
@@ -301,6 +304,22 @@ class TestSimulate:
         block_bytes, room = seen[-1]
         assert peak < block_bytes + wmc.BLOCK_MEMORY_BUDGET - room
 
+    def test_mixed_block_peak_pinned(self, zoo, monkeypatch):
+        """A 1024-path spec_mixed2d run at p = 4, drawing ahead, traces under
+        3.5 MiB: its chunks reduce their own rows of g in arrays the block
+        allocates once. A block that held g and g^{p/2} for all its paths
+        traced 4.2 MiB."""
+        monkeypatch.setattr(wmc, "_cpus", lambda: 1 << 10)
+        spec = load_spec(zoo, "spec_mixed2d")
+        simulate(spec, 1024, seed=0, p=[4])   # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            simulate(spec, 1024, seed=0, p=[4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2 ** 20
+
     def test_workers_capped_by_budget_and_blocks(self):
         assert wmc._workers(64, wmc.BLOCK_MEMORY_BUDGET // 2 + 1) == 1
         assert wmc._workers(1, 8) == 1
@@ -465,6 +484,40 @@ class TestFrozenBits:
         assert digest == FROZEN_SIMULATE_DIGEST
 
 
+@st.composite
+def chunk_cases(draw):
+    """(spec, stop, paths, p, chunk rows, seed): d of 1, 2, 3 or 9 (summed
+    pairwise), m of 1 to 3, random CONST, LIN and SIGN rules, stop at 0, 1,
+    mid-grid or the horizon, batch-means groups inside a chunk, cut by
+    chunks or spanning blocks, 0 to 3 exponents and chunks of 1, 37 or 1024
+    rows."""
+    d = draw(st.sampled_from([1, 2, 3, 9]))
+    m = draw(st.integers(1, 3))
+    steps = draw(st.integers(1, 12))
+    coef = st.sampled_from([0.3, 0.0, 1.0, -0.5, 2.0, 1e-3])
+    entries = []
+    for j in range(1, m + 1):
+        cuts = draw(st.sets(st.integers(0, steps), max_size=4))
+        cuts = sorted(cuts | {0} if draw(st.booleans()) else cuts)
+        for start, stop in zip(cuts[::2], cuts[1::2]):
+            kind = draw(st.sampled_from(wmc.RULE_KINDS))
+            rule = Rule(kind, tuple(draw(coef) for _ in range(d)),
+                        None if kind == "const" else draw(st.integers(1, m)))
+            entries.append(RuleEntry(start, stop, j, rule))
+    spec = IntegrandSpec(d, m, 1.5, steps, tuple(entries))
+    return (spec, draw(st.sampled_from(sorted({0, 1, steps // 2, steps}))),
+            draw(st.sampled_from([2, 33, 1000, 2500, 40000])),
+            draw(st.lists(st.sampled_from([2.0, 2.5, 3.0, 4.0, 7.0]), max_size=3)),
+            draw(st.sampled_from([1, 37, wmc.BLOCK_PATHS])), draw(st.integers(0, 2 ** 32)))
+
+
+# g at step 0 is the same on every path (W_0 = 0), positive under CONST rules
+# alone; at stop = 1 numpy sums a group's rows of its power pairwise, so a
+# group that chunks cut must still be summed over its rows at once
+CUT_AT_STEP_ONE = IntegrandSpec(1, 2, 1.5, 4, (
+    RuleEntry(0, 4, 1, Rule("const", (0.3,))), RuleEntry(0, 4, 2, Rule("lin", (1.0,), k=1))))
+
+
 class TestChunkedKernel:
     def test_wide_specs(self):
         assert simulate_digest(wide_cases()) == WIDE_SIMULATE_DIGEST
@@ -487,6 +540,23 @@ class TestChunkedKernel:
         finally:
             sys.setswitchinterval(interval)
         assert digests == (FROZEN_SIMULATE_DIGEST, WIDE_SIMULATE_DIGEST)
+
+    @given(chunk_cases())
+    @example((CUT_AT_STEP_ONE, 1, 1000, [3.0], 37, 5))
+    @example((CUT_AT_STEP_ONE, 1, 40000, [2.5, 2.0], 1, 6))
+    def test_matches_whole_block_reference(self, case):
+        """Chunks that reduce their own paths give the bits of one pass over
+        each whole block (see chunk_cases)."""
+        spec, stop, paths, p, rows, seed = case
+        with mock.patch.object(wmc, "_chunk_rows", lambda spec: rows):
+            batch = simulate(spec, paths, seed, t=stop * spec.dt, p=p)
+        want = reference_simulate(spec, paths, seed, t=stop * spec.dt, p=p)
+        got = batch.x_stop, batch.sup_norm, batch.riemann, batch.zakai_rows, batch.g_positive
+        for name, a, b in zip(("x_stop", "sup_norm", "riemann", "zakai_rows", "g_positive"),
+                              got, want):
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_chunk_rows_sized_and_clamped(self, zoo):
         """A chunk's (paths, steps) arrays, at most 16 of them counted, hold at
