@@ -108,7 +108,7 @@ def _coerce_ids(values: Sequence[str] | None, default, kind):
     """The ids named by values (all of default if none); each must be in default."""
     if not values:
         return list(default)
-    ids = [ineq.coerce_id(kind, v) for v in values]
+    ids = ineq.coerce_ids(kind, values)
     for iid in ids:
         if iid not in default:
             raise ConfigError(f"{iid.value} is not a tree inequality")

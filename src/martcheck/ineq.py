@@ -198,6 +198,12 @@ def coerce_id(kind: type[enum.Enum], value) -> enum.Enum:
         raise DomainError(f"unknown inequality id {value!r}; known: {known}") from None
 
 
+def coerce_ids(kind: type[enum.Enum], values) -> list[enum.Enum]:
+    """The members of `kind` named by values (see coerce_id); a string or a
+    single id, which is no sequence of ids, raises DomainError."""
+    return [coerce_id(kind, v) for v in ptree.as_sequence(values, "inequality ids")]
+
+
 def eval_discrete(tree: ProbTree, n: int, p, ineq_id) -> InequalityReport:
     """Evaluate one inequality on a valid tree at level n, exponent p.
 
@@ -224,11 +230,11 @@ def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
     The sides are the table's columns at the levels; ||M_n||_p^2 and the
     squared sup are taken on scalars, the constants and the right-hand sides
     on whole columns."""
-    ids = [coerce_id(InequalityId, i) for i in ids]
+    ids = coerce_ids(InequalityId, ids)
     if InequalityId.RIO_STEP in ids:
         raise DomainError("RIO-STEP compares a distribution pair; use eval_rio_step")
     table = ptree.moments(tree, p_values)
-    levels = [ptree.check_level(n, tree.depth) for n in levels]
+    levels = [ptree.check_level(n, tree.depth) for n in ptree.as_sequence(levels, "levels")]
     ps = table.p
     trees = len(table.lp) if table.lp.ndim == 3 else 1
     # each side as a ([tree,] level, p) array
@@ -460,8 +466,8 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
         raise DomainError("random-tree sweep needs count >= 0, max_depth >= 1 "
                           "and max_dim >= 1")
     seed = as_seed(seed)
-    p_values = [as_exponent(p) for p in p_values]
-    ids = [coerce_id(InequalityId, i) for i in ids]
+    p_values = ptree.as_exponents(p_values)
+    ids = coerce_ids(InequalityId, ids)
     rows = count * (max_depth + 1) * len(p_values) * len(ids)
     if rows * _SWEEP_ROW_BYTES > SWEEP_MEMORY_BUDGET:
         raise ResourceLimitError(

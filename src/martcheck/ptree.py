@@ -62,6 +62,20 @@ def as_exponent(p) -> float:
     return float(p)
 
 
+def as_sequence(values, name: str) -> list:
+    """values as a list; a string, which would be read letter by letter, or
+    a scalar raises DomainError."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise DomainError(f"{name} must be a sequence, got {values!r}")
+    return list(values)
+
+
+def as_exponents(values) -> tuple[float, ...]:
+    """values as a tuple of moment exponents (see as_exponent); a string or a
+    scalar raises DomainError."""
+    return tuple(map(as_exponent, as_sequence(values, "exponents")))
+
+
 def as_positive(value, name: str) -> float:
     """value as a float; only a finite positive real, not a bool, is admitted."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < np.inf):
@@ -96,21 +110,6 @@ def as_float_array(values, name: str) -> np.ndarray:
         return np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise TreeStructureError(f"{name} must be numbers in rows of one length") from None
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One edge of ProbTree.root's graph: transition probability, increment
-    vector, child node."""
-
-    prob: float
-    incr: tuple[float, ...]
-    node: "TreeNode"
-
-
-@dataclass
-class TreeNode:
-    children: list[Branch]
 
 
 @dataclass(frozen=True)
@@ -265,23 +264,6 @@ class ProbTree(Forest):
         m0 = tuple(float(v) for v in m0)
         super().__init__([m0], parent, prob, incr)
         self.m0 = m0
-
-    @property
-    def root(self) -> TreeNode:
-        """The tree as a TreeNode graph, built from the node arrays on each
-        read. Only the benchmark's node count (perfbench/tracing.py) reads it;
-        it goes, with _graph, Branch and TreeNode, once that count reads
-        len(tree.parent)."""
-        return _graph(self)
-
-
-def _graph(tree: ProbTree) -> TreeNode:
-    """The TreeNode graph of a tree, one node at a time in node order."""
-    nodes = [TreeNode([]) for _ in range(tree.bounds[-1])]
-    for node, up, prob, incr in zip(nodes[1:], tree.parent[1:].tolist(),
-                                    tree.prob[1:].tolist(), tree.incr[1:].tolist()):
-        nodes[up].children.append(Branch(prob, tuple(incr), node))
-    return nodes[0]
 
 
 def _path(parent: np.ndarray, roots: int, node: int) -> tuple[int, tuple[int, ...]]:
@@ -452,7 +434,7 @@ def moments(forest: Forest, p_values: Sequence) -> Moments:
     float ** on its scalar sum. A sum below the normal float range from norms
     that are not all 0 has lost its terms to underflow: DomainError, for the
     first tree (or pooled sum) that has one."""
-    p = tuple(as_exponent(v) for v in p_values)
+    p = as_exponents(p_values)
     calc = forest.calculus()
     cuts = forest.tree_bounds
     exps = (p, p, tuple(v / 2.0 for v in p), p)

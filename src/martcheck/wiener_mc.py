@@ -13,10 +13,12 @@ cache-sized row chunks, in order, from its generator, which gives exactly
 the normals of one draw of the whole block, and holds a chunk's W and
 increments of X component-major. Each chunk reduces its own paths, its
 rows of g = sum_j ||f^j||^2 included, in arrays the block allocates once
-and reuses. The blocks run on a thread pool with one worker per CPU the
-process may use (its CPU affinity), and the calling thread merges each
-block's rows in block order; if a CPU is left free for each worker, a
-helper thread draws a block's next chunk as it reduces one.
+and reuses, and writes its per-path rows into the batch. A constant
+integrand's g, one row every path shares, is set once by simulate. The
+blocks run on a thread pool with one worker per CPU the process may use
+(its CPU affinity), and the calling thread merges each block's ZAKAI
+partial rows and g > 0 steps in block order; if a CPU is left free for
+each worker, a helper thread draws a block's next chunk as it reduces one.
 The block decomposition and all reduction orders are algorithm constants,
 so the bits do not depend on the chunk size, the worker count, the helper
 or the order in which blocks finish. One simulation serves every
@@ -29,13 +31,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError, refuse_overflow
-from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_id, report_table
-from .ptree import as_exponent, as_int, as_seed
+from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_ids, report_table
+from .ptree import as_exponents, as_int, as_positive, as_seed
 
 BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
@@ -101,31 +105,34 @@ class IntegrandSpec:
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.dim < 1 or self.wiener_dim < 1 or self.steps < 1:
             raise DomainError("need dim >= 1, wiener_dim >= 1, steps >= 1")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise DomainError("horizon must be positive and finite")
-        per_j: dict[int, list[RuleEntry]] = {}
+        object.__setattr__(self, "horizon", as_positive(self.horizon, "horizon"))
         widest = [0, 0]
+        checked = None   # the rule last checked; constant_integrand shares one
         for e in self.entries:
-            if e.rule.kind not in RULE_KINDS:
-                raise DomainError(f"unknown rule kind {e.rule.kind!r}")
-            if len(e.rule.c) != self.dim:
-                raise DomainError(f"rule coefficient must have dimension {self.dim}")
+            if not type(e.start) is type(e.stop) is type(e.j) is int:   # used as indices
+                raise DomainError(f"rule start, stop and j must be ints, got {e.start!r}, "
+                                  f"{e.stop!r} and {e.j!r}")
+            rule, reads_w = e.rule, e.rule.kind != "const"
+            if rule is not checked:
+                checked = rule
+                if rule.kind not in RULE_KINDS:
+                    raise DomainError(f"unknown rule kind {rule.kind!r}")
+                c = np.asarray(rule.c)
+                if c.shape != (self.dim,) or c.dtype.kind not in "biuf":
+                    raise DomainError(f"rule coefficient must be {self.dim} real numbers")
+                if reads_w and not (type(rule.k) is int and 1 <= rule.k <= self.wiener_dim):
+                    raise DomainError(f"rule references W^k with k={rule.k!r}")
             if not 1 <= e.j <= self.wiener_dim:
                 raise DomainError(f"rule component j={e.j} outside 1..{self.wiener_dim}")
-            if e.rule.kind in ("lin", "sign"):
-                if e.rule.k is None or not 1 <= e.rule.k <= self.wiener_dim:
-                    raise DomainError(f"rule references W^k with k={e.rule.k}")
             if not 0 <= e.start < e.stop <= self.steps:
                 raise DomainError(f"step range [{e.start},{e.stop}) outside the grid")
-            per_j.setdefault(e.j, []).append(e)
-            reads_w = e.rule.kind != "const"
             widest[reads_w] = max(widest[reads_w], e.stop - e.start)
-        for j, lst in per_j.items():
-            lst.sort(key=lambda e: e.start)
-            for prev, nxt in zip(lst, lst[1:]):
-                if nxt.start < prev.stop:
-                    raise DomainError(f"overlapping step ranges for component j={j}")
-        object.__setattr__(self, "per_j", tuple(tuple(per_j[j]) for j in sorted(per_j)))
+        ordered = sorted(self.entries, key=attrgetter("j", "start"))
+        for prev, nxt in zip(ordered, ordered[1:]):
+            if nxt.j == prev.j and nxt.start < prev.stop:
+                raise DomainError(f"overlapping step ranges for component j={nxt.j}")
+        object.__setattr__(self, "per_j", tuple(
+            tuple(entries) for _, entries in groupby(ordered, attrgetter("j"))))
         object.__setattr__(self, "needs_wiener", widest[1] > 0)
         object.__setattr__(self, "widest", tuple(widest))
 
@@ -158,9 +165,12 @@ def constant_integrand(value, dim: int = 1, wiener_dim: int = 1,
         raise ResourceLimitError(
             f"wiener_dim={wiener_dim}: two paths are {cells} cells (cap {DEFAULT_CELL_CAP}), "
             f"its entries ~{entry_bytes} bytes (budget {BLOCK_MEMORY_BUDGET})")
-    rule = Rule("const", tuple(float(value) for _ in range(dim)))
+    try:
+        rule = Rule("const", (float(value),) * dim)
+    except (TypeError, ValueError):
+        raise DomainError(f"value must be a real number, got {value!r}") from None
     entries = tuple(RuleEntry(0, steps, j, rule) for j in range(1, wiener_dim + 1))
-    return IntegrandSpec(dim, wiener_dim, float(horizon), steps, entries)
+    return IntegrandSpec(dim, wiener_dim, horizon, steps, entries)
 
 
 @dataclass
@@ -176,7 +186,7 @@ class WienerBatch:
         of each batch-means group (see _group_bounds); None when p is empty.
     g_positive: (stop,) whether g(t_i) > 0 on some path; None when p is empty.
     g itself is not kept: each row chunk of a block reduces its own rows of
-    g to these statistics.
+    g to these statistics, and simulate a constant integrand's one row.
     """
 
     spec: IntegrandSpec
@@ -228,8 +238,8 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     rule = max(2 * d * spec.widest[1], own * spec.widest[0]) / spec.steps
     arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
     bsz = min(paths, BLOCK_PATHS)
-    # per path: its output rows; rows of steps: a constant g, the block's small
-    # objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
+    # per path: its output rows; rows of steps: simulate's constant g, the
+    # block's small objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
     rows = 3 + exponents * (min(CI_GROUPS, bsz) + 1 if nw else 1)
     block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2)
                                  + (spec.steps + 1) * rows)) + _UFUNC_BUFFER_BYTES
@@ -331,9 +341,8 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
            arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the next paths of a block, given their Wiener increments dW
     (rows, steps, m), which it may overwrite, and the block's _chunk_arrays:
-    add their sum_j ||f^j||^2 into g (their rows, zeroed; for a constant
-    integrand its one row, or None once it is filled) and return their
-    x_stop and sup_norm rows.
+    set g to their rows of sum_j ||f^j||^2 (None for a constant integrand,
+    whose one row simulate sets) and return their x_stop and sup_norm rows.
 
     W and the increments of X are held component-major, (m or d, rows,
     steps), so each rule adds f_q dW^j into contiguous slices and the sums
@@ -346,6 +355,7 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
         wn = _view(arrays["wn"], m, rows, S + 1)
         wn[:, :, 0] = 0.0
         np.cumsum(dw, axis=1, out=wn[:, :, 1:].transpose(1, 2, 0))
+        g.fill(0.0)
     # d = m = 1: the increments of X are those of W, scaled in place
     in_place = d == m == 1
     if in_place:
@@ -400,18 +410,17 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
-def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
-           half_powers: tuple[float, ...], ahead: bool, b: int):
-    """Simulate path block b and reduce it to its rows of the batch.
+def _block(batch: WienerBatch, ahead: bool, b: int):
+    """Simulate path block b of the batch and write its rows of x_stop and
+    sup_norm, and of riemann unless the integrand is constant, into the
+    batch's arrays.
 
-    Returns (lo, hi, x_stop rows, sup_norm rows, riemann rows, zakai,
-    positive), where zakai lists the ((k, group), partial row) sums of
-    g^{p/2}, p/2 the k-th half-power, over the block's paths in each
-    batch-means group it overlaps, and positive, given half-powers, marks the
-    steps before stop where g > 0 on some path of the block (else None).
-    For a constant integrand, whose g is one row shared by every path, block
-    0 lists the row g^{p/2} under k, for every group, and the other blocks
-    list nothing; simulate scales it by the group sizes.
+    Returns (zakai, positive), which simulate merges in block order: zakai
+    lists the ((k, group), partial row) sums of g^{p/2}, p the k-th of
+    batch.p, over the block's paths in each batch-means group it overlaps,
+    and positive marks the steps before stop where g > 0 on some path of the
+    block (None without exponents). For a constant integrand simulate sets
+    these from its one row of g, and the block returns ([], None).
 
     The paths are drawn and reduced in row chunks of _chunk_rows(spec), in
     order, from the block's generator; consecutive draws give the normals of
@@ -426,26 +435,23 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     and reused by every chunk; the last chunk's shares are summed once the
     other arrays are gone. Given ahead, a block of two or more chunks has a
     helper thread alone draw each next chunk, into the other of two
-    buffers, while it reduces one; no bit changes either. The block
-    allocates only its own arrays and writes no shared state, and sets its
-    own numpy error state, which worker threads do not inherit.
+    buffers, while it reduces one; no bit changes either. The block writes
+    only its own rows of the batch, and sets its own numpy error state,
+    which worker threads do not inherit.
     """
+    spec, paths, stop = batch.spec, batch.paths, batch.stop
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
-    bsz = hi - lo
     gen = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_WIENER_STREAM, b))))
-    x_stop = np.empty((bsz, spec.dim))
-    sup_norm = np.empty(bsz)
-    chunks = -(-bsz // _chunk_rows(spec))
-    rows = -(-bsz // chunks)   # chunks of even sizes, no short last one
-    starts, ahead = range(0, bsz, rows), ahead and chunks > 1
+        np.random.SeedSequence(entropy=batch.seed, spawn_key=(_WIENER_STREAM, b))))
+    chunks = -(-(hi - lo) // _chunk_rows(spec))
+    rows = -(-(hi - lo) // chunks)   # chunks of even sizes, no short last one
+    starts, ahead = range(lo, hi, rows), ahead and chunks > 1
     bufs = [np.empty((rows, spec.steps, spec.wiener_dim)) for _ in range(1 + ahead)]
     arrays = _chunk_arrays(spec, rows, stop)
     nw = spec.needs_wiener
-    # sum_j ||f^j||^2: a chunk's rows, or one row shared by every path
-    g = np.empty(rows * spec.steps) if nw else np.zeros(spec.steps)
-    riemann = np.empty(bsz)
+    half_powers = [v / 2.0 for v in batch.p] if nw else []
+    g = np.empty(rows * spec.steps) if nw else None   # sum_j ||f^j||^2: a chunk's rows
     positive = np.zeros(stop, dtype=bool) if half_powers else None
     bounds = _group_bounds(paths)
     groups = len(bounds)
@@ -453,13 +459,13 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     pending = None   # the g rows of a group share that chunk boundaries cut
 
     def draw(i: int) -> np.ndarray:
-        dw = gen.standard_normal(out=bufs[i % len(bufs)][:bsz - starts[i]])
+        dw = gen.standard_normal(out=bufs[i % len(bufs)][:hi - starts[i]])
         return np.multiply(dw, math.sqrt(spec.dt), out=dw)
 
     def shares(i: int) -> None:
         """Sum g^{p/2} over the rows of each group share that ends in chunk i."""
         nonlocal pending
-        a, z = lo + starts[i], lo + min(starts[i] + rows, bsz)
+        a, z = starts[i], min(starts[i] + rows, hi)
         head = _view(g, z - a, spec.steps)[:, :stop]
         for grp in range(a * groups // paths, (z - 1) * groups // paths + 1):
             first, last = max(lo, bounds[grp][0]), min(hi, bounds[grp][1])   # the block's share
@@ -476,18 +482,15 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
 
     def reduce(i: int, dw: np.ndarray) -> None:
         rs = slice(starts[i], starts[i] + len(dw))
-        if not nw:   # the one row of g is filled by the first chunk
-            x_stop[rs], sup_norm[rs] = _chunk(spec, dw, stop, g if i == 0 else None, arrays)
-            return
-        g_rows = _view(g, len(dw), spec.steps)
-        g_rows.fill(0.0)
-        x_stop[rs], sup_norm[rs] = _chunk(spec, dw, stop, g_rows, arrays)
-        head = g_rows[:, :stop]
-        riemann[rs] = head.sum(axis=-1) * spec.dt
-        if half_powers:
-            np.logical_or(positive, head.any(axis=0), out=positive)   # g >= 0
-            if i + 1 < len(starts):   # the last chunk's wait until its arrays are gone
-                shares(i)
+        g_rows = _view(g, len(dw), spec.steps) if nw else None
+        batch.x_stop[rs], batch.sup_norm[rs] = _chunk(spec, dw, stop, g_rows, arrays)
+        if nw:
+            head = g_rows[:, :stop]
+            batch.riemann[rs] = head.sum(axis=-1) * spec.dt
+            if half_powers:
+                np.logical_or(positive, head.any(axis=0), out=positive)   # g >= 0
+                if i + 1 < len(starts):   # the last chunk's wait until its arrays are gone
+                    shares(i)
 
     if not ahead:
         for i in range(len(starts)):
@@ -500,17 +503,9 @@ def _block(spec: IntegrandSpec, paths: int, seed: int, stop: int,
                 ready, drawn = drawn, helper.submit(draw, i + 1) if i + 1 < len(starts) else None
                 reduce(i, ready.result())
     bufs = ready = drawn = arrays = None   # no chunk array is held past the chunks
-    if nw:
-        if half_powers:
-            shares(len(starts) - 1)
-    else:
-        riemann = g[:stop].sum() * spec.dt
-        if half_powers:
-            positive = g[:stop] != 0.0
-            if b == 0:
-                zakai = [(k, _pow(g[:stop], half_power))
-                         for k, half_power in enumerate(half_powers)]
-    return lo, hi, x_stop, sup_norm, riemann, zakai, positive
+    if half_powers:
+        shares(len(starts) - 1)
+    return zakai, positive
 
 
 def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
@@ -522,33 +517,40 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     of each, the bits a run given it alone computes. Deterministic for fixed
     (spec, paths, seed, t, p), whatever threads run it.
     """
-    p = tuple(as_exponent(v) for v in p)
+    p = as_exponents(p)
     stop = spec.steps if t is None else grid_index(spec, t)
     paths, seed = as_int(paths, "paths"), as_seed(seed)
     block_bytes, room = _check_run(spec, paths, seed, stop, len(p))
-
-    x_stop = np.empty((paths, spec.dim))
-    sup_norm = np.empty(paths)
-    riemann = np.empty(paths)
-    zrows = np.zeros((len(p), len(_group_bounds(paths)), stop)) if p else None
-    g_positive = np.zeros(stop, dtype=bool) if p else None
+    groups = _group_bounds(paths)
+    batch = WienerBatch(spec, seed, paths, stop, np.empty((paths, spec.dim)), np.empty(paths),
+                        np.empty(paths), p, np.zeros((len(p), len(groups), stop)) if p else None,
+                        np.zeros(stop, dtype=bool) if p else None)
+    if not spec.needs_wiener:   # g is one row, shared by every path
+        with np.errstate(over="ignore", invalid="ignore"):   # as in _block
+            rules = {id(e.rule): e.rule for e in spec.entries}   # constant_integrand shares one
+            norm2 = {key: np.square(rule.c).sum() for key, rule in rules.items()}
+            g = np.zeros(spec.steps)
+            for e in (e for segs in spec.per_j for e in segs):   # _chunk's order
+                g[e.start:e.stop] += norm2[id(e.rule)]
+            batch.riemann.fill(g[:stop].sum() * spec.dt)
+            sizes = np.array([gh - gl for gl, gh in groups], dtype=float)[:, None]
+            for k, v in enumerate(p):
+                batch.zakai_rows[k] = _pow(g[:stop], v / 2.0) * sizes
+        if p:
+            batch.g_positive[:] = g[:stop] != 0.0
 
     def merge(results) -> None:
         # block order fixes the addition order of the ZAKAI partial rows
-        for lo, hi, xs, sup, rie, zakai, positive in results:
-            x_stop[lo:hi] = xs
-            sup_norm[lo:hi] = sup
-            riemann[lo:hi] = rie
+        for zakai, positive in results:
             for key, row in zakai:
-                zrows[key] += row
+                batch.zakai_rows[key] += row
             if positive is not None:
-                np.logical_or(g_positive, positive, out=g_positive)
+                np.logical_or(batch.g_positive, positive, out=batch.g_positive)
 
     blocks = -(-paths // BLOCK_PATHS)
     workers = _workers(blocks, block_bytes, room)
     # a block draws its next chunk on a helper thread if a CPU is left for it
-    run = functools.partial(_block, spec, paths, seed, stop, tuple(v / 2.0 for v in p),
-                            2 * workers <= _cpus())
+    run = functools.partial(_block, batch, 2 * workers <= _cpus())
     if workers <= 1:
         merge(map(run, range(blocks)))
     else:
@@ -565,16 +567,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
                 for f in futures:
                     f.cancel()
                 raise
-
-    if zrows is not None and not spec.needs_wiener:
-        # deterministic integrand: each row holds block 0's row g^{p/2},
-        # which every path of the group contributes
-        sizes = np.array([gh - gl for gl, gh in _group_bounds(paths)], dtype=float)
-        zrows *= sizes[:, None]
-
-    return WienerBatch(spec=spec, seed=seed, paths=paths, stop=stop,
-                       x_stop=x_stop, sup_norm=sup_norm, riemann=riemann,
-                       p=p, zakai_rows=zrows, g_positive=g_positive)
+    return batch
 
 
 def _scaled_std(y: np.ndarray, like: float) -> float:
@@ -640,10 +633,8 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     raises DomainError, as does a side estimated from paths that are not all
     0 whose mean power lies below the normal float range (it underflowed).
     """
-    p_values = [as_exponent(p) for p in p_values]
-    if isinstance(ineq_ids, (str, ContinuousId)):
-        raise DomainError("ineq_ids must be a sequence of inequality ids")
-    bounds = [BOUNDS[coerce_id(ContinuousId, i)] for i in ineq_ids]
+    p_values = as_exponents(p_values)
+    bounds = [BOUNDS[i] for i in coerce_ids(ContinuousId, ineq_ids)]
     zakai = any(b.base == "increments" for b in bounds)
     batch = simulate(spec, paths, seed, t, p_values if zakai else ())
     stats = {"terminal": np.abs(batch.x_stop[:, 0]) if spec.dim == 1

@@ -24,6 +24,7 @@ from martcheck import (
     constant_integrand,
     eval_continuous,
     parse_tree,
+    simulate,
 )
 from rio_atoms import rio_step_atoms
 
@@ -135,6 +136,29 @@ class TestEvalDiscrete:
         from martcheck import InvalidTreeError
         with pytest.raises(InvalidTreeError):
             ineq.eval_discrete(t, 1, 2, "D-BURK-1")
+
+
+WALK = ptree.symmetric_walk(2)
+MC_SPEC = constant_integrand(1.0, steps=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_continuous(MC_SPEC, 1.0, 4, ["C-BURK-1"], 64, 0),
+    lambda: simulate(MC_SPEC, 64, 0, p=4),
+    lambda: ptree.moments(WALK, 4),
+    lambda: ineq.eval_tree(WALK, 2, [4], ["DOOB"]),
+    lambda: ineq.eval_tree(WALK, [1], [4], "DOOB"),
+    lambda: ineq.eval_tree(WALK, [1], [4], ineq.InequalityId.DOOB),
+    lambda: ineq.sweep_random_trees(2, 2, 2, 0, 4),
+    lambda: ineq.sweep_random_trees(2, 2, 2, 0, [4], "DOOB"),
+], ids=["mc-p", "simulate-p", "moments-p", "tree-levels", "tree-ids-str", "tree-ids-enum",
+        "sweep-p", "sweep-ids-str"])
+def test_sequence_arguments_refuse_scalars_and_strings(call):
+    """Exponents, levels and ids are sequences: a scalar, a string (which
+    would be read letter by letter) or a single id is refused with
+    DomainError, not a bare TypeError or an unknown id 'D'."""
+    with pytest.raises(DomainError, match="must be a sequence"):
+        call()
 
 
 @given(trees(), st.sampled_from(P_GRID))

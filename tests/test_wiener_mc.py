@@ -79,6 +79,21 @@ class TestIntegrandSpec:
         with pytest.raises(DomainError, match=message):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: IntegrandSpec(1, 1, 1.0, 4, (RuleEntry(0.5, 4, 1, Rule("const", (1.0,))),)),
+        lambda: IntegrandSpec(1, 1, 1.0, 4, (RuleEntry(0, 4, 1, Rule("lin", (1.0,), k=1.0)),)),
+        lambda: IntegrandSpec(1, 1, 1.0, 4, (RuleEntry(0, 4, 1, Rule("const", ("x",))),)),
+        lambda: IntegrandSpec(1, 1, "1.0", 4, ()),
+        lambda: constant_integrand("x"),
+        lambda: constant_integrand(1.0, horizon="x"),
+    ], ids=["entry-start", "rule-k", "rule-c", "spec-horizon", "value", "horizon"])
+    def test_malformed_fields_refused(self, make):
+        """A rule's fractional start, a float k, a string coefficient and a
+        string horizon or value are refused with DomainError, not a bare
+        numpy or Python error when the spec is built or simulated."""
+        with pytest.raises(DomainError):
+            simulate(make(), 2, 0)
+
     def test_integral_sizes_kept(self):
         spec = constant_integrand(1.0, dim=np.int64(2), wiener_dim=2.0, steps=np.int32(8))
         assert (spec.dim, spec.wiener_dim, spec.steps) == (2, 2, 8)
@@ -544,6 +559,10 @@ class TestChunkedKernel:
     @given(chunk_cases())
     @example((CUT_AT_STEP_ONE, 1, 1000, [3.0], 37, 5))
     @example((CUT_AT_STEP_ONE, 1, 40000, [2.5, 2.0], 1, 6))
+    # a constant integrand's one row of g, set by simulate, over 40 blocks
+    # whose batch-means groups chunks cut
+    @example((constant_integrand(0.3, dim=2, wiener_dim=2, steps=4), 3, 40000, [3.0, 2.0],
+              37, 7))
     def test_matches_whole_block_reference(self, case):
         """Chunks that reduce their own paths give the bits of one pass over
         each whole block (see chunk_cases)."""
