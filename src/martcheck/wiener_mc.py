@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -117,8 +118,8 @@ class IntegrandSpec:
                 checked = rule
                 if rule.kind not in RULE_KINDS:
                     raise DomainError(f"unknown rule kind {rule.kind!r}")
-                c = np.asarray(rule.c)
-                if c.shape != (self.dim,) or c.dtype.kind not in "biuf":
+                if len(rule.c) != self.dim or not all(isinstance(v, numbers.Real)
+                                                      for v in rule.c):
                     raise DomainError(f"rule coefficient must be {self.dim} real numbers")
                 if reads_w and not (type(rule.k) is int and 1 <= rule.k <= self.wiener_dim):
                     raise DomainError(f"rule references W^k with k={rule.k!r}")
