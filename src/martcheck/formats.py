@@ -279,9 +279,11 @@ def csv_row(report: InequalityReport) -> dict:
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLOAT_CELLS = {text: cell for cell, text in _JSON_NON_FINITE.items()}
 #: a report row's JSON text, keys sorted as json.dumps(sort_keys=True) writes them
-_ROW_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in sorted(REPORT_FIELDS)) + "}"
-#: a CSV line of CSV_FIELDS cells, as csv.writer ends it
+_ROW_KEYS = sorted(REPORT_FIELDS)
+_ROW_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in _ROW_KEYS) + "}"
+#: a CSV line of CSV_FIELDS cells, as csv.writer ends it, and the columns it holds
 _CSV_LINE = ",".join(["%s"] * len(CSV_FIELDS)) + "\r\n"
+_CSV_COLUMNS = ("id",) + CSV_FIELDS[1:]
 
 
 def _csv_text(value) -> str:
@@ -291,15 +293,17 @@ def _csv_text(value) -> str:
     return buf.getvalue()[:-3]   # less the second cell's "," and the "\r\n"
 
 
-def _column_text(column: list) -> tuple[list[str], Iterable[str]]:
+def _column_text(column: list) -> tuple[list[str] | str, Iterable[str] | str]:
     """(JSON text, CSV text) of every value, each formatted once as json.dumps
     and csv.writer do; the CSV text may come as an iterator, read once. A
-    float's CSV text is its float.__repr__, which never needs quoting and is
-    its JSON text but for NaN and the infinities; other values go through
-    csv.writer, once per distinct value where they can. A float column with
-    at most half its cells distinct is formatted once per distinct value,
-    zeros cell by cell (0.0 and -0.0 are equal keys of different text); a
-    NaN is its own key, as dict lookups try identity first."""
+    column whose cells all hold one value of one type other than float gives
+    that value's two texts, once. A float's CSV text is its float.__repr__,
+    which never needs quoting and is its JSON text but for NaN and the
+    infinities; other values go through csv.writer, once per distinct value
+    where they can. A float column with at most half its cells distinct is
+    formatted once per distinct value, zeros cell by cell (0.0 and -0.0 are
+    equal keys of different text); a NaN is its own key, as dict lookups try
+    identity first."""
     kinds = set(map(type, column))
     if kinds == {float}:
         distinct = set(column)
@@ -313,6 +317,9 @@ def _column_text(column: list) -> tuple[list[str], Iterable[str]]:
     if kinds <= {str, type(None), bool} or kinds <= {str, type(None), int}:
         # equal values have equal text here (True and 1, or -0.0 and 0.0, would not)
         distinct = set(column)
+        if len(distinct) == 1 and len(kinds) == 1:
+            value, = distinct
+            return json.dumps(value), _csv_text(value)
         text = {value: json.dumps(value) for value in distinct}
         cells = {value: _csv_text(value) for value in distinct}
         return list(map(text.__getitem__, column)), map(cells.__getitem__, column)
@@ -321,17 +328,27 @@ def _column_text(column: list) -> tuple[list[str], Iterable[str]]:
                   for v, t in zip(column, text))
 
 
+def _lines(template: str, texts: list, rows: int) -> Iterator[str]:
+    """template % cells for each row: a column's one text is written into
+    the template once, the others' cells substituted row by row."""
+    fixed = [t.replace("%", "%%") if isinstance(t, str) else "%s" for t in texts]
+    template %= tuple(fixed)
+    varying = [t for t in texts if not isinstance(t, str)]
+    return map(template.__mod__, zip(*varying) if varying else repeat((), rows))
+
+
 def table_text(table: ReportTable) -> tuple[Iterator[str], Iterator[str]]:
     """The table's JSON results list in pieces, which join to json.dumps([report_row(r)
     for r in table], sort_keys=True), and its CSV file in lines, the CSV_FIELDS
     header first, as csv.writer writes them for the csv_row of every report.
-    Each value is formatted once, a column at a time."""
+    Each value is formatted once, a column at a time, and a column of one
+    value (see _column_text) once in all, in the row and line templates."""
     text, cells = {}, {}
     for name in REPORT_FIELDS:
         text[name], cells[name] = _column_text(table.columns[name])
-    rows = map(_ROW_TEMPLATE.__mod__, zip(*(text[name] for name in sorted(REPORT_FIELDS))))
+    rows = _lines(_ROW_TEMPLATE, [text[name] for name in _ROW_KEYS], len(table))
     results = chain("[", map(str.__add__, chain([""], repeat(", ")), rows), "]")
-    lines = map(_CSV_LINE.__mod__, zip(cells["id"], *(cells[name] for name in CSV_FIELDS[1:])))
+    lines = _lines(_CSV_LINE, [cells[name] for name in _CSV_COLUMNS], len(table))
     return results, chain([_CSV_LINE % CSV_FIELDS], lines)
 
 

@@ -455,10 +455,12 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     a substream derived from (seed, t), so the whole sweep is reproducible
     from the single seed. Before the first tree, the rows the deepest trees
     would give are charged against SWEEP_MEMORY_BUDGET. The trees of one
-    shape are then drawn and evaluated as forests of ptree.forest_size
-    trees, each row put in its tree's place. Where a forest fails, the trees
-    are evaluated one by one in order, so the sweep raises what its first
-    failing tree raises alone.
+    depth are then drawn and evaluated as forests of ptree.forest_size trees
+    at the largest dimension among them, each row put in its tree's place:
+    trees of dimensions below ptree.PAD_BELOW share forests, padded with
+    zero coordinates, and those of each larger dimension take their own.
+    Where a forest fails, the trees are evaluated one by one in order, so
+    the sweep raises what its first failing tree raises alone.
     """
     count, max_depth, max_dim = (as_int(count, "count"), as_int(max_depth, "max_depth"),
                                  as_int(max_dim, "max_dim"))
@@ -475,26 +477,29 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
             f"rows, {rows * _SWEEP_ROW_BYTES} bytes at {_SWEEP_ROW_BYTES} bytes a row, "
             f"over the {SWEEP_MEMORY_BUDGET}-byte sweep memory budget")
     shapes, seeds = [], []   # each tree's (depth, dim) and tree seed
-    groups: dict[tuple[int, int], list[int]] = {}   # each shape's trees, in order
+    # the trees of each kind of forest, in order: by depth, and by dim from PAD_BELOW on
+    groups: dict[tuple[int, int], list[int]] = {}
     for t in range(count):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SWEEP_STREAM, t))
         rng = np.random.Generator(np.random.Philox(ss))
-        shape = int(rng.integers(1, max_depth + 1)), int(rng.integers(1, max_dim + 1))
-        shapes.append(shape)
+        depth, dim = int(rng.integers(1, max_depth + 1)), int(rng.integers(1, max_dim + 1))
+        shapes.append((depth, dim))
         seeds.append(ss.spawn(1)[0])
-        groups.setdefault(shape, []).append(t)
+        groups.setdefault((depth, dim if dim >= ptree.PAD_BELOW else 0), []).append(t)
     level_rows = len(p_values) * len(ids)
     starts = list(accumulate(((depth + 1) * level_rows for depth, _ in shapes), initial=0))
     columns = {name: [None] * starts[-1] for name in REPORT_FIELDS}
     try:
-        for (depth, dim), trees in groups.items():
-            size = ptree.forest_size(depth, dim)
+        for (depth, _), trees in groups.items():
+            size = ptree.forest_size(depth, max(shapes[t][1] for t in trees))
             n = (depth + 1) * level_rows   # rows per tree
             for i in range(0, len(trees), size):
                 batch = trees[i:i + size]
-                forest = ptree.random_forest(depth, dim, [seeds[t] for t in batch])
+                dims = [shapes[t][1] for t in batch]
+                forest = ptree.random_forest(depth, dims, [seeds[t] for t in batch])
                 table = eval_tree(forest, range(depth + 1), p_values, ids, seed=seed,
-                                  notes=[f"tree={t} depth={depth} dim={dim}" for t in batch])
+                                  notes=[f"tree={t} depth={depth} dim={dim}"
+                                         for t, dim in zip(batch, dims)])
                 for j, t in enumerate(batch):
                     for name, column in columns.items():
                         column[starts[t]:starts[t] + n] = table.columns[name][j * n:(j + 1) * n]

@@ -9,10 +9,12 @@ roundoff.
 Conventions
 -----------
 * d_0 = M_0: the starting value counts as the increment at level 0.
-* a forest is several trees of one depth and dimension held as one set of
-  node arrays, level-major: the roots are nodes 0..T-1, then level k holds
-  every tree's level-k nodes, tree by tree, each tree's nodes in its
-  depth-first order, which fixes every summation order. forest.tree_bounds
+* a forest is several trees of one depth held as one set of node arrays,
+  level-major: the roots are nodes 0..T-1, then level k holds every tree's
+  level-k nodes, tree by tree, each tree's nodes in its depth-first order,
+  which fixes every summation order. Trees of dimensions below PAD_BELOW may
+  share a forest, each padded with zero coordinates to the widest of them;
+  from PAD_BELOW on, a forest holds one dimension. forest.tree_bounds
   locates each tree's share of each level. A ProbTree is the forest of one
   tree; ProbTree(m0, parent, prob, incr) builds one from the rows below its
   root, as random_tree, symmetric_walk and formats.parse_tree do, and
@@ -25,10 +27,10 @@ Conventions
   each tree's share of a level stays one moment sum, whose pairwise
   summation order fixes the bits.
 * random_forest draws many seeds' trees at once: each tree walks its own
-  Philox stream, then the forest's nodes of one width are drawn together.
-  random_tree is its forest of one. The RANDOM-TREE search and the
-  random-tree sweep draw and evaluate their trees as forests of
-  forest_size trees, the sweep one shape (depth, dim) at a time.
+  Philox stream, then the forest's nodes of one width and dimension are
+  drawn together. random_tree is its forest of one. The RANDOM-TREE search
+  and the random-tree sweep draw and evaluate their trees as forests of
+  forest_size trees, the sweep one depth at a time.
 """
 from __future__ import annotations
 
@@ -52,14 +54,26 @@ MAX_PATHS = 10**7     # hard bound on exact enumeration width
 MAX_TREE_BYTES = 1 << 30   # hard bound on the memory random_tree may hold
 FOREST_BYTES = 1 << 22     # bytes tree_bytes may charge one forest a caller draws
 
+# numpy sums a row of fewer than 8 terms left to right, so the zero
+# coordinates that pad a tree's rows to a wider forest leave the bits of its
+# norms alone; from 8 terms on it sums pairwise, and padding changes bits.
+# So trees of dimensions below PAD_BELOW may share a forest, padded to the
+# widest of them, and a tree of a larger dimension only with trees of its own.
+PAD_BELOW = 8
+
 _TREE_STREAM = 11     # spawn-key domain tag for random tree generation
 
 
 def as_exponent(p) -> float:
-    """p as a float moment exponent; only 2 <= p < inf is admitted anywhere."""
-    if not 2.0 <= float(p) < np.inf:   # NaN fails too
+    """p as a float moment exponent; only 2 <= p < inf is admitted anywhere,
+    and a value float() refuses raises DomainError too."""
+    try:
+        value = float(p)
+    except (TypeError, ValueError, OverflowError):
+        value = float("nan")
+    if not 2.0 <= value < np.inf:   # NaN fails too
         raise DomainError(f"exponent must satisfy 2 <= p < inf, got {p!r}")
-    return float(p)
+    return value
 
 
 def as_sequence(values, name: str) -> list:
@@ -142,12 +156,12 @@ class ValidationResult:
 
 
 class Forest:
-    """Trees of one depth and dimension, held as one set of node arrays.
+    """Trees of one depth, held as one set of node arrays.
 
     Parameters
     ----------
     roots : array-like of shape (trees, d)
-        M_0 of each tree; the row length fixes the dimension d.
+        M_0 of each tree; the row length fixes the forest's width d.
     parent, prob, incr : arrays
         The n nodes below the roots, level-major: level k holds every tree's
         level-k nodes, tree by tree, each tree's nodes in its depth-first
@@ -161,6 +175,12 @@ class Forest:
         every node above the last level has a child.
     weights : array-like of shape (trees,), optional
         The law of M_0, positive and summing to 1 (else InvalidTreeError).
+    dims : sequence of int, optional
+        Each tree's dimension, d for every tree by default. A tree of
+        dimension below d is padded: its rows, root included, hold 0 in
+        coordinates dims[t] to d - 1. Padding is admitted in forests of
+        width below PAD_BELOW only; dims outside 1..d, or a nonzero padding
+        coordinate, raise TreeStructureError.
 
     The forest keeps the arrays roots first, as copies: parent (-1 at each
     root), prob (1 at each root) and incr (M_0 at each root). Level k holds
@@ -171,7 +191,7 @@ class Forest:
     """
 
     def __init__(self, roots, parent: np.ndarray, prob: np.ndarray, incr: np.ndarray,
-                 weights=None):
+                 weights=None, dims=None):
         roots = as_float_array(roots, "roots")
         if roots.ndim != 2 or 0 in roots.shape:
             raise TreeStructureError("roots must be a (trees, d) array with trees, d >= 1")
@@ -214,8 +234,30 @@ class Forest:
         self.bounds = tuple(row[0] for row in cuts) + (trees + n,)
         self.prob = np.concatenate(([1.0] * trees, prob))
         self.incr = np.concatenate((roots, incr))
+        self.dims = (dim,) * trees if dims is None else tuple(
+            as_int(d, "dimension", TreeStructureError) for d in dims)
+        if self.dims != (dim,) * trees:
+            self._check_padding()
         self._verdicts: tuple[ValidationResult, ...] | None = None
         self._calc: _LevelCalc | None = None
+
+    def _check_padding(self) -> None:
+        """Refuse dims that do not pad the trees to the forest's width."""
+        dims, width = self.dims, self.dim
+        if len(dims) != self.trees or not 1 <= min(dims) <= max(dims) <= width:
+            raise TreeStructureError(f"dims must be one per tree, each in 1..{width}, "
+                                     f"got {list(dims)}")
+        if width >= PAD_BELOW:
+            raise TreeStructureError(f"only forests narrower than {PAD_BELOW} coordinates "
+                                     f"pad trees, got width {width} and dims {list(dims)}")
+        # the tree of each node, level by level
+        owner = np.repeat(np.tile(np.arange(self.trees), self.depth + 1),
+                          np.diff(self.tree_bounds).ravel())
+        padded = (self.incr != 0.0) & (np.arange(width) >= np.array(dims)[owner, None])
+        if padded.any():
+            t = int(owner[padded.any(axis=1).argmax()])
+            raise TreeStructureError(f"tree {t} of dimension {dims[t]} has a nonzero "
+                                     "coordinate beyond it")
 
     def validate(self, tree: int = 0) -> ValidationResult:
         """The verdict on tree `tree`, from one validation pass over the forest."""
@@ -367,7 +409,8 @@ def _build_calc(forest: Forest) -> _LevelCalc:
     after it, runs level by level, over every tree at once: a level needs
     the level above done. The norms of M_k and of d_k are taken once each,
     row-wise over every node but the roots; a root's norm is the 1-D
-    np.linalg.norm of its M_0, as a row-wise norm can differ in the last bit."""
+    np.linalg.norm of its M_0, less any padding, as a row-wise norm can
+    differ in the last bit and the 1-D norm is a BLAS dot product."""
     if any(b - a > MAX_PATHS for row in forest.tree_bounds for a, b in zip(row, row[1:])):
         raise ResourceLimitError(f"tree level exceeds the {MAX_PATHS} path enumeration cap")
     bounds, roots = forest.bounds, forest.trees
@@ -379,7 +422,8 @@ def _build_calc(forest: Forest) -> _LevelCalc:
         np.add(values.take(parent[a:b], axis=0), incr[a:b], out=values[a:b])
     norms = np.empty((4, bounds[-1]))
     m_norm, sup_norm, quad, d_norm = norms
-    m_norm[:roots] = d_norm[:roots] = [np.linalg.norm(m0) for m0 in incr[:roots].tolist()]
+    m_norm[:roots] = d_norm[:roots] = [np.linalg.norm(m0[:dim]) for m0, dim
+                                       in zip(incr[:roots].tolist(), forest.dims)]
     m_norm[roots:] = np.linalg.norm(values[roots:], axis=1)
     d_norm[roots:] = np.linalg.norm(incr[roots:], axis=1)
     d_sq = d_norm**2
@@ -578,51 +622,69 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     is then read again whole, and all nodes of one width are drawn at once
     with the arithmetic of a node-by-node draw: scale and shift, divide the
     probabilities by their np.add.reduce sum, subtract np.matmul(prob, incr).
+    That matmul, and the 1-D np.linalg.norm of M_0 in the level calculus, go
+    through the BLAS numpy links, and neither is a left-to-right sum: the
+    last bits of a tree's increments and norms can also depend on that BLAS.
     """
-    roots, parent, prob, incr = _draw(depth, dim, [seed], branching)
+    roots, parent, prob, incr, _ = _draw(depth, dim, [seed], branching)
     return ProbTree(roots[0], parent, prob, incr)
 
 
-def random_forest(depth: int, dim: int, seeds: Sequence, branching: Sequence[int] = (2, 3)
-                  ) -> Forest:
+def random_forest(depth: int, dim: int | Sequence[int], seeds: Sequence,
+                  branching: Sequence[int] = (2, 3)) -> Forest:
     """The trees random_tree draws from each seed, as one forest: tree t is
-    random_tree(depth, dim, seeds[t], branching), node for node and bit for
-    bit. Each tree walks its own stream; the forest's nodes of one width are
-    then drawn at once. The whole forest is charged against MAX_TREE_BYTES."""
+    random_tree(depth, dims[t], seeds[t], branching), node for node and bit
+    for bit, padded with zero coordinates to the forest's width. dim is every
+    tree's dimension, or a sequence of one per seed (the forest's dims),
+    which all lie below PAD_BELOW or are all equal (else DomainError). Each
+    tree walks its own stream; the forest's nodes of one width and dimension
+    are then drawn at once. The whole forest is charged against
+    MAX_TREE_BYTES at its width."""
     seeds = list(seeds)
     if not seeds:
         raise DomainError("random_forest needs at least one seed")
-    return Forest(*_draw(depth, dim, seeds, branching))
+    roots, parent, prob, incr, dims = _draw(depth, dim, seeds, branching)
+    return Forest(roots, parent, prob, incr, dims=dims)
 
 
 def _draw(depth, dim, seeds: list, branching: Sequence[int]):
     """random_forest's checks and draw: the (roots, parent, prob, incr) of
-    its Forest."""
+    its Forest, then each tree's dimension."""
     depth = as_int(depth, "depth")
-    dim = as_int(dim, "dim")
-    if depth < 0 or dim < 1:
+    if isinstance(dim, str) or not hasattr(dim, "__iter__"):
+        dims = [as_int(dim, "dim")] * len(seeds)
+    else:
+        dims = [as_int(d, "dim") for d in dim]
+        if len(dims) != len(seeds):
+            raise DomainError(f"need one dim per seed, got {len(dims)} for {len(seeds)} seeds")
+    cols = max(dims)   # the forest's width
+    if depth < 0 or min(dims) < 1:
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
+    if cols >= PAD_BELOW and min(dims) < cols:
+        raise DomainError(f"trees of dimensions {sorted(set(dims))} share no forest: from "
+                          f"{PAD_BELOW} on, a dimension takes forests of its own")
     choices = [as_int(w, "branching factor") for w in branching]
     if not choices or min(choices) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(choices)}")
     streams = [seed if isinstance(seed, np.random.SeedSequence) else
                np.random.SeedSequence(entropy=as_seed(seed), spawn_key=(_TREE_STREAM,))
                for seed in seeds]
-    need = len(seeds) * tree_bytes(depth, dim, choices)
+    need = len(seeds) * tree_bytes(depth, cols, choices)
     if need > MAX_TREE_BYTES:
         raise ResourceLimitError(
-            f"depth-{depth} trees of dimension {dim} with branching up to {max(choices)} "
+            f"depth-{depth} trees of dimension {cols} with branching up to {max(choices)} "
             f"need about {need} bytes, over the {MAX_TREE_BYTES}-byte tree memory budget")
     # each tree's walk: its internal nodes' levels, widths and first words, in
     # draw order, the words counted from the start of the forest's stream
-    roots = np.empty((len(streams), dim))
+    roots = np.zeros((len(streams), cols))   # a tree's coordinates past its dim stay 0
     levels: list[int] = []
     widths: list[int] = []
     firsts: list[int] = []
     offsets = [0]   # where each tree's words start in the forest's stream, then the end
-    for t, ss in enumerate(streams):
+    walked = [0]    # where each tree's internal nodes start in the lists, then the end
+    for t, (ss, d) in enumerate(zip(streams, dims)):
         rng = np.random.Generator(np.random.Philox(ss))
-        roots[t] = rng.uniform(-1.0, 1.0, dim)
+        roots[t, :d] = rng.uniform(-1.0, 1.0, d)
         words = _PhiloxWords(rng.bit_generator.random_raw)
         stack = [0] if depth else []
         while stack:
@@ -631,40 +693,47 @@ def _draw(depth, dim, seeds: list, branching: Sequence[int]):
             levels.append(k)
             widths.append(w)
             firsts.append(offsets[-1] + words.pos)
-            words.pos += w * (1 + dim)
+            words.pos += w * (1 + d)
             if k + 1 < depth:
                 stack.extend([k + 1] * w)
         offsets.append(offsets[-1] + words.pos)
+        walked.append(len(levels))
     if depth == 0:
-        return roots, np.empty(0, np.intp), np.empty(0), np.empty((0, dim))
+        return roots, np.empty(0, np.intp), np.empty(0), np.empty((0, cols)), dims
     # internal nodes level by level, each level tree by tree in draw order,
     # so that the list index is the node number and node i's children are
     # rows rows[i]..rows[i] + width[i] - 1
     order = np.argsort(np.array(levels), kind="stable")
     width = np.array(widths)[order]
     first = np.array(firsts)[order]
+    dim_of = np.repeat(dims, np.diff(walked))[order]   # each node's tree's dimension
     ends = width.cumsum()
     rows = ends - width
     stream = np.empty(offsets[-1], np.uint64)   # each tree's stream, read again whole
-    for ss, a, b in zip(streams, offsets, offsets[1:]):
-        stream[a:b] = np.random.Philox(ss).random_raw(dim + b - a)[dim:]
+    for ss, d, a, b in zip(streams, dims, offsets, offsets[1:]):
+        stream[a:b] = np.random.Philox(ss).random_raw(d + b - a)[d:]
     prob = np.empty(ends[-1])
-    incr = np.empty((ends[-1], dim))
-    for w in sorted(set(widths)):
-        nodes = np.flatnonzero(width == w)
-        draw = (stream[first[nodes, None] + np.arange(w * (1 + dim))] >> 11) * 2.0**-53
-        p = draw[:, :w]
-        x = draw[:, w:].reshape(len(nodes), w, dim)
-        p *= 1.0 - 0.1   # as Generator.uniform maps onto [0.1, 1[ and [-1, 1[
-        p += 0.1
-        x *= 1.0 - -1.0
-        x += -1.0
-        p /= np.add.reduce(p, axis=1)[:, None]
-        x -= np.matmul(p[:, None, :], x)
-        at = rows[nodes, None] + np.arange(w)
-        prob[at] = p
-        incr[at] = x
-    return roots, np.repeat(np.arange(len(width)), width), prob, incr
+    incr = np.zeros((ends[-1], cols))
+    # the nodes of one width and dimension at once: each matmul takes the
+    # (nodes, width, dim) operands a forest of that dimension alone gives it
+    for d in sorted(set(dims)):
+        for w in sorted(set(widths)):
+            nodes = np.flatnonzero((width == w) & (dim_of == d))
+            if len(nodes) == 0:
+                continue
+            draw = (stream[first[nodes, None] + np.arange(w * (1 + d))] >> 11) * 2.0**-53
+            p = draw[:, :w]
+            x = draw[:, w:].reshape(len(nodes), w, d)
+            p *= 1.0 - 0.1   # as Generator.uniform maps onto [0.1, 1[ and [-1, 1[
+            p += 0.1
+            x *= 1.0 - -1.0
+            x += -1.0
+            p /= np.add.reduce(p, axis=1)[:, None]
+            x -= np.matmul(p[:, None, :], x)
+            at = rows[nodes, None] + np.arange(w)
+            prob[at] = p
+            incr[at, :d] = x
+    return roots, np.repeat(np.arange(len(width)), width), prob, incr, dims
 
 
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:

@@ -31,7 +31,7 @@ from martcheck import (
     table_text,
     tree_to_obj,
 )
-from martcheck import cli
+from martcheck import cli, formats
 from martcheck.formats import CSV_FIELDS, REPORT_FIELDS
 from tree_levels import level_arrays
 
@@ -354,7 +354,10 @@ def _tables(draw):
     rows = draw(st.integers(0, 5))
 
     def column(*values):
-        return draw(st.lists(draw(st.sampled_from(values)), min_size=rows, max_size=rows))
+        values = draw(st.sampled_from(values))
+        if draw(st.booleans()):   # one value in every cell
+            return [draw(values)] * rows
+        return draw(st.lists(values, min_size=rows, max_size=rows))
 
     floats = (_FLOAT, _FLOAT | _FLOAT.map(np.float64))
     columns = {name: column(*floats) for name in ("p", "n_or_t", "lhs", "rhs",
@@ -403,6 +406,26 @@ class TestTableWriter:
         column = values * 5 + [0.0, -0.0]
         table = ReportTable({name: column if name in ("p", "n_or_t", "lhs") else
                              [None] * len(column) for name in REPORT_FIELDS})
+        results, lines = table_text(table)
+        assert "".join(results) == json.dumps([report_row(r) for r in table], sort_keys=True)
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [CSV_FIELDS] + [[csv_row(r)[name] for name in CSV_FIELDS] for r in table])
+        assert "".join(lines) == expected.getvalue()
+
+    def test_constant_columns_formatted_once(self):
+        """A column of one value of one type other than float is formatted
+        once, "%" included; True and 1, or 0.0 and -0.0, are not one value
+        and keep their own text."""
+        assert formats._column_text(["50%"] * 3) == ('"50%"', "50%")
+        assert formats._column_text([None] * 2) == ("null", "")
+        assert not isinstance(formats._column_text([True, 1])[0], str)
+        assert not isinstance(formats._column_text([0.0, 0.0])[0], str)
+        columns = {name: [1.5, 2.5, 3.5] for name in REPORT_FIELDS}
+        columns.update(id=["a,b"] * 3, verdict=["x%sy"] * 3, notes=["100%"] * 3,
+                       satisfied=[True, 1, True], seed=[7] * 3, ci_lhs=[0.0, -0.0, 0.0],
+                       ci_rhs=[None] * 3)
+        table = ReportTable(columns)
         results, lines = table_text(table)
         assert "".join(results) == json.dumps([report_row(r) for r in table], sort_keys=True)
         expected = io.StringIO()

@@ -527,33 +527,33 @@ class TestSweep:
         moments = ptree.moments
         monkeypatch.setattr(ptree, "moments", spy)
         ids = (ineq.InequalityId.PROP1_MAIN, ineq.InequalityId.DOOB)
-        # eight trees of at most four shapes: some forest holds two trees
+        # eight trees of four shapes, two depths: a forest holds both dims
         reports = list(ineq.sweep_random_trees(
             8, 2, 2, seed=1, p_values=(2, 3, 4), ids=ids))
         per_tree = {}
         for r in reports:
             tree, depth, dim = (field.split("=")[1] for field in r.notes.split())
             per_tree[int(tree)] = int(depth), int(dim)
-        # one moment table per forest, one forest per (depth, dim), each
-        # carrying every exponent
-        shapes = set(per_tree.values())
-        assert len(tables) == len(shapes)
-        assert sorted(trees for trees, _ in tables) == sorted(
-            list(per_tree.values()).count(shape) for shape in shapes)
+        # one moment table per forest, one forest per depth below dimension
+        # PAD_BELOW, each carrying every exponent
+        assert len(set(per_tree.values())) == 4
+        depths = [depth for depth, _ in per_tree.values()]
+        assert sorted(trees for trees, _ in tables) == sorted(map(depths.count, set(depths)))
         assert all(ps == [2.0, 3.0, 4.0] for _, ps in tables)
         # per tree: (depth+1) levels x 3 exponents x 2 ids, in tree order
         assert list(per_tree) == list(range(8))
         assert len(reports) == sum((d + 1) * 6 for d, _ in per_tree.values())
         assert all(r.satisfied for r in reports)
 
-    @given(st.integers(0, 30), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32),
+    @given(st.integers(0, 30), st.integers(1, 5), st.integers(1, 10), st.integers(0, 2**32),
            st.lists(st.sampled_from(SWEEP_PS), min_size=1, max_size=3, unique=True),
            st.lists(st.sampled_from(ineq.DISCRETE_EVAL_IDS), min_size=1, unique=True))
     def test_sweep_matches_tree_by_tree(self, count, max_depth, max_dim, seed, ps, ids):
         """The sweep's table is, bit for bit, the concatenation of one
         eval_tree table per tree drawn alone by random_tree, and a failing
         sweep raises what the first failing tree raises alone (at p = 300
-        some trees' sums underflow and others' do not)."""
+        some trees' sums underflow and others' do not). Dimensions reach 10,
+        on both sides of ptree.PAD_BELOW, where padded forests end."""
         args = (count, max_depth, max_dim, seed, ps, ids)
         try:
             want = sweep_tree_by_tree(*args)

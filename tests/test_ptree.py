@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import martcheck.ptree as ptree
+import martcheck.wiener_mc as wmc
 from martcheck import (
     DISCRETE_EVAL_IDS,
     DomainError,
@@ -60,6 +61,21 @@ class TestExponent:
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             ptree.as_exponent(bad)
+
+    @pytest.mark.parametrize("bad", ["x", None, 1j, [4.0], 10**400],
+                             ids=["text", "none", "complex", "list", "huge-int"])
+    @pytest.mark.parametrize("call", [
+        lambda p: ptree.moments(ptree.symmetric_walk(1), [p]),
+        lambda p: eval_tree(ptree.symmetric_walk(1), [1], [p], ["DOOB"]),
+        lambda p: wmc.simulate(wmc.constant_integrand(1.0, steps=4), 2, 0, p=[p]),
+        lambda p: wmc.eval_continuous(wmc.constant_integrand(1.0, steps=4), 1.0, [p],
+                                      ["ZAKAI-MAIN"], 2, 0),
+    ], ids=["moments", "eval_tree", "simulate", "eval_continuous"])
+    def test_non_numbers_rejected(self, call, bad):
+        """An exponent float() refuses is a DomainError, not a bare
+        ValueError, TypeError or OverflowError."""
+        with pytest.raises(DomainError, match="exponent must satisfy"):
+            call(bad)
 
 
 class TestFrozenValues:
@@ -545,21 +561,29 @@ FOREST_PS = (2.0, 3.0, 4.5)
 
 @given(st.integers(0, 5), st.integers(1, 3),
        st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple),
-       st.lists(seeds, min_size=1, max_size=9))
-def test_forest_matches_each_tree_alone(depth, dim, branching, tree_seeds):
+       st.lists(seeds, min_size=1, max_size=9),
+       st.none() | st.lists(st.integers(1, ptree.PAD_BELOW - 1), min_size=9, max_size=9))
+def test_forest_matches_each_tree_alone(depth, dim, branching, tree_seeds, mixed):
     """Each tree of a random forest is, bit for bit, the tree random_tree
     draws from its seed alone: its node arrays, its verdict, its Moments
-    table and its report rows for every id, level and exponent."""
-    forest = ptree.random_forest(depth, dim, tree_seeds, branching)
+    table and its report rows for every id, level and exponent. Drawn with
+    a dimension per tree (mixed), all below PAD_BELOW, each tree is the
+    tree drawn alone at its own dimension, padded with zero coordinates."""
+    dims = [dim] * len(tree_seeds) if mixed is None else mixed[:len(tree_seeds)]
+    forest = ptree.random_forest(depth, dim if mixed is None else dims, tree_seeds, branching)
     assert forest.trees == len(tree_seeds) and forest.depth == depth
+    assert forest.dims == tuple(dims) and forest.dim == max(dims)
     table = ptree.moments(forest, FOREST_PS)
     reports = eval_tree(forest, range(depth + 1), FOREST_PS, DISCRETE_EVAL_IDS)
     rows = len(reports) // len(tree_seeds)
-    for t, seed in enumerate(tree_seeds):
-        alone = ptree.random_tree(depth, dim, seed, branching)
-        for got, want in zip(forest_tree(forest, t),
+    for t, (seed, d) in enumerate(zip(tree_seeds, dims)):
+        alone = ptree.random_tree(depth, d, seed, branching)
+        root, parent, prob, incr = forest_tree(forest, t)
+        assert not root[d:].any() and not incr[:, d:].any()
+        for got, want in zip((root[:d], parent, prob, incr[:, :d]),
                              (alone.incr[0], alone.parent[1:], alone.prob[1:], alone.incr[1:])):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         assert forest.validate(t) == alone.validate()
         single = ptree.moments(alone, FOREST_PS)
         for name in ("lp", "sup", "quad", "incr"):
@@ -666,6 +690,34 @@ def test_mixed_dimension_roots_refused():
     with pytest.raises(TreeStructureError, match="roots must be numbers in rows of one length"):
         ptree.Forest([[1.0], [1.0, 2.0]], np.array([0, 0, 1, 1]), np.full(4, 0.5),
                      np.array([[1.0], [-1.0]] * 2))
+
+
+def test_padding_checked():
+    """A forest pads trees below PAD_BELOW coordinates only, and only with
+    zeros; random_forest refuses to pad a dimension from PAD_BELOW on."""
+    # a planar coin from 0 and a scalar coin from 1, padded to two coordinates
+    forest = ptree.Forest([[0.0, 0.0], [1.0, 0.0]], np.array([0, 0, 1, 1]), np.full(4, 0.5),
+                          np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]),
+                          dims=[2, 1])
+    assert forest.dims == (2, 1)
+    assert forest.calculus().node_norms[0].tolist() == [0.0, 1.0, 1.0, 1.0, 2.0, 0.0]
+    walk = ptree.symmetric_walk(1)
+    rows = walk.parent[1:], walk.prob[1:]
+    bad = [([[1.0, 0.0]], np.array([[1.0, 0.5], [-1.0, 0.0]]), [1], "tree 0 of dimension 1"),
+           ([[1.0, 2.0]], np.array([[1.0, 0.0], [-1.0, 0.0]]), [1], "tree 0 of dimension 1"),
+           ([[1.0, 0.0]], np.array([[1.0, 0.0], [-1.0, 0.0]]), [3], "each in 1..2"),
+           ([[1.0, 0.0]], np.array([[1.0, 0.0], [-1.0, 0.0]]), [1, 1], "one per tree"),
+           ([[1.0] + [0.0] * 7], np.array([[1.0] + [0.0] * 7, [-1.0] + [0.0] * 7]), [1],
+            "narrower than 8")]
+    for roots, incr, dims, message in bad:
+        with pytest.raises(TreeStructureError, match=message):
+            ptree.Forest(roots, *rows, incr, dims=dims)
+    with pytest.raises(DomainError, match="share no forest"):
+        ptree.random_forest(2, [1, ptree.PAD_BELOW], [1, 2])
+    with pytest.raises(DomainError, match="one dim per seed"):
+        ptree.random_forest(2, [1, 2], [1])
+    wide = ptree.random_forest(2, [ptree.PAD_BELOW] * 2, [1, 2])
+    assert wide.dims == (ptree.PAD_BELOW,) * 2
 
 
 def test_width_index_replays_generator_integers():
