@@ -28,7 +28,7 @@ from .errors import (
 )
 from .ptree import ProbTree, as_exponent, as_int, as_seed
 
-ABS_TOL = 1e-9        # lhs <= rhs + ABS_TOL defines "satisfied" for exact sides
+ABS_TOL = 1e-9        # the tolerance decide gives exact sides
 QUAD_TOL = 1e-10      # relative convergence tolerance of adaptive_panel_quadrature
 _GRADING = 0.25       # geometric ratio of the graded panels toward each anchor
 
@@ -107,11 +107,8 @@ DISCRETE_EVAL_IDS = (
 class InequalityReport:
     """One verified comparison lhs <= constant * (rhs / constant).
 
-    Every evaluator builds its reports as the rows of one report_table, where
-    `satisfied` means verdict == "satisfied". Exact verdicts are "satisfied"
-    or "violation"; Monte Carlo evaluators fill the ci_* half-widths and may
-    report "inconclusive" or "violation-candidate" instead. `ratio` is
-    lhs/rhs, with 0/0 mapped to 0.
+    Every evaluator builds its reports as the rows of one report_table, its
+    verdict from decide. `ratio` is lhs/rhs, with 0/0 mapped to 0.
     """
 
     id: str
@@ -152,17 +149,25 @@ class ReportTable:
         return InequalityReport(*(self.columns[name][i] for name in REPORT_FIELDS))
 
 
+def decide(lhs, rhs, lhs_hw=None, rhs_hw=None, scale=1.0):
+    """lhs <= rhs elementwise: 1 satisfied, -1 a violation, 0 inconclusive. With both
+    half-widths: 1 where lhs + lhs_hw <= rhs - rhs_hw, -1 where lhs - lhs_hw > rhs + rhs_hw.
+    Exact sides (no half-widths): 1 where lhs <= rhs + ABS_TOL * scale, else -1."""
+    if lhs_hw is None and rhs_hw is None:
+        return np.where(lhs <= rhs + ABS_TOL * scale, 1, -1)
+    return np.where(lhs + lhs_hw <= rhs - rhs_hw, 1, np.where(lhs - lhs_hw > rhs + rhs_hw, -1, 0))
+
+
 def report_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.ndarray,
-                 rhs: np.ndarray, constant: np.ndarray, verdict: list[str] | None = None,
-                 ci_lhs: np.ndarray | None = None, ci_rhs: np.ndarray | None = None,
-                 seed: int | None = None, notes: str | list[str] = "") -> ReportTable:
+                 rhs: np.ndarray, constant: np.ndarray, ci_lhs: np.ndarray | None = None,
+                 ci_rhs: np.ndarray | None = None, seed: int | None = None,
+                 notes: str | list[str] = "") -> ReportTable:
     """The ReportTable of the comparisons lhs <= rhs, one row per entry of the
     equal-length lists and float arrays; seed, and notes if a string, go into
-    every row. Without a verdict column the sides are exact and a row reads
-    "satisfied" when lhs <= rhs + ABS_TOL, else "violation"; `satisfied` is
-    verdict == "satisfied". A side or half-width that overflowed a float (or
-    is NaN) raises DomainError, for the first such row, instead of reaching a
-    verdict."""
+    every row. The verdicts are decide's on the sides and ci_* half-widths, a
+    violation reading "violation-candidate" where those are given. A side or
+    half-width that overflowed a float (or is NaN) raises DomainError, for the
+    first such row, instead of reaching a verdict."""
     sides = {"lhs": lhs, "rhs": rhs}
     if ci_lhs is not None:
         sides.update(ci_lhs=ci_lhs, ci_rhs=ci_rhs)
@@ -171,16 +176,16 @@ def report_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.nd
         i = int(np.argmin(finite))
         values = ", ".join(f"{name}={float(a[i])}" for name, a in sides.items())
         raise DomainError(f"{ids[i]} at p={p[i]:g}: the sides overflow a float ({values})")
-    if verdict is None:
-        verdict = ["satisfied" if ok else "violation"
-                   for ok in (lhs <= rhs + ABS_TOL).tolist()]
-    with np.errstate(all="ignore"):   # ratio: 0/0 -> 0, x/0 -> inf, overflow -> inf
+    words = np.array(["violation" if ci_lhs is None else "violation-candidate",
+                      "inconclusive", "satisfied"], dtype=object)   # by decide's verdict + 1
+    with np.errstate(all="ignore"):   # ratio and band edges overflow to inf; 0/0 -> 0, x/0 -> inf
+        verdict = decide(lhs, rhs, ci_lhs, ci_rhs)
         ratio = np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, np.inf))
     rows = len(ids)
     return ReportTable({
         "id": ids, "p": p, "n_or_t": n_or_t, "lhs": lhs.tolist(),
         "rhs": rhs.tolist(), "constant": constant.tolist(), "ratio": ratio.tolist(),
-        "satisfied": [v == "satisfied" for v in verdict], "verdict": verdict,
+        "satisfied": (verdict == 1).tolist(), "verdict": words[verdict + 1].tolist(),
         "ci_lhs": [None] * rows if ci_lhs is None else ci_lhs.tolist(),
         "ci_rhs": [None] * rows if ci_rhs is None else ci_rhs.tolist(),
         "seed": [seed] * rows,
@@ -414,7 +419,7 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
     if not all(map(math.isfinite, (lhs, rhs, scale))):
         raise DomainError(f"p={p:g}: a side of the Taylor bound is not finite "
                           f"(lhs={lhs}, rhs={rhs}, scale={scale})")
-    return TaylorBound(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + ABS_TOL * scale)
+    return TaylorBound(lhs=lhs, rhs=rhs, satisfied=bool(decide(lhs, rhs, scale=scale) == 1))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 The central quantity is the two-point gain (||a + Y||_{L^p}^2 - a^2) / ||Y||_{L^p}^2
 of the centered law Y = b(1-q) w.p. q, -bq w.p. 1-q (asym_two_point_gain). The
 symmetric law Y = +-b is its q = 1/2, width-2b case (rio_gain), whose gain
-approaches the one-step constant p-1 as b -> 0. Searches maximize a
-gain (two-point families, bound p-1) or a normalized lhs/rhs ratio
-(random-tree families, bound 1), and flag any run whose best exceeds the
-bound beyond 1e-9 as a violation finding.
+approaches the one-step constant p-1 as b -> 0. Searches maximize a gain
+(two-point families, bound p-1) or a normalized lhs/rhs ratio (random-tree
+families, bound 1); ineq.decide flags a best above the bound as a violation.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .ptree import as_exponent, as_int, as_positive, as_seed
 
-SOUND_TOL = 1e-9
 COLLAPSE_DIAMETER = 1e-10
 NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5   # Nelder-Mead
 
@@ -204,8 +202,8 @@ class SearchResult:
 
     best_ratio is the gain (two-point families) or lhs/rhs (tree families);
     bound is the matching soundness cap (p-1 or 1.0) and exceeded flags a
-    best_ratio above bound + 1e-9, a violation finding. trace lists the
-    improving (params, ratio) steps in evaluation order.
+    violation finding, a best_ratio ineq.decide reads as violating it. trace
+    lists the improving (params, ratio) steps in evaluation order.
     """
 
     best_ratio: float
@@ -428,4 +426,4 @@ def search(config: SearchConfig) -> SearchResult:
     return SearchResult(
         best_ratio=rec.best_ratio, best_params=rec.best_params,
         evaluations=rec.count, trace=tuple(rec.trace), bound=bound,
-        exceeded=rec.best_ratio > bound + SOUND_TOL)
+        exceeded=bool(ineq.decide(rec.best_ratio, bound) == -1))

@@ -625,14 +625,13 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     One simulation of (spec, paths, seed) serves every exponent and id; the
     reports come back as one ReportTable in (p, id) order. The ZAKAI time
     integral is the left sum over the grid steps before t, which is exact
-    for the piecewise-constant simulated integrand. The verdict is
-    three-valued: satisfied when the lhs upper 95% bound is below the rhs
-    lower bound, violation-candidate when the lhs lower bound exceeds the
-    rhs upper bound, inconclusive otherwise. The supremum is taken over
-    grid points only, which biases the maximal statistics downward; reports
-    carry a note saying so. A side or half-width that overflows a float
-    raises DomainError, as does a side estimated from paths that are not all
-    0 whose mean power lies below the normal float range (it underflowed).
+    for the piecewise-constant simulated integrand. Each side carries a 95%
+    half-width of Z95 standard errors, from which ineq.decide reaches the
+    verdict. The supremum is taken over grid points only, which biases the
+    maximal statistics downward; reports carry a note saying so. A side or
+    half-width that overflows a float raises DomainError, as does a side
+    estimated from paths that are not all 0 whose mean power lies below the
+    normal float range (it underflowed).
     """
     p_values = as_exponents(p_values)
     bounds = [BOUNDS[i] for i in coerce_ids(ContinuousId, ineq_ids)]
@@ -660,14 +659,11 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
         lhs, lhs_se, constant, base, base_se = np.array(rows, dtype=float).reshape(-1, 5).T
         rhs = constant * base
         lhs_hw, rhs_hw = Z95 * lhs_se, Z95 * (constant * base_se)
-        verdict = ["satisfied" if ok else "violation-candidate" if bad else "inconclusive"
-                   for ok, bad in zip((lhs + lhs_hw <= rhs - rhs_hw).tolist(),
-                                      (lhs - lhs_hw > rhs + rhs_hw).tolist())]
     sup_note = "supremum over grid points only (downward-biased left side)"
     return report_table(
         [b.ito_id.value for b in bounds] * len(p_values),
         [p for p in p_values for _ in bounds], [float(t)] * len(rows),
-        lhs, rhs, constant, verdict, lhs_hw, rhs_hw, batch.seed,
+        lhs, rhs, constant, lhs_hw, rhs_hw, batch.seed,
         [sup_note if b.side == "sup" else "" for b in bounds] * len(p_values))
 
 

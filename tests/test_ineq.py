@@ -370,6 +370,110 @@ def rio_cases(draw):
     return list(zip(qx.tolist(), xs.tolist())), y_given_x, p
 
 
+TINY = 5e-324   # the least subnormal
+
+# (lhs, rhs, lhs_hw, rhs_hw, scale, verdict); None half-widths are exact sides
+DECIDE_CASES = [
+    (1.0, 2.0, 0.5, 0.5, 1.0, 1),          # lhs_hi == rhs_lo: satisfied
+    (2.0, 1.0, 0.5, 0.5, 1.0, 0),          # lhs_lo == rhs_hi: inconclusive, not -1
+    (1.0, 2.0, 0.5, 0.75, 1.0, 0),         # the bands overlap
+    (2.0, 1.0, 0.25, 0.5, 1.0, -1),        # lhs_lo above rhs_hi
+    (1.0, 1.0, 0.0, 0.0, 1.0, 1),          # zero-width bands: a tie is satisfied
+    (1.0 + 2**-52, 1.0, 0.0, 0.0, 1.0, -1),  # and the next float up a violation
+    (0.0, 0.0, TINY, 0.0, 1.0, 0),         # a subnormal width makes a tie inconclusive
+    (0.0, -0.0, 0.0, 0.0, 1.0, 1),         # signed zeros are equal
+    (-0.0, 0.0, -0.0, -0.0, 1.0, 1),
+    (1.7e308, 1.7e308, 1.7e308, 0.0, 1.0, 0),   # a band edge beyond the float range
+    (1.0, 1.0, None, None, 1.0, 1),        # exact sides: ties satisfied
+    (0.0, -0.0, None, None, 1.0, 1),
+    (1.0 + 1e-9, 1.0, None, None, 1.0, 1),  # within ABS_TOL
+    (1.0 + 2e-9, 1.0, None, None, 1.0, -1),
+    (1e6 + 1e-4, 1e6, None, None, 1.0, -1),
+    (1e6 + 1e-4, 1e6, None, None, 1e6, 1),  # ABS_TOL scaled
+    (2.0, 1.0, None, None, 1.0, -1),       # exact sides never read 0
+]
+
+
+def inline_verdicts(lhs, rhs, ci_lhs=None, ci_rhs=None):
+    """The two verdict rules written inline before decide: report_table's for
+    exact sides and eval_continuous's for sampled ones (the reference)."""
+    if ci_lhs is None:
+        return ["satisfied" if ok else "violation"
+                for ok in (lhs <= rhs + ineq.ABS_TOL).tolist()]
+    lhs_hw, rhs_hw = ci_lhs, ci_rhs
+    with np.errstate(over="ignore"):
+        return ["satisfied" if ok else "violation-candidate" if bad else "inconclusive"
+                for ok, bad in zip((lhs + lhs_hw <= rhs - rhs_hw).tolist(),
+                                   (lhs - lhs_hw > rhs + rhs_hw).tolist())]
+
+
+# dyadic values make band-edge ties common; subnormals, values near 1e300
+# and near the float maximum sit among them
+EDGE_VALUES = (0.0, -0.0, 0.25, 0.5, 1.0, 1.5, 2.0, TINY, 2 * TINY, 2.2250738585072014e-308,
+               1e-9, 1e300, 1.5e300, 1e300 * (1 + 2**-52), 1.7e308)
+
+
+@st.composite
+def verdict_columns(draw):
+    """lhs, rhs and (for sampled rows) nonnegative half-widths, each entry
+    one of a few values so that ties are common."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGE_VALUES),
+                                   st.floats(-1e300, 1e300)), min_size=1, max_size=4))
+    n = draw(st.integers(1, 8))
+
+    def column():
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+    lhs, rhs = column(), column()
+    if not draw(st.booleans()):
+        return lhs, rhs, None, None
+    return lhs, rhs, np.abs(column()), np.abs(column())
+
+
+class TestDecide:
+    @pytest.mark.parametrize("lhs, rhs, lhs_hw, rhs_hw, scale, want", DECIDE_CASES)
+    def test_truth_table(self, lhs, rhs, lhs_hw, rhs_hw, scale, want):
+        assert ineq.decide(lhs, rhs, lhs_hw, rhs_hw, scale) == want
+
+    def test_elementwise(self):
+        """On arrays it gives the scalar verdicts, entry by entry."""
+        banded = [c for c in DECIDE_CASES if c[2] is not None]
+        exact = [c for c in DECIDE_CASES if c[2] is None and c[4] == 1.0]
+        lhs, rhs, lhs_hw, rhs_hw = np.array([c[:4] for c in banded]).T
+        with np.errstate(over="ignore"):
+            assert ineq.decide(lhs, rhs, lhs_hw, rhs_hw).tolist() == [c[5] for c in banded]
+        lhs, rhs = np.array([c[:2] for c in exact]).T
+        assert ineq.decide(lhs, rhs).tolist() == [c[5] for c in exact]
+
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False),
+           st.floats(0.0, 1e300, exclude_min=True))
+    def test_exact_sides_never_inconclusive(self, lhs, rhs, scale):
+        assert ineq.decide(lhs, rhs, scale=scale) in (1, -1)
+
+    @given(verdict_columns())
+    def test_report_table_matches_inline_rules(self, sides):
+        """report_table's verdicts are the inline rules' that decide replaced,
+        and `satisfied` and `verdict` stay Python bools and strs."""
+        lhs, rhs, ci_lhs, ci_rhs = sides
+        n = len(lhs)
+        table = ineq.report_table(["X"] * n, [2.0] * n, [1.0] * n, lhs, rhs, np.ones(n),
+                                  ci_lhs, ci_rhs)
+        want = inline_verdicts(lhs, rhs, ci_lhs, ci_rhs)
+        assert table.columns["verdict"] == want
+        assert table.columns["satisfied"] == [v == "satisfied" for v in want]
+        assert {type(v) for v in table.columns["satisfied"]} == {bool}
+        assert {type(v) for v in table.columns["verdict"]} == {str}
+
+    def test_python_types(self):
+        """Taylor's `satisfied` and a search's `exceeded` are Python bools, so
+        the JSON writers take them."""
+        assert type(ineq.taylor_pointwise([1.0], [0.5], 3).satisfied) is bool
+        family = sh.FamilySpec(tag="RIO-TWO-POINT", p=3.0, a_box=(1, 1), b_box=(0.1, 0.1))
+        result = sh.search(sh.SearchConfig(family=family, method="grid", budget=1, seed=0))
+        assert type(result.exceeded) is bool
+        assert json.loads(json.dumps(formats.search_result_to_obj(result)))["exceeded"] is False
+
+
 class TestTaylorPointwise:
     def test_orthogonal_unit_pair(self):
         b = ineq.taylor_pointwise([1.0, 0.0], [0.0, 1.0], 4)
@@ -610,14 +714,14 @@ class TestSweep:
         refused like a non-finite side."""
         one = np.array([1.0])
         r, = ineq.report_table(["C-BURK-1"], [4.0], [1.0], one, 2 * one, one,
-                               ["inconclusive"], 0.25 * one, 0.5 * one, seed=3)
+                               0.25 * one, 0.8 * one, seed=3)
         assert (r.verdict, r.satisfied, r.ratio, r.ci_lhs, r.ci_rhs, r.seed) == (
-            "inconclusive", False, 0.5, 0.25, 0.5, 3)
+            "inconclusive", False, 0.5, 0.25, 0.8, 3)
         r, = ineq.report_table(["DOOB"], [4.0], [1.0], 2 * one, one, one)
         assert (r.verdict, r.satisfied, r.ci_lhs) == ("violation", False, None)
         with pytest.raises(DomainError, match="overflow a float"):
             ineq.report_table(["C-BURK-1"], [4.0], [1.0], one, one, one,
-                              ["satisfied"], np.array([np.nan]), one)
+                              np.array([np.nan]), one)
 
     def test_bad_sizes_rejected(self):
         for count, max_depth, max_dim in ((-1, 3, 2), (1, 0, 2), (1, 3, 0)):

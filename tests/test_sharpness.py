@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import martcheck.ineq as ineq
 import martcheck.sharpness as sh
 from martcheck import (ConfigError, DomainError, FamilySpec, MartcheckError,
                        ResourceLimitError, SearchConfig, parse_search)
@@ -345,7 +346,7 @@ def sequential_tree_search(cfg):
     for t in range(cfg.budget):
         rec({"tree_seed": t if cfg.method == "grid" else sh._draw(rng, 0, 2**63, "seed")})
     return sh.SearchResult(rec.best_ratio, rec.best_params, rec.count, tuple(rec.trace),
-                           1.0, rec.best_ratio > 1.0 + sh.SOUND_TOL)
+                           1.0, rec.best_ratio > 1.0 + ineq.ABS_TOL)
 
 
 @pytest.mark.parametrize("method", ["grid", "random"])
