@@ -26,11 +26,12 @@ Conventions
   calculus's parent gather, as a level needs the level above done; and
   each tree's share of a level stays one moment sum, whose pairwise
   summation order fixes the bits.
-* random_forest draws many seeds' trees at once: each tree walks its own
-  Philox stream, then the forest's nodes of one width and dimension are
-  drawn together. random_tree is its forest of one. The RANDOM-TREE search
-  and the random-tree sweep draw and evaluate their trees as forests of
-  forest_size trees, the sweep one depth at a time.
+* random_forest draws many seeds' trees at once: each tree draws a level
+  at a time from its own Generator, then the forest's probabilities and
+  increments are scaled, normalised and centred together. random_tree is
+  its forest of one. The RANDOM-TREE search and the random-tree sweep draw
+  and evaluate their trees as forests of forest_size trees, the sweep one
+  depth at a time.
 """
 from __future__ import annotations
 
@@ -408,9 +409,8 @@ def _build_calc(forest: Forest) -> _LevelCalc:
     take their parent's entry, so only that gather, and the one operation
     after it, runs level by level, over every tree at once: a level needs
     the level above done. The norms of M_k and of d_k are taken once each,
-    row-wise over every node but the roots; a root's norm is the 1-D
-    np.linalg.norm of its M_0, less any padding, as a row-wise norm can
-    differ in the last bit and the 1-D norm is a BLAS dot product."""
+    row-wise over every node, roots included: numpy's own row sums, not a
+    BLAS dot product."""
     if any(b - a > MAX_PATHS for row in forest.tree_bounds for a, b in zip(row, row[1:])):
         raise ResourceLimitError(f"tree level exceeds the {MAX_PATHS} path enumeration cap")
     bounds, roots = forest.bounds, forest.trees
@@ -422,10 +422,8 @@ def _build_calc(forest: Forest) -> _LevelCalc:
         np.add(values.take(parent[a:b], axis=0), incr[a:b], out=values[a:b])
     norms = np.empty((4, bounds[-1]))
     m_norm, sup_norm, quad, d_norm = norms
-    m_norm[:roots] = d_norm[:roots] = [np.linalg.norm(m0[:dim]) for m0, dim
-                                       in zip(incr[:roots].tolist(), forest.dims)]
-    m_norm[roots:] = np.linalg.norm(values[roots:], axis=1)
-    d_norm[roots:] = np.linalg.norm(incr[roots:], axis=1)
+    m_norm[:] = np.linalg.norm(values, axis=1)
+    d_norm[:] = np.linalg.norm(incr, axis=1)
     d_sq = d_norm**2
     probs = np.empty(bounds[-1])
     probs[:roots] = 1.0
@@ -529,54 +527,15 @@ def increment_lp_sum(tree: ProbTree, n: int, p) -> float:
     return float(moments(tree, [p]).incr[0, check_level(n, tree.depth)])
 
 
-class _PhiloxWords:
-    """The width-index draws of a Philox stream, replayed from its raw words.
-
-    read(n) returns the next n raw 64-bit words (bit_generator.random_raw),
-    read ahead in doubling chunks, one chunk held at a time. pos counts the
-    words consumed; the caller moves it past the words other draws take. A
-    32-bit draw takes the low half of a fresh word and keeps its high half
-    for the next 32-bit draw, as Philox's next_uint32 does; 64-bit draws
-    leave that half alone.
-    """
-
-    def __init__(self, read):
-        self._read = read
-        self._chunk = memoryview(np.empty(0, np.uint64))
-        self._base = 0    # stream position of the chunk's first word
-        self._half = -1   # high half kept by the last 32-bit draw, or -1
-        self.pos = 0
-
-    def index(self, nb: int) -> int:
-        """Generator.integers(0, nb) replayed by Lemire's multiply-and-reject:
-        (u * nb) >> 32 for the first 32-bit draw u with (u * nb) % 2**32 >=
-        (2**32 - nb) % nb; nb == 1 draws nothing."""
-        if nb == 1:
-            return 0
-        threshold = (2**32 - nb) % nb
-        while True:
-            if self._half >= 0:
-                u, self._half = self._half, -1
-            else:
-                while self.pos - self._base >= len(self._chunk):
-                    self._base += len(self._chunk)
-                    self._chunk = memoryview(self._read(max(self._base, 256)))
-                word = self._chunk[self.pos - self._base]
-                self.pos += 1
-                u, self._half = word & 0xFFFFFFFF, word >> 32
-            m = u * nb
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-
 def tree_bytes(depth: int, dim: int, branching: Sequence[int]) -> int:
     """The bytes random_tree charges one depth-`depth` tree of dimension
     `dim` against MAX_TREE_BYTES: the node count of a tree that always takes
     its widest branching factor, at 256 + 24 * dim bytes a node, the peak a
-    node-by-node draw held (tests/test_ptree.py checks the traced peak stays
-    below it). depth, dim and the factors are checked ints. A tree whose
-    last level could hold more than MAX_PATHS increment entries
-    (max(branching) ** depth * dim) raises ResourceLimitError."""
+    node-by-node draw held, well above what the level-at-a-time draw holds
+    (tests/test_ptree.py checks the traced peak stays below it). depth, dim
+    and the factors are checked ints. A tree whose last level could hold
+    more than MAX_PATHS increment entries (max(branching) ** depth * dim)
+    raises ResourceLimitError."""
     widest = max(branching)
     # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
     # so the power never grows into a huge integer
@@ -605,26 +564,16 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     charges more than MAX_TREE_BYTES, raises ResourceLimitError before any
     draw.
 
-    Every bit is fixed by the words of one Philox stream, in the order
-    numpy's Generator draws them. M_0 takes the first dim words through
-    Generator.uniform(-1, 1). Then each internal node, in depth-first
-    preorder, takes
-      * its width index, as Generator.integers(0, nb) with nb =
-        len(branching) draws it: a 32-bit value, the low half of a fresh
-        word whose high half serves the next such draw, accepted by Lemire's
-        multiply-and-reject with threshold (2**32 - nb) % nb; no word when
-        nb == 1;
-      * then width * (1 + dim) words, each the double (w >> 11) * 2**-53 as
-        Generator.random gives it: its children's raw probabilities on
-        [0.1, 1[, then their raw increments on [-1, 1[, child by child.
-    A walk over the nodes in that order reads the words in chunks for the
-    width indices and records each node's width and first word. The stream
-    is then read again whole, and all nodes of one width are drawn at once
-    with the arithmetic of a node-by-node draw: scale and shift, divide the
-    probabilities by their np.add.reduce sum, subtract np.matmul(prob, incr).
-    That matmul, and the 1-D np.linalg.norm of M_0 in the level calculus, go
-    through the BLAS numpy links, and neither is a left-to-right sum: the
-    last bits of a tree's increments and norms can also depend on that BLAS.
+    Every bit is fixed by the seed and numpy's Generator on its Philox
+    stream: M_0 is Generator.uniform(-1, 1, dim); then, level by level,
+    Generator.integers(0, len(branching), nodes) picks the width of each of
+    the level's nodes, and Generator.random((children, 1 + dim)) gives each
+    child, in node order, its raw probability, mapped onto [0.1, 1[, and
+    its raw increments, mapped onto [-1, 1[. Each sibling group's
+    probabilities are divided by their sum, then its increments lose their
+    probability-weighted sum. Both sums are np.add.reduceat's: the group's
+    first term plus the sum of the others, which numpy takes left to right
+    when there are fewer than 8 of them. No step goes through BLAS.
     """
     roots, parent, prob, incr, _ = _draw(depth, dim, [seed], branching)
     return ProbTree(roots[0], parent, prob, incr)
@@ -637,9 +586,9 @@ def random_forest(depth: int, dim: int | Sequence[int], seeds: Sequence,
     for bit, padded with zero coordinates to the forest's width. dim is every
     tree's dimension, or a sequence of one per seed (the forest's dims),
     which all lie below PAD_BELOW or are all equal (else DomainError). Each
-    tree walks its own stream; the forest's nodes of one width and dimension
-    are then drawn at once. The whole forest is charged against
-    MAX_TREE_BYTES at its width."""
+    tree draws from its own Generator, two calls a level; the scaling and
+    the sibling sums then run once over the whole forest. The whole forest
+    is charged against MAX_TREE_BYTES at its width."""
     seeds = list(seeds)
     if not seeds:
         raise DomainError("random_forest needs at least one seed")
@@ -674,66 +623,36 @@ def _draw(depth, dim, seeds: list, branching: Sequence[int]):
         raise ResourceLimitError(
             f"depth-{depth} trees of dimension {cols} with branching up to {max(choices)} "
             f"need about {need} bytes, over the {MAX_TREE_BYTES}-byte tree memory budget")
-    # each tree's walk: its internal nodes' levels, widths and first words, in
-    # draw order, the words counted from the start of the forest's stream
-    roots = np.zeros((len(streams), cols))   # a tree's coordinates past its dim stay 0
-    levels: list[int] = []
-    widths: list[int] = []
-    firsts: list[int] = []
-    offsets = [0]   # where each tree's words start in the forest's stream, then the end
-    walked = [0]    # where each tree's internal nodes start in the lists, then the end
-    for t, (ss, d) in enumerate(zip(streams, dims)):
-        rng = np.random.Generator(np.random.Philox(ss))
+    rngs = [np.random.Generator(np.random.Philox(ss)) for ss in streams]
+    roots = np.zeros((len(rngs), cols))   # a tree's coordinates past its dim stay 0
+    for t, (rng, d) in enumerate(zip(rngs, dims)):
         roots[t, :d] = rng.uniform(-1.0, 1.0, d)
-        words = _PhiloxWords(rng.bit_generator.random_raw)
-        stack = [0] if depth else []
-        while stack:
-            k = stack.pop()
-            w = choices[words.index(len(choices))]
-            levels.append(k)
+    # level by level, tree by tree, which is the node order: each node's width,
+    # then each child's raw probability and raw increments in one row
+    counts = [1] * len(rngs)   # each tree's nodes on the level
+    widths, raws = [], []
+    for _ in range(depth):
+        for t, (rng, d) in enumerate(zip(rngs, dims)):
+            w = np.take(choices, rng.integers(0, len(choices), counts[t]))
+            counts[t] = int(w.sum())
             widths.append(w)
-            firsts.append(offsets[-1] + words.pos)
-            words.pos += w * (1 + d)
-            if k + 1 < depth:
-                stack.extend([k + 1] * w)
-        offsets.append(offsets[-1] + words.pos)
-        walked.append(len(levels))
-    if depth == 0:
-        return roots, np.empty(0, np.intp), np.empty(0), np.empty((0, cols)), dims
-    # internal nodes level by level, each level tree by tree in draw order,
-    # so that the list index is the node number and node i's children are
-    # rows rows[i]..rows[i] + width[i] - 1
-    order = np.argsort(np.array(levels), kind="stable")
-    width = np.array(widths)[order]
-    first = np.array(firsts)[order]
-    dim_of = np.repeat(dims, np.diff(walked))[order]   # each node's tree's dimension
-    ends = width.cumsum()
-    rows = ends - width
-    stream = np.empty(offsets[-1], np.uint64)   # each tree's stream, read again whole
-    for ss, d, a, b in zip(streams, dims, offsets, offsets[1:]):
-        stream[a:b] = np.random.Philox(ss).random_raw(d + b - a)[d:]
-    prob = np.empty(ends[-1])
-    incr = np.zeros((ends[-1], cols))
-    # the nodes of one width and dimension at once: each matmul takes the
-    # (nodes, width, dim) operands a forest of that dimension alone gives it
-    for d in sorted(set(dims)):
-        for w in sorted(set(widths)):
-            nodes = np.flatnonzero((width == w) & (dim_of == d))
-            if len(nodes) == 0:
-                continue
-            draw = (stream[first[nodes, None] + np.arange(w * (1 + d))] >> 11) * 2.0**-53
-            p = draw[:, :w]
-            x = draw[:, w:].reshape(len(nodes), w, d)
-            p *= 1.0 - 0.1   # as Generator.uniform maps onto [0.1, 1[ and [-1, 1[
-            p += 0.1
-            x *= 1.0 - -1.0
-            x += -1.0
-            p /= np.add.reduce(p, axis=1)[:, None]
-            x -= np.matmul(p[:, None, :], x)
-            at = rows[nodes, None] + np.arange(w)
-            prob[at] = p
-            incr[at, :d] = x
-    return roots, np.repeat(np.arange(len(width)), width), prob, incr, dims
+            raws.append(rng.random((counts[t], 1 + d)))
+    width = np.concatenate([np.empty(0, np.intp)] + widths)
+    parent = np.repeat(np.arange(len(width)), width)
+    prob = np.empty(len(parent))
+    incr = np.zeros((len(parent), cols))
+    at = 0
+    for raw, d in zip(raws, dims * depth):   # mapped as Generator.uniform maps them
+        prob[at:at + len(raw)] = raw[:, 0]
+        incr[at:at + len(raw), :d] = raw[:, 1:] * 2.0 - 1.0
+        at += len(raw)
+    prob *= 0.9   # onto [0.1, 1[
+    prob += 0.1
+    # each sibling group's sums, as _validate takes them
+    starts = np.cumsum(width) - width
+    prob /= np.add.reduceat(prob, starts)[parent]
+    incr -= np.add.reduceat(prob[:, None] * incr, starts)[parent]
+    return roots, parent, prob, incr, dims
 
 
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:

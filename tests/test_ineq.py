@@ -678,13 +678,25 @@ class TestSweep:
         got = ineq.sweep_random_trees(40, 5, 3, 7, P_GRID)
         assert repr(got.columns) == repr(want.columns)
 
-    def test_first_failing_tree_raises(self):
-        """At p = 2000 tree 0 overflows a side; a later tree of another
-        shape underflows a sum, which a sweep by forests met first."""
+    def test_first_failing_tree_raises(self, monkeypatch):
+        """At p = 2000 tree 0 overflows a side; tree 1, in the same depth-4
+        forest, underflows a sum, which the forest pass meets first, as its
+        refusal under the tree-by-tree fallback shows once that is cut off."""
         with pytest.raises(DomainError) as err:
             ineq.sweep_random_trees(40, 5, 3, 3, [2000.0])
         assert str(err.value) == (
-            "D-BURK-1 at p=2000: the sides overflow a float (lhs=inf, rhs=inf)")
+            "D-BURK-1 at p=2000: the sides overflow a float (lhs=inf, rhs=7613399.272032723)")
+
+        class NoFallback(Exception):
+            pass
+
+        def no_fallback(*args):
+            raise NoFallback
+        monkeypatch.setattr(ptree, "random_tree", no_fallback)
+        with pytest.raises(NoFallback) as err:
+            ineq.sweep_random_trees(40, 5, 3, 3, [2000.0])
+        assert str(err.value.__context__) == (
+            "p=2000: the sides underflow a float (E ||M_n||^p at level 0 is 0 from nonzero norms)")
 
     def test_table_rows_are_single_evaluations(self):
         """A table row is the report eval_discrete gives for its (n, p, id),
@@ -747,4 +759,4 @@ class TestSweep:
         assert len(reports) == 2400
         rows = json.dumps([formats.report_row(r) for r in reports], sort_keys=True)
         assert hashlib.sha256(rows.encode()).hexdigest() == (
-            "07e30570b5d7ca99b419ad31ff9395a135f09973f9fcbae44e73922d180635a6")
+            "9ff61b614fa2ce5ec050a076e3ed5ea396a44f97920c4a1c4dc7f958e1cf7be5")

@@ -495,44 +495,49 @@ def test_frozen_random_tree_bits():
                     digest.update(probs.tobytes())
                     digest.update(values.tobytes())
     assert digest.hexdigest() == (
-        "08e34052a671e04447b0a6432a41885dd227a2be38075436af91a3eebc822116")
+        "b9fb74bd40fe54feea55e81eccca46c692f056d8c349418180a23df48a7935b4")
 
 
-def node_by_node_tree(depth, dim, seed, branching):
-    """random_tree's draw as first written, one Generator call per width
-    index and one per node's uniforms in depth-first preorder: the
-    reference for the bits of the replayed draw. Returns m0 and one
-    (parent, prob, incr) triple per level."""
+def reduceat_sum(terms):
+    """A sibling group's sum as np.add.reduceat takes it for up to 8 terms:
+    the first term plus the left-to-right sum of the others."""
+    rest = terms[1]
+    for term in terms[2:]:
+        rest += term
+    return terms[0] + rest
+
+
+def per_level_tree(depth, dim, seed, branching):
+    """random_tree's draw written out in Python floats: the reference for its
+    bits. The same Generator calls (m0, then per level one integers call for
+    the nodes' widths and one random call for their children's rows), then
+    each sibling group scaled, normalised and centred child by child.
+    Returns m0 and one (parent, prob, incr) triple per level."""
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(ptree._TREE_STREAM,))
     rng = np.random.Generator(np.random.Philox(ss))
-    m0 = tuple(float(v) for v in rng.uniform(-1.0, 1.0, dim))
-    widths = [[] for _ in range(depth)]
-    probs = [[] for _ in range(depth)]
-    incrs = [[] for _ in range(depth)]
-    lo = {int(w): np.repeat((0.1, -1.0), (w, w * dim)) for w in branching}
-    span = {int(w): np.repeat((1.0 - 0.1, 1.0 - -1.0), (w, w * dim)) for w in branching}
-    stack = [0] if depth else []
-    while stack:
-        k = stack.pop()
-        width = int(branching[rng.integers(0, len(branching))])
-        draw = rng.random(width * (1 + dim))
-        draw *= span[width]
-        draw += lo[width]
-        prob = draw[:width]
-        incr = draw[width:].reshape(width, dim)
-        prob /= np.add.reduce(prob)
-        incr -= prob @ incr
-        widths[k].append(width)
-        probs[k].append(prob)
-        incrs[k].append(incr)
-        if k + 1 < depth:
-            stack.extend([k + 1] * width)
-    return m0, [(np.repeat(np.arange(len(widths[k]), dtype=np.intp), widths[k]),
-                 np.concatenate(probs[k]), np.concatenate(incrs[k]))
-                for k in range(depth)]
+    m0 = tuple(rng.uniform(-1.0, 1.0, dim).tolist())
+    nodes, levels = 1, []
+    for _ in range(depth):
+        widths = [branching[i] for i in rng.integers(0, len(branching), nodes).tolist()]
+        raw = rng.random((sum(widths), 1 + dim)).tolist()
+        parent, prob, incr = [], [], []
+        for i, width in enumerate(widths):
+            rows, raw = raw[:width], raw[width:]
+            p = [row[0] * 0.9 + 0.1 for row in rows]
+            x = [[v * 2.0 - 1.0 for v in row[1:]] for row in rows]
+            total = reduceat_sum(p)
+            p = [v / total for v in p]
+            mean = [reduceat_sum([pj * xj[c] for pj, xj in zip(p, x)]) for c in range(dim)]
+            parent += [i] * width
+            prob += p
+            incr += [[v - m for v, m in zip(xj, mean)] for xj in x]
+        levels.append((np.array(parent, dtype=np.intp), np.array(prob),
+                       np.array(incr).reshape(-1, dim)))
+        nodes = len(parent)
+    return m0, levels
 
 
 seeds = st.one_of(
@@ -543,11 +548,11 @@ seeds = st.one_of(
 
 @given(st.integers(0, 5), st.integers(1, 3),
        st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple), seeds)
-def test_random_tree_matches_node_by_node_draw(depth, dim, branching, seed):
-    """The level-at-a-time draw from replayed words equals the node-by-node
-    draw byte for byte, in every level array and in m0."""
+def test_random_tree_matches_per_level_reference(depth, dim, branching, seed):
+    """The forest-wide array arithmetic of the draw equals the per-level
+    reference in Python floats byte for byte, in every level array and in m0."""
     tree = ptree.random_tree(depth, dim, seed, branching=branching)
-    m0, levels = node_by_node_tree(depth, dim, seed, branching)
+    m0, levels = per_level_tree(depth, dim, seed, branching)
     assert np.array(tree.m0).tobytes() == np.array(m0).tobytes()
     assert tree.depth == len(levels)
     for lvl, ref in zip(level_arrays(tree), levels):
@@ -720,52 +725,27 @@ def test_padding_checked():
     assert wide.dims == (ptree.PAD_BELOW,) * 2
 
 
-def test_width_index_replays_generator_integers():
-    """Width indices read from raw words equal Generator.integers(0, nb)
-    draws interleaved with Generator.random(k) on the same seed, nb == 1
-    reads no word, and the words skipped are those random(k) doubles."""
-    for seed in range(5):
-        gen = np.random.Generator(np.random.Philox(seed))
-        words = ptree._PhiloxWords(np.random.Philox(seed).random_raw)
-        skipped = []
-        for step, k in enumerate([0, 1, 3, 2, 5, 0, 0, 4, 300, 1] * 4):
-            nb = 1 + step % 9
-            pos, half = words.pos, words._half
-            assert words.index(nb) == gen.integers(0, nb)
-            if nb == 1:
-                assert (words.pos, words._half) == (pos, half)
-            skipped.append((words.pos, gen.random(k)))
-            words.pos += k
-        stream = np.random.Philox(seed).random_raw(words.pos)
-        for pos, doubles in skipped:
-            raw = stream[pos:pos + len(doubles)]
-            assert ((raw >> 11) * 2.0**-53).tobytes() == doubles.tobytes()
-
-
-def philox_on(words):
-    """A Philox bit generator whose next four raw words are `words`."""
-    bits = np.random.Philox(0)
-    state = bits.state
-    state["buffer"] = np.array(words, dtype=np.uint64)
-    state["buffer_pos"] = 0
-    bits.state = state
-    return bits
-
-
-def test_width_index_rejection_branch():
-    """Lemire's rejection branch, which seeded streams essentially never
-    reach, replays as Generator.integers takes it, on crafted words."""
-    rejected = 0xFFFFFFFF << 32   # low half 0 is rejected for nb = 3 and 6
-    kept = 1431655766             # 6 * kept % 2**32 == 4, the nb = 6 threshold
-    crafted = [rejected, rejected, kept, (5 << 32) | 7]
-    draws = [3, 3, 6, 6, 2, 6, 3, 9, 1, 4]
-    gen = np.random.Generator(philox_on(crafted))
-    words = ptree._PhiloxWords(philox_on(crafted).random_raw)
-    got = [words.index(nb) for nb in draws]
-    assert got == [int(gen.integers(0, nb)) for nb in draws]
-    # u = 0 rejected twice, then the high halves 0xFFFFFFFF kept; u = kept on
-    # the threshold; the half 0 rejected and the next word's low half 7 kept
-    assert got[:4] == [2, 2, 2, 0]
+def test_forest_path_calls_no_blas(monkeypatch):
+    """Drawing, validating and evaluating a mixed-dimension forest calls
+    neither np.matmul nor np.dot, nor a norm without an axis (a BLAS dot
+    product), so its bits are fixed by the seeds and numpy's Generator; and
+    ptree uses no @ operator, which no patch intercepts."""
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+    norm = np.linalg.norm
+    monkeypatch.setattr(np, "matmul", refuse("np.matmul"))
+    monkeypatch.setattr(np, "dot", refuse("np.dot"))
+    monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, axis=None, keepdims=False: (
+        norm(x, ord, axis, keepdims) if axis is not None else refuse("a 1-D norm")()))
+    forest = ptree.random_forest(3, [1, 3, 2, 3], [4, 5, 6, 7], (2, 3, 4))
+    assert all(forest.validate(t).ok for t in range(forest.trees))
+    rows = eval_tree(forest, range(forest.depth + 1), FOREST_PS, DISCRETE_EVAL_IDS)
+    assert len(rows) == forest.trees * (forest.depth + 1) * len(FOREST_PS) * len(
+        DISCRETE_EVAL_IDS)
+    source = pathlib.Path(ptree.__file__).read_text().splitlines()
+    assert all(line.lstrip().startswith("@") for line in source if "@" in line)
 
 
 @pytest.mark.parametrize("depth,dim,branching", [(16, 1, (2,)), (11, 3, (3,))])
@@ -924,7 +904,7 @@ def reference_calc(tree):
     """The level calculus as first written, one level at a time: the
     reference for the bits of the calculus built on the node arrays."""
     values = [np.array([tree.m0], dtype=float)]
-    root_norm = np.array([np.linalg.norm(tree.m0)])
+    root_norm = np.linalg.norm(values[0], axis=1)
     probs = [np.ones(1)]
     m_norm = [root_norm]
     sup_norm = [root_norm.copy()]

@@ -305,8 +305,8 @@ class TestSearch:
         """The zoo RANDOM-TREE search finds the same witness to the last bit."""
         with open(zoo / "search_tree_random.json") as fh:
             res = sh.search(parse_search(json.load(fh)))
-        assert res.best_ratio == 0.4811292864525187
-        assert res.best_params == {"tree_seed": 2026057188218515861}
+        assert res.best_ratio == 0.4626691374497822
+        assert res.best_params == {"tree_seed": 5539685859285031941}
 
     def test_budget_respected(self):
         res = sh.search(_grid_config(budget=17))
@@ -422,7 +422,7 @@ def test_frozen_search_paths():
                            res.trace, res.bound, res.exceeded)))
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert len(parts) == 60
-    assert digest == "11fbb3756f3117e9a427f31d8f5a378173578ba405bc42e649d02798f7924511"
+    assert digest == "a7f7f760c72406d965ced358b43986c2fb9e148104b9e0706fcd2a9978dc1f63"
 
 
 class TestGridCap:
