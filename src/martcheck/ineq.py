@@ -399,15 +399,16 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
         raise DomainError("x and y must be 1-d vectors of equal dimension")
     y_sq = float(y @ y)
     inner = float(x @ y)
-    lhs = float(np.linalg.norm(x + y)) ** p
-    head = float(np.linalg.norm(x)) ** p
-    grad = p * float(np.linalg.norm(x)) ** (p - 2.0) * inner if inner != 0.0 else 0.0
+    norm_x = float(ptree.row_norms(x))
+    lhs = float(ptree.row_norms(x + y)) ** p
+    head = norm_x ** p
+    grad = p * norm_x ** (p - 2.0) * inner if inner != 0.0 else 0.0
     if y_sq == 0.0:
         taylor = 0.0
     else:
         def integrand(t: np.ndarray) -> np.ndarray:
             pts = x[None, :] + t[:, None] * y[None, :]
-            r = np.linalg.norm(pts, axis=1)
+            r = ptree.row_norms(pts)
             return r ** (p - 2.0) * y_sq * (1.0 - t)
 
         t_star = -inner / y_sq
@@ -461,11 +462,10 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     from the single seed. Before the first tree, the rows the deepest trees
     would give are charged against SWEEP_MEMORY_BUDGET. The trees of one
     depth are then drawn and evaluated as forests of ptree.forest_size trees
-    at the largest dimension among them, each row put in its tree's place:
-    trees of dimensions below ptree.PAD_BELOW share forests, padded with
-    zero coordinates, and those of each larger dimension take their own.
-    Where a forest fails, the trees are evaluated one by one in order, so
-    the sweep raises what its first failing tree raises alone.
+    at the largest dimension among them, each tree padded with zero
+    coordinates to the widest, and each row put in its tree's place. Where
+    a forest fails, the trees are evaluated one by one in order, so the
+    sweep raises what its first failing tree raises alone.
     """
     count, max_depth, max_dim = (as_int(count, "count"), as_int(max_depth, "max_depth"),
                                  as_int(max_dim, "max_dim"))
@@ -482,20 +482,19 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
             f"rows, {rows * _SWEEP_ROW_BYTES} bytes at {_SWEEP_ROW_BYTES} bytes a row, "
             f"over the {SWEEP_MEMORY_BUDGET}-byte sweep memory budget")
     shapes, seeds = [], []   # each tree's (depth, dim) and tree seed
-    # the trees of each kind of forest, in order: by depth, and by dim from PAD_BELOW on
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[int, list[int]] = {}   # the trees of each depth, in order
     for t in range(count):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SWEEP_STREAM, t))
         rng = np.random.Generator(np.random.Philox(ss))
         depth, dim = int(rng.integers(1, max_depth + 1)), int(rng.integers(1, max_dim + 1))
         shapes.append((depth, dim))
         seeds.append(ss.spawn(1)[0])
-        groups.setdefault((depth, dim if dim >= ptree.PAD_BELOW else 0), []).append(t)
+        groups.setdefault(depth, []).append(t)
     level_rows = len(p_values) * len(ids)
     starts = list(accumulate(((depth + 1) * level_rows for depth, _ in shapes), initial=0))
     columns = {name: [None] * starts[-1] for name in REPORT_FIELDS}
     try:
-        for (depth, _), trees in groups.items():
+        for depth, trees in groups.items():
             size = ptree.forest_size(depth, max(shapes[t][1] for t in trees))
             n = (depth + 1) * level_rows   # rows per tree
             for i in range(0, len(trees), size):

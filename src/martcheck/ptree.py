@@ -12,12 +12,13 @@ Conventions
 * a forest is several trees of one depth held as one set of node arrays,
   level-major: the roots are nodes 0..T-1, then level k holds every tree's
   level-k nodes, tree by tree, each tree's nodes in its depth-first order,
-  which fixes every summation order. Trees of dimensions below PAD_BELOW may
-  share a forest, each padded with zero coordinates to the widest of them;
-  from PAD_BELOW on, a forest holds one dimension. forest.tree_bounds
-  locates each tree's share of each level. A ProbTree is the forest of one
-  tree; ProbTree(m0, parent, prob, incr) builds one from the rows below its
-  root, as random_tree, symmetric_walk and formats.parse_tree do, and
+  which fixes every summation order. Trees of any dimensions may share a
+  forest, each padded with zero coordinates to the widest of them: every
+  norm over coordinates adds its squares left to right (row_norms), so the
+  zeros leave a tree's bits alone. forest.tree_bounds locates each tree's
+  share of each level. A ProbTree is the forest of one tree;
+  ProbTree(m0, parent, prob, incr) builds one from the rows below its root,
+  as random_tree, symmetric_walk and formats.parse_tree do, and
   formats.tree_to_obj writes a document back from them.
 * the constructor checks, validation, the level calculus and the moment
   table each take one pass over a whole forest's node arrays, so numpy's
@@ -54,13 +55,6 @@ PROB_TOL = 1e-12      # tolerance for probability sums and conditional means
 MAX_PATHS = 10**7     # hard bound on exact enumeration width
 MAX_TREE_BYTES = 1 << 30   # hard bound on the memory random_tree may hold
 FOREST_BYTES = 1 << 22     # bytes tree_bytes may charge one forest a caller draws
-
-# numpy sums a row of fewer than 8 terms left to right, so the zero
-# coordinates that pad a tree's rows to a wider forest leave the bits of its
-# norms alone; from 8 terms on it sums pairwise, and padding changes bits.
-# So trees of dimensions below PAD_BELOW may share a forest, padded to the
-# widest of them, and a tree of a larger dimension only with trees of its own.
-PAD_BELOW = 8
 
 _TREE_STREAM = 11     # spawn-key domain tag for random tree generation
 
@@ -117,6 +111,17 @@ def as_seed(seed) -> int:
     if seed < 0:
         raise DomainError("seed must be a non-negative integer")
     return seed
+
+
+def row_norms(x) -> np.ndarray:
+    """The Euclidean norms over the last axis of x, each one's squares added
+    left to right, first coordinate first: numpy's own row sums below 8
+    coordinates, bit for bit, and zero coordinates appended to a vector leave
+    its norm's bits alone at every width (numpy sums 8 or more pairwise)."""
+    total = np.zeros(np.shape(x)[:-1])
+    for i in range(np.shape(x)[-1]):
+        total += np.square(x[..., i])
+    return np.sqrt(total, out=total)
 
 
 def as_float_array(values, name: str) -> np.ndarray:
@@ -176,23 +181,19 @@ class Forest:
         every node above the last level has a child.
     weights : array-like of shape (trees,), optional
         The law of M_0, positive and summing to 1 (else InvalidTreeError).
-    dims : sequence of int, optional
-        Each tree's dimension, d for every tree by default. A tree of
-        dimension below d is padded: its rows, root included, hold 0 in
-        coordinates dims[t] to d - 1. Padding is admitted in forests of
-        width below PAD_BELOW only; dims outside 1..d, or a nonzero padding
-        coordinate, raise TreeStructureError.
 
-    The forest keeps the arrays roots first, as copies: parent (-1 at each
-    root), prob (1 at each root) and incr (M_0 at each root). Level k holds
-    nodes bounds[k] to bounds[k+1] - 1, and tree t's share of it nodes
-    tree_bounds[k][t] to tree_bounds[k][t+1] - 1. Each tree's checks,
-    verdict, calculus and unweighted moments are those it has alone; the
-    error of a tree that fails its checks also names it by its index.
+    A tree of a dimension below d holds 0 in its other coordinates, which
+    change none of its bits. The forest keeps the arrays roots first, as
+    copies: parent (-1 at each root), prob (1 at each root) and incr (M_0 at
+    each root). Level k holds nodes bounds[k] to bounds[k+1] - 1, and tree
+    t's share of it nodes tree_bounds[k][t] to tree_bounds[k][t+1] - 1. Each
+    tree's checks, verdict, calculus and unweighted moments are those it has
+    alone; the error of a tree that fails its checks also names it by its
+    index.
     """
 
     def __init__(self, roots, parent: np.ndarray, prob: np.ndarray, incr: np.ndarray,
-                 weights=None, dims=None):
+                 weights=None):
         roots = as_float_array(roots, "roots")
         if roots.ndim != 2 or 0 in roots.shape:
             raise TreeStructureError("roots must be a (trees, d) array with trees, d >= 1")
@@ -235,30 +236,8 @@ class Forest:
         self.bounds = tuple(row[0] for row in cuts) + (trees + n,)
         self.prob = np.concatenate(([1.0] * trees, prob))
         self.incr = np.concatenate((roots, incr))
-        self.dims = (dim,) * trees if dims is None else tuple(
-            as_int(d, "dimension", TreeStructureError) for d in dims)
-        if self.dims != (dim,) * trees:
-            self._check_padding()
         self._verdicts: tuple[ValidationResult, ...] | None = None
         self._calc: _LevelCalc | None = None
-
-    def _check_padding(self) -> None:
-        """Refuse dims that do not pad the trees to the forest's width."""
-        dims, width = self.dims, self.dim
-        if len(dims) != self.trees or not 1 <= min(dims) <= max(dims) <= width:
-            raise TreeStructureError(f"dims must be one per tree, each in 1..{width}, "
-                                     f"got {list(dims)}")
-        if width >= PAD_BELOW:
-            raise TreeStructureError(f"only forests narrower than {PAD_BELOW} coordinates "
-                                     f"pad trees, got width {width} and dims {list(dims)}")
-        # the tree of each node, level by level
-        owner = np.repeat(np.tile(np.arange(self.trees), self.depth + 1),
-                          np.diff(self.tree_bounds).ravel())
-        padded = (self.incr != 0.0) & (np.arange(width) >= np.array(dims)[owner, None])
-        if padded.any():
-            t = int(owner[padded.any(axis=1).argmax()])
-            raise TreeStructureError(f"tree {t} of dimension {dims[t]} has a nonzero "
-                                     "coordinate beyond it")
 
     def validate(self, tree: int = 0) -> ValidationResult:
         """The verdict on tree `tree`, from one validation pass over the forest."""
@@ -353,7 +332,7 @@ def _validate(forest: Forest) -> tuple[ValidationResult, ...]:
     any_outside = ~((np.minimum.reduceat(prob, starts) > 0.0)   # NaN fails too
                     & (np.maximum.reduceat(prob, starts) <= 1.0))
     excess = np.add.reduceat(prob, starts) - 1.0
-    resid = np.linalg.norm(np.add.reduceat(prob[:, None] * incr, starts), axis=1)
+    resid = row_norms(np.add.reduceat(prob[:, None] * incr, starts))
     failed = (any_non_finite | any_outside
               | (np.abs(excess) > PROB_TOL) | (resid > PROB_TOL))
     for g in failed.nonzero()[0].tolist():
@@ -409,8 +388,7 @@ def _build_calc(forest: Forest) -> _LevelCalc:
     take their parent's entry, so only that gather, and the one operation
     after it, runs level by level, over every tree at once: a level needs
     the level above done. The norms of M_k and of d_k are taken once each,
-    row-wise over every node, roots included: numpy's own row sums, not a
-    BLAS dot product."""
+    row-wise over every node, roots included, by row_norms."""
     if any(b - a > MAX_PATHS for row in forest.tree_bounds for a, b in zip(row, row[1:])):
         raise ResourceLimitError(f"tree level exceeds the {MAX_PATHS} path enumeration cap")
     bounds, roots = forest.bounds, forest.trees
@@ -422,8 +400,8 @@ def _build_calc(forest: Forest) -> _LevelCalc:
         np.add(values.take(parent[a:b], axis=0), incr[a:b], out=values[a:b])
     norms = np.empty((4, bounds[-1]))
     m_norm, sup_norm, quad, d_norm = norms
-    m_norm[:] = np.linalg.norm(values, axis=1)
-    d_norm[:] = np.linalg.norm(incr, axis=1)
+    m_norm[:] = row_norms(values)
+    d_norm[:] = row_norms(incr)
     d_sq = d_norm**2
     probs = np.empty(bounds[-1])
     probs[:roots] = 1.0
@@ -530,12 +508,11 @@ def increment_lp_sum(tree: ProbTree, n: int, p) -> float:
 def tree_bytes(depth: int, dim: int, branching: Sequence[int]) -> int:
     """The bytes random_tree charges one depth-`depth` tree of dimension
     `dim` against MAX_TREE_BYTES: the node count of a tree that always takes
-    its widest branching factor, at 256 + 24 * dim bytes a node, the peak a
-    node-by-node draw held, well above what the level-at-a-time draw holds
-    (tests/test_ptree.py checks the traced peak stays below it). depth, dim
-    and the factors are checked ints. A tree whose last level could hold
-    more than MAX_PATHS increment entries (max(branching) ** depth * dim)
-    raises ResourceLimitError."""
+    its widest branching factor, at 256 + 24 * dim bytes a node, well above
+    the peak of the level-at-a-time draw (tests/test_ptree.py checks the
+    traced peak stays below it). depth, dim and the factors are checked
+    ints. A tree whose last level could hold more than MAX_PATHS increment
+    entries (max(branching) ** depth * dim) raises ResourceLimitError."""
     widest = max(branching)
     # from MAX_PATHS.bit_length() levels on even binary trees exceed the cap,
     # so the power never grows into a huge integer
@@ -575,7 +552,7 @@ def random_tree(depth: int, dim: int, seed, branching: Sequence[int] = (2, 3)) -
     first term plus the sum of the others, which numpy takes left to right
     when there are fewer than 8 of them. No step goes through BLAS.
     """
-    roots, parent, prob, incr, _ = _draw(depth, dim, [seed], branching)
+    roots, parent, prob, incr = _draw(depth, dim, [seed], branching)
     return ProbTree(roots[0], parent, prob, incr)
 
 
@@ -584,21 +561,19 @@ def random_forest(depth: int, dim: int | Sequence[int], seeds: Sequence,
     """The trees random_tree draws from each seed, as one forest: tree t is
     random_tree(depth, dims[t], seeds[t], branching), node for node and bit
     for bit, padded with zero coordinates to the forest's width. dim is every
-    tree's dimension, or a sequence of one per seed (the forest's dims),
-    which all lie below PAD_BELOW or are all equal (else DomainError). Each
-    tree draws from its own Generator, two calls a level; the scaling and
-    the sibling sums then run once over the whole forest. The whole forest
-    is charged against MAX_TREE_BYTES at its width."""
+    tree's dimension, or a sequence dims of one per seed. Each tree draws
+    from its own Generator, two calls a level; the scaling and the sibling
+    sums then run once over the whole forest. The whole forest is charged
+    against MAX_TREE_BYTES at its width."""
     seeds = list(seeds)
     if not seeds:
         raise DomainError("random_forest needs at least one seed")
-    roots, parent, prob, incr, dims = _draw(depth, dim, seeds, branching)
-    return Forest(roots, parent, prob, incr, dims=dims)
+    return Forest(*_draw(depth, dim, seeds, branching))
 
 
 def _draw(depth, dim, seeds: list, branching: Sequence[int]):
     """random_forest's checks and draw: the (roots, parent, prob, incr) of
-    its Forest, then each tree's dimension."""
+    its Forest."""
     depth = as_int(depth, "depth")
     if isinstance(dim, str) or not hasattr(dim, "__iter__"):
         dims = [as_int(dim, "dim")] * len(seeds)
@@ -609,9 +584,6 @@ def _draw(depth, dim, seeds: list, branching: Sequence[int]):
     cols = max(dims)   # the forest's width
     if depth < 0 or min(dims) < 1:
         raise DomainError("random_tree needs depth >= 0 and dim >= 1")
-    if cols >= PAD_BELOW and min(dims) < cols:
-        raise DomainError(f"trees of dimensions {sorted(set(dims))} share no forest: from "
-                          f"{PAD_BELOW} on, a dimension takes forests of its own")
     choices = [as_int(w, "branching factor") for w in branching]
     if not choices or min(choices) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(choices)}")
@@ -646,13 +618,14 @@ def _draw(depth, dim, seeds: list, branching: Sequence[int]):
         prob[at:at + len(raw)] = raw[:, 0]
         incr[at:at + len(raw), :d] = raw[:, 1:] * 2.0 - 1.0
         at += len(raw)
+    widths = w = raws = raw = None   # freed before the centring, where the draw peaks
     prob *= 0.9   # onto [0.1, 1[
     prob += 0.1
     # each sibling group's sums, as _validate takes them
     starts = np.cumsum(width) - width
     prob /= np.add.reduceat(prob, starts)[parent]
     incr -= np.add.reduceat(prob[:, None] * incr, starts)[parent]
-    return roots, parent, prob, incr, dims
+    return roots, parent, prob, incr
 
 
 def symmetric_walk(depth: int, step: float = 1.0, m0: float = 0.0) -> ProbTree:

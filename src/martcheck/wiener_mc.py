@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError, refuse_overflow
 from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_ids, report_table
-from .ptree import as_exponents, as_int, as_positive, as_seed
+from .ptree import as_exponents, as_int, as_positive, as_seed, row_norms
 
 BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
@@ -305,34 +305,26 @@ def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _sum_squares(parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """sum_q parts[q]^2 into out, which may be parts[0], in numpy's order for
-    a sum over a last axis of len(parts) terms: left to right below 8 terms
-    (squaring the parts in place), pairwise from 8 on (there by reducing a
-    C-contiguous (..., n) array of the squares, held on the flat scratch)."""
-    n = len(parts)
-    if n < 8:
-        np.square(parts[0], out=out)
-        for part in parts[1:]:
-            out += np.square(part, out=part)
-        return out
-    squares = _view(scratch, *out.shape, n)
-    for q, part in enumerate(parts):
-        np.square(part, out=squares[..., q])
-    return np.add.reduce(squares, axis=-1, out=out)
+def _sum_squares(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_q parts[q]^2 into out, which may be parts[0], added left to right,
+    first component first, as ptree.row_norms adds them; the parts are
+    squared in place."""
+    np.square(parts[0], out=out)
+    for part in parts[1:]:
+        out += np.square(part, out=part)
+    return out
 
 
-def _chunk_arrays(spec: IntegrandSpec, rows: int, stop: int) -> dict[str, np.ndarray]:
+def _chunk_arrays(spec: IntegrandSpec, rows: int) -> dict[str, np.ndarray]:
     """A block's flat arrays for the chunks it reduces, of at most rows paths
     each, allocated once and reused by every chunk: W (m arrays of rows x
     (steps + 1) cells) unless the integrand is constant, the increments of X
     (d) unless d = m = 1 scales dW in place, and a rule's temporaries over
     its steps: f^j and f^j dW^j for LIN and SIGN, or f^j dW^j for CONST
-    unless in place. From d = 8 on, the same memory holds the squares a
-    norm sums (d arrays of rows x stop cells)."""
+    unless in place."""
     (const, reads_w), m, d = spec.widest, spec.wiener_dim, spec.dim
     in_place = d == m == 1
-    rule = max(2 * reads_w, 0 if in_place else const, stop if d >= 8 else 0)
+    rule = max(2 * reads_w, 0 if in_place else const)
     return {"wn": np.empty(spec.needs_wiener * m * rows * (spec.steps + 1)),
             "dx": np.empty(0 if in_place else d * rows * spec.steps),
             "rule": np.empty(d * rows * rule)}
@@ -374,7 +366,8 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
             dx[0, :, covered:e.start] = 0.0   # steps no rule covers
             covered = e.stop
         if id(rule) not in coefs:
-            coefs[id(rule)] = np.array(rule.c)[:, None, None], np.square(rule.c).sum()
+            c = np.array(rule.c)[:, None, None]
+            coefs[id(rule)] = c, _sum_squares(c.copy(), np.empty((1, 1))).item()
         # f^j: c times the scalar field 1, W^k or sign(W^k) at the left endpoints
         f, norm2 = coefs[id(rule)]
         if not (in_place and const):
@@ -394,7 +387,7 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
         else:
             dx[:, :, sl] += np.multiply(f, dw[:, sl, e.j - 1], out=product)
         if g is not None:
-            g[..., sl] += norm2 if const else _sum_squares(f, f[0], arrays["rule"][f.size:])
+            g[..., sl] += norm2 if const else _sum_squares(f, f[0])
     if in_place:
         dx[0, :, covered:] = 0.0
 
@@ -406,7 +399,7 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
         return x_stop, np.abs(head[0], out=head[0]).max(axis=1, initial=0.0)
     # sqrt is correctly rounded and monotone: the root of the largest square
     # is the largest norm
-    squares = _sum_squares(head, head[0], arrays["rule"])
+    squares = _sum_squares(head, head[0])
     return x_stop, np.sqrt(squares.max(axis=1, initial=0.0))
 
 
@@ -449,7 +442,7 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
     rows = -(-(hi - lo) // chunks)   # chunks of even sizes, no short last one
     starts, ahead = range(lo, hi, rows), ahead and chunks > 1
     bufs = [np.empty((rows, spec.steps, spec.wiener_dim)) for _ in range(1 + ahead)]
-    arrays = _chunk_arrays(spec, rows, stop)
+    arrays = _chunk_arrays(spec, rows)
     nw = spec.needs_wiener
     half_powers = [v / 2.0 for v in batch.p] if nw else []
     g = np.empty(rows * spec.steps) if nw else None   # sum_j ||f^j||^2: a chunk's rows
@@ -638,7 +631,7 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     zakai = any(b.base == "increments" for b in bounds)
     batch = simulate(spec, paths, seed, t, p_values if zakai else ())
     stats = {"terminal": np.abs(batch.x_stop[:, 0]) if spec.dim == 1
-             else np.linalg.norm(batch.x_stop, axis=1), "sup": batch.sup_norm}
+             else row_norms(batch.x_stop), "sup": batch.sup_norm}
     # paths not all 0 per side and base (sup >= |x_stop|; g^{p/2} may underflow)
     moved = {"terminal": batch.x_stop.any(), "square": batch.riemann.any()}
     moved.update(sup=moved["terminal"] or batch.sup_norm.any(), increments=moved["square"])

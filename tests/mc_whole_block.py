@@ -3,6 +3,7 @@ paths: one pass over the whole block, with g = sum_j ||f^j||^2 held as a
 (paths, steps) array and the Riemann sums, the steps where g > 0 and the
 ZAKAI partial rows taken from it at the end. The reference the chunked
 kernel is held to bit for bit."""
+import functools
 import math
 
 import numpy as np
@@ -15,18 +16,9 @@ from martcheck.wiener_mc import (
 )
 
 
-def sum_squares(parts, out):
-    """sum_q parts[q]^2 into out: left to right below 8 terms, pairwise from
-    8 on, by reducing a C-contiguous (..., n) array of the squares."""
-    if len(parts) < 8:
-        np.square(parts[0], out=out)
-        for part in parts[1:]:
-            out += np.square(part, out=part)
-        return out
-    squares = np.empty(out.shape + (len(parts),))
-    for q, part in enumerate(parts):
-        np.square(part, out=squares[..., q])
-    return np.add.reduce(squares, axis=-1, out=out)
+def sum_squares(parts):
+    """sum_q parts[q]^2, added left to right from the first part."""
+    return functools.reduce(np.add, [np.square(part) for part in parts])
 
 
 def whole_block(spec, dw, stop, g):
@@ -51,8 +43,7 @@ def whole_block(spec, dw, stop, g):
             dx[0, :, sl] *= f[0]
         else:
             dx[:, :, sl] += f * dw[:, sl, e.j - 1]
-        g[..., sl] += (np.square(e.rule.c).sum() if e.rule.kind == "const"
-                       else sum_squares(f, np.empty(f.shape[1:])))
+        g[..., sl] += sum_squares(e.rule.c if e.rule.kind == "const" else f)
     if in_place:
         dx[0, :, covered:] = 0.0
     xx = np.cumsum(dx, axis=2, out=dx)
@@ -61,7 +52,7 @@ def whole_block(spec, dw, stop, g):
     if d == 1:
         norms = np.abs(head[0], out=head[0])
     else:
-        norms = np.sqrt(sum_squares(head, np.empty((rows, stop))))
+        norms = np.sqrt(sum_squares(head))
     return x_stop, norms.max(axis=1, initial=0.0)
 
 

@@ -638,8 +638,8 @@ class TestSweep:
         for r in reports:
             tree, depth, dim = (field.split("=")[1] for field in r.notes.split())
             per_tree[int(tree)] = int(depth), int(dim)
-        # one moment table per forest, one forest per depth below dimension
-        # PAD_BELOW, each carrying every exponent
+        # one moment table per forest, one forest per depth, each carrying
+        # every exponent
         assert len(set(per_tree.values())) == 4
         depths = [depth for depth, _ in per_tree.values()]
         assert sorted(trees for trees, _ in tables) == sorted(map(depths.count, set(depths)))
@@ -657,7 +657,8 @@ class TestSweep:
         eval_tree table per tree drawn alone by random_tree, and a failing
         sweep raises what the first failing tree raises alone (at p = 300
         some trees' sums underflow and others' do not). Dimensions reach 10,
-        on both sides of ptree.PAD_BELOW, where padded forests end."""
+        on both sides of 8 coordinates, where numpy's own row sums turn
+        pairwise, and trees of every dimension share their depth's forests."""
         args = (count, max_depth, max_dim, seed, ps, ids)
         try:
             want = sweep_tree_by_tree(*args)
