@@ -522,7 +522,8 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     if not spec.needs_wiener:   # g is one row, shared by every path
         with np.errstate(over="ignore", invalid="ignore"):   # as in _block
             rules = {id(e.rule): e.rule for e in spec.entries}   # constant_integrand shares one
-            norm2 = {key: np.square(rule.c).sum() for key, rule in rules.items()}
+            norm2 = {key: _sum_squares(np.array(rule.c)[:, None], np.empty(1)).item()
+                     for key, rule in rules.items()}
             g = np.zeros(spec.steps)
             for e in (e for segs in spec.per_j for e in segs):   # _chunk's order
                 g[e.start:e.stop] += norm2[id(e.rule)]

@@ -573,6 +573,9 @@ class TestChunkedKernel:
     # whose batch-means groups chunks cut
     @example((constant_integrand(0.3, dim=2, wiener_dim=2, steps=4), 3, 40000, [3.0, 2.0],
               37, 7))
+    # nine coordinates: simulate's one row of g adds ||c||^2 left to right
+    @example((IntegrandSpec(9, 3, 1.5, 3, (RuleEntry(0, 1, 1, Rule("const", (0.3,) * 9)),)),
+              1, 2, [], 1, 0))
     def test_matches_whole_block_reference(self, case):
         """Chunks that reduce their own paths give the bits of one pass over
         each whole block (see chunk_cases)."""
