@@ -26,7 +26,6 @@ import functools
 import json
 import sys
 import time
-from itertools import islice
 from typing import Any, Sequence
 
 from . import __version__, formats, ineq, ptree, sharpness, wiener_mc
@@ -35,7 +34,6 @@ from .errors import ConfigError, MartcheckError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
-_CSV_BATCH = 256   # CSV lines joined into one write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,8 +96,7 @@ def _write_out(base: str, command: str, argv: Sequence[str], params: dict,
             fh.write("}\n")
         if lines is not None:
             with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
-                while batch := list(islice(lines, _CSV_BATCH)):   # bounded, few writes
-                    fh.write("".join(batch))
+                fh.writelines(lines)
     except (OSError, UnicodeEncodeError) as exc:   # e.g. a lone surrogate in a text cell
         raise ConfigError(f"cannot write {base}: {exc}") from None
 

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -278,12 +278,15 @@ def csv_row(report: InequalityReport) -> dict:
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLOAT_CELLS = {text: cell for cell, text in _JSON_NON_FINITE.items()}
-#: a report row's JSON text, keys sorted as json.dumps(sort_keys=True) writes them
+#: a report row's JSON keys, sorted as json.dumps(sort_keys=True) writes them, and
+#: the literal text before each key's value and after the last
 _ROW_KEYS = sorted(REPORT_FIELDS)
-_ROW_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in _ROW_KEYS) + "}"
-#: a CSV line of CSV_FIELDS cells, as csv.writer ends it, and the columns it holds
-_CSV_LINE = ",".join(["%s"] * len(CSV_FIELDS)) + "\r\n"
+_ROW_LITERALS = [(", " if i else "{") + f'"{name}": ' for i, name in enumerate(_ROW_KEYS)] + ["}"]
+#: the columns of a CSV line of CSV_FIELDS cells, and the literal text around them
 _CSV_COLUMNS = ("id",) + CSV_FIELDS[1:]
+_CSV_LITERALS = [""] + [","] * (len(CSV_FIELDS) - 1) + ["\r\n"]
+_CSV_HEADER = ",".join(CSV_FIELDS) + "\r\n"
+_PIECE_ROWS = 256   # rows joined into one piece of text
 
 
 def _csv_text(value) -> str:
@@ -328,28 +331,36 @@ def _column_text(column: list) -> tuple[list[str] | str, Iterable[str] | str]:
                   for v, t in zip(column, text))
 
 
-def _lines(template: str, texts: list, rows: int) -> Iterator[str]:
-    """template % cells for each row: a column's one text is written into
-    the template once, the others' cells substituted row by row."""
-    fixed = [t.replace("%", "%%") if isinstance(t, str) else "%s" for t in texts]
-    template %= tuple(fixed)
-    varying = [t for t in texts if not isinstance(t, str)]
-    return map(template.__mod__, zip(*varying) if varying else repeat((), rows))
+def _pieces(texts: list, literals: list[str], sep: str, rows: int) -> Iterator[str]:
+    """The rows literals[0] + texts[0] + literals[1] + ... + literals[-1], joined
+    by sep _PIECE_ROWS rows to a piece. A text that is a str is every row's and
+    is merged with the literals around it; the others hold one text per row."""
+    parts = [literals[0]]
+    for text, literal in zip(texts, literals[1:]):
+        if isinstance(text, str):
+            parts[-1] += text + literal
+        else:
+            parts += [text, literal]
+    lines = map("".join, zip(*(repeat(part, rows) if isinstance(part, str) else part
+                               for part in parts)))
+    return iter(lambda: sep.join(islice(lines, _PIECE_ROWS)), "")   # a row is never ""
 
 
 def table_text(table: ReportTable) -> tuple[Iterator[str], Iterator[str]]:
     """The table's JSON results list in pieces, which join to json.dumps([report_row(r)
-    for r in table], sort_keys=True), and its CSV file in lines, the CSV_FIELDS
-    header first, as csv.writer writes them for the csv_row of every report.
-    Each value is formatted once, a column at a time, and a column of one
-    value (see _column_text) once in all, in the row and line templates."""
+    for r in table], sort_keys=True), and its CSV file in pieces, the CSV_FIELDS
+    header first, which join to what csv.writer writes for the csv_row of every
+    report. Each value is formatted once, a column at a time, and a column of one
+    value (see _column_text) once in all; each row is one "".join of its texts
+    and the literal text between them, and each piece one join of its rows."""
     text, cells = {}, {}
     for name in REPORT_FIELDS:
         text[name], cells[name] = _column_text(table.columns[name])
-    rows = _lines(_ROW_TEMPLATE, [text[name] for name in _ROW_KEYS], len(table))
-    results = chain("[", map(str.__add__, chain([""], repeat(", ")), rows), "]")
-    lines = _lines(_CSV_LINE, [cells[name] for name in _CSV_COLUMNS], len(table))
-    return results, chain([_CSV_LINE % CSV_FIELDS], lines)
+    rows = len(table)
+    results = _pieces([text[name] for name in _ROW_KEYS], _ROW_LITERALS, ", ", rows)
+    lines = _pieces([cells[name] for name in _CSV_COLUMNS], _CSV_LITERALS, "", rows)
+    return (chain(["["], chain.from_iterable(zip(chain([""], repeat(", ")), results)), ["]"]),
+            chain([_CSV_HEADER], lines))
 
 
 def search_result_to_obj(result: SearchResult) -> dict:

@@ -322,7 +322,10 @@ def _gauss_panels(f, edges: np.ndarray) -> float:
     half = 0.5 * (edges[1:] - edges[:-1])
     t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = f(t.ravel()).reshape(t.shape)
-    return float(np.sum((vals @ _GL_WEIGHTS) * half))
+    total = vals[:, 0] * _GL_WEIGHTS[0]   # each panel's weighted sum, left to right
+    for i in range(1, len(_GL_WEIGHTS)):
+        total += vals[:, i] * _GL_WEIGHTS[i]
+    return float(np.sum(total * half))
 
 
 def _graded_edges(anchors: list[float]) -> np.ndarray:
@@ -397,8 +400,8 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape or x.ndim != 1:
         raise DomainError("x and y must be 1-d vectors of equal dimension")
-    y_sq = float(y @ y)
-    inner = float(x @ y)
+    # <y, y> and <x, y>, their terms added left to right, first coordinate first
+    y_sq, inner = np.cumsum([y * y, x * y], axis=1)[:, -1].tolist() if len(y) else (0.0, 0.0)
     norm_x = float(ptree.row_norms(x))
     lhs = float(ptree.row_norms(x + y)) ** p
     head = norm_x ** p

@@ -602,10 +602,10 @@ def _draw(depth, dim, seeds: list, branching: Sequence[int]):
     # level by level, tree by tree, which is the node order: each node's width,
     # then each child's raw probability and raw increments in one row
     counts = [1] * len(rngs)   # each tree's nodes on the level
-    widths, raws = [], []
+    widths, raws, options = [], [], np.array(choices, dtype=np.intp)
     for _ in range(depth):
         for t, (rng, d) in enumerate(zip(rngs, dims)):
-            w = np.take(choices, rng.integers(0, len(choices), counts[t]))
+            w = options[rng.integers(0, len(choices), counts[t])]
             counts[t] = int(w.sum())
             widths.append(w)
             raws.append(rng.random((counts[t], 1 + d)))

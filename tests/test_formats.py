@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -370,10 +371,29 @@ def _tables(draw):
     return ReportTable(columns)
 
 
+PIECE = formats._PIECE_ROWS
+
+
+def _check_pieces(table):
+    """table_text's pieces join to the standard encodings of the table. At
+    most two pieces more than a table of its size is written in are read, so
+    a piece stream that never ends fails here rather than hanging the test."""
+    pieces = -(-len(table) // PIECE)
+    results, lines = table_text(table)
+    expected = io.StringIO()
+    csv.writer(expected).writerows(
+        [CSV_FIELDS] + [[csv_row(r)[name] for name in CSV_FIELDS] for r in table])
+    # "[", then each piece with the ", " or "" before it, then "]"; the header, then the pieces
+    assert "".join(islice(results, 2 * pieces + 2 + 2)) == json.dumps(
+        [report_row(r) for r in table], sort_keys=True)
+    assert "".join(islice(lines, pieces + 1 + 2)) == expected.getvalue()
+
+
 class TestTableWriter:
     """The --out writer of a report table writes what the standard encoder
-    and csv.writer write for its reports, byte for byte; text that UTF-8
-    cannot hold is a config error."""
+    and csv.writer write for its reports, byte for byte, tables that cross
+    piece boundaries and tables whose every column holds one value included;
+    text that UTF-8 cannot hold is a config error."""
 
     @given(_tables())
     def test_files_are_standard_encodings(self, tmp_path_factory, table):
@@ -437,6 +457,44 @@ class TestTableWriter:
         table = ReportTable({name: [object()] for name in REPORT_FIELDS})
         with pytest.raises(TypeError, match="not JSON serializable"):
             table_text(table)
+
+    @pytest.mark.parametrize("rows", [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 3])
+    def test_piece_boundaries(self, rows):
+        rng = random.Random(rows)
+        columns = {name: [rng.choice([rng.random(), 0.5, -0.0, math.inf]) for _ in range(rows)]
+                   for name in ("p", "n_or_t", "lhs", "rhs", "constant", "ratio")}
+        columns.update(id=[rng.choice(["DOOB", "a,b", '"q"']) for _ in range(rows)],
+                       satisfied=[True] * rows, verdict=["satisfied"] * rows,
+                       ci_lhs=[None] * rows, ci_rhs=[rng.random() for _ in range(rows)],
+                       seed=[7] * rows, notes=[f"tree={i}" for i in range(rows)])
+        _check_pieces(ReportTable(columns))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("number", [float, int])
+    def test_every_column_one_value(self, rows, number):
+        """With int sides every column is one text (see _column_text), so
+        nothing but the row count ends the rows."""
+        row = {"id": "D-BURK-1", "p": number(2), "n_or_t": number(1), "lhs": number(1),
+               "rhs": number(2), "constant": number(1), "ratio": number(0),
+               "satisfied": True, "verdict": "satisfied", "ci_lhs": None, "ci_rhs": None,
+               "seed": 3, "notes": "t"}
+        _check_pieces(ReportTable({name: [row[name]] * rows for name in REPORT_FIELDS}))
+
+    @pytest.mark.parametrize("rows", [1, 3, PIECE + 1])
+    def test_percent_in_text(self, rows):
+        columns = {name: [1.5] * rows for name in REPORT_FIELDS}
+        cycle = ["%", "%s", "%%", "a%sb%%c%d"]
+        columns.update(id=["%s"] * rows, verdict=[cycle[i % 4] for i in range(rows)],
+                       notes=["100%%"] * rows, satisfied=[False] * rows,
+                       ci_lhs=[None] * rows, ci_rhs=[None] * rows, seed=[None] * rows)
+        _check_pieces(ReportTable(columns))
+
+    def test_empty_table(self):
+        table = ReportTable({name: [] for name in REPORT_FIELDS})
+        results, lines = table_text(table)
+        assert "".join(islice(results, 4)) == "[]"
+        assert "".join(islice(lines, 3)) == ",".join(CSV_FIELDS) + "\r\n"
+        _check_pieces(table)
 
 
 # -- fuzz: every document parses or raises a MartcheckError ------------

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -503,6 +504,18 @@ class TestTaylorPointwise:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             ineq.taylor_pointwise([1.0, 0.0], [1.0], 3)
+
+    def test_calls_no_blas(self, monkeypatch):
+        """The Taylor sides and their panel quadrature call neither np.matmul
+        nor np.dot, so their bits do not depend on the linked BLAS; and ineq
+        uses no @ operator, which no patch intercepts."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS called")
+        monkeypatch.setattr(np, "matmul", refuse)
+        monkeypatch.setattr(np, "dot", refuse)
+        assert ineq.taylor_pointwise([1.3, -0.7, 0.2], [0.4, 0.9, -1.1], 2.5).satisfied
+        source = pathlib.Path(ineq.__file__).read_text()
+        assert all(line.lstrip().startswith("@") for line in source.splitlines() if "@" in line)
 
     @given(
         st.integers(1, 3).flatmap(lambda d: st.tuples(
