@@ -515,13 +515,13 @@ FROZEN_OUT_CASES = [
      "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
     (("verify-continuous", "--integrand", "spec_mixed2d.json", "--p", "2", "4",
       "--paths", "2048", "--seed", "5", "--allow-inconclusive"),
-     "5c010c2f13befab855e63a505b39003b3664f689331a5f322f304371764251c8"),
+     "887545671ad8f16d7a97804e614f96079d5f4f14bcce7bc039f874e8e427e10e"),
     (("verify-continuous", "--integrand", "spec_lin.json", "--p", "3", "--t", "0.5",
       "--paths", "2048", "--ineq", "ZAKAI-MAX", "C-BURK-1"),
-     "db078c3359726fab8557551e08d22e21f9e44c394728e4816f8c84d1029546c4"),
+     "ebfaddad8666438682ef2e86d1c510980dd3d564df0fa4fa4958b24e44ca1e7e"),
     (("verify-continuous", "--integrand", "spec_const1.json", "--p", "4",
       "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
-     "b8e93aaca819daf6a00919b7a9603c1bf25b29827ad410b209b04fe0097a098b"),
+     "7e4b16688f7baed514c185ff923f1b2b7fbd09c4815b60fa7cb2839cb57d1e88"),
 ]
 
 

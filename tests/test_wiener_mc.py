@@ -37,11 +37,11 @@ def load_spec(zoo, name):
 def redraw_increments(spec, paths, seed):
     """The (paths, steps, m) Wiener increments of a run, redrawn from the
     documented streams: 1024-path block b draws standard normals from
-    Philox keyed by SeedSequence(entropy=seed, spawn_key=(10, b)), scaled
+    PCG64DXSM keyed by SeedSequence(entropy=seed, spawn_key=(10, b)), scaled
     by sqrt(dt)."""
     blocks = []
     for b, lo in enumerate(range(0, paths, 1024)):
-        gen = np.random.Generator(np.random.Philox(
+        gen = np.random.Generator(np.random.PCG64DXSM(
             np.random.SeedSequence(entropy=seed, spawn_key=(10, b))))
         blocks.append(gen.standard_normal(
             (min(1024, paths - lo), spec.steps, spec.wiener_dim)))
@@ -188,11 +188,20 @@ class TestSimulate:
         c = simulate(spec, 3000, seed=6)
         assert not np.array_equal(a.x_stop, c.x_stop)
 
-    def test_telescoping_for_unit_integrand(self):
-        """f == 1 makes X_t an exact partial sum of the increments."""
-        spec = constant_integrand(1.0, steps=128)
-        batch = simulate(spec, 2048, seed=3)
-        total = np.cumsum(redraw_increments(spec, 2048, 3)[:, :, 0], axis=1)[:, -1]
+    @pytest.mark.parametrize("steps, paths, cpus", [
+        (128, 2048, None),   # two blocks on the default workers
+        (1024, 1024, 2),     # one block of five row chunks, drawing ahead
+        (128, 3000, 1),      # three blocks, the last ragged, on one worker
+        (128, 3000, None)],  # the same on the default workers
+        ids=["two-blocks", "one-block-ahead", "three-blocks-one-worker", "three-blocks"])
+    def test_telescoping_for_unit_integrand(self, monkeypatch, steps, paths, cpus):
+        """f == 1 makes X_t an exact partial sum of the increments, so every
+        way _block runs draws the documented stream bit for bit."""
+        if cpus is not None:
+            monkeypatch.setattr(wmc, "_cpus", lambda: cpus)
+        spec = constant_integrand(1.0, steps=steps)
+        batch = simulate(spec, paths, seed=3)
+        total = np.cumsum(redraw_increments(spec, paths, 3)[:, :, 0], axis=1)[:, -1]
         assert np.array_equal(batch.x_stop[:, 0], total)
 
     def test_zero_integrand(self):
@@ -467,10 +476,10 @@ def simulate_digest(cases, first_seed=0):
     return h.hexdigest()
 
 
-FROZEN_SIMULATE_DIGEST = "4cc2c73b59e59cc93b58f672ea3e0357e060a544284ecdeffb7dbfd2c19bb5df"
+FROZEN_SIMULATE_DIGEST = "5f87c197ff6b6e18478011de70b78a1753c4b389150563f644c483d5abde0ca7"
 # wide_cases' d = 3 runs (seeds 0 and 1), and its d = 8 and 9 runs (seeds 2 to 5)
-WIDE_D3_DIGEST = "128487f006a1b8ad011c42ca71ffe83cfc32c8d2d87bd1f3f4407d380feeecb3"
-WIDE_D89_DIGEST = "d399860f4546b4aea1b9b354cfc4827444fcf533024f7334484d771b5595e6aa"
+WIDE_D3_DIGEST = "a6d9e4cf0ed6fc94b06f75eaa97f29bdbc47d02d09079e1b67d60d4d0d015399"
+WIDE_D89_DIGEST = "8faeeb24e105f6aefc0a3a7550dd9fb4f7b8f2c282cc825e02c355c98a0d191e"
 
 
 def wide_digests():
@@ -747,15 +756,15 @@ class TestEvalContinuous:
             spec, 2.0, [4], ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"],
             20000, 99)
         assert (b1.lhs, b1.ci_lhs, b1.rhs, b1.ci_rhs) == (
-            5.823298366812731, 0.21876313436995537,
-            33.799323681411295, 0.3847464788500028)
+            5.706652456753521, 0.2456364258099699,
+            33.65143007852721, 0.39949749991985134)
         assert (b2.lhs, b2.ci_lhs, b2.rhs, b2.ci_rhs) == (
-            7.699788796252472, 0.25318683421090793,
-            60.087686544731184, 0.6839937401777828)
+            7.616268295910686, 0.2970955829724322,
+            59.82476458404838, 0.7102177776352914)
         assert (zm.lhs, zm.ci_lhs) == (b1.lhs, b1.ci_lhs)
         assert (zx.lhs, zx.ci_lhs) == (b2.lhs, b2.ci_lhs)
-        assert zm.rhs == pytest.approx(12.720588619388463, rel=1e-12)
-        assert zx.rhs == pytest.approx(22.61437976780171, rel=1e-12)
+        assert zm.rhs == pytest.approx(12.661926186351156, rel=1e-12)
+        assert zx.rhs == pytest.approx(22.510090997957608, rel=1e-12)
 
     def test_zakai_coarse_grid_identity_not_satisfied(self, zoo):
         """spec_lin on 8 steps at p=2 is an identity (both sides 0.4375
