@@ -22,7 +22,8 @@ each worker, a helper thread draws a block's next chunk as it reduces one.
 The block decomposition and all reduction orders are algorithm constants,
 so the bits do not depend on the chunk size, the worker count, the helper
 or the order in which blocks finish. One simulation serves every
-inequality id and exponent of a run.
+inequality id and exponent of a run. Only an id that reads the supremum has
+it scan the paths; without one, X_stop keeps the bits of the scan.
 """
 from __future__ import annotations
 
@@ -49,6 +50,8 @@ BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
 _UFUNC_BUFFER_BYTES = 1 << 18  # numpy's buffers for a strided in-place update
 _CHUNK_CELLS = 1 << 18     # cells of a row chunk's (paths, steps) arrays: 2 MiB, one L2 cache
 _ENTRY_BYTES = 400          # bytes per component of constant_integrand (traced peak ~330)
+_SCAN_CELLS = 1 << 14       # cells of a block of _add_steps: 64 steps of a 255-row chunk
+_SCAN_ROWS = 16             # fewest rows of a chunk whose X_stop _add_steps adds
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
 _WIENER_STREAM = 10
@@ -180,7 +183,7 @@ class WienerBatch:
 
     stop: grid index of the evaluation time t.
     x_stop: X at the stop grid index, one row per path.
-    sup_norm: max of ||X|| over grid points 0..stop per path.
+    sup_norm: max of ||X|| over grid points 0..stop per path; None without sup.
     riemann: left-endpoint sum of g = sum_j ||f^j||^2 over [0, t_stop] per path.
     p: the exponents given to simulate.
     zakai_rows: (len(p), groups, stop) sums of g(t_i)^{p_k/2} over the paths
@@ -195,7 +198,7 @@ class WienerBatch:
     paths: int
     stop: int
     x_stop: np.ndarray
-    sup_norm: np.ndarray
+    sup_norm: np.ndarray | None
     riemann: np.ndarray
     p: tuple[float, ...] = ()
     zakai_rows: np.ndarray | None = None
@@ -234,7 +237,8 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     # of at most half its paths (rounded up), and the g rows of one
     # batch-means group share that chunks cut, with one power of them; these
     # come to the block's g and g^{p/2} only when a group holds more paths
-    # than a chunk (runs of 32 or more blocks, or short chunks).
+    # than a chunk (runs of 32 or more blocks, or short chunks). A run
+    # without the supremum holds, beside these, _add_steps' buffer and sum.
     own = 0 if d == m == 1 else d
     rule = max(2 * d * spec.widest[1], own * spec.widest[0]) / spec.steps
     arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
@@ -242,7 +246,8 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int,
     # per path: its output rows; rows of steps: simulate's constant g, the
     # block's small objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
     rows = 3 + exponents * (min(CI_GROUPS, bsz) + 1 if nw else 1)
-    block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2)
+    scan = d * (min(_SCAN_CELLS, bsz * stop) + 2 * bsz)
+    block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2) + scan
                                  + (spec.steps + 1) * rows)) + _UFUNC_BUFFER_BYTES
     room = BLOCK_MEMORY_BUDGET - out_bytes
     if block_bytes > room:
@@ -330,12 +335,30 @@ def _chunk_arrays(spec: IntegrandSpec, rows: int) -> dict[str, np.ndarray]:
             "rule": np.empty(d * rows * rule)}
 
 
+def _add_steps(dx: np.ndarray, stop: int) -> np.ndarray:
+    """sum_{i < stop} dx[:, :, i], (d, rows), added left to right from 0.0 as
+    np.cumsum adds them (a zero sum may differ in sign): the steps are copied
+    steps-major, _SCAN_CELLS // rows at a time, below the running sum, and
+    np.add.reduce adds one row after another (rows of paths are its inner loop)."""
+    d, rows, _ = dx.shape
+    block = _SCAN_CELLS // rows
+    buf = np.zeros((d, min(block, stop) + 1, rows))
+    total = buf[:, 0].copy()
+    for k in range(0, stop, block):
+        n = min(block, stop - k)
+        buf[:, 0] = total
+        buf[:, 1:n + 1] = dx[:, :, k:k + n].transpose(0, 2, 1)
+        np.add.reduce(buf[:, :n + 1], axis=1, out=total)
+    return total
+
+
 def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
-           arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+           arrays: dict[str, np.ndarray], sup: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Reduce the next paths of a block, given their Wiener increments dW
     (rows, steps, m), which it may overwrite, and the block's _chunk_arrays:
     set g to their rows of sum_j ||f^j||^2 (None for a constant integrand,
-    whose one row simulate sets) and return their x_stop and sup_norm rows.
+    whose one row simulate sets) and return their x_stop rows and, given
+    sup, their sup_norm rows (else None, and no path is scanned).
 
     W and the increments of X are held component-major, (m or d, rows,
     steps), so each rule adds f_q dW^j into contiguous slices and the sums
@@ -391,9 +414,13 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
     if in_place:
         dx[0, :, covered:] = 0.0
 
-    xx = np.cumsum(dx, axis=2, out=dx)    # X at grid indices 1..S
     # + 0.0 maps -0.0 to +0.0: steps scaled in place by f = 0 hold -0.0 where dW < 0
+    if not sup and rows >= _SCAN_ROWS:   # fewer rows: np.cumsum adds them faster
+        return _add_steps(dx, stop).T + 0.0, None
+    xx = np.cumsum(dx, axis=2, out=dx)    # X at grid indices 1..S
     x_stop = xx[:, :, stop - 1].T + 0.0 if stop else np.zeros((rows, d))
+    if not sup:
+        return x_stop, None
     head = xx[:, :, :stop]
     if d == 1:
         return x_stop, np.abs(head[0], out=head[0]).max(axis=1, initial=0.0)
@@ -405,9 +432,9 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
 def _block(batch: WienerBatch, ahead: bool, b: int):
-    """Simulate path block b of the batch and write its rows of x_stop and
-    sup_norm, and of riemann unless the integrand is constant, into the
-    batch's arrays.
+    """Simulate path block b of the batch and write its rows of x_stop, of
+    sup_norm unless it is None (see _chunk) and of riemann unless the
+    integrand is constant, into the batch's arrays.
 
     Returns (zakai, positive), which simulate merges in block order: zakai
     lists the ((k, group), partial row) sums of g^{p/2}, p the k-th of
@@ -477,7 +504,9 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
     def reduce(i: int, dw: np.ndarray) -> None:
         rs = slice(starts[i], starts[i] + len(dw))
         g_rows = _view(g, len(dw), spec.steps) if nw else None
-        batch.x_stop[rs], batch.sup_norm[rs] = _chunk(spec, dw, stop, g_rows, arrays)
+        batch.x_stop[rs], sup = _chunk(spec, dw, stop, g_rows, arrays, batch.sup_norm is not None)
+        if sup is not None:
+            batch.sup_norm[rs] = sup
         if nw:
             head = g_rows[:, :stop]
             batch.riemann[rs] = head.sum(axis=-1) * spec.dt
@@ -503,20 +532,22 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
 
 
 def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
-             p: Sequence = ()) -> WienerBatch:
+             p: Sequence = (), sup: bool = True) -> WienerBatch:
     """Simulate the batch once and reduce it to per-path statistics.
 
     Statistics are taken at/up to time t (default: the horizon), which must
     lie on the grid. Given exponents p, the batch also carries the ZAKAI rows
-    of each, the bits a run given it alone computes. Deterministic for fixed
-    (spec, paths, seed, t, p), whatever threads run it.
+    of each, the bits a run given it alone computes. Without sup, sup_norm is
+    None and no other bit changes. Deterministic for fixed (spec, paths,
+    seed, t, p), whatever threads run it.
     """
     p = as_exponents(p)
     stop = spec.steps if t is None else grid_index(spec, t)
     paths, seed = as_int(paths, "paths"), as_seed(seed)
     block_bytes, room = _check_run(spec, paths, seed, stop, len(p))
     groups = _group_bounds(paths)
-    batch = WienerBatch(spec, seed, paths, stop, np.empty((paths, spec.dim)), np.empty(paths),
+    batch = WienerBatch(spec, seed, paths, stop, np.empty((paths, spec.dim)),
+                        np.empty(paths) if sup else None,
                         np.empty(paths), p, np.zeros((len(p), len(groups), stop)) if p else None,
                         np.zeros(stop, dtype=bool) if p else None)
     if not spec.needs_wiener:   # g is one row, shared by every path
@@ -630,12 +661,14 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     p_values = as_exponents(p_values)
     bounds = [BOUNDS[i] for i in coerce_ids(ContinuousId, ineq_ids)]
     zakai = any(b.base == "increments" for b in bounds)
-    batch = simulate(spec, paths, seed, t, p_values if zakai else ())
+    sup = any(b.side == "sup" for b in bounds)
+    batch = simulate(spec, paths, seed, t, p_values if zakai else (), sup=sup)
     stats = {"terminal": np.abs(batch.x_stop[:, 0]) if spec.dim == 1
              else row_norms(batch.x_stop), "sup": batch.sup_norm}
     # paths not all 0 per side and base (sup >= |x_stop|; g^{p/2} may underflow)
     moved = {"terminal": batch.x_stop.any(), "square": batch.riemann.any()}
-    moved.update(sup=moved["terminal"] or batch.sup_norm.any(), increments=moved["square"])
+    moved.update(sup=moved["terminal"] or sup and batch.sup_norm.any(),
+                 increments=moved["square"])
     rows = []   # per (p, id): lhs, its SE, constant, base, its SE
     with np.errstate(over="ignore", invalid="ignore"):   # report_table refuses inf/NaN
         for p in p_values:

@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, Gaussian oracles, CI verdicts."""
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -299,18 +300,22 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", ["spec_const1", "spec_lin", "spec_sign",
                                       "spec_mixed2d"])
-    @pytest.mark.parametrize("paths, steps, p", [
-        pytest.param(1024, None, [4], id="1024-None"),
-        pytest.param(32, 2 ** 18, [4], id="32-262144"),
-        pytest.param(1024, None, [4, 2, 3], id="1024-None-p4,2,3"),
-        pytest.param(32, 2 ** 18, [4, 2, 3], id="32-262144-p4,2,3")])
+    @pytest.mark.parametrize("paths, steps, p, sup", [
+        pytest.param(1024, None, [4], True, id="1024-None"),
+        pytest.param(32, 2 ** 18, [4], True, id="32-262144"),
+        pytest.param(1024, None, [4, 2, 3], True, id="1024-None-p4,2,3"),
+        pytest.param(32, 2 ** 18, [4, 2, 3], True, id="32-262144-p4,2,3"),
+        pytest.param(1024, None, [4], False, id="1024-None-terminal"),
+        pytest.param(32, 2 ** 18, [4], False, id="32-262144-terminal"),
+        pytest.param(1024, None, [4, 2, 3], False, id="1024-None-p4,2,3-terminal")])
     def test_zakai_run_peak_within_preflight(self, zoo, monkeypatch, name, paths,
-                                             steps, p):
+                                             steps, p, sup):
         """Given exponents, the memory one run traces stays below the block
         bytes plus the per-run output bytes (ZAKAI rows of every exponent
-        included) that simulate's preflight counted. The block draws ahead,
-        so its second dW buffer, allocated by the helper thread, is traced
-        too; without draw-ahead it holds one buffer less."""
+        included) that simulate's preflight counted, with or without the
+        supremum. The block draws ahead, so its second dW buffer, allocated
+        by the helper thread, is traced too; without draw-ahead it holds one
+        buffer less."""
         monkeypatch.setattr(wmc, "_cpus", lambda: 1 << 10)
         spec = load_spec(zoo, name)
         if steps is not None:
@@ -322,14 +327,31 @@ class TestSimulate:
         seen = []
         monkeypatch.setattr(wmc, "_check_run",
                             lambda *args: seen.append(real(*args)) or seen[-1])
-        simulate(spec, 2, seed=0, p=p)   # warm-up: one-time allocations
+        simulate(spec, 2, seed=0, p=p, sup=sup)   # warm-up: one-time allocations
         tracemalloc.start()
         try:
-            simulate(spec, paths, seed=0, p=p)
+            simulate(spec, paths, seed=0, p=p, sup=sup)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         block_bytes, room = seen[-1]
+        assert peak < block_bytes + wmc.BLOCK_MEMORY_BUDGET - room
+
+    @pytest.mark.parametrize("dim, wiener_dim", [(3, 2), (8, 1)])
+    def test_terminal_scan_buffer_within_preflight(self, dim, wiener_dim):
+        """A 1024-path block of 16 steps is one row chunk, so the charge
+        holds little beyond its arrays; a run without the supremum traces
+        _add_steps' (d, 17, 1024) buffer on top of them, which _check_run
+        charges too (without that charge both runs trace over it)."""
+        spec = constant_integrand(1.0, dim=dim, wiener_dim=wiener_dim, steps=16)
+        block_bytes, room = wmc._check_run(spec, 1024, 0, spec.steps, 1)
+        simulate(spec, 2, seed=0, p=[4], sup=False)   # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            simulate(spec, 1024, seed=0, p=[4], sup=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < block_bytes + wmc.BLOCK_MEMORY_BUDGET - room
 
     def test_mixed_block_peak_pinned(self, zoo, monkeypatch):
@@ -612,6 +634,75 @@ class TestChunkedKernel:
             assert (rows + 1) * (spec.steps + 1) * arrays > wmc._CHUNK_CELLS
         assert wmc._chunk_rows(constant_integrand(1.0, steps=2 ** 18)) == 1
         assert wmc._chunk_rows(constant_integrand(1.0, steps=1)) == wmc.BLOCK_PATHS
+
+
+def terminal_spec(zoo, name):
+    if name == "const1":   # d = m = 1: dW scaled in place
+        return constant_integrand(1.0)
+    if name == "const-d3-m2":
+        return constant_integrand(0.7, dim=3, wiener_dim=2)
+    return load_spec(zoo, name)
+
+
+TERMINAL_SPECS = ["const1", "const-d3-m2", "spec_mixed2d", "spec_lin", "spec_sign"]
+# the stop index: the horizon, mid-grid (1000 of 1024, 250 of 256: no multiple
+# of an _add_steps block, 64 steps of a 255-row chunk), and 0
+TERMINAL_STOPS = {"horizon": lambda steps: steps, "mid": lambda steps: steps * 125 // 128,
+                  "zero": lambda steps: 0}
+
+
+class TestTerminalOnly:
+    """simulate(..., sup=False) scans no path, and keeps every other bit."""
+
+    @pytest.mark.parametrize("stop", TERMINAL_STOPS)
+    @pytest.mark.parametrize("name", TERMINAL_SPECS)
+    @pytest.mark.parametrize("paths, cpus", [
+        (3000, 1),      # three blocks, the last ragged, on one worker
+        (3000, 8),      # the same on three workers, each drawing ahead
+        (1025, 1),      # a last block of one path, under _SCAN_ROWS: np.cumsum adds it
+        (1024, 2)],     # one block of several row chunks, drawing ahead
+        ids=["3000-cpus1", "3000-cpus8", "1025-cpus1", "1024-ahead"])
+    def test_batch_matches_scan(self, zoo, monkeypatch, name, stop, paths, cpus):
+        spec = terminal_spec(zoo, name)
+        monkeypatch.setattr(wmc, "_cpus", lambda: cpus)
+        t = TERMINAL_STOPS[stop](spec.steps) * spec.dt
+        scan = simulate(spec, paths, seed=17, t=t, p=(4, 3))
+        terminal = simulate(spec, paths, seed=17, t=t, p=(4, 3), sup=False)
+        assert scan.sup_norm is not None and terminal.sup_norm is None
+        for field in ("x_stop", "riemann", "zakai_rows", "g_positive"):
+            a, b = getattr(scan, field), getattr(terminal, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("stop", ["horizon", "mid"])
+    @pytest.mark.parametrize("name", TERMINAL_SPECS)
+    def test_rows_match_all_ids_run(self, zoo, name, stop):
+        """C-BURK-1 and ZAKAI-MAIN, run without the scan, report exactly
+        their rows of a run of all four ids."""
+        spec = terminal_spec(zoo, name)
+        t = TERMINAL_STOPS[stop](spec.steps) * spec.dt
+        ids = ["C-BURK-1", "ZAKAI-MAIN"]
+        alone = eval_continuous(spec, t, [2, 4], ids, 3000, 23)
+        every = eval_continuous(spec, t, [2, 4], ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN",
+                                                  "ZAKAI-MAX"], 3000, 23)
+        assert list(alone) == [r for r in every if r.id in ids]
+
+    @pytest.mark.parametrize("ids, sup", [
+        (["C-BURK-1"], False), (["ZAKAI-MAIN"], False), (["C-BURK-1", "ZAKAI-MAIN"], False),
+        (["C-BURK-2"], True), (["ZAKAI-MAX"], True), (["ZAKAI-MAIN", "ZAKAI-MAX"], True),
+        (["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"], True)])
+    def test_sup_only_for_sup_ids(self, monkeypatch, ids, sup):
+        """eval_continuous asks simulate for the supremum only when one of
+        its ids reads it."""
+        seen, real = [], wmc.simulate
+        signature = inspect.signature(real)
+
+        def spy(*args, **kwargs):
+            seen.append(signature.bind(*args, **kwargs).arguments.get("sup", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wmc, "simulate", spy)
+        eval_continuous(constant_integrand(1.0, steps=8), 1.0, [4], ids, 64, 0)
+        assert seen == [sup]
 
 
 @pytest.fixture(scope="class")
