@@ -241,13 +241,13 @@ def eval_tree(tree: ptree.Forest, levels: Iterable[int], p_values: Iterable,
     table = ptree.moments(tree, p_values)
     levels = [ptree.check_level(n, tree.depth) for n in ptree.as_sequence(levels, "levels")]
     ps = table.p
-    trees = len(table.lp) if table.lp.ndim == 3 else 1
-    # each side as a ([tree,] level, p) array
+    trees = len(table.lp)
+    # each side as a (tree, level, p) array
     sides = np.array([table.lp, table.sup, table.quad, table.incr])[..., levels]
     lp, sup, quad, incr = sides.swapaxes(-1, -2)
     squares = [x ** 2 for x in np.array([lp, sup]).ravel().tolist()]
     lp_sq, sup_sq = np.array(squares).reshape(2, *lp.shape)
-    start_sq = table.incr[..., None, :, 0]   # ||M_0||^2
+    start_sq = table.incr[:, None, :, 0]   # ||M_0||^2
     shape = (*lp.shape, len(ids))
     lhs, rhs, constant = np.empty(shape), np.empty(shape), np.empty(shape)
     with np.errstate(over="ignore", invalid="ignore"):   # report_table refuses inf/NaN
@@ -308,8 +308,8 @@ def eval_rio_step(x_atoms: Sequence[tuple[float, Sequence[float]]],
         ptree.as_float_array([y for _, y in ys], "Y atoms"), weights=[q for q, _ in x_atoms])
     forest.require_valid("X atom")
     table = ptree.moments(forest, [p])
-    start_sq, incr_sq = table.incr[0, :2].tolist()   # ||X||_p^2, then plus ||Y||_p^2
-    lhs, rhs, c = np.array([[float(table.lp[0, 1]) ** 2],
+    start_sq, incr_sq = table.incr[0, 0, :2].tolist()   # ||X||_p^2, then plus ||Y||_p^2
+    lhs, rhs, c = np.array([[float(table.lp[0, 0, 1]) ** 2],
                             [start_sq + c * (incr_sq - start_sq)], [c]])
     return report_table([InequalityId.RIO_STEP.value], [p], [1.0], lhs, rhs, c)[0]
 

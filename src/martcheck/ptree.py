@@ -429,8 +429,8 @@ class Moments:
     for level k: lp[j, k] = ||M_k||_p, sup[j, k] = || max_{v <= k} ||M_v|| ||_p,
     quad[j, k] = || sum_{v <= k} ||d_v||^2 ||_{p/2} and
     incr[j, k] = sum_{v <= k} ||d_v||_p^2, the level-0 term being ||M_0||^2.
-    A forest's table puts the tree first, lp[t, j, k] being tree t's lp[j, k],
-    unless root weights pool its trees into one martingale's table."""
+    Every table puts the tree first, lp[t, j, k] being tree t's lp[j, k]; a
+    ProbTree, or a forest whose root weights pool its trees, has one."""
 
     p: tuple[float, ...]
     lp: np.ndarray
@@ -442,7 +442,7 @@ class Moments:
 @np.errstate(over="ignore")   # sums beyond the float range: exact reports refuse them
 def moments(forest: Forest, p_values: Sequence) -> Moments:
     """Reduce a valid forest's level calculus to its Moments table at every
-    exponent; a ProbTree's table, or a weighted forest's, has no tree axis.
+    exponent.
 
     Each w * r ** e is taken once per forest, over all nodes (e a scalar
     exponent, so numpy keeps its ** 2.0 square). Each tree's share of each
@@ -480,29 +480,27 @@ def moments(forest: Forest, p_values: Sequence) -> Moments:
     rows = sums.reshape(len(roots), forest.depth + 1).tolist()   # one per root
     lp, sup, quad, d_sq = np.array([s ** root for root, row in zip(roots, rows)
                                     for s in row]).reshape(sums.shape)
-    if isinstance(forest, ProbTree) or forest.weights is not None:
-        lp, sup, quad, d_sq = lp[0], sup[0], quad[0], d_sq[0]
     return Moments(p, lp, sup, quad, np.cumsum(d_sq, axis=-1))   # incr: left to right
 
 
 def lp_norm(tree: ProbTree, n: int, p) -> float:
     """||M_n||_{L^p}, read from moments(tree, [p])."""
-    return float(moments(tree, [p]).lp[0, check_level(n, tree.depth)])
+    return float(moments(tree, [p]).lp[0, 0, check_level(n, tree.depth)])
 
 
 def sup_lp_norm(tree: ProbTree, n: int, p) -> float:
     """|| max_{v <= n} ||M_v|| ||_{L^p}, read from moments(tree, [p])."""
-    return float(moments(tree, [p]).sup[0, check_level(n, tree.depth)])
+    return float(moments(tree, [p]).sup[0, 0, check_level(n, tree.depth)])
 
 
 def quadratic_sum_norm(tree: ProbTree, n: int, p) -> float:
     """|| sum_{k<=n} ||d_k||^2 ||_{L^{p/2}}, read from moments(tree, [p])."""
-    return float(moments(tree, [p]).quad[0, check_level(n, tree.depth)])
+    return float(moments(tree, [p]).quad[0, 0, check_level(n, tree.depth)])
 
 
 def increment_lp_sum(tree: ProbTree, n: int, p) -> float:
     """sum_{k<=n} ||d_k||_{L^p}^2 (level-0 term ||M_0||^2), read from moments(tree, [p])."""
-    return float(moments(tree, [p]).incr[0, check_level(n, tree.depth)])
+    return float(moments(tree, [p]).incr[0, 0, check_level(n, tree.depth)])
 
 
 def tree_bytes(depth: int, dim: int, branching: Sequence[int]) -> int:

@@ -215,27 +215,27 @@ class SearchResult:
 
 
 def family_ratio(family: FamilySpec, params: dict, target: str = "RIO-STEP") -> float:
-    """Evaluate one parameter point of a family. Pure and deterministic."""
+    """Evaluate one parameter point of a family. Pure and deterministic. A
+    RANDOM-TREE point is its tree's forest of one (see _forest_ratios)."""
     if family.tag == "RIO-TWO-POINT":
         return rio_gain(params["a"], params["b"], family.p)
     if family.tag == "ASYM-TWO-POINT":
         return asym_two_point_gain(params["a"], params["b"], params["q"], family.p)
-    tree = ptree.random_tree(family.depth, family.dim, int(params["tree_seed"]),
-                             branching=family.branching)
-    report = ineq.eval_discrete(tree, tree.depth, family.p, target)
-    return report.ratio
+    return _forest_ratios(family, [int(params["tree_seed"])], target)[0]
 
 
 def _forest_ratios(family: FamilySpec, seeds: list[int], target: str) -> list[float]:
-    """family_ratio of each RANDOM-TREE seed, drawn and evaluated as one forest.
-    Where the forest fails, the trees are evaluated one by one, so the error
-    raised is the one the first failing tree raises alone."""
+    """The final-level target ratio of each RANDOM-TREE seed's tree, the trees
+    drawn and evaluated as one forest. Where a forest of several fails, each
+    tree is evaluated as a forest of one, in order, so the error raised is the
+    one the first failing tree raises alone; a forest of one raises it already."""
     try:
         forest = ptree.random_forest(family.depth, family.dim, seeds, family.branching)
         return ineq.eval_tree(forest, [forest.depth], [family.p], [target]).columns["ratio"]
     except MartcheckError:
-        for seed in seeds:
-            family_ratio(family, {"tree_seed": seed}, target)
+        if len(seeds) > 1:
+            for seed in seeds:
+                _forest_ratios(family, [seed], target)
         raise
 
 

@@ -33,7 +33,6 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import attrgetter
 from typing import Sequence
 
@@ -89,8 +88,8 @@ class IntegrandSpec:
     horizon: terminal time T > 0.
     steps: number S of grid steps; grid times are i * T / S.
     entries: rules; (step, j) cells not covered by any entry are zero.
-    Derived: per_j, the entries of each component that has any, by start
-    step, components in order; needs_wiener, whether any rule reads W;
+    Derived: ordered, the entries by component, then by start step;
+    needs_wiener, whether any rule reads W;
     widest, the most steps a CONST rule and a LIN or SIGN rule cover (0 if
     there is none).
     """
@@ -100,7 +99,7 @@ class IntegrandSpec:
     horizon: float
     steps: int
     entries: tuple[RuleEntry, ...]
-    per_j: tuple[tuple[RuleEntry, ...], ...] = field(init=False, repr=False, compare=False)
+    ordered: tuple[RuleEntry, ...] = field(init=False, repr=False, compare=False)
     needs_wiener: bool = field(init=False, repr=False, compare=False)
     widest: tuple[int, int] = field(init=False, repr=False, compare=False)
 
@@ -131,12 +130,11 @@ class IntegrandSpec:
             if not 0 <= e.start < e.stop <= self.steps:
                 raise DomainError(f"step range [{e.start},{e.stop}) outside the grid")
             widest[reads_w] = max(widest[reads_w], e.stop - e.start)
-        ordered = sorted(self.entries, key=attrgetter("j", "start"))
+        ordered = tuple(sorted(self.entries, key=attrgetter("j", "start")))
         for prev, nxt in zip(ordered, ordered[1:]):
             if nxt.j == prev.j and nxt.start < prev.stop:
                 raise DomainError(f"overlapping step ranges for component j={nxt.j}")
-        object.__setattr__(self, "per_j", tuple(
-            tuple(entries) for _, entries in groupby(ordered, attrgetter("j"))))
+        object.__setattr__(self, "ordered", ordered)
         object.__setattr__(self, "needs_wiener", widest[1] > 0)
         object.__setattr__(self, "widest", tuple(widest))
 
@@ -210,8 +208,8 @@ def _pow(arr: np.ndarray, e: float) -> np.ndarray:
     return arr ** int(e) if e == int(e) else arr ** e
 
 
-def _check_run(spec: IntegrandSpec, paths: int, seed: int,
-               stop: int = 0, exponents: int = 0) -> tuple[int, int]:
+def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
+               exponents: int) -> tuple[int, int]:
     """Reject a run before it allocates. Return one block's working-set bytes
     and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the output
     simulate keeps, its per-path rows and the ZAKAI rows up to the stop index
@@ -266,7 +264,7 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(blocks: int, block_bytes: int, room: int = BLOCK_MEMORY_BUDGET) -> int:
+def _workers(blocks: int, block_bytes: int, room: int) -> int:
     """Threads for a run: one per CPU this process may use, at most one per
     block, and no more blocks in flight than room bytes hold."""
     return max(1, min(blocks, _cpus(), room // block_bytes))
@@ -382,7 +380,7 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
     views = {}    # (CONST?, width): the rule's f^j (None for CONST) and f^j dW^j
     coefs = {}    # per rule object: c as a (d, 1, 1) array, and ||c||^2
     covered = 0   # d = m = 1: steps before it are scaled or zeroed
-    for e in (e for segs in spec.per_j for e in segs):   # components without rules add 0
+    for e in spec.ordered:   # components without rules add 0
         sl, rule = slice(e.start, e.stop), e.rule
         const = rule.kind == "const"
         if in_place:
@@ -556,7 +554,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
             norm2 = {key: _sum_squares(np.array(rule.c)[:, None], np.empty(1)).item()
                      for key, rule in rules.items()}
             g = np.zeros(spec.steps)
-            for e in (e for segs in spec.per_j for e in segs):   # _chunk's order
+            for e in spec.ordered:   # _chunk's order
                 g[e.start:e.stop] += norm2[id(e.rule)]
             batch.riemann.fill(g[:stop].sum() * spec.dt)
             sizes = np.array([gh - gl for gl, gh in groups], dtype=float)[:, None]

@@ -30,7 +30,7 @@ def whole_block(spec, dw, stop, g):
     in_place = d == m == 1
     dx = dw.reshape(1, rows, S) if in_place else np.zeros((d, rows, S))
     covered = 0
-    for e in (e for segs in spec.per_j for e in segs):
+    for e in spec.ordered:
         sl = slice(e.start, e.stop)
         if in_place:
             dx[0, :, covered:e.start] = 0.0

@@ -451,7 +451,7 @@ def test_moments_rows_are_single_exponent_tables(t):
     for j, p in enumerate(ps):
         single = ptree.moments(t, (p,))
         for name in ("lp", "sup", "quad", "incr"):
-            assert (getattr(table, name)[j] == getattr(single, name)[0]).all()
+            assert (getattr(table, name)[0, j] == getattr(single, name)[0, 0]).all()
         for name, norms, e in zip(("lp", "sup", "quad", "incr"), calc.node_norms,
                                   (p, p, p / 2.0, p)):
             sums = [float(np.sum(w * r ** e)) for w, r in zip(
@@ -460,7 +460,7 @@ def test_moments_rows_are_single_exponent_tables(t):
             sides = [s ** root for s in sums]
             if name == "incr":
                 sides = np.cumsum(sides)
-            assert (getattr(table, name)[j] == np.array(sides)).all()
+            assert (getattr(table, name)[0, j] == np.array(sides)).all()
 
 
 def test_random_tree_deterministic():
@@ -655,7 +655,7 @@ def test_weighted_forest_of_one_is_the_tree(tree, ps):
 
 def test_weights_pool_the_trees():
     """Root weights make a forest one martingale with a random start: its
-    table has no tree axis and pools the trees' power sums. Two copies of a
+    table has one tree and pools the trees' power sums. Two copies of a
     tree at weight 1/2 are that tree; the walk started at +-1 is the walk
     whose first step is +-1."""
     tree = ptree.random_tree(3, 2, 5)
@@ -667,8 +667,8 @@ def test_weights_pool_the_trees():
                         weights=[0.5, 0.5])
     table = ptree.moments(started, [2.0, 4.0])
     walk = ptree.moments(ptree.symmetric_walk(3), [2.0, 4.0])
-    assert table.lp.shape == (2, 3)
-    np.testing.assert_allclose(table.lp, walk.lp[:, 1:], rtol=1e-15)
+    assert table.lp.shape == (1, 2, 3)
+    np.testing.assert_allclose(table.lp, walk.lp[:, :, 1:], rtol=1e-15)
 
 
 @pytest.mark.parametrize("weights,error", [
@@ -777,7 +777,7 @@ def test_underflowed_moments_refused():
     with pytest.raises(DomainError, match="underflow a float"):
         ptree.moments(ptree.symmetric_walk(2, step=0.3), [1000])
     table = ptree.moments(ptree.symmetric_walk(2, step=1.0), [1000])
-    assert table.lp[0].tolist() == [s ** (1.0 / 1000) for s in (0.0, 1.0, 2.0 ** 999)]
+    assert table.lp[0, 0].tolist() == [s ** (1.0 / 1000) for s in (0.0, 1.0, 2.0 ** 999)]
 
 
 def reference_path(levels, k, i):

@@ -336,10 +336,17 @@ class TestSearch:
         assert "soundness bound exceeded" in capsys.readouterr().err
 
 
+def lone_tree_ratio(family, seed, target):
+    """A RANDOM-TREE point's ratio from the tree drawn and evaluated alone,
+    not as a forest: the reference for family_ratio and search."""
+    tree = sh.ptree.random_tree(family.depth, family.dim, seed, family.branching)
+    return ineq.eval_discrete(tree, family.depth, family.p, target).ratio
+
+
 def sequential_tree_search(cfg):
-    """A RANDOM-TREE search as one family_ratio call per point, in order: the
+    """A RANDOM-TREE search as one lone tree per point, in order: the
     reference for the forests search draws and evaluates."""
-    rec = sh._Recorder(lambda prm: sh.family_ratio(cfg.family, prm, cfg.target),
+    rec = sh._Recorder(lambda prm: lone_tree_ratio(cfg.family, prm["tree_seed"], cfg.target),
                        ["tree_seed"], cfg.budget)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sh._SEARCH_STREAM,))))
@@ -359,6 +366,28 @@ def test_forests_give_the_tree_by_tree_result(monkeypatch, method):
     assert sh.search(cfg) == want   # one forest
     monkeypatch.setattr(sh.ptree, "FOREST_BYTES", 5 * sh.ptree.tree_bytes(3, 2, (2, 3, 4)))
     assert sh.search(cfg) == want   # forests of 5, 5, 5, 5 and 3 trees
+
+
+@pytest.mark.parametrize("branching", [(2, 3), (2, 3, 4)])
+@pytest.mark.parametrize("target", ["PROP1-MAX", "DOOB"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_family_ratio_is_the_lone_trees(dim, target, branching):
+    """A RANDOM-TREE point, a forest of one, gives the ratio of its tree
+    drawn and evaluated alone, bit for bit."""
+    fam = FamilySpec(tag="RANDOM-TREE", p=3.0, depth=3, dim=dim, branching=branching)
+    for seed in range(10):
+        assert (sh.family_ratio(fam, {"tree_seed": seed}, target)
+                == lone_tree_ratio(fam, seed, target))
+
+
+def test_family_ratio_error_is_the_lone_trees():
+    """A RANDOM-TREE point whose tree fails raises what the tree raises
+    alone, with no detour back through the forest of one."""
+    fam = FamilySpec(tag="RANDOM-TREE", p=2000.0, depth=2, dim=3)
+    with pytest.raises(MartcheckError) as alone:
+        lone_tree_ratio(fam, 0, "D-BURK-1")
+    with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+        sh.family_ratio(fam, {"tree_seed": 0}, "D-BURK-1")
 
 
 def test_forest_error_is_the_first_trees():

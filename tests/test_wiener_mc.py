@@ -54,7 +54,7 @@ class TestIntegrandSpec:
         spec = constant_integrand(1.0, steps=16)
         assert spec.dt == pytest.approx(1.0 / 16)
         assert not spec.needs_wiener
-        assert spec.per_j[0][0].rule.kind == "const"
+        assert spec.ordered[0].rule.kind == "const"
 
     def test_huge_dim_refused_before_broadcast(self):
         """Two paths' output rows, 16 (dim + 2) bytes, must fit the block
@@ -137,7 +137,7 @@ class TestIntegrandSpec:
         spec = IntegrandSpec(1, 1, 1.0, 16, (
             RuleEntry(0, 8, 1, Rule("const", (1.0,))),
             RuleEntry(8, 16, 1, Rule("const", (2.0,)))))
-        first, second = spec.per_j[0]
+        first, second = spec.ordered
         assert (first.stop, first.rule.c) == (8, (1.0,))
         assert (second.start, second.rule.c) == (8, (2.0,))
 
@@ -265,8 +265,8 @@ class TestSimulate:
         x_stop, sup_norm and riemann rows would need about 48 GiB."""
         spec = constant_integrand(1.0, steps=1)
         with pytest.raises(ResourceLimitError, match="block memory budget"):
-            wmc._check_run(spec, 2 ** 31 - 1, 0)
-        block_bytes, room = wmc._check_run(spec, 10 ** 6, 0)
+            wmc._check_run(spec, 2 ** 31 - 1, 0, 0, 0)
+        block_bytes, room = wmc._check_run(spec, 10 ** 6, 0, 0, 0)
         assert room == wmc.BLOCK_MEMORY_BUDGET - 8 * 10 ** 6 * 3
         assert block_bytes <= room
 
@@ -288,7 +288,7 @@ class TestSimulate:
         """A constant integrand in many dimensions holds no (m, S, d) table:
         the memory one block traces stays below _check_run's estimate."""
         spec = constant_integrand(1.0, dim=192, wiener_dim=192, steps=192)
-        block_bytes, _ = wmc._check_run(spec, 2, 0)
+        block_bytes, _ = wmc._check_run(spec, 2, 0, 0, 0)
         simulate(spec, 2, seed=0, p=[4])   # warm-up: one-time allocations
         tracemalloc.start()
         try:
@@ -371,9 +371,10 @@ class TestSimulate:
         assert peak < 3.5 * 2 ** 20
 
     def test_workers_capped_by_budget_and_blocks(self):
-        assert wmc._workers(64, wmc.BLOCK_MEMORY_BUDGET // 2 + 1) == 1
-        assert wmc._workers(1, 8) == 1
-        assert 1 <= wmc._workers(64, 8) <= 64
+        room = wmc.BLOCK_MEMORY_BUDGET
+        assert wmc._workers(64, room // 2 + 1, room) == 1
+        assert wmc._workers(1, 8, room) == 1
+        assert 1 <= wmc._workers(64, 8, room) <= 64
 
     def test_block_error_reaches_caller(self, monkeypatch):
         class BlockFailure(RuntimeError):
