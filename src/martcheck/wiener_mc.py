@@ -7,7 +7,7 @@ process is itself an exact Ito integral of a piecewise-constant integrand
 and the continuous inequalities apply to it without discretization error.
 
 Reproducibility: paths are partitioned into fixed 1024-path blocks; block b
-of a run with seed s draws from PCG64DXSM keyed by
+of a run with seed s draws from SFC64 keyed by
 SeedSequence(entropy=s, spawn_key=(10, b)). A block draws its paths in
 cache-sized row chunks, in order, from its generator, which gives exactly
 the normals of one draw of the whole block, and holds a chunk's W and
@@ -461,7 +461,7 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
     spec, paths, stop = batch.spec, batch.paths, batch.stop
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
-    gen = np.random.Generator(np.random.PCG64DXSM(
+    gen = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy=batch.seed, spawn_key=(_WIENER_STREAM, b))))
     chunks = -(-(hi - lo) // _chunk_rows(spec))
     rows = -(-(hi - lo) // chunks)   # chunks of even sizes, no short last one

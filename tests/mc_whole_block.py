@@ -68,7 +68,7 @@ def reference_simulate(spec, paths, seed, t=None, p=()):
     g_positive = np.zeros(stop, dtype=bool) if p else None
     for b, lo in enumerate(range(0, paths, BLOCK_PATHS)):
         hi = min(lo + BLOCK_PATHS, paths)
-        gen = np.random.Generator(np.random.PCG64DXSM(
+        gen = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(entropy=seed, spawn_key=(10, b))))
         dw = gen.standard_normal((hi - lo, spec.steps, spec.wiener_dim))
         np.multiply(dw, math.sqrt(spec.dt), out=dw)

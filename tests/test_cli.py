@@ -515,13 +515,13 @@ FROZEN_OUT_CASES = [
      "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
     (("verify-continuous", "--integrand", "spec_mixed2d.json", "--p", "2", "4",
       "--paths", "2048", "--seed", "5", "--allow-inconclusive"),
-     "887545671ad8f16d7a97804e614f96079d5f4f14bcce7bc039f874e8e427e10e"),
+     "d59f9e94573cf529245dd69ba7cb4849670c3047357df68406d3566939afadb7"),
     (("verify-continuous", "--integrand", "spec_lin.json", "--p", "3", "--t", "0.5",
       "--paths", "2048", "--ineq", "ZAKAI-MAX", "C-BURK-1"),
-     "ebfaddad8666438682ef2e86d1c510980dd3d564df0fa4fa4958b24e44ca1e7e"),
+     "30b7d65b8b8855ceb8980083d860bd2aec8b86d1ee6ece027e21dc67734a456e"),
     (("verify-continuous", "--integrand", "spec_const1.json", "--p", "4",
       "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
-     "7e4b16688f7baed514c185ff923f1b2b7fbd09c4815b60fa7cb2839cb57d1e88"),
+     "b784a4a67129a778b56c2cf5c85369182ee24457024c22504b142c56dc797501"),
 ]
 
 

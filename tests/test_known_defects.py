@@ -1,14 +1,30 @@
-"""Known verdict defects, pinned as strict expected failures.
+"""Known defects, pinned as strict expected failures.
 
 Each test asserts the correct behaviour and fails today for the defect its
-marker names (ROADMAP items 10, 2 and 1). A fix turns its test into an
+marker names (ROADMAP items 10, 2, 1 and 29). A fix turns its test into an
 unexpected pass, which strict=True makes a failure: the fixing change then
 removes that one marker. No case is re-seeded or resized. Seeds are fixed
-here and come from ranges no ROADMAP measurement has used.
+here and come from ranges no ROADMAP measurement has used. Item 29's
+defect, output bits that depend on numpy's CPU dispatch, shows only on a
+host whose numpy dispatches AVX512 kernels; beside it, a passing test shows
+that the Wiener block normals do not depend on the dispatch.
 """
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:   # numpy 1.x, which pyproject.toml still allows
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+import martcheck
 from martcheck import (
     InvalidTreeError,
     ProbTree,
@@ -16,6 +32,11 @@ from martcheck import (
     eval_continuous,
     eval_discrete,
     gaussian_abs_moment,
+    moments,
+    parse_integrand,
+    parse_search,
+    random_tree,
+    search,
     symmetric_walk,
 )
 from martcheck.ineq import decide
@@ -99,3 +120,64 @@ def test_item1_scaled_walk_violation_caught():
     assert verdicts[1e-6] == -1, (
         f"ROADMAP item 1: a tenth of the right side reads {verdicts[1e-6]} at step 1e-6, "
         f"-1 at step 1")
+
+
+ZOO = pathlib.Path(__file__).resolve().parent.parent / "zoo"
+# numpy's dispatch targets above its x86-64-v2 baseline; a subprocess gets
+# only those its numpy dispatches, since numpy refuses to disable others
+NO_AVX = " ".join(name for name in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+                  if name in __cpu_dispatch__)
+AVX512_DISPATCHED = any(__cpu_features__.get(name) for name in __cpu_dispatch__
+                        if name == "X86_V4" or name.startswith("AVX512"))
+
+
+def dispatch_digest() -> str:
+    """sha256 of a tree's moments, a Monte Carlo table and a grid search."""
+    h = hashlib.sha256()
+    table = moments(random_tree(5, 2, 3), [2, 3, 4])
+    for arr in (table.lp, table.sup, table.quad, table.incr):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    spec = parse_integrand(json.loads((ZOO / "spec_mixed2d.json").read_text()))
+    reports = eval_continuous(spec, spec.horizon, [2, 4],
+                              ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"], 3000, 5)
+    h.update(repr(list(reports)).encode())
+    config = parse_search(json.loads((ZOO / "search_rio_grid.json").read_text()))
+    h.update(repr(search(config)).encode())
+    return h.hexdigest()
+
+
+def block_normals_digest() -> str:
+    """sha256 of the normals of one full Wiener block, stream (10, 0) of seed 5."""
+    gen = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(entropy=5, spawn_key=(10, 0))))
+    return hashlib.sha256(gen.standard_normal((1024, 1024)).tobytes()).hexdigest()
+
+
+def without_avx(function: str) -> str:
+    """What this module's function returns in a Python whose numpy
+    dispatches none of NO_AVX."""
+    path = [str(pathlib.Path(martcheck.__file__).resolve().parents[1]),
+            str(pathlib.Path(__file__).resolve().parent)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX,
+               PYTHONPATH=os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import test_known_defects as t; print(t.{function}())"],
+        env=env, capture_output=True, text=True, timeout=300)
+    if out.returncode:   # not an AssertionError: item 29's marker must not absorb it
+        raise RuntimeError(f"NPY_DISABLE_CPU_FEATURES={NO_AVX!r}: {out.stderr}")
+    return out.stdout.strip()
+
+
+@pytest.mark.xfail(condition=AVX512_DISPATCHED, strict=True, raises=AssertionError,
+                   reason="ROADMAP item 29: np.power, np.exp and np.log bits depend on "
+                          "the SIMD kernel numpy dispatches")
+def test_item29_bits_do_not_depend_on_cpu_dispatch():
+    """Tree moments, a Monte Carlo table and a grid search keep every bit
+    with numpy's AVX2 and AVX512 kernels turned off."""
+    assert without_avx("dispatch_digest") == dispatch_digest(), (
+        f"ROADMAP item 29: output bits change with NPY_DISABLE_CPU_FEATURES={NO_AVX!r}")
+
+
+def test_block_normals_do_not_depend_on_cpu_dispatch():
+    """SFC64 and its normal sampler add no CPU dependence of their own."""
+    assert without_avx("block_normals_digest") == block_normals_digest()
