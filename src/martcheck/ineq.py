@@ -28,11 +28,10 @@ from .errors import (
 )
 from .ptree import ProbTree, as_exponent, as_int, as_seed
 
-ABS_TOL = 1e-9        # the tolerance decide gives exact sides
+ABS_TOL = 1e-9        # the width exact callers add to a right side before decide
 QUAD_TOL = 1e-10      # relative convergence tolerance of adaptive_panel_quadrature
 _GRADING = 0.25       # geometric ratio of the graded panels toward each anchor
 
-_SWEEP_STREAM = 12    # spawn-key domain tag for the random-tree sweep
 SWEEP_MEMORY_BUDGET = 1 << 30   # bytes the report rows of one sweep may take
 # bytes charged per row a sweep may give, count * (max_depth + 1) * p * ids:
 # table entries and the column text formats.table_text writes them from trace
@@ -149,13 +148,11 @@ class ReportTable:
         return InequalityReport(*(self.columns[name][i] for name in REPORT_FIELDS))
 
 
-def decide(lhs, rhs, lhs_hw=None, rhs_hw=None, scale=1.0):
-    """lhs <= rhs elementwise: 1 satisfied, -1 a violation, 0 inconclusive. With both
-    half-widths: 1 where lhs + lhs_hw <= rhs - rhs_hw, -1 where lhs - lhs_hw > rhs + rhs_hw.
-    Exact sides (no half-widths): 1 where lhs <= rhs + ABS_TOL * scale, else -1."""
-    if lhs_hw is None and rhs_hw is None:
-        return np.where(lhs <= rhs + ABS_TOL * scale, 1, -1)
-    return np.where(lhs + lhs_hw <= rhs - rhs_hw, 1, np.where(lhs - lhs_hw > rhs + rhs_hw, -1, 0))
+def decide(lhs_lo, lhs_hi, rhs_lo, rhs_hi):
+    """lhs <= rhs elementwise, each side known to lie in its band [lo, hi]: 1
+    satisfied where lhs_hi <= rhs_lo, -1 a violation where lhs_lo > rhs_hi, else
+    0 inconclusive. The caller that computed a side sets its band's width."""
+    return np.where(lhs_hi <= rhs_lo, 1, np.where(lhs_lo > rhs_hi, -1, 0))
 
 
 def report_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.ndarray,
@@ -164,10 +161,11 @@ def report_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.nd
                  notes: str | list[str] = "") -> ReportTable:
     """The ReportTable of the comparisons lhs <= rhs, one row per entry of the
     equal-length lists and float arrays; seed, and notes if a string, go into
-    every row. The verdicts are decide's on the sides and ci_* half-widths, a
-    violation reading "violation-candidate" where those are given. A side or
-    half-width that overflowed a float (or is NaN) raises DomainError, for the
-    first such row, instead of reaching a verdict."""
+    every row. The verdicts are decide's on the bands lhs -+ ci_lhs and rhs -+
+    ci_rhs where half-widths are given, a violation reading "violation-candidate",
+    else on the point lhs against the point rhs + ABS_TOL. A side or half-width
+    that overflowed a float (or is NaN) raises DomainError, for the first such
+    row, instead of reaching a verdict."""
     sides = {"lhs": lhs, "rhs": rhs}
     if ci_lhs is not None:
         sides.update(ci_lhs=ci_lhs, ci_rhs=ci_rhs)
@@ -179,7 +177,8 @@ def report_table(ids: list[str], p: list[float], n_or_t: list[float], lhs: np.nd
     words = np.array(["violation" if ci_lhs is None else "violation-candidate",
                       "inconclusive", "satisfied"], dtype=object)   # by decide's verdict + 1
     with np.errstate(all="ignore"):   # ratio and band edges overflow to inf; 0/0 -> 0, x/0 -> inf
-        verdict = decide(lhs, rhs, ci_lhs, ci_rhs)
+        verdict = decide(*((lhs, lhs, rhs + ABS_TOL, rhs + ABS_TOL) if ci_lhs is None else
+                           (lhs - ci_lhs, lhs + ci_lhs, rhs - ci_rhs, rhs + ci_rhs)))
         ratio = np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, np.inf))
     rows = len(ids)
     return ReportTable({
@@ -392,7 +391,7 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
     The remainder integral is evaluated by adaptive panel quadrature with a
     panel edge at the norm minimizer t* = -<x,y>/||y||^2 when it lies in
     ]0,1[ (for 2 < p < 3 the integrand kinks there); at y = 0 the remainder
-    term is exactly 0. A side or tolerance scale that is not finite (say an
+    term is exactly 0. A side or term scale that is not finite (say an
     overflowed p(p-1) times an underflowed integral) raises DomainError.
     """
     p = as_exponent(p)
@@ -418,12 +417,13 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
         taylor = p * (p - 1.0) * adaptive_panel_quadrature(integrand, breakpoints=(t_star,))
     rhs = head + grad + taylor
     # rhs is a cancelling sum; its roundoff scales with the summed terms,
-    # so the comparison tolerance must too
+    # so the width added to it must too
     scale = max(1.0, abs(lhs), head, abs(grad), taylor)
     if not all(map(math.isfinite, (lhs, rhs, scale))):
         raise DomainError(f"p={p:g}: a side of the Taylor bound is not finite "
                           f"(lhs={lhs}, rhs={rhs}, scale={scale})")
-    return TaylorBound(lhs=lhs, rhs=rhs, satisfied=bool(decide(lhs, rhs, scale=scale) == 1))
+    tol = rhs + ABS_TOL * scale
+    return TaylorBound(lhs=lhs, rhs=rhs, satisfied=bool(decide(lhs, lhs, tol, tol) == 1))
 
 
 @dataclass(frozen=True)
@@ -487,7 +487,7 @@ def sweep_random_trees(count: int, max_depth: int, max_dim: int, seed: int,
     shapes, seeds = [], []   # each tree's (depth, dim) and tree seed
     groups: dict[int, list[int]] = {}   # the trees of each depth, in order
     for t in range(count):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SWEEP_STREAM, t))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(ptree.SPAWN_DOMAINS["sweep"], t))
         rng = np.random.Generator(np.random.Philox(ss))
         depth, dim = int(rng.integers(1, max_depth + 1)), int(rng.integers(1, max_dim + 1))
         shapes.append((depth, dim))

@@ -56,8 +56,6 @@ MAX_PATHS = 10**7     # hard bound on exact enumeration width
 MAX_TREE_BYTES = 1 << 30   # hard bound on the memory random_tree may hold
 FOREST_BYTES = 1 << 22     # bytes tree_bytes may charge one forest a caller draws
 
-_TREE_STREAM = 11     # spawn-key domain tag for random tree generation
-
 
 def as_exponent(p) -> float:
     """p as a float moment exponent; only 2 <= p < inf is admitted anywhere,
@@ -103,6 +101,11 @@ def as_int(value, name: str, error: type[Exception] = DomainError) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)   # NaN and the infinities are not integers
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+#: the first spawn-key entry of each seeded stream: Wiener path blocks, random
+#: trees, the random-tree sweep's shapes and the random search's points
+SPAWN_DOMAINS = {"wiener": 10, "tree": 11, "sweep": 12, "search": 13}
 
 
 def as_seed(seed) -> int:
@@ -586,7 +589,7 @@ def _draw(depth, dim, seeds: list, branching: Sequence[int]):
     if not choices or min(choices) < 2:
         raise DomainError(f"branching factors must be >= 2, got {tuple(choices)}")
     streams = [seed if isinstance(seed, np.random.SeedSequence) else
-               np.random.SeedSequence(entropy=as_seed(seed), spawn_key=(_TREE_STREAM,))
+               np.random.SeedSequence(entropy=as_seed(seed), spawn_key=(SPAWN_DOMAINS["tree"],))
                for seed in seeds]
     need = len(seeds) * tree_bytes(depth, cols, choices)
     if need > MAX_TREE_BYTES:

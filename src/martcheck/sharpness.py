@@ -5,7 +5,7 @@ of the centered law Y = b(1-q) w.p. q, -bq w.p. 1-q (asym_two_point_gain). The
 symmetric law Y = +-b is its q = 1/2, width-2b case (rio_gain), whose gain
 approaches the one-step constant p-1 as b -> 0. Searches maximize a gain
 (two-point families, bound p-1) or a normalized lhs/rhs ratio (random-tree
-families, bound 1); ineq.decide flags a best above the bound as a violation.
+families, bound 1); ineq.decide flags a best above bound + ABS_TOL as a violation.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ from .ptree import as_exponent, as_int, as_positive, as_seed
 
 COLLAPSE_DIAMETER = 1e-10
 NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5   # Nelder-Mead
-
-_SEARCH_STREAM = 13
 
 # Each family's search axes (name, scale). A "log" axis is searched in log
 # space over its box, a "lin" axis linearly over its box, and a "seed" axis
@@ -201,9 +199,9 @@ class SearchResult:
     """Outcome of one search run.
 
     best_ratio is the gain (two-point families) or lhs/rhs (tree families);
-    bound is the matching soundness cap (p-1 or 1.0) and exceeded flags a
-    violation finding, a best_ratio ineq.decide reads as violating it. trace
-    lists the improving (params, ratio) steps in evaluation order.
+    bound is the matching soundness cap (p-1 or 1.0); exceeded flags a best_ratio
+    ineq.decide reads above the point bound + ABS_TOL, a violation finding.
+    trace lists the improving (params, ratio) steps in evaluation order.
     """
 
     best_ratio: float
@@ -389,8 +387,8 @@ def search(config: SearchConfig) -> SearchResult:
     free = [ax for ax in axes if ax[1] < ax[2]]
     points: Iterator[dict] | None = None
     if config.method == "random":
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(_SEARCH_STREAM,))))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            entropy=config.seed, spawn_key=(ptree.SPAWN_DOMAINS["search"],))))
         points = ({name: _draw(rng, lo, hi, scale) for name, lo, hi, scale in axes}
                   for _ in range(config.budget))
     elif config.method == "grid" or not free:   # no free box: the one grid point
@@ -423,7 +421,8 @@ def search(config: SearchConfig) -> SearchResult:
         pass
     bound = (1.0 if family.tag == "RANDOM-TREE"
              else ineq.BOUNDS[ineq.InequalityId.PROP1_MAIN].constant(family.p))
+    limit = bound + ineq.ABS_TOL
     return SearchResult(
         best_ratio=rec.best_ratio, best_params=rec.best_params,
         evaluations=rec.count, trace=tuple(rec.trace), bound=bound,
-        exceeded=bool(ineq.decide(rec.best_ratio, bound) == -1))
+        exceeded=bool(ineq.decide(rec.best_ratio, rec.best_ratio, limit, limit) == -1))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, LevelRangeError, ResourceLimitError, refuse_overflow
 from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_ids, report_table
-from .ptree import as_exponents, as_int, as_positive, as_seed, row_norms
+from .ptree import SPAWN_DOMAINS, as_exponents, as_int, as_positive, as_seed, row_norms
 
 BLOCK_PATHS = 1024          # fixed substream block size
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
@@ -52,8 +52,6 @@ _ENTRY_BYTES = 400          # bytes per component of constant_integrand (traced 
 _SCAN_CELLS = 1 << 14       # cells of a block of _add_steps: 64 steps of a 255-row chunk
 _SCAN_ROWS = 16             # fewest rows of a chunk whose X_stop _add_steps adds
 Z95 = 1.96                  # fixed 95% half-width multiplier
-
-_WIENER_STREAM = 10
 
 RULE_KINDS = ("const", "lin", "sign")
 
@@ -462,7 +460,7 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
     lo = b * BLOCK_PATHS
     hi = min(lo + BLOCK_PATHS, paths)
     gen = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(entropy=batch.seed, spawn_key=(_WIENER_STREAM, b))))
+        np.random.SeedSequence(entropy=batch.seed, spawn_key=(SPAWN_DOMAINS["wiener"], b))))
     chunks = -(-(hi - lo) // _chunk_rows(spec))
     rows = -(-(hi - lo) // chunks)   # chunks of even sizes, no short last one
     starts, ahead = range(lo, hi, rows), ahead and chunks > 1
@@ -649,9 +647,9 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     reports come back as one ReportTable in (p, id) order. The ZAKAI time
     integral is the left sum over the grid steps before t, which is exact
     for the piecewise-constant simulated integrand. Each side carries a 95%
-    half-width of Z95 standard errors, from which ineq.decide reaches the
-    verdict. The supremum is taken over grid points only, which biases the
-    maximal statistics downward; reports carry a note saying so. A side or
+    half-width of Z95 standard errors; ineq.decide reads the bands side -+
+    half-width. The supremum is taken over grid points only, which biases
+    the maximal statistics downward; reports carry a note saying so. A side or
     half-width that overflows a float raises DomainError, as does a side
     estimated from paths that are not all 0 whose mean power lies below the
     normal float range (it underflowed).

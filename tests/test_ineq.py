@@ -46,7 +46,7 @@ def sweep_tree_by_tree(count, max_depth, max_dim, seed, p_values, ids):
     (seed, t) substream and evaluated alone, the tables' rows in tree order."""
     columns = {name: [] for name in ineq.REPORT_FIELDS}
     for t in range(count):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(ineq._SWEEP_STREAM, t))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(ptree.SPAWN_DOMAINS["sweep"], t))
         rng = np.random.Generator(np.random.Philox(ss))
         depth = int(rng.integers(1, max_depth + 1))
         dim = int(rng.integers(1, max_dim + 1))
@@ -373,8 +373,33 @@ def rio_cases(draw):
 
 TINY = 5e-324   # the least subnormal
 
-# (lhs, rhs, lhs_hw, rhs_hw, scale, verdict); None half-widths are exact sides
+INF = float("inf")
+
+# (lhs_lo, lhs_hi, rhs_lo, rhs_hi, verdict): each side's band
 DECIDE_CASES = [
+    (0.5, 1.5, 1.5, 2.5, 1),               # lhs_hi == rhs_lo: satisfied
+    (1.5, 2.5, 0.5, 1.5, 0),               # lhs_lo == rhs_hi: inconclusive, not -1
+    (0.5, 1.5, 1.25, 2.75, 0),             # the bands overlap
+    (1.75, 2.25, 0.5, 1.5, -1),            # lhs_lo above rhs_hi
+    (1.0, 1.0, 1.0, 1.0, 1),               # zero-width bands: a tie is satisfied
+    (1.0 + 2**-52, 1.0 + 2**-52, 1.0, 1.0, -1),   # and the next float up a violation
+    (-TINY, TINY, 0.0, 0.0, 0),            # a subnormal width makes a tie inconclusive
+    (0.0, 0.0, -TINY, TINY, 0),
+    (0.0, 0.0, -0.0, -0.0, 1),             # signed zeros are equal
+    (-0.0, -0.0, 0.0, 0.0, 1),
+    (0.0, INF, 1.7e308, 1.7e308, 0),       # an edge that overflowed to inf
+    (1.0, 1.0, 0.5, INF, 0),               # an rhs band open above never reads -1
+    (-INF, 0.5, 1.0, 1.0, 1),              # an lhs band open below can read 1
+    (0.5, 0.5, -INF, 2.0, 0),              # an rhs band open below never reads 1
+    (0.875, 1.5, 1.25, 1.25, 0),           # lhs 1, 0.125 below and 0.5 above: inconclusive,
+    (0.875, 1.125, 1.25, 1.25, 1),         # where 1 -+ 0.125 would read satisfied
+    (float("nan"), float("nan"), 1.0, 1.0, 0),   # NaN reads 0; no caller passes one
+]
+
+
+# (lhs, rhs, lhs_hw, rhs_hw, scale, verdict): the truth table of decide's
+# half-width and exact modes before bands; None half-widths are exact sides
+HALF_WIDTH_CASES = [
     (1.0, 2.0, 0.5, 0.5, 1.0, 1),          # lhs_hi == rhs_lo: satisfied
     (2.0, 1.0, 0.5, 0.5, 1.0, 0),          # lhs_lo == rhs_hi: inconclusive, not -1
     (1.0, 2.0, 0.5, 0.75, 1.0, 0),         # the bands overlap
@@ -431,25 +456,50 @@ def verdict_columns(draw):
     return lhs, rhs, np.abs(column()), np.abs(column())
 
 
+#: inline_verdicts' words as decide's verdicts
+VERDICT_CODES = {"satisfied": 1, "inconclusive": 0, "violation": -1, "violation-candidate": -1}
+
+
+def caller_bands(lhs, rhs, lhs_hw, rhs_hw, scale):
+    """The bands decide's callers pass: lhs -+ lhs_hw and rhs -+ rhs_hw, or for
+    exact sides (no half-widths) the point lhs against the point rhs + ABS_TOL * scale."""
+    if lhs_hw is None:
+        tol = rhs + ineq.ABS_TOL * scale
+        return lhs, lhs, tol, tol
+    return lhs - lhs_hw, lhs + lhs_hw, rhs - rhs_hw, rhs + rhs_hw
+
+
 class TestDecide:
-    @pytest.mark.parametrize("lhs, rhs, lhs_hw, rhs_hw, scale, want", DECIDE_CASES)
+    @pytest.mark.parametrize("lhs_lo, lhs_hi, rhs_lo, rhs_hi, want", DECIDE_CASES)
+    def test_band_truth_table(self, lhs_lo, lhs_hi, rhs_lo, rhs_hi, want):
+        assert ineq.decide(lhs_lo, lhs_hi, rhs_lo, rhs_hi) == want
+
+    @pytest.mark.parametrize("lhs, rhs, lhs_hw, rhs_hw, scale, want", HALF_WIDTH_CASES)
     def test_truth_table(self, lhs, rhs, lhs_hw, rhs_hw, scale, want):
-        assert ineq.decide(lhs, rhs, lhs_hw, rhs_hw, scale) == want
+        """The callers' bands keep the verdicts of the modes decide had."""
+        assert ineq.decide(*caller_bands(lhs, rhs, lhs_hw, rhs_hw, scale)) == want
 
     def test_elementwise(self):
         """On arrays it gives the scalar verdicts, entry by entry."""
-        banded = [c for c in DECIDE_CASES if c[2] is not None]
-        exact = [c for c in DECIDE_CASES if c[2] is None and c[4] == 1.0]
-        lhs, rhs, lhs_hw, rhs_hw = np.array([c[:4] for c in banded]).T
-        with np.errstate(over="ignore"):
-            assert ineq.decide(lhs, rhs, lhs_hw, rhs_hw).tolist() == [c[5] for c in banded]
-        lhs, rhs = np.array([c[:2] for c in exact]).T
-        assert ineq.decide(lhs, rhs).tolist() == [c[5] for c in exact]
+        *bands, want = np.array(DECIDE_CASES).T
+        assert ineq.decide(*bands).tolist() == want.tolist()
 
     @given(st.floats(allow_nan=False), st.floats(allow_nan=False),
            st.floats(0.0, 1e300, exclude_min=True))
     def test_exact_sides_never_inconclusive(self, lhs, rhs, scale):
-        assert ineq.decide(lhs, rhs, scale=scale) in (1, -1)
+        assert ineq.decide(*caller_bands(lhs, rhs, None, None, scale)) in (1, -1)
+
+    @given(verdict_columns(), st.floats(0.0, 1e300, exclude_min=True))
+    def test_bands_give_half_width_and_exact_verdicts(self, sides, scale):
+        """Bands x -+ hw read the half-width rule's verdicts; the exact points
+        (lhs, lhs, t, t), t = rhs + ABS_TOL * scale, read lhs <= t as +-1."""
+        lhs, rhs, ci_lhs, ci_rhs = sides
+        with np.errstate(over="ignore"):   # band edges beyond the float range
+            got = ineq.decide(*caller_bands(lhs, rhs, ci_lhs, ci_rhs, scale)).tolist()
+        if ci_lhs is None:
+            assert got == [1 if ok else -1 for ok in (lhs <= rhs + ineq.ABS_TOL * scale).tolist()]
+        else:
+            assert got == [VERDICT_CODES[v] for v in inline_verdicts(lhs, rhs, ci_lhs, ci_rhs)]
 
     @given(verdict_columns())
     def test_report_table_matches_inline_rules(self, sides):
@@ -464,6 +514,26 @@ class TestDecide:
         assert table.columns["satisfied"] == [v == "satisfied" for v in want]
         assert {type(v) for v in table.columns["satisfied"]} == {bool}
         assert {type(v) for v in table.columns["verdict"]} == {str}
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("value", [float("nan"), INF, -INF])
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_report_table_refuses_non_finite_sides(self, side, value, sampled):
+        """No NaN or infinite side reaches decide, whose bands read NaN as 0."""
+        sides = {"lhs": np.array([1.0, 2.0]), "rhs": np.array([2.0, 2.0])}
+        sides[side][1] = value
+        half_widths = (np.full(2, 0.5), np.full(2, 0.5)) if sampled else (None, None)
+        with pytest.raises(DomainError, match=f"X at p=2: .*{side}={value}"):
+            ineq.report_table(["X"] * 2, [2.0] * 2, [1.0] * 2, sides["lhs"], sides["rhs"],
+                              np.ones(2), *half_widths)
+
+    @pytest.mark.parametrize("x, p, match", [([float("nan")], 3, "not finite"),
+                                             ([1e100], 4, "overflows a float")],
+                             ids=["nan", "inf"])
+    def test_taylor_refuses_non_finite_sides(self, x, p, match):
+        """A NaN side, or one whose power overflows, never reaches decide."""
+        with pytest.raises(DomainError, match=match):
+            ineq.taylor_pointwise(x, [0.0], p)
 
     def test_python_types(self):
         """Taylor's `satisfied` and a search's `exceeded` are Python bools, so

@@ -39,7 +39,7 @@ from martcheck import (
     search,
     symmetric_walk,
 )
-from martcheck.ineq import decide
+from martcheck.ineq import decide, report_table
 
 ITEM10_SEEDS = range(2800, 3000)
 ITEM2_SEED = 3001
@@ -58,7 +58,7 @@ def test_item10_violation_not_satisfied_at_p16():
     satisfied = 0
     for seed in ITEM10_SEEDS:
         r, = eval_continuous(spec, 1.0, [16], ["C-BURK-1"], 2048, seed)
-        satisfied += int(decide(r.lhs, rhs, r.ci_lhs, 0.0)) == 1
+        satisfied += int(decide(r.lhs - r.ci_lhs, r.lhs + r.ci_lhs, rhs, rhs)) == 1
     assert satisfied <= 10, (
         f"ROADMAP item 10: a bound violated by 5% reads satisfied on {satisfied} "
         f"of {len(ITEM10_SEEDS)} seeds at p = 16")
@@ -73,7 +73,8 @@ def test_item2_coarse_grid_sup_not_satisfied():
     "satisfied"."""
     r, = eval_continuous(constant_integrand(1.0, steps=16), 1.0, [4], ["C-BURK-2"],
                          2 ** 14, ITEM2_SEED)
-    verdict = int(decide(r.lhs, SUP_L4_SQUARED / 1.05, r.ci_lhs, 0.0))
+    rhs = SUP_L4_SQUARED / 1.05
+    verdict = int(decide(r.lhs - r.ci_lhs, r.lhs + r.ci_lhs, rhs, rhs))
     assert verdict != 1, (
         f"ROADMAP item 2: the 16-step grid supremum reads {r.lhs:.4f} +- {r.ci_lhs:.4f} "
         f"against {SUP_L4_SQUARED}, so a bound violated by 5% reads satisfied")
@@ -106,20 +107,22 @@ def test_item1_deep_comb_validates():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: decide's absolute ABS_TOL reads a tiny "
+                   reason="ROADMAP item 1: the absolute ABS_TOL of exact rows reads a tiny "
                           "violation as satisfied")
 def test_item1_scaled_walk_violation_caught():
     """PROP1-MAIN on a depth-4 walk at p = 4 has ratio 0.527 at any step, so
-    its left side exceeds a tenth of its right side: decide reads -1 at
-    step 1 and must read -1 at step 1e-6 too."""
+    its left side exceeds a tenth of its right side: report_table's exact
+    row reads "violation" at step 1 and must read it at step 1e-6 too."""
     verdicts = {}
     for step in (1.0, 1e-6):
         r = eval_discrete(symmetric_walk(4, step=step), 4, 4, "PROP1-MAIN")
-        verdicts[step] = int(decide(r.lhs, r.rhs / 10))
-    assert verdicts[1.0] == -1, f"a tenth of the right side reads {verdicts[1.0]} at step 1"
-    assert verdicts[1e-6] == -1, (
+        verdicts[step] = report_table([r.id], [r.p], [r.n_or_t], np.array([r.lhs]),
+                                      np.array([r.rhs / 10]), np.array([r.constant]))[0].verdict
+    assert verdicts[1.0] == "violation", (
+        f"a tenth of the right side reads {verdicts[1.0]} at step 1")
+    assert verdicts[1e-6] == "violation", (
         f"ROADMAP item 1: a tenth of the right side reads {verdicts[1e-6]} at step 1e-6, "
-        f"-1 at step 1")
+        f"violation at step 1")
 
 
 ZOO = pathlib.Path(__file__).resolve().parent.parent / "zoo"

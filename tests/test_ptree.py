@@ -254,6 +254,12 @@ class TestIntegerArguments:
             with pytest.raises(DomainError, match="seed must be an integer"):
                 ptree.as_seed(bad)
 
+    def test_spawn_domains(self):
+        """Each seeded stream keeps its spawn-key domain, on which its frozen
+        bits depend, and no two streams share one."""
+        assert ptree.SPAWN_DOMAINS == {"wiener": 10, "tree": 11, "sweep": 12, "search": 13}
+        assert len(set(ptree.SPAWN_DOMAINS.values())) == len(ptree.SPAWN_DOMAINS)
+
     def test_level(self):
         walk = ptree.symmetric_walk(2)
         assert ptree.lp_norm(walk, 1.0, 2) == ptree.lp_norm(walk, np.int64(1), 2)
@@ -516,7 +522,7 @@ def per_level_tree(depth, dim, seed, branching):
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(ptree._TREE_STREAM,))
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(ptree.SPAWN_DOMAINS["tree"],))
     rng = np.random.Generator(np.random.Philox(ss))
     m0 = tuple(rng.uniform(-1.0, 1.0, dim).tolist())
     nodes, levels = 1, []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import martcheck.ineq as ineq
+import martcheck.ptree as ptree
 import martcheck.sharpness as sh
 from martcheck import (ConfigError, DomainError, FamilySpec, MartcheckError,
                        ResourceLimitError, SearchConfig, parse_search)
@@ -349,7 +350,7 @@ def sequential_tree_search(cfg):
     rec = sh._Recorder(lambda prm: lone_tree_ratio(cfg.family, prm["tree_seed"], cfg.target),
                        ["tree_seed"], cfg.budget)
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sh._SEARCH_STREAM,))))
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ptree.SPAWN_DOMAINS["search"],))))
     for t in range(cfg.budget):
         rec({"tree_seed": t if cfg.method == "grid" else sh._draw(rng, 0, 2**63, "seed")})
     return sh.SearchResult(rec.best_ratio, rec.best_params, rec.count, tuple(rec.trace),
