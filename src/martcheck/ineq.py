@@ -399,6 +399,9 @@ def taylor_pointwise(x: Sequence[float], y: Sequence[float], p) -> TaylorBound:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape or x.ndim != 1:
         raise DomainError("x and y must be 1-d vectors of equal dimension")
+    for name, v in (("x", x), ("y", y)):
+        if not np.isfinite(v).all():
+            raise DomainError(f"{name}={v.tolist()} is not finite")
     # <y, y> and <x, y>, their terms added left to right, first coordinate first
     y_sq, inner = np.cumsum([y * y, x * y], axis=1)[:, -1].tolist() if len(y) else (0.0, 0.0)
     norm_x = float(ptree.row_norms(x))

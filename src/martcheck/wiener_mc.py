@@ -22,8 +22,10 @@ each worker, a helper thread draws a block's next chunk as it reduces one.
 The block decomposition and all reduction orders are algorithm constants,
 so the bits do not depend on the chunk size, the worker count, the helper
 or the order in which blocks finish. One simulation serves every
-inequality id and exponent of a run. Only an id that reads the supremum has
-it scan the paths; without one, X_stop keeps the bits of the scan.
+inequality id and exponent of a run. X is summed in blocks of BLOCK_STEPS
+steps (see _chunk), so X at a grid index depends on the steps before it
+alone: only an id that reads the supremum has the paths scanned, and
+without one X_stop keeps the bits of the scan.
 """
 from __future__ import annotations
 
@@ -43,14 +45,13 @@ from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_ids, report_table
 from .ptree import SPAWN_DOMAINS, as_exponents, as_int, as_positive, as_seed, row_norms
 
 BLOCK_PATHS = 1024          # fixed substream block size
+BLOCK_STEPS = 64            # steps of a pairwise block sum of X (see _chunk)
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
 BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
 _UFUNC_BUFFER_BYTES = 1 << 18  # numpy's buffers for a strided in-place update
 _CHUNK_CELLS = 1 << 18     # cells of a row chunk's (paths, steps) arrays: 2 MiB, one L2 cache
 _ENTRY_BYTES = 400          # bytes per component of constant_integrand (traced peak ~330)
-_SCAN_CELLS = 1 << 14       # cells of a block of _add_steps: 64 steps of a 255-row chunk
-_SCAN_ROWS = 16             # fewest rows of a chunk whose X_stop _add_steps adds
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
 RULE_KINDS = ("const", "lin", "sign")
@@ -233,8 +234,9 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     # of at most half its paths (rounded up), and the g rows of one
     # batch-means group share that chunks cut, with one power of them; these
     # come to the block's g and g^{p/2} only when a group holds more paths
-    # than a chunk (runs of 32 or more blocks, or short chunks). A run
-    # without the supremum holds, beside these, _add_steps' buffer and sum.
+    # than a chunk (runs of 32 or more blocks, or short chunks). Beside
+    # these, a chunk holds the sums of X at its whole blocks of steps before
+    # t (d per path and block) and its X_stop rows (d per path).
     own = 0 if d == m == 1 else d
     rule = max(2 * d * spec.widest[1], own * spec.widest[0]) / spec.steps
     arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
@@ -242,8 +244,8 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     # per path: its output rows; rows of steps: simulate's constant g, the
     # block's small objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
     rows = 3 + exponents * (min(CI_GROUPS, bsz) + 1 if nw else 1)
-    scan = d * (min(_SCAN_CELLS, bsz * stop) + 2 * bsz)
-    block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2) + scan
+    sums = d * bsz * (stop // BLOCK_STEPS + 1)
+    block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2) + sums
                                  + (spec.steps + 1) * rows)) + _UFUNC_BUFFER_BYTES
     room = BLOCK_MEMORY_BUDGET - out_bytes
     if block_bytes > room:
@@ -295,7 +297,8 @@ def _chunk_rows(spec: IntegrandSpec) -> int:
     chunk's rows of g (1); and the increments of X (d) unless d = m = 1
     scales dW in place. At most 16 are counted: a chunk of more stays out of
     cache at any useful size, and holds _CHUNK_CELLS / 16 cells per array
-    so that its Python work per rule is spread over enough cells."""
+    so that its Python work per rule is spread over enough cells. X's block
+    sums, a cell per BLOCK_STEPS, are not counted."""
     m, d = spec.wiener_dim, spec.dim
     arrays = m + spec.needs_wiener * (m + 2 * d + 1) + (0 if d == m == 1 else d)
     return max(1, min(BLOCK_PATHS, _CHUNK_CELLS // (min(arrays, 16) * (spec.steps + 1))))
@@ -331,23 +334,6 @@ def _chunk_arrays(spec: IntegrandSpec, rows: int) -> dict[str, np.ndarray]:
             "rule": np.empty(d * rows * rule)}
 
 
-def _add_steps(dx: np.ndarray, stop: int) -> np.ndarray:
-    """sum_{i < stop} dx[:, :, i], (d, rows), added left to right from 0.0 as
-    np.cumsum adds them (a zero sum may differ in sign): the steps are copied
-    steps-major, _SCAN_CELLS // rows at a time, below the running sum, and
-    np.add.reduce adds one row after another (rows of paths are its inner loop)."""
-    d, rows, _ = dx.shape
-    block = _SCAN_CELLS // rows
-    buf = np.zeros((d, min(block, stop) + 1, rows))
-    total = buf[:, 0].copy()
-    for k in range(0, stop, block):
-        n = min(block, stop - k)
-        buf[:, 0] = total
-        buf[:, 1:n + 1] = dx[:, :, k:k + n].transpose(0, 2, 1)
-        np.add.reduce(buf[:, :n + 1], axis=1, out=total)
-    return total
-
-
 def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
            arrays: dict[str, np.ndarray], sup: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Reduce the next paths of a block, given their Wiener increments dW
@@ -360,7 +346,16 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
     steps), so each rule adds f_q dW^j into contiguous slices and the sums
     along the steps run on contiguous rows; dW keeps the layout it is drawn
     in and is read in strides. A rule's temporaries are views of one flat
-    array, made once per chunk and rule width: f^j first, f^j dW^j after it."""
+    array, made once per chunk and rule width: f^j first, f^j dW^j after it.
+
+    X at grid index i adds, left to right, Q_k and then the increments from
+    k L up to i, with k = i // L and L = BLOCK_STEPS: B_k is numpy's
+    pairwise sum of block k's increments, one reduce over a (d, rows, K, L)
+    view, and Q_k = B_0 + ... + B_{k-1}, added left to right. Q_k is added
+    to block k's first step; without sup, X_stop then takes only the block
+    sums, their prefix and the fewer than L steps after the last block,
+    and with it each block takes its cumsum in place and ends in Q_{k+1}.
+    A run with or without sup, or stopped later, gives X the same bits."""
     (rows, S, m), d = dw.shape, spec.dim
     wn = None
     if spec.needs_wiener:
@@ -410,14 +405,22 @@ def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
     if in_place:
         dx[0, :, covered:] = 0.0
 
+    blocks = stop // BLOCK_STEPS   # K, the whole blocks of steps before stop
+    whole = dx[:, :, :blocks * BLOCK_STEPS].reshape(d, rows, blocks, BLOCK_STEPS)
+    q = whole.sum(axis=-1)   # B_0 .. B_{K-1}
+    np.cumsum(q, axis=-1, out=q)   # Q_1 .. Q_K
+    firsts = dx[:, :, BLOCK_STEPS:stop:BLOCK_STEPS]   # the first steps of blocks 1 .. K
+    firsts += q[:, :, :firsts.shape[2]]
+    if sup:
+        np.cumsum(whole, axis=-1, out=whole)
+    whole[..., -1] = q   # X at each block's end
+    rest = dx[:, :, blocks * BLOCK_STEPS:stop]
+    np.cumsum(rest, axis=2, out=rest)
     # + 0.0 maps -0.0 to +0.0: steps scaled in place by f = 0 hold -0.0 where dW < 0
-    if not sup and rows >= _SCAN_ROWS:   # fewer rows: np.cumsum adds them faster
-        return _add_steps(dx, stop).T + 0.0, None
-    xx = np.cumsum(dx, axis=2, out=dx)    # X at grid indices 1..S
-    x_stop = xx[:, :, stop - 1].T + 0.0 if stop else np.zeros((rows, d))
+    x_stop = dx[:, :, stop - 1].T + 0.0 if stop else np.zeros((rows, d))
     if not sup:
         return x_stop, None
-    head = xx[:, :, :stop]
+    head = dx[:, :, :stop]
     if d == 1:
         return x_stop, np.abs(head[0], out=head[0]).max(axis=1, initial=0.0)
     # sqrt is correctly rounded and monotone: the root of the largest square

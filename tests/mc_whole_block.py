@@ -10,6 +10,7 @@ import numpy as np
 
 from martcheck.wiener_mc import (
     BLOCK_PATHS,
+    BLOCK_STEPS,
     _group_bounds,
     _pow,
     grid_index,
@@ -19,6 +20,24 @@ from martcheck.wiener_mc import (
 def sum_squares(parts):
     """sum_q parts[q]^2, added left to right from the first part."""
     return functools.reduce(np.add, [np.square(part) for part in parts])
+
+
+def blocked_steps(dx):
+    """X at grid indices 1..S, given its increments (d, rows, S), one
+    BLOCK_STEPS block of steps at a time: X at the end of a block adds the
+    block's pairwise sum (numpy's, over a contiguous row) to X at its start,
+    and X inside a block adds X at the block's start and its increments
+    left to right."""
+    xx = np.empty_like(dx)
+    start = np.zeros(dx.shape[:2])
+    for k in range(0, dx.shape[2], BLOCK_STEPS):
+        steps = dx[:, :, k:k + BLOCK_STEPS]
+        xx[:, :, k:k + BLOCK_STEPS] = np.cumsum(
+            np.concatenate([start[..., None], steps], axis=2), axis=2)[:, :, 1:]
+        if steps.shape[2] == BLOCK_STEPS:
+            start = start + np.ascontiguousarray(steps).sum(axis=2)
+            xx[:, :, k + BLOCK_STEPS - 1] = start
+    return xx
 
 
 def whole_block(spec, dw, stop, g):
@@ -46,7 +65,7 @@ def whole_block(spec, dw, stop, g):
         g[..., sl] += sum_squares(e.rule.c if e.rule.kind == "const" else f)
     if in_place:
         dx[0, :, covered:] = 0.0
-    xx = np.cumsum(dx, axis=2, out=dx)
+    xx = blocked_steps(dx)
     x_stop = xx[:, :, stop - 1].T + 0.0 if stop else np.zeros((rows, d))
     head = xx[:, :, :stop]
     if d == 1:

@@ -515,13 +515,13 @@ FROZEN_OUT_CASES = [
      "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
     (("verify-continuous", "--integrand", "spec_mixed2d.json", "--p", "2", "4",
       "--paths", "2048", "--seed", "5", "--allow-inconclusive"),
-     "d59f9e94573cf529245dd69ba7cb4849670c3047357df68406d3566939afadb7"),
+     "f1fa044594a3a659d2512dd54641d40330f689272426106de3a7dfc9b125132c"),
     (("verify-continuous", "--integrand", "spec_lin.json", "--p", "3", "--t", "0.5",
       "--paths", "2048", "--ineq", "ZAKAI-MAX", "C-BURK-1"),
-     "30b7d65b8b8855ceb8980083d860bd2aec8b86d1ee6ece027e21dc67734a456e"),
+     "06c7c2eb931dd8d3b62960c8b191c0d12cbd48a5eb87dff9106b3df3a28cd103"),
     (("verify-continuous", "--integrand", "spec_const1.json", "--p", "4",
       "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
-     "b784a4a67129a778b56c2cf5c85369182ee24457024c22504b142c56dc797501"),
+     "99f07e3cb78e08b0fc3f81a63b3ffa897cdd855e4de97a593dae5e7c82bb970d"),
 ]
 
 

@@ -527,13 +527,19 @@ class TestDecide:
             ineq.report_table(["X"] * 2, [2.0] * 2, [1.0] * 2, sides["lhs"], sides["rhs"],
                               np.ones(2), *half_widths)
 
-    @pytest.mark.parametrize("x, p, match", [([float("nan")], 3, "not finite"),
-                                             ([1e100], 4, "overflows a float")],
-                             ids=["nan", "inf"])
-    def test_taylor_refuses_non_finite_sides(self, x, p, match):
-        """A NaN side, or one whose power overflows, never reaches decide."""
+    @pytest.mark.parametrize("x, y, p, match", [
+        ([float("nan")], [0.0], 3, "not finite"),
+        ([1e100], [0.0], 4, "overflows a float"),
+        ([float("inf")], [0.0], 3, r"x=\[inf\] is not finite"),
+        ([1.0], [float("inf")], 3, r"y=\[inf\] is not finite"),
+        ([float("nan")], [1.0], 3, r"x=\[nan\] is not finite")],
+        ids=["nan", "inf", "x-inf", "y-inf", "x-nan-y-one"])
+    def test_taylor_refuses_non_finite_sides(self, x, y, p, match):
+        """A NaN side, or one whose power overflows, never reaches decide; a
+        non-finite input is refused by name before any arithmetic, so no
+        numpy warning or quadrature on NaN comes first."""
         with pytest.raises(DomainError, match=match):
-            ineq.taylor_pointwise(x, [0.0], p)
+            ineq.taylor_pointwise(x, y, p)
 
     def test_python_types(self):
         """Taylor's `satisfied` and a search's `exceeded` are Python bools, so

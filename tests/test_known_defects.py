@@ -7,7 +7,8 @@ removes that one marker. No case is re-seeded or resized. Seeds are fixed
 here and come from ranges no ROADMAP measurement has used. Item 29's
 defect, output bits that depend on numpy's CPU dispatch, shows only on a
 host whose numpy dispatches AVX512 kernels; beside it, a passing test shows
-that the Wiener block normals do not depend on the dispatch.
+that the Wiener block normals and a Monte Carlo table do not depend on
+the dispatch.
 """
 import hashlib
 import json
@@ -134,16 +135,22 @@ AVX512_DISPATCHED = any(__cpu_features__.get(name) for name in __cpu_dispatch__
                         if name == "X86_V4" or name.startswith("AVX512"))
 
 
+def monte_carlo_table() -> str:
+    """repr of a Monte Carlo table: every id on spec_mixed2d at p = 2 and 4,
+    3000 paths (three blocks), seed 5."""
+    spec = parse_integrand(json.loads((ZOO / "spec_mixed2d.json").read_text()))
+    reports = eval_continuous(spec, spec.horizon, [2, 4],
+                              ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"], 3000, 5)
+    return repr(list(reports))
+
+
 def dispatch_digest() -> str:
     """sha256 of a tree's moments, a Monte Carlo table and a grid search."""
     h = hashlib.sha256()
     table = moments(random_tree(5, 2, 3), [2, 3, 4])
     for arr in (table.lp, table.sup, table.quad, table.incr):
         h.update(np.ascontiguousarray(arr).tobytes())
-    spec = parse_integrand(json.loads((ZOO / "spec_mixed2d.json").read_text()))
-    reports = eval_continuous(spec, spec.horizon, [2, 4],
-                              ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"], 3000, 5)
-    h.update(repr(list(reports)).encode())
+    h.update(monte_carlo_table().encode())
     config = parse_search(json.loads((ZOO / "search_rio_grid.json").read_text()))
     h.update(repr(search(config)).encode())
     return h.hexdigest()
@@ -184,3 +191,9 @@ def test_item29_bits_do_not_depend_on_cpu_dispatch():
 def test_block_normals_do_not_depend_on_cpu_dispatch():
     """SFC64 and its normal sampler add no CPU dependence of their own."""
     assert without_avx("block_normals_digest") == block_normals_digest()
+
+
+def test_monte_carlo_bits_do_not_depend_on_cpu_dispatch():
+    """A Monte Carlo table, its pairwise block sums of X included, keeps
+    every bit with numpy's AVX2 and AVX512 kernels turned off."""
+    assert without_avx("monte_carlo_table") == monte_carlo_table()

@@ -27,7 +27,8 @@ from martcheck import (
     parse_integrand,
     simulate,
 )
-from mc_whole_block import reference_simulate
+from martcheck.ptree import row_norms
+from mc_whole_block import blocked_steps, reference_simulate
 
 
 def load_spec(zoo, name):
@@ -196,14 +197,25 @@ class TestSimulate:
         (128, 3000, None)],  # the same on the default workers
         ids=["two-blocks", "one-block-ahead", "three-blocks-one-worker", "three-blocks"])
     def test_telescoping_for_unit_integrand(self, monkeypatch, steps, paths, cpus):
-        """f == 1 makes X_t an exact partial sum of the increments, so every
-        way _block runs draws the documented stream bit for bit."""
+        """f == 1 makes X_t the blocked sum of the increments, so every way
+        _block runs draws the documented stream bit for bit."""
         if cpus is not None:
             monkeypatch.setattr(wmc, "_cpus", lambda: cpus)
         spec = constant_integrand(1.0, steps=steps)
         batch = simulate(spec, paths, seed=3)
-        total = np.cumsum(redraw_increments(spec, paths, 3)[:, :, 0], axis=1)[:, -1]
+        total = blocked_steps(redraw_increments(spec, paths, 3)[None, :, :, 0])[0, :, -1]
         assert np.array_equal(batch.x_stop[:, 0], total)
+
+    def test_blocked_sum_accuracy(self):
+        """f == 1 on 2^14 steps: X_t, K = 256 block sums of L = 64 steps
+        added left to right, lies within (K + L + 16) eps sum |dW| of the
+        exact sum of the increments on every path."""
+        spec = constant_integrand(1.0, steps=2 ** 14)
+        dw = redraw_increments(spec, 8, 13)[:, :, 0]
+        batch = simulate(spec, 8, seed=13)
+        exact = np.array([math.fsum(row) for row in dw.tolist()])
+        bound = (spec.steps // wmc.BLOCK_STEPS + wmc.BLOCK_STEPS + 16) * np.finfo(float).eps
+        assert np.all(np.abs(batch.x_stop[:, 0] - exact) <= bound * np.abs(dw).sum(axis=1))
 
     def test_zero_integrand(self):
         spec = IntegrandSpec(1, 1, 1.0, 16, ())
@@ -213,12 +225,22 @@ class TestSimulate:
         r, = eval_continuous(spec, 1.0, [4], ["C-BURK-1"], 100, 5)
         assert r.lhs == 0.0 and r.ci_lhs == 0.0
 
-    def test_sup_monotone_in_t(self):
+    def test_sup_monotone_in_t(self, zoo):
+        """The supremum grows with t and bounds ||X_t||, exactly: on 32 steps,
+        and on each TERMINAL_SPECS spec at its mid stop (no multiple of
+        BLOCK_STEPS) against its horizon (a multiple)."""
         spec = constant_integrand(1.0, steps=32)
         half = simulate(spec, 500, seed=9, t=0.5)
         full = simulate(spec, 500, seed=9)
         assert np.all(half.sup_norm <= full.sup_norm)
         assert np.all(full.sup_norm >= np.abs(full.x_stop[:, 0]))
+        for name in TERMINAL_SPECS:
+            spec = terminal_spec(zoo, name)
+            mid = simulate(spec, 500, seed=9, t=TERMINAL_STOPS["mid"](spec.steps) * spec.dt)
+            full = simulate(spec, 500, seed=9)
+            assert np.all(mid.sup_norm <= full.sup_norm), name
+            for batch in (mid, full):
+                assert np.all(batch.sup_norm >= row_norms(batch.x_stop)), name
 
     def test_increment_mean_band(self):
         spec = constant_integrand(1.0, steps=64)
@@ -341,8 +363,8 @@ class TestSimulate:
     def test_terminal_scan_buffer_within_preflight(self, dim, wiener_dim):
         """A 1024-path block of 16 steps is one row chunk, so the charge
         holds little beyond its arrays; a run without the supremum traces
-        _add_steps' (d, 17, 1024) buffer on top of them, which _check_run
-        charges too (without that charge both runs trace over it)."""
+        its X_stop rows and block sums on top of them, which _check_run
+        charges too."""
         spec = constant_integrand(1.0, dim=dim, wiener_dim=wiener_dim, steps=16)
         block_bytes, room = wmc._check_run(spec, 1024, 0, spec.steps, 1)
         simulate(spec, 2, seed=0, p=[4], sup=False)   # warm-up: one-time allocations
@@ -499,7 +521,7 @@ def simulate_digest(cases, first_seed=0):
     return h.hexdigest()
 
 
-FROZEN_SIMULATE_DIGEST = "78f0c2adab09d825ed550dfbfb1cfc3ab01e71e1426718ed595f4cac50f989a2"
+FROZEN_SIMULATE_DIGEST = "e6af60b496a5300766a76544b180ae4cc5404a8626d51fdfa7e455c413983ec5"
 # wide_cases' d = 3 runs (seeds 0 and 1), and its d = 8 and 9 runs (seeds 2 to 5)
 WIDE_D3_DIGEST = "a24f8c2906c97877925e51c224cb36ddfd05184d51b8c0fa091687aa33fe7985"
 WIDE_D89_DIGEST = "9b3753b792d4630264c20e420fe9965eede1bbba050339fa17e2f0ca3e290d1b"
@@ -623,6 +645,12 @@ class TestChunkedKernel:
     # nine coordinates: simulate's one row of g adds ||c||^2 left to right
     @example((IntegrandSpec(9, 3, 1.5, 3, (RuleEntry(0, 1, 1, Rule("const", (0.3,) * 9)),)),
               1, 2, [], 1, 0))
+    # grids of several BLOCK_STEPS blocks: stop at a block's end, and past it
+    @example((IntegrandSpec(2, 2, 1.5, 200, (
+        RuleEntry(0, 130, 1, Rule("lin", (1.0, -0.5), k=2)),
+        RuleEntry(64, 200, 2, Rule("const", (0.3, 2.0))))), 192, 1000, [4.0], 37, 8))
+    @example((IntegrandSpec(1, 1, 1.5, 200, (RuleEntry(10, 150, 1, Rule("sign", (2.0,), k=1)),)),
+              150, 1100, [], wmc.BLOCK_PATHS, 9))
     def test_matches_whole_block_reference(self, case):
         """Chunks that reduce their own paths give the bits of one pass over
         each whole block (see chunk_cases)."""
@@ -662,7 +690,8 @@ def terminal_spec(zoo, name):
 
 TERMINAL_SPECS = ["const1", "const-d3-m2", "spec_mixed2d", "spec_lin", "spec_sign"]
 # the stop index: the horizon, mid-grid (1000 of 1024, 250 of 256: no multiple
-# of an _add_steps block, 64 steps of a 255-row chunk), and 0
+# of BLOCK_STEPS, so X_stop adds the steps after the last block to its sums),
+# and 0
 TERMINAL_STOPS = {"horizon": lambda steps: steps, "mid": lambda steps: steps * 125 // 128,
                   "zero": lambda steps: 0}
 
@@ -675,7 +704,7 @@ class TestTerminalOnly:
     @pytest.mark.parametrize("paths, cpus", [
         (3000, 1),      # three blocks, the last ragged, on one worker
         (3000, 8),      # the same on three workers, each drawing ahead
-        (1025, 1),      # a last block of one path, under _SCAN_ROWS: np.cumsum adds it
+        (1025, 1),      # a last block of one path
         (1024, 2)],     # one block of several row chunks, drawing ahead
         ids=["3000-cpus1", "3000-cpus8", "1025-cpus1", "1024-ahead"])
     def test_batch_matches_scan(self, zoo, monkeypatch, name, stop, paths, cpus):
@@ -863,10 +892,10 @@ class TestEvalContinuous:
             spec, 2.0, [4], ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"],
             20000, 99)
         assert (b1.lhs, b1.ci_lhs, b1.rhs, b1.ci_rhs) == (
-            5.888828281331764, 0.32680848944497276,
+            5.888828281331763, 0.3268084894449725,
             33.868080514858356, 0.3983027719622164)
         assert (b2.lhs, b2.ci_lhs, b2.rhs, b2.ci_rhs) == (
-            7.642405443535006, 0.30108873969978267,
+            7.642405443535006, 0.3010887396997826,
             60.20992091530374, 0.708093816821718)
         assert (zm.lhs, zm.ci_lhs) == (b1.lhs, b1.ci_lhs)
         assert (zx.lhs, zx.ci_lhs) == (b2.lhs, b2.ci_lhs)
