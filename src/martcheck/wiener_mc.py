@@ -8,24 +8,26 @@ and the continuous inequalities apply to it without discretization error.
 
 Reproducibility: paths are partitioned into fixed 1024-path blocks; block b
 of a run with seed s draws from SFC64 keyed by
-SeedSequence(entropy=s, spawn_key=(10, b)). A block draws its paths in
-cache-sized row chunks, in order, from its generator, which gives exactly
-the normals of one draw of the whole block, and holds a chunk's W and
-increments of X component-major. Each chunk reduces its own paths, its
-rows of g = sum_j ||f^j||^2 included, in arrays the block allocates once
-and reuses, and writes its per-path rows into the batch. A constant
-integrand's g, one row every path shares, is set once by simulate. The
-blocks run on a thread pool with one worker per CPU the process may use
-(its CPU affinity), and the calling thread merges each block's ZAKAI
-partial rows and g > 0 steps in block order; if a CPU is left free for
-each worker, a helper thread draws a block's next chunk as it reduces one.
-The block decomposition and all reduction orders are algorithm constants,
-so the bits do not depend on the chunk size, the worker count, the helper
-or the order in which blocks finish. One simulation serves every
-inequality id and exponent of a run. X is summed in blocks of BLOCK_STEPS
-steps (see _chunk), so X at a grid index depends on the steps before it
-alone: only an id that reads the supremum has the paths scanned, and
-without one X_stop keeps the bits of the scan.
+SeedSequence(entropy=s, spawn_key=(10, b)) the normals of its steps before
+t, in (step, component, path) order. A block draws them in cache-sized
+chunks of steps, in order, which gives exactly the normals of one draw, and
+holds every array steps-major. Each chunk reduces its own steps, its rows of
+g = sum_j ||f^j||^2 included, in arrays the block allocates once and
+reuses, and carries W, X and the per-path sums to the next; the block
+writes its per-path rows into the batch. A constant integrand's g, one row
+every path shares, is set once by simulate. The blocks run on a thread
+pool with one worker per CPU the process may use (its CPU affinity), and
+the calling thread merges each block's ZAKAI partial rows and g > 0 steps
+in block order; if a CPU is left free for each worker, a helper thread
+draws a block's next chunk as it reduces one. The block decomposition and
+all reduction orders are algorithm constants, so the bits do not depend on
+the chunk size, the worker count, the helper or the order in which blocks
+finish; a path's bits depend on its block's path count, so runs share
+their whole blocks. One simulation serves every inequality id and
+exponent of a run. X is added left to right along the steps (see _chunk),
+so X at a grid index depends on the steps before it alone: only an id
+that reads the supremum has the paths scanned, and without one X_stop
+keeps the bits of the scan.
 """
 from __future__ import annotations
 
@@ -45,12 +47,12 @@ from .ineq import BOUNDS, ContinuousId, ReportTable, coerce_ids, report_table
 from .ptree import SPAWN_DOMAINS, as_exponents, as_int, as_positive, as_seed, row_norms
 
 BLOCK_PATHS = 1024          # fixed substream block size
-BLOCK_STEPS = 64            # steps of a pairwise block sum of X (see _chunk)
 CI_GROUPS = 32              # batch-means groups for the time-integral CI
 DEFAULT_CELL_CAP = 1 << 31  # paths * steps * m guard
 BLOCK_MEMORY_BUDGET = 1 << 30  # bytes of block working sets in flight at once
 _UFUNC_BUFFER_BYTES = 1 << 18  # numpy's buffers for a strided in-place update
-_CHUNK_CELLS = 1 << 18     # cells of a row chunk's (paths, steps) arrays: 2 MiB, one L2 cache
+_CHUNK_CELLS = 1 << 18     # cells of a step chunk's (steps, paths) arrays: 2 MiB, one L2 cache
+_STEP_CELLS = 256           # cells a step needs for a running sum to add it in one numpy call
 _ENTRY_BYTES = 400          # bytes per component of constant_integrand (traced peak ~330)
 Z95 = 1.96                  # fixed 95% half-width multiplier
 
@@ -186,8 +188,9 @@ class WienerBatch:
     zakai_rows: (len(p), groups, stop) sums of g(t_i)^{p_k/2} over the paths
         of each batch-means group (see _group_bounds); None when p is empty.
     g_positive: (stop,) whether g(t_i) > 0 on some path; None when p is empty.
-    g itself is not kept: each row chunk of a block reduces its own rows of
-    g to these statistics, and simulate a constant integrand's one row.
+    g itself is not kept: each chunk of steps of a block reduces its own
+    rows of g to these statistics, and simulate a constant integrand's one
+    row.
     """
 
     spec: IntegrandSpec
@@ -225,18 +228,17 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     out_bytes = 8 * (paths * (d + 2) + exponents * min(CI_GROUPS, paths) * stop)
     # an upper bound on the (bsz, steps) arrays a block holds: those a pass
     # over the whole block would hold at its peak. dW (m); W (m) and g unless
-    # the integrand is constant; the increments of X (d) unless d = m = 1
-    # scales dW in place; over its steps, the widest rule's f^j and f^j dW^j
-    # or |f^j|^2 (2d; CONST: d, or none in place). Then a norm over d > 1
-    # components holds X, its square and two arrays of norms. The kernel
-    # holds all of these, g included, for one row chunk of paths at a time,
-    # so the charge is loose: a block drawing ahead holds one dW chunk more,
-    # of at most half its paths (rounded up), and the g rows of one
-    # batch-means group share that chunks cut, with one power of them; these
-    # come to the block's g and g^{p/2} only when a group holds more paths
-    # than a chunk (runs of 32 or more blocks, or short chunks). Beside
-    # these, a chunk holds the sums of X at its whole blocks of steps before
-    # t (d per path and block) and its X_stop rows (d per path).
+    # the integrand is constant; X (d) unless d = m = 1 scales dW in place;
+    # over its steps, the widest rule's f^j and f^j dW^j or |f^j|^2 (2d;
+    # CONST: d, or none in place). Then a norm over d > 1 components holds X,
+    # its square and two arrays of norms. The kernel holds these for one
+    # chunk of steps at a time (see _chunk_steps), with one more row of steps
+    # for the state it carries, so the charge is loose: a block drawing ahead
+    # holds one dW chunk more, of at most half its steps (rounded up), and
+    # the rows below count its ZAKAI rows. Beside these, d cells per path
+    # for each 64 steps before t, and d more, stay charged: the sums of X
+    # that 64-step blocks held before X was added one step at a time, so
+    # that the runs refused stay those refused then.
     own = 0 if d == m == 1 else d
     rule = max(2 * d * spec.widest[1], own * spec.widest[0]) / spec.steps
     arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
@@ -244,7 +246,7 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     # per path: its output rows; rows of steps: simulate's constant g, the
     # block's small objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
     rows = 3 + exponents * (min(CI_GROUPS, bsz) + 1 if nw else 1)
-    sums = d * bsz * (stop // BLOCK_STEPS + 1)
+    sums = d * bsz * (stop // 64 + 1)
     block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2) + sums
                                  + (spec.steps + 1) * rows)) + _UFUNC_BUFFER_BYTES
     room = BLOCK_MEMORY_BUDGET - out_bytes
@@ -289,19 +291,18 @@ def _group_bounds(paths: int) -> list[tuple[int, int]]:
             for g in range(groups)]
 
 
-def _chunk_rows(spec: IntegrandSpec) -> int:
-    """Paths per row chunk of a block, clamped to 1..BLOCK_PATHS: as many as
-    keep the (paths, steps) arrays a chunk holds within _CHUNK_CELLS cells,
-    so that they stay in a core's cache. They are dW (m); unless the
-    integrand is constant, W (m), a rule's f^j and f^j dW^j (2d) and the
-    chunk's rows of g (1); and the increments of X (d) unless d = m = 1
-    scales dW in place. At most 16 are counted: a chunk of more stays out of
-    cache at any useful size, and holds _CHUNK_CELLS / 16 cells per array
-    so that its Python work per rule is spread over enough cells. X's block
-    sums, a cell per BLOCK_STEPS, are not counted."""
+def _chunk_steps(spec: IntegrandSpec, rows: int) -> int:
+    """Steps per chunk of a block of rows paths: as many as keep the (steps +
+    1, paths) arrays a chunk holds (a row for its carried state) within
+    _CHUNK_CELLS cells, so that they stay in a core's cache. They are dW
+    (m); unless the integrand is constant, W (m), a rule's f^j (d) and
+    scalar field (1) and g (1); and X (d) unless d = m = 1 scales dW in
+    place. At most 16 are counted: a chunk of more stays out of cache at any
+    useful size, and holds _CHUNK_CELLS / 16 cells per array, 15 steps or
+    more, so that its Python work per rule and step is spread enough."""
     m, d = spec.wiener_dim, spec.dim
-    arrays = m + spec.needs_wiener * (m + 2 * d + 1) + (0 if d == m == 1 else d)
-    return max(1, min(BLOCK_PATHS, _CHUNK_CELLS // (min(arrays, 16) * (spec.steps + 1))))
+    arrays = m + spec.needs_wiener * (m + d + 2) + (0 if d == m == 1 else d)
+    return _CHUNK_CELLS // (min(arrays, 16) * rows) - 1
 
 
 def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
@@ -319,114 +320,140 @@ def _sum_squares(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunk_arrays(spec: IntegrandSpec, rows: int) -> dict[str, np.ndarray]:
-    """A block's flat arrays for the chunks it reduces, of at most rows paths
-    each, allocated once and reused by every chunk: W (m arrays of rows x
-    (steps + 1) cells) unless the integrand is constant, the increments of X
-    (d) unless d = m = 1 scales dW in place, and a rule's temporaries over
-    its steps: f^j and f^j dW^j for LIN and SIGN, or f^j dW^j for CONST
-    unless in place."""
+def _running_sum(a: np.ndarray, incr: np.ndarray | None = None) -> None:
+    """a[i + 1] = a[i] + incr[i] for each step i in turn, from the carried
+    a[0]; incr defaults to a[1:], summed in place. A step of _STEP_CELLS
+    cells or more is one numpy add across them; fewer take np.cumsum down
+    the steps, which adds in the same order and spares a call per step."""
+    if a[0].size >= _STEP_CELLS:
+        for prev, step, nxt in zip(a, a[1:] if incr is None else incr, a[1:]):
+            np.add(prev, step, out=nxt)
+    else:
+        if incr is not None:
+            a[1:] = incr
+        np.cumsum(a, axis=0, out=a)
+
+
+def _total(a: np.ndarray, out: np.ndarray) -> None:
+    """out = a[0] + a[1] + ..., added left to right: numpy reduces down the
+    steps one vectorised add per step, except over a one-cell column, which
+    it sums pairwise; that takes a cumsum."""
+    if out.size > 1:
+        np.add.reduce(a, axis=0, out=out)
+    else:
+        out[...] = np.cumsum(a, axis=0)[-1]
+
+
+def _chunk_arrays(spec: IntegrandSpec, rows: int, steps: int) -> dict[str, np.ndarray]:
+    """A block's flat arrays for the chunks it reduces, of at most steps
+    steps each, allocated once and reused by every chunk: unless the
+    integrand is constant, W (steps + 1 rows of m x rows cells) and g
+    (steps + 1 rows of rows cells); X (d) unless d = m = 1 scales dW in
+    place; and a rule's temporaries over its steps of the chunk: f^j, which
+    becomes f^j dW^j (d), and its scalar field (1)."""
     (const, reads_w), m, d = spec.widest, spec.wiener_dim, spec.dim
-    in_place = d == m == 1
-    rule = max(2 * reads_w, 0 if in_place else const)
-    return {"wn": np.empty(spec.needs_wiener * m * rows * (spec.steps + 1)),
-            "dx": np.empty(0 if in_place else d * rows * spec.steps),
-            "rule": np.empty(d * rows * rule)}
+    in_place, nw = d == m == 1, spec.needs_wiener
+    rule = (d + 1) * min(max(reads_w, 0 if in_place else const), steps)
+    return {"w": np.zeros(nw * (steps + 1) * m * rows),
+            "g": np.empty(nw * (steps + 1) * rows),
+            "x": np.empty(0 if in_place else (steps + 1) * d * rows),
+            "rule": np.empty(rows * rule)}
 
 
-def _chunk(spec: IntegrandSpec, dw: np.ndarray, stop: int, g: np.ndarray | None,
-           arrays: dict[str, np.ndarray], sup: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reduce the next paths of a block, given their Wiener increments dW
-    (rows, steps, m), which it may overwrite, and the block's _chunk_arrays:
-    set g to their rows of sum_j ||f^j||^2 (None for a constant integrand,
-    whose one row simulate sets) and return their x_stop rows and, given
-    sup, their sup_norm rows (else None, and no path is scanned).
+def _chunk(spec: IntegrandSpec, start: int, drawn: np.ndarray, arrays: dict[str, np.ndarray],
+           carry: dict[str, np.ndarray | None]) -> None:
+    """Reduce steps start .. start + k - 1 of a block's paths, given drawn,
+    (k + 1, m, rows) with their Wiener increments dW in rows 1 .. k, which
+    it may overwrite, and the block's _chunk_arrays: set the chunk's g rows
+    to sum_j ||f^j||^2 (none for a constant integrand, whose one row
+    simulate sets) and advance carry, the block's running state: X at the
+    chunk's first step ("x", (d, rows)) to X at its end, and, unless it is
+    None, the largest |X| (d = 1) or ||X||^2 over the grid points so far
+    ("sup"); without it no path is scanned.
 
-    W and the increments of X are held component-major, (m or d, rows,
-    steps), so each rule adds f_q dW^j into contiguous slices and the sums
-    along the steps run on contiguous rows; dW keeps the layout it is drawn
-    in and is read in strides. A rule's temporaries are views of one flat
-    array, made once per chunk and rule width: f^j first, f^j dW^j after it.
-
-    X at grid index i adds, left to right, Q_k and then the increments from
-    k L up to i, with k = i // L and L = BLOCK_STEPS: B_k is numpy's
-    pairwise sum of block k's increments, one reduce over a (d, rows, K, L)
-    view, and Q_k = B_0 + ... + B_{k-1}, added left to right. Q_k is added
-    to block k's first step; without sup, X_stop then takes only the block
-    sums, their prefix and the fewer than L steps after the last block,
-    and with it each block takes its cumsum in place and ends in Q_{k+1}.
-    A run with or without sup, or stopped later, gives X the same bits."""
-    (rows, S, m), d = dw.shape, spec.dim
-    wn = None
+    Every array is steps-major, (steps, component, path), so a step of W,
+    of X or of a rule's terms is one contiguous row across the block's
+    paths. W and X are running sums from the carried row 0 of their
+    arrays (see _running_sum): X_{i+1} = X_i + sum_j f^j(t_i) dW^j_i,
+    added left to right along the steps. So X at a grid index depends on
+    the steps before it alone, whatever the chunk size: a run with or
+    without sup, or stopped later, gives X the same bits. Without sup, X
+    at the chunk's end is one reduce down its steps (see _total)."""
+    k, (m, rows), d = len(drawn) - 1, drawn.shape[1:], spec.dim
+    dw = drawn[1:]
+    wn = g = None
     if spec.needs_wiener:
-        wn = _view(arrays["wn"], m, rows, S + 1)
-        wn[:, :, 0] = 0.0
-        np.cumsum(dw, axis=1, out=wn[:, :, 1:].transpose(1, 2, 0))
+        wn = _view(arrays["w"], k + 1, m, rows)   # W at steps start .. start + k
+        _running_sum(wn, dw)
+        g = _view(arrays["g"], k + 1, rows)[1:]
         g.fill(0.0)
     # d = m = 1: the increments of X are those of W, scaled in place
     in_place = d == m == 1
-    if in_place:
-        dx = dw.reshape(1, rows, S)
-    else:
-        dx = _view(arrays["dx"], d, rows, S)
+    xs = drawn if in_place else _view(arrays["x"], k + 1, d, rows)
+    dx = xs[1:]
+    if not in_place:
         dx.fill(0.0)
-    views = {}    # (CONST?, width): the rule's f^j (None for CONST) and f^j dW^j
-    coefs = {}    # per rule object: c as a (d, 1, 1) array, and ||c||^2
+    coefs = {}    # per rule object: c as a (d, 1) array, and ||c||^2
+    temps = {}    # per width: a rule's f^j, then f^j dW^j (steps, d, rows), and s (steps, rows)
+
+    def temp(width: int) -> tuple[np.ndarray, np.ndarray]:
+        if width not in temps:
+            head = _view(arrays["rule"], width, d, rows)
+            temps[width] = head, _view(arrays["rule"][head.size:], width, rows)
+        return temps[width]
+
     covered = 0   # d = m = 1: steps before it are scaled or zeroed
     for e in spec.ordered:   # components without rules add 0
-        sl, rule = slice(e.start, e.stop), e.rule
-        const = rule.kind == "const"
-        if in_place:
-            dx[0, :, covered:e.start] = 0.0   # steps no rule covers
-            covered = e.stop
+        a, b = max(e.start - start, 0), min(e.stop - start, k)
+        if in_place and a > covered:
+            dx[covered:a] = 0.0   # steps no rule covers
+        if a >= b:
+            continue
+        sl, rule, covered = slice(a, b), e.rule, b
         if id(rule) not in coefs:
-            c = np.array(rule.c)[:, None, None]
-            coefs[id(rule)] = c, _sum_squares(c.copy(), np.empty((1, 1))).item()
-        # f^j: c times the scalar field 1, W^k or sign(W^k) at the left endpoints
-        f, norm2 = coefs[id(rule)]
-        if not (in_place and const):
-            key = const, e.stop - e.start
-            if key not in views:
-                head = _view(arrays["rule"], d, rows, key[1])
-                views[key] = (None, head) if const else (
-                    head, _view(arrays["rule"][head.size:], d, rows, key[1]))
-            field, product = views[key]
-        if not const:
-            w = wn[rule.k - 1, :, sl]
-            if rule.kind == "sign":
-                w = np.sign(w, out=product[0])
-            f = np.multiply(w, f, out=field)
+            c = np.array(rule.c)[:, None]
+            coefs[id(rule)] = c, _sum_squares(c.copy(), np.empty(1)).item()
+        c, norm2 = coefs[id(rule)]
+        if rule.kind == "const":
+            if in_place:
+                dx[sl] *= c
+            else:
+                dx[sl] += np.multiply(c, dw[sl, e.j - 1:e.j], out=temp(b - a)[0])
+            if g is not None:
+                g[sl] += norm2
+            continue
+        field, s = temp(b - a)
+        # f^j = c s, s = W^k or sign(W^k) at the left endpoints; g adds ||c||^2 s^2
+        w = wn[sl, rule.k - 1]
+        if rule.kind == "sign":
+            w = np.sign(w, out=s)
+        f = np.multiply(w[:, None], c, out=field)
+        np.square(w, out=s)
+        s *= norm2
+        g[sl] += s
         if in_place:
-            dx[0, :, sl] *= f[0]
+            dx[sl] *= f
         else:
-            dx[:, :, sl] += np.multiply(f, dw[:, sl, e.j - 1], out=product)
-        if g is not None:
-            g[..., sl] += norm2 if const else _sum_squares(f, f[0])
+            dx[sl] += np.multiply(f, dw[sl, e.j - 1:e.j], out=f)
     if in_place:
-        dx[0, :, covered:] = 0.0
+        dx[covered:] = 0.0
+    if wn is not None:
+        wn[0] = wn[k]   # W at the next chunk's first step
 
-    blocks = stop // BLOCK_STEPS   # K, the whole blocks of steps before stop
-    whole = dx[:, :, :blocks * BLOCK_STEPS].reshape(d, rows, blocks, BLOCK_STEPS)
-    q = whole.sum(axis=-1)   # B_0 .. B_{K-1}
-    np.cumsum(q, axis=-1, out=q)   # Q_1 .. Q_K
-    firsts = dx[:, :, BLOCK_STEPS:stop:BLOCK_STEPS]   # the first steps of blocks 1 .. K
-    firsts += q[:, :, :firsts.shape[2]]
-    if sup:
-        np.cumsum(whole, axis=-1, out=whole)
-    whole[..., -1] = q   # X at each block's end
-    rest = dx[:, :, blocks * BLOCK_STEPS:stop]
-    np.cumsum(rest, axis=2, out=rest)
-    # + 0.0 maps -0.0 to +0.0: steps scaled in place by f = 0 hold -0.0 where dW < 0
-    x_stop = dx[:, :, stop - 1].T + 0.0 if stop else np.zeros((rows, d))
-    if not sup:
-        return x_stop, None
-    head = dx[:, :, :stop]
+    x, sup = carry["x"], carry["sup"]
+    xs[0] = x
+    if sup is None:
+        _total(xs, x)
+        return
+    _running_sum(xs)
+    x[...] = xs[k]
     if d == 1:
-        return x_stop, np.abs(head[0], out=head[0]).max(axis=1, initial=0.0)
-    # sqrt is correctly rounded and monotone: the root of the largest square
-    # is the largest norm
-    squares = _sum_squares(head, head[0])
-    return x_stop, np.sqrt(squares.max(axis=1, initial=0.0))
+        top = np.abs(dx[:, 0], out=dx[:, 0]).max(axis=0)
+    else:
+        # sqrt is correctly rounded and monotone: the root of the largest
+        # square is the largest norm
+        top = _sum_squares(dx.transpose(1, 0, 2), dx[:, 0]).max(axis=0)
+    np.maximum(sup, top, out=sup)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
@@ -435,84 +462,70 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
     sup_norm unless it is None (see _chunk) and of riemann unless the
     integrand is constant, into the batch's arrays.
 
-    Returns (zakai, positive), which simulate merges in block order: zakai
-    lists the ((k, group), partial row) sums of g^{p/2}, p the k-th of
-    batch.p, over the block's paths in each batch-means group it overlaps,
-    and positive marks the steps before stop where g > 0 on some path of the
-    block (None without exponents). For a constant integrand simulate sets
-    these from its one row of g, and the block returns ([], None).
+    Returns ((first, zakai), positive), which simulate merges in block
+    order: zakai holds the (len(batch.p), groups, stop) sums of g^{p/2}, p
+    the k-th of batch.p, over the block's paths in each batch-means group
+    it overlaps, from group first on, and positive marks the steps before
+    stop where g > 0 on some path of the block (None without exponents).
+    For a constant integrand simulate sets these from its one row of g, and
+    the block returns ((first, None), None).
 
-    The paths are drawn and reduced in row chunks of _chunk_rows(spec), in
-    order, from the block's generator; consecutive draws give the normals of
-    one draw of the whole block. Each chunk reduces its own paths completely
-    while its rows of g are in cache: their Riemann sums, their positive
-    steps and the partial rows of each group share that ends in it. The rows
-    of a share that chunk boundaries cut wait in one buffer until the share
-    is complete, so g^{p/2} of a share is summed over its rows as one
-    contiguous array, as a pass over the whole block sums it; every sum runs
-    in that pass's order, so the bits do not depend on the chunk size. A
-    chunk's arrays, its rows of g included, are allocated once per block
-    and reused by every chunk; the last chunk's shares are summed once the
-    other arrays are gone. Given ahead, a block of two or more chunks has a
-    helper thread alone draw each next chunk, into the other of two
-    buffers, while it reduces one; no bit changes either. The block writes
-    only its own rows of the batch, and sets its own numpy error state,
-    which worker threads do not inherit.
+    The block draws the normals of its steps before stop, and no more, in
+    (step, component, path) order, in chunks of _chunk_steps(spec, rows)
+    steps from its generator; consecutive draws give the normals of one
+    draw of the whole block. Each chunk holds every path of the block, so
+    it reduces its own steps completely while its rows of g are in cache:
+    their positive steps, one numpy reduceat over the paths per exponent
+    for the group shares of g^{p/2}, and the Riemann sums, added left to
+    right from the carried sum like X (see _total). No sum crosses a chunk
+    in any other order, so the bits do not depend on the chunk size. A
+    chunk's arrays are allocated once per block and reused by every chunk.
+    Given ahead, a block of two or more chunks has a helper thread alone
+    draw each next chunk, into the other of two buffers, while it reduces
+    one; no bit changes either. The block writes only its own rows of the
+    batch, and sets its own numpy error state, which worker threads do not
+    inherit.
     """
     spec, paths, stop = batch.spec, batch.paths, batch.stop
-    lo = b * BLOCK_PATHS
-    hi = min(lo + BLOCK_PATHS, paths)
+    lo, hi = b * BLOCK_PATHS, min((b + 1) * BLOCK_PATHS, paths)
+    rows, m, d, nw = hi - lo, spec.wiener_dim, spec.dim, spec.needs_wiener
     gen = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy=batch.seed, spawn_key=(SPAWN_DOMAINS["wiener"], b))))
-    chunks = -(-(hi - lo) // _chunk_rows(spec))
-    rows = -(-(hi - lo) // chunks)   # chunks of even sizes, no short last one
-    starts, ahead = range(lo, hi, rows), ahead and chunks > 1
-    bufs = [np.empty((rows, spec.steps, spec.wiener_dim)) for _ in range(1 + ahead)]
-    arrays = _chunk_arrays(spec, rows)
-    nw = spec.needs_wiener
+    chunks = -(-stop // _chunk_steps(spec, rows))
+    steps = -(-stop // chunks) if chunks else 1   # chunks of even sizes
+    starts, ahead = range(0, stop, steps), ahead and chunks > 1
+    # row 0 of a chunk's buffer is free for X when d = m = 1 scales dW in place
+    bufs = [np.empty((steps + 1, m, rows)) for _ in range(1 + ahead)]
+    arrays = _chunk_arrays(spec, rows, steps)
+    carry = {"x": np.zeros((d, rows)),
+             "sup": None if batch.sup_norm is None else np.zeros(rows)}
+    riemann = np.zeros(rows)
     half_powers = [v / 2.0 for v in batch.p] if nw else []
-    g = np.empty(rows * spec.steps) if nw else None   # sum_j ||f^j||^2: a chunk's rows
-    positive = np.zeros(stop, dtype=bool) if half_powers else None
     bounds = _group_bounds(paths)
     groups = len(bounds)
-    zakai = []
-    pending = None   # the g rows of a group share that chunk boundaries cut
+    first, last = lo * groups // paths, (hi - 1) * groups // paths + 1   # the groups met
+    shares = [max(lo, bounds[grp][0]) - lo for grp in range(first, last)]
+    zakai = np.empty((len(half_powers), last - first, stop)) if half_powers else None
+    positive = np.empty(stop, dtype=bool) if half_powers else None
 
     def draw(i: int) -> np.ndarray:
-        dw = gen.standard_normal(out=bufs[i % len(bufs)][:hi - starts[i]])
-        return np.multiply(dw, math.sqrt(spec.dt), out=dw)
+        drawn = bufs[i % len(bufs)][:min(steps, stop - starts[i]) + 1]
+        dw = gen.standard_normal(out=drawn[1:])
+        np.multiply(dw, math.sqrt(spec.dt), out=dw)
+        return drawn
 
-    def shares(i: int) -> None:
-        """Sum g^{p/2} over the rows of each group share that ends in chunk i."""
-        nonlocal pending
-        a, z = starts[i], min(starts[i] + rows, hi)
-        head = _view(g, z - a, spec.steps)[:, :stop]
-        for grp in range(a * groups // paths, (z - 1) * groups // paths + 1):
-            first, last = max(lo, bounds[grp][0]), min(hi, bounds[grp][1])   # the block's share
-            part = head[max(a, first) - a:min(z, last) - a]
-            if first < a or last > z:   # the share spans chunks
-                if first >= a:
-                    pending = np.empty((last - first, stop))
-                pending[max(a, first) - first:min(z, last) - first] = part
-                if last > z:
-                    continue
-                part, pending = pending, None
-            zakai.extend(((k, grp), _pow(part, half_power).sum(axis=0))
-                         for k, half_power in enumerate(half_powers))
-
-    def reduce(i: int, dw: np.ndarray) -> None:
-        rs = slice(starts[i], starts[i] + len(dw))
-        g_rows = _view(g, len(dw), spec.steps) if nw else None
-        batch.x_stop[rs], sup = _chunk(spec, dw, stop, g_rows, arrays, batch.sup_norm is not None)
-        if sup is not None:
-            batch.sup_norm[rs] = sup
-        if nw:
-            head = g_rows[:, :stop]
-            batch.riemann[rs] = head.sum(axis=-1) * spec.dt
-            if half_powers:
-                np.logical_or(positive, head.any(axis=0), out=positive)   # g >= 0
-                if i + 1 < len(starts):   # the last chunk's wait until its arrays are gone
-                    shares(i)
+    def reduce(i: int, drawn: np.ndarray) -> None:
+        _chunk(spec, starts[i], drawn, arrays, carry)
+        if not nw:
+            return
+        at = slice(starts[i], starts[i] + len(drawn) - 1)
+        g = _view(arrays["g"], len(drawn), rows)   # row 0: the Riemann sums so far
+        if half_powers:
+            positive[at] = g[1:].any(axis=1)   # g >= 0
+            for k, half_power in enumerate(half_powers):
+                zakai[k, :, at] = np.add.reduceat(_pow(g[1:], half_power), shares, axis=1).T
+        g[0] = riemann
+        _total(g, riemann)
 
     if not ahead:
         for i in range(len(starts)):
@@ -524,10 +537,12 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
             for i in range(len(starts)):   # chunk i + 1 goes where chunk i - 1 was
                 ready, drawn = drawn, helper.submit(draw, i + 1) if i + 1 < len(starts) else None
                 reduce(i, ready.result())
-    bufs = ready = drawn = arrays = None   # no chunk array is held past the chunks
-    if half_powers:
-        shares(len(starts) - 1)
-    return zakai, positive
+    batch.x_stop[lo:hi] = carry["x"].T
+    if batch.sup_norm is not None:
+        batch.sup_norm[lo:hi] = carry["sup"] if d == 1 else np.sqrt(carry["sup"])
+    if nw:
+        batch.riemann[lo:hi] = riemann * spec.dt
+    return (first, zakai), positive
 
 
 def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
@@ -566,9 +581,9 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
 
     def merge(results) -> None:
         # block order fixes the addition order of the ZAKAI partial rows
-        for zakai, positive in results:
-            for key, row in zakai:
-                batch.zakai_rows[key] += row
+        for (first, zakai), positive in results:
+            if zakai is not None:
+                batch.zakai_rows[:, first:first + zakai.shape[1]] += zakai
             if positive is not None:
                 np.logical_or(batch.g_positive, positive, out=batch.g_positive)
 

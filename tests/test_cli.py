@@ -515,13 +515,13 @@ FROZEN_OUT_CASES = [
      "6b8c3236804991cc51393769a8a19ea1baf0a5c484fc48343b489e4398434d0a"),
     (("verify-continuous", "--integrand", "spec_mixed2d.json", "--p", "2", "4",
       "--paths", "2048", "--seed", "5", "--allow-inconclusive"),
-     "f1fa044594a3a659d2512dd54641d40330f689272426106de3a7dfc9b125132c"),
+     "352fcd86ee52ff108e8c35d07afa61d599bbfe4375a824d20473980a673e9435"),
     (("verify-continuous", "--integrand", "spec_lin.json", "--p", "3", "--t", "0.5",
       "--paths", "2048", "--ineq", "ZAKAI-MAX", "C-BURK-1"),
-     "06c7c2eb931dd8d3b62960c8b191c0d12cbd48a5eb87dff9106b3df3a28cd103"),
+     "9918674aba82f0689b069e57774f97c8268832b02b879f6047264e08e6e8cc14"),
     (("verify-continuous", "--integrand", "spec_const1.json", "--p", "4",
       "--ineq", "ZAKAI-MAIN", "--paths", "4096"),
-     "99f07e3cb78e08b0fc3f81a63b3ffa897cdd855e4de97a593dae5e7c82bb970d"),
+     "615190815e9c4af943ddc6d9123c1eeb2ef81fcbf2dd6deb5d636f5e2f1a4fb5"),
 ]
 
 

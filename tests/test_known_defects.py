@@ -194,6 +194,7 @@ def test_block_normals_do_not_depend_on_cpu_dispatch():
 
 
 def test_monte_carlo_bits_do_not_depend_on_cpu_dispatch():
-    """A Monte Carlo table, its pairwise block sums of X included, keeps
-    every bit with numpy's AVX2 and AVX512 kernels turned off."""
+    """A Monte Carlo table, its running sums down the steps and its reduceat
+    group shares included, keeps every bit with numpy's AVX2 and AVX512
+    kernels turned off."""
     assert without_avx("monte_carlo_table") == monte_carlo_table()

@@ -28,7 +28,7 @@ from martcheck import (
     simulate,
 )
 from martcheck.ptree import row_norms
-from mc_whole_block import blocked_steps, reference_simulate
+from mc_whole_block import reference_simulate
 
 
 def load_spec(zoo, name):
@@ -37,16 +37,16 @@ def load_spec(zoo, name):
 
 
 def redraw_increments(spec, paths, seed):
-    """The (paths, steps, m) Wiener increments of a run, redrawn from the
-    documented streams: 1024-path block b draws standard normals from
-    SFC64 keyed by SeedSequence(entropy=seed, spawn_key=(10, b)), scaled
-    by sqrt(dt)."""
+    """The (paths, steps, m) Wiener increments of a run to the horizon,
+    redrawn from the documented streams: 1024-path block b draws standard
+    normals in (step, component, path) order from SFC64 keyed by
+    SeedSequence(entropy=seed, spawn_key=(10, b)), scaled by sqrt(dt)."""
     blocks = []
     for b, lo in enumerate(range(0, paths, 1024)):
         gen = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(entropy=seed, spawn_key=(10, b))))
         blocks.append(gen.standard_normal(
-            (min(1024, paths - lo), spec.steps, spec.wiener_dim)))
+            (spec.steps, spec.wiener_dim, min(1024, paths - lo))).transpose(2, 0, 1))
     return np.concatenate(blocks) * math.sqrt(spec.dt)
 
 
@@ -192,29 +192,29 @@ class TestSimulate:
 
     @pytest.mark.parametrize("steps, paths, cpus", [
         (128, 2048, None),   # two blocks on the default workers
-        (1024, 1024, 2),     # one block of five row chunks, drawing ahead
+        (1024, 1024, 2),     # one block of four chunks of steps, drawing ahead
         (128, 3000, 1),      # three blocks, the last ragged, on one worker
         (128, 3000, None)],  # the same on the default workers
         ids=["two-blocks", "one-block-ahead", "three-blocks-one-worker", "three-blocks"])
     def test_telescoping_for_unit_integrand(self, monkeypatch, steps, paths, cpus):
-        """f == 1 makes X_t the blocked sum of the increments, so every way
-        _block runs draws the documented stream bit for bit."""
+        """f == 1 makes X_t the sum of the increments, added left to right,
+        so every way _block runs draws the documented stream bit for bit."""
         if cpus is not None:
             monkeypatch.setattr(wmc, "_cpus", lambda: cpus)
         spec = constant_integrand(1.0, steps=steps)
         batch = simulate(spec, paths, seed=3)
-        total = blocked_steps(redraw_increments(spec, paths, 3)[None, :, :, 0])[0, :, -1]
+        total = np.cumsum(redraw_increments(spec, paths, 3)[:, :, 0], axis=1)[:, -1]
         assert np.array_equal(batch.x_stop[:, 0], total)
 
-    def test_blocked_sum_accuracy(self):
-        """f == 1 on 2^14 steps: X_t, K = 256 block sums of L = 64 steps
-        added left to right, lies within (K + L + 16) eps sum |dW| of the
-        exact sum of the increments on every path."""
+    def test_step_sum_accuracy(self):
+        """f == 1 on 2^14 steps: X_t, the increments added left to right,
+        lies within 336 eps sum |dW| of the exact sum of the increments on
+        every path."""
         spec = constant_integrand(1.0, steps=2 ** 14)
         dw = redraw_increments(spec, 8, 13)[:, :, 0]
         batch = simulate(spec, 8, seed=13)
         exact = np.array([math.fsum(row) for row in dw.tolist()])
-        bound = (spec.steps // wmc.BLOCK_STEPS + wmc.BLOCK_STEPS + 16) * np.finfo(float).eps
+        bound = 336 * np.finfo(float).eps
         assert np.all(np.abs(batch.x_stop[:, 0] - exact) <= bound * np.abs(dw).sum(axis=1))
 
     def test_zero_integrand(self):
@@ -227,8 +227,8 @@ class TestSimulate:
 
     def test_sup_monotone_in_t(self, zoo):
         """The supremum grows with t and bounds ||X_t||, exactly: on 32 steps,
-        and on each TERMINAL_SPECS spec at its mid stop (no multiple of
-        BLOCK_STEPS) against its horizon (a multiple)."""
+        and on each TERMINAL_SPECS spec at its mid stop (a block draws no
+        step after it) against its horizon."""
         spec = constant_integrand(1.0, steps=32)
         half = simulate(spec, 500, seed=9, t=0.5)
         full = simulate(spec, 500, seed=9)
@@ -361,10 +361,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dim, wiener_dim", [(3, 2), (8, 1)])
     def test_terminal_scan_buffer_within_preflight(self, dim, wiener_dim):
-        """A 1024-path block of 16 steps is one row chunk, so the charge
-        holds little beyond its arrays; a run without the supremum traces
-        its X_stop rows and block sums on top of them, which _check_run
-        charges too."""
+        """A 1024-path block of 16 steps is one chunk, so the charge holds
+        little beyond its arrays; a run without the supremum traces its
+        carried X and its reduce down the steps on top of them, which
+        _check_run charges too."""
         spec = constant_integrand(1.0, dim=dim, wiener_dim=wiener_dim, steps=16)
         block_bytes, room = wmc._check_run(spec, 1024, 0, spec.steps, 1)
         simulate(spec, 2, seed=0, p=[4], sup=False)   # warm-up: one-time allocations
@@ -521,10 +521,10 @@ def simulate_digest(cases, first_seed=0):
     return h.hexdigest()
 
 
-FROZEN_SIMULATE_DIGEST = "e6af60b496a5300766a76544b180ae4cc5404a8626d51fdfa7e455c413983ec5"
+FROZEN_SIMULATE_DIGEST = "c91cf33947b99cc51fe08c58d081a9df6911e76fcdc88d93a03e11b5f97f657f"
 # wide_cases' d = 3 runs (seeds 0 and 1), and its d = 8 and 9 runs (seeds 2 to 5)
-WIDE_D3_DIGEST = "a24f8c2906c97877925e51c224cb36ddfd05184d51b8c0fa091687aa33fe7985"
-WIDE_D89_DIGEST = "9b3753b792d4630264c20e420fe9965eede1bbba050339fa17e2f0ca3e290d1b"
+WIDE_D3_DIGEST = "3353917651b2d63fe5535870a44ef5537bbc6c2fcd669230b0645f15bf45e34a"
+WIDE_D89_DIGEST = "0f8c7c7a35b65b5af77eb725802d8ec888ad1f43da0a58191674e320056ef312"
 
 
 def wide_digests():
@@ -581,10 +581,12 @@ class TestFrozenBits:
 
 @st.composite
 def chunk_cases(draw):
-    """(spec, stop, paths, p, chunk rows, seed): d of 1, 2, 3 or 9, m of 1
-    to 3, random CONST, LIN and SIGN rules, stop at 0, 1, mid-grid or the
-    horizon, batch-means groups inside a chunk, cut by chunks or spanning
-    blocks, 0 to 3 exponents and chunks of 1, 37 or 1024 rows."""
+    """(spec, stop, paths, p, chunk steps, step cells, sup, seed): d of 1, 2,
+    3 or 9, m of 1 to 3, random CONST, LIN and SIGN rules, stop at 0, 1,
+    mid-grid or the horizon, batch-means groups inside a block or spanning
+    blocks, 0 to 3 exponents, chunks of 1, 3, 5 or 1024 steps, running sums
+    that add each step in one numpy call from 1 cell, from _STEP_CELLS or
+    never (np.cumsum down the steps), with and without the supremum."""
     d = draw(st.sampled_from([1, 2, 3, 9]))
     m = draw(st.integers(1, 3))
     steps = draw(st.integers(1, 12))
@@ -602,14 +604,37 @@ def chunk_cases(draw):
     return (spec, draw(st.sampled_from(sorted({0, 1, steps // 2, steps}))),
             draw(st.sampled_from([2, 33, 1000, 2500, 40000])),
             draw(st.lists(st.sampled_from([2.0, 2.5, 3.0, 4.0, 7.0]), max_size=3)),
-            draw(st.sampled_from([1, 37, wmc.BLOCK_PATHS])), draw(st.integers(0, 2 ** 32)))
+            draw(st.sampled_from([1, 3, 5, 1024])),
+            draw(st.sampled_from([1, wmc._STEP_CELLS, 1 << 62])), draw(st.booleans()),
+            draw(st.integers(0, 2 ** 32)))
 
 
 # g at step 0 is the same on every path (W_0 = 0), positive under CONST rules
-# alone; at stop = 1 numpy sums a group's rows of its power pairwise, so a
-# group that chunks cut must still be summed over its rows at once
+# alone; at stop = 1 each group share of its power is one step's sum over
+# the share's paths
 CUT_AT_STEP_ONE = IntegrandSpec(1, 2, 1.5, 4, (
     RuleEntry(0, 4, 1, Rule("const", (0.3,))), RuleEntry(0, 4, 2, Rule("lin", (1.0,), k=1))))
+# d = m = 1 on 200 steps, dW scaled in place: X alone, and W, g and X
+ONE_COLUMN_SPECS = [constant_integrand(0.7, steps=200), IntegrandSpec(1, 1, 1.5, 200, (
+    RuleEntry(0, 120, 1, Rule("const", (0.7,))),
+    RuleEntry(120, 200, 1, Rule("lin", (1.3,), k=1))))]
+
+
+def check_reference(spec, stop, paths, p, steps, cells, sup, seed):
+    """simulate, its chunks of the given steps and its running sums taking a
+    numpy add per step from the given cells, gives the reference's bits."""
+    with mock.patch.multiple(wmc, _chunk_steps=lambda spec, rows: steps, _STEP_CELLS=cells):
+        batch = simulate(spec, paths, seed, t=stop * spec.dt, p=p, sup=sup)
+    want = reference_simulate(spec, paths, seed, t=stop * spec.dt, p=p)
+    got = batch.x_stop, batch.sup_norm, batch.riemann, batch.zakai_rows, batch.g_positive
+    for name, a, b in zip(("x_stop", "sup_norm", "riemann", "zakai_rows", "g_positive"),
+                          got, want):
+        if name == "sup_norm" and not sup:
+            assert a is None
+            continue
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestChunkedKernel:
@@ -619,12 +644,16 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("workers", [1, 8])
     @pytest.mark.parametrize("rows", [1, 37, wmc.BLOCK_PATHS])
     def test_chunk_rows_do_not_change_bits(self, zoo, monkeypatch, rows, workers):
-        """Blocks drawn and reduced in chunks of 1, 37 or 1024 rows give the
-        pinned bits: on one worker thread with every block drawing ahead on
-        a helper thread (a CPU left free for it), thread switches forced
-        often, and on eight worker threads drawing on their own."""
+        """Blocks drawn and reduced in chunks of 1, 37 or 1024 rows, a
+        chunk's rows being its grid steps, give the pinned bits: on one
+        worker thread with every block drawing ahead on a helper thread (a
+        CPU left free for it), thread switches forced often, and on eight
+        worker threads drawing on their own. Chunks of one step take
+        np.cumsum for every running sum, chunks of 37 a numpy add per step
+        for all of them, even one-cell steps."""
         ahead = workers == 1
-        monkeypatch.setattr(wmc, "_chunk_rows", lambda spec: rows)
+        monkeypatch.setattr(wmc, "_chunk_steps", lambda spec, paths: rows)
+        monkeypatch.setattr(wmc, "_STEP_CELLS", {1: 1 << 62, 37: 1}.get(rows, wmc._STEP_CELLS))
         monkeypatch.setattr(wmc, "_workers", lambda blocks, block_bytes, room: workers)
         monkeypatch.setattr(wmc, "_cpus", lambda: 1 << 10 if ahead else 1)
         interval = sys.getswitchinterval()
@@ -636,48 +665,50 @@ class TestChunkedKernel:
         assert digests == (FROZEN_SIMULATE_DIGEST, (WIDE_D3_DIGEST, WIDE_D89_DIGEST))
 
     @given(chunk_cases())
-    @example((CUT_AT_STEP_ONE, 1, 1000, [3.0], 37, 5))
-    @example((CUT_AT_STEP_ONE, 1, 40000, [2.5, 2.0], 1, 6))
+    @example((CUT_AT_STEP_ONE, 1, 1000, [3.0], 37, 1, True, 5))
+    @example((CUT_AT_STEP_ONE, 1, 40000, [2.5, 2.0], 1, 1 << 62, False, 6))
     # a constant integrand's one row of g, set by simulate, over 40 blocks
-    # whose batch-means groups chunks cut
     @example((constant_integrand(0.3, dim=2, wiener_dim=2, steps=4), 3, 40000, [3.0, 2.0],
-              37, 7))
+              37, wmc._STEP_CELLS, True, 7))
     # nine coordinates: simulate's one row of g adds ||c||^2 left to right
     @example((IntegrandSpec(9, 3, 1.5, 3, (RuleEntry(0, 1, 1, Rule("const", (0.3,) * 9)),)),
-              1, 2, [], 1, 0))
-    # grids of several BLOCK_STEPS blocks: stop at a block's end, and past it
+              1, 2, [], 1, wmc._STEP_CELLS, True, 0))
+    # grids of 200 steps in chunks of 37, stopped inside a chunk and after
+    # rules end, with every running sum at its default
     @example((IntegrandSpec(2, 2, 1.5, 200, (
         RuleEntry(0, 130, 1, Rule("lin", (1.0, -0.5), k=2)),
-        RuleEntry(64, 200, 2, Rule("const", (0.3, 2.0))))), 192, 1000, [4.0], 37, 8))
+        RuleEntry(64, 200, 2, Rule("const", (0.3, 2.0))))), 192, 1000, [4.0], 37,
+        wmc._STEP_CELLS, True, 8))
     @example((IntegrandSpec(1, 1, 1.5, 200, (RuleEntry(10, 150, 1, Rule("sign", (2.0,), k=1)),)),
-              150, 1100, [], wmc.BLOCK_PATHS, 9))
+              150, 1100, [], 1024, wmc._STEP_CELLS, False, 9))
     def test_matches_whole_block_reference(self, case):
-        """Chunks that reduce their own paths give the bits of one pass over
-        each whole block (see chunk_cases)."""
-        spec, stop, paths, p, rows, seed = case
-        with mock.patch.object(wmc, "_chunk_rows", lambda spec: rows):
-            batch = simulate(spec, paths, seed, t=stop * spec.dt, p=p)
-        want = reference_simulate(spec, paths, seed, t=stop * spec.dt, p=p)
-        got = batch.x_stop, batch.sup_norm, batch.riemann, batch.zakai_rows, batch.g_positive
-        for name, a, b in zip(("x_stop", "sup_norm", "riemann", "zakai_rows", "g_positive"),
-                              got, want):
-            assert (a is None) == (b is None), name
-            if a is not None:
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        """Blocks reduced in chunks of steps give the bits of the one-step-
+        at-a-time reference (see chunk_cases)."""
+        check_reference(*case)
+
+    @pytest.mark.parametrize("sup", [True, False])
+    @pytest.mark.parametrize("spec", ONE_COLUMN_SPECS, ids=["const", "const-lin"])
+    def test_one_path_last_block_matches_reference(self, spec, sup):
+        """BLOCK_PATHS + 1 paths at d = m = 1: the last block is one path,
+        whose X and Riemann sums down 200 steps numpy's reduce would add
+        pairwise; they are added left to right, as the first block's are."""
+        check_reference(spec, spec.steps, wmc.BLOCK_PATHS + 1, [4.0],
+                        wmc._chunk_steps(spec, 1), wmc._STEP_CELLS, sup, 10)
 
     def test_chunk_rows_sized_and_clamped(self, zoo):
-        """A chunk's (paths, steps) arrays, at most 16 of them counted, hold at
-        most _CHUNK_CELLS cells, and its rows are clamped to 1..BLOCK_PATHS."""
-        mixed = load_spec(zoo, "spec_mixed2d")   # dW, W, f, f dW, g, X: 11 arrays
+        """A chunk's (steps + 1, paths) arrays, at most 16 of them counted,
+        hold at most _CHUNK_CELLS cells: 15 steps or more of a 1024-path
+        block."""
+        mixed = load_spec(zoo, "spec_mixed2d")   # dW, W, f, its field, g, X: 10 arrays
         const = load_spec(zoo, "spec_const1")    # dW scaled in place: 1
         wide = constant_integrand(1.0, dim=2, wiener_dim=1000, steps=16)   # 16 counted
-        for spec, arrays in ((mixed, 11), (const, 1), (wide, 16)):
-            rows = wmc._chunk_rows(spec)
-            assert 1 < rows < wmc.BLOCK_PATHS
-            assert rows * (spec.steps + 1) * arrays <= wmc._CHUNK_CELLS
-            assert (rows + 1) * (spec.steps + 1) * arrays > wmc._CHUNK_CELLS
-        assert wmc._chunk_rows(constant_integrand(1.0, steps=2 ** 18)) == 1
-        assert wmc._chunk_rows(constant_integrand(1.0, steps=1)) == wmc.BLOCK_PATHS
+        for spec, arrays in ((mixed, 10), (const, 1), (wide, 16)):
+            for rows in (wmc.BLOCK_PATHS, 37):
+                steps = wmc._chunk_steps(spec, rows)
+                assert (steps + 1) * rows * arrays <= wmc._CHUNK_CELLS
+                assert (steps + 2) * rows * arrays > wmc._CHUNK_CELLS
+        assert wmc._chunk_steps(wide, wmc.BLOCK_PATHS) == 15
+        assert wmc._chunk_steps(const, 1) == wmc._CHUNK_CELLS - 1
 
 
 def terminal_spec(zoo, name):
@@ -689,9 +720,8 @@ def terminal_spec(zoo, name):
 
 
 TERMINAL_SPECS = ["const1", "const-d3-m2", "spec_mixed2d", "spec_lin", "spec_sign"]
-# the stop index: the horizon, mid-grid (1000 of 1024, 250 of 256: no multiple
-# of BLOCK_STEPS, so X_stop adds the steps after the last block to its sums),
-# and 0
+# the stop index: the horizon, mid-grid (1000 of 1024, 250 of 256: a block
+# draws no step after it), and 0
 TERMINAL_STOPS = {"horizon": lambda steps: steps, "mid": lambda steps: steps * 125 // 128,
                   "zero": lambda steps: 0}
 
@@ -705,7 +735,7 @@ class TestTerminalOnly:
         (3000, 1),      # three blocks, the last ragged, on one worker
         (3000, 8),      # the same on three workers, each drawing ahead
         (1025, 1),      # a last block of one path
-        (1024, 2)],     # one block of several row chunks, drawing ahead
+        (1024, 2)],     # one block of several chunks of steps, drawing ahead
         ids=["3000-cpus1", "3000-cpus8", "1025-cpus1", "1024-ahead"])
     def test_batch_matches_scan(self, zoo, monkeypatch, name, stop, paths, cpus):
         spec = terminal_spec(zoo, name)
@@ -892,15 +922,15 @@ class TestEvalContinuous:
             spec, 2.0, [4], ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"],
             20000, 99)
         assert (b1.lhs, b1.ci_lhs, b1.rhs, b1.ci_rhs) == (
-            5.888828281331763, 0.3268084894449725,
-            33.868080514858356, 0.3983027719622164)
+            5.738760784601864, 0.2343253008425944,
+            33.797762766971104, 0.4110922661652064)
         assert (b2.lhs, b2.ci_lhs, b2.rhs, b2.ci_rhs) == (
-            7.642405443535006, 0.3010887396997826,
-            60.20992091530374, 0.708093816821718)
+            7.546338661281039, 0.27478644924391543,
+            60.08491158572641, 0.7308306954048113)
         assert (zm.lhs, zm.ci_lhs) == (b1.lhs, b1.ci_lhs)
         assert (zx.lhs, zx.ci_lhs) == (b2.lhs, b2.ci_lhs)
-        assert zm.rhs == pytest.approx(12.743646765996916, rel=1e-12)
-        assert zx.rhs == pytest.approx(22.65537202843896, rel=1e-12)
+        assert zm.rhs == pytest.approx(12.723771276396413, rel=1e-12)
+        assert zx.rhs == pytest.approx(22.62003782470473, rel=1e-12)
 
     def test_zakai_coarse_grid_identity_not_satisfied(self, zoo):
         """spec_lin on 8 steps at p=2 is an identity (both sides 0.4375
