@@ -11,11 +11,13 @@ of a run with seed s draws from SFC64 keyed by
 SeedSequence(entropy=s, spawn_key=(10, b)) the normals of its steps before
 t, in (step, component, path) order. A block draws them in cache-sized
 chunks of steps, in order, which gives exactly the normals of one draw, and
-holds every array steps-major. Each chunk reduces its own steps, its rows of
-g = sum_j ||f^j||^2 included, in arrays the block allocates once and
-reuses, and carries W, X and the per-path sums to the next; the block
-writes its per-path rows into the batch. A constant integrand's g, one row
-every path shares, is set once by simulate. The blocks run on a thread
+holds dW, W and X steps-major; a rule's terms are built in contiguous
+(steps, paths) planes, from constants simulate builds once per run (see
+_plan). Each chunk reduces its own steps, its rows of g = sum_j ||f^j||^2
+included, in arrays the block allocates once and reuses, and carries W, X
+and the per-path sums to the next; the block writes its per-path rows into
+the batch. A constant integrand's g, one row every path shares, is set
+once by simulate. The blocks run on a thread
 pool with one worker per CPU the process may use (its CPU affinity), and
 the calling thread merges each block's ZAKAI partial rows and g > 0 steps
 in block order; if a CPU is left free for each worker, a helper thread
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -229,9 +232,10 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     # an upper bound on the (bsz, steps) arrays a block holds: those a pass
     # over the whole block would hold at its peak. dW (m); W (m) and g unless
     # the integrand is constant; X (d) unless d = m = 1 scales dW in place;
-    # over its steps, the widest rule's f^j and f^j dW^j or |f^j|^2 (2d;
-    # CONST: d, or none in place). Then a norm over d > 1 components holds X,
-    # its square and two arrays of norms. The kernel holds these for one
+    # over its steps, the widest rule's planes of f^j dW^j and its field
+    # (charged 2d; CONST: d, or none in place). A norm over d > 1 components
+    # squares X in place and adds its components into spent dW; 2d + 2
+    # arrays, what it held before, stay charged. The kernel holds these for one
     # chunk of steps at a time (see _chunk_steps), with one more row of steps
     # for the state it carries, so the charge is loose: a block drawing ahead
     # holds one dW chunk more, of at most half its steps (rounded up), and
@@ -291,33 +295,65 @@ def _group_bounds(paths: int) -> list[tuple[int, int]]:
             for g in range(groups)]
 
 
+def _plan(spec: IntegrandSpec) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """spec.ordered as _chunk applies it, built once per run and shared by its
+    blocks: (gaps, rules). rules holds a tuple (start, stop, j, n, write,
+    kind, k, c, norm2) per run of n entries on components j + 1 .. j + n
+    that share one rule object and one step range, n > 1 only where d = 1
+    (a one-dimensional constant_integrand is one run); k is W's index (None
+    for CONST), c the coefficient vector as a (d, 1, 1) array and norm2 =
+    ||c||^2, its squares added left to right, first component first, as
+    ptree.row_norms adds them. The entries of the first component with
+    rules come first at every step they cover, and their ranges do not
+    overlap, so their runs write their terms (write; 0 + t is t but for
+    the sign of a zero) and later runs add theirs; gaps are the step
+    ranges that the first component's rules leave, whose terms start
+    from 0."""
+    gaps, reach, norms, rules = [], 0, {}, []
+    for e in spec.ordered:
+        rule, write = e.rule, e.j == spec.ordered[0].j
+        if write:
+            if e.start > reach:
+                gaps.append((reach, e.start))
+            reach = e.stop
+        if rules and spec.dim == 1:
+            first, last, j, n = rules[-1][:4]
+            if rule is rules[-1][-1] and e.j == j + n + 1 and (e.start, e.stop) == (first, last):
+                rules[-1][3] += 1
+                continue
+        if id(rule) not in norms:
+            c = np.array(rule.c, dtype=float)
+            norms[id(rule)] = (c[:, None, None],   # float products overflow to inf silently
+                               functools.reduce(operator.add, [v * v for v in c.tolist()], 0.0))
+        rules.append([e.start, e.stop, e.j - 1, 1, write, rule.kind,
+                      None if rule.k is None else rule.k - 1, *norms[id(rule)], rule])
+    if reach < spec.steps:
+        gaps.append((reach, spec.steps))
+    return gaps, [tuple(run[:-1]) for run in rules]
+
+
 def _chunk_steps(spec: IntegrandSpec, rows: int) -> int:
     """Steps per chunk of a block of rows paths: as many as keep the (steps +
     1, paths) arrays a chunk holds (a row for its carried state) within
     _CHUNK_CELLS cells, so that they stay in a core's cache. They are dW
-    (m); unless the integrand is constant, W (m), a rule's f^j (d) and
-    scalar field (1) and g (1); and X (d) unless d = m = 1 scales dW in
-    place. At most 16 are counted: a chunk of more stays out of cache at any
-    useful size, and holds _CHUNK_CELLS / 16 cells per array, 15 steps or
-    more, so that its Python work per rule and step is spread enough."""
-    m, d = spec.wiener_dim, spec.dim
-    arrays = m + spec.needs_wiener * (m + d + 2) + (0 if d == m == 1 else d)
+    (m); unless the integrand is constant, W (m), g (1), a rule's scalar
+    field s (1) and g^{p/2} for one exponent at a time (1); a rule's
+    component planes of f^j, then f^j dW^j (d), unless d = m = 1 scales dW
+    in place by a constant; and X (d) unless d = m = 1. The supremum's
+    plane of norms reuses spent dW, and a second dW buffer, drawn ahead,
+    is filled on another core. At most 16 are counted: a chunk of more
+    stays out of cache at any useful size, and holds _CHUNK_CELLS / 16
+    cells per array, 15 steps or more, so that its Python work per rule
+    and step is spread enough."""
+    m, d, nw = spec.wiener_dim, spec.dim, spec.needs_wiener
+    in_place = d == m == 1
+    arrays = m + nw * (m + 3) + (0 if in_place and not nw else d) + (0 if in_place else d)
     return _CHUNK_CELLS // (min(arrays, 16) * rows) - 1
 
 
 def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
     """A C-contiguous array of the given shape on the head of a flat array."""
     return flat[:math.prod(shape)].reshape(shape)
-
-
-def _sum_squares(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sum_q parts[q]^2 into out, which may be parts[0], added left to right,
-    first component first, as ptree.row_norms adds them; the parts are
-    squared in place."""
-    np.square(parts[0], out=out)
-    for part in parts[1:]:
-        out += np.square(part, out=part)
-    return out
 
 
 def _running_sum(a: np.ndarray, incr: np.ndarray | None = None) -> None:
@@ -335,13 +371,35 @@ def _running_sum(a: np.ndarray, incr: np.ndarray | None = None) -> None:
 
 
 def _total(a: np.ndarray, out: np.ndarray) -> None:
-    """out = a[0] + a[1] + ..., added left to right: numpy reduces down the
-    steps one vectorised add per step, except over a one-cell column, which
-    it sums pairwise; that takes a cumsum."""
-    if out.size > 1:
+    """out = a[0] + a[1] + ..., added left to right: numpy reduces the first
+    axis one vectorised add at a time across the last, the paths, if that
+    has two cells or more; over one path it may sum pairwise, so a takes a
+    cumsum in place."""
+    if a.shape[-1] > 1:
         np.add.reduce(a, axis=0, out=out)
     else:
-        out[...] = np.cumsum(a, axis=0)[-1]
+        np.cumsum(a, axis=0, out=a)
+        out[...] = a[-1]
+
+
+def _add_in_turn(out: np.ndarray, terms: np.ndarray, onto: bool = True) -> None:
+    """out = terms[0] + terms[1] + ..., each added in turn, onto out's own
+    values unless onto is False: those are first added into terms[0], then
+    one _total. terms is overwritten."""
+    if onto:
+        terms[0] += out
+    _total(terms, out)
+
+
+def _add_repeated(out: np.ndarray, value: float, n: int) -> None:
+    """out += value, n times over, each cell's adds in turn (see
+    _add_in_turn), in batches of at most _CHUNK_CELLS cells."""
+    per = max(1, _CHUNK_CELLS // out.size)
+    for done in range(0, n, per):
+        if min(per, n - done) == 1:
+            out += value
+        else:
+            _add_in_turn(out, np.full((min(per, n - done), out.size), value))
 
 
 def _chunk_arrays(spec: IntegrandSpec, rows: int, steps: int) -> dict[str, np.ndarray]:
@@ -349,36 +407,52 @@ def _chunk_arrays(spec: IntegrandSpec, rows: int, steps: int) -> dict[str, np.nd
     steps each, allocated once and reused by every chunk: unless the
     integrand is constant, W (steps + 1 rows of m x rows cells) and g
     (steps + 1 rows of rows cells); X (d) unless d = m = 1 scales dW in
-    place; and a rule's temporaries over its steps of the chunk: f^j, which
-    becomes f^j dW^j (d), and its scalar field (1)."""
+    place; and a rule's temporaries over its steps of the chunk, each a
+    contiguous (steps, rows) plane: f^j, which becomes f^j dW^j (d planes
+    over the widest rule), and the scalar field of a LIN or SIGN rule (1
+    over the widest of those)."""
     (const, reads_w), m, d = spec.widest, spec.wiener_dim, spec.dim
     in_place, nw = d == m == 1, spec.needs_wiener
-    rule = (d + 1) * min(max(reads_w, 0 if in_place else const), steps)
+    width = min(max(reads_w, 0 if in_place else const), steps)
     return {"w": np.zeros(nw * (steps + 1) * m * rows),
             "g": np.empty(nw * (steps + 1) * rows),
             "x": np.empty(0 if in_place else (steps + 1) * d * rows),
-            "rule": np.empty(rows * rule)}
+            "rule": np.empty(rows * (d * width + min(reads_w, steps)))}
 
 
-def _chunk(spec: IntegrandSpec, start: int, drawn: np.ndarray, arrays: dict[str, np.ndarray],
-           carry: dict[str, np.ndarray | None]) -> None:
+def _chunk(spec: IntegrandSpec, plan: tuple, start: int, drawn: np.ndarray,
+           arrays: dict[str, np.ndarray], carry: dict[str, np.ndarray | None]) -> None:
     """Reduce steps start .. start + k - 1 of a block's paths, given drawn,
     (k + 1, m, rows) with their Wiener increments dW in rows 1 .. k, which
-    it may overwrite, and the block's _chunk_arrays: set the chunk's g rows
-    to sum_j ||f^j||^2 (none for a constant integrand, whose one row
-    simulate sets) and advance carry, the block's running state: X at the
-    chunk's first step ("x", (d, rows)) to X at its end, and, unless it is
-    None, the largest |X| (d = 1) or ||X||^2 over the grid points so far
-    ("sup"); without it no path is scanned.
+    it may overwrite, the run's _plan and the block's _chunk_arrays: set
+    the chunk's g rows to sum_j ||f^j||^2 (none for a constant integrand,
+    whose one row simulate sets) and advance carry, the block's running
+    state: X at the chunk's first step ("x", (d, rows)) to X at its end,
+    and, unless it is None, the largest |X| (d = 1) or ||X||^2 over the
+    grid points so far ("sup"); without it no path is scanned.
 
-    Every array is steps-major, (steps, component, path), so a step of W,
-    of X or of a rule's terms is one contiguous row across the block's
-    paths. W and X are running sums from the carried row 0 of their
-    arrays (see _running_sum): X_{i+1} = X_i + sum_j f^j(t_i) dW^j_i,
-    added left to right along the steps. So X at a grid index depends on
-    the steps before it alone, whatever the chunk size: a run with or
-    without sup, or stopped later, gives X the same bits. Without sup, X
-    at the chunk's end is one reduce down its steps (see _total)."""
+    dW, W and X are steps-major, (steps, component, path), so a step of
+    each is one contiguous row across the block's paths. W and X are
+    running sums from the carried row 0 of their arrays (see
+    _running_sum): X_{i+1} = X_i + sum_j f^j(t_i) dW^j_i, added left to
+    right along the steps. So X at a grid index depends on the steps
+    before it alone, whatever the chunk size: a run with or without sup, or
+    stopped later, gives X the same bits. Without sup, X at the chunk's end
+    is one reduce down its steps (see _total).
+
+    A rule's terms are built in contiguous (steps, paths) planes, one per
+    component of X: its scalar field s once per rule and chunk (sign W^k,
+    or W^k copied out of its steps-major rows when m > 1), f^j = c s and
+    f^j dW^j, which it writes into X's increments, read as one plane per
+    component, or adds to them (see _plan; g likewise); the plan's gaps
+    are set to 0 first. A run of n > 1 components of one rule multiplies
+    their dW in place and adds them in turn (see _add_in_turn), component
+    j before j + 1, as n rules would. X never holds -0 (it starts at +0,
+    and a sum is -0 only if both terms are), so a written -0 term, where
+    0 + (-0) would give +0, changes no bit of X. The supremum squares X in
+    one pass and adds its components left to right, first component
+    first, into one plane, on spent dW, before the maximum down the
+    steps."""
     k, (m, rows), d = len(drawn) - 1, drawn.shape[1:], spec.dim
     dw = drawn[1:]
     wn = g = None
@@ -386,57 +460,53 @@ def _chunk(spec: IntegrandSpec, start: int, drawn: np.ndarray, arrays: dict[str,
         wn = _view(arrays["w"], k + 1, m, rows)   # W at steps start .. start + k
         _running_sum(wn, dw)
         g = _view(arrays["g"], k + 1, rows)[1:]
-        g.fill(0.0)
     # d = m = 1: the increments of X are those of W, scaled in place
     in_place = d == m == 1
     xs = drawn if in_place else _view(arrays["x"], k + 1, d, rows)
     dx = xs[1:]
-    if not in_place:
-        dx.fill(0.0)
-    coefs = {}    # per rule object: c as a (d, 1) array, and ||c||^2
-    temps = {}    # per width: a rule's f^j, then f^j dW^j (steps, d, rows), and s (steps, rows)
-
-    def temp(width: int) -> tuple[np.ndarray, np.ndarray]:
-        if width not in temps:
-            head = _view(arrays["rule"], width, d, rows)
-            temps[width] = head, _view(arrays["rule"][head.size:], width, rows)
-        return temps[width]
-
-    covered = 0   # d = m = 1: steps before it are scaled or zeroed
-    for e in spec.ordered:   # components without rules add 0
-        a, b = max(e.start - start, 0), min(e.stop - start, k)
-        if in_place and a > covered:
-            dx[covered:a] = 0.0   # steps no rule covers
+    planes = dx.transpose(1, 0, 2)   # X's increments, one (steps, paths) plane per component
+    gaps, rules = plan
+    for lo, hi in gaps:   # steps whose terms start from 0
+        a, b = max(lo - start, 0), min(hi - start, k)
+        if a < b:
+            dx[a:b] = 0.0
+            if g is not None:
+                g[a:b] = 0.0
+    for first, last, j, n, write, kind, kw, c, norm2 in rules:
+        a, b = max(first - start, 0), min(last - start, k)
         if a >= b:
             continue
-        sl, rule, covered = slice(a, b), e.rule, b
-        if id(rule) not in coefs:
-            c = np.array(rule.c)[:, None]
-            coefs[id(rule)] = c, _sum_squares(c.copy(), np.empty(1)).item()
-        c, norm2 = coefs[id(rule)]
-        if rule.kind == "const":
-            if in_place:
-                dx[sl] *= c
-            else:
-                dx[sl] += np.multiply(c, dw[sl, e.j - 1:e.j], out=temp(b - a)[0])
+        sl, field, square = slice(a, b), c, norm2
+        if kind != "const":
+            # f^j = c s, s = W^k or sign(W^k) at the left endpoints; g adds ||c||^2 s^2
+            f = _view(arrays["rule"], d, b - a, rows)
+            s, w = _view(arrays["rule"][f.size:], b - a, rows), wn[sl, kw]
+            if kind == "sign":
+                w = np.sign(w, out=s)
+            elif m > 1:   # a contiguous copy of W^k
+                s[...] = w
+                w = s
+            field = np.multiply(c, w, out=f)
+            square = np.multiply(np.square(w, out=s), norm2, out=s)
+        if in_place:   # d = m = 1: every rule writes, scaling dW
+            planes[:, sl] *= field
+        elif n > 1:   # d = 1
+            terms = dw[sl, j:j + n].transpose(1, 0, 2)
+            _add_in_turn(planes[0, sl], np.multiply(terms, field, out=terms), not write)
             if g is not None:
-                g[sl] += norm2
+                terms[...] = square
+                _add_in_turn(g[sl], terms, not write)
             continue
-        field, s = temp(b - a)
-        # f^j = c s, s = W^k or sign(W^k) at the left endpoints; g adds ||c||^2 s^2
-        w = wn[sl, rule.k - 1]
-        if rule.kind == "sign":
-            w = np.sign(w, out=s)
-        f = np.multiply(w[:, None], c, out=field)
-        np.square(w, out=s)
-        s *= norm2
-        g[sl] += s
-        if in_place:
-            dx[sl] *= f
+        elif write:
+            np.multiply(field, dw[sl, j], out=planes[:, sl])
         else:
-            dx[sl] += np.multiply(f, dw[sl, e.j - 1:e.j], out=f)
-    if in_place:
-        dx[covered:] = 0.0
+            planes[:, sl] += np.multiply(field, dw[sl, j], out=_view(arrays["rule"], d, b - a, rows))
+        if g is None:
+            continue
+        if write:
+            g[sl] = square
+        else:
+            g[sl] += square
     if wn is not None:
         wn[0] = wn[k]   # W at the next chunk's first step
 
@@ -452,15 +522,18 @@ def _chunk(spec: IntegrandSpec, start: int, drawn: np.ndarray, arrays: dict[str,
     else:
         # sqrt is correctly rounded and monotone: the root of the largest
         # square is the largest norm
-        top = _sum_squares(dx.transpose(1, 0, 2), dx[:, 0]).max(axis=0)
+        norms = _view(drawn.reshape(-1), k, rows)
+        _total(np.square(dx, out=dx).transpose(1, 0, 2), norms)
+        top = norms.max(axis=0)
     np.maximum(sup, top, out=sup)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/NaN sides: report_table refuses
-def _block(batch: WienerBatch, ahead: bool, b: int):
-    """Simulate path block b of the batch and write its rows of x_stop, of
-    sup_norm unless it is None (see _chunk) and of riemann unless the
-    integrand is constant, into the batch's arrays.
+def _block(batch: WienerBatch, plan: tuple, ahead: bool, b: int):
+    """Simulate path block b of the batch, its rules applied as the run's
+    plan says (see _plan), and write its rows of x_stop, of sup_norm unless
+    it is None (see _chunk) and of riemann unless the integrand is
+    constant, into the batch's arrays.
 
     Returns ((first, zakai), positive), which simulate merges in block
     order: zakai holds the (len(batch.p), groups, stop) sums of g^{p/2}, p
@@ -515,7 +588,7 @@ def _block(batch: WienerBatch, ahead: bool, b: int):
         return drawn
 
     def reduce(i: int, drawn: np.ndarray) -> None:
-        _chunk(spec, starts[i], drawn, arrays, carry)
+        _chunk(spec, plan, starts[i], drawn, arrays, carry)
         if not nw:
             return
         at = slice(starts[i], starts[i] + len(drawn) - 1)
@@ -564,14 +637,12 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
                         np.empty(paths) if sup else None,
                         np.empty(paths), p, np.zeros((len(p), len(groups), stop)) if p else None,
                         np.zeros(stop, dtype=bool) if p else None)
+    plan = _plan(spec)   # read, never written, by every block
     if not spec.needs_wiener:   # g is one row, shared by every path
         with np.errstate(over="ignore", invalid="ignore"):   # as in _block
-            rules = {id(e.rule): e.rule for e in spec.entries}   # constant_integrand shares one
-            norm2 = {key: _sum_squares(np.array(rule.c)[:, None], np.empty(1)).item()
-                     for key, rule in rules.items()}
             g = np.zeros(spec.steps)
-            for e in spec.ordered:   # _chunk's order
-                g[e.start:e.stop] += norm2[id(e.rule)]
+            for first, last, _, n, _, _, _, _, norm2 in plan[1]:   # _chunk's order
+                _add_repeated(g[first:last], norm2, n)
             batch.riemann.fill(g[:stop].sum() * spec.dt)
             sizes = np.array([gh - gl for gl, gh in groups], dtype=float)[:, None]
             for k, v in enumerate(p):
@@ -590,7 +661,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     blocks = -(-paths // BLOCK_PATHS)
     workers = _workers(blocks, block_bytes, room)
     # a block draws its next chunk on a helper thread if a CPU is left for it
-    run = functools.partial(_block, batch, 2 * workers <= _cpus())
+    run = functools.partial(_block, batch, plan, 2 * workers <= _cpus())
     if workers <= 1:
         merge(map(run, range(blocks)))
     else:

@@ -614,6 +614,23 @@ def chunk_cases(draw):
 # the share's paths
 CUT_AT_STEP_ONE = IntegrandSpec(1, 2, 1.5, 4, (
     RuleEntry(0, 4, 1, Rule("const", (0.3,))), RuleEntry(0, 4, 2, Rule("lin", (1.0,), k=1))))
+# d = 3, m = 2: two components' windows start and end inside the first
+# chunk of 16 steps and overlap there, and steps 0-2 and 13-19 no rule covers
+STAGGERED_D3 = IntegrandSpec(3, 2, 1.5, 40, (
+    RuleEntry(3, 11, 1, Rule("lin", (1.0, -0.5, 0.3), k=2)),
+    RuleEntry(20, 40, 1, Rule("const", (0.3, 0.7, -1.2))),
+    RuleEntry(5, 13, 2, Rule("sign", (0.5, 2.0, -1.0), k=1))))
+# a SIGN rule from step 0, where W_0 = 0 and sign(0) = 0, beside a LIN rule
+SIGN_FROM_ZERO = IntegrandSpec(3, 2, 1.5, 12, (
+    RuleEntry(0, 8, 1, Rule("sign", (1.0, -0.5, 2.0), k=1)),
+    RuleEntry(0, 12, 2, Rule("lin", (0.3, 0.3, -0.7), k=1))))
+# nine components of one CONST rule, applied as one run (see wmc._plan):
+# alone on 48 steps, and on 12 after a LIN rule on the same steps, so that
+# the run adds to increments and g already there
+SHARED_CONST = Rule("const", (0.7,))
+CONST_RUN_SPECS = [constant_integrand(0.7, wiener_dim=9, steps=48), IntegrandSpec(
+    1, 10, 1.5, 12, (RuleEntry(0, 12, 1, Rule("lin", (1.3,), k=1)),
+                     *(RuleEntry(0, 12, j, SHARED_CONST) for j in range(2, 11))))]
 # d = m = 1 on 200 steps, dW scaled in place: X alone, and W, g and X
 ONE_COLUMN_SPECS = [constant_integrand(0.7, steps=200), IntegrandSpec(1, 1, 1.5, 200, (
     RuleEntry(0, 120, 1, Rule("const", (0.7,))),
@@ -681,6 +698,12 @@ class TestChunkedKernel:
         wmc._STEP_CELLS, True, 8))
     @example((IntegrandSpec(1, 1, 1.5, 200, (RuleEntry(10, 150, 1, Rule("sign", (2.0,), k=1)),)),
               150, 1100, [], 1024, wmc._STEP_CELLS, False, 9))
+    @example((STAGGERED_D3, 40, 1000, [4.0], 16, wmc._STEP_CELLS, True, 11))
+    @example((SIGN_FROM_ZERO, 12, 33, [3.0], 5, 1, True, 12))
+    # BLOCK_PATHS + 1 paths: the runs of nine components add each one-path
+    # step in turn, where numpy's reduce would sum them pairwise
+    @example((CONST_RUN_SPECS[0], 48, 1025, [4.0], 5, wmc._STEP_CELLS, True, 13))
+    @example((CONST_RUN_SPECS[1], 12, 1025, [4.0, 3.0], 5, wmc._STEP_CELLS, True, 14))
     def test_matches_whole_block_reference(self, case):
         """Blocks reduced in chunks of steps give the bits of the one-step-
         at-a-time reference (see chunk_cases)."""
@@ -699,10 +722,14 @@ class TestChunkedKernel:
         """A chunk's (steps + 1, paths) arrays, at most 16 of them counted,
         hold at most _CHUNK_CELLS cells: 15 steps or more of a 1024-path
         block."""
-        mixed = load_spec(zoo, "spec_mixed2d")   # dW, W, f, its field, g, X: 10 arrays
+        # dW, W, g, the field s, g^(p/2), the planes of f^j and X: 11 arrays
+        mixed = load_spec(zoo, "spec_mixed2d")
+        lin = load_spec(zoo, "spec_lin")         # dW scaled in place, W, g, s, g^(p/2), f: 6
         const = load_spec(zoo, "spec_const1")    # dW scaled in place: 1
+        # dW, the planes of c dW^j and X: 2 + 3 + 3
+        const_d3 = constant_integrand(1.0, dim=3, wiener_dim=2, steps=16)
         wide = constant_integrand(1.0, dim=2, wiener_dim=1000, steps=16)   # 16 counted
-        for spec, arrays in ((mixed, 10), (const, 1), (wide, 16)):
+        for spec, arrays in ((mixed, 11), (lin, 6), (const, 1), (const_d3, 8), (wide, 16)):
             for rows in (wmc.BLOCK_PATHS, 37):
                 steps = wmc._chunk_steps(spec, rows)
                 assert (steps + 1) * rows * arrays <= wmc._CHUNK_CELLS
