@@ -215,7 +215,9 @@ def _pow(arr: np.ndarray, e: float) -> np.ndarray:
 
 def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
                exponents: int) -> tuple[int, int]:
-    """Reject a run before it allocates. Return one block's working-set bytes
+    """Reject a run before it allocates. Return one block's working-set bytes,
+    the arrays of _block_cells at the chunk size _block uses (a full block's
+    or the last block's, whichever holds more) and numpy's ufunc buffers,
     and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the output
     simulate keeps, its per-path rows and the ZAKAI rows up to the stop index
     for each of its exponents."""
@@ -227,32 +229,11 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
             f"paths*steps*m = {cells} exceeds the cap {DEFAULT_CELL_CAP}")
-    m, d, nw = spec.wiener_dim, spec.dim, spec.needs_wiener
-    out_bytes = 8 * (paths * (d + 2) + exponents * min(CI_GROUPS, paths) * stop)
-    # an upper bound on the (bsz, steps) arrays a block holds: those a pass
-    # over the whole block would hold at its peak. dW (m); W (m) and g unless
-    # the integrand is constant; X (d) unless d = m = 1 scales dW in place;
-    # over its steps, the widest rule's planes of f^j dW^j and its field
-    # (charged 2d; CONST: d, or none in place). A norm over d > 1 components
-    # squares X in place and adds its components into spent dW; 2d + 2
-    # arrays, what it held before, stay charged. The kernel holds these for one
-    # chunk of steps at a time (see _chunk_steps), with one more row of steps
-    # for the state it carries, so the charge is loose: a block drawing ahead
-    # holds one dW chunk more, of at most half its steps (rounded up), and
-    # the rows below count its ZAKAI rows. Beside these, d cells per path
-    # for each 64 steps before t, and d more, stay charged: the sums of X
-    # that 64-step blocks held before X was added one step at a time, so
-    # that the runs refused stay those refused then.
-    own = 0 if d == m == 1 else d
-    rule = max(2 * d * spec.widest[1], own * spec.widest[0]) / spec.steps
-    arrays = max(m + nw * (m + 1) + own + rule, 2 * d + 2 if d > 1 else 0)
+    out_bytes = 8 * (paths * (spec.dim + 2) + exponents * min(CI_GROUPS, paths) * stop)
     bsz = min(paths, BLOCK_PATHS)
-    # per path: its output rows; rows of steps: simulate's constant g, the
-    # block's small objects and, per exponent, g^{p/2} or its ZAKAI rows (one per group met)
-    rows = 3 + exponents * (min(CI_GROUPS, bsz) + 1 if nw else 1)
-    sums = d * bsz * (stop // 64 + 1)
-    block_bytes = math.ceil(8 * (bsz * ((spec.steps + 1) * arrays + d + 2) + sums
-                                 + (spec.steps + 1) * rows)) + _UFUNC_BUFFER_BYTES
+    block_bytes = max(8 * sum(_block_cells(spec, rows, _split(spec, rows, stop), stop,
+                                           exponents).values())
+                      for rows in {bsz, paths % BLOCK_PATHS or bsz}) + _UFUNC_BUFFER_BYTES
     room = BLOCK_MEMORY_BUDGET - out_bytes
     if block_bytes > room:
         raise ResourceLimitError(
@@ -332,23 +313,50 @@ def _plan(spec: IntegrandSpec) -> tuple[list[tuple[int, int]], list[tuple]]:
     return gaps, [tuple(run[:-1]) for run in rules]
 
 
+def _block_cells(spec: IntegrandSpec, rows: int, steps: int, stop: int,
+                 exponents: int) -> dict[str, int]:
+    """The cells of each array a block of rows paths holds while it reduces
+    the steps before stop in chunks of at most steps steps, given
+    exponents exponents: the one account of a block's memory. A chunk's
+    arrays ("dw"; "ahead", drawn ahead, with two chunks or more; "w", "g"
+    and "x") have steps + 1 rows, row 0 for the carried state; "rule" holds
+    the planes of f^j dW^j over a rule's steps of the chunk (d, none for
+    CONST in place) and a LIN or SIGN rule's field; "row" is a constant
+    integrand's one row of g, set by simulate (in batches of repeated adds
+    when d = 1 < m); "power" and "reduceat" are one exponent's g^{p/2} and
+    its group sums; "positive" the block's and the batch's g > 0 steps, a
+    byte each; "carry" the carried rows and a per-path temporary."""
+    (const, reads_w), m, d, nw = spec.widest, spec.wiener_dim, spec.dim, spec.needs_wiener
+    in_place, chunk, groups = d == m == 1, (steps + 1) * rows, min(CI_GROUPS, rows)
+    width, powers = min(max(reads_w, 0 if in_place else const), steps), exponents > 0
+    return {"dw": chunk * m, "ahead": (stop > steps) * chunk * m,
+            "w": nw * chunk * m, "g": nw * chunk, "x": (not in_place) * chunk * d,
+            "rule": rows * (d * width + min(reads_w, steps)),
+            "row": (not nw) * (spec.steps + (d == 1 < m) * min(_CHUNK_CELLS, m * spec.steps)),
+            "power": powers * (rows * steps if nw else stop), "positive": powers * -(-stop // 4),
+            "reduceat": powers * nw * groups * steps, "zakai": nw * exponents * groups * stop,
+            "carry": (d + 3) * rows, "plan": d * len(spec.entries)}
+
+
 def _chunk_steps(spec: IntegrandSpec, rows: int) -> int:
-    """Steps per chunk of a block of rows paths: as many as keep the (steps +
-    1, paths) arrays a chunk holds (a row for its carried state) within
-    _CHUNK_CELLS cells, so that they stay in a core's cache. They are dW
-    (m); unless the integrand is constant, W (m), g (1), a rule's scalar
-    field s (1) and g^{p/2} for one exponent at a time (1); a rule's
-    component planes of f^j, then f^j dW^j (d), unless d = m = 1 scales dW
-    in place by a constant; and X (d) unless d = m = 1. The supremum's
-    plane of norms reuses spent dW, and a second dW buffer, drawn ahead,
-    is filled on another core. At most 16 are counted: a chunk of more
-    stays out of cache at any useful size, and holds _CHUNK_CELLS / 16
-    cells per array, 15 steps or more, so that its Python work per rule
-    and step is spread enough."""
-    m, d, nw = spec.wiener_dim, spec.dim, spec.needs_wiener
-    in_place = d == m == 1
-    arrays = m + nw * (m + 3) + (0 if in_place and not nw else d) + (0 if in_place else d)
+    """Steps per chunk of a block of rows paths: as many as keep the arrays
+    of _block_cells that hold a row of paths per step, each counted with
+    steps + 1 rows, within _CHUNK_CELLS cells, so that they stay in a
+    core's cache. The buffer drawn ahead is filled on another core and is
+    not counted. At most 16 arrays are counted: a chunk of more stays out
+    of cache at any useful size, and holds _CHUNK_CELLS / 16 cells per
+    array, 15 steps or more, so that its Python work per rule and step is
+    spread enough."""
+    one, zero = (_block_cells(spec, 1, steps, 0, 1) for steps in (1, 0))
+    arrays = sum(one[name] - zero[name] for name in ("dw", "w", "g", "x", "rule", "power"))
     return _CHUNK_CELLS // (min(arrays, 16) * rows) - 1
+
+
+def _split(spec: IntegrandSpec, rows: int, stop: int) -> int:
+    """Steps per chunk of a block of rows paths that reduces the steps before
+    stop: the fewest chunks of at most _chunk_steps, of even sizes."""
+    chunks = -(-stop // _chunk_steps(spec, rows))
+    return -(-stop // chunks) if chunks else 1
 
 
 def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
@@ -402,22 +410,16 @@ def _add_repeated(out: np.ndarray, value: float, n: int) -> None:
             _add_in_turn(out, np.full((min(per, n - done), out.size), value))
 
 
-def _chunk_arrays(spec: IntegrandSpec, rows: int, steps: int) -> dict[str, np.ndarray]:
-    """A block's flat arrays for the chunks it reduces, of at most steps
-    steps each, allocated once and reused by every chunk: unless the
-    integrand is constant, W (steps + 1 rows of m x rows cells) and g
-    (steps + 1 rows of rows cells); X (d) unless d = m = 1 scales dW in
-    place; and a rule's temporaries over its steps of the chunk, each a
-    contiguous (steps, rows) plane: f^j, which becomes f^j dW^j (d planes
-    over the widest rule), and the scalar field of a LIN or SIGN rule (1
-    over the widest of those)."""
-    (const, reads_w), m, d = spec.widest, spec.wiener_dim, spec.dim
-    in_place, nw = d == m == 1, spec.needs_wiener
-    width = min(max(reads_w, 0 if in_place else const), steps)
-    return {"w": np.zeros(nw * (steps + 1) * m * rows),
-            "g": np.empty(nw * (steps + 1) * rows),
-            "x": np.empty(0 if in_place else (steps + 1) * d * rows),
-            "rule": np.empty(rows * (d * width + min(reads_w, steps)))}
+def _chunk_arrays(spec: IntegrandSpec, rows: int, steps: int, stop: int,
+                  ahead: bool) -> dict[str, np.ndarray]:
+    """A block's flat arrays of _block_cells for chunks of at most steps steps,
+    allocated once and reused by every chunk: the dW buffers (the second
+    given ahead), W, whose row 0 starts at W_0 = 0, g, X and rule planes."""
+    cells = _block_cells(spec, rows, steps, stop, 0)
+    names = ("dw", "ahead")[:1 + ahead] + ("w", "g", "x", "rule")
+    arrays = {name: np.empty(cells[name]) for name in names}
+    arrays["w"][:spec.wiener_dim * rows] = 0.0
+    return arrays
 
 
 def _chunk(spec: IntegrandSpec, plan: tuple, start: int, drawn: np.ndarray,
@@ -544,32 +546,29 @@ def _block(batch: WienerBatch, plan: tuple, ahead: bool, b: int):
     the block returns ((first, None), None).
 
     The block draws the normals of its steps before stop, and no more, in
-    (step, component, path) order, in chunks of _chunk_steps(spec, rows)
-    steps from its generator; consecutive draws give the normals of one
-    draw of the whole block. Each chunk holds every path of the block, so
-    it reduces its own steps completely while its rows of g are in cache:
-    their positive steps, one numpy reduceat over the paths per exponent
-    for the group shares of g^{p/2}, and the Riemann sums, added left to
-    right from the carried sum like X (see _total). No sum crosses a chunk
-    in any other order, so the bits do not depend on the chunk size. A
-    chunk's arrays are allocated once per block and reused by every chunk.
-    Given ahead, a block of two or more chunks has a helper thread alone
-    draw each next chunk, into the other of two buffers, while it reduces
-    one; no bit changes either. The block writes only its own rows of the
-    batch, and sets its own numpy error state, which worker threads do not
-    inherit.
+    (step, component, path) order, in chunks (see _split) from its
+    generator; consecutive draws give the normals of one draw of the whole
+    block. Each chunk holds every path of the block, so it reduces its own
+    steps completely while its rows of g are in cache: their positive
+    steps, one numpy reduceat over the paths per exponent for the group
+    shares of g^{p/2}, and the Riemann sums, added left to right from the
+    carried sum like X (see _total). No sum crosses a chunk in any other
+    order, so the bits do not depend on the chunk size. Given ahead, a
+    block of two or more chunks has a helper thread alone draw each next
+    chunk, into the other of two buffers, while it reduces one; no bit
+    changes either. The block writes only its own rows of the batch, and
+    sets its own numpy error state, which worker threads do not inherit.
     """
     spec, paths, stop = batch.spec, batch.paths, batch.stop
     lo, hi = b * BLOCK_PATHS, min((b + 1) * BLOCK_PATHS, paths)
     rows, m, d, nw = hi - lo, spec.wiener_dim, spec.dim, spec.needs_wiener
     gen = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy=batch.seed, spawn_key=(SPAWN_DOMAINS["wiener"], b))))
-    chunks = -(-stop // _chunk_steps(spec, rows))
-    steps = -(-stop // chunks) if chunks else 1   # chunks of even sizes
-    starts, ahead = range(0, stop, steps), ahead and chunks > 1
+    steps = _split(spec, rows, stop)
+    starts, ahead = range(0, stop, steps), ahead and stop > steps
+    arrays = _chunk_arrays(spec, rows, steps, stop, ahead)
     # row 0 of a chunk's buffer is free for X when d = m = 1 scales dW in place
-    bufs = [np.empty((steps + 1, m, rows)) for _ in range(1 + ahead)]
-    arrays = _chunk_arrays(spec, rows, steps)
+    bufs = [_view(arrays[name], steps + 1, m, rows) for name in ("dw", "ahead") if name in arrays]
     carry = {"x": np.zeros((d, rows)),
              "sup": None if batch.sup_norm is None else np.zeros(rows)}
     riemann = np.zeros(rows)
@@ -646,7 +645,7 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
             batch.riemann.fill(g[:stop].sum() * spec.dt)
             sizes = np.array([gh - gl for gl, gh in groups], dtype=float)[:, None]
             for k, v in enumerate(p):
-                batch.zakai_rows[k] = _pow(g[:stop], v / 2.0) * sizes
+                np.multiply(_pow(g[:stop], v / 2.0), sizes, out=batch.zakai_rows[k])
         if p:
             batch.g_positive[:] = g[:stop] != 0.0
 

@@ -36,6 +36,13 @@ def load_spec(zoo, name):
         return parse_integrand(json.load(fh))
 
 
+def scale_spec(spec, steps):
+    """spec's rule layout on a grid of steps steps, a multiple of its own."""
+    scale = steps // spec.steps
+    return IntegrandSpec(spec.dim, spec.wiener_dim, spec.horizon, steps, tuple(
+        RuleEntry(e.start * scale, e.stop * scale, e.j, e.rule) for e in spec.entries))
+
+
 def redraw_increments(spec, paths, seed):
     """The (paths, steps, m) Wiener increments of a run to the horizon,
     redrawn from the documented streams: 1024-path block b draws standard
@@ -294,23 +301,27 @@ class TestSimulate:
 
     def test_block_memory_preflight(self, monkeypatch):
         """Runs whose single block would exceed the budget are refused before
-        any block is simulated, though they pass the cell cap."""
+        any block is simulated, though they pass the cell cap: the X and
+        rule planes of 10^4 components over one 15-step chunk, 2.6 GB, and a
+        2^20-step LIN block's ZAKAI partial rows of three exponents, 768 MiB
+        beside as much output."""
         def no_block(*args):
             raise AssertionError("a block was simulated")
 
         monkeypatch.setattr(wmc, "_block", no_block)
-        lin = IntegrandSpec(2, 2, 1.0, 2 ** 15, (
-            RuleEntry(0, 2 ** 15, 1, Rule("lin", (1.0, 0.0), k=2)),))
-        for spec in (constant_integrand(1.0, steps=2 ** 21), lin):
+        wide = constant_integrand(1.0, dim=10 ** 4, wiener_dim=2, steps=15)
+        lin = IntegrandSpec(1, 1, 1.0, 2 ** 20, (
+            RuleEntry(0, 2 ** 20, 1, Rule("lin", (1.0,), k=1)),))
+        for spec, p in ((wide, []), (lin, [2, 3, 4])):
             assert 1024 * spec.steps * spec.wiener_dim <= wmc.DEFAULT_CELL_CAP
             with pytest.raises(ResourceLimitError, match="block memory budget"):
-                simulate(spec, 1024, seed=0)
+                simulate(spec, 1024, seed=0, p=p)
 
     def test_constant_integrand_peak_within_preflight(self):
         """A constant integrand in many dimensions holds no (m, S, d) table:
         the memory one block traces stays below _check_run's estimate."""
         spec = constant_integrand(1.0, dim=192, wiener_dim=192, steps=192)
-        block_bytes, _ = wmc._check_run(spec, 2, 0, 0, 0)
+        block_bytes, _ = wmc._check_run(spec, 2, 0, spec.steps, 1)
         simulate(spec, 2, seed=0, p=[4])   # warm-up: one-time allocations
         tracemalloc.start()
         try:
@@ -322,29 +333,30 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", ["spec_const1", "spec_lin", "spec_sign",
                                       "spec_mixed2d"])
-    @pytest.mark.parametrize("paths, steps, p, sup", [
-        pytest.param(1024, None, [4], True, id="1024-None"),
-        pytest.param(32, 2 ** 18, [4], True, id="32-262144"),
-        pytest.param(1024, None, [4, 2, 3], True, id="1024-None-p4,2,3"),
-        pytest.param(32, 2 ** 18, [4, 2, 3], True, id="32-262144-p4,2,3"),
-        pytest.param(1024, None, [4], False, id="1024-None-terminal"),
-        pytest.param(32, 2 ** 18, [4], False, id="32-262144-terminal"),
-        pytest.param(1024, None, [4, 2, 3], False, id="1024-None-p4,2,3-terminal")])
+    @pytest.mark.parametrize("paths, steps, p, sup, ahead", [
+        pytest.param(1024, None, [4], True, True, id="1024-None"),
+        pytest.param(32, 2 ** 18, [4], True, True, id="32-262144"),
+        pytest.param(1024, None, [4, 2, 3], True, True, id="1024-None-p4,2,3"),
+        pytest.param(32, 2 ** 18, [4, 2, 3], True, True, id="32-262144-p4,2,3"),
+        pytest.param(1024, None, [4], False, True, id="1024-None-terminal"),
+        pytest.param(32, 2 ** 18, [4], False, True, id="32-262144-terminal"),
+        pytest.param(1024, None, [4, 2, 3], False, True, id="1024-None-p4,2,3-terminal"),
+        pytest.param(256, 2 ** 14, [4], True, True, id="256-16384"),
+        pytest.param(256, 2 ** 14, [4], True, False, id="256-16384-serial"),
+        pytest.param(64, 2 ** 16, [4], True, True, id="64-65536"),
+        pytest.param(64, 2 ** 16, [4], True, False, id="64-65536-serial")])
     def test_zakai_run_peak_within_preflight(self, zoo, monkeypatch, name, paths,
-                                             steps, p, sup):
+                                             steps, p, sup, ahead):
         """Given exponents, the memory one run traces stays below the block
         bytes plus the per-run output bytes (ZAKAI rows of every exponent
         included) that simulate's preflight counted, with or without the
-        supremum. The block draws ahead, so its second dW buffer, allocated
-        by the helper thread, is traced too; without draw-ahead it holds one
-        buffer less."""
-        monkeypatch.setattr(wmc, "_cpus", lambda: 1 << 10)
+        supremum. A block drawing ahead traces its second dW buffer,
+        allocated by the helper thread, too; serial, the charge still holds
+        it, as the preflight comes before the worker count."""
+        monkeypatch.setattr(wmc, "_cpus", lambda: 1 << 10 if ahead else 1)
         spec = load_spec(zoo, name)
         if steps is not None:
-            scale = steps // spec.steps
-            spec = IntegrandSpec(spec.dim, spec.wiener_dim, spec.horizon, steps, tuple(
-                RuleEntry(e.start * scale, e.stop * scale, e.j, e.rule)
-                for e in spec.entries))
+            spec = scale_spec(spec, steps)
         real = wmc._check_run
         seen = []
         monkeypatch.setattr(wmc, "_check_run",
@@ -358,6 +370,34 @@ class TestSimulate:
             tracemalloc.stop()
         block_bytes, room = seen[-1]
         assert peak < block_bytes + wmc.BLOCK_MEMORY_BUDGET - room
+
+    @pytest.mark.parametrize("name", ["spec_const1", "spec_lin", "spec_sign",
+                                      "spec_mixed2d"])
+    def test_charge_within_twice_peak(self, zoo, monkeypatch, name):
+        """At 1024 paths and p = 4 the preflight charges, block and output
+        together, less than twice what the run traces, serial or drawing
+        ahead."""
+        spec = load_spec(zoo, name)
+        block_bytes, room = wmc._check_run(spec, 1024, 0, spec.steps, 1)
+        for cpus in (1, 1 << 10):
+            monkeypatch.setattr(wmc, "_cpus", lambda: cpus)
+            simulate(spec, 2, seed=0, p=[4])   # warm-up: one-time allocations
+            tracemalloc.start()
+            try:
+                simulate(spec, 1024, seed=0, p=[4])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert block_bytes + wmc.BLOCK_MEMORY_BUDGET - room < 2 * peak
+
+    def test_long_grid_accepted_on_two_cpus(self, zoo, monkeypatch):
+        """The spec_mixed2d layout on 16,384 steps is accepted at 1024 paths
+        and p = 2, 4, its block charged about 11 MB, and at 2048 paths its
+        two blocks run on two CPUs."""
+        spec = scale_spec(load_spec(zoo, "spec_mixed2d"), 2 ** 14)
+        wmc._check_run(spec, 1024, 0, spec.steps, 2)
+        monkeypatch.setattr(wmc, "_cpus", lambda: 2)
+        assert wmc._workers(2, *wmc._check_run(spec, 2048, 0, spec.steps, 2)) == 2
 
     @pytest.mark.parametrize("dim, wiener_dim", [(3, 2), (8, 1)])
     def test_terminal_scan_buffer_within_preflight(self, dim, wiener_dim):
