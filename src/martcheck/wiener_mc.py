@@ -41,7 +41,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -207,6 +207,10 @@ class WienerBatch:
     zakai_rows: np.ndarray | None = None
     g_positive: np.ndarray | None = None
 
+    @functools.cached_property
+    def group_sizes(self) -> np.ndarray:   # of the batch-means groups, a column
+        return np.array([hi - lo for lo, hi in _group_bounds(self.paths)], dtype=float)[:, None]
+
 
 def _pow(arr: np.ndarray, e: float) -> np.ndarray:
     e = float(e)
@@ -219,8 +223,9 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     the arrays of _block_cells at the chunk size _block uses (a full block's
     or the last block's, whichever holds more) and numpy's ufunc buffers,
     and the room for blocks in flight: BLOCK_MEMORY_BUDGET less the output
-    simulate keeps, its per-path rows and the ZAKAI rows up to the stop index
-    for each of its exponents."""
+    simulate keeps (per-path rows, ZAKAI rows and g > 0 steps up to the stop
+    index) and the block results merge may hold at once: each block's g > 0
+    row and ZAKAI rows, groups + blocks - 1 per exponent, unless g is constant."""
     paths = as_int(paths, "paths")
     if paths < 2:
         raise DomainError("paths must be >= 2")
@@ -229,7 +234,9 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
             f"paths*steps*m = {cells} exceeds the cap {DEFAULT_CELL_CAP}")
-    out_bytes = 8 * (paths * (spec.dim + 2) + exponents * min(CI_GROUPS, paths) * stop)
+    groups, blocks, nw = min(CI_GROUPS, paths), -(-paths // BLOCK_PATHS), spec.needs_wiener
+    out_cells = paths * (spec.dim + 2) + exponents * (groups + nw * (groups + blocks - 1)) * stop
+    out_bytes = 8 * out_cells + (exponents > 0) * (1 + nw * blocks) * stop   # g > 0: a byte a step
     bsz = min(paths, BLOCK_PATHS)
     block_bytes = max(8 * sum(_block_cells(spec, rows, _split(spec, rows, stop), stop,
                                            exponents).values())
@@ -238,7 +245,7 @@ def _check_run(spec: IntegrandSpec, paths: int, seed: int, stop: int,
     if block_bytes > room:
         raise ResourceLimitError(
             f"one {bsz}-path block of {spec.steps} steps needs {block_bytes} bytes "
-            f"and the run's output {out_bytes} bytes, over the "
+            f"and the run's output and block results {out_bytes} bytes, over the "
             f"{BLOCK_MEMORY_BUDGET}-byte block memory budget")
     return block_bytes, room
 
@@ -324,8 +331,8 @@ def _block_cells(spec: IntegrandSpec, rows: int, steps: int, stop: int,
     CONST in place) and a LIN or SIGN rule's field; "row" is a constant
     integrand's one row of g, set by simulate (in batches of repeated adds
     when d = 1 < m); "power" and "reduceat" are one exponent's g^{p/2} and
-    its group sums; "positive" the block's and the batch's g > 0 steps, a
-    byte each; "carry" the carried rows and a per-path temporary."""
+    its group sums; "carry" the carried rows and a per-path temporary. Its
+    results are charged with the run's output (see _check_run)."""
     (const, reads_w), m, d, nw = spec.widest, spec.wiener_dim, spec.dim, spec.needs_wiener
     in_place, chunk, groups = d == m == 1, (steps + 1) * rows, min(CI_GROUPS, rows)
     width, powers = min(max(reads_w, 0 if in_place else const), steps), exponents > 0
@@ -333,8 +340,8 @@ def _block_cells(spec: IntegrandSpec, rows: int, steps: int, stop: int,
             "w": nw * chunk * m, "g": nw * chunk, "x": (not in_place) * chunk * d,
             "rule": rows * (d * width + min(reads_w, steps)),
             "row": (not nw) * (spec.steps + (d == 1 < m) * min(_CHUNK_CELLS, m * spec.steps)),
-            "power": powers * (rows * steps if nw else stop), "positive": powers * -(-stop // 4),
-            "reduceat": powers * nw * groups * steps, "zakai": nw * exponents * groups * stop,
+            "power": powers * (rows * steps if nw else stop),
+            "reduceat": powers * nw * groups * steps,
             "carry": (d + 3) * rows, "plan": d * len(spec.entries)}
 
 
@@ -631,10 +638,9 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     stop = spec.steps if t is None else grid_index(spec, t)
     paths, seed = as_int(paths, "paths"), as_seed(seed)
     block_bytes, room = _check_run(spec, paths, seed, stop, len(p))
-    groups = _group_bounds(paths)
     batch = WienerBatch(spec, seed, paths, stop, np.empty((paths, spec.dim)),
-                        np.empty(paths) if sup else None,
-                        np.empty(paths), p, np.zeros((len(p), len(groups), stop)) if p else None,
+                        np.empty(paths) if sup else None, np.empty(paths), p,
+                        np.zeros((len(p), min(CI_GROUPS, paths), stop)) if p else None,
                         np.zeros(stop, dtype=bool) if p else None)
     plan = _plan(spec)   # read, never written, by every block
     if not spec.needs_wiener:   # g is one row, shared by every path
@@ -643,9 +649,8 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
             for first, last, _, n, _, _, _, _, norm2 in plan[1]:   # _chunk's order
                 _add_repeated(g[first:last], norm2, n)
             batch.riemann.fill(g[:stop].sum() * spec.dt)
-            sizes = np.array([gh - gl for gl, gh in groups], dtype=float)[:, None]
             for k, v in enumerate(p):
-                np.multiply(_pow(g[:stop], v / 2.0), sizes, out=batch.zakai_rows[k])
+                np.multiply(_pow(g[:stop], v / 2.0), batch.group_sizes, out=batch.zakai_rows[k])
         if p:
             batch.g_positive[:] = g[:stop] != 0.0
 
@@ -671,8 +676,8 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
         with ThreadPoolExecutor(max_workers=workers,
                                 thread_name_prefix="martcheck-mc") as pool:
             futures = [pool.submit(run, b) for b in range(blocks)]
-            try:
-                merge(f.result() for f in futures)
+            try:   # a block's result is let go once merged
+                merge(futures.pop(0).result() for _ in range(blocks))
             except BaseException:
                 for f in futures:
                     f.cancel()
@@ -680,46 +685,40 @@ def simulate(spec: IntegrandSpec, paths: int, seed: int, t: float | None = None,
     return batch
 
 
-def _scaled_std(y: np.ndarray, like: float) -> float:
-    """y.std(ddof=1), taken on y * 2^-e with 2^e the binary scale of `like`
-    and scaled back, so the squared deviations of tiny or huge rows neither
+def _band(rows: np.ndarray, p: float, batch: WienerBatch | None = None
+          ) -> tuple[float, Callable[[float], tuple[float, float]]]:
+    """A side from sample rows at exponent p: its point, and the band of the
+    side at a constant, constant * point with half-width Z95 (constant * SE).
+    Per-path rows y (no batch) give (mean y)^{2/p}, its SE the delta
+    method's, or 0 and 0 for a mean below the normal float range (the powers
+    underflowed). A batch's per-group rows, its (groups, stop) sums of
+    g^{p/2}, give the left sum dt * sum_{i<stop} m_i^{2/p} over the step
+    means m_i, exact for the simulated integrand, with a batch-means SE; a
+    step where g > 0 on some path but m_i underflowed raises DomainError.
+    The deviation is taken on rows scaled by 2^-e, 2^e the binary scale of
+    the mean or point, so squared deviations of tiny or huge rows neither
     underflow nor overflow; a power-of-two scale moves no bit of a normal
     float."""
-    e = math.frexp(like)[1]
-    return math.ldexp(float(np.std(np.ldexp(y, -e), ddof=1)), e)
+    def se_of_mean(y: np.ndarray, like: float) -> float:
+        e = math.frexp(like)[1]
+        return math.ldexp(float(np.std(np.ldexp(y, -e), ddof=1)), e) / math.sqrt(len(y))
 
-
-def _mc_power(y: np.ndarray, expo: float) -> tuple[float, float]:
-    """(mean y)^expo with its delta-method standard error; (0, 0) when the
-    mean lies below the normal float range, where its powers underflowed."""
-    n = len(y)
-    mean = float(y.mean())
-    if mean < sys.float_info.min:
-        return 0.0, 0.0
-    se_mean = _scaled_std(y, mean) / math.sqrt(n) if n > 1 else 0.0
-    value = mean ** expo
-    return value, abs(expo) * mean ** (expo - 1.0) * se_mean
-
-
-def _zakai_integral(batch: WienerBatch, p: float) -> tuple[float, float]:
-    """Left sum dt * sum_{i<stop} ||g(t_i)||_{p/2} with a batch-means SE.
-
-    The simulated integrand is constant on each step, so the left sum is the
-    exact time integral for the simulated process. A step where g > 0 on
-    some path but the mean g^{p/2} lies below the normal float range has
-    lost its powers to underflow: DomainError."""
-    zrows, dt = batch.zakai_rows[batch.p.index(p)], batch.spec.dt
-    sizes = np.array([hi - lo for lo, hi in _group_bounds(batch.paths)], dtype=float)
-    means = zrows.sum(axis=0) / batch.paths
-    lost = np.flatnonzero((means < sys.float_info.min) & batch.g_positive)
-    if len(lost):
-        i = int(lost[0])
-        raise DomainError(f"p={p:g}: the sides underflow a float (the ZAKAI mean g^(p/2) "
-                          f"at step {i} is {means[i]:.3g} where g > 0 on some path)")
-    point = dt * float(_pow(means, 2.0 / p).sum())
-    per_group = dt * _pow(zrows / sizes[:, None], 2.0 / p).sum(axis=1)
-    se = _scaled_std(per_group, point) / math.sqrt(len(sizes))
-    return point, se
+    expo, point, se = 2.0 / p, 0.0, 0.0
+    if batch is None:
+        mean = float(rows.mean())
+        if not mean < sys.float_info.min:
+            point = mean ** expo
+            se = abs(expo) * mean ** (expo - 1.0) * se_of_mean(rows, mean)
+    else:
+        means = rows.sum(axis=0) / batch.paths
+        lost = np.flatnonzero((means < sys.float_info.min) & batch.g_positive)
+        if len(lost):
+            i = int(lost[0])
+            raise DomainError(f"p={p:g}: the sides underflow a float (the ZAKAI mean g^(p/2) "
+                              f"at step {i} is {means[i]:.3g} where g > 0 on some path)")
+        point = batch.spec.dt * float(_pow(means, expo).sum())
+        se = se_of_mean(batch.spec.dt * _pow(rows / batch.group_sizes, expo).sum(axis=1), point)
+    return point, lambda constant: (constant * point, Z95 * (constant * se))
 
 
 def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
@@ -734,42 +733,41 @@ def eval_continuous(spec: IntegrandSpec, t: float, p_values: Sequence,
     One simulation of (spec, paths, seed) serves every exponent and id; the
     reports come back as one ReportTable in (p, id) order. The ZAKAI time
     integral is the left sum over the grid steps before t, which is exact
-    for the piecewise-constant simulated integrand. Each side carries a 95%
-    half-width of Z95 standard errors; ineq.decide reads the bands side -+
-    half-width. The supremum is taken over grid points only, which biases
-    the maximal statistics downward; reports carry a note saying so. A side or
-    half-width that overflows a float raises DomainError, as does a side
-    estimated from paths that are not all 0 whose mean power lies below the
-    normal float range (it underflowed).
+    for the piecewise-constant simulated integrand. Each side and base is
+    estimated once per exponent, with its 95% half-width (see _band);
+    ineq.decide reads the bands side -+ half-width. The supremum is taken
+    over grid points only, which biases the maximal statistics downward;
+    reports carry a note saying so. A side or half-width that overflows a
+    float raises DomainError, as does a side estimated from paths that are
+    not all 0 whose mean power lies below the normal float range (it
+    underflowed).
     """
     p_values = as_exponents(p_values)
     bounds = [BOUNDS[i] for i in coerce_ids(ContinuousId, ineq_ids)]
-    zakai = any(b.base == "increments" for b in bounds)
-    sup = any(b.side == "sup" for b in bounds)
-    batch = simulate(spec, paths, seed, t, p_values if zakai else (), sup=sup)
+    sides, bases = {b.side for b in bounds}, {b.base for b in bounds}
+    batch = simulate(spec, paths, seed, t, p_values if "increments" in bases else (),
+                     sup="sup" in sides)
     stats = {"terminal": np.abs(batch.x_stop[:, 0]) if spec.dim == 1
              else row_norms(batch.x_stop), "sup": batch.sup_norm}
     # paths not all 0 per side and base (sup >= |x_stop|; g^{p/2} may underflow)
     moved = {"terminal": batch.x_stop.any(), "square": batch.riemann.any()}
-    moved.update(sup=moved["terminal"] or sup and batch.sup_norm.any(),
+    moved.update(sup=moved["terminal"] or "sup" in sides and batch.sup_norm.any(),
                  increments=moved["square"])
-    rows = []   # per (p, id): lhs, its SE, constant, base, its SE
+    rows = []   # per (p, id): lhs, its half-width, constant, rhs, its half-width
     with np.errstate(over="ignore", invalid="ignore"):   # report_table refuses inf/NaN
         for p in p_values:
-            sides = {side: _mc_power(_pow(stats[side], p), 2.0 / p)
-                     for side in {b.side for b in bounds}}
-            bases = {base: _zakai_integral(batch, p) if base == "increments"
-                     else _mc_power(_pow(batch.riemann, p / 2.0), 2.0 / p)
-                     for base in {b.base for b in bounds}}
-            zero = sorted(name for name, (value, _) in {**sides, **bases}.items()
-                          if value == 0.0 and moved[name])
+            bands = {side: _band(_pow(stats[side], p), p) for side in sides}
+            bands.update({base: _band(batch.zakai_rows[batch.p.index(p)], p, batch)
+                          if base == "increments" else _band(_pow(batch.riemann, p / 2.0), p)
+                          for base in bases})
+            zero = sorted(n for n, (point, _) in bands.items() if point == 0.0 and moved[n])
             if zero:
                 raise DomainError(f"p={p:g}: the sides underflow a float (the {', '.join(zero)} "
                                   f"mean powers fall below the normal range from nonzero paths)")
-            rows += [(*sides[b.side], b.constant(p), *bases[b.base]) for b in bounds]
-        lhs, lhs_se, constant, base, base_se = np.array(rows, dtype=float).reshape(-1, 5).T
-        rhs = constant * base
-        lhs_hw, rhs_hw = Z95 * lhs_se, Z95 * (constant * base_se)
+            for b in bounds:   # after the checks: a constant past the float range raises last
+                c = b.constant(p)
+                rows.append((*bands[b.side][1](1.0), c, *bands[b.base][1](c)))
+    lhs, lhs_hw, constant, rhs, rhs_hw = np.array(rows, dtype=float).reshape(-1, 5).T
     sup_note = "supremum over grid points only (downward-biased left side)"
     return report_table(
         [b.ito_id.value for b in bounds] * len(p_values),

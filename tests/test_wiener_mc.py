@@ -28,6 +28,7 @@ from martcheck import (
     simulate,
 )
 from martcheck.ptree import row_norms
+from mc_sides import reference_bands
 from mc_whole_block import reference_simulate
 
 
@@ -398,6 +399,51 @@ class TestSimulate:
         wmc._check_run(spec, 1024, 0, spec.steps, 2)
         monkeypatch.setattr(wmc, "_cpus", lambda: 2)
         assert wmc._workers(2, *wmc._check_run(spec, 2048, 0, spec.steps, 2)) == 2
+
+    def test_block_results_charged_with_output(self, zoo):
+        """Beside the output (per-path rows, and per exponent the ZAKAI rows
+        and g > 0 steps), a run is charged the results of every block, which
+        merge may hold at once: groups + blocks - 1 ZAKAI partial rows per
+        exponent, as consecutive blocks share one group at most, and a g > 0
+        row, a byte a step, per block; none for a constant integrand."""
+        for paths in (2, 1025, 3000, 33 * 1024 + 5, 10 ** 5):
+            groups, blocks = min(wmc.CI_GROUPS, paths), -(-paths // wmc.BLOCK_PATHS)
+            met = sum((min(lo + wmc.BLOCK_PATHS, paths) - 1) * groups // paths + 1
+                      - lo * groups // paths for lo in range(0, paths, wmc.BLOCK_PATHS))
+            assert met <= groups + blocks - 1   # the groups _block meets
+            for name in ("spec_lin", "spec_const1"):
+                spec = load_spec(zoo, name)
+                for exponents, stop in ((0, spec.steps), (1, spec.steps), (3, 100)):
+                    _, room = wmc._check_run(spec, paths, 0, stop, exponents)
+                    results = (8 * exponents * (groups + blocks - 1)
+                               + blocks * (exponents > 0)) * stop
+                    assert wmc.BLOCK_MEMORY_BUDGET - room == (
+                        8 * paths * (spec.dim + 2) + 8 * exponents * groups * stop
+                        + (exponents > 0) * stop + spec.needs_wiener * results)
+
+    def test_two_worker_peak_within_preflight(self, zoo, monkeypatch):
+        """Two worker threads over 192 blocks of spec_lin at six exponents
+        trace less than two blocks' charge plus the run's output and block
+        results: merge lets each block's results go once it has added them.
+        Futures that kept every result until the run returned traced 6.2 MiB
+        beside the output, against 5.4 MiB charged for two blocks that
+        counted 32 groups of ZAKAI rows each."""
+        monkeypatch.setattr(wmc, "_cpus", lambda: 2)
+        spec = load_spec(zoo, "spec_lin")
+        real = wmc._check_run
+        seen = []
+        monkeypatch.setattr(wmc, "_check_run",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
+        simulate(spec, 2, seed=0, p=[4, 2, 3, 6, 5, 8])   # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            simulate(spec, 192 * wmc.BLOCK_PATHS, seed=0, p=[4, 2, 3, 6, 5, 8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes, room = seen[-1]
+        assert wmc._workers(192, block_bytes, room) == 2
+        assert peak < 2 * block_bytes + wmc.BLOCK_MEMORY_BUDGET - room
 
     @pytest.mark.parametrize("dim, wiener_dim", [(3, 2), (8, 1)])
     def test_terminal_scan_buffer_within_preflight(self, dim, wiener_dim):
@@ -889,6 +935,51 @@ class TestEstimateLp:
         assert unit_runs[4][0].ci_lhs == pytest.approx(1.96 * se, rel=1e-12)
 
 
+@st.composite
+def band_cases(draw):
+    """(rows, p, constants, batch) for wiener_mc._band: per-path rows (batch
+    None) or a batch's ZAKAI per-group sums over 1-5 steps, with its g > 0
+    steps; from two rows up, 0 or scaled by 2^-1000, 2^1000 or 2^-1070, where
+    the means fall below the normal float range."""
+    p = draw(st.sampled_from([2.0, 3.0, 4.0, 16.0]) | st.floats(2.0, 64.0))
+    paths = draw(st.sampled_from([2, 3, 33]) | st.integers(2, 80))
+    scale = draw(st.sampled_from([0, -1000, 1000, -1070]))
+    stop = draw(st.integers(1, 5)) if draw(st.booleans()) else None
+    shape = (paths,) if stop is None else (min(wmc.CI_GROUPS, paths), stop)
+    mantissas = draw(st.lists(st.just(0.0) | st.floats(0.0, 100.0),
+                              min_size=math.prod(shape), max_size=math.prod(shape)))
+    rows = np.ldexp(np.array(mantissas).reshape(shape), scale)
+    constants = draw(st.lists(st.floats(1.0, 1e3), min_size=1, max_size=3))
+    if stop is None:
+        return rows, p, constants, None
+    positive = np.array(draw(st.lists(st.booleans(), min_size=stop, max_size=stop)))
+    batch = wmc.WienerBatch(constant_integrand(1.0, steps=stop), 0, paths, stop, np.empty(0),
+                            None, np.empty(0), (p,), rows[None], positive)
+    return rows, p, constants, batch
+
+
+class TestBand:
+    @given(band_cases())
+    @example((np.zeros(2), 4.0, [9.0], None))
+    @example((np.ldexp(np.array([3.0, 1.0]), -1070), 2.0, [1.0], None))
+    @example((np.ldexp(np.array([3.0, 1.0, 2.0]), 1000), 3.0, [4.0], None))
+    def test_matches_reference(self, case):
+        """One estimator gives the bits of the delta-method and batch-means
+        estimators it replaced and of the bands formed from them: the point,
+        the left-side band (constant 1) and the right-side band at each
+        constant; it raises their underflow error word for word."""
+        rows, p, constants, batch = case
+        try:
+            point, bands, side = reference_bands(rows, p, constants, batch)
+        except DomainError as error:
+            with pytest.raises(DomainError) as got:
+                wmc._band(rows, p, batch)
+            assert str(got.value) == str(error)
+            return
+        got, band = wmc._band(rows, p, batch)
+        assert (got, band(1.0), [band(c) for c in constants]) == (point, side, bands)
+
+
 class TestEvalContinuous:
     def test_unit_integrand_zakai_p4(self, zoo):
         spec = load_spec(zoo, "spec_const1")
@@ -927,17 +1018,28 @@ class TestEvalContinuous:
 
     def test_each_side_estimated_once_per_exponent(self, zoo, monkeypatch):
         calls = []
-        for name in ("_mc_power", "_zakai_integral"):
-            real = getattr(wmc, name)
-            monkeypatch.setattr(wmc, name, lambda *a, _name=name, _real=real:
-                                calls.append(_name) or _real(*a))
+        real = wmc._band
+        monkeypatch.setattr(wmc, "_band", lambda *a: calls.append(a) or real(*a))
         ids = ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"]
         table = eval_continuous(load_spec(zoo, "spec_mixed2d"), 2.0, [2, 4], ids, 256, 0)
         assert [(r.p, r.id) for r in table] == [(p, i) for p in (2.0, 4.0) for i in ids]
-        # per exponent: the terminal and sup sides, the square-function base
-        # and the ZAKAI time integral
-        assert calls.count("_mc_power") == 2 * 3
-        assert calls.count("_zakai_integral") == 2
+        # per exponent: the terminal and sup sides and the square-function
+        # base from per-path rows, the ZAKAI time integral from per-group rows
+        assert [call[1] for call in calls] == [2.0] * 4 + [4.0] * 4
+        assert [len(call) == 3 for call in calls].count(True) == 2
+
+    @pytest.mark.parametrize("c, p, message", [
+        (1e-170, 1e160, "(the sup, terminal mean powers fall below the normal range"),
+        (0.126, 1e200, "(the ZAKAI mean g^(p/2) at step 1 is 0 where g > 0")])
+    def test_underflow_refused_before_constant_overflow(self, c, p, message):
+        """At these exponents the constant (p-1)^2 overflows a float too, but
+        the sides and bases are estimated and checked first: the run is
+        refused for their underflow, word for word."""
+        spec = IntegrandSpec(1, 1, 1.0, 16, (RuleEntry(0, 16, 1, Rule("lin", (c,), k=1)),))
+        ids = ["C-BURK-1", "C-BURK-2", "ZAKAI-MAIN", "ZAKAI-MAX"]
+        with pytest.raises(DomainError) as refused:
+            eval_continuous(spec, 1.0, [p], ids, 64, 0)
+        assert str(refused.value).startswith(f"p={p:g}: the sides underflow a float {message}")
 
     def test_all_ids_on_mixed_spec(self, zoo):
         spec = load_spec(zoo, "spec_mixed2d")
@@ -998,6 +1100,9 @@ class TestEvalContinuous:
         assert (zx.lhs, zx.ci_lhs) == (b2.lhs, b2.ci_lhs)
         assert zm.rhs == pytest.approx(12.723771276396413, rel=1e-12)
         assert zx.rhs == pytest.approx(22.62003782470473, rel=1e-12)
+        # the batch-means bands, bit for bit
+        assert (zm.rhs, zm.ci_rhs) == (12.723771276396413, 0.15920554249654806)
+        assert (zx.rhs, zx.ci_rhs) == (22.62003782470473, 0.2830320755494188)
 
     def test_zakai_coarse_grid_identity_not_satisfied(self, zoo):
         """spec_lin on 8 steps at p=2 is an identity (both sides 0.4375
