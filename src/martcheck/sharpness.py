@@ -147,6 +147,10 @@ class FamilySpec:
                 raise ConfigError(
                     f"RANDOM-TREE branching factors must be >= 2, got {self.branching}")
             object.__setattr__(self, "branching", branching)
+        else:
+            for name in ("depth", "dim", "branching"):
+                if getattr(self, name) != getattr(FamilySpec, name):
+                    raise ConfigError(f"{self.tag} takes no {name}")
         scales = dict(_AXES[self.tag])
         for name in ("a", "b", "q"):
             box = getattr(self, f"{name}_box")
@@ -242,25 +246,18 @@ class _BudgetExhausted(Exception):
 
 
 class _Recorder:
-    """Wraps the evaluator: budget accounting, incumbent, improving trace.
+    """Counts evaluated points and keeps the incumbent and improving trace.
 
     Ties on the ratio go to the lexicographically smallest parameter vector
     (parameter names in sorted order)."""
 
-    def __init__(self, evaluate: Callable[[dict], float], names: Sequence[str], budget: int):
-        self.evaluate = evaluate
+    def __init__(self, names: Sequence[str]):
         self.names = tuple(sorted(names))
-        self.budget = budget
         self.count = 0
         self.best_ratio = -math.inf
         self.best_key: tuple | None = None
         self.best_params: dict = {}
         self.trace: list[tuple[dict, float]] = []
-
-    def __call__(self, params: dict) -> float:
-        if self.count >= self.budget:
-            raise _BudgetExhausted
-        return self.record(params, self.evaluate(params))
 
     def record(self, params: dict, ratio: float) -> float:
         """Count one evaluated point and keep it if it improves."""
@@ -347,9 +344,9 @@ def _product(pools: Sequence, head: tuple = ()) -> Iterator[tuple]:
 
 
 def _grid(axes, budget: int) -> Iterator[dict]:
-    """The grid points, last axis fastest. Each free log or lin axis takes
-    floor(budget**(1/free)) points (at least 2), capped at ptree.MAX_PATHS;
-    a seed axis counts 0, 1, ..., budget-1 lazily."""
+    """The first `budget` grid points, last axis fastest. Each free log or lin
+    axis takes floor(budget**(1/free)) points (at least 2), capped at
+    ptree.MAX_PATHS; a seed axis counts 0, 1, ..., budget-1 lazily."""
     free = sum(lo < hi for _, lo, hi, scale in axes if scale != "seed")
     res = max(2, int(free and math.floor(budget ** (1.0 / free))))
     if res > ptree.MAX_PATHS:
@@ -361,7 +358,7 @@ def _grid(axes, budget: int) -> Iterator[dict]:
              else (np.geomspace if scale == "log" else np.linspace)(lo, hi, res)
              for _, lo, hi, scale in axes]
     kinds = [int if scale == "seed" else float for *_, scale in axes]
-    for point in _product(pools):
+    for point in islice(_product(pools), budget):
         yield {ax[0]: kind(v) for ax, kind, v in zip(axes, kinds, point)}
 
 
@@ -377,48 +374,44 @@ def _draw(rng: np.random.Generator, lo, hi, scale: str):
 def search(config: SearchConfig) -> SearchResult:
     """Run the configured maximization; deterministic for a fixed config.
 
-    RANDOM-TREE points are drawn and evaluated in forests of
-    ptree.forest_size trees, and recorded in order."""
+    Nelder-Mead counts its budget in nelder_mead; the grid is cut to the budget
+    where it is made, and random draws exactly `budget` points. Grid and random
+    points are evaluated in order, RANDOM-TREE ones in forests of
+    ptree.forest_size trees, two-point ones one at a time."""
     family = config.family
     axes = [(name, *((0, 2**63) if scale == "seed" else getattr(family, f"{name}_box")),
              scale) for name, scale in _AXES[family.tag]]    # (name, lo, hi, scale)
-    rec = _Recorder(lambda prm: family_ratio(family, prm, config.target),
-                    [ax[0] for ax in axes], config.budget)
+    rec = _Recorder([ax[0] for ax in axes])
     free = [ax for ax in axes if ax[1] < ax[2]]
-    points: Iterator[dict] | None = None
-    if config.method == "random":
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(ptree.SPAWN_DOMAINS["search"],))))
-        points = ({name: _draw(rng, lo, hi, scale) for name, lo, hi, scale in axes}
-                  for _ in range(config.budget))
-    elif config.method == "grid" or not free:   # no free box: the one grid point
-        points = _grid(axes, config.budget)
-    try:
-        if points is not None and family.tag == "RANDOM-TREE":
-            size = ptree.forest_size(family.depth, family.dim, family.branching)
-            while batch := list(islice(points, size)):
-                seeds = [prm["tree_seed"] for prm in batch]
-                for prm, ratio in zip(batch, _forest_ratios(family, seeds, config.target)):
-                    rec.record(prm, ratio)
-        elif points is not None:
-            for prm in points:
-                rec(prm)
-        else:   # Nelder-Mead over the free axes, log axes in log space
-            fixed = {name: lo for name, lo, hi, _ in axes if lo == hi}
-            warp = [math.log if scale == "log" else float for *_, scale in free]
+    if config.method == "nelder-mead" and free:   # log axes in log space
+        fixed = {name: lo for name, lo, hi, _ in axes if lo == hi}
+        warp = [math.log if scale == "log" else float for *_, scale in free]
 
-            def to_params(z: np.ndarray) -> dict:
-                prm = dict(fixed)
-                for (name, lo, hi, scale), zi in zip(free, z):
-                    v = math.exp(zi) if scale == "log" else zi
-                    prm[name] = float(min(max(v, lo), hi))
-                return prm
+        def negated(z: np.ndarray) -> float:
+            prm = dict(fixed)
+            for (name, lo, hi, scale), zi in zip(free, z):
+                v = math.exp(zi) if scale == "log" else zi
+                prm[name] = float(min(max(v, lo), hi))
+            return -rec.record(prm, family_ratio(family, prm, config.target))
 
-            x0 = [0.5 * (w(lo) + w(hi)) for w, (_, lo, hi, _) in zip(warp, free)]
-            step = [0.25 * (w(hi) - w(lo)) for w, (_, lo, hi, _) in zip(warp, free)]
-            nelder_mead(lambda z: -rec(to_params(z)), x0, step, config.budget)
-    except _BudgetExhausted:
-        pass
+        x0 = [0.5 * (w(lo) + w(hi)) for w, (_, lo, hi, _) in zip(warp, free)]
+        step = [0.25 * (w(hi) - w(lo)) for w, (_, lo, hi, _) in zip(warp, free)]
+        nelder_mead(negated, x0, step, config.budget)
+    else:   # grid (also Nelder-Mead with no free box: the one grid point) or random
+        if config.method == "random":
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                entropy=config.seed, spawn_key=(ptree.SPAWN_DOMAINS["search"],))))
+            points = ({name: _draw(rng, lo, hi, scale) for name, lo, hi, scale in axes}
+                      for _ in range(config.budget))
+        else:
+            points = _grid(axes, config.budget)
+        tree = family.tag == "RANDOM-TREE"
+        size = ptree.forest_size(family.depth, family.dim, family.branching) if tree else 1
+        while batch := list(islice(points, size)):
+            ratios = (_forest_ratios(family, [prm["tree_seed"] for prm in batch], config.target)
+                      if tree else [family_ratio(family, batch[0], config.target)])
+            for prm, ratio in zip(batch, ratios):
+                rec.record(prm, ratio)
     bound = (1.0 if family.tag == "RANDOM-TREE"
              else ineq.BOUNDS[ineq.InequalityId.PROP1_MAIN].constant(family.p))
     limit = bound + ineq.ABS_TOL

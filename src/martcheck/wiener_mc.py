@@ -129,6 +129,8 @@ class IntegrandSpec:
                     raise DomainError(f"rule coefficient must be {self.dim} real numbers")
                 if reads_w and not (type(rule.k) is int and 1 <= rule.k <= self.wiener_dim):
                     raise DomainError(f"rule references W^k with k={rule.k!r}")
+                if not reads_w and rule.k is not None:
+                    raise DomainError(f"a const rule reads no W^k, got k={rule.k!r}")
             if not 1 <= e.j <= self.wiener_dim:
                 raise DomainError(f"rule component j={e.j} outside 1..{self.wiener_dim}")
             if not 0 <= e.start < e.stop <= self.steps:

@@ -240,6 +240,17 @@ class TestVerifyContinuous:
         assert code == 1
         assert err.startswith("error:") and "budget" in err and "Traceback" not in err
 
+    def test_const_rule_with_k_is_an_error(self, tmp_path, capsys):
+        """A const rule reads no W^k, so a k on it is refused, not written back."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dim": 1, "wiener_dim": 1, "horizon": 1.0, "steps": 4,
+                                    "rules": [{"range": [0, 4], "j": 1, "kind": "const",
+                                               "k": 99, "c": 1.0}]}))
+        code, out, err = run(capsys, "verify-continuous", "--integrand", str(path),
+                             "--p", "4")
+        assert code == 1 and not out
+        assert err.startswith("error:") and "k=99" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("paths", ["64", "4096"])
     def test_overflow_raises_no_warning(self, tmp_path, capsys, paths):
         """Sides beyond the float range end in the error alone, as for trees:

@@ -185,6 +185,19 @@ class TestFamilyConfig:
         with pytest.raises(ConfigError):
             FamilySpec(tag="RANDOM-TREE", p=4, depth=2, dim=1, a_box=(1, 2))
 
+    @pytest.mark.parametrize("name, value, json_value",
+                             [("depth", -5, 3), ("dim", "x", 0), ("branching", ("z",), [1])])
+    def test_two_point_rejects_tree_fields(self, name, value, json_value):
+        """A two-point family refuses a RANDOM-TREE field, through the API and
+        through parse_search, instead of dropping it from the manifest."""
+        with pytest.raises(ConfigError, match=f"^RIO-TWO-POINT takes no {name}$"):
+            FamilySpec(tag="RIO-TWO-POINT", p=4, a_box=(1, 1), b_box=(0.1, 1),
+                       **{name: value})
+        with pytest.raises(ConfigError, match=f"^RIO-TWO-POINT takes no {name}$"):
+            parse_search({"family": "RIO-TWO-POINT", "p": 4, "method": "grid",
+                          "a": [1, 1], "b": [0.1, 1], "budget": 4, "seed": 0,
+                          name: json_value})
+
     def test_random_tree_branching(self):
         # a fraction such as 2.5 is refused, not truncated to 2
         for bad in ((), (-1,), (0,), (1, 3), (2.5,), (2, 3.5), (True, 3), (float("nan"),)):
@@ -347,12 +360,12 @@ def lone_tree_ratio(family, seed, target):
 def sequential_tree_search(cfg):
     """A RANDOM-TREE search as one lone tree per point, in order: the
     reference for the forests search draws and evaluates."""
-    rec = sh._Recorder(lambda prm: lone_tree_ratio(cfg.family, prm["tree_seed"], cfg.target),
-                       ["tree_seed"], cfg.budget)
+    rec = sh._Recorder(["tree_seed"])
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ptree.SPAWN_DOMAINS["search"],))))
     for t in range(cfg.budget):
-        rec({"tree_seed": t if cfg.method == "grid" else sh._draw(rng, 0, 2**63, "seed")})
+        prm = {"tree_seed": t if cfg.method == "grid" else sh._draw(rng, 0, 2**63, "seed")}
+        rec.record(prm, lone_tree_ratio(cfg.family, prm["tree_seed"], cfg.target))
     return sh.SearchResult(rec.best_ratio, rec.best_params, rec.count, tuple(rec.trace),
                            1.0, rec.best_ratio > 1.0 + ineq.ABS_TOL)
 
@@ -453,6 +466,52 @@ def test_frozen_search_paths():
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert len(parts) == 60
     assert digest == "a7f7f760c72406d965ced358b43986c2fb9e148104b9e0706fcd2a9978dc1f63"
+
+
+class TestEvaluatorCalls:
+    """Each method evaluates exactly its budget's points, each point once."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls, real = [], getattr(sh, name)
+
+        def counted(family, arg, target="RIO-STEP"):
+            calls.append(dict(arg) if isinstance(arg, dict) else list(arg))
+            return real(family, arg, target)
+
+        monkeypatch.setattr(sh, name, counted)
+        return calls
+
+    def test_grid_cut_to_the_budget(self, monkeypatch):
+        """Two free boxes at budget 3 make a 2 x 2 grid; its 4th point is
+        never evaluated."""
+        fam = FamilySpec(tag="RIO-TWO-POINT", p=4.0, a_box=(0.5, 2.0), b_box=(1e-3, 1.0))
+        made = [{"a": float(a), "b": float(b)} for a in np.geomspace(0.5, 2.0, 2)
+                for b in np.geomspace(1e-3, 1.0, 2)]
+        calls = self.spy(monkeypatch, "family_ratio")
+        res = sh.search(SearchConfig(family=fam, method="grid", budget=3, seed=0))
+        assert calls == made[:3] and made[3] not in calls
+        assert res.evaluations == 3
+
+    @pytest.mark.parametrize("method", ["random", "nelder-mead"])
+    def test_random_and_nelder_mead_use_the_budget(self, monkeypatch, method):
+        fam = FamilySpec(tag="ASYM-TWO-POINT", p=4.0, a_box=(0.5, 2.0),
+                         b_box=(1e-3, 1.0), q_box=(0.1, 0.9))
+        calls = self.spy(monkeypatch, "family_ratio")
+        res = sh.search(SearchConfig(family=fam, method=method, budget=17, seed=0))
+        assert len(calls) == res.evaluations == 17
+
+    def test_tree_grid_seeds_each_once_in_order(self, monkeypatch):
+        """23 seeds in forests of at most 5 trees: each seed is evaluated once,
+        in order, and no tree goes through family_ratio."""
+        monkeypatch.setattr(sh.ptree, "FOREST_BYTES", 5 * sh.ptree.tree_bytes(3, 2, (2, 3)))
+        fam = FamilySpec(tag="RANDOM-TREE", p=3.0, depth=3, dim=2)
+        forests = self.spy(monkeypatch, "_forest_ratios")
+        lone = self.spy(monkeypatch, "family_ratio")
+        res = sh.search(SearchConfig(family=fam, method="grid", budget=23, seed=0,
+                                     target="PROP1-MAX"))
+        assert forests == [list(range(i, min(i + 5, 23))) for i in range(0, 23, 5)]
+        assert not lone and res.evaluations == 23
 
 
 class TestGridCap:

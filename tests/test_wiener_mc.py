@@ -92,17 +92,18 @@ class TestIntegrandSpec:
     @pytest.mark.parametrize("make", [
         lambda: IntegrandSpec(1, 1, 1.0, 4, (RuleEntry(0.5, 4, 1, Rule("const", (1.0,))),)),
         lambda: IntegrandSpec(1, 1, 1.0, 4, (RuleEntry(0, 4, 1, Rule("lin", (1.0,), k=1.0)),)),
+        lambda: IntegrandSpec(1, 1, 1.0, 4, (RuleEntry(0, 4, 1, Rule("const", (1.0,), "x")),)),
         lambda: IntegrandSpec(1, 1, 1.0, 4, (RuleEntry(0, 4, 1, Rule("const", ("x",))),)),
         lambda: IntegrandSpec(2, 1, 1.0, 4, (
             RuleEntry(0, 4, 1, Rule("const", ((1.0, 2.0), 3.0))),)),
         lambda: IntegrandSpec(1, 1, "1.0", 4, ()),
         lambda: constant_integrand("x"),
         lambda: constant_integrand(1.0, horizon="x"),
-    ], ids=["entry-start", "rule-k", "rule-c", "rule-c-ragged", "spec-horizon", "value",
-            "horizon"])
+    ], ids=["entry-start", "rule-k", "const-k", "rule-c", "rule-c-ragged", "spec-horizon",
+            "value", "horizon"])
     def test_malformed_fields_refused(self, make):
-        """A rule's fractional start, a float k, a string or nested
-        coefficient and a string horizon or value are refused with
+        """A rule's fractional start, a float k, a k on a const rule, a string
+        or nested coefficient and a string horizon or value are refused with
         DomainError, not a bare numpy or Python error when the spec is built
         or simulated."""
         with pytest.raises(DomainError):
